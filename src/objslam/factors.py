@@ -14,14 +14,22 @@ Residual conventions:
 - Orientation prior: SO(3) log of R_target^T R(theta).
 - Centroid prior: centroid minus the single-shot measured centroid.
 
-Jacobians are central finite differences with on-manifold perturbations.
-The bounding-box factor overrides the generic path with a vectorized batch
-evaluation because it dominates solver runtime.
+Jacobians are with respect to the right-perturbation retractions of
+``Pose``/``Quadric`` (rotation ``R exp(d)``, translation, centroid and
+semi-axes additive in the world frame). Odometry and the three unary priors
+have closed forms built from the inverse right Jacobian of SO(3) (Sola et
+al., "A micro Lie theory for state estimation in robotics", 2018). The
+bounding-box Jacobian is a central difference over the 15 tangent
+directions of its pose and quadric, evaluated for many observations at once
+by :func:`bbox_jacobians`: 31 projections per observation in one
+``project_bbox_batch`` call. :func:`numeric_jacobian` is the independent
+finite-difference oracle the tests compare every factor against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,10 +38,10 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     Quadric,
-    between,
-    compose,
     project_bbox_batch,
+    skew,
     so3_exp,
+    so3_jr_inv,
     so3_log,
 )
 
@@ -61,6 +69,7 @@ class NoiseModel:
     covariance: np.ndarray
     huber_width: float | None = None
     sqrt_information: np.ndarray = field(init=False, repr=False, compare=False)
+    _threshold: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cov = np.array(self.covariance, dtype=np.float64)
@@ -83,6 +92,10 @@ class NoiseModel:
         sqrt_info = np.linalg.inv(L).copy()
         sqrt_info.setflags(write=False)
         object.__setattr__(self, "sqrt_information", sqrt_info)
+        threshold = None
+        if self.huber_width is not None:
+            threshold = self.huber_width / float(np.sqrt(cov[0, 0]))
+        object.__setattr__(self, "_threshold", threshold)
 
     @property
     def dim(self) -> int:
@@ -100,9 +113,7 @@ class NoiseModel:
         return self.sqrt_information @ r
 
     def whitened_huber_threshold(self) -> float | None:
-        if self.huber_width is None:
-            return None
-        return self.huber_width / float(np.sqrt(self.covariance[0, 0]))
+        return self._threshold
 
     def cost(self, r: np.ndarray) -> float:
         """Robustified squared Mahalanobis cost of a residual."""
@@ -126,6 +137,28 @@ class NoiseModel:
         return float(np.sqrt(delta / e))
 
 
+def robust_whiten(
+    noises: Sequence[NoiseModel], r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched :meth:`NoiseModel.whiten`, ``cost`` and ``robust_sqrt_weight``.
+
+    ``r`` stacks m residuals of one dimension, one noise model each. Returns
+    the whitened residuals (m, d), robustified costs (m,) and square-root
+    IRLS weights (m,). Models without a Huber width keep the quadratic cost
+    and unit weight.
+    """
+    e = (np.array([nm.sqrt_information for nm in noises]) @ r[:, :, None])[:, :, 0]
+    e2 = np.einsum("ij,ij->i", e, e)
+    norm = np.sqrt(e2)
+    thresholds = [nm.whitened_huber_threshold() for nm in noises]
+    delta = np.array([0.0 if t is None else t for t in thresholds])
+    clipped = np.array([t is not None for t in thresholds], dtype=bool) & (norm > delta)
+    cost = np.where(clipped, 2.0 * delta * norm - delta * delta, e2)
+    weight = np.ones(len(e2))
+    weight[clipped] = np.sqrt(delta[clipped] / norm[clipped])
+    return e, cost, weight
+
+
 def variable_dim(var: Variable) -> int:
     if isinstance(var, Pose):
         return 6
@@ -140,8 +173,9 @@ def retract_variable(var: Variable, delta: np.ndarray) -> Variable:
 
 def odometry_residual(x_i: Pose, x_j: Pose, u: Pose) -> np.ndarray:
     """6-vector error between the odometry prediction and the next pose."""
-    err = between(compose(x_i, u), x_j)
-    return np.concatenate([so3_log(err.rotation), err.translation])
+    R_p = x_i.rotation @ u.rotation
+    t_p = x_i.rotation @ u.translation + x_i.translation
+    return np.concatenate([so3_log(R_p.T @ x_j.rotation), R_p.T @ (x_j.translation - t_p)])
 
 
 def _border_mask(
@@ -161,6 +195,70 @@ def _border_mask(
     )
 
 
+class BBoxRows(NamedTuple):
+    """Stacked inputs of m bounding-box observations under one camera."""
+
+    R_wc: np.ndarray  # (m, 3, 3) world-from-camera rotations
+    t_wc: np.ndarray  # (m, 3) camera positions
+    R_q: np.ndarray  # (m, 3, 3) quadric rotations
+    t_q: np.ndarray  # (m, 3) centroids
+    s: np.ndarray  # (m, 3) semi-axes
+    measured: np.ndarray  # (m, 4) measured boxes
+    keep: np.ndarray  # (m, 4) False where the measured box touches the border
+
+    @staticmethod
+    def single(x: Pose, q: Quadric, measured: np.ndarray, keep: np.ndarray) -> "BBoxRows":
+        return BBoxRows(
+            x.rotation[None], x.translation[None], q.rotation_matrix()[None],
+            q.t[None], q.s[None], measured[None], keep[None],
+        )
+
+
+def bbox_residuals(K: CameraIntrinsics, rows: BBoxRows) -> tuple[np.ndarray, np.ndarray]:
+    """Measured minus predicted boxes (m, 4) and the projection validity (m,)
+    in one projection. Rows of invalid projections hold NaN."""
+    boxes, valid = project_bbox_batch(
+        rows.R_wc, rows.t_wc, K, rows.R_q, rows.t_q, rows.s
+    )
+    return np.where(rows.keep, rows.measured - boxes, 0.0), valid
+
+
+def bbox_jacobians(
+    K: CameraIntrinsics, rows: BBoxRows, step: float = DEFAULT_JACOBIAN_STEP
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals (m, 4), Jacobians (m, 4, 15) and validity (m,) by central
+    differences, all 31 projections per observation in one call.
+
+    Jacobian columns are the pose tangent (rotation, translation) then the
+    quadric tangent (rotation, centroid, semi-axes). An observation is valid
+    only when all 31 of its projections are.
+    """
+    m = len(rows.s)
+    E = np.stack([so3_exp(step * axis) for axis in np.eye(3)])
+    turns = np.stack([E[0], E[0].T, E[1], E[1].T, E[2], E[2].T])
+    shifts = np.kron(np.eye(3), [[step], [-step]])
+
+    # Row layout per observation: 0 is the unperturbed center; then (+,-)
+    # pairs for pose rotation, pose translation, quadric rotation, centroid,
+    # semi-axes.
+    R_wc, t_wc, R_q, t_q, s = (np.repeat(a[:, None], 31, axis=1) for a in rows[:5])
+    R_wc[:, 1:7] = rows.R_wc[:, None] @ turns
+    t_wc[:, 7:13] += shifts
+    R_q[:, 13:19] = rows.R_q[:, None] @ turns
+    t_q[:, 19:25] += shifts
+    s[:, 25:31] += shifts
+
+    boxes, valid = project_bbox_batch(
+        R_wc.reshape(-1, 3, 3), t_wc.reshape(-1, 3), K,
+        R_q.reshape(-1, 3, 3), t_q.reshape(-1, 3), s.reshape(-1, 3),
+    )
+    r = np.where(
+        rows.keep[:, None], rows.measured[:, None] - boxes.reshape(m, 31, 4), 0.0
+    )
+    J = np.swapaxes(r[:, 1::2] - r[:, 2::2], 1, 2) / (2.0 * step)
+    return r[:, 0], J, valid.reshape(m, 31).all(axis=1)
+
+
 def bbox_residual(
     x: Pose,
     q: Quadric,
@@ -169,15 +267,11 @@ def bbox_residual(
     image_size: tuple[float, float] | None = None,
 ) -> np.ndarray | None:
     """Measured minus predicted box, or None when the projection is invalid."""
-    boxes, valid = project_bbox_batch(
-        x.rotation[None], x.translation[None], K,
-        q.rotation_matrix()[None], q.t[None], q.s[None],
+    rows = BBoxRows.single(
+        x, q, measurement.as_array(), _border_mask(measurement, image_size)
     )
-    if not valid[0]:
-        return None
-    r = measurement.as_array() - boxes[0]
-    r[~_border_mask(measurement, image_size)] = 0.0
-    return r
+    r, valid = bbox_residuals(K, rows)
+    return r[0] if valid[0] else None
 
 
 def size_prior_residual(q: Quadric, target: np.ndarray) -> np.ndarray:
@@ -234,19 +328,6 @@ def numeric_jacobian(
     return blocks
 
 
-_PERTURB_CACHE: dict[float, np.ndarray] = {}
-
-
-def _perturbation_rotations(step: float) -> np.ndarray:
-    """Stacked exp(step * e_k) for the three rotation axes."""
-    R = _PERTURB_CACHE.get(step)
-    if R is None:
-        R = np.stack([so3_exp(step * np.eye(3)[k]) for k in range(3)])
-        R.setflags(write=False)
-        _PERTURB_CACHE[step] = R
-    return R
-
-
 class Factor:
     """Base interface: residual and Jacobians at given variable values."""
 
@@ -262,11 +343,12 @@ class Factor:
     def jacobian_at(
         self, *variables: Variable, step: float = DEFAULT_JACOBIAN_STEP
     ) -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """(residual, Jacobian blocks) or None when the factor is skipped."""
-        r = self.residual_at(*variables)
-        if r is None:
-            return None
-        return r, numeric_jacobian(self.residual_at, list(variables), step=step)
+        """(residual, Jacobian blocks) or None when the factor is skipped.
+
+        ``step`` is the central-difference step of factors differentiated
+        numerically; closed-form factors ignore it.
+        """
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -284,6 +366,28 @@ class OdometryFactor(Factor):
     def residual_at(self, x_i: Pose, x_j: Pose) -> np.ndarray:
         return odometry_residual(x_i, x_j, self.measurement)
 
+    def jacobian_at(
+        self, x_i: Pose, x_j: Pose, step: float = DEFAULT_JACOBIAN_STEP
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Closed form. With the prediction p = x_i u, the error rotation
+        R_e = R_p^T R_j and d = R_i^T (t_j - t_i): the rotation rows are
+        -Jr^-1 R_j^T R_i and Jr^-1; the translation rows, for world-frame
+        translation updates, are R_u^T [d]x and -R_p^T for x_i, R_p^T for x_j."""
+        r = self.residual_at(x_i, x_j)
+        R_i, R_j = x_i.rotation, x_j.rotation
+        R_u = self.measurement.rotation
+        R_p = R_i @ R_u
+        Jr_inv = so3_jr_inv(r[:3])
+        d = R_i.T @ (x_j.translation - x_i.translation)
+        J_i = np.zeros((6, 6))
+        J_i[:3, :3] = -Jr_inv @ (R_j.T @ R_i)
+        J_i[3:, :3] = R_u.T @ skew(d)
+        J_i[3:, 3:] = -R_p.T
+        J_j = np.zeros((6, 6))
+        J_j[:3, :3] = Jr_inv
+        J_j[3:, 3:] = R_p.T
+        return r, [J_i, J_j]
+
 
 @dataclass(frozen=True)
 class BBoxFactor(Factor):
@@ -294,7 +398,19 @@ class BBoxFactor(Factor):
     noise: NoiseModel
     image_size: tuple[float, float] | None = None
 
+    # Residual inputs of bbox_residuals, fixed at construction.
+    measured: np.ndarray = field(init=False, repr=False, compare=False)
+    keep: np.ndarray = field(init=False, repr=False, compare=False)
+
     kind = "bbox"
+
+    def __post_init__(self) -> None:
+        measured = self.measurement.as_array()
+        keep = _border_mask(self.measurement, self.image_size)
+        measured.setflags(write=False)
+        keep.setflags(write=False)
+        object.__setattr__(self, "measured", measured)
+        object.__setattr__(self, "keep", keep)
 
     def variable_keys(self) -> tuple[VariableKey, ...]:
         return (("pose", self.pose_id), ("quadric", self.quadric_id))
@@ -305,38 +421,12 @@ class BBoxFactor(Factor):
     def jacobian_at(
         self, x: Pose, q: Quadric, step: float = DEFAULT_JACOBIAN_STEP
     ) -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """Batched central differences: all 31 required projections (center
-        plus +-step along the 15 tangent directions) in one vectorized call."""
-        E = _perturbation_rotations(step)
-        n = 31
-        R_wc = np.tile(x.rotation, (n, 1, 1))
-        t_wc = np.tile(x.translation, (n, 1))
-        R_q = np.tile(q.rotation_matrix(), (n, 1, 1))
-        t_q = np.tile(q.t, (n, 1))
-        s = np.tile(q.s, (n, 1))
-
-        # Row layout: 0 is the unperturbed center; then (+,-) pairs for pose
-        # rotation, pose translation, quadric rotation, centroid, semi-axes.
-        for k in range(3):
-            R_wc[1 + 2 * k] = x.rotation @ E[k]
-            R_wc[2 + 2 * k] = x.rotation @ E[k].T
-            t_wc[7 + 2 * k, k] += step
-            t_wc[8 + 2 * k, k] -= step
-            R_q[13 + 2 * k] = R_q[0] @ E[k]
-            R_q[14 + 2 * k] = R_q[0] @ E[k].T
-            t_q[19 + 2 * k, k] += step
-            t_q[20 + 2 * k, k] -= step
-            s[25 + 2 * k, k] += step
-            s[26 + 2 * k, k] -= step
-
-        boxes, valid = project_bbox_batch(R_wc, t_wc, self.K, R_q, t_q, s)
-        if not np.all(valid):
+        """:func:`bbox_jacobians` for this one observation."""
+        rows = BBoxRows.single(x, q, self.measured, self.keep)
+        r, J, valid = bbox_jacobians(self.K, rows, step)
+        if not valid[0]:
             return None
-        mask = _border_mask(self.measurement, self.image_size)
-        residuals = self.measurement.as_array()[None, :] - boxes
-        residuals[:, ~mask] = 0.0
-        diffs = (residuals[1::2] - residuals[2::2]) / (2.0 * step)
-        return residuals[0], [diffs[0:6].T.copy(), diffs[6:15].T.copy()]
+        return r[0], [J[0, :, :6], J[0, :, 6:]]
 
 
 @dataclass(frozen=True)
@@ -360,6 +450,15 @@ class SizePriorFactor(Factor):
     def residual_at(self, q: Quadric) -> np.ndarray:
         return size_prior_residual(q, self.target)
 
+    def jacobian_at(
+        self, q: Quadric, step: float = DEFAULT_JACOBIAN_STEP
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Closed form: the sort permutation on the semi-axis columns."""
+        order = np.argsort(q.s, kind="stable")
+        J = np.zeros((3, 9))
+        J[np.arange(3), 6 + order] = 1.0
+        return self.residual_at(q), [J]
+
 
 @dataclass(frozen=True)
 class OrientationPriorFactor(Factor):
@@ -382,6 +481,15 @@ class OrientationPriorFactor(Factor):
     def residual_at(self, q: Quadric) -> np.ndarray:
         return orientation_prior_residual(q, self.target_rotation)
 
+    def jacobian_at(
+        self, q: Quadric, step: float = DEFAULT_JACOBIAN_STEP
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Closed form: Jr^-1 of the residual on the rotation columns."""
+        r = self.residual_at(q)
+        J = np.zeros((3, 9))
+        J[:, :3] = so3_jr_inv(r)
+        return r, [J]
+
 
 @dataclass(frozen=True)
 class CentroidPriorFactor(Factor):
@@ -401,3 +509,11 @@ class CentroidPriorFactor(Factor):
 
     def residual_at(self, q: Quadric) -> np.ndarray:
         return centroid_residual(q, self.target)
+
+    def jacobian_at(
+        self, q: Quadric, step: float = DEFAULT_JACOBIAN_STEP
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Closed form: [0 I 0]."""
+        J = np.zeros((3, 9))
+        J[:, 3:6] = np.eye(3)
+        return self.residual_at(q), [J]

@@ -92,6 +92,22 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     return angle / (2.0 * np.sin(angle)) * vee
 
 
+def so3_jr_inv(phi: np.ndarray) -> np.ndarray:
+    """Inverse right Jacobian of SO(3): log(exp(phi) exp(d)) ~ phi + Jr^-1(phi) d.
+
+    Uses the cot(angle/2) form of the [phi]x^2 coefficient, which stays finite
+    up to and including angle = pi, and its series near zero.
+    """
+    phi = np.asarray(phi, dtype=np.float64)
+    angle = float(np.linalg.norm(phi))
+    W = skew(phi)
+    if angle < 1e-4:
+        c = 1.0 / 12.0 + angle * angle / 720.0
+    else:
+        c = 1.0 / (angle * angle) - 1.0 / (2.0 * angle * np.tan(0.5 * angle))
+    return np.eye(3) + 0.5 * W + c * (W @ W)
+
+
 def euler_xyz_to_matrix(theta: np.ndarray) -> np.ndarray:
     """Rotation matrix from intrinsic X-Y-Z Euler angles."""
     tx, ty, tz = np.asarray(theta, dtype=np.float64)
@@ -434,10 +450,10 @@ def project_bbox_batch(
     n = R_wc.shape[0]
 
     R_cw = np.swapaxes(R_wc, 1, 2)
-    t_cw = -np.einsum("nij,nj->ni", R_cw, t_wc)
+    t_cw = -(R_cw @ t_wc[:, :, None])[:, :, 0]
     Km = K.matrix()
     P = np.empty((n, 3, 4))
-    P[:, :, :3] = np.einsum("ij,njk->nik", Km, R_cw)
+    P[:, :, :3] = Km @ R_cw
     P[:, :, 3] = t_cw @ Km.T
 
     Z = np.zeros((n, 4, 4))
@@ -445,9 +461,9 @@ def project_bbox_batch(
     Z[:, :3, 3] = t_q
     Z[:, 3, 3] = 1.0
     d = np.concatenate([s * s, -np.ones((n, 1))], axis=1)
-    Q = np.einsum("nij,nj,nkj->nik", Z, d, Z)
+    Q = (Z * d[:, None, :]) @ np.swapaxes(Z, 1, 2)
 
-    C = np.einsum("nij,njk,nlk->nil", P, Q, P)
+    C = P @ Q @ np.swapaxes(P, 1, 2)
     C = 0.5 * (C + np.swapaxes(C, 1, 2))
 
     depth = np.einsum("ni,ni->n", R_cw[:, 2, :], t_q - t_wc)

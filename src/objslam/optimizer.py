@@ -7,6 +7,21 @@ the factors' (whitened, robust-weighted) Jacobians, an additive damping
 schedule, and per-variable retractions for the update. The first pose (by
 lowest id) is held constant in every solve, which fixes the gauge.
 
+Linearization takes each factor's Jacobian from its ``jacobian_at``, closed
+forms for odometry and the unary priors, except for factors of exactly type
+``BBoxFactor``: those are differentiated together by
+``factors.bbox_jacobians``, in blocks of ``_BBOX_BLOCK`` observations (31
+projections each) so the projection temporaries stay a few MB whatever the
+graph size. Every factor's local block ``J^T J`` and ``J^T r`` is scattered
+into the dense ``H`` and ``g`` with one index-array ``bincount``. A
+subclass that overrides ``jacobian_at`` is linearized through its override.
+
+``cost_breakdown`` scores all bbox factors with one projection and a
+vectorized Huber cost, and marks which factors it scored. A trial step that
+makes a scored factor invalid (a landmark pushed behind a camera, say)
+would lower the cost only by dropping that factor's term, so LM rejects it
+like a cost increase.
+
 Incremental mode is the same solver warm-started from the current values
 with a small iteration budget per keyframe; it relinearizes the whole
 graph rather than maintaining a Bayes tree, which is accurate and fast at
@@ -27,6 +42,7 @@ from .factors import (
     DEFAULT_BBOX_SIGMA,
     DEFAULT_JACOBIAN_STEP,
     BBoxFactor,
+    BBoxRows,
     CentroidPriorFactor,
     Factor,
     NoiseModel,
@@ -35,6 +51,10 @@ from .factors import (
     SizePriorFactor,
     Variable,
     VariableKey,
+    bbox_jacobians,
+    bbox_residuals,
+    robust_whiten,
+    variable_dim,
 )
 from .geometry import (
     CameraIntrinsics,
@@ -49,7 +69,6 @@ from .priors import (
     PriorConfig,
     PriorRecord,
     PriorTable,
-    orientation_prior_rotation,
     prior_covariances,
     size_prior_estimate,
 )
@@ -57,6 +76,9 @@ from .priors import (
 # Total costs at or below this are treated as an exact fit.
 _COST_FLOOR = 1e-12
 _MIN_DAMPING = 1e-15
+# Bbox factors differentiated per projection call: 64 x 31 rows keeps the
+# batch's temporaries to a few MB whatever the graph size.
+_BBOX_BLOCK = 64
 
 
 class MissingVariable(KeyError):
@@ -145,15 +167,71 @@ class SolveReport:
     breakdown: dict[str, float]
 
 
-def cost_breakdown(graph: FactorGraph, values: GraphValues) -> dict[str, float]:
-    """Robustified cost per factor kind; skipped residuals contribute nothing."""
-    out: dict[str, float] = {}
-    for f in graph:
-        variables = [values.get(k) for k in f.variable_keys()]
-        r = f.residual_at(*variables)
-        if r is None:
+def _bbox_rows(factors: Sequence[BBoxFactor], values: GraphValues) -> BBoxRows:
+    """Stacked inputs of bbox factors, one rotation matrix per quadric."""
+    poses = [values.get(("pose", f.pose_id)) for f in factors]
+    quadrics = {j: values.get(("quadric", j)) for j in {f.quadric_id for f in factors}}
+    rotations = {j: q.rotation_matrix() for j, q in quadrics.items()}
+    return BBoxRows(
+        np.array([x.rotation for x in poses]),
+        np.array([x.translation for x in poses]),
+        np.array([rotations[f.quadric_id] for f in factors]),
+        np.array([quadrics[f.quadric_id].t for f in factors]),
+        np.array([quadrics[f.quadric_id].s for f in factors]),
+        np.array([f.measured for f in factors]),
+        np.array([f.keep for f in factors]),
+    )
+
+
+def _by_camera(factors: Sequence[BBoxFactor]) -> list[tuple[CameraIntrinsics, np.ndarray]]:
+    """Positions of the factors grouped by camera, cameras in first-use order."""
+    groups: dict[CameraIntrinsics, list[int]] = {}
+    for i, f in enumerate(factors):
+        groups.setdefault(f.K, []).append(i)
+    return [(K, np.array(idx)) for K, idx in groups.items()]
+
+
+def _take(rows: BBoxRows, idx) -> BBoxRows:
+    return BBoxRows(*(a[idx] for a in rows))
+
+
+def cost_breakdown(
+    graph: FactorGraph, values: GraphValues, active: np.ndarray | None = None
+) -> dict[str, float]:
+    """Robustified cost per factor kind; skipped residuals contribute nothing.
+
+    When given, ``active`` (bool, one entry per factor in graph order) is set
+    to the factors that were scored: a bbox factor whose projection is
+    invalid is not.
+    """
+    factors = graph.factors
+    costs = np.zeros(len(factors))
+    scored = np.ones(len(factors), dtype=bool)
+    bbox_at = [i for i, f in enumerate(factors) if type(f) is BBoxFactor]
+    if bbox_at:
+        bbox = [factors[i] for i in bbox_at]
+        rows = _bbox_rows(bbox, values)
+        for K, idx in _by_camera(bbox):
+            r, valid = bbox_residuals(K, _take(rows, idx))
+            r[~valid] = 0.0
+            _, c, _ = robust_whiten([bbox[i].noise for i in idx], r)
+            at = np.asarray(bbox_at)[idx]
+            costs[at] = c
+            scored[at] = valid
+    for i, f in enumerate(factors):
+        if type(f) is BBoxFactor:
             continue
-        out[f.kind] = out.get(f.kind, 0.0) + f.noise.cost(r)
+        r = f.residual_at(*[values.get(k) for k in f.variable_keys()])
+        if r is None:
+            scored[i] = False
+        else:
+            costs[i] = f.noise.cost(r)
+    if active is not None:
+        active[:] = scored
+    out: dict[str, float] = {}
+    for f, cost, kept in zip(factors, costs.tolist(), scored.tolist()):
+        if kept:
+            out[f.kind] = out.get(f.kind, 0.0) + cost
     return out
 
 
@@ -186,9 +264,16 @@ def _linearize(
     step: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense normal equations H, g of the robust-weighted linearization."""
-    H = np.zeros((n, n))
-    g = np.zeros(n)
+    # Stacks of k factors each: the first H column of every variable (k, v;
+    # -1 for the anchored pose), the variables' dims, J^T J (k, c, c) and
+    # J^T r (k, c) of the whitened, robust-weighted Jacobian.
+    stacks: list[tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]] = []
+    by_dims: dict[tuple[int, ...], list[tuple[list[int], np.ndarray, np.ndarray]]] = {}
+    bbox: list[BBoxFactor] = []
     for f in graph:
+        if type(f) is BBoxFactor:
+            bbox.append(f)
+            continue
         keys = f.variable_keys()
         variables = [values.get(k) for k in keys]
         out = f.jacobian_at(*variables, step=step)
@@ -196,24 +281,69 @@ def _linearize(
             continue
         r, blocks = out
         w = f.noise.robust_sqrt_weight(r)
-        sqrt_info = f.noise.sqrt_information
-        wr = w * (sqrt_info @ r)
-        wJ = [w * (sqrt_info @ J) for J in blocks]
-        for a, ka in enumerate(keys):
-            if ka not in index:
-                continue
-            ia, da = index[ka]
-            g[ia : ia + da] += wJ[a].T @ wr
-            for b in range(a, len(keys)):
-                kb = keys[b]
-                if kb not in index:
+        wr = w * (f.noise.sqrt_information @ r)
+        wJ = w * (f.noise.sqrt_information @ np.hstack(blocks))
+        dims = tuple(variable_dim(v) for v in variables)
+        starts = [index.get(k, (-1, 0))[0] for k in keys]
+        by_dims.setdefault(dims, []).append((starts, wJ.T @ wJ, wJ.T @ wr))
+    for dims, same in by_dims.items():
+        starts, JtJ, Jtr = (np.array(part) for part in zip(*same))
+        stacks.append((starts, dims, JtJ, Jtr))
+
+    if bbox:
+        rows = _bbox_rows(bbox, values)
+        starts = np.array(
+            [
+                [index.get(("pose", f.pose_id), (-1, 0))[0],
+                 index.get(("quadric", f.quadric_id), (-1, 0))[0]]
+                for f in bbox
+            ]
+        )
+        for K, idx in _by_camera(bbox):
+            for first in range(0, len(idx), _BBOX_BLOCK):
+                block = idx[first : first + _BBOX_BLOCK]
+                r, J, valid = bbox_jacobians(K, _take(rows, block), step)
+                if not valid.any():
                     continue
-                ib, db = index[kb]
-                Hab = wJ[a].T @ wJ[b]
-                H[ia : ia + da, ib : ib + db] += Hab
-                if b != a:
-                    H[ib : ib + db, ia : ia + da] += Hab.T
-    return H, g
+                block, r, J = block[valid], r[valid], J[valid]
+                noises = [bbox[i].noise for i in block]
+                e, _, w = robust_whiten(noises, r)
+                S = np.array([nm.sqrt_information for nm in noises])
+                wJt = np.swapaxes(w[:, None, None] * (S @ J), 1, 2)
+                stacks.append(
+                    (starts[block], (6, 9), wJt @ np.swapaxes(wJt, 1, 2),
+                     (wJt @ (w[:, None] * e)[:, :, None])[:, :, 0])
+                )
+
+    if not stacks:
+        return np.zeros((n, n)), np.zeros(n)
+    # One scatter-add for all factors. The anchored pose's columns go to a
+    # spare row and column n, cut off at the end.
+    size = n + 1
+    cols = [_columns(starts, dims, n) for starts, dims, _, _ in stacks]
+    H = np.bincount(
+        np.concatenate([(c[:, :, None] * size + c[:, None, :]).ravel() for c in cols]),
+        np.concatenate([JtJ.ravel() for _, _, JtJ, _ in stacks]),
+        minlength=size * size,
+    )
+    g = np.bincount(
+        np.concatenate([c.ravel() for c in cols]),
+        np.concatenate([Jtr.ravel() for _, _, _, Jtr in stacks]),
+        minlength=size,
+    )
+    return H.reshape(size, size)[:n, :n], g[:n]
+
+
+def _columns(starts: np.ndarray, dims: tuple[int, ...], spare: int) -> np.ndarray:
+    """H columns (k, sum(dims)) of k factors from the first column of each of
+    their variables (k, len(dims)); the anchored pose (-1) maps to `spare`."""
+    return np.concatenate(
+        [
+            np.where(first[:, None] < 0, spare, first[:, None] + np.arange(dim))
+            for first, dim in zip(starts.T, dims)
+        ],
+        axis=1,
+    )
 
 
 def _apply_step(
@@ -233,7 +363,8 @@ def _lm_solve(
     graph: FactorGraph, values: GraphValues, cfg: SolverConfig, max_accepted: int
 ) -> tuple[GraphValues, SolveReport]:
     current = values.copy()
-    cost = total_cost(graph, current)
+    active = np.empty(len(graph), dtype=bool)
+    cost = float(sum(cost_breakdown(graph, current, active).values()))
     initial_cost = cost
     keys, index, n = _ordering(current)
     damping = cfg.initial_damping
@@ -252,17 +383,22 @@ def _lm_solve(
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
                 candidate = _apply_step(current, keys, index, delta)
-                new_cost = total_cost(graph, candidate)
-                if np.isfinite(new_cost) and new_cost <= cost:
+                trial_active = np.empty(len(graph), dtype=bool)
+                new_cost = float(sum(cost_breakdown(graph, candidate, trial_active).values()))
+                # A step that deactivates a scored factor lowers the cost by
+                # dropping its term, not by fitting it: reject it outright.
+                keeps_active = not np.any(active & ~trial_active)
+                if keeps_active and np.isfinite(new_cost) and new_cost <= cost:
                     decrease = cost - new_cost
                     if decrease <= cfg.convergence_rel_decrease * max(cost, _COST_FLOOR):
                         converged = True
-                    current, cost = candidate, new_cost
+                    current, cost, active = candidate, new_cost, trial_active
                     accepted += 1
                     damping = max(damping / cfg.damping_down, _MIN_DAMPING)
                     break
                 if (
-                    np.isfinite(new_cost)
+                    keeps_active
+                    and np.isfinite(new_cost)
                     and abs(new_cost - cost)
                     <= cfg.convergence_rel_decrease * max(cost, _COST_FLOOR)
                 ):

@@ -61,7 +61,8 @@ from .simulator import SceneSpec, simulate_dataset
 
 
 class PipelineError(RuntimeError):
-    """A frame-level failure, annotated with the frame it happened on."""
+    """A failure inside the pipeline, annotated with the frame it happened on
+    or with the final solve."""
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,10 @@ def run_slam(
 
     if cfg.mode == "batch" or report is None:
         t0 = time.perf_counter()
-        values, report = solve_batch(graph, values, cfg.solver)
+        try:
+            values, report = solve_batch(graph, values, cfg.solver)
+        except Exception as exc:
+            raise PipelineError(f"final solve: {exc}") from exc
         t0 = timer.add("solve", t0)
         if prev_id is not None:
             snapshots.append((prev_id, _snapshot(values)))

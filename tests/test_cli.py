@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from objslam import pipeline
 from objslam.cli import main
 from objslam.dataset import load_dataset
 from objslam.priors import ENV_API_KEY, ENV_ENDPOINT, parse_prior_csv
@@ -61,6 +62,20 @@ class TestExitCodes:
         )
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_final_solve_value_error_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        ds = _simulate(tmp_path, capsys)
+
+        def failing_solve(*args, **kwargs):
+            raise ValueError("rotation is not orthonormal")
+
+        monkeypatch.setattr(pipeline, "solve_batch", failing_solve)
+        code = main(
+            ["run", "--dataset", str(ds), "-o", str(tmp_path / "out"),
+             "--set", "mode=batch"]
+        )
+        assert code == 2
+        assert "final solve: rotation is not orthonormal" in capsys.readouterr().err
 
     def test_gen_priors_without_credentials(self, tmp_path, capsys, no_llm_env):
         vocab = tmp_path / "vocab.txt"

@@ -276,6 +276,72 @@ class TestFactorJacobians:
         assert factor.jacobian_at(Pose.identity(), q) is None
 
 
+def oracle_error(factor, variables) -> float:
+    """Largest closed-form minus numeric_jacobian entry, relative to the
+    largest numeric entry floored at 1 (the measure of criterion 2)."""
+    _, got = factor.jacobian_at(*variables)
+    want = numeric_jacobian(factor.residual_at, list(variables))
+    scale = max(1.0, max(np.abs(w).max() for w in want))
+    return max(np.abs(g - w).max() for g, w in zip(got, want)) / scale
+
+
+class TestClosedFormJacobians:
+    """Closed forms against the finite-difference oracle where their series
+    and branches switch: the rotation log near angle 0 and near pi."""
+
+    TOL = 1e-4
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-6, 1e-4, np.pi - 1e-2])
+    def test_orientation_prior_edges(self, angle):
+        # Near pi the oracle itself loses precision (the log's roundoff over
+        # the step grows like 1/(pi - angle)); at pi - 1e-2 it is ~1e-6.
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            q = random_quadric(rng)
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            target = q.rotation_matrix() @ so3_exp(angle * axis).T
+            factor = OrientationPriorFactor(0, target, NoiseModel.isotropic(3, 0.1))
+            r, _ = factor.jacobian_at(q)
+            assert np.linalg.norm(r) == pytest.approx(angle, abs=1e-8)
+            assert oracle_error(factor, (q,)) < self.TOL
+
+    def test_odometry_at_zero_error(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            x_i, u = random_pose(rng), random_pose(rng)
+            factor = OdometryFactor(0, 1, u, NoiseModel.isotropic(6, 0.1))
+            x_j = compose(x_i, u)
+            r, blocks = factor.jacobian_at(x_i, x_j)
+            np.testing.assert_allclose(r, np.zeros(6), atol=1e-9)
+            np.testing.assert_allclose(blocks[1][:3, :3], np.eye(3), atol=1e-9)
+            assert oracle_error(factor, (x_i, x_j)) < self.TOL
+
+    def test_size_prior_follows_sort(self):
+        noise = NoiseModel.isotropic(3, 0.1)
+        factor = SizePriorFactor(0, np.array([0.1, 0.2, 0.3]), noise)
+        q = Quadric(np.zeros(3), np.zeros(3), np.array([0.5, 0.15, 0.3]))
+        r, (J,) = factor.jacobian_at(q)
+        np.testing.assert_allclose(r, [0.05, 0.1, 0.2], atol=1e-12)
+        expected = np.zeros((3, 9))
+        expected[[0, 1, 2], [7, 8, 6]] = 1.0
+        np.testing.assert_array_equal(J, expected)
+        assert oracle_error(factor, (q,)) < self.TOL
+
+    def test_residual_matches_residual_at(self):
+        rng = np.random.default_rng(67)
+        x_i, x_j, u = random_pose(rng), random_pose(rng), random_pose(rng)
+        odo = OdometryFactor(0, 1, u, NoiseModel.isotropic(6, 0.1))
+        np.testing.assert_array_equal(odo.jacobian_at(x_i, x_j)[0], odo.residual_at(x_i, x_j))
+        q = random_quadric(rng)
+        for factor in (
+            SizePriorFactor(0, np.array([0.1, 0.2, 0.3]), NoiseModel.isotropic(3, 0.1)),
+            OrientationPriorFactor(0, random_rotation(rng), NoiseModel.isotropic(3, 0.1)),
+            CentroidPriorFactor(0, rng.normal(size=3), NoiseModel.isotropic(3, 0.1)),
+        ):
+            np.testing.assert_array_equal(factor.jacobian_at(q)[0], factor.residual_at(q))
+
+
 class TestNoiseModel:
     def test_cost_is_mahalanobis(self):
         noise = NoiseModel.diagonal(np.array([4.0, 9.0]))

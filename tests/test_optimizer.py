@@ -25,12 +25,15 @@ from objslam.geometry import (
     so3_exp,
 )
 from objslam.optimizer import (
+    _BBOX_BLOCK,
     FactorGraph,
     FactorPolicy,
     GraphValues,
     MissingVariable,
     SingularSystem,
     SolverConfig,
+    _linearize,
+    _ordering,
     add_keyframe,
     cost_breakdown,
     initialize_landmark,
@@ -435,3 +438,206 @@ class TestSolveIncremental:
         np.testing.assert_allclose(
             values_inc.quadrics[0].t, values_bat.quadrics[0].t, atol=0.05
         )
+
+
+class TestDeactivation:
+    def test_step_behind_camera_is_rejected(self, camera):
+        # A tight centroid prior pulls the landmark behind the only camera.
+        # The Gauss-Newton step goes straight there, which would make the
+        # bbox factor invalid and drop its cost; LM must not accept it.
+        q0 = Quadric(np.zeros(3), np.array([0.0, 0.0, 2.0]), np.full(3, 0.1))
+        box = predict_bbox(Pose.identity(), camera, q0)
+        graph = FactorGraph()
+        graph.add(
+            BBoxFactor(
+                0, 0,
+                BoundingBox2D(box.xmin + 5.0, box.ymin, box.xmax + 5.0, box.ymax),
+                camera, NoiseModel.isotropic(4, 10.0),
+            )
+        )
+        graph.add(CentroidPriorFactor(0, np.array([0.0, 0.0, -1.0]), NoiseModel.isotropic(3, 0.01)))
+        values = GraphValues(poses={0: Pose.identity()}, quadrics={0: q0})
+        solved, report = solve_batch(graph, values)
+        assert solved.quadrics[0].t[2] > 0.0
+        assert "bbox" in report.breakdown
+        assert report.final_cost <= report.initial_cost
+        active = np.zeros(len(graph), dtype=bool)
+        cost_breakdown(graph, solved, active)
+        assert active.all()
+
+
+def reference_linearize(graph, values, index, n, step):
+    """The per-factor loop: each factor's own jacobian_at, block by block."""
+    H = np.zeros((n, n))
+    g = np.zeros(n)
+    for f in graph:
+        keys = f.variable_keys()
+        out = f.jacobian_at(*[values.get(k) for k in keys], step=step)
+        if out is None:
+            continue
+        r, blocks = out
+        w = f.noise.robust_sqrt_weight(r)
+        wr = w * (f.noise.sqrt_information @ r)
+        wJ = [w * (f.noise.sqrt_information @ J) for J in blocks]
+        for a, ka in enumerate(keys):
+            if ka not in index:
+                continue
+            ia, da = index[ka]
+            g[ia : ia + da] += wJ[a].T @ wr
+            for b in range(a, len(keys)):
+                kb = keys[b]
+                if kb not in index:
+                    continue
+                ib, db = index[kb]
+                Hab = wJ[a].T @ wJ[b]
+                H[ia : ia + da, ib : ib + db] += Hab
+                if b != a:
+                    H[ib : ib + db, ia : ia + da] += Hab.T
+    return H, g
+
+
+def reference_cost_breakdown(graph, values):
+    """The per-factor walk: residual_at and the scalar robust cost."""
+    out, active = {}, []
+    for f in graph:
+        r = f.residual_at(*[values.get(k) for k in f.variable_keys()])
+        active.append(r is not None)
+        if r is not None:
+            out[f.kind] = out.get(f.kind, 0.0) + f.noise.cost(r)
+    return out, np.array(active)
+
+
+class ScaledBBoxFactor(BBoxFactor):
+    """A BBoxFactor subclass with its own jacobian_at: it must be linearized
+    through the override, not the batched path of the base class."""
+
+    def jacobian_at(self, x, q, step=1e-6):
+        out = super().jacobian_at(x, q, step=step)
+        if out is None:
+            return None
+        r, blocks = out
+        return r, [3.0 * J for J in blocks]
+
+
+def mixed_graph(camera):
+    """Anchored pose, more bbox factors than one block, an invalid and a
+    Huber-clipped bbox factor, a jacobian_at override and non-robust priors."""
+    rng = np.random.default_rng(71)
+    poses = looking_at_poses() + [
+        Pose.from_rotvec(np.array([0.0, np.pi, 0.0]), np.zeros(3))  # looks away
+    ]
+    grid = [
+        Quadric(rng.normal(0.0, 0.2, size=3), np.array([x, y, 3.0 + 0.1 * x]),
+                rng.uniform(0.05, 0.15, size=3))
+        for x in np.linspace(-0.6, 0.6, 5)
+        for y in np.linspace(-0.4, 0.4, 5)
+    ]
+    values = GraphValues(dict(enumerate(poses)), dict(enumerate(grid)))
+    graph = FactorGraph()
+    odom_noise = NoiseModel.diagonal(np.array([1e-4] * 3 + [4e-4] * 3))
+    for i in range(len(poses) - 1):
+        u = between(poses[i], poses[i + 1]).retract(rng.normal(0.0, 0.01, size=6))
+        graph.add(OdometryFactor(i, i + 1, u, odom_noise))
+    bbox_noise = NoiseModel.isotropic(4, 2.0, huber_width=4.0)
+    for i, x in enumerate(poses[:3]):
+        for j, q in values.quadrics.items():
+            box = predict_bbox(x, camera, q).as_array() + rng.normal(0.0, 1.0, size=4)
+            cls = ScaledBBoxFactor if (i, j) == (1, 7) else BBoxFactor
+            graph.add(cls(i, j, BoundingBox2D(*box), camera, bbox_noise, (640.0, 480.0)))
+    clipped = predict_bbox(poses[2], camera, grid[3]).as_array() + 40.0
+    graph.add(BBoxFactor(2, 3, BoundingBox2D(*clipped), camera, bbox_noise))
+    graph.add(BBoxFactor(3, 5, BoundingBox2D(100, 100, 140, 150), camera, bbox_noise))
+    for j, q in list(values.quadrics.items())[::4]:
+        graph.add(SizePriorFactor(j, np.sort(q.s) * 1.1, NoiseModel.isotropic(3, 0.05)))
+        graph.add(OrientationPriorFactor(
+            j, q.rotation_matrix() @ so3_exp(rng.normal(0.0, 0.1, size=3)),
+            NoiseModel.isotropic(3, 0.2),
+        ))
+        graph.add(CentroidPriorFactor(j, q.t + 0.05, NoiseModel.isotropic(3, 0.1)))
+    return graph, values
+
+
+class TestBatchedLinearization:
+    """The production linearization and cost against the per-factor loops."""
+
+    RTOL, ATOL = 1e-5, 1e-6
+
+    def test_graph_covers_the_cases(self, camera):
+        graph, values = mixed_graph(camera)
+        bbox = [f for f in graph if type(f) is BBoxFactor]
+        assert len(bbox) > _BBOX_BLOCK
+        scored = [f.residual_at(*[values.get(k) for k in f.variable_keys()]) for f in bbox]
+        assert any(r is None for r in scored)
+        assert any(
+            r is not None and f.noise.robust_sqrt_weight(r) < 1.0
+            for f, r in zip(bbox, scored)
+        )
+
+    def test_normal_equations_match_reference(self, camera):
+        graph, values = mixed_graph(camera)
+        _, index, n = _ordering(values)
+        H, g = _linearize(graph, values, index, n, 1e-6)
+        H_ref, g_ref = reference_linearize(graph, values, index, n, 1e-6)
+        np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
+        np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
+
+    def test_breakdown_matches_reference(self, camera):
+        graph, values = mixed_graph(camera)
+        active = np.zeros(len(graph), dtype=bool)
+        breakdown = cost_breakdown(graph, values, active)
+        expected, expected_active = reference_cost_breakdown(graph, values)
+        assert list(breakdown) == list(expected)
+        for kind, cost in expected.items():
+            assert breakdown[kind] == pytest.approx(cost, rel=self.RTOL, abs=self.ATOL)
+        np.testing.assert_array_equal(active, expected_active)
+
+    def test_solve_report_breakdown_matches_reference(self, camera):
+        graph, values = mixed_graph(camera)
+        solved, report = solve_batch(graph, values, SolverConfig(max_iterations=3))
+        expected, _ = reference_cost_breakdown(graph, solved)
+        assert report.breakdown == pytest.approx(expected, rel=self.RTOL, abs=self.ATOL)
+
+    def test_only_bbox_factor_invalid(self, camera):
+        # The landmark sits behind the only camera: its bbox factor is
+        # skipped and the centroid prior alone moves it.
+        q0 = Quadric(np.zeros(3), np.array([0.0, 0.0, -2.0]), np.full(3, 0.1))
+        graph = FactorGraph()
+        graph.add(BBoxFactor(0, 0, BoundingBox2D(300, 220, 340, 260), camera,
+                             NoiseModel.isotropic(4, 2.0)))
+        target = np.array([0.1, 0.0, -2.5])
+        graph.add(CentroidPriorFactor(0, target, NoiseModel.isotropic(3, 0.1)))
+        values = GraphValues(poses={0: Pose.identity()}, quadrics={0: q0})
+        _, index, n = _ordering(values)
+        H, g = _linearize(graph, values, index, n, 1e-6)
+        H_ref, g_ref = reference_linearize(graph, values, index, n, 1e-6)
+        np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
+        np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
+        solved, report = solve_batch(graph, values)
+        np.testing.assert_allclose(solved.quadrics[0].t, target, atol=1e-6)
+        assert "bbox" not in report.breakdown
+
+    def test_trailing_block_all_invalid(self, camera):
+        # One block of valid bbox factors, then a block holding only a
+        # factor of a camera that looks away from its landmark.
+        poses = looking_at_poses() + [
+            Pose.from_rotvec(np.array([0.0, np.pi, 0.0]), np.zeros(3))
+        ]
+        n_quadrics = -(-_BBOX_BLOCK // 3)
+        quadrics = {
+            j: Quadric(np.zeros(3), np.array([0.05 * j - 0.5, 0.0, 3.0]), np.full(3, 0.1))
+            for j in range(n_quadrics)
+        }
+        values = GraphValues(dict(enumerate(poses)), quadrics)
+        graph = FactorGraph()
+        noise = NoiseModel.isotropic(4, 2.0, huber_width=4.0)
+        pairs = [(i, j) for j in quadrics for i in range(3)][:_BBOX_BLOCK]
+        for i, j in pairs:
+            box = predict_bbox(poses[i], camera, quadrics[j]).as_array() + 1.0
+            graph.add(BBoxFactor(i, j, BoundingBox2D(*box), camera, noise))
+        graph.add(BBoxFactor(3, 0, BoundingBox2D(300, 220, 340, 260), camera, noise))
+        assert graph.factors[-1].residual_at(poses[3], quadrics[0]) is None
+        _, index, n = _ordering(values)
+        H, g = _linearize(graph, values, index, n, 1e-6)
+        H_ref, g_ref = reference_linearize(graph, values, index, n, 1e-6)
+        np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
+        np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
