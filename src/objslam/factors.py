@@ -167,10 +167,6 @@ def variable_dim(var: Variable) -> int:
     raise TypeError(f"unsupported variable type {type(var)!r}")
 
 
-def retract_variable(var: Variable, delta: np.ndarray) -> Variable:
-    return var.retract(delta)
-
-
 def odometry_residual(x_i: Pose, x_j: Pose, u: Pose) -> np.ndarray:
     """6-vector error between the odometry prediction and the next pose."""
     R_p = x_i.rotation @ u.rotation
@@ -320,9 +316,9 @@ def numeric_jacobian(
             delta = np.zeros(dim)
             delta[k] = step
             plus = list(variables)
-            plus[vi] = retract_variable(var, delta)
+            plus[vi] = var.retract(delta)
             minus = list(variables)
-            minus[vi] = retract_variable(var, -delta)
+            minus[vi] = var.retract(-delta)
             J[:, k] = (evaluate(plus) - evaluate(minus)) / (2.0 * step)
         blocks.append(J)
     return blocks
@@ -340,14 +336,8 @@ class Factor:
     def residual_at(self, *variables: Variable) -> np.ndarray | None:
         raise NotImplementedError
 
-    def jacobian_at(
-        self, *variables: Variable, step: float = DEFAULT_JACOBIAN_STEP
-    ) -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """(residual, Jacobian blocks) or None when the factor is skipped.
-
-        ``step`` is the central-difference step of factors differentiated
-        numerically; closed-form factors ignore it.
-        """
+    def jacobian_at(self, *variables: Variable) -> tuple[np.ndarray, list[np.ndarray]] | None:
+        """(residual, Jacobian blocks) or None when the factor is skipped."""
         raise NotImplementedError
 
 
@@ -366,9 +356,7 @@ class OdometryFactor(Factor):
     def residual_at(self, x_i: Pose, x_j: Pose) -> np.ndarray:
         return odometry_residual(x_i, x_j, self.measurement)
 
-    def jacobian_at(
-        self, x_i: Pose, x_j: Pose, step: float = DEFAULT_JACOBIAN_STEP
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    def jacobian_at(self, x_i: Pose, x_j: Pose) -> tuple[np.ndarray, list[np.ndarray]]:
         """Closed form. With the prediction p = x_i u, the error rotation
         R_e = R_p^T R_j and d = R_i^T (t_j - t_i): the rotation rows are
         -Jr^-1 R_j^T R_i and Jr^-1; the translation rows, for world-frame
@@ -418,12 +406,10 @@ class BBoxFactor(Factor):
     def residual_at(self, x: Pose, q: Quadric) -> np.ndarray | None:
         return bbox_residual(x, q, self.measurement, self.K, self.image_size)
 
-    def jacobian_at(
-        self, x: Pose, q: Quadric, step: float = DEFAULT_JACOBIAN_STEP
-    ) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    def jacobian_at(self, x: Pose, q: Quadric) -> tuple[np.ndarray, list[np.ndarray]] | None:
         """:func:`bbox_jacobians` for this one observation."""
         rows = BBoxRows.single(x, q, self.measured, self.keep)
-        r, J, valid = bbox_jacobians(self.K, rows, step)
+        r, J, valid = bbox_jacobians(self.K, rows)
         if not valid[0]:
             return None
         return r[0], [J[0, :, :6], J[0, :, 6:]]
@@ -450,9 +436,7 @@ class SizePriorFactor(Factor):
     def residual_at(self, q: Quadric) -> np.ndarray:
         return size_prior_residual(q, self.target)
 
-    def jacobian_at(
-        self, q: Quadric, step: float = DEFAULT_JACOBIAN_STEP
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    def jacobian_at(self, q: Quadric) -> tuple[np.ndarray, list[np.ndarray]]:
         """Closed form: the sort permutation on the semi-axis columns."""
         order = np.argsort(q.s, kind="stable")
         J = np.zeros((3, 9))
@@ -481,9 +465,7 @@ class OrientationPriorFactor(Factor):
     def residual_at(self, q: Quadric) -> np.ndarray:
         return orientation_prior_residual(q, self.target_rotation)
 
-    def jacobian_at(
-        self, q: Quadric, step: float = DEFAULT_JACOBIAN_STEP
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    def jacobian_at(self, q: Quadric) -> tuple[np.ndarray, list[np.ndarray]]:
         """Closed form: Jr^-1 of the residual on the rotation columns."""
         r = self.residual_at(q)
         J = np.zeros((3, 9))
@@ -510,9 +492,7 @@ class CentroidPriorFactor(Factor):
     def residual_at(self, q: Quadric) -> np.ndarray:
         return centroid_residual(q, self.target)
 
-    def jacobian_at(
-        self, q: Quadric, step: float = DEFAULT_JACOBIAN_STEP
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    def jacobian_at(self, q: Quadric) -> tuple[np.ndarray, list[np.ndarray]]:
         """Closed form: [0 I 0]."""
         J = np.zeros((3, 9))
         J[:, 3:6] = np.eye(3)

@@ -40,7 +40,6 @@ from .association import AssociationResult
 from .dataset import Detection
 from .factors import (
     DEFAULT_BBOX_SIGMA,
-    DEFAULT_JACOBIAN_STEP,
     BBoxFactor,
     BBoxRows,
     CentroidPriorFactor,
@@ -65,10 +64,10 @@ from .geometry import (
     compose,
 )
 from .priors import (
-    OrientationClass,
     PriorConfig,
     PriorRecord,
     PriorTable,
+    orientation_prior_frame,
     prior_covariances,
     size_prior_estimate,
 )
@@ -145,13 +144,12 @@ class SolverConfig:
     max_damping: float = 1e8
     convergence_rel_decrease: float = 1e-8
     incremental_iters_per_keyframe: int = 5
-    jacobian_step: float = DEFAULT_JACOBIAN_STEP
 
     def __post_init__(self) -> None:
         if self.max_iterations <= 0 or self.incremental_iters_per_keyframe <= 0:
             raise ValueError("iteration budgets must be positive")
-        if min(self.initial_damping, self.max_damping, self.jacobian_step) <= 0.0:
-            raise ValueError("damping and step values must be positive")
+        if min(self.initial_damping, self.max_damping) <= 0.0:
+            raise ValueError("damping values must be positive")
         if self.damping_up <= 1.0 or self.damping_down <= 1.0:
             raise ValueError("damping factors must exceed 1")
         if not 0.0 < self.convergence_rel_decrease < 1.0:
@@ -261,7 +259,6 @@ def _linearize(
     values: GraphValues,
     index: dict[VariableKey, tuple[int, int]],
     n: int,
-    step: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense normal equations H, g of the robust-weighted linearization."""
     # Stacks of k factors each: the first H column of every variable (k, v;
@@ -276,7 +273,7 @@ def _linearize(
             continue
         keys = f.variable_keys()
         variables = [values.get(k) for k in keys]
-        out = f.jacobian_at(*variables, step=step)
+        out = f.jacobian_at(*variables)
         if out is None:
             continue
         r, blocks = out
@@ -302,7 +299,7 @@ def _linearize(
         for K, idx in _by_camera(bbox):
             for first in range(0, len(idx), _BBOX_BLOCK):
                 block = idx[first : first + _BBOX_BLOCK]
-                r, J, valid = bbox_jacobians(K, _take(rows, block), step)
+                r, J, valid = bbox_jacobians(K, _take(rows, block))
                 if not valid.any():
                     continue
                 block, r, J = block[valid], r[valid], J[valid]
@@ -364,7 +361,8 @@ def _lm_solve(
 ) -> tuple[GraphValues, SolveReport]:
     current = values.copy()
     active = np.empty(len(graph), dtype=bool)
-    cost = float(sum(cost_breakdown(graph, current, active).values()))
+    breakdown = cost_breakdown(graph, current, active)
+    cost = float(sum(breakdown.values()))
     initial_cost = cost
     keys, index, n = _ordering(current)
     damping = cfg.initial_damping
@@ -373,7 +371,7 @@ def _lm_solve(
     stalled = False
 
     while not converged and not stalled and accepted < max_accepted:
-        H, g = _linearize(graph, current, index, n, cfg.jacobian_step)
+        H, g = _linearize(graph, current, index, n)
         while True:
             delta = None
             try:
@@ -384,7 +382,8 @@ def _lm_solve(
             if delta is not None and np.all(np.isfinite(delta)):
                 candidate = _apply_step(current, keys, index, delta)
                 trial_active = np.empty(len(graph), dtype=bool)
-                new_cost = float(sum(cost_breakdown(graph, candidate, trial_active).values()))
+                trial_breakdown = cost_breakdown(graph, candidate, trial_active)
+                new_cost = float(sum(trial_breakdown.values()))
                 # A step that deactivates a scored factor lowers the cost by
                 # dropping its term, not by fitting it: reject it outright.
                 keeps_active = not np.any(active & ~trial_active)
@@ -393,6 +392,7 @@ def _lm_solve(
                     if decrease <= cfg.convergence_rel_decrease * max(cost, _COST_FLOOR):
                         converged = True
                     current, cost, active = candidate, new_cost, trial_active
+                    breakdown = trial_breakdown
                     accepted += 1
                     damping = max(damping / cfg.damping_down, _MIN_DAMPING)
                     break
@@ -422,7 +422,7 @@ def _lm_solve(
         final_cost=cost,
         iterations=accepted,
         converged=converged,
-        breakdown=cost_breakdown(graph, current),
+        breakdown=breakdown,
     )
     return current, report
 
@@ -466,49 +466,8 @@ def initialize_landmark(
     s = np.maximum(np.array([sx, sy, 0.5 * (sx + sy)]), 1e-4)
     rotation = x.rotation
     if prior is not None:
-        rotation, s = _prior_frame(prior.orientation, rotation, s)
+        rotation, s = orientation_prior_frame(prior.orientation, rotation, s)
     return Quadric.from_rotation(rotation, t, s)
-
-
-def _prior_frame(
-    cls: OrientationClass, R: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gravity-aligned starting frame for a landmark of the given class.
-
-    Commits the representation to the class convention up front: local z is
-    the world vertical and carries the class's designated extent (vertical
-    objects stand up even if the single view says otherwise), and local x is
-    the heading, taken from the horizontal projection of the corresponding
-    blob axis. This matters because the orientation covariance is broad only
-    in its z component (heading about gravity); if the vertical landed on a
-    tight local axis the prior would fight the data over yaw.
-    """
-    w_z = np.array([0.0, 0.0, 1.0])
-    vertical_align = np.abs(R.T @ w_z)
-    if cls == OrientationClass.VERTICAL:
-        k_v = int(np.argmax(s))
-    elif cls == OrientationClass.HORIZONTAL:
-        k_long = int(np.argmax(s))
-        others = [i for i in range(3) if i != k_long]
-        k_v = others[int(np.argmax(vertical_align[others]))]
-    else:
-        k_v = int(np.argmax(vertical_align))
-    if cls == OrientationClass.HORIZONTAL:
-        k_x = int(np.argmax(s))
-    else:
-        k_x = min(i for i in range(3) if i != k_v)
-    k_y = next(i for i in range(3) if i not in (k_v, k_x))
-    heading = None
-    for k in (k_x, k_y):
-        flat = R[:, k] - (R[:, k] @ w_z) * w_z
-        norm = float(np.linalg.norm(flat))
-        if norm > 1e-6:
-            heading = flat / norm
-            break
-    if heading is None:
-        heading = np.array([1.0, 0.0, 0.0])
-    frame = np.column_stack([heading, np.cross(w_z, heading), w_z])
-    return frame, np.array([s[k_x], s[k_y], s[k_v]])
 
 
 @dataclass(frozen=True)
@@ -607,8 +566,9 @@ def add_keyframe(
             if policy.enable_size_prior:
                 graph.add(SizePriorFactor(next_id, s_hat, NoiseModel(sigma_s)))
             if policy.enable_orientation_prior:
-                # initialize_landmark already adopted the class's gravity-
-                # aligned frame, so the target is the initial rotation itself.
+                # initialize_landmark already adopted orientation_prior_frame,
+                # whose local z is gravity and carries the loose yaw variance
+                # kz, so the target is the initial rotation itself.
                 graph.add(
                     OrientationPriorFactor(
                         next_id, q0.rotation_matrix(), NoiseModel(sigma_theta)

@@ -8,11 +8,12 @@ unary factors on each landmark:
 
 - size target: half the sorted typical dimensions, blended with the sorted
   measured semi-axes by the detection confidence;
-- orientation target: a rotation built from the landmark's initial rotation,
-  snapped per class to the gravity direction while keeping the initial
-  heading;
-- covariances scaled so roll/pitch are trusted, yaw is nearly free, and
-  translation/size uncertainty grows with object size.
+- orientation target: the landmark's frame from :func:`orientation_prior_frame`,
+  whose local z is the world vertical and takes the extent the class puts
+  upright, and whose local x keeps the heading of the initial rotation;
+- covariances scaled so roll/pitch (local x, y) are trusted, yaw about
+  local z (gravity) is nearly free, and translation/size uncertainty grows
+  with object size.
 
 Responses are cached on disk per vocabulary. Credentials for the hosted
 model come from environment variables only.
@@ -29,8 +30,6 @@ from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
-
-WORLD_UP = np.array([0.0, 0.0, 1.0])
 
 PROMPT_TEMPLATE = (
     "Provide commonsense knowledge about the physical dimensions and "
@@ -61,10 +60,6 @@ class MalformedResponse(ValueError):
 
 class ConfigOutOfRange(ValueError):
     """A prior scale parameter lies outside its admissible interval."""
-
-
-class DegenerateAxis(ValueError):
-    """Axis to project is parallel to gravity and no fallback axis exists."""
 
 
 class MissingCredentials(RuntimeError):
@@ -380,114 +375,47 @@ def size_prior_estimate(record: PriorRecord, s_o: np.ndarray, p: float) -> np.nd
     return p * s_alpha + (1.0 - p) * np.sort(s_o)
 
 
-def minimal_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Smallest rotation taking unit vector a to unit vector b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    v = np.cross(a, b)
-    s2 = float(v @ v)
-    c = float(a @ b)
-    if s2 < 1e-24:
-        if c > 0.0:
-            return np.eye(3)
-        # Antipodal: rotate half a turn about any axis orthogonal to a.
-        axis = np.cross(a, WORLD_UP)
-        if np.linalg.norm(axis) < 1e-9:
-            axis = np.cross(a, np.array([1.0, 0.0, 0.0]))
-        axis = axis / np.linalg.norm(axis)
-        K = np.array(
-            [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
-        )
-        return np.eye(3) + 2.0 * (K @ K)
-    K = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + K + K @ K * ((1.0 - c) / s2)
+def orientation_prior_frame(
+    cls: OrientationClass, R: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gravity-aligned frame and reordered semi-axes for a landmark of the
+    given class, from its rotation ``R`` and semi-axes ``s``.
 
-
-def gravity_plane_direction(r: np.ndarray, w_z: np.ndarray = WORLD_UP) -> np.ndarray:
-    """Unit projection of r onto the plane orthogonal to w_z (Gram-Schmidt).
-
-    Raises DegenerateAxis when r is within 1e-6 of parallel to w_z.
+    Commits the representation to the class convention up front: local z is
+    the world vertical and carries the class's designated extent (vertical
+    objects stand up even if the single view says otherwise), and local x is
+    the heading, taken from the horizontal projection of the corresponding
+    blob axis. This matters because the orientation covariance of
+    :func:`prior_covariances` is broad only in its z component (heading about
+    gravity, variance ``kz``); if the vertical landed on a tight local axis
+    the prior would fight the data over yaw.
     """
-    r = np.asarray(r, dtype=np.float64)
-    p = r - (r @ w_z) * w_z
-    n = np.linalg.norm(p)
-    if n < 1e-6:
-        raise DegenerateAxis("axis is parallel to gravity")
-    return p / n
-
-
-def _axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    K = np.array(
-        [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
-    )
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-
-
-def orientation_prior_rotation(
-    cls: OrientationClass, R_q: np.ndarray, s_o: np.ndarray
-) -> np.ndarray:
-    """Target rotation for the orientation prior.
-
-    vertical: minimal rotation aligning the longest semi-axis with +-gravity.
-    horizontal: minimal rotation bringing the longest semi-axis into the
-        ground plane (keeping its heading), then a roll about it so the
-        axis closest to gravity aligns with +-gravity exactly.
-    uncertain: gravity-aligned frame whose y-axis is the in-plane projection
-        of the quadric axis most orthogonal to gravity; columns are
-        (y cross gravity is x, projected axis is y, gravity is z).
-    """
-    R_q = np.asarray(R_q, dtype=np.float64)
-    s_o = np.asarray(s_o, dtype=np.float64)
-    if R_q.shape != (3, 3) or np.abs(R_q.T @ R_q - np.eye(3)).max() > 1e-8:
-        raise ValueError("R_q must be a rotation matrix")
-    if s_o.shape != (3,) or np.any(s_o <= 0.0):
-        raise ValueError("semi-axes must be 3 positive values")
-    cls = OrientationClass(cls)
-    w_z = WORLD_UP
-
-    if cls == OrientationClass.UNCERTAIN:
-        dots = np.abs(R_q.T @ w_z)
-        order = np.argsort(dots, kind="stable")
-        r_hat = None
-        for idx in order:
-            col = R_q[:, idx]
-            if np.linalg.norm(col - (col @ w_z) * w_z) >= 1e-6:
-                r_hat = col
-                break
-        if r_hat is None:
-            raise DegenerateAxis("all quadric axes are parallel to gravity")
-        r_y = gravity_plane_direction(r_hat, w_z)
-        r_x = np.cross(r_y, w_z)
-        return np.column_stack([r_x, r_y, w_z])
-
-    longest = int(np.argmax(s_o))
-    a = R_q[:, longest]
-
+    w_z = np.array([0.0, 0.0, 1.0])
+    vertical_align = np.abs(R.T @ w_z)
     if cls == OrientationClass.VERTICAL:
-        target = w_z if (a @ w_z) >= 0.0 else -w_z
-        return minimal_rotation(a, target) @ R_q
-
-    # HORIZONTAL: stage one drops the longest axis into the ground plane.
-    try:
-        heading = gravity_plane_direction(a, w_z)
-    except DegenerateAxis:
-        # Longest axis is vertical: borrow the heading of the most
-        # ground-parallel axis instead.
-        dots = np.abs(R_q.T @ w_z)
-        fallback_idx = int(np.argsort(dots, kind="stable")[0])
-        heading = gravity_plane_direction(R_q[:, fallback_idx], w_z)
-    R1 = minimal_rotation(a, heading)
-    F = R1 @ R_q
-    others = [i for i in range(3) if i != longest]
-    dots = [abs(float(F[:, i] @ w_z)) for i in others]
-    c_idx = others[int(np.argmax(dots))]
-    c = F[:, c_idx]
-    target = w_z if (c @ w_z) >= 0.0 else -w_z
-    # c and the target are both orthogonal to the in-plane heading, so the
-    # correction is a roll about it.
-    angle = float(np.arctan2(np.cross(c, target) @ heading, c @ target))
-    R2 = _axis_angle(heading, angle)
-    return R2 @ R1 @ R_q
+        k_v = int(np.argmax(s))
+    elif cls == OrientationClass.HORIZONTAL:
+        k_long = int(np.argmax(s))
+        others = [i for i in range(3) if i != k_long]
+        k_v = others[int(np.argmax(vertical_align[others]))]
+    else:
+        k_v = int(np.argmax(vertical_align))
+    if cls == OrientationClass.HORIZONTAL:
+        k_x = int(np.argmax(s))
+    else:
+        k_x = min(i for i in range(3) if i != k_v)
+    k_y = next(i for i in range(3) if i not in (k_v, k_x))
+    # R is orthonormal, so columns k_x and k_y cannot both lie within 1e-6 of
+    # vertical: their squared z-components would sum to more than 1, the
+    # squared norm of R's last row.
+    for k in (k_x, k_y):
+        flat = R[:, k] - (R[:, k] @ w_z) * w_z
+        norm = float(np.linalg.norm(flat))
+        if norm > 1e-6:
+            break
+    heading = flat / norm
+    frame = np.column_stack([heading, np.cross(w_z, heading), w_z])
+    return frame, np.array([s[k_x], s[k_y], s[k_v]])
 
 
 def prior_covariances(

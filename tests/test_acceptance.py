@@ -28,7 +28,7 @@ from objslam.factors import (
 )
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose, Quadric, compose
 from objslam.pipeline import run_slam, run_to_files
-from objslam.priors import OrientationClass, orientation_prior_rotation
+from objslam.priors import OrientationClass, orientation_prior_frame
 from objslam.simulator import SceneSpec, SimConfig, simulate_dataset
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
@@ -380,19 +380,15 @@ def test_criterion_05_orientation_prior_rotations():
             for _ in range(1000):
                 R_q = Rotation.random(random_state=rng).as_matrix()
                 s_o = rng.uniform(0.05, 0.5, 3)
-                R = orientation_prior_rotation(cls, R_q, s_o)
+                R, _ = orientation_prior_frame(cls, R_q, s_o)
                 assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-9
                 assert abs(np.linalg.det(R) - 1.0) < 1e-9
-                if cls == OrientationClass.UNCERTAIN:
-                    assert np.array_equal(R[:, 2], w_z)
+                assert np.array_equal(R[:, 2], w_z)
 
-        worked = orientation_prior_rotation(
-            OrientationClass.UNCERTAIN, np.eye(3), np.array([0.1, 0.2, 0.3])
-        )
-        expected = np.column_stack(
-            [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-        )
-        assert np.array_equal(worked, expected)
+        s = np.array([0.1, 0.2, 0.3])
+        worked, s_worked = orientation_prior_frame(OrientationClass.UNCERTAIN, np.eye(3), s)
+        assert np.array_equal(worked, np.eye(3))
+        assert np.array_equal(s_worked, s)
 
 
 # ---------------------------------------------------------------------------

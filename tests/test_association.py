@@ -25,8 +25,9 @@ from objslam.geometry import (
     Pose,
     Quadric,
     back_project_pixel,
-    predict_bbox,
 )
+
+from projection_oracle import predict_bbox
 
 FIXTURE = Path(__file__).parent / "data" / "embeddings_50d.txt"
 

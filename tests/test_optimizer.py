@@ -21,7 +21,6 @@ from objslam.geometry import (
     Quadric,
     between,
     compose,
-    predict_bbox,
     so3_exp,
 )
 from objslam.optimizer import (
@@ -44,6 +43,7 @@ from objslam.optimizer import (
 from objslam.priors import OrientationClass, PriorRecord, PriorTable
 
 from conftest import random_rotation
+from projection_oracle import predict_bbox
 
 
 def looking_at_poses() -> list[Pose]:
@@ -338,7 +338,7 @@ class TestSolveBatch:
             def residual_at(self, q):
                 return np.array([1.0 + np.sqrt(abs(q.t[0]))])
 
-            def jacobian_at(self, q, step=1e-6):
+            def jacobian_at(self, q):
                 J = np.zeros((1, 9))
                 J[0, 3] = 1.0
                 return self.residual_at(q), [J]
@@ -440,6 +440,21 @@ class TestSolveIncremental:
         )
 
 
+class TestSolveReport:
+    def test_breakdown_scores_the_returned_estimate(self, camera, rng):
+        graph, gt_values = three_view_graph(camera, noise_px=2.0, rng=rng)
+        init = perturbed(gt_values, rng)
+        batch = solve_batch(graph, init)
+        incremental = solve_incremental(graph, init)
+        # A re-solve from a settled estimate rejects its trial step.
+        settled, _ = solve_batch(graph, batch[0])
+        no_step = solve_batch(graph, settled)
+        assert batch[1].iterations > 0 and incremental[1].iterations > 0
+        assert no_step[1].iterations == 0 and no_step[1].final_cost > 1e-12
+        for solved, report in (batch, incremental, no_step):
+            assert report.breakdown == cost_breakdown(graph, solved)
+
+
 class TestDeactivation:
     def test_step_behind_camera_is_rejected(self, camera):
         # A tight centroid prior pulls the landmark behind the only camera.
@@ -466,13 +481,13 @@ class TestDeactivation:
         assert active.all()
 
 
-def reference_linearize(graph, values, index, n, step):
+def reference_linearize(graph, values, index, n):
     """The per-factor loop: each factor's own jacobian_at, block by block."""
     H = np.zeros((n, n))
     g = np.zeros(n)
     for f in graph:
         keys = f.variable_keys()
-        out = f.jacobian_at(*[values.get(k) for k in keys], step=step)
+        out = f.jacobian_at(*[values.get(k) for k in keys])
         if out is None:
             continue
         r, blocks = out
@@ -511,8 +526,8 @@ class ScaledBBoxFactor(BBoxFactor):
     """A BBoxFactor subclass with its own jacobian_at: it must be linearized
     through the override, not the batched path of the base class."""
 
-    def jacobian_at(self, x, q, step=1e-6):
-        out = super().jacobian_at(x, q, step=step)
+    def jacobian_at(self, x, q):
+        out = super().jacobian_at(x, q)
         if out is None:
             return None
         r, blocks = out
@@ -576,8 +591,8 @@ class TestBatchedLinearization:
     def test_normal_equations_match_reference(self, camera):
         graph, values = mixed_graph(camera)
         _, index, n = _ordering(values)
-        H, g = _linearize(graph, values, index, n, 1e-6)
-        H_ref, g_ref = reference_linearize(graph, values, index, n, 1e-6)
+        H, g = _linearize(graph, values, index, n)
+        H_ref, g_ref = reference_linearize(graph, values, index, n)
         np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
 
@@ -608,8 +623,8 @@ class TestBatchedLinearization:
         graph.add(CentroidPriorFactor(0, target, NoiseModel.isotropic(3, 0.1)))
         values = GraphValues(poses={0: Pose.identity()}, quadrics={0: q0})
         _, index, n = _ordering(values)
-        H, g = _linearize(graph, values, index, n, 1e-6)
-        H_ref, g_ref = reference_linearize(graph, values, index, n, 1e-6)
+        H, g = _linearize(graph, values, index, n)
+        H_ref, g_ref = reference_linearize(graph, values, index, n)
         np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
         solved, report = solve_batch(graph, values)
@@ -637,7 +652,7 @@ class TestBatchedLinearization:
         graph.add(BBoxFactor(3, 0, BoundingBox2D(300, 220, 340, 260), camera, noise))
         assert graph.factors[-1].residual_at(poses[3], quadrics[0]) is None
         _, index, n = _ordering(values)
-        H, g = _linearize(graph, values, index, n, 1e-6)
-        H_ref, g_ref = reference_linearize(graph, values, index, n, 1e-6)
+        H, g = _linearize(graph, values, index, n)
+        H_ref, g_ref = reference_linearize(graph, values, index, n)
         np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)

@@ -8,7 +8,6 @@ from objslam.priors import (
     PROMPT_TEMPLATE,
     CachedLLMClient,
     ConfigOutOfRange,
-    DegenerateAxis,
     EmptyVocabulary,
     FixtureLLMClient,
     HTTPLLMClient,
@@ -20,9 +19,7 @@ from objslam.priors import (
     PriorTable,
     build_prompt,
     generate_prior_table,
-    gravity_plane_direction,
-    minimal_rotation,
-    orientation_prior_rotation,
+    orientation_prior_frame,
     parse_prior_csv,
     prior_covariances,
     size_prior_estimate,
@@ -192,26 +189,32 @@ class TestSizeEstimate:
 
 
 class TestOrientationRotation:
-    def test_uncertain_worked_example(self):
-        R = orientation_prior_rotation(OrientationClass.UNCERTAIN, np.eye(3), np.full(3, 0.1))
-        expected = np.column_stack([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose(R, expected, atol=1e-12)
+    """orientation_prior_frame: local z is exactly gravity and the returned
+    semi-axes are the input's, reordered to the frame's axes."""
 
-    def test_gram_schmidt_projection_example(self):
-        np.testing.assert_allclose(
-            gravity_plane_direction(np.array([0.6, 0.0, 0.8])), [1.0, 0.0, 0.0], atol=1e-12
+    UP = np.array([0.0, 0.0, 1.0])
+
+    def check_frame(self, frame, s_frame, s_o):
+        np.testing.assert_array_equal(frame[:, 2], self.UP)
+        np.testing.assert_array_equal(np.sort(s_frame), np.sort(s_o))
+
+    def test_uncertain_worked_example(self):
+        # A quarter turn about world x stands input axis y upright, so its
+        # extent moves to local z; input x keeps the heading.
+        R_q = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        frame, s_frame = orientation_prior_frame(
+            OrientationClass.UNCERTAIN, R_q, np.array([0.1, 0.2, 0.3])
         )
-        with pytest.raises(DegenerateAxis):
-            gravity_plane_direction(np.array([0.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(frame, np.eye(3))
+        np.testing.assert_array_equal(s_frame, [0.1, 0.3, 0.2])
 
     def test_vertical_maps_longest_axis_to_up(self):
-        R = orientation_prior_rotation(
-            OrientationClass.VERTICAL, np.eye(3), np.array([0.1, 0.3, 0.1])
-        )
-        # Longest semi-axis is y: a quarter turn about world x sends it up.
-        expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        np.testing.assert_allclose(R, expected, atol=1e-12)
-        np.testing.assert_allclose(R[:, 1], [0.0, 0.0, 1.0], atol=1e-12)
+        s_o = np.array([0.1, 0.3, 0.1])
+        frame, s_frame = orientation_prior_frame(OrientationClass.VERTICAL, np.eye(3), s_o)
+        # Longest semi-axis is y: it becomes local z, the world vertical.
+        np.testing.assert_allclose(frame, np.eye(3), atol=1e-12)
+        np.testing.assert_array_equal(s_frame, [0.1, 0.1, 0.3])
+        self.check_frame(frame, s_frame, s_o)
 
     def test_vertical_random_inputs(self):
         rng = np.random.default_rng(67)
@@ -219,48 +222,50 @@ class TestOrientationRotation:
             R_q = random_rotation(rng)
             s_o = rng.uniform(0.05, 0.5, size=3)
             s_o[rng.integers(3)] += 0.6
-            R = orientation_prior_rotation(OrientationClass.VERTICAL, R_q, s_o)
-            axis = R[:, int(np.argmax(s_o))]
-            assert abs(abs(axis[2]) - 1.0) < 1e-9
+            frame, s_frame = orientation_prior_frame(OrientationClass.VERTICAL, R_q, s_o)
+            self.check_frame(frame, s_frame, s_o)
+            assert s_frame[2] == s_o.max()
 
     def test_horizontal_longest_axis_in_plane_heading_kept(self):
         rng = np.random.default_rng(71)
         for _ in range(300):
             R_q = random_rotation(rng)
             s_o = rng.uniform(0.05, 0.5, size=3)
-            longest = rng.integers(3)
+            longest = int(rng.integers(3))
             s_o[longest] += 0.6
-            R = orientation_prior_rotation(OrientationClass.HORIZONTAL, R_q, s_o)
-            a_new = R[:, int(longest)]
-            assert abs(a_new[2]) < 1e-9
-            # One of the remaining axes must align exactly with gravity.
+            frame, s_frame = orientation_prior_frame(OrientationClass.HORIZONTAL, R_q, s_o)
+            self.check_frame(frame, s_frame, s_o)
+            # The longest extent lies along local x, in the ground plane.
+            assert s_frame[0] == s_o[longest]
+            assert frame[2, 0] == 0.0
+            # Local z takes the other axis closer to gravity.
             others = [i for i in range(3) if i != longest]
-            vertical = max(abs(R[2, i]) for i in others)
-            assert abs(vertical - 1.0) < 1e-9
+            upright = others[int(np.argmax(np.abs(R_q[2, others])))]
+            assert s_frame[2] == s_o[upright]
             # Heading preserved whenever the original axis was not vertical.
-            a_old = R_q[:, int(longest)]
+            a_old = R_q[:, longest]
             if np.linalg.norm(a_old[:2]) > 1e-3:
                 heading = a_old[:2] / np.linalg.norm(a_old[:2])
-                np.testing.assert_allclose(a_new[:2], heading, atol=1e-9)
+                np.testing.assert_allclose(frame[:2, 0], heading, atol=1e-9)
 
     def test_horizontal_vertical_longest_axis_falls_back(self):
-        R = orientation_prior_rotation(
-            OrientationClass.HORIZONTAL, np.eye(3), np.array([0.1, 0.1, 0.5])
-        )
-        assert abs(R[2, 2]) < 1e-9
-        assert np.abs(R.T @ R - np.eye(3)).max() < 1e-9
+        s_o = np.array([0.1, 0.1, 0.5])
+        frame, s_frame = orientation_prior_frame(OrientationClass.HORIZONTAL, np.eye(3), s_o)
+        # The longest axis is vertical and has no heading: local x borrows
+        # the heading of input y and still carries the longest extent.
+        np.testing.assert_array_equal(frame[:, 0], [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(s_frame, [0.5, 0.1, 0.1])
+        assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-9
+        self.check_frame(frame, s_frame, s_o)
 
-    def test_uncertain_picks_most_inplane_axis(self):
+    def test_uncertain_puts_most_vertical_axis_on_z(self):
         rng = np.random.default_rng(73)
         for _ in range(300):
             R_q = random_rotation(rng)
-            R = orientation_prior_rotation(OrientationClass.UNCERTAIN, R_q, np.full(3, 0.2))
-            np.testing.assert_allclose(R[:, 2], [0.0, 0.0, 1.0], atol=0.0)
-            dots = np.abs(R_q.T @ np.array([0.0, 0.0, 1.0]))
-            chosen = R_q[:, int(np.argmin(dots))]
-            np.testing.assert_allclose(
-                R[:, 1], gravity_plane_direction(chosen), atol=1e-9
-            )
+            s_o = rng.uniform(0.05, 0.5, size=3)
+            frame, s_frame = orientation_prior_frame(OrientationClass.UNCERTAIN, R_q, s_o)
+            self.check_frame(frame, s_frame, s_o)
+            assert s_frame[2] == s_o[int(np.argmax(np.abs(R_q[2])))]
 
     def test_all_classes_produce_rotations(self):
         rng = np.random.default_rng(79)
@@ -268,17 +273,10 @@ class TestOrientationRotation:
             for _ in range(1000):
                 R_q = random_rotation(rng)
                 s_o = rng.uniform(0.05, 0.8, size=3)
-                R = orientation_prior_rotation(cls, R_q, s_o)
+                R, s_frame = orientation_prior_frame(cls, R_q, s_o)
                 assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-9
                 assert abs(np.linalg.det(R) - 1.0) < 1e-9
-
-    def test_minimal_rotation_edge_cases(self):
-        np.testing.assert_allclose(
-            minimal_rotation(np.array([1.0, 0, 0]), np.array([1.0, 0, 0])), np.eye(3), atol=1e-12
-        )
-        R = minimal_rotation(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]))
-        np.testing.assert_allclose(R @ np.array([1.0, 0, 0]), [-1.0, 0, 0], atol=1e-9)
-        assert abs(np.linalg.det(R) - 1.0) < 1e-9
+                self.check_frame(R, s_frame, s_o)
 
 
 class TestCovariances:

@@ -9,7 +9,6 @@ from objslam.geometry import (
     CameraIntrinsics,
     Pose,
     compose,
-    predict_bbox,
 )
 from objslam.priors import OrientationClass, PriorRecord
 from objslam.simulator import (
@@ -25,6 +24,8 @@ from objslam.simulator import (
     render_detections,
     simulate_dataset,
 )
+
+from projection_oracle import predict_bbox
 
 IMAGE = (640, 480)
 
