@@ -9,6 +9,7 @@ priors.HTTPLLMClient); experiment manifests stay credential-free.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import yaml
 
 from .association import AssociationConfig
 from .geometry import CameraIntrinsics
-from .optimizer import FactorPolicy, SolverConfig
+from .optimizer import Flags, NoiseConfig, SolverConfig
 from .priors import PriorConfig
 from .simulator import SimConfig
 
@@ -25,6 +26,19 @@ MODES = ("batch", "incremental")
 
 class ConfigError(ValueError):
     """Bad configuration file, key, or value."""
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 safe loading that also reads exponent numbers without a
+    decimal point or exponent sign, such as `1e-9` and `1.0e9`, as floats
+    rather than strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 @dataclass(frozen=True)
@@ -80,31 +94,6 @@ class SceneConfig:
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    """Factor noise scales assumed by the estimator (not the simulator)."""
-
-    bbox_sigma_px: float = 10.0
-    bbox_huber_multiplier: float = 2.0
-    odom_sigma_rot: float = 0.01
-    odom_sigma_trans: float = 0.01
-
-    def __post_init__(self) -> None:
-        if min(self.bbox_sigma_px, self.odom_sigma_rot, self.odom_sigma_trans) <= 0.0:
-            raise ValueError("noise scales must be positive")
-        if self.bbox_huber_multiplier <= 0.0:
-            raise ValueError("huber multiplier must be positive")
-
-
-@dataclass(frozen=True)
-class Flags:
-    """Prior-factor ablation switches; independent of each other."""
-
-    size_prior: bool = True
-    orientation_prior: bool = True
-    centroid_factor: bool = True
-
-
-@dataclass(frozen=True)
 class RunConfig:
     paths: Paths = field(default_factory=Paths)
     mode: str = "incremental"
@@ -123,21 +112,6 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.match_threshold <= 0.0:
             raise ValueError("match threshold must be positive")
-
-    def factor_policy(self, image_size: tuple[int, int] | None = None) -> FactorPolicy:
-        return FactorPolicy(
-            bbox_sigma_px=self.noise.bbox_sigma_px,
-            bbox_huber_multiplier=self.noise.bbox_huber_multiplier,
-            odom_sigma_rot=self.noise.odom_sigma_rot,
-            odom_sigma_trans=self.noise.odom_sigma_trans,
-            prior_config=self.prior,
-            enable_size_prior=self.flags.size_prior,
-            enable_orientation_prior=self.flags.orientation_prior,
-            enable_centroid_factor=self.flags.centroid_factor,
-            image_size=(float(image_size[0]), float(image_size[1]))
-            if image_size is not None
-            else None,
-        )
 
 
 _SECTIONS = {
@@ -190,8 +164,9 @@ def build_run_config(document: dict | None) -> RunConfig:
 def apply_overrides(document: dict, overrides: list[str]) -> dict:
     """Apply command-line `dotted.key=value` pairs onto a YAML document.
 
-    Values parse as YAML scalars, so `solver.max_iterations=50` yields an
-    int and `flags.size_prior=false` a bool.
+    Values parse as YAML scalars, as in a config file, so
+    `solver.max_iterations=50` yields an int, `flags.size_prior=false` a bool
+    and `solver.convergence_rel_decrease=1e-9` a float.
     """
     for item in overrides:
         if "=" not in item:
@@ -201,7 +176,7 @@ def apply_overrides(document: dict, overrides: list[str]) -> dict:
         if not all(keys):
             raise ConfigError(f"override {item!r} has an empty key component")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r} value does not parse: {exc}") from exc
         node = document
@@ -226,7 +201,7 @@ def load_run_config(path: str | Path | None = None, overrides: list[str] | None 
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            loaded = yaml.safe_load(text)
+            loaded = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
         if loaded is None:

@@ -18,19 +18,13 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from .geometry import Pose, Quadric
+from .geometry import Pose, Quadric, _freeze
 
 _PLANE_EPS = 1e-9
 
 
 class LengthMismatch(ValueError):
     """Trajectories to compare must pair up frame by frame."""
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,6 @@ from .geometry import (
 )
 
 DEFAULT_JACOBIAN_STEP = 1e-6
-# Pixel-noise default for detector boxes; the robust width below cuts the
-# influence of outlier boxes at two standard deviations.
-DEFAULT_BBOX_SIGMA = 10.0
 
 Variable = Pose | Quadric
 VariableKey = tuple[str, int]
@@ -97,10 +94,6 @@ class NoiseModel:
             threshold = self.huber_width / float(np.sqrt(cov[0, 0]))
         object.__setattr__(self, "_threshold", threshold)
 
-    @property
-    def dim(self) -> int:
-        return self.covariance.shape[0]
-
     @staticmethod
     def isotropic(dim: int, sigma: float, huber_width: float | None = None) -> "NoiseModel":
         return NoiseModel(np.eye(dim) * sigma * sigma, huber_width)
@@ -109,43 +102,22 @@ class NoiseModel:
     def diagonal(variances: np.ndarray, huber_width: float | None = None) -> "NoiseModel":
         return NoiseModel(np.diag(np.asarray(variances, dtype=np.float64)), huber_width)
 
-    def whiten(self, r: np.ndarray) -> np.ndarray:
-        return self.sqrt_information @ r
-
     def whitened_huber_threshold(self) -> float | None:
         return self._threshold
-
-    def cost(self, r: np.ndarray) -> float:
-        """Robustified squared Mahalanobis cost of a residual."""
-        e2 = float(np.dot(self.whiten(r), self.whiten(r)))
-        delta = self.whitened_huber_threshold()
-        if delta is None:
-            return e2
-        e = np.sqrt(e2)
-        if e <= delta:
-            return e2
-        return 2.0 * delta * e - delta * delta
-
-    def robust_sqrt_weight(self, r: np.ndarray) -> float:
-        """Square root of the IRLS weight for the current residual."""
-        delta = self.whitened_huber_threshold()
-        if delta is None:
-            return 1.0
-        e = float(np.linalg.norm(self.whiten(r)))
-        if e <= delta:
-            return 1.0
-        return float(np.sqrt(delta / e))
 
 
 def robust_whiten(
     noises: Sequence[NoiseModel], r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched :meth:`NoiseModel.whiten`, ``cost`` and ``robust_sqrt_weight``.
+    """Whitened residuals, robust costs and IRLS weights: the one place a
+    noise model is applied.
 
     ``r`` stacks m residuals of one dimension, one noise model each. Returns
-    the whitened residuals (m, d), robustified costs (m,) and square-root
-    IRLS weights (m,). Models without a Huber width keep the quadratic cost
-    and unit weight.
+    the whitened residuals e = S r (m, d) with S the square-root information,
+    the Huber costs (m,): |e|^2 up to the whitened threshold delta and
+    2 delta |e| - delta^2 past it, and the square roots of the IRLS weights
+    (m,): 1 up to delta and sqrt(delta / |e|) past it. Models without a Huber
+    width keep the quadratic cost and unit weight.
     """
     e = (np.array([nm.sqrt_information for nm in noises]) @ r[:, :, None])[:, :, 0]
     e2 = np.einsum("ij,ij->i", e, e)

@@ -16,11 +16,14 @@ graph size. Every factor's local block ``J^T J`` and ``J^T r`` is scattered
 into the dense ``H`` and ``g`` with one index-array ``bincount``. A
 subclass that overrides ``jacobian_at`` is linearized through its override.
 
-``cost_breakdown`` scores all bbox factors with one projection and a
-vectorized Huber cost, and marks which factors it scored. A trial step that
-makes a scored factor invalid (a landmark pushed behind a camera, say)
-would lower the cost only by dropping that factor's term, so LM rejects it
-like a cost increase.
+Noise models and the Huber robust cost are applied in one place,
+``factors.robust_whiten``, on stacks of residuals of one length:
+``_normal_blocks`` turns a stack into its ``J^T J`` and ``J^T r`` blocks,
+and ``cost_breakdown`` scores all bbox factors with one projection and the
+other factors stacked by residual length. It marks which factors it scored.
+A trial step that makes a scored factor invalid (a landmark pushed behind a
+camera, say) would lower the cost only by dropping that factor's term, so LM
+rejects it like a cost increase.
 
 Incremental mode is the same solver warm-started from the current values
 with a small iteration budget per keyframe; it relinearizes the whole
@@ -39,7 +42,6 @@ import scipy.linalg
 from .association import AssociationResult
 from .dataset import Detection
 from .factors import (
-    DEFAULT_BBOX_SIGMA,
     BBoxFactor,
     BBoxRows,
     CentroidPriorFactor,
@@ -157,6 +159,45 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
+class NoiseConfig:
+    """Factor noise scales assumed by the estimator (not the simulator).
+
+    The Huber width of the bbox factors is ``bbox_huber_multiplier`` standard
+    deviations, so outlier boxes lose influence past two by default.
+    """
+
+    bbox_sigma_px: float = 10.0
+    bbox_huber_multiplier: float = 2.0
+    odom_sigma_rot: float = 0.01
+    odom_sigma_trans: float = 0.01
+
+    def __post_init__(self) -> None:
+        if min(self.bbox_sigma_px, self.odom_sigma_rot, self.odom_sigma_trans) <= 0.0:
+            raise ValueError("noise scales must be positive")
+        if self.bbox_huber_multiplier <= 0.0:
+            raise ValueError("huber multiplier must be positive")
+
+    def bbox_noise(self) -> NoiseModel:
+        return NoiseModel.isotropic(
+            4, self.bbox_sigma_px, self.bbox_huber_multiplier * self.bbox_sigma_px
+        )
+
+    def odom_noise(self) -> NoiseModel:
+        return NoiseModel.diagonal(
+            np.array([self.odom_sigma_rot**2] * 3 + [self.odom_sigma_trans**2] * 3)
+        )
+
+
+@dataclass(frozen=True)
+class Flags:
+    """Prior-factor ablation switches; independent of each other."""
+
+    size_prior: bool = True
+    orientation_prior: bool = True
+    centroid_factor: bool = True
+
+
+@dataclass(frozen=True)
 class SolveReport:
     initial_cost: float
     final_cost: float
@@ -216,6 +257,8 @@ def cost_breakdown(
             at = np.asarray(bbox_at)[idx]
             costs[at] = c
             scored[at] = valid
+    # The other factors, stacked by residual length.
+    by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
     for i, f in enumerate(factors):
         if type(f) is BBoxFactor:
             continue
@@ -223,7 +266,11 @@ def cost_breakdown(
         if r is None:
             scored[i] = False
         else:
-            costs[i] = f.noise.cost(r)
+            by_length.setdefault(len(r), []).append((i, r))
+    for same in by_length.values():
+        at, r = zip(*same)
+        _, c, _ = robust_whiten([factors[i].noise for i in at], np.array(r))
+        costs[list(at)] = c
     if active is not None:
         active[:] = scored
     out: dict[str, float] = {}
@@ -265,7 +312,8 @@ def _linearize(
     # -1 for the anchored pose), the variables' dims, J^T J (k, c, c) and
     # J^T r (k, c) of the whitened, robust-weighted Jacobian.
     stacks: list[tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]] = []
-    by_dims: dict[tuple[int, ...], list[tuple[list[int], np.ndarray, np.ndarray]]] = {}
+    # Factors other than bbox, by (variable dims, residual length).
+    groups: dict[tuple[tuple[int, ...], int], list] = {}
     bbox: list[BBoxFactor] = []
     for f in graph:
         if type(f) is BBoxFactor:
@@ -277,15 +325,12 @@ def _linearize(
         if out is None:
             continue
         r, blocks = out
-        w = f.noise.robust_sqrt_weight(r)
-        wr = w * (f.noise.sqrt_information @ r)
-        wJ = w * (f.noise.sqrt_information @ np.hstack(blocks))
         dims = tuple(variable_dim(v) for v in variables)
         starts = [index.get(k, (-1, 0))[0] for k in keys]
-        by_dims.setdefault(dims, []).append((starts, wJ.T @ wJ, wJ.T @ wr))
-    for dims, same in by_dims.items():
-        starts, JtJ, Jtr = (np.array(part) for part in zip(*same))
-        stacks.append((starts, dims, JtJ, Jtr))
+        groups.setdefault((dims, len(r)), []).append((starts, f.noise, r, np.hstack(blocks)))
+    for (dims, _), same in groups.items():
+        starts, noises, r, J = zip(*same)
+        stacks.append((np.array(starts), dims, *_normal_blocks(noises, np.array(r), np.array(J))))
 
     if bbox:
         rows = _bbox_rows(bbox, values)
@@ -302,15 +347,9 @@ def _linearize(
                 r, J, valid = bbox_jacobians(K, _take(rows, block))
                 if not valid.any():
                     continue
-                block, r, J = block[valid], r[valid], J[valid]
+                block = block[valid]
                 noises = [bbox[i].noise for i in block]
-                e, _, w = robust_whiten(noises, r)
-                S = np.array([nm.sqrt_information for nm in noises])
-                wJt = np.swapaxes(w[:, None, None] * (S @ J), 1, 2)
-                stacks.append(
-                    (starts[block], (6, 9), wJt @ np.swapaxes(wJt, 1, 2),
-                     (wJt @ (w[:, None] * e)[:, :, None])[:, :, 0])
-                )
+                stacks.append((starts[block], (6, 9), *_normal_blocks(noises, r[valid], J[valid])))
 
     if not stacks:
         return np.zeros((n, n)), np.zeros(n)
@@ -329,6 +368,17 @@ def _linearize(
         minlength=size,
     )
     return H.reshape(size, size)[:n, :n], g[:n]
+
+
+def _normal_blocks(
+    noises: Sequence[NoiseModel], r: np.ndarray, J: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J (k, c, c) and J^T r (k, c) of k factors' whitened, robust-weighted
+    residuals (k, d) and Jacobians (k, d, c)."""
+    e, _, w = robust_whiten(noises, r)
+    S = np.array([nm.sqrt_information for nm in noises])
+    wJt = np.swapaxes(w[:, None, None] * (S @ J), 1, 2)
+    return wJt @ np.swapaxes(wJt, 1, 2), (wJt @ (w[:, None] * e)[:, :, None])[:, :, 0]
 
 
 def _columns(starts: np.ndarray, dims: tuple[int, ...], spare: int) -> np.ndarray:
@@ -470,37 +520,6 @@ def initialize_landmark(
     return Quadric.from_rotation(rotation, t, s)
 
 
-@dataclass(frozen=True)
-class FactorPolicy:
-    """Noise scales and feature flags applied when appending keyframes."""
-
-    bbox_sigma_px: float = DEFAULT_BBOX_SIGMA
-    bbox_huber_multiplier: float = 2.0
-    odom_sigma_rot: float = 0.01
-    odom_sigma_trans: float = 0.01
-    prior_config: PriorConfig = field(default_factory=PriorConfig)
-    enable_size_prior: bool = True
-    enable_orientation_prior: bool = True
-    enable_centroid_factor: bool = True
-    image_size: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if min(self.bbox_sigma_px, self.odom_sigma_rot, self.odom_sigma_trans) <= 0.0:
-            raise ValueError("noise scales must be positive")
-        if self.bbox_huber_multiplier <= 0.0:
-            raise ValueError("huber multiplier must be positive")
-
-    def bbox_noise(self) -> NoiseModel:
-        return NoiseModel.isotropic(
-            4, self.bbox_sigma_px, self.bbox_huber_multiplier * self.bbox_sigma_px
-        )
-
-    def odom_noise(self) -> NoiseModel:
-        return NoiseModel.diagonal(
-            np.array([self.odom_sigma_rot**2] * 3 + [self.odom_sigma_trans**2] * 3)
-        )
-
-
 def add_keyframe(
     graph: FactorGraph,
     values: GraphValues,
@@ -510,7 +529,10 @@ def add_keyframe(
     associations: AssociationResult,
     priors: PriorTable | None,
     K: CameraIntrinsics,
-    policy: FactorPolicy | None = None,
+    noise: NoiseConfig = NoiseConfig(),
+    flags: Flags = Flags(),
+    prior: PriorConfig = PriorConfig(),
+    image_size: tuple[float, float] | None = None,
     initial_pose: Pose | None = None,
 ) -> dict[int, int]:
     """Append one keyframe's variables and factors.
@@ -522,9 +544,9 @@ def add_keyframe(
     detections contribute a bounding-box factor each. Unmatched detections
     with depth spawn a new landmark plus its unary priors (attached exactly
     once, here). Returns the detection-index to landmark-id mapping for this
-    frame, covering both matches and newly created landmarks.
+    frame, covering both matches and newly created landmarks. Box
+    components on the border of an image of `image_size` are not scored.
     """
-    policy = policy or FactorPolicy()
     if pose_id in values.poses:
         raise ValueError(f"pose id {pose_id} already present")
     if values.poses:
@@ -532,19 +554,18 @@ def add_keyframe(
         if odom is None:
             raise ValueError("odometry measurement required after the first keyframe")
         values.poses[pose_id] = compose(values.poses[prev_id], odom)
-        graph.add(OdometryFactor(prev_id, pose_id, odom, policy.odom_noise()))
+        graph.add(OdometryFactor(prev_id, pose_id, odom, noise.odom_noise()))
     else:
         values.poses[pose_id] = initial_pose if initial_pose is not None else Pose.identity()
     x = values.poses[pose_id]
 
     mapping: dict[int, int] = {}
-    bbox_noise = policy.bbox_noise()
+    bbox_noise = noise.bbox_noise()
     for det_idx in sorted(associations.matches):
         quadric_id = associations.matches[det_idx]
         graph.add(
             BBoxFactor(
-                pose_id, quadric_id, detections[det_idx].bbox, K, bbox_noise,
-                policy.image_size,
+                pose_id, quadric_id, detections[det_idx].bbox, K, bbox_noise, image_size
             )
         )
         mapping[det_idx] = quadric_id
@@ -556,16 +577,16 @@ def add_keyframe(
             # No depth means no initial centroid; wait for a better view.
             continue
         record = priors.resolve(det.label) if priors is not None else None
-        init_record = record if policy.enable_orientation_prior else None
+        init_record = record if flags.orientation_prior else None
         q0 = initialize_landmark(det, x, K, init_record)
         values.quadrics[next_id] = q0
-        graph.add(BBoxFactor(pose_id, next_id, det.bbox, K, bbox_noise, policy.image_size))
+        graph.add(BBoxFactor(pose_id, next_id, det.bbox, K, bbox_noise, image_size))
         if record is not None:
             s_hat = size_prior_estimate(record, q0.s, det.confidence)
-            sigma_theta, sigma_t, sigma_s = prior_covariances(s_hat, policy.prior_config)
-            if policy.enable_size_prior:
+            sigma_theta, sigma_t, sigma_s = prior_covariances(s_hat, prior)
+            if flags.size_prior:
                 graph.add(SizePriorFactor(next_id, s_hat, NoiseModel(sigma_s)))
-            if policy.enable_orientation_prior:
+            if flags.orientation_prior:
                 # initialize_landmark already adopted orientation_prior_frame,
                 # whose local z is gravity and carries the loose yaw variance
                 # kz, so the target is the initial rotation itself.
@@ -574,7 +595,7 @@ def add_keyframe(
                         next_id, q0.rotation_matrix(), NoiseModel(sigma_theta)
                     )
                 )
-            if policy.enable_centroid_factor:
+            if flags.centroid_factor:
                 graph.add(CentroidPriorFactor(next_id, q0.t, NoiseModel(sigma_t)))
         mapping[det_idx] = next_id
         next_id += 1

@@ -164,7 +164,6 @@ def run_slam(
     t0 = timer.add("load", t0)
 
     K = dataset.intrinsics
-    policy = cfg.factor_policy(dataset.image_size)
     odometry = dataset.odometry_by_pair()
     # The first pose anchors the gauge and defines the world frame; use the
     # dataset's stated start pose so the map lands in the gravity-aligned
@@ -245,7 +244,7 @@ def run_slam(
 
             mapping = add_keyframe(
                 graph, values, frame.frame_id, odom, detections, assoc, priors, K,
-                policy, initial_pose,
+                cfg.noise, cfg.flags, cfg.prior, dataset.image_size, initial_pose,
             )
             for det_idx, lid in mapping.items():
                 labels.setdefault(lid, detections[det_idx].label)

@@ -173,11 +173,6 @@ def build_prompt(labels: list[str]) -> str:
     return PROMPT_TEMPLATE + "\n\n" + "\n".join(unique) + "\n"
 
 
-def vocabulary_hash(labels: list[str]) -> str:
-    unique = dedupe_labels(labels)
-    return hashlib.sha256("\n".join(unique).encode("utf-8")).hexdigest()
-
-
 def _strip_code_fences(text: str) -> str:
     lines = [l for l in text.splitlines() if not l.strip().startswith("```")]
     return "\n".join(lines)
@@ -304,8 +299,8 @@ class HTTPLLMClient(LLMClient):
 
 
 class CachedLLMClient(LLMClient):
-    """Disk cache in front of another client, keyed by the vocabulary hash
-    embedded in the prompt (identical prompt implies identical vocabulary)."""
+    """Disk cache in front of another client, keyed by the SHA-256 of the
+    prompt (identical prompt implies identical vocabulary)."""
 
     def __init__(self, inner: LLMClient, cache_dir: str | Path):
         self.inner = inner
@@ -343,8 +338,6 @@ def generate_prior_table(
         records, last_errors = _parse_rows(response)
         if records:
             break
-    else:
-        pass
     if not records:
         raise MalformedResponse(
             "no parseable rows after retries: " + "; ".join(last_errors[:5])
@@ -425,8 +418,6 @@ def prior_covariances(
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s_hat.shape != (3,) or np.any(s_hat <= 0.0):
         raise ValueError(f"size target must be 3 positive values, got {s_hat}")
-    if not isinstance(config, PriorConfig):
-        config = PriorConfig(**config)
     sigma_theta = np.diag([config.kx**2, config.ky**2, config.kz**2])
     sigma_t = config.kt**2 * np.diag(s_hat**2)
     sigma_s = config.ks**2 * np.diag(s_hat**2)

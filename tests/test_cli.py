@@ -116,6 +116,17 @@ class TestFlow:
         doc = json.loads(report_path.read_text())
         assert doc["counts"]["tp"] == 2
 
+    def test_exponent_floats_from_file_and_set(self, tmp_path, capsys):
+        ds = _simulate(tmp_path, capsys)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("solver:\n  max_damping: 1e9\n")
+        code = main(
+            ["run", "-c", str(cfg), "--dataset", str(ds), "-o", str(tmp_path / "out"),
+             "--set", "mode=batch", "--set", "solver.convergence_rel_decrease=1e-9"]
+        )
+        assert code == 0
+        assert (tmp_path / "out" / "map.json").exists()
+
     def test_set_overrides_reach_simulator(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys, n_objects=3, n_frames=6)
         dataset = load_dataset(ds)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from objslam.association import AssociationResult
 from objslam.config import (
     CameraConfig,
     ConfigError,
@@ -17,6 +18,10 @@ from objslam.config import (
     load_run_config,
     write_config_yaml,
 )
+from objslam.dataset import Detection
+from objslam.geometry import BoundingBox2D, Pose
+from objslam.optimizer import FactorGraph, GraphValues, add_keyframe
+from objslam.priors import OrientationClass, PriorRecord, PriorTable
 
 
 class TestDefaults:
@@ -141,6 +146,10 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="non-mapping"):
             apply_overrides({"mode": "batch"}, ["mode.inner=1"])
 
+    def test_exponent_float_override(self):
+        doc = apply_overrides({}, ["solver.convergence_rel_decrease=1e-9"])
+        assert build_run_config(doc).solver.convergence_rel_decrease == 1e-9
+
     def test_unknown_override_key_caught_at_build(self):
         doc = apply_overrides({}, ["solver.step_size=1"])
         with pytest.raises(ConfigError):
@@ -159,6 +168,13 @@ class TestFiles:
     def test_document_round_trip(self):
         cfg = build_run_config({"scene": {"area": [1.1, 0.7]}, "match_threshold": 0.4})
         assert build_run_config(config_document(cfg)) == cfg
+
+    def test_exponent_float_in_file(self, tmp_path):
+        p = tmp_path / "run.yaml"
+        p.write_text("solver:\n  convergence_rel_decrease: 1e-9\n  max_damping: 1.0e9\n")
+        cfg = load_run_config(p)
+        assert cfg.solver.convergence_rel_decrease == 1e-9
+        assert cfg.solver.max_damping == 1e9
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -182,27 +198,62 @@ class TestFiles:
         assert load_run_config(p) == RunConfig()
 
 
+def _two_keyframe_graph(cfg, camera, image_sizes):
+    """Map two detections seen in two keyframes with the sections of ``cfg``."""
+    priors = PriorTable()
+    priors.add(PriorRecord("mug", 0.1, 0.1, 0.12, OrientationClass.VERTICAL))
+    # The second box touches the right and bottom borders of 640 x 480.
+    dets = [
+        Detection(BoundingBox2D(300, 220, 340, 260), "mug", 0.8, center_depth=2.0),
+        Detection(BoundingBox2D(600, 440, 640, 480), "mug", 0.8, center_depth=2.0),
+    ]
+    graph, values = FactorGraph(), GraphValues()
+    for pose_id, odom, assoc, image_size in (
+        (0, None, AssociationResult({}, (0, 1), {}), image_sizes[0]),
+        (1, Pose.identity(), AssociationResult({0: 0, 1: 1}, (), {}), image_sizes[1]),
+    ):
+        add_keyframe(
+            graph, values, pose_id, odom, dets, assoc, priors, camera,
+            cfg.noise, cfg.flags, cfg.prior, image_size,
+        )
+    return graph
+
+
 class TestFactorPolicy:
-    def test_flags_and_noise_propagate(self):
+    """The noise, flags and prior sections set the factors add_keyframe builds."""
+
+    def test_flags_and_noise_propagate(self, camera):
         cfg = build_run_config(
             {
-                "flags": {"orientation_prior": False},
-                "noise": {"bbox_sigma_px": 3.0, "odom_sigma_rot": 0.02},
+                "flags": {"orientation_prior": False, "centroid_factor": False},
+                "noise": {"bbox_sigma_px": 3.0, "bbox_huber_multiplier": 1.5,
+                          "odom_sigma_rot": 0.02, "odom_sigma_trans": 0.05},
             }
         )
-        policy = cfg.factor_policy((640, 480))
-        assert policy.bbox_sigma_px == 3.0
-        assert policy.odom_sigma_rot == 0.02
-        assert policy.enable_size_prior
-        assert not policy.enable_orientation_prior
-        assert policy.image_size == (640.0, 480.0)
+        graph = _two_keyframe_graph(cfg, camera, (None, None))
+        assert graph.counts_by_kind() == {"bbox": 4, "size_prior": 2, "odometry": 1}
+        for f in graph:
+            if f.kind == "bbox":
+                np.testing.assert_array_equal(f.noise.covariance, 9.0 * np.eye(4))
+                assert f.noise.huber_width == 4.5
+        (odom,) = [f for f in graph if f.kind == "odometry"]
+        np.testing.assert_allclose(
+            np.diag(odom.noise.covariance), [4e-4] * 3 + [2.5e-3] * 3, rtol=1e-15
+        )
 
-    def test_image_size_optional(self):
-        assert RunConfig().factor_policy().image_size is None
+    def test_image_size_optional(self, camera):
+        cfg = build_run_config({"flags": {"centroid_factor": False}})
+        graph = _two_keyframe_graph(cfg, camera, ((640, 480), None))
+        masks = [f.keep.tolist() for f in graph if f.kind == "bbox"]
+        assert masks == [[True] * 4, [True, True, False, False], [True] * 4, [True] * 4]
 
-    def test_prior_config_shared(self):
-        cfg = build_run_config({"prior": {"kz": 3.0}})
-        assert cfg.factor_policy().prior_config.kz == 3.0
+    def test_prior_config_shared(self, camera):
+        cfg = build_run_config({"prior": {"kz": 2.0}, "flags": {"centroid_factor": False}})
+        graph = _two_keyframe_graph(cfg, camera, (None, None))
+        orient = [f for f in graph if f.kind == "orientation_prior"]
+        assert len(orient) == 2
+        for f in orient:
+            assert f.noise.covariance[2, 2] == 4.0
 
     def test_paths_defaults(self):
         p = Paths()

@@ -19,6 +19,7 @@ from objslam.factors import (
     numeric_jacobian,
     odometry_residual,
     orientation_prior_residual,
+    robust_whiten,
     size_prior_residual,
 )
 from objslam.geometry import (
@@ -32,6 +33,7 @@ from objslam.geometry import (
     so3_exp,
 )
 
+import noise_oracle
 from conftest import random_pose, random_quadric, random_rotation
 from projection_oracle import predict_bbox
 
@@ -334,36 +336,65 @@ class TestClosedFormJacobians:
             np.testing.assert_array_equal(factor.jacobian_at(q)[0], factor.residual_at(q))
 
 
+def robust_one(noise: NoiseModel, r) -> tuple[np.ndarray, float, float]:
+    """robust_whiten on a batch of one: whitened residual, cost, sqrt weight."""
+    e, cost, weight = robust_whiten([noise], np.asarray(r, dtype=np.float64)[None])
+    return e[0], float(cost[0]), float(weight[0])
+
+
 class TestNoiseModel:
     def test_cost_is_mahalanobis(self):
         noise = NoiseModel.diagonal(np.array([4.0, 9.0]))
         r = np.array([2.0, 3.0])
-        assert noise.cost(r) == pytest.approx(1.0 + 1.0)
+        assert robust_one(noise, r)[1] == pytest.approx(1.0 + 1.0)
 
     def test_doubling_covariance_halves_cost(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
             var = rng.uniform(0.5, 2.0, size=3)
             r = rng.normal(size=3)
-            c1 = NoiseModel.diagonal(var).cost(r)
-            c2 = NoiseModel.diagonal(2.0 * var).cost(r)
+            c1 = robust_one(NoiseModel.diagonal(var), r)[1]
+            c2 = robust_one(NoiseModel.diagonal(2.0 * var), r)[1]
             assert c2 == pytest.approx(0.5 * c1, rel=1e-12)
 
     def test_cost_non_negative(self):
         rng = np.random.default_rng(53)
         noise = NoiseModel.isotropic(4, 3.0)
-        for _ in range(100):
-            assert noise.cost(rng.normal(size=4)) >= 0.0
+        _, cost, _ = robust_whiten([noise] * 100, rng.normal(size=(100, 4)))
+        assert np.all(cost >= 0.0)
 
     def test_huber_linear_tail(self):
         sigma, width = 10.0, 20.0
         noise = NoiseModel.isotropic(4, sigma, huber_width=width)
         small = np.array([1.0, 0.0, 0.0, 0.0])
-        assert noise.cost(small) == pytest.approx(0.01)
+        assert robust_one(noise, small)[1] == pytest.approx(0.01)
         big = np.array([100.0, 0.0, 0.0, 0.0])
         # Whitened norm 10, threshold 2: cost = 2*2*10 - 4 = 36.
-        assert noise.cost(big) == pytest.approx(36.0)
-        assert noise.robust_sqrt_weight(big) == pytest.approx(np.sqrt(2.0 / 10.0))
+        _, cost, weight = robust_one(noise, big)
+        assert cost == pytest.approx(36.0)
+        assert weight == pytest.approx(np.sqrt(2.0 / 10.0))
+
+    def test_mixed_batch_matches_scalar_oracle(self):
+        # Whitened threshold 4 / 2 = 2, exact in binary: the second row sits
+        # on it (quadratic branch), the third just past it (linear branch).
+        huber = NoiseModel.isotropic(4, 2.0, huber_width=4.0)
+        plain = NoiseModel.diagonal(np.array([1.0, 4.0, 9.0, 16.0]))
+        noises = [plain, huber, huber, plain, huber]
+        r = np.array([
+            [30.0, -20.0, 10.0, 5.0],
+            [4.0, 0.0, 0.0, 0.0],
+            [4.0 + 1e-9, 0.0, 0.0, 0.0],
+            [0.5, 0.25, -1.0, 2.0],
+            [-40.0, 12.0, 3.0, -7.0],
+        ])
+        e, cost, weight = robust_whiten(noises, r)
+        for i, (nm, ri) in enumerate(zip(noises, r)):
+            np.testing.assert_allclose(e[i], noise_oracle.whiten(nm, ri), rtol=1e-15)
+            assert cost[i] == pytest.approx(noise_oracle.cost(nm, ri), rel=1e-12)
+            assert weight[i] == pytest.approx(noise_oracle.sqrt_weight(nm, ri), rel=1e-12)
+        assert (cost[1], weight[1]) == (4.0, 1.0)
+        assert cost[2] > 4.0 and weight[2] < 1.0
+        assert weight[0] == weight[3] == 1.0 and cost[0] > 100.0
 
     def test_huber_requires_isotropic(self):
         with pytest.raises(ValueError):
@@ -375,7 +406,7 @@ class TestNoiseModel:
 
     def test_whiten(self):
         noise = NoiseModel.diagonal(np.array([4.0, 25.0]))
-        np.testing.assert_allclose(noise.whiten(np.array([2.0, 5.0])), [1.0, 1.0])
+        np.testing.assert_allclose(robust_one(noise, [2.0, 5.0])[0], [1.0, 1.0])
 
 
 class TestFactorValidation:

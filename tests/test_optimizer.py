@@ -26,7 +26,7 @@ from objslam.geometry import (
 from objslam.optimizer import (
     _BBOX_BLOCK,
     FactorGraph,
-    FactorPolicy,
+    Flags,
     GraphValues,
     MissingVariable,
     SingularSystem,
@@ -42,6 +42,7 @@ from objslam.optimizer import (
 )
 from objslam.priors import OrientationClass, PriorRecord, PriorTable
 
+import noise_oracle
 from conftest import random_rotation
 from projection_oracle import predict_bbox
 
@@ -223,13 +224,11 @@ class TestAddKeyframe:
         priors = PriorTable()
         priors.add(PriorRecord("mug", 0.1, 0.1, 0.12, OrientationClass.VERTICAL))
         dets = [det_at(BoundingBox2D(300, 220, 340, 260))]
-        policy = FactorPolicy(
-            enable_size_prior=False,
-            enable_orientation_prior=False,
-            enable_centroid_factor=False,
-        )
+        flags = Flags(size_prior=False, orientation_prior=False, centroid_factor=False)
         graph, values = FactorGraph(), GraphValues()
-        add_keyframe(graph, values, 0, None, dets, no_matches(1), priors, camera, policy)
+        add_keyframe(
+            graph, values, 0, None, dets, no_matches(1), priors, camera, flags=flags
+        )
         assert graph.counts_by_kind() == {"bbox": 1}
 
     def test_unknown_label_falls_back_and_flags(self, camera):
@@ -491,9 +490,9 @@ def reference_linearize(graph, values, index, n):
         if out is None:
             continue
         r, blocks = out
-        w = f.noise.robust_sqrt_weight(r)
-        wr = w * (f.noise.sqrt_information @ r)
-        wJ = [w * (f.noise.sqrt_information @ J) for J in blocks]
+        w = noise_oracle.sqrt_weight(f.noise, r)
+        wr = w * noise_oracle.whiten(f.noise, r)
+        wJ = [w * noise_oracle.whiten(f.noise, J) for J in blocks]
         for a, ka in enumerate(keys):
             if ka not in index:
                 continue
@@ -518,7 +517,7 @@ def reference_cost_breakdown(graph, values):
         r = f.residual_at(*[values.get(k) for k in f.variable_keys()])
         active.append(r is not None)
         if r is not None:
-            out[f.kind] = out.get(f.kind, 0.0) + f.noise.cost(r)
+            out[f.kind] = out.get(f.kind, 0.0) + noise_oracle.cost(f.noise, r)
     return out, np.array(active)
 
 
@@ -584,7 +583,7 @@ class TestBatchedLinearization:
         scored = [f.residual_at(*[values.get(k) for k in f.variable_keys()]) for f in bbox]
         assert any(r is None for r in scored)
         assert any(
-            r is not None and f.noise.robust_sqrt_weight(r) < 1.0
+            r is not None and noise_oracle.sqrt_weight(f.noise, r) < 1.0
             for f, r in zip(bbox, scored)
         )
 
