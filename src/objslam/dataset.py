@@ -9,15 +9,18 @@ A dataset is a directory:
   (optional): ground truth for evaluation.
 
 Rotations appear on disk as unit quaternions in (w, x, y, z) order.
-``ParseError`` carries file and line number; ``SchemaError`` names the
-offending field.
+``ParseError`` carries file and line number. ``SchemaError`` names the
+file and line of the offending record, and the field where it is known; a
+record whose values have the wrong type or range raises it too.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -36,6 +39,8 @@ ODOMETRY_FILE = "odometry.jsonl"
 GT_OBJECTS_FILE = "gt_objects.jsonl"
 GT_TRAJECTORY_FILE = "gt_trajectory.jsonl"
 GT_ASSOCIATION_FILE = "gt_association.jsonl"
+
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -125,23 +130,31 @@ def _require(record: dict, key: str, where: str):
     return record[key]
 
 
+@contextmanager
+def _record(where: str) -> Iterator[None]:
+    """Report a TypeError, ValueError or IndexError raised while one record
+    is parsed as a SchemaError naming the record's file and line."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        raise SchemaError(f"{where}: invalid record: {exc}") from exc
+
+
 def detection_from_json(record: dict, where: str) -> Detection:
     bbox = _require(record, "bbox", where)
     if not (isinstance(bbox, list) and len(bbox) == 4):
         raise SchemaError(f"{where}: field 'bbox' must be a 4-element list")
-    try:
-        box = BoundingBox2D(*[float(v) for v in bbox])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: field 'bbox' invalid: {exc}") from exc
     label = _require(record, "label", where)
     confidence = _require(record, "confidence", where)
     depth = record.get("center_depth")
-    try:
-        return Detection(
-            box, str(label), float(confidence), None if depth is None else float(depth)
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return Detection(
+        BoundingBox2D(*[float(v) for v in bbox]),
+        str(label),
+        float(confidence),
+        None if depth is None else float(depth),
+    )
 
 
 def _pose_from_record(record: dict, where: str) -> Pose:
@@ -160,18 +173,55 @@ def _pose_from_record(record: dict, where: str) -> Pose:
     return Pose(quat_to_matrix(q / norm), np.array([float(v) for v in trans]))
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    records = []
+def _read_jsonl(path: Path, parse: Callable[[dict, str], T]) -> list[T]:
+    """parse(record, where) of every non-blank line, where is "file:line"."""
+    out = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_no}"
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from exc
-    return records
+                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from exc
+            with _record(where):
+                out.append(parse(record, where))
+    return out
+
+
+def _frame_from_json(record: dict, where: str) -> Frame:
+    frame_id = _require(record, "frame_id", where)
+    if not isinstance(frame_id, int):
+        raise SchemaError(f"{where}: field 'frame_id' must be an integer")
+    dets = _require(record, "detections", where)
+    return Frame(frame_id, tuple(detection_from_json(d, where) for d in dets))
+
+
+def _odometry_from_json(record: dict, where: str) -> OdometryEntry:
+    a = _require(record, "from_frame", where)
+    b = _require(record, "to_frame", where)
+    return OdometryEntry(int(a), int(b), _pose_from_record(record, where))
+
+
+def _gt_object_from_json(record: dict, where: str) -> GroundTruthObject:
+    label = str(_require(record, "label", where))
+    quat = np.array(_require(record, "rotation_quaternion", where), dtype=np.float64)
+    center = np.array(_require(record, "center", where), dtype=np.float64)
+    half = np.array(_require(record, "half_extents", where), dtype=np.float64)
+    if abs(np.linalg.norm(quat) - 1.0) > 1e-6:
+        raise SchemaError(f"{where}: field 'rotation_quaternion' must be unit norm")
+    return GroundTruthObject(label, Quadric.from_rotation(quat_to_matrix(quat), center, half))
+
+
+def _gt_pose_from_json(record: dict, where: str) -> tuple[int, Pose]:
+    return int(_require(record, "frame_id", where)), _pose_from_record(record, where)
+
+
+def _gt_pairs_from_json(record: dict, where: str) -> tuple[int, list[tuple[int, int]]]:
+    pairs = _require(record, "pairs", where)
+    return int(_require(record, "frame_id", where)), [(int(p[0]), int(p[1])) for p in pairs]
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -265,29 +315,19 @@ def load_dataset(path: str | Path) -> Dataset:
         header = json.loads(header_path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{header_path}:1: invalid JSON: {exc.msg}") from exc
-    intr = _require(header, "intrinsics", str(header_path))
-    for key in ("fx", "fy", "cx", "cy"):
-        _require(intr, key, f"{header_path}: intrinsics")
-    try:
+    with _record(str(header_path)):
+        intr = _require(header, "intrinsics", str(header_path))
+        for key in ("fx", "fy", "cx", "cy"):
+            _require(intr, key, f"{header_path}: intrinsics")
         intrinsics = CameraIntrinsics(
             float(intr["fx"]), float(intr["fy"]), float(intr["cx"]), float(intr["cy"])
         )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{header_path}: field 'intrinsics' invalid: {exc}") from exc
-    size = _require(header, "image_size", str(header_path))
-    if not (isinstance(size, list) and len(size) == 2 and all(v > 0 for v in size)):
-        raise SchemaError(f"{header_path}: field 'image_size' must be two positive values")
-    image_size = (int(size[0]), int(size[1]))
+        size = _require(header, "image_size", str(header_path))
+        if not (isinstance(size, list) and len(size) == 2 and all(v > 0 for v in size)):
+            raise SchemaError(f"{header_path}: field 'image_size' must be two positive values")
+        image_size = (int(size[0]), int(size[1]))
 
-    frames: list[Frame] = []
-    for i, record in enumerate(_read_jsonl(path / FRAMES_FILE), start=1):
-        where = f"{path / FRAMES_FILE}:{i}"
-        frame_id = _require(record, "frame_id", where)
-        if not isinstance(frame_id, int):
-            raise SchemaError(f"{where}: field 'frame_id' must be an integer")
-        dets = _require(record, "detections", where)
-        detections = tuple(detection_from_json(d, where) for d in dets)
-        frames.append(Frame(frame_id, detections))
+    frames = _read_jsonl(path / FRAMES_FILE, _frame_from_json)
     ids = [f.frame_id for f in frames]
     if any(b <= a for a, b in zip(ids, ids[1:])):
         raise SchemaError(f"{path / FRAMES_FILE}: field 'frame_id' must be strictly increasing")
@@ -295,11 +335,7 @@ def load_dataset(path: str | Path) -> Dataset:
     odometry: list[OdometryEntry] = []
     odometry_path = path / ODOMETRY_FILE
     if odometry_path.exists():
-        for i, record in enumerate(_read_jsonl(odometry_path), start=1):
-            where = f"{odometry_path}:{i}"
-            a = _require(record, "from_frame", where)
-            b = _require(record, "to_frame", where)
-            odometry.append(OdometryEntry(int(a), int(b), _pose_from_record(record, where)))
+        odometry = _read_jsonl(odometry_path, _odometry_from_json)
     pairs = {(o.from_frame, o.to_frame) for o in odometry}
     expected = set(zip(ids, ids[1:]))
     missing = expected - pairs
@@ -317,40 +353,13 @@ def load_dataset(path: str | Path) -> Dataset:
     if len(odometry) != len(pairs):
         raise SchemaError(f"{odometry_path}: duplicate odometry rows")
 
-    gt_objects = None
-    if (path / GT_OBJECTS_FILE).exists():
-        gt_objects = []
-        for i, record in enumerate(_read_jsonl(path / GT_OBJECTS_FILE), start=1):
-            where = f"{path / GT_OBJECTS_FILE}:{i}"
-            label = str(_require(record, "label", where))
-            quat = np.array(_require(record, "rotation_quaternion", where), dtype=np.float64)
-            center = np.array(_require(record, "center", where), dtype=np.float64)
-            half = np.array(_require(record, "half_extents", where), dtype=np.float64)
-            if abs(np.linalg.norm(quat) - 1.0) > 1e-6:
-                raise SchemaError(f"{where}: field 'rotation_quaternion' must be unit norm")
-            try:
-                quadric = Quadric.from_rotation(quat_to_matrix(quat), center, half)
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
-            gt_objects.append(GroundTruthObject(label, quadric))
+    def optional(name: str, parse: Callable[[dict, str], T]) -> list[T] | None:
+        return _read_jsonl(path / name, parse) if (path / name).exists() else None
 
-    gt_trajectory = None
-    if (path / GT_TRAJECTORY_FILE).exists():
-        gt_trajectory = []
-        for i, record in enumerate(_read_jsonl(path / GT_TRAJECTORY_FILE), start=1):
-            where = f"{path / GT_TRAJECTORY_FILE}:{i}"
-            frame_id = int(_require(record, "frame_id", where))
-            gt_trajectory.append((frame_id, _pose_from_record(record, where)))
-
-    gt_association = None
-    if (path / GT_ASSOCIATION_FILE).exists():
-        gt_association = {}
-        for i, record in enumerate(_read_jsonl(path / GT_ASSOCIATION_FILE), start=1):
-            where = f"{path / GT_ASSOCIATION_FILE}:{i}"
-            frame_id = int(_require(record, "frame_id", where))
-            pairs_list = _require(record, "pairs", where)
-            gt_association[frame_id] = [(int(p[0]), int(p[1])) for p in pairs_list]
-
+    gt_objects = optional(GT_OBJECTS_FILE, _gt_object_from_json)
+    gt_trajectory = optional(GT_TRAJECTORY_FILE, _gt_pose_from_json)
+    gt_pairs = optional(GT_ASSOCIATION_FILE, _gt_pairs_from_json)
+    gt_association = None if gt_pairs is None else dict(gt_pairs)
     return Dataset(
         intrinsics, image_size, frames, odometry, gt_objects, gt_trajectory, gt_association
     )

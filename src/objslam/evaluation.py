@@ -1,7 +1,8 @@
 """Map and trajectory quality metrics.
 
 Estimated ellipsoids are compared against ground-truth oriented boxes:
-exact oriented 3D IoU (convex polytope clipping), centroid distance, and
+exact oriented 3D IoU (the convex hull of the points where three of the
+two boxes' face planes meet inside both), centroid distance, and
 sorted-extent size error. Map-to-truth correspondence is a one-to-one
 assignment gated by centroid distance, which yields TP/FP/FN counts.
 Trajectories are scored by translational RMSE after a closed-form rigid
@@ -11,16 +12,24 @@ convergence curves from map snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import scipy.optimize
+import scipy.spatial
 
-from .geometry import Pose, Quadric, _freeze
+from .geometry import Pose, Quadric, _freeze, as_rotation
 
+# Half-space tolerance of an intersection vertex, relative to the largest
+# plane offset (the scale of the coordinates).
 _PLANE_EPS = 1e-9
+# Plane triples of unit normals with |det| at or below this are parallel
+# (opposite faces of one box) or too close to it to meet in one point.
+_DET_EPS = 1e-12
+_PLANE_TRIPLES = np.array(list(combinations(range(12), 3)))
 
 
 class LengthMismatch(ValueError):
@@ -37,21 +46,13 @@ class OrientedBox3:
     half_extents: np.ndarray
 
     def __post_init__(self) -> None:
-        R = np.array(self.rotation, dtype=np.float64)
         c = np.array(self.center, dtype=np.float64).reshape(3)
         h = np.array(self.half_extents, dtype=np.float64).reshape(3)
-        if R.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {R.shape}")
-        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(c)) and np.all(np.isfinite(h))):
-            raise ValueError("box entries must be finite")
-        err = np.abs(R.T @ R - np.eye(3)).max()
-        if err > 1e-8:
-            raise ValueError(f"rotation is not orthonormal (max error {err:.3e})")
-        if np.linalg.det(R) < 0.0:
-            raise ValueError("rotation has negative determinant")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(h))):
+            raise ValueError("box center and half extents must be finite")
         if np.any(h <= 0.0):
             raise ValueError(f"half extents must be positive, got {h}")
-        object.__setattr__(self, "rotation", _freeze(R))
+        object.__setattr__(self, "rotation", as_rotation(self.rotation))
         object.__setattr__(self, "center", _freeze(c))
         object.__setattr__(self, "half_extents", _freeze(h))
 
@@ -64,143 +65,37 @@ def quadric_to_box(q: Quadric) -> OrientedBox3:
     return OrientedBox3(q.rotation_matrix(), q.t, q.s)
 
 
-def _box_faces(box: OrientedBox3) -> list[np.ndarray]:
-    """Six quads, each (4, 3), vertex loops counterclockwise seen from outside."""
-    faces = []
-    R, c, h = box.rotation, box.center, box.half_extents
-    for a in range(3):
-        b, d = (a + 1) % 3, (a + 2) % 3
-        plus, minus = np.zeros(3), np.zeros(3)
-        plus[a], minus[a] = 1.0, -1.0
-        loop_plus = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-        loop_minus = [(-1, -1), (-1, 1), (1, 1), (1, -1)]
-        for sign, loop in ((plus, loop_plus), (minus, loop_minus)):
-            quad = np.empty((4, 3))
-            for i, (sb, sd) in enumerate(loop):
-                local = sign * h
-                local[b] = sb * h[b]
-                local[d] = sd * h[d]
-                quad[i] = c + R @ local
-            faces.append(quad)
-    return faces
-
-
-def _box_planes(box: OrientedBox3) -> list[tuple[np.ndarray, float]]:
-    """Six half-spaces (n, d); a point p is inside when n.p <= d for all."""
-    planes = []
-    for a in range(3):
-        for sign in (1.0, -1.0):
-            n = sign * box.rotation[:, a]
-            planes.append((n, float(n @ box.center) + float(box.half_extents[a])))
-    return planes
-
-
-def _dedupe_loop(points: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for p in points:
-        if out and np.linalg.norm(p - out[-1]) <= _PLANE_EPS:
-            continue
-        out.append(p)
-    while len(out) > 1 and np.linalg.norm(out[0] - out[-1]) <= _PLANE_EPS:
-        out.pop()
-    return out
-
-
-def _clip_face(
-    poly: np.ndarray, n: np.ndarray, d: float
-) -> tuple[np.ndarray | None, list[np.ndarray], bool]:
-    """Sutherland-Hodgman step: keep the part of a planar polygon with
-    n.p <= d. Returns (clipped polygon or None, crossing points, whether any
-    vertex was strictly outside)."""
-    dist = poly @ n - d
-    if np.all(dist <= _PLANE_EPS):
-        return poly, [], False
-    if np.all(dist > _PLANE_EPS):
-        return None, [], True
-    out: list[np.ndarray] = []
-    cuts: list[np.ndarray] = []
-    k = len(poly)
-    for i in range(k):
-        p, dp = poly[i], dist[i]
-        q, dq = poly[(i + 1) % k], dist[(i + 1) % k]
-        if dp <= _PLANE_EPS:
-            out.append(p)
-            if dq > _PLANE_EPS:
-                x = p + (dp / (dp - dq)) * (q - p)
-                out.append(x)
-                cuts.append(x)
-        elif dq <= _PLANE_EPS:
-            x = p + (dp / (dp - dq)) * (q - p)
-            out.append(x)
-            cuts.append(x)
-    out = _dedupe_loop(out)
-    if len(out) < 3:
-        return None, cuts, True
-    return np.array(out), cuts, True
-
-
-def _cap_polygon(cuts: list[np.ndarray], n: np.ndarray) -> np.ndarray | None:
-    """Assemble the new face lying in the clipping plane from the crossing
-    points, ordered so its outward normal is +n."""
-    if len(cuts) < 3:
-        return None
-    n = n / np.linalg.norm(n)
-    axis = int(np.argmin(np.abs(n)))
-    u = np.zeros(3)
-    u[axis] = 1.0
-    u = u - (u @ n) * n
-    u /= np.linalg.norm(u)
-    v = np.cross(n, u)
-    pts = np.array(cuts)
-    center = pts.mean(axis=0)
-    rel = pts - center
-    order = np.argsort(np.arctan2(rel @ v, rel @ u))
-    loop = _dedupe_loop([pts[i] for i in order])
-    if len(loop) < 3:
-        return None
-    return np.array(loop)
-
-
-def _polytope_volume(faces: list[np.ndarray]) -> float:
-    """Divergence-theorem volume of a closed polytope with outward-oriented
-    face loops: one sixth of the summed triple products over face fans."""
-    total = 0.0
-    for poly in faces:
-        v0 = poly[0]
-        for i in range(1, len(poly) - 1):
-            total += float(v0 @ np.cross(poly[i], poly[i + 1]))
-    return max(total / 6.0, 0.0)
+def _halfspaces(box: OrientedBox3) -> tuple[np.ndarray, np.ndarray]:
+    """Six face planes as outward unit normals N (6, 3) and offsets d (6,);
+    a point p is inside when N @ p <= d."""
+    N = np.concatenate([box.rotation.T, -box.rotation.T])
+    return N, N @ box.center + np.tile(box.half_extents, 2)
 
 
 def box_iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
     """Exact IoU of two oriented boxes.
 
-    Box a's boundary is clipped against each of b's six half-spaces; every
-    clip that actually removes material adds the planar cap as a new face,
-    so untouched (identical or merely tangent) geometry stays exact.
+    The intersection is the convex polytope bounded by the 12 face planes.
+    Its vertices are the solutions of the non-degenerate plane triples that
+    satisfy every half-space, and its volume is their convex hull's. Fewer
+    than four vertices or a flat hull (boxes touching at a face, an edge or
+    a corner) is an empty intersection.
     """
-    faces = _box_faces(a)
-    for n, d in _box_planes(b):
-        cuts: list[np.ndarray] = []
-        any_outside = False
-        kept: list[np.ndarray] = []
-        for poly in faces:
-            clipped, face_cuts, cut = _clip_face(poly, n, d)
-            if clipped is not None:
-                kept.append(clipped)
-            cuts.extend(face_cuts)
-            any_outside = any_outside or cut
-        if any_outside:
-            cap = _cap_polygon(cuts, n)
-            if cap is not None:
-                kept.append(cap)
-        faces = kept
-        if not faces:
-            return 0.0
-    inter = _polytope_volume(faces)
-    union = a.volume() + b.volume() - inter
-    if union <= 0.0:
+    Na, da = _halfspaces(a)
+    Nb, db = _halfspaces(b)
+    N, d = np.concatenate([Na, Nb]), np.concatenate([da, db])
+    A = N[_PLANE_TRIPLES]
+    solvable = np.abs(np.linalg.det(A)) > _DET_EPS
+    X = np.linalg.solve(A[solvable], d[_PLANE_TRIPLES][solvable][..., None])[..., 0]
+    tol = _PLANE_EPS * float(np.abs(d).max())
+    vertices = X[np.all(X @ N.T <= d + tol, axis=1)]
+    if len(vertices) < 4:
         return 0.0
+    try:
+        inter = scipy.spatial.ConvexHull(vertices).volume
+    except scipy.spatial.QhullError:
+        return 0.0
+    union = a.volume() + b.volume() - inter
     return float(min(max(inter / union, 0.0), 1.0))
 
 

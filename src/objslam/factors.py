@@ -38,6 +38,7 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     Quadric,
+    as_rotation,
     project_bbox_batch,
     skew,
     so3_exp,
@@ -425,11 +426,7 @@ class OrientationPriorFactor(Factor):
     kind = "orientation_prior"
 
     def __post_init__(self) -> None:
-        R = np.array(self.target_rotation, dtype=np.float64)
-        if R.shape != (3, 3) or np.abs(R.T @ R - np.eye(3)).max() > 1e-8:
-            raise ValueError("orientation target must be a rotation matrix")
-        R.setflags(write=False)
-        object.__setattr__(self, "target_rotation", R)
+        object.__setattr__(self, "target_rotation", as_rotation(self.target_rotation))
 
     def variable_keys(self) -> tuple[VariableKey, ...]:
         return (("quadric", self.quadric_id),)

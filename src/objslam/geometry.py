@@ -181,6 +181,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def as_rotation(R: np.ndarray) -> np.ndarray:
+    """Read-only float64 copy of R; ValueError unless R is a finite 3x3
+    rotation matrix, orthonormal within 1e-8 and right-handed."""
+    R = _freeze(R)
+    if R.shape != (3, 3):
+        raise ValueError(f"rotation must be 3x3, got {R.shape}")
+    if not np.all(np.isfinite(R)):
+        raise ValueError("rotation entries must be finite")
+    err = np.abs(R.T @ R - np.eye(3)).max()
+    if err > 1e-8:
+        raise ValueError(f"rotation is not orthonormal (max error {err:.3e})")
+    if np.linalg.det(R) < 0.0:
+        raise ValueError("rotation has negative determinant")
+    return R
+
+
 @dataclass(frozen=True)
 class Pose:
     """SE(3) world-from-body transform."""
@@ -189,18 +205,10 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self) -> None:
-        R = np.array(self.rotation, dtype=np.float64)
         t = np.array(self.translation, dtype=np.float64).reshape(3)
-        if R.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {R.shape}")
-        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(t))):
-            raise ValueError("pose entries must be finite")
-        err = np.abs(R.T @ R - np.eye(3)).max()
-        if err > 1e-8:
-            raise ValueError(f"rotation is not orthonormal (max error {err:.3e})")
-        if np.linalg.det(R) < 0.0:
-            raise ValueError("rotation has negative determinant")
-        object.__setattr__(self, "rotation", _freeze(R))
+        if not np.all(np.isfinite(t)):
+            raise ValueError("pose translation must be finite")
+        object.__setattr__(self, "rotation", as_rotation(self.rotation))
         object.__setattr__(self, "translation", _freeze(t))
 
     @staticmethod

@@ -125,17 +125,6 @@ def _snapshot(values: GraphValues) -> tuple[tuple[int, Quadric], ...]:
     return tuple((lid, values.quadrics[lid]) for lid in sorted(values.quadrics))
 
 
-class _Timer:
-    def __init__(self, timings: dict[str, float] | None):
-        self.timings = timings
-
-    def add(self, key: str, t0: float) -> float:
-        t1 = time.perf_counter()
-        if self.timings is not None:
-            self.timings[key] = self.timings.get(key, 0.0) + (t1 - t0)
-        return t1
-
-
 def run_slam(
     cfg: RunConfig,
     dataset: Dataset | None = None,
@@ -147,8 +136,15 @@ def run_slam(
     The dataset and prior table may be passed in directly (tests, sweeps);
     otherwise they are loaded from cfg.paths. Returns the map, an evaluation
     report when the dataset carries ground truth, and the last solver report.
+    Wall time per stage is added to `timings` when it is given.
     """
-    timer = _Timer(timings)
+    timings = {} if timings is None else timings
+
+    def lap(stage: str, t0: float) -> float:
+        t1 = time.perf_counter()
+        timings[stage] = timings.get(stage, 0.0) + (t1 - t0)
+        return t1
+
     t0 = time.perf_counter()
     if dataset is None:
         if cfg.paths.dataset is None:
@@ -161,7 +157,7 @@ def run_slam(
         if cfg.paths.embeddings is not None
         else EmbeddingTable.empty()
     )
-    t0 = timer.add("load", t0)
+    t0 = lap("load", t0)
 
     K = dataset.intrinsics
     odometry = dataset.odometry_by_pair()
@@ -192,7 +188,7 @@ def run_slam(
                     raise ValueError(f"no odometry from frame {prev_id}")
             t0 = time.perf_counter()
             tracker, det_to_track = track_frame(tracker, detections, cfg.association)
-            t0 = timer.add("track", t0)
+            t0 = lap("track", t0)
 
             x_pred = (
                 Pose.identity() if odom is None else compose(values.poses[prev_id], odom)
@@ -240,7 +236,7 @@ def run_slam(
                     matches[remaining[local_idx]] = lid
             unmatched = tuple(i for i in range(len(detections)) if i not in matches)
             assoc = AssociationResult(matches, unmatched, {})
-            t0 = timer.add("associate", t0)
+            t0 = lap("associate", t0)
 
             mapping = add_keyframe(
                 graph, values, frame.frame_id, odom, detections, assoc, priors, K,
@@ -251,12 +247,12 @@ def run_slam(
                 track_id = det_to_track.get(det_idx)
                 if track_id is not None:
                     track_to_landmark[track_id] = lid
-            t0 = timer.add("add_keyframe", t0)
+            t0 = lap("add_keyframe", t0)
 
             if cfg.mode == "incremental":
                 values, report = solve_incremental(graph, values, cfg.solver)
                 snapshots.append((frame.frame_id, _snapshot(values)))
-            t0 = timer.add("solve", t0)
+            t0 = lap("solve", t0)
             prev_id = frame.frame_id
         except Exception as exc:
             raise PipelineError(f"frame {frame.frame_id}: {exc}") from exc
@@ -267,7 +263,7 @@ def run_slam(
             values, report = solve_batch(graph, values, cfg.solver)
         except Exception as exc:
             raise PipelineError(f"final solve: {exc}") from exc
-        t0 = timer.add("solve", t0)
+        t0 = lap("solve", t0)
         if prev_id is not None:
             snapshots.append((prev_id, _snapshot(values)))
 
@@ -281,7 +277,7 @@ def run_slam(
     if dataset.gt_objects:
         t0 = time.perf_counter()
         eval_report = _evaluate_against(dataset, estimate, cfg.match_threshold)
-        timer.add("evaluate", t0)
+        lap("evaluate", t0)
     return estimate, eval_report, report
 
 
@@ -417,12 +413,10 @@ def write_solve_json(report: SolveReport, path: str | Path) -> None:
 # Command drivers
 
 
-def run_to_files(
-    cfg: RunConfig, dataset: Dataset | None = None, timings: dict[str, float] | None = None
-) -> Path:
+def run_to_files(cfg: RunConfig, dataset: Dataset | None = None) -> Path:
     """Execute run_slam and persist map/report/solve artifacts. Returns the
     output directory."""
-    estimate, eval_report, solve_report = run_slam(cfg, dataset, timings=timings)
+    estimate, eval_report, solve_report = run_slam(cfg, dataset)
     out = Path(cfg.paths.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_map_json(estimate, out / "map.json")

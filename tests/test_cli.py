@@ -77,6 +77,18 @@ class TestExitCodes:
         assert code == 2
         assert "final solve: rotation is not orthonormal" in capsys.readouterr().err
 
+    def test_wrong_value_type_in_dataset_is_validation_error(self, tmp_path, capsys):
+        ds = _simulate(tmp_path, capsys)
+        odometry = ds / "odometry.jsonl"
+        lines = odometry.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["translation"] = [None, 0, 0]
+        lines[0] = json.dumps(record)
+        odometry.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out")])
+        assert code == 1
+        assert "odometry.jsonl:1:" in capsys.readouterr().err
+
     def test_gen_priors_without_credentials(self, tmp_path, capsys, no_llm_env):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("mug\n")

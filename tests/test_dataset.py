@@ -7,6 +7,7 @@ import pytest
 
 from objslam.dataset import (
     FRAMES_FILE,
+    GT_ASSOCIATION_FILE,
     GT_OBJECTS_FILE,
     GT_TRAJECTORY_FILE,
     HEADER_FILE,
@@ -55,6 +56,20 @@ def make_dataset(rng: np.random.Generator, n_frames: int = 4) -> Dataset:
         gt_trajectory=gt_trajectory,
         gt_association=gt_association,
     )
+
+
+def set_first_record_field(path, key, value) -> None:
+    """Set one field of the header, or of the first record of a JSONL file."""
+    if path.name == HEADER_FILE:
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        return
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    record[key] = value
+    lines[0] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestRoundTrip:
@@ -244,6 +259,24 @@ class TestValidation:
     def test_missing_directory(self, tmp_path):
         with pytest.raises((ParseError, SchemaError)):
             load_dataset(tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "file_name, key, value",
+        [
+            (HEADER_FILE, "image_size", ["a", 480]),
+            (ODOMETRY_FILE, "translation", [None, 0, 0]),
+            (FRAMES_FILE, "detections", 5),
+            (GT_ASSOCIATION_FILE, "pairs", [[1]]),
+        ],
+        ids=["image-size-string", "translation-null", "detections-int", "pair-too-short"],
+    )
+    def test_wrong_value_types_are_schema_errors(self, tmp_path, rng, file_name, key, value):
+        write_dataset(make_dataset(rng), tmp_path)
+        set_first_record_field(tmp_path / file_name, key, value)
+        with pytest.raises(SchemaError) as exc:
+            load_dataset(tmp_path)
+        where = file_name if file_name == HEADER_FILE else f"{file_name}:1:"
+        assert where in str(exc.value)
 
 
 class TestHelpers:

@@ -99,6 +99,19 @@ def aab(center, half) -> OrientedBox3:
                         np.asarray(half, dtype=np.float64))
 
 
+def offset_yawed_cubes(side: float, center) -> tuple[OrientedBox3, OrientedBox3]:
+    """Two cubes offset by half a side along x, the second turned 1e-9 rad
+    about z, so their y faces are almost parallel: IoU 1/3."""
+    c, s = np.cos(1e-9), np.sin(1e-9)
+    Rz = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    center = np.asarray(center, dtype=np.float64)
+    half = np.full(3, side / 2)
+    return (
+        OrientedBox3(np.eye(3), center, half),
+        OrientedBox3(Rz, center + [side / 2, 0, 0], half),
+    )
+
+
 class TestOrientedBox:
     def test_quadric_to_box_passthrough(self, rng):
         q = random_quadric(rng)
@@ -188,6 +201,27 @@ class TestBoxIoU3D:
             exact = box_iou_3d(a, b)
             sampled = mc_iou(a, b, n=200_000, seed=1000 + i)
             assert exact == pytest.approx(sampled, abs=0.02)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            pytest.param(aab([0, 0, 0], [0.5] * 3), aab([1, 1, 0], [0.5] * 3), 0.0,
+                         id="touching-edge"),
+            pytest.param(aab([0, 0, 0], [0.5] * 3), aab([1, 1, 1], [0.5] * 3), 0.0,
+                         id="touching-corner"),
+            pytest.param(aab([0, 0, 0], [0.5] * 3), aab([0.25, 0, 0], [0.25, 0.5, 0.5]),
+                         0.5, id="flush-half-cube"),
+            pytest.param(*offset_yawed_cubes(1.0, [0, 0, 0]), 1.0 / 3.0,
+                         id="near-parallel"),
+            pytest.param(*offset_yawed_cubes(2e-4, [0, 0, 0]), 1.0 / 3.0,
+                         id="near-parallel-semi-axis-floor"),
+            pytest.param(*offset_yawed_cubes(1.0, [100, 50, 0]), 1.0 / 3.0,
+                         id="near-parallel-far-from-origin"),
+        ],
+    )
+    def test_degenerate_contacts(self, a, b, expected):
+        assert box_iou_3d(a, b) == pytest.approx(expected, abs=1e-9)
+        assert box_iou_3d(b, a) == pytest.approx(expected, abs=1e-9)
 
 
 class TestScalarErrors:

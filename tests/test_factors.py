@@ -419,8 +419,9 @@ class TestFactorValidation:
 
     def test_orientation_target_must_be_rotation(self):
         noise = NoiseModel.isotropic(3, 0.1)
-        with pytest.raises(ValueError):
-            OrientationPriorFactor(0, np.ones((3, 3)), noise)
+        for target in (np.ones((3, 3)), np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan)):
+            with pytest.raises(ValueError):
+                OrientationPriorFactor(0, target, noise)
 
     def test_variable_keys(self):
         noise4 = NoiseModel.isotropic(4, 10.0)
