@@ -126,7 +126,7 @@ def predicted_box_or_none(
 ) -> BoundingBox2D | None:
     boxes, valid = project_bbox_batch(
         x.rotation[None], x.translation[None], K,
-        q.rotation_matrix()[None], q.t[None], q.s[None],
+        q.rotation[None], q.t[None], q.s[None],
     )
     if not valid[0]:
         return None

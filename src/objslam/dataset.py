@@ -157,20 +157,32 @@ def detection_from_json(record: dict, where: str) -> Detection:
     )
 
 
-def _pose_from_record(record: dict, where: str) -> Pose:
+def _quaternion(record: dict, where: str) -> np.ndarray:
+    """The record's 'rotation_quaternion' as read: four finite numbers of
+    unit norm within 1e-6, in (w, x, y, z) order."""
     quat = _require(record, "rotation_quaternion", where)
-    trans = _require(record, "translation", where)
     if not (isinstance(quat, list) and len(quat) == 4):
         raise SchemaError(f"{where}: field 'rotation_quaternion' must have 4 entries")
-    if not (isinstance(trans, list) and len(trans) == 3):
-        raise SchemaError(f"{where}: field 'translation' must have 3 entries")
     q = np.array([float(v) for v in quat])
     norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # NaN and inf entries fail too
         raise SchemaError(
-            f"{where}: field 'rotation_quaternion' must be unit norm, got {norm:.8f}"
+            f"{where}: field 'rotation_quaternion' must be finite and unit norm, "
+            f"got norm {norm:.8f}"
         )
-    return Pose(quat_to_matrix(q / norm), np.array([float(v) for v in trans]))
+    return q
+
+
+def _vector3(record: dict, key: str, where: str) -> np.ndarray:
+    v = _require(record, key, where)
+    if not (isinstance(v, list) and len(v) == 3):
+        raise SchemaError(f"{where}: field {key!r} must have 3 entries")
+    return np.array([float(x) for x in v])
+
+
+def _pose_from_record(record: dict, where: str) -> Pose:
+    rotation = quat_to_matrix(_quaternion(record, where))
+    return Pose(rotation, _vector3(record, "translation", where))
 
 
 def _read_jsonl(path: Path, parse: Callable[[dict, str], T]) -> list[T]:
@@ -207,15 +219,13 @@ def _odometry_from_json(record: dict, where: str) -> OdometryEntry:
 
 def _gt_object_from_json(record: dict, where: str) -> GroundTruthObject:
     label = str(_require(record, "label", where))
-    quat = np.array(_require(record, "rotation_quaternion", where), dtype=np.float64)
-    center = np.array(_require(record, "center", where), dtype=np.float64)
-    half = np.array(_require(record, "half_extents", where), dtype=np.float64)
-    if abs(np.linalg.norm(quat) - 1.0) > 1e-6:
-        raise SchemaError(f"{where}: field 'rotation_quaternion' must be unit norm")
-    return GroundTruthObject(label, Quadric.from_rotation(quat_to_matrix(quat), center, half))
+    rotation = quat_to_matrix(_quaternion(record, where))
+    center = _vector3(record, "center", where)
+    half = _vector3(record, "half_extents", where)
+    return GroundTruthObject(label, Quadric(rotation, center, half))
 
 
-def _gt_pose_from_json(record: dict, where: str) -> tuple[int, Pose]:
+def _frame_pose_from_json(record: dict, where: str) -> tuple[int, Pose]:
     return int(_require(record, "frame_id", where)), _pose_from_record(record, where)
 
 
@@ -269,7 +279,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
                     _dump_line(
                         {
                             "label": obj.label,
-                            "rotation_quaternion": _quat_list(obj.quadric.rotation_matrix()),
+                            "rotation_quaternion": _quat_list(obj.quadric.rotation),
                             "center": _vec_list(obj.quadric.t),
                             "half_extents": _vec_list(obj.quadric.s),
                         }
@@ -357,7 +367,7 @@ def load_dataset(path: str | Path) -> Dataset:
         return _read_jsonl(path / name, parse) if (path / name).exists() else None
 
     gt_objects = optional(GT_OBJECTS_FILE, _gt_object_from_json)
-    gt_trajectory = optional(GT_TRAJECTORY_FILE, _gt_pose_from_json)
+    gt_trajectory = optional(GT_TRAJECTORY_FILE, _frame_pose_from_json)
     gt_pairs = optional(GT_ASSOCIATION_FILE, _gt_pairs_from_json)
     gt_association = None if gt_pairs is None else dict(gt_pairs)
     return Dataset(

@@ -1,13 +1,14 @@
 """Map and trajectory quality metrics.
 
-Estimated ellipsoids are compared against ground-truth oriented boxes:
-exact oriented 3D IoU (the convex hull of the points where three of the
-two boxes' face planes meet inside both), centroid distance, and
-sorted-extent size error. Map-to-truth correspondence is a one-to-one
-assignment gated by centroid distance, which yields TP/FP/FN counts.
-Trajectories are scored by translational RMSE after a closed-form rigid
-alignment (no scale). A per-keyframe IoU-error series reproduces
-convergence curves from map snapshots.
+Estimated and ground-truth objects are both ``Quadric``s, a ground-truth
+object's semi-axes being its box's half extents. They are compared by the
+exact 3D IoU of their circumscribed oriented boxes (the convex hull of the
+points where three of the two boxes' face planes meet inside both),
+centroid distance, and sorted-semi-axis size error. Map-to-truth
+correspondence is a one-to-one assignment gated by centroid distance, which
+yields TP/FP/FN counts. Trajectories are scored by translational RMSE after
+a closed-form rigid alignment (no scale). A per-keyframe IoU-error series
+reproduces convergence curves from map snapshots.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.optimize
 import scipy.spatial
 
-from .geometry import Pose, Quadric, _freeze, as_rotation
+from .geometry import Pose, Quadric
 
 # Half-space tolerance of an intersection vertex, relative to the largest
 # plane offset (the scale of the coordinates).
@@ -36,44 +37,21 @@ class LengthMismatch(ValueError):
     """Trajectories to compare must pair up frame by frame."""
 
 
-@dataclass(frozen=True)
-class OrientedBox3:
-    """Oriented 3D box: rotation columns are the box axes, half_extents are
-    the per-axis half side lengths (meters)."""
-
-    rotation: np.ndarray
-    center: np.ndarray
-    half_extents: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.array(self.center, dtype=np.float64).reshape(3)
-        h = np.array(self.half_extents, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(h))):
-            raise ValueError("box center and half extents must be finite")
-        if np.any(h <= 0.0):
-            raise ValueError(f"half extents must be positive, got {h}")
-        object.__setattr__(self, "rotation", as_rotation(self.rotation))
-        object.__setattr__(self, "center", _freeze(c))
-        object.__setattr__(self, "half_extents", _freeze(h))
-
-    def volume(self) -> float:
-        return float(8.0 * np.prod(self.half_extents))
+def _box_volume(q: Quadric) -> float:
+    """Volume of the circumscribed box, not of the ellipsoid."""
+    return float(8.0 * np.prod(q.s))
 
 
-def quadric_to_box(q: Quadric) -> OrientedBox3:
-    """Ellipsoid to its tightly circumscribed oriented box."""
-    return OrientedBox3(q.rotation_matrix(), q.t, q.s)
+def _halfspaces(q: Quadric) -> tuple[np.ndarray, np.ndarray]:
+    """Six face planes of the circumscribed box as outward unit normals
+    N (6, 3) and offsets d (6,); a point p is inside when N @ p <= d."""
+    N = np.concatenate([q.rotation.T, -q.rotation.T])
+    return N, N @ q.t + np.tile(q.s, 2)
 
 
-def _halfspaces(box: OrientedBox3) -> tuple[np.ndarray, np.ndarray]:
-    """Six face planes as outward unit normals N (6, 3) and offsets d (6,);
-    a point p is inside when N @ p <= d."""
-    N = np.concatenate([box.rotation.T, -box.rotation.T])
-    return N, N @ box.center + np.tile(box.half_extents, 2)
-
-
-def box_iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
-    """Exact IoU of two oriented boxes.
+def box_iou_3d(a: Quadric, b: Quadric) -> float:
+    """Exact IoU of the circumscribed oriented boxes of two quadrics: each
+    box has the quadric's axes, centroid and semi-axes as half extents.
 
     The intersection is the convex polytope bounded by the 12 face planes.
     Its vertices are the solutions of the non-degenerate plane triples that
@@ -95,21 +73,21 @@ def box_iou_3d(a: OrientedBox3, b: OrientedBox3) -> float:
         inter = scipy.spatial.ConvexHull(vertices).volume
     except scipy.spatial.QhullError:
         return 0.0
-    union = a.volume() + b.volume() - inter
+    union = _box_volume(a) + _box_volume(b) - inter
     return float(min(max(inter / union, 0.0), 1.0))
 
 
-def centroid_error(est: Quadric, gt: OrientedBox3) -> float:
-    """Euclidean distance between estimated and true centers (meters)."""
-    return float(np.linalg.norm(est.t - gt.center))
+def centroid_error(est: Quadric, gt: Quadric) -> float:
+    """Euclidean distance between estimated and true centroids (meters)."""
+    return float(np.linalg.norm(est.t - gt.t))
 
 
-def size_error(est: Quadric, gt: OrientedBox3) -> float:
-    """L2 distance between ascending-sorted semi-axes and half extents.
+def size_error(est: Quadric, gt: Quadric) -> float:
+    """L2 distance between the ascending-sorted semi-axes of both.
 
     Sorting removes the arbitrary axis labeling on both sides.
     """
-    return float(np.linalg.norm(np.sort(est.s) - np.sort(gt.half_extents)))
+    return float(np.linalg.norm(np.sort(est.s) - np.sort(gt.s)))
 
 
 @dataclass(frozen=True)
@@ -125,7 +103,7 @@ class MatchResult:
 
 def match_map_to_gt(
     estimates: Sequence[Quadric],
-    gt_objects: Sequence[OrientedBox3],
+    gt_objects: Sequence[Quadric],
     threshold: float = 0.5,
 ) -> MatchResult:
     """Assign estimates to ground truth by minimum total centroid distance,
@@ -137,8 +115,8 @@ def match_map_to_gt(
     if n_est and n_gt:
         dist = np.empty((n_est, n_gt))
         for i, q in enumerate(estimates):
-            for j, box in enumerate(gt_objects):
-                dist[i, j] = np.linalg.norm(q.t - box.center)
+            for j, gt in enumerate(gt_objects):
+                dist[i, j] = np.linalg.norm(q.t - gt.t)
         rows, cols = scipy.optimize.linear_sum_assignment(dist)
         for i, j in zip(rows, cols):
             if dist[i, j] <= threshold:
@@ -249,7 +227,7 @@ class EvalReport:
 
 def evaluate_map(
     estimates: Sequence[Quadric],
-    gt_objects: Sequence[OrientedBox3],
+    gt_objects: Sequence[Quadric],
     threshold: float = 0.5,
 ) -> EvalReport:
     """Match estimates to ground truth and score every matched pair."""
@@ -257,12 +235,11 @@ def evaluate_map(
     metrics = []
     for i in sorted(result.matching):
         j = result.matching[i]
-        box = quadric_to_box(estimates[i])
         metrics.append(
             ObjectMetrics(
                 est_index=i,
                 gt_index=j,
-                iou=box_iou_3d(box, gt_objects[j]),
+                iou=box_iou_3d(estimates[i], gt_objects[j]),
                 centroid_error=centroid_error(estimates[i], gt_objects[j]),
                 size_error=size_error(estimates[i], gt_objects[j]),
             )
@@ -272,7 +249,7 @@ def evaluate_map(
 
 def iou_error_series(
     snapshots: Sequence[tuple[int, Sequence[Quadric]]],
-    gt_objects: Sequence[OrientedBox3],
+    gt_objects: Sequence[Quadric],
     threshold: float = 0.5,
 ) -> tuple[tuple[int, float | None, float | None], ...]:
     """Per-keyframe mean and std of 1 - IoU over matched objects.
@@ -284,7 +261,7 @@ def iou_error_series(
     for keyframe_index, estimates in snapshots:
         result = match_map_to_gt(estimates, gt_objects, threshold)
         errors = [
-            1.0 - box_iou_3d(quadric_to_box(estimates[i]), gt_objects[j])
+            1.0 - box_iou_3d(estimates[i], gt_objects[j])
             for i, j in sorted(result.matching.items())
         ]
         if errors:

@@ -11,7 +11,7 @@ Residual conventions:
   touches the image border the corresponding residual components are zeroed
   so truncated detections do not drag the landmark toward the border.
 - Size prior: ascending-sorted semi-axes minus the prior target.
-- Orientation prior: SO(3) log of R_target^T R(theta).
+- Orientation prior: SO(3) log of R_target^T R, R the quadric's rotation.
 - Centroid prior: centroid minus the single-shot measured centroid.
 
 Jacobians are with respect to the right-perturbation retractions of
@@ -22,8 +22,7 @@ al., "A micro Lie theory for state estimation in robotics", 2018). The
 bounding-box Jacobian is a central difference over the 15 tangent
 directions of its pose and quadric, evaluated for many observations at once
 by :func:`bbox_jacobians`: 31 projections per observation in one
-``project_bbox_batch`` call. :func:`numeric_jacobian` is the independent
-finite-difference oracle the tests compare every factor against.
+``project_bbox_batch`` call.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ DEFAULT_JACOBIAN_STEP = 1e-6
 
 Variable = Pose | Quadric
 VariableKey = tuple[str, int]
-
-
-class NonFiniteResidual(ValueError):
-    """A residual evaluation produced NaN/inf or was skipped mid-differencing."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,7 @@ class BBoxRows(NamedTuple):
     @staticmethod
     def single(x: Pose, q: Quadric, measured: np.ndarray, keep: np.ndarray) -> "BBoxRows":
         return BBoxRows(
-            x.rotation[None], x.translation[None], q.rotation_matrix()[None],
+            x.rotation[None], x.translation[None], q.rotation[None],
             q.t[None], q.s[None], measured[None], keep[None],
         )
 
@@ -250,51 +245,11 @@ def size_prior_residual(q: Quadric, target: np.ndarray) -> np.ndarray:
 
 def orientation_prior_residual(q: Quadric, R_target: np.ndarray) -> np.ndarray:
     """Rotation log of the deviation from the prior rotation."""
-    return so3_log(np.asarray(R_target).T @ q.rotation_matrix())
+    return so3_log(np.asarray(R_target).T @ q.rotation)
 
 
 def centroid_residual(q: Quadric, target: np.ndarray) -> np.ndarray:
     return q.t - np.asarray(target, dtype=np.float64)
-
-
-def numeric_jacobian(
-    residual_fn,
-    variables: list[Variable] | tuple[Variable, ...],
-    step: float = DEFAULT_JACOBIAN_STEP,
-) -> list[np.ndarray]:
-    """Central-difference Jacobian blocks of a residual function.
-
-    ``residual_fn`` is called with the (perturbed) variables in order and
-    must return a fixed-length vector. Perturbations are applied through each
-    variable's manifold retraction. Raises NonFiniteResidual when any
-    evaluation is skipped or non-finite.
-    """
-
-    def evaluate(vars_: list[Variable]) -> np.ndarray:
-        r = residual_fn(*vars_)
-        if r is None:
-            raise NonFiniteResidual("residual skipped during differencing")
-        r = np.asarray(r, dtype=np.float64)
-        if not np.all(np.isfinite(r)):
-            raise NonFiniteResidual("residual is non-finite")
-        return r
-
-    variables = list(variables)
-    r0 = evaluate(variables)
-    blocks: list[np.ndarray] = []
-    for vi, var in enumerate(variables):
-        dim = variable_dim(var)
-        J = np.empty((r0.shape[0], dim))
-        for k in range(dim):
-            delta = np.zeros(dim)
-            delta[k] = step
-            plus = list(variables)
-            plus[vi] = var.retract(delta)
-            minus = list(variables)
-            minus[vi] = var.retract(-delta)
-            J[:, k] = (evaluate(plus) - evaluate(minus)) / (2.0 * step)
-        blocks.append(J)
-    return blocks
 
 
 class Factor:

@@ -3,13 +3,13 @@
 Conventions used throughout the package:
 
 - A ``Pose`` is a world-from-body transform: ``p_world = R @ p_body + t``.
-- Quadric rotations are stored as intrinsic X-Y-Z Euler angles
-  ``theta = (tx, ty, tz)`` with ``R = Rx(tx) @ Ry(ty) @ Rz(tz)``; all
-  incremental updates go through the SO(3) exp/log maps so the Euler storage
-  is an I/O detail, never an update parameterization.
+- A ``Quadric`` stores its rotation matrix, checked like a pose's, and is
+  updated on SO(3) by right-multiplying ``exp(delta)``. Its ``theta``
+  property is a read-only view of intrinsic X-Y-Z Euler angles
+  (``R = Rx(tx) @ Ry(ty) @ Rz(tz)``); nothing in the solver reads it.
 - An ellipsoid landmark is represented by its dual quadric
   ``Q* = Z diag(sx^2, sy^2, sz^2, -1) Z^T`` where ``Z`` is the homogeneous
-  pose built from ``R(theta)`` and the centroid ``t``.
+  pose built from the rotation and the centroid ``t``.
 - Projection of a dual quadric under ``P = K [R_cw | t_cw]`` yields a dual
   conic ``C* = P Q* P^T`` whose axis-aligned envelope is the predicted
   bounding box. :func:`project_bbox_batch` is the one implementation, over
@@ -100,39 +100,6 @@ def so3_jr_inv(phi: np.ndarray) -> np.ndarray:
     else:
         c = 1.0 / (angle * angle) - 1.0 / (2.0 * angle * np.tan(0.5 * angle))
     return np.eye(3) + 0.5 * W + c * (W @ W)
-
-
-def euler_xyz_to_matrix(theta: np.ndarray) -> np.ndarray:
-    """Rotation matrix from intrinsic X-Y-Z Euler angles."""
-    tx, ty, tz = np.asarray(theta, dtype=np.float64)
-    cx, sx = np.cos(tx), np.sin(tx)
-    cy, sy = np.cos(ty), np.sin(ty)
-    cz, sz = np.cos(tz), np.sin(tz)
-    return np.array(
-        [
-            [cy * cz, -cy * sz, sy],
-            [cx * sz + sx * sy * cz, cx * cz - sx * sy * sz, -sx * cy],
-            [sx * sz - cx * sy * cz, sx * cz + cx * sy * sz, cx * cy],
-        ]
-    )
-
-
-def matrix_to_euler_xyz(R: np.ndarray) -> np.ndarray:
-    """Intrinsic X-Y-Z Euler angles of a rotation matrix.
-
-    Returns the canonical branch with ty in [-pi/2, pi/2]; at the gimbal
-    singularity tz is fixed to zero.
-    """
-    R = np.asarray(R, dtype=np.float64)
-    sy = np.clip(R[0, 2], -1.0, 1.0)
-    ty = float(np.arcsin(sy))
-    if abs(sy) < 1.0 - 1e-10:
-        tx = float(np.arctan2(-R[1, 2], R[2, 2]))
-        tz = float(np.arctan2(-R[0, 1], R[0, 0]))
-    else:
-        tx = float(np.arctan2(R[2, 1], R[1, 1]))
-        tz = 0.0
-    return np.array([tx, ty, tz])
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -255,38 +222,43 @@ def between(a: Pose, b: Pose) -> Pose:
 
 @dataclass(frozen=True)
 class Quadric:
-    """Ellipsoid landmark: Euler rotation, centroid, strictly positive semi-axes."""
+    """Ellipsoid landmark: rotation matrix (columns are the axes), centroid,
+    strictly positive semi-axes."""
 
-    theta: np.ndarray
+    rotation: np.ndarray
     t: np.ndarray
     s: np.ndarray
 
     def __post_init__(self) -> None:
-        theta = np.array(self.theta, dtype=np.float64).reshape(3)
         t = np.array(self.t, dtype=np.float64).reshape(3)
         s = np.array(self.s, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(t)) and np.all(np.isfinite(s))):
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(s))):
             raise ValueError("quadric entries must be finite")
         if np.any(s <= 0.0):
             raise ValueError(f"semi-axes must be strictly positive, got {s}")
-        object.__setattr__(self, "theta", _freeze(theta))
+        object.__setattr__(self, "rotation", as_rotation(self.rotation))
         object.__setattr__(self, "t", _freeze(t))
         object.__setattr__(self, "s", _freeze(s))
 
-    @staticmethod
-    def from_rotation(R: np.ndarray, t: np.ndarray, s: np.ndarray) -> "Quadric":
-        return Quadric(matrix_to_euler_xyz(R), t, s)
-
-    def rotation_matrix(self) -> np.ndarray:
-        return euler_xyz_to_matrix(self.theta)
+    @property
+    def theta(self) -> np.ndarray:
+        """Intrinsic X-Y-Z Euler angles (tx, ty, tz) of the rotation, with
+        R = Rx(tx) @ Ry(ty) @ Rz(tz): a read-only view, ty in [-pi/2, pi/2]
+        and tz zero at the gimbal singularity."""
+        R = self.rotation
+        ty = np.arctan2(R[0, 2], np.hypot(R[0, 0], R[0, 1]))
+        if abs(R[0, 2]) < 1.0 - 1e-10:
+            tx, tz = np.arctan2(-R[1, 2], R[2, 2]), np.arctan2(-R[0, 1], R[0, 0])
+        else:
+            tx, tz = np.arctan2(R[2, 1], R[1, 1]), 0.0
+        return np.array([tx, ty, tz])
 
     def retract(self, delta: np.ndarray) -> "Quadric":
         """Manifold update: rotation via exp on the right, centroid and
         semi-axes additively; semi-axes clamped away from zero."""
         delta = np.asarray(delta, dtype=np.float64)
-        R = self.rotation_matrix() @ so3_exp(delta[:3])
         s = np.maximum(self.s + delta[6:9], 1e-4)
-        return Quadric(matrix_to_euler_xyz(R), self.t + delta[3:6], s)
+        return Quadric(self.rotation @ so3_exp(delta[:3]), self.t + delta[3:6], s)
 
 
 @dataclass(frozen=True)

@@ -207,16 +207,15 @@ class SolveReport:
 
 
 def _bbox_rows(factors: Sequence[BBoxFactor], values: GraphValues) -> BBoxRows:
-    """Stacked inputs of bbox factors, one rotation matrix per quadric."""
+    """Stacked inputs of bbox factors."""
     poses = [values.get(("pose", f.pose_id)) for f in factors]
-    quadrics = {j: values.get(("quadric", j)) for j in {f.quadric_id for f in factors}}
-    rotations = {j: q.rotation_matrix() for j, q in quadrics.items()}
+    quadrics = [values.get(("quadric", f.quadric_id)) for f in factors]
     return BBoxRows(
         np.array([x.rotation for x in poses]),
         np.array([x.translation for x in poses]),
-        np.array([rotations[f.quadric_id] for f in factors]),
-        np.array([quadrics[f.quadric_id].t for f in factors]),
-        np.array([quadrics[f.quadric_id].s for f in factors]),
+        np.array([q.rotation for q in quadrics]),
+        np.array([q.t for q in quadrics]),
+        np.array([q.s for q in quadrics]),
         np.array([f.measured for f in factors]),
         np.array([f.keep for f in factors]),
     )
@@ -517,7 +516,7 @@ def initialize_landmark(
     rotation = x.rotation
     if prior is not None:
         rotation, s = orientation_prior_frame(prior.orientation, rotation, s)
-    return Quadric.from_rotation(rotation, t, s)
+    return Quadric(rotation, t, s)
 
 
 def add_keyframe(
@@ -583,7 +582,7 @@ def add_keyframe(
         graph.add(BBoxFactor(pose_id, next_id, det.bbox, K, bbox_noise, image_size))
         if record is not None:
             s_hat = size_prior_estimate(record, q0.s, det.confidence)
-            sigma_theta, sigma_t, sigma_s = prior_covariances(s_hat, prior)
+            sigma_r, sigma_t, sigma_s = prior_covariances(s_hat, prior)
             if flags.size_prior:
                 graph.add(SizePriorFactor(next_id, s_hat, NoiseModel(sigma_s)))
             if flags.orientation_prior:
@@ -592,7 +591,7 @@ def add_keyframe(
                 # kz, so the target is the initial rotation itself.
                 graph.add(
                     OrientationPriorFactor(
-                        next_id, q0.rotation_matrix(), NoiseModel(sigma_theta)
+                        next_id, q0.rotation, NoiseModel(sigma_r)
                     )
                 )
             if flags.centroid_factor:

@@ -14,6 +14,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -25,13 +26,24 @@ from .association import (
     track_frame,
 )
 from .config import RunConfig
-from .dataset import Dataset, load_dataset, write_dataset
+# load_map_json reads its entries with the dataset's record readers.
+from .dataset import (
+    Dataset,
+    ParseError,
+    SchemaError,
+    _frame_pose_from_json,
+    _quaternion,
+    _record,
+    _require,
+    _vector3,
+    load_dataset,
+    write_dataset,
+)
 from .evaluation import (
     EvalReport,
     ate_rmse,
     evaluate_map,
     iou_error_series,
-    quadric_to_box,
     write_iou_series_csv,
 )
 from .geometry import (
@@ -60,6 +72,9 @@ from .priors import (
 from .simulator import SceneSpec, simulate_dataset
 
 
+T = TypeVar("T")
+
+
 class PipelineError(RuntimeError):
     """A failure inside the pipeline, annotated with the frame it happened on
     or with the final solve."""
@@ -77,16 +92,14 @@ class LandmarkEstimate:
 
     def __post_init__(self) -> None:
         norm = float(np.linalg.norm(self.rotation_quaternion))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
             raise ValueError(f"quaternion norm {norm} deviates from 1 by more than 1e-6")
         if min(self.semi_axes) <= 0.0:
             raise ValueError("semi-axes must be positive")
 
     def quadric(self) -> Quadric:
         R = quat_to_matrix(np.array(self.rotation_quaternion, dtype=np.float64))
-        return Quadric.from_rotation(
-            R, np.array(self.centroid), np.array(self.semi_axes)
-        )
+        return Quadric(R, self.centroid, self.semi_axes)
 
 
 @dataclass(frozen=True)
@@ -100,7 +113,7 @@ class MapEstimate:
 
 
 def _quat_of(q: Quadric) -> tuple[float, float, float, float]:
-    return tuple(float(v) for v in matrix_to_quat(q.rotation_matrix()))
+    return tuple(float(v) for v in matrix_to_quat(q.rotation))
 
 
 def _landmark_estimates(
@@ -284,9 +297,9 @@ def run_slam(
 def _evaluate_against(
     dataset: Dataset, estimate: MapEstimate, threshold: float
 ) -> EvalReport:
-    gt_boxes = [quadric_to_box(g.quadric) for g in dataset.gt_objects]
+    gt_quadrics = [g.quadric for g in dataset.gt_objects]
     est_quadrics = [lm.quadric() for lm in estimate.landmarks]
-    base = evaluate_map(est_quadrics, gt_boxes, threshold)
+    base = evaluate_map(est_quadrics, gt_quadrics, threshold)
     ate = None
     if dataset.gt_trajectory:
         gt_by_id = dict(dataset.gt_trajectory)
@@ -300,7 +313,7 @@ def _evaluate_against(
     if estimate.snapshots:
         series = iou_error_series(
             [(kf, [q for _, q in snap]) for kf, snap in estimate.snapshots],
-            gt_boxes,
+            gt_quadrics,
             threshold,
         )
     return dataclasses.replace(base, ate=ate, iou_series=series)
@@ -352,45 +365,57 @@ def write_map_json(m: MapEstimate, path: str | Path) -> None:
     Path(path).write_text(json.dumps(_map_document(m), sort_keys=True, indent=2) + "\n")
 
 
+def _entries(doc, key: str, where: str, parse: Callable[[dict, str], T]) -> tuple[T, ...]:
+    """parse(entry, name) of each entry of the list doc[key], name being
+    "<where> key[i]"; a malformed entry raises SchemaError naming it."""
+    with _record(where):
+        items = _require(doc, key, where)
+        if not isinstance(items, list):
+            raise SchemaError(f"{where}: field {key!r} must be a list")
+    out = []
+    for i, item in enumerate(items):
+        name = f"{where} {key}[{i}]"
+        with _record(name):
+            out.append(parse(item, name))
+    return tuple(out)
+
+
+def _landmark_from_json(entry: dict, where: str) -> LandmarkEstimate:
+    return LandmarkEstimate(
+        int(_require(entry, "id", where)),
+        str(_require(entry, "label", where)),
+        tuple(_quaternion(entry, where).tolist()),
+        tuple(_vector3(entry, "centroid", where).tolist()),
+        tuple(_vector3(entry, "semi_axes", where).tolist()),
+    )
+
+
+def _snapshot_landmark_from_json(entry: dict, where: str) -> tuple[int, Quadric]:
+    rotation = quat_to_matrix(_quaternion(entry, where))
+    centroid = _vector3(entry, "centroid", where)
+    q = Quadric(rotation, centroid, _vector3(entry, "semi_axes", where))
+    return int(_require(entry, "id", where)), q
+
+
+def _snapshot_from_json(entry: dict, where: str) -> tuple[int, tuple[tuple[int, Quadric], ...]]:
+    keyframe_index = int(_require(entry, "keyframe_index", where))
+    return keyframe_index, _entries(entry, "landmarks", where, _snapshot_landmark_from_json)
+
+
 def load_map_json(path: str | Path) -> MapEstimate:
-    doc = json.loads(Path(path).read_text())
-    landmarks = tuple(
-        LandmarkEstimate(
-            entry["id"],
-            entry["label"],
-            tuple(entry["rotation_quaternion"]),
-            tuple(entry["centroid"]),
-            tuple(entry["semi_axes"]),
-        )
-        for entry in doc["landmarks"]
-    )
-    trajectory = tuple(
-        (
-            entry["frame_id"],
-            Pose(
-                quat_to_matrix(np.array(entry["rotation_quaternion"])),
-                np.array(entry["translation"]),
-            ),
-        )
-        for entry in doc["trajectory"]
-    )
-    snapshots = tuple(
-        (
-            entry["keyframe_index"],
-            tuple(
-                (
-                    lm["id"],
-                    Quadric.from_rotation(
-                        quat_to_matrix(np.array(lm["rotation_quaternion"])),
-                        np.array(lm["centroid"]),
-                        np.array(lm["semi_axes"]),
-                    ),
-                )
-                for lm in entry["landmarks"]
-            ),
-        )
-        for entry in doc.get("snapshots", [])
-    )
+    """Read a map written by :func:`write_map_json`. Malformed JSON raises
+    ParseError, a malformed entry SchemaError naming the file and the entry."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    where = str(path)
+    # Landmarks first: past them, doc is known to be a JSON object.
+    landmarks = _entries(doc, "landmarks", where, _landmark_from_json)
+    trajectory = _entries(doc, "trajectory", where, _frame_pose_from_json)
+    snapshots = ()
+    if "snapshots" in doc:
+        snapshots = _entries(doc, "snapshots", where, _snapshot_from_json)
     return MapEstimate(landmarks, trajectory, snapshots)
 
 

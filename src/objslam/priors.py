@@ -418,7 +418,7 @@ def prior_covariances(
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s_hat.shape != (3,) or np.any(s_hat <= 0.0):
         raise ValueError(f"size target must be 3 positive values, got {s_hat}")
-    sigma_theta = np.diag([config.kx**2, config.ky**2, config.kz**2])
+    sigma_r = np.diag([config.kx**2, config.ky**2, config.kz**2])
     sigma_t = config.kt**2 * np.diag(s_hat**2)
     sigma_s = config.ks**2 * np.diag(s_hat**2)
-    return sigma_theta, sigma_t, sigma_s
+    return sigma_r, sigma_t, sigma_s

@@ -147,8 +147,9 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
                 f"{spec.max_retries} attempts"
             )
         yaw = float(rng.uniform(0.0, 2.0 * np.pi))
-        theta = np.array([0.0, 0.0, yaw])
-        objects.append(SceneObject(label, Quadric(theta, center, s), record))
+        cy, sy = np.cos(yaw), np.sin(yaw)
+        rotation = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+        objects.append(SceneObject(label, Quadric(rotation, center, s), record))
         centers.append(center)
         radii.append(radius)
     return Scene(tuple(objects), spec)
@@ -246,7 +247,7 @@ def _frame_geometry(
     W, H = float(image_size[0]), float(image_size[1])
     R_wc = np.tile(x.rotation, (n, 1, 1))
     t_wc = np.tile(x.translation, (n, 1))
-    R_q = np.stack([o.quadric.rotation_matrix() for o in scene.objects])
+    R_q = np.stack([o.quadric.rotation for o in scene.objects])
     t_q = np.stack([o.quadric.t for o in scene.objects])
     s = np.stack([o.quadric.s for o in scene.objects])
     boxes, valid = project_bbox_batch(R_wc, t_wc, K, R_q, t_q, s)

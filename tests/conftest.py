@@ -21,12 +21,10 @@ def random_pose(rng: np.random.Generator, t_scale: float = 2.0) -> Pose:
 
 
 def random_quadric(rng: np.random.Generator) -> Quadric:
-    from objslam.geometry import matrix_to_euler_xyz
-
-    theta = matrix_to_euler_xyz(random_rotation(rng))
+    R = random_rotation(rng)
     t = rng.normal(scale=1.5, size=3)
     s = rng.uniform(0.05, 0.6, size=3)
-    return Quadric(theta, t, s)
+    return Quadric(R, t, s)
 
 
 @pytest.fixture

@@ -48,7 +48,7 @@ class DualConic:
 
 def quadric_to_dual(q: Quadric) -> np.ndarray:
     """4x4 dual-quadric matrix Z diag(s^2, -1) Z^T of an ellipsoid."""
-    R = q.rotation_matrix()
+    R = q.rotation
     Z = np.eye(4)
     Z[:3, :3] = R
     Z[:3, 3] = q.t

@@ -17,7 +17,7 @@ from scipy.spatial.transform import Rotation
 from objslam.association import solve_lsap
 from objslam.cli import main as cli_main
 from objslam.config import build_run_config
-from objslam.evaluation import OrientedBox3, box_iou_3d, quadric_to_box
+from objslam.evaluation import box_iou_3d
 from objslam.factors import (
     BBoxFactor,
     CentroidPriorFactor,
@@ -158,10 +158,10 @@ def _fd_perturb(var, k: int, step: float):
             return Pose(var.rotation @ E, var.translation)
         return Pose(var.rotation, var.translation + dv)
     if k < 3:
-        return Quadric.from_rotation(var.rotation_matrix() @ E, var.t, var.s)
+        return Quadric(var.rotation @ E, var.t, var.s)
     if k < 6:
-        return Quadric(var.theta, var.t + dv, var.s)
-    return Quadric(var.theta, var.t, var.s + dv)
+        return Quadric(var.rotation, var.t + dv, var.s)
+    return Quadric(var.rotation, var.t, var.s + dv)
 
 
 def _fd_jacobians(factor, variables):
@@ -204,7 +204,7 @@ def _random_quadric(rng, min_gap: float = 0.0) -> Quadric:
         s = rng.uniform(0.05, 0.4, 3)
         gaps = np.diff(np.sort(s))
         if gaps.min() > min_gap:
-            return Quadric.from_rotation(
+            return Quadric(
                 _random_rotation(rng), rng.uniform(-0.5, 0.5, 3), s
             )
 
@@ -263,7 +263,7 @@ def test_criterion_02_factor_jacobians():
             q = _random_quadric(rng)
             twist = rng.uniform(-1.0, 1.0, 3)
             twist *= rng.uniform(0.0, 2.5) / max(np.linalg.norm(twist), 1e-12)
-            target = q.rotation_matrix() @ Rotation.from_rotvec(twist).as_matrix()
+            target = q.rotation @ Rotation.from_rotvec(twist).as_matrix()
             factor = OrientationPriorFactor(0, target, iso3)
             assert _relative_jacobian_error(factor, (q,)) < tol
 
@@ -321,25 +321,26 @@ def test_criterion_03_assignment_matches_brute_force():
 # 4. 3D IoU against a Monte Carlo oracle
 
 
-def _random_box(rng, center) -> OrientedBox3:
-    return OrientedBox3(
+def _random_box(rng, center) -> Quadric:
+    return Quadric(
         Rotation.random(random_state=rng).as_matrix(),
         center,
         rng.uniform(0.1, 0.5, 3),
     )
 
 
-def _box_corners(box: OrientedBox3) -> np.ndarray:
+def _box_corners(q: Quadric) -> np.ndarray:
+    """Corners of the quadric's circumscribed box."""
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
-    return box.center + (signs * box.half_extents) @ box.rotation.T
+    return q.t + (signs * q.s) @ q.rotation.T
 
 
-def _points_inside(box: OrientedBox3, pts: np.ndarray) -> np.ndarray:
-    local = (pts - box.center) @ box.rotation
-    return np.all(np.abs(local) <= box.half_extents, axis=1)
+def _points_inside(q: Quadric, pts: np.ndarray) -> np.ndarray:
+    local = (pts - q.t) @ q.rotation
+    return np.all(np.abs(local) <= q.s, axis=1)
 
 
-def _mc_iou(a: OrientedBox3, b: OrientedBox3, rng, n: int = 1_000_000) -> float:
+def _mc_iou(a: Quadric, b: Quadric, rng, n: int = 1_000_000) -> float:
     corners = np.vstack([_box_corners(a), _box_corners(b)])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
     pts = rng.uniform(lo, hi, (n, 3))
@@ -355,16 +356,16 @@ def test_criterion_04_iou_oracle():
         rng = np.random.default_rng(20240813)
         for _ in range(100):
             a = _random_box(rng, rng.uniform(-0.3, 0.3, 3))
-            b = _random_box(rng, a.center + rng.uniform(-0.6, 0.6, 3))
+            b = _random_box(rng, a.t + rng.uniform(-0.6, 0.6, 3))
             exact = box_iou_3d(a, b)
             assert 0.0 <= exact <= 1.0
             assert abs(exact - _mc_iou(a, b, rng)) < 0.01
 
-        cube = OrientedBox3(np.eye(3), np.zeros(3), np.full(3, 0.5))
+        cube = Quadric(np.eye(3), np.zeros(3), np.full(3, 0.5))
         assert abs(box_iou_3d(cube, cube) - 1.0) < 1e-9
-        far = OrientedBox3(np.eye(3), np.array([10.0, 0.0, 0.0]), np.full(3, 0.5))
+        far = Quadric(np.eye(3), np.array([10.0, 0.0, 0.0]), np.full(3, 0.5))
         assert abs(box_iou_3d(cube, far)) < 1e-9
-        half = OrientedBox3(np.eye(3), np.array([0.5, 0.0, 0.0]), np.full(3, 0.5))
+        half = Quadric(np.eye(3), np.array([0.5, 0.0, 0.0]), np.full(3, 0.5))
         assert abs(box_iou_3d(cube, half) - 1.0 / 3.0) < 1e-9
 
 
@@ -433,7 +434,7 @@ def test_criterion_08_iou_error_decreases():
         estimate, report, _ = run_slam(cfg, dataset, scene.prior_table())
         assert report.tp == 10 and report.fp == 0
 
-        gt_boxes = [quadric_to_box(g.quadric) for g in dataset.gt_objects]
+        gt_quadrics = [g.quadric for g in dataset.gt_objects]
         lm_ids = [lm.landmark_id for lm in estimate.landmarks]
         first_seen = {}
         for _, snap in estimate.snapshots:
@@ -443,9 +444,9 @@ def test_criterion_08_iou_error_decreases():
         improved = 0
         for m in report.objects:
             lid = lm_ids[m.est_index]
-            gt = gt_boxes[m.gt_index]
-            err_first = 1.0 - box_iou_3d(quadric_to_box(first_seen[lid]), gt)
-            err_last = 1.0 - box_iou_3d(quadric_to_box(last[lid]), gt)
+            gt = gt_quadrics[m.gt_index]
+            err_first = 1.0 - box_iou_3d(first_seen[lid], gt)
+            err_last = 1.0 - box_iou_3d(last[lid], gt)
             improved += err_last < err_first
         assert improved >= 0.9 * len(report.objects), improved
 

@@ -120,7 +120,7 @@ class TestAssociationWeight:
         # and the back-projected center lands on the centroid, so the
         # distance term saturates at w_d / min_distance.
         cfg = AssociationConfig()
-        q = Quadric(np.zeros(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.5))
+        q = Quadric(np.eye(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.5))
         x = Pose.identity()
         predicted = predict_bbox(x, camera, q)
         d = det(predicted, label="mug", depth=4.0)
@@ -134,7 +134,7 @@ class TestAssociationWeight:
         x = Pose.identity()
         for _ in range(50):
             q = Quadric(
-                np.zeros(3),
+                np.eye(3),
                 np.array([rng.uniform(-1, 1), rng.uniform(-0.7, 0.7), rng.uniform(3, 7)]),
                 rng.uniform(0.1, 0.5, size=3),
             )
@@ -152,7 +152,7 @@ class TestAssociationWeight:
 
     def test_no_depth_omits_distance_term(self, camera):
         cfg = AssociationConfig()
-        q = Quadric(np.zeros(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.5))
+        q = Quadric(np.eye(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.5))
         predicted = predict_bbox(Pose.identity(), camera, q)
         d = det(predicted, label="mug", depth=None)
         w = association_weight(d, q, "mug", Pose.identity(), camera, EmbeddingTable.empty(), cfg)
@@ -160,7 +160,7 @@ class TestAssociationWeight:
 
     def test_invisible_landmark_keeps_semantic_term(self, camera):
         cfg = AssociationConfig()
-        q = Quadric(np.zeros(3), np.array([0.0, 0.0, -4.0]), np.full(3, 0.5))
+        q = Quadric(np.eye(3), np.array([0.0, 0.0, -4.0]), np.full(3, 0.5))
         d = det(BoundingBox2D(100, 100, 200, 200), label="mug")
         w = association_weight(d, q, "mug", Pose.identity(), camera, EmbeddingTable.empty(), cfg)
         assert w == pytest.approx(cfg.semantic_weight)
@@ -262,8 +262,8 @@ class TestLongTerm:
     def test_bijection_on_separated_landmarks(self, camera):
         cfg = AssociationConfig()
         x = Pose.identity()
-        left = Quadric(np.zeros(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
-        right = Quadric(np.zeros(3), np.array([1.0, 0.0, 4.0]), np.full(3, 0.4))
+        left = Quadric(np.eye(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
+        right = Quadric(np.eye(3), np.array([1.0, 0.0, 4.0]), np.full(3, 0.4))
         landmarks = [(10, left, "mug"), (11, right, "bottle")]
         dets = [
             det(predict_bbox(x, camera, right), label="bottle", depth=4.0),
@@ -276,7 +276,7 @@ class TestLongTerm:
     def test_weak_pairs_stay_unmatched(self, camera):
         cfg = AssociationConfig()
         x = Pose.identity()
-        lm = Quadric(np.zeros(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
+        lm = Quadric(np.eye(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
         # Different label, disjoint box, no depth: weight is zero.
         d = det(BoundingBox2D(500, 350, 600, 450), label="lamp")
         result = associate_long_term([d], [(5, lm, "mug")], x, camera, EmbeddingTable.empty(), cfg)
@@ -287,7 +287,7 @@ class TestLongTerm:
         # Two detections of the same landmark: only one may claim it.
         cfg = AssociationConfig()
         x = Pose.identity()
-        lm = Quadric(np.zeros(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.4))
+        lm = Quadric(np.eye(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.4))
         b = predict_bbox(x, camera, lm)
         dets = [det(b, label="mug", depth=4.0), det(b, label="mug", depth=4.0)]
         result = associate_long_term(dets, [(3, lm, "mug")], x, camera, EmbeddingTable.empty(), cfg)

@@ -89,6 +89,18 @@ class TestExitCodes:
         assert code == 1
         assert "odometry.jsonl:1:" in capsys.readouterr().err
 
+    def test_malformed_map_is_validation_error(self, tmp_path, capsys):
+        ds = _simulate(tmp_path, capsys)
+        out = tmp_path / "out"
+        assert main(["run", "--dataset", str(ds), "-o", str(out), "--set", "mode=batch"]) == 0
+        doc = json.loads((out / "map.json").read_text())
+        doc["trajectory"][0]["rotation_quaternion"] = [2, 0, 0, 0]
+        (out / "map.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["evaluate", "--map", str(out / "map.json"), "--dataset", str(ds)])
+        assert code == 1
+        assert "map.json trajectory[0]: field 'rotation_quaternion'" in capsys.readouterr().err
+
     def test_gen_priors_without_credentials(self, tmp_path, capsys, no_llm_env):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("mug\n")

@@ -107,7 +107,7 @@ class TestRoundTrip:
             np.testing.assert_allclose(ga.quadric.s, gb.quadric.s, atol=1e-12)
             np.testing.assert_allclose(ga.quadric.t, gb.quadric.t, atol=1e-12)
             np.testing.assert_allclose(
-                ga.quadric.rotation_matrix(), gb.quadric.rotation_matrix(), atol=1e-9
+                ga.quadric.rotation, gb.quadric.rotation, atol=1e-9
             )
         assert loaded.gt_association == ds.gt_association
 

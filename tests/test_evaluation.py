@@ -6,14 +6,12 @@ import pytest
 from objslam.evaluation import (
     EvalReport,
     LengthMismatch,
-    OrientedBox3,
     ate_rmse,
     box_iou_3d,
     centroid_error,
     evaluate_map,
     iou_error_series,
     match_map_to_gt,
-    quadric_to_box,
     size_error,
     write_iou_series_csv,
 )
@@ -22,20 +20,22 @@ from objslam.geometry import Pose, Quadric, compose
 from conftest import random_pose, random_quadric, random_rotation
 
 
-def box_corners(box: OrientedBox3) -> np.ndarray:
+def box_corners(q: Quadric) -> np.ndarray:
+    """Corners of the quadric's circumscribed box."""
     signs = np.array(
         [[i, j, k] for i in (-1, 1) for j in (-1, 1) for k in (-1, 1)], dtype=np.float64
     )
-    return box.center + (signs * box.half_extents) @ box.rotation.T
+    return q.t + (signs * q.s) @ q.rotation.T
 
 
-def points_inside(box: OrientedBox3, points: np.ndarray) -> np.ndarray:
-    local = (points - box.center) @ box.rotation
-    return np.all(np.abs(local) <= box.half_extents + 1e-12, axis=1)
+def points_inside(q: Quadric, points: np.ndarray) -> np.ndarray:
+    local = (points - q.t) @ q.rotation
+    return np.all(np.abs(local) <= q.s + 1e-12, axis=1)
 
 
-def mc_iou(a: OrientedBox3, b: OrientedBox3, n: int, seed: int) -> float:
-    """Rejection-sampling IoU oracle over the pair's joint bounding box."""
+def mc_iou(a: Quadric, b: Quadric, n: int, seed: int) -> float:
+    """Rejection-sampling oracle of the circumscribed boxes' IoU over the
+    pair's joint bounding box."""
     rng = np.random.default_rng(seed)
     corners = np.vstack([box_corners(a), box_corners(b)])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
@@ -78,28 +78,25 @@ def horn_quaternion_rmse(est: np.ndarray, gt: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum(residuals**2, axis=1))))
 
 
-def random_box(rng: np.random.Generator) -> OrientedBox3:
-    return OrientedBox3(
+def random_box(rng: np.random.Generator) -> Quadric:
+    return Quadric(
         random_rotation(rng),
         rng.uniform(-0.5, 0.5, size=3),
         rng.uniform(0.1, 0.6, size=3),
     )
 
 
-def transformed(box: OrientedBox3, T: Pose) -> OrientedBox3:
-    return OrientedBox3(
-        T.rotation @ box.rotation,
-        T.rotation @ box.center + T.translation,
-        box.half_extents,
-    )
+def transformed(q: Quadric, T: Pose) -> Quadric:
+    return Quadric(T.rotation @ q.rotation, T.rotation @ q.t + T.translation, q.s)
 
 
-def aab(center, half) -> OrientedBox3:
-    return OrientedBox3(np.eye(3), np.asarray(center, dtype=np.float64),
-                        np.asarray(half, dtype=np.float64))
+def aab(center, half) -> Quadric:
+    """Axis-aligned: its circumscribed box has these center and half extents."""
+    return Quadric(np.eye(3), np.asarray(center, dtype=np.float64),
+                   np.asarray(half, dtype=np.float64))
 
 
-def offset_yawed_cubes(side: float, center) -> tuple[OrientedBox3, OrientedBox3]:
+def offset_yawed_cubes(side: float, center) -> tuple[Quadric, Quadric]:
     """Two cubes offset by half a side along x, the second turned 1e-9 rad
     about z, so their y faces are almost parallel: IoU 1/3."""
     c, s = np.cos(1e-9), np.sin(1e-9)
@@ -107,34 +104,9 @@ def offset_yawed_cubes(side: float, center) -> tuple[OrientedBox3, OrientedBox3]
     center = np.asarray(center, dtype=np.float64)
     half = np.full(3, side / 2)
     return (
-        OrientedBox3(np.eye(3), center, half),
-        OrientedBox3(Rz, center + [side / 2, 0, 0], half),
+        Quadric(np.eye(3), center, half),
+        Quadric(Rz, center + [side / 2, 0, 0], half),
     )
-
-
-class TestOrientedBox:
-    def test_quadric_to_box_passthrough(self, rng):
-        q = random_quadric(rng)
-        box = quadric_to_box(q)
-        np.testing.assert_allclose(box.rotation, q.rotation_matrix(), atol=1e-12)
-        np.testing.assert_allclose(box.center, q.t, atol=1e-15)
-        np.testing.assert_allclose(box.half_extents, q.s, atol=1e-15)
-
-    def test_unit_sphere_gives_unit_box(self):
-        q = Quadric(np.zeros(3), np.zeros(3), np.ones(3))
-        box = quadric_to_box(q)
-        np.testing.assert_allclose(box.rotation, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(box.half_extents, np.ones(3), atol=1e-15)
-
-    def test_volume(self):
-        box = aab([0, 0, 0], [0.5, 1.0, 2.0])
-        assert box.volume() == pytest.approx(8 * 0.5 * 1.0 * 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OrientedBox3(np.eye(3), np.zeros(3), np.array([1.0, -1.0, 1.0]))
-        with pytest.raises(ValueError):
-            OrientedBox3(2 * np.eye(3), np.zeros(3), np.ones(3))
 
 
 class TestBoxIoU3D:
@@ -161,7 +133,7 @@ class TestBoxIoU3D:
     def test_nested_boxes(self):
         outer = aab([0, 0, 0], [1.0, 1.0, 1.0])
         inner = aab([0.1, -0.1, 0.2], [0.3, 0.4, 0.5])
-        expected = inner.volume() / outer.volume()
+        expected = np.prod(inner.s) / np.prod(outer.s)
         assert box_iou_3d(outer, inner) == pytest.approx(expected, abs=1e-9)
 
     def test_rotated_45_degrees(self):
@@ -171,7 +143,7 @@ class TestBoxIoU3D:
         c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
         Rz = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
         a = aab([0, 0, 0], [0.5, 0.5, 0.5])
-        b = OrientedBox3(Rz, np.zeros(3), np.full(3, 0.5))
+        b = Quadric(Rz, np.zeros(3), np.full(3, 0.5))
         inter = 2 * (np.sqrt(2) - 1)
         expected = inter / (2 - inter)
         assert expected == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -226,12 +198,12 @@ class TestBoxIoU3D:
 
 class TestScalarErrors:
     def test_centroid_345(self):
-        est = Quadric(np.zeros(3), np.array([1.0, 1.0, 1.0]), np.ones(3))
+        est = Quadric(np.eye(3), np.array([1.0, 1.0, 1.0]), np.ones(3))
         gt = aab([1.0, 4.0, 5.0], [0.5, 0.5, 0.5])
         assert centroid_error(est, gt) == pytest.approx(5.0)
 
     def test_centroid_zero(self):
-        est = Quadric(np.zeros(3), np.array([0.3, -0.2, 1.0]), np.ones(3))
+        est = Quadric(np.eye(3), np.array([0.3, -0.2, 1.0]), np.ones(3))
         gt = aab([0.3, -0.2, 1.0], [0.5, 0.5, 0.5])
         assert centroid_error(est, gt) == 0.0
 
@@ -239,28 +211,28 @@ class TestScalarErrors:
         est = random_quadric(rng)
         gt = random_box(rng)
         T = random_pose(rng)
-        est2 = Quadric.from_rotation(
-            T.rotation @ est.rotation_matrix(), T.transform(est.t), est.s
+        est2 = Quadric(
+            T.rotation @ est.rotation, T.transform(est.t), est.s
         )
         gt2 = transformed(gt, T)
         assert centroid_error(est2, gt2) == pytest.approx(centroid_error(est, gt), abs=1e-9)
 
     def test_size_permutation_invariant(self, rng):
         s = np.array([0.1, 0.25, 0.4])
-        est = Quadric(np.zeros(3), np.zeros(3), s[[2, 0, 1]])
-        gt = OrientedBox3(np.eye(3), np.zeros(3), s[[1, 2, 0]])
+        est = Quadric(np.eye(3), np.zeros(3), s[[2, 0, 1]])
+        gt = Quadric(np.eye(3), np.zeros(3), s[[1, 2, 0]])
         assert size_error(est, gt) == pytest.approx(0.0, abs=1e-15)
 
     def test_size_single_axis(self):
-        est = Quadric(np.zeros(3), np.zeros(3), np.array([0.1, 0.1, 0.1]))
+        est = Quadric(np.eye(3), np.zeros(3), np.array([0.1, 0.1, 0.1]))
         gt = aab([0, 0, 0], [0.1, 0.1, 0.2])
         assert size_error(est, gt) == pytest.approx(0.1)
 
     def test_size_symmetric(self, rng):
         a = rng.uniform(0.05, 0.5, size=3)
         b = rng.uniform(0.05, 0.5, size=3)
-        e1 = size_error(Quadric(np.zeros(3), np.zeros(3), a), aab([0, 0, 0], b))
-        e2 = size_error(Quadric(np.zeros(3), np.zeros(3), b), aab([0, 0, 0], a))
+        e1 = size_error(Quadric(np.eye(3), np.zeros(3), a), aab([0, 0, 0], b))
+        e2 = size_error(Quadric(np.eye(3), np.zeros(3), b), aab([0, 0, 0], a))
         assert e1 == pytest.approx(e2, abs=1e-15)
 
 
@@ -273,9 +245,7 @@ class TestMatching:
 
     def test_perfect_map(self, rng):
         gt = [random_box(rng) for _ in range(4)]
-        est = [
-            Quadric.from_rotation(b.rotation, b.center, b.half_extents) for b in gt
-        ]
+        est = list(gt)
         result = match_map_to_gt(est, gt, threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (4, 0, 0)
         assert all(result.matching[i] == i for i in range(4))
@@ -283,8 +253,8 @@ class TestMatching:
     def test_two_estimates_near_one_gt(self):
         gt = [aab([0, 0, 0], [0.3, 0.3, 0.3])]
         est = [
-            Quadric(np.zeros(3), np.array([0.05, 0.0, 0.0]), np.full(3, 0.3)),
-            Quadric(np.zeros(3), np.array([0.0, 0.1, 0.0]), np.full(3, 0.3)),
+            Quadric(np.eye(3), np.array([0.05, 0.0, 0.0]), np.full(3, 0.3)),
+            Quadric(np.eye(3), np.array([0.0, 0.1, 0.0]), np.full(3, 0.3)),
         ]
         result = match_map_to_gt(est, gt, threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (1, 1, 0)
@@ -293,7 +263,7 @@ class TestMatching:
 
     def test_threshold_rejects_distant_pairs(self):
         gt = [aab([0, 0, 0], [0.3, 0.3, 0.3])]
-        est = [Quadric(np.zeros(3), np.array([0.9, 0.0, 0.0]), np.full(3, 0.3))]
+        est = [Quadric(np.eye(3), np.array([0.9, 0.0, 0.0]), np.full(3, 0.3))]
         result = match_map_to_gt(est, gt, threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (0, 1, 1)
 
@@ -301,7 +271,7 @@ class TestMatching:
         for _ in range(20):
             n_est, n_gt = int(rng.integers(0, 6)), int(rng.integers(0, 6))
             est = [
-                Quadric(np.zeros(3), rng.uniform(-1, 1, size=3), np.full(3, 0.2))
+                Quadric(np.eye(3), rng.uniform(-1, 1, size=3), np.full(3, 0.2))
                 for _ in range(n_est)
             ]
             gt = [aab(rng.uniform(-1, 1, size=3), [0.2, 0.2, 0.2]) for _ in range(n_gt)]
@@ -309,7 +279,7 @@ class TestMatching:
             assert r.tp + r.fp == n_est
             assert r.tp + r.fn == n_gt
             for i, j in r.matching.items():
-                assert np.linalg.norm(est[i].t - gt[j].center) <= 0.5
+                assert np.linalg.norm(est[i].t - gt[j].t) <= 0.5
 
 
 class TestATE:
@@ -363,7 +333,7 @@ class TestATE:
 class TestReport:
     def test_evaluate_map_perfect(self, rng):
         gt = [random_box(rng) for _ in range(3)]
-        est = [Quadric.from_rotation(b.rotation, b.center, b.half_extents) for b in gt]
+        est = list(gt)
         report = evaluate_map(est, gt, threshold=0.5)
         assert (report.tp, report.fp, report.fn) == (3, 0, 0)
         for m in report.objects:
@@ -374,7 +344,7 @@ class TestReport:
 
     def test_report_to_json_is_deterministic(self, rng):
         gt = [random_box(rng) for _ in range(3)]
-        est = [Quadric.from_rotation(b.rotation, b.center, b.half_extents) for b in gt]
+        est = list(gt)
         r1 = evaluate_map(est, gt, threshold=0.5)
         r2 = evaluate_map(est, gt, threshold=0.5)
         assert r1.to_json() == r2.to_json()
@@ -390,7 +360,7 @@ class TestReport:
 class TestIoUSeries:
     def test_perfect_map_is_all_zero(self, rng):
         gt = [random_box(rng) for _ in range(2)]
-        est = tuple(Quadric.from_rotation(b.rotation, b.center, b.half_extents) for b in gt)
+        est = tuple(gt)
         snapshots = [(0, est), (1, est), (5, est)]
         series = iou_error_series(snapshots, gt, threshold=0.5)
         assert [kf for kf, _, _ in series] == [0, 1, 5]
@@ -400,7 +370,7 @@ class TestIoUSeries:
 
     def test_empty_snapshot_marked_absent(self, rng):
         gt = [aab([0, 0, 0], [0.3, 0.3, 0.3])]
-        good = (Quadric(np.zeros(3), np.zeros(3), np.full(3, 0.3)),)
+        good = (Quadric(np.eye(3), np.zeros(3), np.full(3, 0.3)),)
         series = iou_error_series([(0, ()), (1, good)], gt, threshold=0.5)
         assert series[0][1] is None and series[0][2] is None
         assert series[1][1] == pytest.approx(0.0, abs=1e-9)
@@ -409,7 +379,7 @@ class TestIoUSeries:
         gt = [aab([0, 0, 0], [0.3, 0.3, 0.3])]
         snapshots = []
         for k, offset in enumerate([0.25, 0.15, 0.05, 0.0]):
-            q = Quadric(np.zeros(3), np.array([offset, 0.0, 0.0]), np.full(3, 0.3))
+            q = Quadric(np.eye(3), np.array([offset, 0.0, 0.0]), np.full(3, 0.3))
             snapshots.append((k, (q,)))
         series = iou_error_series(snapshots, gt, threshold=0.5)
         means = [m for _, m, _ in series]
@@ -418,13 +388,13 @@ class TestIoUSeries:
     def test_mean_and_std_match_per_object_ious(self):
         gt = [aab([0, 0, 0], [0.3, 0.3, 0.3]), aab([2, 0, 0], [0.3, 0.3, 0.3])]
         est = (
-            Quadric(np.zeros(3), np.array([0.1, 0.0, 0.0]), np.full(3, 0.3)),
-            Quadric(np.zeros(3), np.array([2.0, 0.05, 0.0]), np.full(3, 0.3)),
+            Quadric(np.eye(3), np.array([0.1, 0.0, 0.0]), np.full(3, 0.3)),
+            Quadric(np.eye(3), np.array([2.0, 0.05, 0.0]), np.full(3, 0.3)),
         )
         series = iou_error_series([(0, est)], gt, threshold=0.5)
         errs = [
-            1.0 - box_iou_3d(quadric_to_box(est[0]), gt[0]),
-            1.0 - box_iou_3d(quadric_to_box(est[1]), gt[1]),
+            1.0 - box_iou_3d(est[0], gt[0]),
+            1.0 - box_iou_3d(est[1], gt[1]),
         ]
         assert series[0][1] == pytest.approx(np.mean(errs), abs=1e-12)
         assert series[0][2] == pytest.approx(np.std(errs), abs=1e-12)

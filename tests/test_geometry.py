@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from objslam.geometry import (
     BoundingBox2D,
@@ -12,8 +13,6 @@ from objslam.geometry import (
     back_project_pixel,
     between,
     compose,
-    euler_xyz_to_matrix,
-    matrix_to_euler_xyz,
     project_bbox_batch,
     so3_exp,
     so3_log,
@@ -135,13 +134,18 @@ class TestSO3:
             np.testing.assert_allclose(so3_exp(w_back), R, atol=1e-6)
 
 
+def rebuilt(R: np.ndarray) -> np.ndarray:
+    """R rebuilt from its Quadric.theta by scipy's intrinsic X-Y-Z convention."""
+    theta = Quadric(R, np.zeros(3), np.ones(3)).theta
+    return Rotation.from_euler("XYZ", theta).as_matrix()
+
+
 class TestEuler:
     def test_round_trip_from_matrix(self):
         rng = np.random.default_rng(29)
         for _ in range(1000):
             R = random_rotation(rng)
-            R_back = euler_xyz_to_matrix(matrix_to_euler_xyz(R))
-            assert np.abs(R_back - R).max() < 1e-9
+            assert np.abs(rebuilt(R) - R).max() < 1e-9
 
     def test_intrinsic_xyz_order(self):
         # R = Rx @ Ry @ Rz checked against explicit single-axis matrices.
@@ -154,20 +158,30 @@ class TestEuler:
         )
         Rz = rot_z(tz)
         np.testing.assert_allclose(
-            euler_xyz_to_matrix([tx, ty, tz]), Rx @ Ry @ Rz, atol=1e-12
+            Rotation.from_euler("XYZ", [tx, ty, tz]).as_matrix(), Rx @ Ry @ Rz, atol=1e-12
         )
+        q = Quadric(Rx @ Ry @ Rz, np.zeros(3), np.ones(3))
+        np.testing.assert_allclose(q.theta, [tx, ty, tz], atol=1e-12)
 
     def test_gimbal_branch(self):
         theta = np.array([0.4, np.pi / 2, 0.7])
-        R = euler_xyz_to_matrix(theta)
-        R_back = euler_xyz_to_matrix(matrix_to_euler_xyz(R))
-        assert np.abs(R_back - R).max() < 1e-9
+        R = Rotation.from_euler("XYZ", theta).as_matrix()
+        assert np.abs(rebuilt(R) - R).max() < 1e-9
+
+    def test_theta_rebuilds_rotation_to_1e_12(self):
+        rng = np.random.default_rng(41)
+        rotations = [random_rotation(rng) for _ in range(1000)]
+        for ty in (np.pi / 2, -np.pi / 2):
+            for tx, tz in ((0.4, 0.7), (-1.2, 0.0), (2.5, -3.0)):
+                rotations.append(Rotation.from_euler("XYZ", [tx, ty, tz]).as_matrix())
+        for R in rotations:
+            assert np.abs(rebuilt(R) - R).max() < 1e-12
 
 
 class TestQuadric:
     def test_dual_matrix_explicit(self):
         # Unit sphere at (1, 0, 0): Z diag(1,1,1,-1) Z^T written out by hand.
-        q = Quadric(np.zeros(3), np.array([1.0, 0.0, 0.0]), np.ones(3))
+        q = Quadric(np.eye(3), np.array([1.0, 0.0, 0.0]), np.ones(3))
         expected = np.array(
             [
                 [0.0, 0.0, 0.0, -1.0],
@@ -186,16 +200,38 @@ class TestQuadric:
 
     def test_rejects_non_positive_axes(self):
         with pytest.raises(ValueError):
-            Quadric(np.zeros(3), np.zeros(3), np.array([0.1, 0.0, 0.1]))
+            Quadric(np.eye(3), np.zeros(3), np.array([0.1, 0.0, 0.1]))
         with pytest.raises(ValueError):
-            Quadric(np.zeros(3), np.zeros(3), np.array([0.1, -0.2, 0.1]))
+            Quadric(np.eye(3), np.zeros(3), np.array([0.1, -0.2, 0.1]))
+
+    @pytest.mark.parametrize(
+        "rotation",
+        [np.array([0.1, 0.2, 0.3]), np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan)],
+        ids=["euler-3-vector", "reflection", "nan"],
+    )
+    def test_rejects_non_rotation(self, rotation):
+        with pytest.raises(ValueError, match="rotation"):
+            Quadric(rotation, np.zeros(3), np.ones(3))
+
+    def test_retractions_stay_orthonormal(self):
+        # No re-orthonormalization: 10,000 rotation steps of 0.3 rad each.
+        rng = np.random.default_rng(43)
+        q = random_quadric(rng)
+        worst = 0.0
+        for _ in range(10_000):
+            axis = rng.normal(size=3)
+            delta = np.zeros(9)
+            delta[:3] = 0.3 * axis / np.linalg.norm(axis)
+            q = q.retract(delta)
+            worst = max(worst, np.abs(q.rotation.T @ q.rotation - np.eye(3)).max())
+        assert worst < 1e-12
 
     def test_retract_round_trip(self):
         rng = np.random.default_rng(37)
         q = random_quadric(rng)
         delta = rng.normal(scale=0.1, size=9)
         q2 = q.retract(delta)
-        R2 = q2.rotation_matrix()
+        R2 = q2.rotation
         assert np.abs(R2.T @ R2 - np.eye(3)).max() < 1e-9
         np.testing.assert_allclose(q2.t, q.t + delta[3:6], atol=1e-12)
 
@@ -205,7 +241,7 @@ class TestProjection:
         # Unit sphere on the optical axis at depth d: the image is a disc of
         # radius f * r / sqrt(d^2 - r^2) centered on the principal point.
         K = CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0)
-        q = Quadric(np.zeros(3), np.array([0.0, 0.0, 5.0]), np.ones(3))
+        q = Quadric(np.eye(3), np.array([0.0, 0.0, 5.0]), np.ones(3))
         box = predict_bbox(Pose.identity(), K, q)
         half = 100.0 * 1.0 / np.sqrt(25.0 - 1.0)
         np.testing.assert_allclose(
@@ -218,27 +254,27 @@ class TestProjection:
         for _ in range(50):
             r = rng.uniform(0.1, 1.0)
             d = rng.uniform(r + 0.5, 10.0)
-            q = Quadric(np.zeros(3), np.array([0.0, 0.0, d]), np.full(3, r))
+            q = Quadric(np.eye(3), np.array([0.0, 0.0, d]), np.full(3, r))
             box = predict_bbox(Pose.identity(), camera, q)
             half_u = camera.fx * r / np.sqrt(d * d - r * r)
             np.testing.assert_allclose(box.center(), [camera.cx, camera.cy], atol=1e-6)
             np.testing.assert_allclose(box.width / 2.0, half_u, rtol=1e-9)
 
     def test_behind_camera_raises(self, camera):
-        q = Quadric(np.zeros(3), np.array([0.0, 0.0, -5.0]), np.ones(3))
+        q = Quadric(np.eye(3), np.array([0.0, 0.0, -5.0]), np.ones(3))
         with pytest.raises(BehindCamera):
             project_quadric(Pose.identity(), camera, q)
 
     def test_centroid_straddling_image_plane_degenerate(self, camera):
         # Centroid barely in front but the ellipsoid pokes behind the camera:
         # the envelope has no real extremal tangents.
-        q = Quadric(np.zeros(3), np.array([0.0, 0.0, 0.5]), np.ones(3))
+        q = Quadric(np.eye(3), np.array([0.0, 0.0, 0.5]), np.ones(3))
         with pytest.raises(DegenerateConic):
             conic_to_bbox(project_quadric(Pose.identity(), camera, q))
 
     def test_scale_invariance_of_envelope(self, camera):
         rng = np.random.default_rng(43)
-        q = Quadric(np.zeros(3), np.array([0.2, -0.1, 4.0]), np.array([0.3, 0.2, 0.4]))
+        q = Quadric(np.eye(3), np.array([0.2, -0.1, 4.0]), np.array([0.3, 0.2, 0.4]))
         conic = project_quadric(Pose.identity(), camera, q)
         box1 = conic_to_bbox(conic)
         box2 = conic_to_bbox(DualConic(conic.matrix * -3.7))
@@ -262,7 +298,7 @@ class TestProjection:
             pixel = rng.uniform([100, 100], [540, 380])
             depth = rng.uniform(1.0, 6.0)
             p = back_project_pixel(camera, x, pixel, depth)
-            q = Quadric(np.zeros(3), p, np.full(3, 1e-4))
+            q = Quadric(np.eye(3), p, np.full(3, 1e-4))
             box = predict_bbox(x, camera, q)
             np.testing.assert_allclose(box.center(), pixel, atol=1e-3)
 
@@ -274,14 +310,14 @@ class TestProjection:
             q = random_quadric(rng)
             # Push the quadric well in front of this camera.
             p_world = x.rotation @ np.array([0.0, 0.0, rng.uniform(3.0, 8.0)]) + x.translation
-            q = Quadric(q.theta, p_world, q.s)
+            q = Quadric(q.rotation, p_world, q.s)
             poses.append(x)
             quads.append(q)
         boxes, valid = project_bbox_batch(
             np.stack([p.rotation for p in poses]),
             np.stack([p.translation for p in poses]),
             camera,
-            np.stack([q.rotation_matrix() for q in quads]),
+            np.stack([q.rotation for q in quads]),
             np.stack([q.t for q in quads]),
             np.stack([q.s for q in quads]),
         )
@@ -291,10 +327,10 @@ class TestProjection:
             np.testing.assert_allclose(boxes[i], box.as_array(), rtol=1e-9, atol=1e-9)
 
     def test_batch_flags_behind_camera(self, camera):
-        q = Quadric(np.zeros(3), np.array([0.0, 0.0, -5.0]), np.ones(3))
+        q = Quadric(np.eye(3), np.array([0.0, 0.0, -5.0]), np.ones(3))
         boxes, valid = project_bbox_batch(
             np.eye(3)[None], np.zeros((1, 3)), camera,
-            q.rotation_matrix()[None], q.t[None], q.s[None],
+            q.rotation[None], q.t[None], q.s[None],
         )
         assert not valid[0]
         assert np.all(np.isnan(boxes[0]))

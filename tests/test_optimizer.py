@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from objslam.association import AssociationResult
 from objslam.dataset import Detection
@@ -56,8 +57,8 @@ def looking_at_poses() -> list[Pose]:
     ]
 
 
-GT_QUADRIC = Quadric(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 2.0]),
-                     np.array([0.2, 0.3, 0.4]))
+GT_QUADRIC = Quadric(Rotation.from_euler("XYZ", [0.1, -0.2, 0.3]).as_matrix(),
+                     np.array([0.0, 0.0, 2.0]), np.array([0.2, 0.3, 0.4]))
 
 
 def three_view_graph(camera, noise_px: float = 0.0, rng=None):
@@ -80,7 +81,7 @@ def three_view_graph(camera, noise_px: float = 0.0, rng=None):
     graph.add(SizePriorFactor(0, np.sort(GT_QUADRIC.s), NoiseModel.isotropic(3, 0.1)))
     graph.add(
         OrientationPriorFactor(
-            0, GT_QUADRIC.rotation_matrix(), NoiseModel.isotropic(3, 0.2)
+            0, GT_QUADRIC.rotation, NoiseModel.isotropic(3, 0.2)
         )
     )
     graph.add(CentroidPriorFactor(0, GT_QUADRIC.t, NoiseModel.isotropic(3, 0.5)))
@@ -115,7 +116,7 @@ class TestTotalCost:
         assert total_cost(graph, values) == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_covariance_halves_contribution(self):
-        values = GraphValues(quadrics={0: Quadric(np.zeros(3), np.zeros(3), np.ones(3))})
+        values = GraphValues(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.ones(3))})
         target = np.array([1.0, 1.0, 2.0])
         g1, g2 = FactorGraph(), FactorGraph()
         g1.add(CentroidPriorFactor(0, target, NoiseModel.isotropic(3, 1.0)))
@@ -144,7 +145,7 @@ class TestInitializeLandmark:
         np.testing.assert_allclose(q.t, [0.0, 0.0, 5.0], atol=1e-12)
         np.testing.assert_allclose(q.s[:2], [1.0, 1.0], atol=1e-12)
         assert q.s[2] == pytest.approx(1.0)
-        np.testing.assert_allclose(q.rotation_matrix(), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(q.rotation, np.eye(3), atol=1e-12)
 
     def test_translated_camera_same_world_centroid(self):
         K = CameraIntrinsics(100.0, 100.0, 320.0, 240.0)
@@ -166,7 +167,7 @@ class TestInitializeLandmark:
         det = Detection(BoundingBox2D(200, 220, 440, 260), "bottle", 0.9, center_depth=5.0)
         record = PriorRecord("bottle", 0.1, 0.1, 0.3, OrientationClass.VERTICAL)
         q = initialize_landmark(det, Pose.identity(), K, record)
-        R = q.rotation_matrix()
+        R = q.rotation
         longest = np.argmax(q.s)
         assert abs(R[:, longest] @ np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0, abs=1e-9)
 
@@ -301,7 +302,7 @@ class TestSolveBatch:
         graph.add(SizePriorFactor(7, target_s, NoiseModel.isotropic(3, 0.1)))
         graph.add(OrientationPriorFactor(7, target_R, NoiseModel.isotropic(3, 0.1)))
         graph.add(CentroidPriorFactor(7, target_t, NoiseModel.isotropic(3, 0.1)))
-        start = Quadric.from_rotation(
+        start = Quadric(
             target_R @ so3_exp(np.array([0.05, -0.03, 0.08])),
             target_t + np.array([0.1, 0.05, -0.08]),
             target_s[[1, 0, 2]] * 1.3,
@@ -312,7 +313,7 @@ class TestSolveBatch:
         assert report.converged
         np.testing.assert_allclose(np.sort(q.s), target_s, atol=1e-6)
         np.testing.assert_allclose(q.t, target_t, atol=1e-6)
-        np.testing.assert_allclose(q.rotation_matrix(), target_R, atol=1e-6)
+        np.testing.assert_allclose(q.rotation, target_R, atol=1e-6)
 
     def test_first_pose_stays_anchored(self, camera, rng):
         graph, gt_values = three_view_graph(camera)
@@ -326,7 +327,7 @@ class TestSolveBatch:
         graph = FactorGraph()
         tiny = np.full(3, 1e-4)
         graph.add(SizePriorFactor(0, tiny, NoiseModel.isotropic(3, 0.01)))
-        values = GraphValues(quadrics={0: Quadric(np.zeros(3), np.zeros(3), np.full(3, 0.3))})
+        values = GraphValues(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.full(3, 0.3))})
         solved, _ = solve_batch(graph, values)
         assert np.all(solved.quadrics[0].s >= 1e-4 - 1e-15)
 
@@ -344,7 +345,7 @@ class TestSolveBatch:
 
         graph = FactorGraph()
         graph.add(LyingFactor(0, np.full(3, 0.1), NoiseModel.isotropic(1, 1.0)))
-        values = GraphValues(quadrics={0: Quadric(np.zeros(3), np.zeros(3), np.ones(3))})
+        values = GraphValues(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.ones(3))})
         with pytest.raises(SingularSystem):
             solve_batch(graph, values)
 
@@ -395,8 +396,8 @@ class TestSolveIncremental:
         assert rel < 1e-6
 
     def test_multi_keyframe_pipeline_matches_batch(self, camera, rng):
-        gt_q = Quadric(np.array([0.0, 0.1, -0.1]), np.array([0.0, 0.0, 2.0]),
-                       np.array([0.15, 0.2, 0.3]))
+        gt_q = Quadric(Rotation.from_euler("XYZ", [0.0, 0.1, -0.1]).as_matrix(),
+                       np.array([0.0, 0.0, 2.0]), np.array([0.15, 0.2, 0.3]))
         priors = PriorTable()
         priors.add(PriorRecord("mug", 0.3, 0.4, 0.6, OrientationClass.UNCERTAIN))
         n = 8
@@ -459,7 +460,7 @@ class TestDeactivation:
         # A tight centroid prior pulls the landmark behind the only camera.
         # The Gauss-Newton step goes straight there, which would make the
         # bbox factor invalid and drop its cost; LM must not accept it.
-        q0 = Quadric(np.zeros(3), np.array([0.0, 0.0, 2.0]), np.full(3, 0.1))
+        q0 = Quadric(np.eye(3), np.array([0.0, 0.0, 2.0]), np.full(3, 0.1))
         box = predict_bbox(Pose.identity(), camera, q0)
         graph = FactorGraph()
         graph.add(
@@ -541,8 +542,8 @@ def mixed_graph(camera):
         Pose.from_rotvec(np.array([0.0, np.pi, 0.0]), np.zeros(3))  # looks away
     ]
     grid = [
-        Quadric(rng.normal(0.0, 0.2, size=3), np.array([x, y, 3.0 + 0.1 * x]),
-                rng.uniform(0.05, 0.15, size=3))
+        Quadric(Rotation.from_euler("XYZ", rng.normal(0.0, 0.2, size=3)).as_matrix(),
+                np.array([x, y, 3.0 + 0.1 * x]), rng.uniform(0.05, 0.15, size=3))
         for x in np.linspace(-0.6, 0.6, 5)
         for y in np.linspace(-0.4, 0.4, 5)
     ]
@@ -564,7 +565,7 @@ def mixed_graph(camera):
     for j, q in list(values.quadrics.items())[::4]:
         graph.add(SizePriorFactor(j, np.sort(q.s) * 1.1, NoiseModel.isotropic(3, 0.05)))
         graph.add(OrientationPriorFactor(
-            j, q.rotation_matrix() @ so3_exp(rng.normal(0.0, 0.1, size=3)),
+            j, q.rotation @ so3_exp(rng.normal(0.0, 0.1, size=3)),
             NoiseModel.isotropic(3, 0.2),
         ))
         graph.add(CentroidPriorFactor(j, q.t + 0.05, NoiseModel.isotropic(3, 0.1)))
@@ -614,7 +615,7 @@ class TestBatchedLinearization:
     def test_only_bbox_factor_invalid(self, camera):
         # The landmark sits behind the only camera: its bbox factor is
         # skipped and the centroid prior alone moves it.
-        q0 = Quadric(np.zeros(3), np.array([0.0, 0.0, -2.0]), np.full(3, 0.1))
+        q0 = Quadric(np.eye(3), np.array([0.0, 0.0, -2.0]), np.full(3, 0.1))
         graph = FactorGraph()
         graph.add(BBoxFactor(0, 0, BoundingBox2D(300, 220, 340, 260), camera,
                              NoiseModel.isotropic(4, 2.0)))
@@ -638,7 +639,7 @@ class TestBatchedLinearization:
         ]
         n_quadrics = -(-_BBOX_BLOCK // 3)
         quadrics = {
-            j: Quadric(np.zeros(3), np.array([0.05 * j - 0.5, 0.0, 3.0]), np.full(3, 0.1))
+            j: Quadric(np.eye(3), np.array([0.05 * j - 0.5, 0.0, 3.0]), np.full(3, 0.1))
             for j in range(n_quadrics)
         }
         values = GraphValues(dict(enumerate(poses)), quadrics)

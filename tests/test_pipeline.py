@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from objslam.config import build_run_config
-from objslam.dataset import load_dataset, write_dataset
+from objslam.dataset import ParseError, SchemaError, load_dataset, write_dataset
 from objslam.pipeline import (
     LandmarkEstimate,
     PipelineError,
@@ -125,8 +127,9 @@ class TestRunSlam:
 
 class TestLandmarkEstimate:
     def test_quaternion_norm_checked(self):
-        with pytest.raises(ValueError, match="quaternion"):
-            LandmarkEstimate(0, "mug", (2.0, 0.0, 0.0, 0.0), (0, 0, 0), (1, 1, 1))
+        for quat in ((2.0, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="quaternion"):
+                LandmarkEstimate(0, "mug", quat, (0, 0, 0), (1, 1, 1))
 
     def test_semi_axes_positive(self):
         with pytest.raises(ValueError, match="semi-axes"):
@@ -141,7 +144,75 @@ class TestLandmarkEstimate:
         assert np.allclose(q.s, lm.semi_axes)
 
 
+def _set(path: list, value):
+    """Mutation of a map document: set the entry at `path` to `value`."""
+
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return mutate
+
+
+def _drop_centroid(doc):
+    del doc["landmarks"][0]["centroid"]
+
+
+# (mutation, what the error must say right after the file name)
+MALFORMED_MAPS = {
+    "missing-centroid": (_drop_centroid, " landmarks[0]: missing field 'centroid'"),
+    "null-centroid": (_set(["landmarks", 0, "centroid"], None), " landmarks[0]:"),
+    "landmarks-int": (_set(["landmarks"], 5), ": field 'landmarks' must be a list"),
+    "landmark-nan-quaternion": (
+        _set(["landmarks", 0, "rotation_quaternion"], [float("nan"), 0, 0, 0]),
+        " landmarks[0]: field 'rotation_quaternion'",
+    ),
+    "trajectory-quaternion-norm-2": (
+        _set(["trajectory", 1, "rotation_quaternion"], [2, 0, 0, 0]),
+        " trajectory[1]: field 'rotation_quaternion'",
+    ),
+    "landmark-entry-int": (_set(["landmarks", 0], 5), " landmarks[0]: invalid record"),
+    "snapshot-negative-semi-axis": (
+        _set(["snapshots", 1, "landmarks", 0, "semi_axes"], [0.1, -0.2, 0.1]),
+        " snapshots[1] landmarks[0]: invalid record",
+    ),
+    "snapshot-quaternion-norm-2": (
+        _set(["snapshots", 2, "landmarks", 0, "rotation_quaternion"], [2, 0, 0, 0]),
+        " snapshots[2] landmarks[0]: field 'rotation_quaternion'",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def map_document(small_world, tmp_path_factory):
+    dataset, scene = small_world
+    estimate, _, _ = run_slam(_run_config(), dataset, scene.prior_table())
+    path = tmp_path_factory.mktemp("map") / "map.json"
+    write_map_json(estimate, path)
+    doc = json.loads(path.read_text())
+    assert len(doc["trajectory"]) > 1 and len(doc["snapshots"]) > 2
+    return doc
+
+
 class TestFileFormats:
+    @pytest.mark.parametrize("case", list(MALFORMED_MAPS))
+    def test_malformed_map_entries_are_schema_errors(self, map_document, tmp_path, case):
+        mutate, message = MALFORMED_MAPS[case]
+        doc = copy.deepcopy(map_document)
+        mutate(doc)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as exc:
+            load_map_json(path)
+        assert f"{path}{message}" in str(exc.value)
+
+    def test_map_json_syntax_error_names_file(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text('{"landmarks": [\n')
+        with pytest.raises(ParseError, match=f"{path}:2: invalid JSON"):
+            load_map_json(path)
+
     def test_map_json_round_trip(self, small_world, tmp_path):
         dataset, scene = small_world
         estimate, _, _ = run_slam(_run_config(), dataset, scene.prior_table())

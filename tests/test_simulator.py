@@ -46,7 +46,7 @@ class TestSceneGeneration:
         for oa, ob in zip(a.objects, b.objects):
             assert np.array_equal(oa.quadric.t, ob.quadric.t)
             assert np.array_equal(oa.quadric.s, ob.quadric.s)
-            assert np.array_equal(oa.quadric.theta, ob.quadric.theta)
+            assert np.array_equal(oa.quadric.rotation, ob.quadric.rotation)
 
     def test_different_seeds_differ(self):
         spec = SceneSpec(n_objects=5)
@@ -78,12 +78,25 @@ class TestSceneGeneration:
             assert abs(x) <= 1.0 and abs(y) <= 0.6
             assert z == pytest.approx(0.7 + obj.quadric.s[2])
 
+    def test_theta_is_exactly_yaw_only(self):
+        # Readers of Quadric.theta may rely on a simulated object turning
+        # about z alone, with the x and y angles exactly zero.
+        scene = generate_scene(SceneSpec(n_objects=14, area=(3.0, 2.5)), seed=11)
+        for obj in scene.objects:
+            theta = obj.quadric.theta
+            assert theta[0] == 0.0 and theta[1] == 0.0
+            c, s = np.cos(theta[2]), np.sin(theta[2])
+            np.testing.assert_allclose(
+                obj.quadric.rotation, [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]],
+                atol=1e-15,
+            )
+
     def test_orientation_classes_respected(self):
         scene = generate_scene(SceneSpec(n_objects=14, area=(3.0, 2.5)), seed=11)
         seen = set()
         for obj in scene.objects:
             seen.add(obj.record.orientation)
-            R = obj.quadric.rotation_matrix()
+            R = obj.quadric.rotation
             # yaw-only placement keeps local z vertical
             assert np.allclose(R[:, 2], [0.0, 0.0, 1.0], atol=1e-12)
             if obj.record.orientation == OrientationClass.VERTICAL:
