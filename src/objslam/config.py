@@ -9,6 +9,7 @@ priors.HTTPLLMClient); experiment manifests stay credential-free.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -139,9 +140,23 @@ def _build_section(cls, data: dict, section: str):
         raise ConfigError(f"invalid [{section}] section: {exc}") from exc
 
 
+def _require_finite(value, key: str) -> None:
+    """ConfigError naming the dotted key of any NaN or infinite float."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _require_finite(v, f"{key}.{k}" if key else str(k))
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _require_finite(v, key)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+
+
 def build_run_config(document: dict | None) -> RunConfig:
-    """Construct a validated RunConfig from a parsed YAML document."""
+    """Construct a validated RunConfig from a parsed YAML document, every
+    float in it finite."""
     document = dict(document or {})
+    _require_finite(document, "")
     kwargs = {}
     for section, cls in _SECTIONS.items():
         data = document.pop(section, {})

@@ -1,4 +1,4 @@
-"""Factor types and residuals for the object-level factor graph.
+"""Factor kinds: batched residuals and Jacobians for the factor graph.
 
 Residual conventions:
 
@@ -7,28 +7,33 @@ Residual conventions:
   then translation).
 - Bounding box: measured minus predicted box as (xmin, ymin, xmax, ymax).
   Observations whose projection is behind the camera or has a degenerate
-  envelope are skipped, signalled by returning None. When the measured box
-  touches the image border the corresponding residual components are zeroed
-  so truncated detections do not drag the landmark toward the border.
+  envelope are flagged invalid and skipped. When the measured box touches
+  the image border the corresponding residual components are zeroed so
+  truncated detections do not drag the landmark toward the border.
 - Size prior: ascending-sorted semi-axes minus the prior target.
 - Orientation prior: SO(3) log of R_target^T R, R the quadric's rotation.
 - Centroid prior: centroid minus the single-shot measured centroid.
 
-Jacobians are with respect to the right-perturbation retractions of
-``Pose``/``Quadric`` (rotation ``R exp(d)``, translation, centroid and
-semi-axes additive in the world frame). Odometry and the three unary priors
-have closed forms built from the inverse right Jacobian of SO(3) (Sola et
-al., "A micro Lie theory for state estimation in robotics", 2018). The
-bounding-box Jacobian is a central difference over the 15 tangent
-directions of its pose and quadric, evaluated for many observations at once
-by :func:`bbox_jacobians`: 31 projections per observation in one
-``project_bbox_batch`` call.
+A kind is a class with one batched function, ``<kind>_jacobians``. It takes
+the constant inputs of k factors (the class's ``stack``) and the stacked
+rows of their variables, (R (k, 3, 3), t (k, 3)) for a pose and (R, t,
+s (k, 3)) for a quadric, and returns the residuals (k, d), the Jacobians
+(k, d, 6 per pose + 9 per quadric) and the validity (k,). Bounding boxes
+also score with :func:`bbox_residuals`, one projection per observation
+instead of 31. ``residual_at`` and ``jacobian_at`` are one-row calls.
+
+Jacobians are with respect to ``geometry.retract`` (rotation ``R exp(d)``,
+translation, centroid and semi-axes additive in the world frame). Odometry
+and the three unary priors have closed forms built from the inverse right
+Jacobian of SO(3) (Sola et al., "A micro Lie theory for state estimation in
+robotics", 2018). The bounding-box Jacobian is a central difference over
+the 15 tangent directions of its pose and quadric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,7 +52,6 @@ from .geometry import (
 
 DEFAULT_JACOBIAN_STEP = 1e-6
 
-Variable = Pose | Quadric
 VariableKey = tuple[str, int]
 
 
@@ -127,19 +131,21 @@ def robust_whiten(
     return e, cost, weight
 
 
-def variable_dim(var: Variable) -> int:
-    if isinstance(var, Pose):
-        return 6
-    if isinstance(var, Quadric):
-        return 9
-    raise TypeError(f"unsupported variable type {type(var)!r}")
+# Tangent dimension of each variable kind.
+TANGENT_DIM = {"pose": 6, "quadric": 9}
+
+# Bbox observations differentiated per projection call: 64 x 31 rows keeps
+# the temporaries to a few MB whatever the graph size.
+BBOX_BLOCK = 64
 
 
-def odometry_residual(x_i: Pose, x_j: Pose, u: Pose) -> np.ndarray:
-    """6-vector error between the odometry prediction and the next pose."""
-    R_p = x_i.rotation @ u.rotation
-    t_p = x_i.rotation @ u.translation + x_i.translation
-    return np.concatenate([so3_log(R_p.T @ x_j.rotation), R_p.T @ (x_j.translation - t_p)])
+def _transpose(R: np.ndarray) -> np.ndarray:
+    return np.swapaxes(R, -1, -2)
+
+
+def _times(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for stacks of matrices (k, 3, 3) and vectors (k, 3)."""
+    return (A @ v[:, :, None])[:, :, 0]
 
 
 def _border_mask(
@@ -159,114 +165,137 @@ def _border_mask(
     )
 
 
-class BBoxRows(NamedTuple):
-    """Stacked inputs of m bounding-box observations under one camera."""
+def odometry_jacobians(c, x_i, x_j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed form. With the prediction p = x_i u, the error rotation
+    R_e = R_p^T R_j and d = R_i^T (t_j - t_i): the rotation rows are
+    -Jr^-1 R_j^T R_i and Jr^-1; the translation rows, for world-frame
+    translation updates, are R_u^T [d]x and -R_p^T for x_i, R_p^T for x_j."""
+    R_u, t_u = c
+    (R_i, t_i), (R_j, t_j) = x_i, x_j
+    R_pT = _transpose(R_i @ R_u)
+    t_p = _times(R_i, t_u) + t_i
+    r = np.concatenate([so3_log(R_pT @ R_j), _times(R_pT, t_j - t_p)], axis=1)
+    Jr_inv = so3_jr_inv(r[:, :3])
+    J = np.zeros((len(r), 6, 12))
+    J[:, :3, :3] = -Jr_inv @ (_transpose(R_j) @ R_i)
+    J[:, 3:, :3] = _transpose(R_u) @ skew(_times(_transpose(R_i), t_j - t_i))
+    J[:, 3:, 3:6] = -R_pT
+    J[:, :3, 6:9] = Jr_inv
+    J[:, 3:, 9:] = R_pT
+    return r, J, np.ones(len(r), dtype=bool)
 
-    R_wc: np.ndarray  # (m, 3, 3) world-from-camera rotations
-    t_wc: np.ndarray  # (m, 3) camera positions
-    R_q: np.ndarray  # (m, 3, 3) quadric rotations
-    t_q: np.ndarray  # (m, 3) centroids
-    s: np.ndarray  # (m, 3) semi-axes
-    measured: np.ndarray  # (m, 4) measured boxes
-    keep: np.ndarray  # (m, 4) False where the measured box touches the border
 
-    @staticmethod
-    def single(x: Pose, q: Quadric, measured: np.ndarray, keep: np.ndarray) -> "BBoxRows":
-        return BBoxRows(
-            x.rotation[None], x.translation[None], q.rotation[None],
-            q.t[None], q.s[None], measured[None], keep[None],
-        )
-
-
-def bbox_residuals(K: CameraIntrinsics, rows: BBoxRows) -> tuple[np.ndarray, np.ndarray]:
-    """Measured minus predicted boxes (m, 4) and the projection validity (m,)
+def bbox_residuals(c, x, q) -> tuple[np.ndarray, np.ndarray]:
+    """Measured minus predicted boxes (k, 4) and the projection validity (k,)
     in one projection. Rows of invalid projections hold NaN."""
-    boxes, valid = project_bbox_batch(
-        rows.R_wc, rows.t_wc, K, rows.R_q, rows.t_q, rows.s
-    )
-    return np.where(rows.keep, rows.measured - boxes, 0.0), valid
+    K, measured, keep = c
+    boxes, valid = project_bbox_batch(*x, K, *q)
+    return np.where(keep, measured - boxes, 0.0), valid
 
 
 def bbox_jacobians(
-    K: CameraIntrinsics, rows: BBoxRows, step: float = DEFAULT_JACOBIAN_STEP
+    c, x, q, step: float = DEFAULT_JACOBIAN_STEP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals (m, 4), Jacobians (m, 4, 15) and validity (m,) by central
-    differences, all 31 projections per observation in one call.
+    """Central differences: 31 projections per observation, one projection
+    call per ``BBOX_BLOCK`` observations.
 
     Jacobian columns are the pose tangent (rotation, translation) then the
     quadric tangent (rotation, centroid, semi-axes). An observation is valid
     only when all 31 of its projections are.
     """
-    m = len(rows.s)
-    E = np.stack([so3_exp(step * axis) for axis in np.eye(3)])
+    K, measured, keep = c
+    E = so3_exp(step * np.eye(3))
     turns = np.stack([E[0], E[0].T, E[1], E[1].T, E[2], E[2].T])
     shifts = np.kron(np.eye(3), [[step], [-step]])
-
-    # Row layout per observation: 0 is the unperturbed center; then (+,-)
-    # pairs for pose rotation, pose translation, quadric rotation, centroid,
-    # semi-axes.
-    R_wc, t_wc, R_q, t_q, s = (np.repeat(a[:, None], 31, axis=1) for a in rows[:5])
-    R_wc[:, 1:7] = rows.R_wc[:, None] @ turns
-    t_wc[:, 7:13] += shifts
-    R_q[:, 13:19] = rows.R_q[:, None] @ turns
-    t_q[:, 19:25] += shifts
-    s[:, 25:31] += shifts
-
-    boxes, valid = project_bbox_batch(
-        R_wc.reshape(-1, 3, 3), t_wc.reshape(-1, 3), K,
-        R_q.reshape(-1, 3, 3), t_q.reshape(-1, 3), s.reshape(-1, 3),
-    )
-    r = np.where(
-        rows.keep[:, None], rows.measured[:, None] - boxes.reshape(m, 31, 4), 0.0
-    )
-    J = np.swapaxes(r[:, 1::2] - r[:, 2::2], 1, 2) / (2.0 * step)
-    return r[:, 0], J, valid.reshape(m, 31).all(axis=1)
-
-
-def bbox_residual(
-    x: Pose,
-    q: Quadric,
-    measurement: BoundingBox2D,
-    K: CameraIntrinsics,
-    image_size: tuple[float, float] | None = None,
-) -> np.ndarray | None:
-    """Measured minus predicted box, or None when the projection is invalid."""
-    rows = BBoxRows.single(
-        x, q, measurement.as_array(), _border_mask(measurement, image_size)
-    )
-    r, valid = bbox_residuals(K, rows)
-    return r[0] if valid[0] else None
+    blocks = []
+    for first in range(0, len(measured), BBOX_BLOCK):
+        block = slice(first, first + BBOX_BLOCK)
+        rows = [a[block] for a in (*x, *q)]
+        m = len(rows[0])
+        # Row layout per observation: 0 is the unperturbed center; then (+,-)
+        # pairs for pose rotation, pose translation, quadric rotation,
+        # centroid, semi-axes.
+        R_wc, t_wc, R_q, t_q, s = (np.repeat(a[:, None], 31, axis=1) for a in rows)
+        R_wc[:, 1:7] = rows[0][:, None] @ turns
+        t_wc[:, 7:13] += shifts
+        R_q[:, 13:19] = rows[2][:, None] @ turns
+        t_q[:, 19:25] += shifts
+        s[:, 25:31] += shifts
+        boxes, valid = project_bbox_batch(
+            R_wc.reshape(-1, 3, 3), t_wc.reshape(-1, 3), K,
+            R_q.reshape(-1, 3, 3), t_q.reshape(-1, 3), s.reshape(-1, 3),
+        )
+        r = np.where(
+            keep[block, None], measured[block, None] - boxes.reshape(m, 31, 4), 0.0
+        )
+        J = np.swapaxes(r[:, 1::2] - r[:, 2::2], 1, 2) / (2.0 * step)
+        blocks.append((r[:, 0], J, valid.reshape(m, 31).all(axis=1)))
+    return tuple(np.concatenate(a) for a in zip(*blocks))
 
 
-def size_prior_residual(q: Quadric, target: np.ndarray) -> np.ndarray:
-    """Ascending-sorted semi-axes minus the ascending prior target."""
-    return np.sort(q.s) - np.asarray(target, dtype=np.float64)
+def size_prior_jacobians(c, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed form: the sort permutation on the semi-axis columns."""
+    r = np.sort(q[2], axis=1) - c[0]
+    J = np.zeros((len(r), 3, 9))
+    J[np.arange(len(r))[:, None], np.arange(3), 6 + np.argsort(q[2], axis=1, kind="stable")] = 1.0
+    return r, J, np.ones(len(r), dtype=bool)
 
 
-def orientation_prior_residual(q: Quadric, R_target: np.ndarray) -> np.ndarray:
-    """Rotation log of the deviation from the prior rotation."""
-    return so3_log(np.asarray(R_target).T @ q.rotation)
+def orientation_prior_jacobians(c, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed form: Jr^-1 of the residual on the rotation columns."""
+    r = so3_log(_transpose(c[0]) @ q[0])
+    J = np.zeros((len(r), 3, 9))
+    J[:, :, :3] = so3_jr_inv(r)
+    return r, J, np.ones(len(r), dtype=bool)
 
 
-def centroid_residual(q: Quadric, target: np.ndarray) -> np.ndarray:
-    return q.t - np.asarray(target, dtype=np.float64)
+def centroid_jacobians(c, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed form: [0 I 0]."""
+    r = q[1] - c[0]
+    J = np.zeros((len(r), 3, 9))
+    J[:, :, 3:6] = np.eye(3)
+    return r, J, np.ones(len(r), dtype=bool)
+
+
+def _row(v: Pose | Quadric) -> tuple[np.ndarray, ...]:
+    """A pose or quadric as one row of stacked variables."""
+    if isinstance(v, Pose):
+        return v.rotation[None], v.translation[None]
+    return v.rotation[None], v.t[None], v.s[None]
 
 
 class Factor:
-    """Base interface: residual and Jacobians at given variable values."""
+    """Base interface. A factor kind is a class with one batched function,
+    ``jacobians``, over the constant inputs its ``stack`` gathers from k
+    factors; ``residuals`` is its residual part unless the kind has a
+    cheaper one. ``residual_at`` and ``jacobian_at`` are one-row calls."""
 
     kind: str = "factor"
     noise: NoiseModel
+    jacobians: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def variable_keys(self) -> tuple[VariableKey, ...]:
         raise NotImplementedError
 
-    def residual_at(self, *variables: Variable) -> np.ndarray | None:
-        raise NotImplementedError
+    @classmethod
+    def residuals(cls, c, *rows) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals (k, d) and validity (k,)."""
+        r, _, valid = cls.jacobians(c, *rows)
+        return r, valid
 
-    def jacobian_at(self, *variables: Variable) -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """(residual, Jacobian blocks) or None when the factor is skipped."""
-        raise NotImplementedError
+    def residual_at(self, *variables: Pose | Quadric) -> np.ndarray | None:
+        """This factor's residual, or None when it is skipped."""
+        r, valid = self.residuals(self.stack([self]), *map(_row, variables))
+        return r[0] if valid[0] else None
+
+    def jacobian_at(self, *variables: Pose | Quadric) -> tuple[np.ndarray, list[np.ndarray]] | None:
+        """(residual, Jacobian blocks, one per variable) or None when the
+        factor is skipped."""
+        r, J, valid = self.jacobians(self.stack([self]), *map(_row, variables))
+        if not valid[0]:
+            return None
+        dims = [TANGENT_DIM[kind] for kind, _ in self.variable_keys()]
+        return r[0], np.split(J[0], np.cumsum(dims)[:-1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -277,32 +306,17 @@ class OdometryFactor(Factor):
     noise: NoiseModel
 
     kind = "odometry"
+    jacobians = staticmethod(odometry_jacobians)
 
     def variable_keys(self) -> tuple[VariableKey, ...]:
         return (("pose", self.pose_i), ("pose", self.pose_j))
 
-    def residual_at(self, x_i: Pose, x_j: Pose) -> np.ndarray:
-        return odometry_residual(x_i, x_j, self.measurement)
-
-    def jacobian_at(self, x_i: Pose, x_j: Pose) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Closed form. With the prediction p = x_i u, the error rotation
-        R_e = R_p^T R_j and d = R_i^T (t_j - t_i): the rotation rows are
-        -Jr^-1 R_j^T R_i and Jr^-1; the translation rows, for world-frame
-        translation updates, are R_u^T [d]x and -R_p^T for x_i, R_p^T for x_j."""
-        r = self.residual_at(x_i, x_j)
-        R_i, R_j = x_i.rotation, x_j.rotation
-        R_u = self.measurement.rotation
-        R_p = R_i @ R_u
-        Jr_inv = so3_jr_inv(r[:3])
-        d = R_i.T @ (x_j.translation - x_i.translation)
-        J_i = np.zeros((6, 6))
-        J_i[:3, :3] = -Jr_inv @ (R_j.T @ R_i)
-        J_i[3:, :3] = R_u.T @ skew(d)
-        J_i[3:, 3:] = -R_p.T
-        J_j = np.zeros((6, 6))
-        J_j[:3, :3] = Jr_inv
-        J_j[3:, 3:] = R_p.T
-        return r, [J_i, J_j]
+    @staticmethod
+    def stack(factors: Sequence["OdometryFactor"]) -> tuple:
+        return (
+            np.array([f.measurement.rotation for f in factors]),
+            np.array([f.measurement.translation for f in factors]),
+        )
 
 
 @dataclass(frozen=True)
@@ -319,6 +333,8 @@ class BBoxFactor(Factor):
     keep: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "bbox"
+    residuals = staticmethod(bbox_residuals)
+    jacobians = staticmethod(bbox_jacobians)
 
     def __post_init__(self) -> None:
         measured = self.measurement.as_array()
@@ -331,93 +347,58 @@ class BBoxFactor(Factor):
     def variable_keys(self) -> tuple[VariableKey, ...]:
         return (("pose", self.pose_id), ("quadric", self.quadric_id))
 
-    def residual_at(self, x: Pose, q: Quadric) -> np.ndarray | None:
-        return bbox_residual(x, q, self.measurement, self.K, self.image_size)
-
-    def jacobian_at(self, x: Pose, q: Quadric) -> tuple[np.ndarray, list[np.ndarray]] | None:
-        """:func:`bbox_jacobians` for this one observation."""
-        rows = BBoxRows.single(x, q, self.measured, self.keep)
-        r, J, valid = bbox_jacobians(self.K, rows)
-        if not valid[0]:
-            return None
-        return r[0], [J[0, :, :6], J[0, :, 6:]]
+    @staticmethod
+    def stack(factors: Sequence["BBoxFactor"]) -> tuple:
+        """The camera (one for all k), measured boxes and border masks."""
+        return (
+            factors[0].K,
+            np.array([f.measured for f in factors]),
+            np.array([f.keep for f in factors]),
+        )
 
 
 @dataclass(frozen=True)
-class SizePriorFactor(Factor):
+class _QuadricPrior(Factor):
+    """A unary prior: one quadric, one target."""
+
     quadric_id: int
     target: np.ndarray
     noise: NoiseModel
 
+    def __post_init__(self) -> None:
+        target = np.array(self.target, dtype=np.float64).reshape(3)
+        target.setflags(write=False)
+        object.__setattr__(self, "target", target)
+
+    def variable_keys(self) -> tuple[VariableKey, ...]:
+        return (("quadric", self.quadric_id),)
+
+    @staticmethod
+    def stack(factors: Sequence["_QuadricPrior"]) -> tuple:
+        return (np.array([f.target for f in factors]),)
+
+
+@dataclass(frozen=True)
+class SizePriorFactor(_QuadricPrior):
     kind = "size_prior"
+    jacobians = staticmethod(size_prior_jacobians)
 
     def __post_init__(self) -> None:
-        target = np.array(self.target, dtype=np.float64).reshape(3)
-        if np.any(target <= 0.0) or np.any(np.diff(target) < 0.0):
-            raise ValueError(f"size target must be positive and ascending, got {target}")
-        target.setflags(write=False)
-        object.__setattr__(self, "target", target)
-
-    def variable_keys(self) -> tuple[VariableKey, ...]:
-        return (("quadric", self.quadric_id),)
-
-    def residual_at(self, q: Quadric) -> np.ndarray:
-        return size_prior_residual(q, self.target)
-
-    def jacobian_at(self, q: Quadric) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Closed form: the sort permutation on the semi-axis columns."""
-        order = np.argsort(q.s, kind="stable")
-        J = np.zeros((3, 9))
-        J[np.arange(3), 6 + order] = 1.0
-        return self.residual_at(q), [J]
+        super().__post_init__()
+        if np.any(self.target <= 0.0) or np.any(np.diff(self.target) < 0.0):
+            raise ValueError(f"size target must be positive and ascending, got {self.target}")
 
 
 @dataclass(frozen=True)
-class OrientationPriorFactor(Factor):
-    quadric_id: int
-    target_rotation: np.ndarray
-    noise: NoiseModel
-
+class OrientationPriorFactor(_QuadricPrior):
     kind = "orientation_prior"
+    jacobians = staticmethod(orientation_prior_jacobians)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "target_rotation", as_rotation(self.target_rotation))
-
-    def variable_keys(self) -> tuple[VariableKey, ...]:
-        return (("quadric", self.quadric_id),)
-
-    def residual_at(self, q: Quadric) -> np.ndarray:
-        return orientation_prior_residual(q, self.target_rotation)
-
-    def jacobian_at(self, q: Quadric) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Closed form: Jr^-1 of the residual on the rotation columns."""
-        r = self.residual_at(q)
-        J = np.zeros((3, 9))
-        J[:, :3] = so3_jr_inv(r)
-        return r, [J]
+        object.__setattr__(self, "target", as_rotation(self.target))
 
 
 @dataclass(frozen=True)
-class CentroidPriorFactor(Factor):
-    quadric_id: int
-    target: np.ndarray
-    noise: NoiseModel
-
+class CentroidPriorFactor(_QuadricPrior):
     kind = "centroid"
-
-    def __post_init__(self) -> None:
-        target = np.array(self.target, dtype=np.float64).reshape(3)
-        target.setflags(write=False)
-        object.__setattr__(self, "target", target)
-
-    def variable_keys(self) -> tuple[VariableKey, ...]:
-        return (("quadric", self.quadric_id),)
-
-    def residual_at(self, q: Quadric) -> np.ndarray:
-        return centroid_residual(q, self.target)
-
-    def jacobian_at(self, q: Quadric) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Closed form: [0 I 0]."""
-        J = np.zeros((3, 9))
-        J[:, 3:6] = np.eye(3)
-        return self.residual_at(q), [J]
+    jacobians = staticmethod(centroid_jacobians)

@@ -3,10 +3,13 @@
 Conventions used throughout the package:
 
 - A ``Pose`` is a world-from-body transform: ``p_world = R @ p_body + t``.
-- A ``Quadric`` stores its rotation matrix, checked like a pose's, and is
-  updated on SO(3) by right-multiplying ``exp(delta)``. Its ``theta``
-  property is a read-only view of intrinsic X-Y-Z Euler angles
+- A ``Quadric`` stores its rotation matrix, checked like a pose's. Its
+  ``theta`` property is a read-only view of intrinsic X-Y-Z Euler angles
   (``R = Rx(tx) @ Ry(ty) @ Rz(tz)``); nothing in the solver reads it.
+- :func:`retract` is the one manifold update, of stacked poses and
+  quadrics: rotations right-multiplied by ``exp(delta)``, the rest additive.
+  ``Pose.retract`` and ``Quadric.retract`` are its one-row calls. The SO(3)
+  helpers (``skew``, ``so3_exp``, ``so3_log``, ``so3_jr_inv``) take stacks.
 - An ellipsoid landmark is represented by its dual quadric
   ``Q* = Z diag(sx^2, sy^2, sz^2, -1) Z^T`` where ``Z`` is the homogeneous
   pose built from the rotation and the centroid ``t``.
@@ -31,75 +34,99 @@ class NonPositiveDepth(ValueError):
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix of a 3-vector."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Cross-product matrices (..., 3, 3) of 3-vectors (..., 3)."""
+    v = np.asarray(v, dtype=np.float64)
+    S = np.zeros(v.shape + (3,))
+    S[..., 0, 1], S[..., 0, 2], S[..., 1, 2] = -v[..., 2], v[..., 1], -v[..., 0]
+    S[..., 1, 0], S[..., 2, 0], S[..., 2, 1] = v[..., 2], -v[..., 1], v[..., 0]
+    return S
+
+
+def _angle(w: np.ndarray) -> np.ndarray:
+    """Norms (...,) of rotation vectors, w^T w as a matrix product so that
+    they round like np.linalg.norm of one vector."""
+    return np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
-    """Rodrigues map from a rotation vector to a 3x3 rotation matrix."""
+    """Rodrigues map from rotation vectors (..., 3) to rotation matrices
+    (..., 3, 3)."""
     w = np.asarray(w, dtype=np.float64)
-    angle = float(np.linalg.norm(w))
+    angle = _angle(w)
+    small = angle < 1e-8
+    safe = np.where(small, 1.0, angle)
+    # Below 1e-8 the second-order series stays orthonormal to machine precision.
+    a = np.where(small, 1.0, np.sin(safe) / safe)[..., None, None]
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))[..., None, None]
     W = skew(w)
-    if angle < 1e-8:
-        # Second-order series keeps the result orthonormal to machine precision.
-        return np.eye(3) + W + 0.5 * (W @ W)
-    a = np.sin(angle) / angle
-    b = (1.0 - np.cos(angle)) / (angle * angle)
     return np.eye(3) + a * W + b * (W @ W)
 
 
 def so3_log(R: np.ndarray) -> np.ndarray:
-    """Rotation vector of a 3x3 rotation matrix (inverse of :func:`so3_exp`)."""
+    """Rotation vectors (..., 3) of rotation matrices (..., 3, 3), the inverse
+    of :func:`so3_exp`."""
     R = np.asarray(R, dtype=np.float64)
-    cos_angle = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
-    angle = float(np.arccos(cos_angle))
-    if angle < 1e-8:
-        # log(R) ~ vee(R - R^T) / 2 near the identity.
-        return 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if angle > np.pi - 1e-6:
+    shape = R.shape[:-2] + (3,)
+    R = R.reshape(-1, 3, 3)
+    cos_angle = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) * 0.5, -1.0, 1.0)
+    angle = np.arccos(cos_angle)
+    vee = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], 1)
+    # log(R) ~ vee(R - R^T) / 2 near the identity.
+    small = angle < 1e-8
+    safe = np.where(small, 1.0, angle)
+    out = np.where(small, 0.5, safe / (2.0 * np.sin(safe)))[:, None] * vee
+    near = angle > np.pi - 1e-6
+    if near.any():
         # Near pi the off-diagonal difference loses precision; recover the
-        # axis from the symmetric part instead.
-        S = 0.5 * (R + R.T)
-        axis_sq = np.clip((np.diag(S) - cos_angle) / (1.0 - cos_angle), 0.0, None)
-        axis = np.sqrt(axis_sq)
-        # Fix signs using the largest component as reference.
-        k = int(np.argmax(axis))
-        if axis[k] < _EPS:
-            return np.zeros(3)
-        signs = np.ones(3)
-        for j in range(3):
-            if j != k and S[k, j] < 0.0:
-                signs[j] = -1.0
-        axis = axis * signs
+        # axis from the symmetric part instead: (R + R^T) / 2 - cos I is
+        # (1 - cos) a a^T, whose largest-diagonal column is a_k a.
+        A = 0.5 * (R[near] + np.swapaxes(R[near], 1, 2)) - cos_angle[near, None, None] * np.eye(3)
+        m = np.arange(len(A))
+        column = A[m, :, np.argmax(np.diagonal(A, axis1=1, axis2=2), axis=1)]
+        norm = np.linalg.norm(column, axis=1)
+        axis = column / np.where(norm < _EPS, 1.0, norm)[:, None]
         # Resolve the overall sign from the antisymmetric part when available.
-        vee = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-        if float(vee @ axis) < 0.0:
-            axis = -axis
-        return angle * axis / np.linalg.norm(axis)
-    vee = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return angle / (2.0 * np.sin(angle)) * vee
+        axis *= np.where(np.einsum("ni,ni->n", vee[near], axis) < 0.0, -1.0, 1.0)[:, None]
+        out[near] = angle[near, None] * axis
+    return out.reshape(shape)
 
 
 def so3_jr_inv(phi: np.ndarray) -> np.ndarray:
-    """Inverse right Jacobian of SO(3): log(exp(phi) exp(d)) ~ phi + Jr^-1(phi) d.
+    """Inverse right Jacobians (..., 3, 3) of SO(3) at rotation vectors
+    (..., 3): log(exp(phi) exp(d)) ~ phi + Jr^-1(phi) d.
 
     Uses the cot(angle/2) form of the [phi]x^2 coefficient, which stays finite
     up to and including angle = pi, and its series near zero.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    angle = float(np.linalg.norm(phi))
+    angle = _angle(phi)
+    series = angle < 1e-4
+    safe = np.where(series, 1.0, angle)
+    c = 1.0 / (safe * safe) - 1.0 / (2.0 * safe * np.tan(0.5 * safe))
+    c = np.where(series, 1.0 / 12.0 + angle * angle / 720.0, c)[..., None, None]
     W = skew(phi)
-    if angle < 1e-4:
-        c = 1.0 / 12.0 + angle * angle / 720.0
-    else:
-        c = 1.0 / (angle * angle) - 1.0 / (2.0 * angle * np.tan(0.5 * angle))
     return np.eye(3) + 0.5 * W + c * (W @ W)
+
+
+SEMI_AXIS_FLOOR = 1e-4
+
+
+def retract(
+    R: np.ndarray, t: np.ndarray, s: np.ndarray, delta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one manifold update, of m stacked variables: m - k poses, then k
+    quadrics with semi-axes s (k, 3). ``delta`` holds 6 entries per pose
+    (rotation, translation), then 9 per quadric (rotation, centroid,
+    semi-axes). Rotations R (m, 3, 3) are right-multiplied by exp of theirs in
+    one :func:`so3_exp`; t (m, 3) and s move additively, s clamped at
+    ``SEMI_AXIS_FLOOR``."""
+    delta = np.asarray(delta, dtype=np.float64)
+    p = len(R) - len(s)
+    d_pose = delta[: 6 * p].reshape(p, 6)
+    d_quadric = delta[6 * p :].reshape(len(s), 9)
+    R = R @ so3_exp(np.concatenate([d_pose[:, :3], d_quadric[:, :3]]))
+    t = t + np.concatenate([d_pose[:, 3:], d_quadric[:, 3:6]])
+    return R, t, np.maximum(s + d_quadric[:, 6:], SEMI_AXIS_FLOOR)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -203,10 +230,9 @@ class Pose:
         return p @ self.rotation.T + self.translation
 
     def retract(self, delta: np.ndarray) -> "Pose":
-        """Right-perturb on the manifold: rotation by exp of delta[:3],
-        translation additively by delta[3:]."""
-        delta = np.asarray(delta, dtype=np.float64)
-        return Pose(self.rotation @ so3_exp(delta[:3]), self.translation + delta[3:])
+        """:func:`retract` of this one pose."""
+        R, t, _ = retract(self.rotation[None], self.translation[None], np.empty((0, 3)), delta)
+        return Pose(R[0], t[0])
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -254,11 +280,9 @@ class Quadric:
         return np.array([tx, ty, tz])
 
     def retract(self, delta: np.ndarray) -> "Quadric":
-        """Manifold update: rotation via exp on the right, centroid and
-        semi-axes additively; semi-axes clamped away from zero."""
-        delta = np.asarray(delta, dtype=np.float64)
-        s = np.maximum(self.s + delta[6:9], 1e-4)
-        return Quadric(self.rotation @ so3_exp(delta[:3]), self.t + delta[3:6], s)
+        """:func:`retract` of this one quadric."""
+        R, t, s = retract(self.rotation[None], self.t[None], self.s[None], delta)
+        return Quadric(R[0], t[0], s[0])
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,23 @@
 """Factor graph assembly and nonlinear least-squares solving.
 
 The map state is a set of camera poses and ellipsoid landmarks tied
-together by odometry, bounding-box, and unary prior factors. Solving is
-Levenberg-Marquardt on the product manifold: dense normal equations from
-the factors' (whitened, robust-weighted) Jacobians, an additive damping
-schedule, and per-variable retractions for the update. The first pose (by
-lowest id) is held constant in every solve, which fixes the gauge.
+together by odometry, bounding-box, and unary prior factors.
+``GraphValues`` holds it as arrays (stacked rotations, translations or
+centroids, and semi-axes; poses first, each kind by id). ``Pose`` and
+``Quadric`` objects are built only where values leave the solver, through
+``GraphValues.get``. Solving is Levenberg-Marquardt on the product
+manifold: dense normal equations, an additive damping schedule, and one
+``geometry.retract`` of all free rows per step. The lowest-id pose is held
+constant in every solve, which fixes the gauge.
 
-Linearization takes each factor's Jacobian from its ``jacobian_at``, closed
-forms for odometry and the unary priors, except for factors of exactly type
-``BBoxFactor``: those are differentiated together by
-``factors.bbox_jacobians``, in blocks of ``_BBOX_BLOCK`` observations (31
-projections each) so the projection temporaries stay a few MB whatever the
-graph size. Every factor's local block ``J^T J`` and ``J^T r`` is scattered
-into the dense ``H`` and ``g`` with one index-array ``bincount``. A
-subclass that overrides ``jacobian_at`` is linearized through its override.
-
-Noise models and the Huber robust cost are applied in one place,
-``factors.robust_whiten``, on stacks of residuals of one length:
-``_normal_blocks`` turns a stack into its ``J^T J`` and ``J^T r`` blocks,
-and ``cost_breakdown`` scores all bbox factors with one projection and the
-other factors stacked by residual length. It marks which factors it scored.
-A trial step that makes a scored factor invalid (a landmark pushed behind a
-camera, say) would lower the cost only by dropping that factor's term, so LM
-rejects it like a cost increase.
+``FactorGraph.batches`` stacks the factors per kind (bbox factors per
+camera). Linearization and scoring gather each batch's variable rows by
+index arrays and call the kind's one batched function from ``factors``;
+every local ``J^T J`` and ``J^T r`` goes into the dense ``H`` and ``g``
+with one ``bincount``. ``factors.robust_whiten`` applies the noise models
+and the Huber cost. A trial step that makes a scored factor invalid (a
+landmark pushed behind a camera, say) would lower the cost only by dropping
+that factor's term, so LM rejects it like a cost increase.
 
 Incremental mode is the same solver warm-started from the current values
 with a small iteration budget per keyframe; it relinearizes the whole
@@ -34,7 +28,7 @@ desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -42,28 +36,26 @@ import scipy.linalg
 from .association import AssociationResult
 from .dataset import Detection
 from .factors import (
+    TANGENT_DIM,
     BBoxFactor,
-    BBoxRows,
     CentroidPriorFactor,
     Factor,
     NoiseModel,
     OdometryFactor,
     OrientationPriorFactor,
     SizePriorFactor,
-    Variable,
     VariableKey,
-    bbox_jacobians,
-    bbox_residuals,
     robust_whiten,
-    variable_dim,
 )
 from .geometry import (
+    SEMI_AXIS_FLOOR,
     CameraIntrinsics,
     NonPositiveDepth,
     Pose,
     Quadric,
     back_project_pixel,
     compose,
+    retract,
 )
 from .priors import (
     PriorConfig,
@@ -77,9 +69,6 @@ from .priors import (
 # Total costs at or below this are treated as an exact fit.
 _COST_FLOOR = 1e-12
 _MIN_DAMPING = 1e-15
-# Bbox factors differentiated per projection call: 64 x 31 rows keeps the
-# batch's temporaries to a few MB whatever the graph size.
-_BBOX_BLOCK = 64
 
 
 class MissingVariable(KeyError):
@@ -90,36 +79,93 @@ class SingularSystem(RuntimeError):
     """Damping escalation exhausted without ever finding a downhill step."""
 
 
-@dataclass
 class GraphValues:
-    """Current estimates for all variables, keyed by integer ids."""
+    """Current estimates of all variables, stacked.
 
-    poses: dict[int, Pose] = field(default_factory=dict)
-    quadrics: dict[int, Quadric] = field(default_factory=dict)
+    Rows of ``R`` (n, 3, 3) and ``t`` (n, 3) are the poses' rotations and
+    translations, then the quadrics' rotations and centroids; ``s`` (m, 3)
+    holds the quadrics' semi-axes. ``pose_ids`` and ``quadric_ids`` are the
+    ids of the rows, each sorted ascending.
+    """
 
-    def get(self, key: VariableKey) -> Variable:
-        kind, idx = key
-        store = self.poses if kind == "pose" else self.quadrics
-        if idx not in store:
-            raise MissingVariable(f"{kind} {idx} not present in values")
-        return store[idx]
+    def __init__(
+        self, poses: Mapping[int, Pose] | None = None, quadrics: Mapping[int, Quadric] | None = None
+    ) -> None:
+        self.pose_ids = self.quadric_ids = np.empty(0, dtype=np.int64)
+        self.R, self.t, self.s = np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, 3))
+        for i, x in (poses or {}).items():
+            self.set(("pose", i), x)
+        for j, q in (quadrics or {}).items():
+            self.set(("quadric", j), q)
 
-    def set(self, key: VariableKey, value: Variable) -> None:
-        kind, idx = key
+    def rows(self, kind: str, ids: np.ndarray) -> np.ndarray:
+        """Rows of R and t holding the variables of one kind with these ids."""
+        known = self.pose_ids if kind == "pose" else self.quadric_ids
+        ids = np.asarray(ids)
+        missing = ~np.isin(ids, known)
+        if missing.any():
+            raise MissingVariable(f"{kind} {ids[missing][0]} not present in values")
+        at = np.searchsorted(known, ids)
+        return at if kind == "pose" else at + len(self.pose_ids)
+
+    def stacked(self, kind: str, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The values in these rows: (R, t) for poses, (R, t, s) for quadrics."""
         if kind == "pose":
-            self.poses[idx] = value
+            return self.R[rows], self.t[rows]
+        return self.R[rows], self.t[rows], self.s[rows - len(self.pose_ids)]
+
+    def get(self, key: VariableKey) -> Pose | Quadric:
+        """The validated pose or quadric of one variable."""
+        kind, idx = key
+        one = self.stacked(kind, self.rows(kind, [idx]))
+        return (Pose if kind == "pose" else Quadric)(*(a[0] for a in one))
+
+    def set(self, key: VariableKey, value: Pose | Quadric) -> None:
+        """Overwrite a variable, or insert it at its place in id order."""
+        kind, idx = key
+        pose = kind == "pose"
+        ids = self.pose_ids if pose else self.quadric_ids
+        at = int(np.searchsorted(ids, idx))
+        row = at if pose else at + len(self.pose_ids)
+        if at == len(ids) or ids[at] != idx:
+            ids = np.insert(ids, at, idx)
+            self.R, self.t = (np.insert(a, row, 0.0, axis=0) for a in (self.R, self.t))
+            if pose:
+                self.pose_ids = ids
+            else:
+                self.quadric_ids, self.s = ids, np.insert(self.s, at, 0.0, axis=0)
+        self.R[row] = value.rotation
+        if pose:
+            self.t[row] = value.translation
         else:
-            self.quadrics[idx] = value
+            self.t[row], self.s[at] = value.t, value.s
 
     def copy(self) -> "GraphValues":
-        return GraphValues(dict(self.poses), dict(self.quadrics))
+        out = GraphValues()
+        out.pose_ids, out.quadric_ids = self.pose_ids, self.quadric_ids
+        out.R, out.t, out.s = self.R.copy(), self.t.copy(), self.s.copy()
+        return out
+
+
+class Batch(NamedTuple):
+    """Factors of one kind (and camera) stacked for the batched functions."""
+
+    cls: type[Factor]
+    at: np.ndarray  # (k,) positions in the graph
+    variables: tuple[str, ...]  # kind of each variable slot
+    ids: np.ndarray  # (slots, k) variable ids
+    inputs: tuple  # the kind's stack of constant inputs
+    noises: list[NoiseModel]
 
 
 @dataclass
 class FactorGraph:
-    """Ordered factor container; iteration order is insertion order."""
+    """Ordered factor container; iteration order is insertion order.
+    Factors are only ever appended."""
 
     factors: list[Factor] = field(default_factory=list)
+    _batches: list[Batch] = field(default_factory=list, init=False, repr=False, compare=False)
+    _batched: int = field(default=0, init=False, repr=False, compare=False)
 
     def add(self, factor: Factor) -> None:
         self.factors.append(factor)
@@ -135,6 +181,26 @@ class FactorGraph:
         for f in self.factors:
             out[f.kind] = out.get(f.kind, 0) + 1
         return out
+
+    def batches(self) -> list[Batch]:
+        """The factors stacked per kind and camera, in order of first
+        appearance; restacked only after factors were added."""
+        if self._batched != len(self.factors):
+            groups: dict[tuple, list[int]] = {}
+            for i, f in enumerate(self.factors):
+                # One projection takes one camera: bbox factors batch per K.
+                groups.setdefault((type(f), getattr(f, "K", None)), []).append(i)
+            self._batches = []
+            for (cls, _), at in groups.items():
+                fs = [self.factors[i] for i in at]
+                keys = [f.variable_keys() for f in fs]
+                self._batches.append(Batch(
+                    cls, np.array(at), tuple(kind for kind, _ in keys[0]),
+                    np.array([[i for _, i in k] for k in keys]).T,
+                    cls.stack(fs), [f.noise for f in fs],
+                ))
+            self._batched = len(self.factors)
+        return self._batches
 
 
 @dataclass(frozen=True)
@@ -206,31 +272,11 @@ class SolveReport:
     breakdown: dict[str, float]
 
 
-def _bbox_rows(factors: Sequence[BBoxFactor], values: GraphValues) -> BBoxRows:
-    """Stacked inputs of bbox factors."""
-    poses = [values.get(("pose", f.pose_id)) for f in factors]
-    quadrics = [values.get(("quadric", f.quadric_id)) for f in factors]
-    return BBoxRows(
-        np.array([x.rotation for x in poses]),
-        np.array([x.translation for x in poses]),
-        np.array([q.rotation for q in quadrics]),
-        np.array([q.t for q in quadrics]),
-        np.array([q.s for q in quadrics]),
-        np.array([f.measured for f in factors]),
-        np.array([f.keep for f in factors]),
-    )
-
-
-def _by_camera(factors: Sequence[BBoxFactor]) -> list[tuple[CameraIntrinsics, np.ndarray]]:
-    """Positions of the factors grouped by camera, cameras in first-use order."""
-    groups: dict[CameraIntrinsics, list[int]] = {}
-    for i, f in enumerate(factors):
-        groups.setdefault(f.K, []).append(i)
-    return [(K, np.array(idx)) for K, idx in groups.items()]
-
-
-def _take(rows: BBoxRows, idx) -> BBoxRows:
-    return BBoxRows(*(a[idx] for a in rows))
+def _gather(values: GraphValues, batch: Batch) -> tuple[list[np.ndarray], list[tuple]]:
+    """Rows of each variable slot of the batch's factors, and the stacked
+    values there: (R, t) for a pose, (R, t, s) for a quadric."""
+    rows = [values.rows(kind, ids) for kind, ids in zip(batch.variables, batch.ids)]
+    return rows, [values.stacked(kind, r) for kind, r in zip(batch.variables, rows)]
 
 
 def cost_breakdown(
@@ -242,128 +288,81 @@ def cost_breakdown(
     to the factors that were scored: a bbox factor whose projection is
     invalid is not.
     """
-    factors = graph.factors
-    costs = np.zeros(len(factors))
-    scored = np.ones(len(factors), dtype=bool)
-    bbox_at = [i for i, f in enumerate(factors) if type(f) is BBoxFactor]
-    if bbox_at:
-        bbox = [factors[i] for i in bbox_at]
-        rows = _bbox_rows(bbox, values)
-        for K, idx in _by_camera(bbox):
-            r, valid = bbox_residuals(K, _take(rows, idx))
-            r[~valid] = 0.0
-            _, c, _ = robust_whiten([bbox[i].noise for i in idx], r)
-            at = np.asarray(bbox_at)[idx]
-            costs[at] = c
-            scored[at] = valid
-    # The other factors, stacked by residual length.
-    by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for i, f in enumerate(factors):
-        if type(f) is BBoxFactor:
-            continue
-        r = f.residual_at(*[values.get(k) for k in f.variable_keys()])
-        if r is None:
-            scored[i] = False
-        else:
-            by_length.setdefault(len(r), []).append((i, r))
-    for same in by_length.values():
-        at, r = zip(*same)
-        _, c, _ = robust_whiten([factors[i].noise for i in at], np.array(r))
-        costs[list(at)] = c
+    costs = np.zeros(len(graph))
+    scored = np.zeros(len(graph), dtype=bool)
+    kind_of = np.zeros(len(graph), dtype=np.int64)
+    kinds: dict[str, int] = {}
+    for batch in graph.batches():
+        r, valid = batch.cls.residuals(batch.inputs, *_gather(values, batch)[1])
+        r[~valid] = 0.0
+        costs[batch.at] = robust_whiten(batch.noises, r)[1]
+        scored[batch.at] = valid
+        kind_of[batch.at] = kinds.setdefault(batch.cls.kind, len(kinds))
     if active is not None:
         active[:] = scored
-    out: dict[str, float] = {}
-    for f, cost, kept in zip(factors, costs.tolist(), scored.tolist()):
-        if kept:
-            out[f.kind] = out.get(f.kind, 0.0) + cost
-    return out
+    # Sums in graph order, kinds in order of their first scored factor.
+    sums = np.bincount(kind_of[scored], costs[scored], minlength=len(kinds))
+    present, first = np.unique(kind_of[scored], return_index=True)
+    names = list(kinds)
+    return {names[k]: float(sums[k]) for k in present[np.argsort(first)]}
 
 
 def total_cost(graph: FactorGraph, values: GraphValues) -> float:
     return float(sum(cost_breakdown(graph, values).values()))
 
 
-def _ordering(values: GraphValues) -> tuple[list[VariableKey], dict[VariableKey, tuple[int, int]], int]:
-    """Free-variable ordering with the lowest-id pose anchored (excluded)."""
-    keys: list[VariableKey] = []
-    pose_ids = sorted(values.poses)
-    for i in pose_ids[1:]:
-        keys.append(("pose", i))
-    for j in sorted(values.quadrics):
-        keys.append(("quadric", j))
-    index: dict[VariableKey, tuple[int, int]] = {}
-    offset = 0
-    for key in keys:
-        dim = 6 if key[0] == "pose" else 9
-        index[key] = (offset, dim)
-        offset += dim
-    return keys, index, offset
+def _anchored(values: GraphValues) -> int:
+    """Rows before the first free one: the lowest-id pose, if any."""
+    return min(len(values.pose_ids), 1)
 
 
-def _linearize(
-    graph: FactorGraph,
-    values: GraphValues,
-    index: dict[VariableKey, tuple[int, int]],
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _tangent_dim(values: GraphValues) -> int:
+    """Columns of H: 6 per free pose, then 9 per quadric."""
+    return 6 * (len(values.pose_ids) - _anchored(values)) + 9 * len(values.quadric_ids)
+
+
+def _columns(values: GraphValues, kinds: tuple[str, ...], rows: list[np.ndarray]) -> np.ndarray:
+    """H columns (k, sum of the variables' dims) of k factors whose variables
+    of these kinds sit in these rows. The anchored pose maps to a spare
+    column, the tangent dim n."""
+    n_poses, anchored = len(values.pose_ids), _anchored(values)
+    out = []
+    for kind, r in zip(kinds, rows):
+        pose = kind == "pose"
+        first = 6 * (r - anchored) if pose else 6 * (n_poses - anchored) + 9 * (r - n_poses)
+        cols = first[:, None] + np.arange(TANGENT_DIM[kind])
+        out.append(np.where(r[:, None] < anchored, _tangent_dim(values), cols))
+    return np.concatenate(out, axis=1)
+
+
+def _linearize(graph: FactorGraph, values: GraphValues) -> tuple[np.ndarray, np.ndarray]:
     """Dense normal equations H, g of the robust-weighted linearization."""
-    # Stacks of k factors each: the first H column of every variable (k, v;
-    # -1 for the anchored pose), the variables' dims, J^T J (k, c, c) and
-    # J^T r (k, c) of the whitened, robust-weighted Jacobian.
-    stacks: list[tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]] = []
-    # Factors other than bbox, by (variable dims, residual length).
-    groups: dict[tuple[tuple[int, ...], int], list] = {}
-    bbox: list[BBoxFactor] = []
-    for f in graph:
-        if type(f) is BBoxFactor:
-            bbox.append(f)
+    n = _tangent_dim(values)
+    # Per batch: the H columns (k, c), J^T J (k, c, c) and J^T r (k, c) of
+    # the whitened, robust-weighted Jacobian.
+    stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for batch in graph.batches():
+        rows, stacked = _gather(values, batch)
+        r, J, valid = batch.cls.jacobians(batch.inputs, *stacked)
+        if not valid.any():
             continue
-        keys = f.variable_keys()
-        variables = [values.get(k) for k in keys]
-        out = f.jacobian_at(*variables)
-        if out is None:
-            continue
-        r, blocks = out
-        dims = tuple(variable_dim(v) for v in variables)
-        starts = [index.get(k, (-1, 0))[0] for k in keys]
-        groups.setdefault((dims, len(r)), []).append((starts, f.noise, r, np.hstack(blocks)))
-    for (dims, _), same in groups.items():
-        starts, noises, r, J = zip(*same)
-        stacks.append((np.array(starts), dims, *_normal_blocks(noises, np.array(r), np.array(J))))
-
-    if bbox:
-        rows = _bbox_rows(bbox, values)
-        starts = np.array(
-            [
-                [index.get(("pose", f.pose_id), (-1, 0))[0],
-                 index.get(("quadric", f.quadric_id), (-1, 0))[0]]
-                for f in bbox
-            ]
-        )
-        for K, idx in _by_camera(bbox):
-            for first in range(0, len(idx), _BBOX_BLOCK):
-                block = idx[first : first + _BBOX_BLOCK]
-                r, J, valid = bbox_jacobians(K, _take(rows, block))
-                if not valid.any():
-                    continue
-                block = block[valid]
-                noises = [bbox[i].noise for i in block]
-                stacks.append((starts[block], (6, 9), *_normal_blocks(noises, r[valid], J[valid])))
+        cols = _columns(values, batch.variables, [at[valid] for at in rows])
+        noises = [batch.noises[i] for i in np.flatnonzero(valid)]
+        stacks.append((cols, *_normal_blocks(noises, r[valid], J[valid])))
 
     if not stacks:
         return np.zeros((n, n)), np.zeros(n)
     # One scatter-add for all factors. The anchored pose's columns go to a
     # spare row and column n, cut off at the end.
     size = n + 1
-    cols = [_columns(starts, dims, n) for starts, dims, _, _ in stacks]
     H = np.bincount(
-        np.concatenate([(c[:, :, None] * size + c[:, None, :]).ravel() for c in cols]),
-        np.concatenate([JtJ.ravel() for _, _, JtJ, _ in stacks]),
+        np.concatenate([(c[:, :, None] * size + c[:, None, :]).ravel() for c, _, _ in stacks]),
+        np.concatenate([JtJ.ravel() for _, JtJ, _ in stacks]),
         minlength=size * size,
     )
     g = np.bincount(
-        np.concatenate([c.ravel() for c in cols]),
-        np.concatenate([Jtr.ravel() for _, _, _, Jtr in stacks]),
+        np.concatenate([c.ravel() for c, _, _ in stacks]),
+        np.concatenate([Jtr.ravel() for _, _, Jtr in stacks]),
         minlength=size,
     )
     return H.reshape(size, size)[:n, :n], g[:n]
@@ -380,28 +379,12 @@ def _normal_blocks(
     return wJt @ np.swapaxes(wJt, 1, 2), (wJt @ (w[:, None] * e)[:, :, None])[:, :, 0]
 
 
-def _columns(starts: np.ndarray, dims: tuple[int, ...], spare: int) -> np.ndarray:
-    """H columns (k, sum(dims)) of k factors from the first column of each of
-    their variables (k, len(dims)); the anchored pose (-1) maps to `spare`."""
-    return np.concatenate(
-        [
-            np.where(first[:, None] < 0, spare, first[:, None] + np.arange(dim))
-            for first, dim in zip(starts.T, dims)
-        ],
-        axis=1,
-    )
-
-
-def _apply_step(
-    values: GraphValues,
-    keys: list[VariableKey],
-    index: dict[VariableKey, tuple[int, int]],
-    delta: np.ndarray,
-) -> GraphValues:
+def _apply_step(values: GraphValues, delta: np.ndarray) -> GraphValues:
+    """The values moved by the solver's step ``delta``: one ``retract`` of
+    every row but the anchored pose's."""
     out = values.copy()
-    for key in keys:
-        i, d = index[key]
-        out.set(key, out.get(key).retract(delta[i : i + d]))
+    f = _anchored(values)
+    out.R[f:], out.t[f:], out.s = retract(values.R[f:], values.t[f:], values.s, delta)
     return out
 
 
@@ -413,14 +396,14 @@ def _lm_solve(
     breakdown = cost_breakdown(graph, current, active)
     cost = float(sum(breakdown.values()))
     initial_cost = cost
-    keys, index, n = _ordering(current)
+    n = _tangent_dim(current)
     damping = cfg.initial_damping
     accepted = 0
     converged = n == 0 or cost <= _COST_FLOOR
     stalled = False
 
     while not converged and not stalled and accepted < max_accepted:
-        H, g = _linearize(graph, current, index, n)
+        H, g = _linearize(graph, current)
         while True:
             delta = None
             try:
@@ -429,7 +412,7 @@ def _lm_solve(
             except (scipy.linalg.LinAlgError, ValueError):
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
-                candidate = _apply_step(current, keys, index, delta)
+                candidate = _apply_step(current, delta)
                 trial_active = np.empty(len(graph), dtype=bool)
                 trial_breakdown = cost_breakdown(graph, candidate, trial_active)
                 new_cost = float(sum(trial_breakdown.values()))
@@ -512,7 +495,7 @@ def initialize_landmark(
     t = back_project_pixel(K, x, detection.bbox.center(), d)
     sx = detection.bbox.width * d / (2.0 * K.fx)
     sy = detection.bbox.height * d / (2.0 * K.fy)
-    s = np.maximum(np.array([sx, sy, 0.5 * (sx + sy)]), 1e-4)
+    s = np.maximum(np.array([sx, sy, 0.5 * (sx + sy)]), SEMI_AXIS_FLOOR)
     rotation = x.rotation
     if prior is not None:
         rotation, s = orientation_prior_frame(prior.orientation, rotation, s)
@@ -546,17 +529,17 @@ def add_keyframe(
     frame, covering both matches and newly created landmarks. Box
     components on the border of an image of `image_size` are not scored.
     """
-    if pose_id in values.poses:
+    if pose_id in values.pose_ids:
         raise ValueError(f"pose id {pose_id} already present")
-    if values.poses:
-        prev_id = max(values.poses)
+    if len(values.pose_ids):
+        prev_id = int(values.pose_ids[-1])
         if odom is None:
             raise ValueError("odometry measurement required after the first keyframe")
-        values.poses[pose_id] = compose(values.poses[prev_id], odom)
+        x = compose(values.get(("pose", prev_id)), odom)
         graph.add(OdometryFactor(prev_id, pose_id, odom, noise.odom_noise()))
     else:
-        values.poses[pose_id] = initial_pose if initial_pose is not None else Pose.identity()
-    x = values.poses[pose_id]
+        x = initial_pose if initial_pose is not None else Pose.identity()
+    values.set(("pose", pose_id), x)
 
     mapping: dict[int, int] = {}
     bbox_noise = noise.bbox_noise()
@@ -569,7 +552,7 @@ def add_keyframe(
         )
         mapping[det_idx] = quadric_id
 
-    next_id = max(values.quadrics, default=-1) + 1
+    next_id = int(values.quadric_ids.max(initial=-1)) + 1
     for det_idx in associations.unmatched_detections:
         det = detections[det_idx]
         if det.center_depth is None:
@@ -578,7 +561,7 @@ def add_keyframe(
         record = priors.resolve(det.label) if priors is not None else None
         init_record = record if flags.orientation_prior else None
         q0 = initialize_landmark(det, x, K, init_record)
-        values.quadrics[next_id] = q0
+        values.set(("quadric", next_id), q0)
         graph.add(BBoxFactor(pose_id, next_id, det.bbox, K, bbox_noise, image_size))
         if record is not None:
             s_hat = size_prior_estimate(record, q0.s, det.confidence)

@@ -116,26 +116,18 @@ def _quat_of(q: Quadric) -> tuple[float, float, float, float]:
     return tuple(float(v) for v in matrix_to_quat(q.rotation))
 
 
+def _snapshot(values: GraphValues) -> tuple[tuple[int, Quadric], ...]:
+    return tuple((lid, values.get(("quadric", lid))) for lid in values.quadric_ids.tolist())
+
+
 def _landmark_estimates(
     values: GraphValues, labels: dict[int, str]
 ) -> tuple[LandmarkEstimate, ...]:
-    out = []
-    for lid in sorted(values.quadrics):
-        q = values.quadrics[lid]
-        out.append(
-            LandmarkEstimate(
-                lid,
-                labels.get(lid, ""),
-                _quat_of(q),
-                tuple(float(v) for v in q.t),
-                tuple(float(v) for v in q.s),
-            )
-        )
-    return tuple(out)
-
-
-def _snapshot(values: GraphValues) -> tuple[tuple[int, Quadric], ...]:
-    return tuple((lid, values.quadrics[lid]) for lid in sorted(values.quadrics))
+    return tuple(
+        LandmarkEstimate(lid, labels.get(lid, ""), _quat_of(q),
+                         tuple(float(v) for v in q.t), tuple(float(v) for v in q.s))
+        for lid, q in _snapshot(values)
+    )
 
 
 def run_slam(
@@ -204,7 +196,7 @@ def run_slam(
             t0 = lap("track", t0)
 
             x_pred = (
-                Pose.identity() if odom is None else compose(values.poses[prev_id], odom)
+                Pose.identity() if odom is None else compose(values.get(("pose", prev_id)), odom)
             )
             # Tracks propose continuity matches, but a track can jump object
             # when same-label boxes cross, so each binding is verified in 3D:
@@ -225,15 +217,15 @@ def run_slam(
                     point = back_project_pixel(
                         K, x_pred, det.bbox.center(), det.center_depth
                     )
-                    gap = float(np.linalg.norm(point - values.quadrics[lid].t))
+                    gap = float(np.linalg.norm(point - values.get(("quadric", lid)).t))
                     if gap > cfg.association.track_gate_dist:
                         continue
                 matches[det_idx] = lid
             remaining = [i for i in range(len(detections)) if i not in matches]
             claimed = set(matches.values())
             candidates = [
-                (lid, values.quadrics[lid], labels[lid])
-                for lid in sorted(values.quadrics)
+                (lid, values.get(("quadric", lid)), labels[lid])
+                for lid in values.quadric_ids.tolist()
                 if lid not in claimed
             ]
             if remaining and candidates:
@@ -282,7 +274,9 @@ def run_slam(
 
     estimate = MapEstimate(
         landmarks=_landmark_estimates(values, labels),
-        trajectory=tuple((pid, values.poses[pid]) for pid in sorted(values.poses)),
+        trajectory=tuple(
+            (pid, values.get(("pose", pid))) for pid in values.pose_ids.tolist()
+        ),
         snapshots=tuple(snapshots),
     )
 

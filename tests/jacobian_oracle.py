@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from objslam.factors import DEFAULT_JACOBIAN_STEP, Variable, variable_dim
+from objslam.factors import DEFAULT_JACOBIAN_STEP
+from objslam.geometry import Pose, Quadric
+
+Variable = Pose | Quadric
 
 
 class NonFiniteResidual(ValueError):
@@ -43,7 +46,7 @@ def numeric_jacobian(
     r0 = evaluate(variables)
     blocks: list[np.ndarray] = []
     for vi, var in enumerate(variables):
-        dim = variable_dim(var)
+        dim = 6 if isinstance(var, Pose) else 9
         J = np.empty((r0.shape[0], dim))
         for k in range(dim):
             delta = np.zeros(dim)

@@ -101,6 +101,16 @@ class TestExitCodes:
         assert code == 1
         assert "map.json trajectory[0]: field 'rotation_quaternion'" in capsys.readouterr().err
 
+    def test_non_finite_setting_is_validation_error(self, tmp_path, capsys):
+        ds = _simulate(tmp_path, capsys)
+        code = main(
+            ["run", "--dataset", str(ds), "-o", str(tmp_path / "out"),
+             "--set", "mode=batch", "--set", "match_threshold=.nan"]
+        )
+        assert code == 1
+        assert "match_threshold must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "map.json").exists()
+
     def test_gen_priors_without_credentials(self, tmp_path, capsys, no_llm_env):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("mug\n")

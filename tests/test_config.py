@@ -107,6 +107,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             RunConfig(match_threshold=0.0)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "solver.initial_damping=.nan",
+            "solver.damping_up=.nan",
+            "solver.max_damping=.nan",
+            "solver.max_damping=.inf",
+            "noise.bbox_sigma_px=.nan",
+            "noise.odom_sigma_rot=.nan",
+            "association.gate=.nan",
+            "match_threshold=.nan",
+            "scene.area=[2.0, .nan]",
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, override):
+        # Range checks written `x <= 0` pass NaN; a NaN damping never ends
+        # the solver's escalation loop.
+        with pytest.raises(ConfigError, match=override.split("=")[0]):
+            load_run_config(overrides=[override])
+
 
 class TestOverrides:
     def test_dotted_override_types(self):

@@ -6,19 +6,13 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from objslam.factors import (
     BBoxFactor,
-    BBoxRows,
     CentroidPriorFactor,
     NoiseModel,
     OdometryFactor,
     OrientationPriorFactor,
     SizePriorFactor,
     bbox_jacobians,
-    bbox_residual,
-    centroid_residual,
-    odometry_residual,
-    orientation_prior_residual,
     robust_whiten,
-    size_prior_residual,
 )
 from objslam.geometry import (
     BoundingBox2D,
@@ -34,6 +28,27 @@ import noise_oracle
 from conftest import random_pose, random_quadric, random_rotation
 from jacobian_oracle import NonFiniteResidual, numeric_jacobian
 from projection_oracle import predict_bbox
+
+
+def odometry_residual(x_i: Pose, x_j: Pose, u: Pose) -> np.ndarray:
+    return OdometryFactor(0, 1, u, NoiseModel.isotropic(6, 1.0)).residual_at(x_i, x_j)
+
+
+def bbox_residual(x, q, measurement, K, image_size=None) -> np.ndarray | None:
+    factor = BBoxFactor(0, 0, measurement, K, NoiseModel.isotropic(4, 1.0), image_size)
+    return factor.residual_at(x, q)
+
+
+def size_prior_residual(q: Quadric, target: np.ndarray) -> np.ndarray:
+    return SizePriorFactor(0, target, NoiseModel.isotropic(3, 1.0)).residual_at(q)
+
+
+def orientation_prior_residual(q: Quadric, R_target: np.ndarray) -> np.ndarray:
+    return OrientationPriorFactor(0, R_target, NoiseModel.isotropic(3, 1.0)).residual_at(q)
+
+
+def centroid_residual(q: Quadric, target: np.ndarray) -> np.ndarray:
+    return CentroidPriorFactor(0, target, NoiseModel.isotropic(3, 1.0)).residual_at(q)
 
 
 def scipy_split_log(err_matrix: np.ndarray) -> np.ndarray:
@@ -242,9 +257,9 @@ class TestFactorJacobians:
             x, q = visible_setup(rng, camera)
             b = predict_bbox(x, camera, q)
             factor = BBoxFactor(0, 0, b, camera, noise)
-            rows = BBoxRows.single(x, q, factor.measured, factor.keep)
-            _, full, _ = bbox_jacobians(camera, rows, step=1e-6)
-            _, half, _ = bbox_jacobians(camera, rows, step=5e-7)
+            rows = (x.rotation[None], x.translation[None]), (q.rotation[None], q.t[None], q.s[None])
+            _, full, _ = bbox_jacobians(factor.stack([factor]), *rows, step=1e-6)
+            _, half, _ = bbox_jacobians(factor.stack([factor]), *rows, step=5e-7)
             assert frobenius_rel(full[0, :, :6], half[0, :, :6]) < 1e-4
             assert frobenius_rel(full[0, :, 6:], half[0, :, 6:]) < 1e-4
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -7,8 +9,10 @@ from scipy.spatial.transform import Rotation
 from objslam.association import AssociationResult
 from objslam.dataset import Detection
 from objslam.factors import (
+    BBOX_BLOCK,
     BBoxFactor,
     CentroidPriorFactor,
+    Factor,
     NoiseModel,
     OdometryFactor,
     OrientationPriorFactor,
@@ -25,15 +29,14 @@ from objslam.geometry import (
     so3_exp,
 )
 from objslam.optimizer import (
-    _BBOX_BLOCK,
     FactorGraph,
     Flags,
     GraphValues,
     MissingVariable,
     SingularSystem,
     SolverConfig,
+    _apply_step,
     _linearize,
-    _ordering,
     add_keyframe,
     cost_breakdown,
     initialize_landmark,
@@ -44,7 +47,7 @@ from objslam.optimizer import (
 from objslam.priors import OrientationClass, PriorRecord, PriorTable
 
 import noise_oracle
-from conftest import random_rotation
+from conftest import random_pose, random_quadric, random_rotation
 from projection_oracle import predict_bbox
 
 
@@ -67,8 +70,8 @@ def three_view_graph(camera, noise_px: float = 0.0, rng=None):
     graph = FactorGraph()
     values = GraphValues()
     for i, x in enumerate(poses):
-        values.poses[i] = x
-    values.quadrics[0] = GT_QUADRIC
+        values.set(("pose", i), x)
+    values.set(("quadric", 0), GT_QUADRIC)
     odom_noise = NoiseModel.diagonal(np.array([1e-4] * 3 + [1e-4] * 3))
     bbox_noise = NoiseModel.isotropic(4, 10.0)
     for i in range(2):
@@ -90,12 +93,12 @@ def three_view_graph(camera, noise_px: float = 0.0, rng=None):
 
 def perturbed(values: GraphValues, rng: np.random.Generator) -> GraphValues:
     out = values.copy()
-    q = out.quadrics[0]
+    q = out.get(("quadric", 0))
     delta = np.zeros(9)
     delta[0:3] = rng.normal(0.0, 0.05, size=3)
     delta[3:6] = 0.2 * rng.standard_normal(3) / np.sqrt(3)
     delta[6:9] = rng.normal(0.0, 0.05, size=3)
-    out.quadrics[0] = q.retract(delta)
+    out.set(("quadric", 0), q.retract(delta))
     return out
 
 
@@ -190,7 +193,7 @@ class TestAddKeyframe:
             graph, values, 0, None, dets, no_matches(1), priors, camera
         )
         assert mapping == {0: 0}
-        assert len(values.poses) == 1 and len(values.quadrics) == 1
+        assert len(values.pose_ids) == 1 and len(values.quadric_ids) == 1
         assert graph.counts_by_kind() == {
             "bbox": 1, "size_prior": 1, "orientation_prior": 1, "centroid": 1,
         }
@@ -208,7 +211,7 @@ class TestAddKeyframe:
         assert mapping == {0: 0}
         assert after["bbox"] == before["bbox"] + 1
         assert after["odometry"] == 1
-        assert len(values.quadrics) == 1
+        assert len(values.quadric_ids) == 1
 
     def test_empty_frame_adds_only_odometry(self, camera):
         graph, values = FactorGraph(), GraphValues()
@@ -218,7 +221,9 @@ class TestAddKeyframe:
         add_keyframe(graph, values, 1, u, [], no_matches(0), None, camera)
         assert graph.counts_by_kind() == {"odometry": 1}
         np.testing.assert_allclose(
-            values.poses[1].matrix(), compose(values.poses[0], u).matrix(), atol=1e-12
+            values.get(("pose", 1)).matrix(),
+            compose(values.get(("pose", 0)), u).matrix(),
+            atol=1e-12,
         )
 
     def test_flags_disable_prior_factors(self, camera):
@@ -245,7 +250,7 @@ class TestAddKeyframe:
         dets = [Detection(BoundingBox2D(300, 220, 340, 260), "mug", 0.8)]
         mapping = add_keyframe(graph, values, 0, None, dets, no_matches(1), None, camera)
         assert mapping == {}
-        assert len(values.quadrics) == 0 and len(graph) == 0
+        assert len(values.quadric_ids) == 0 and len(graph) == 0
 
     def test_deterministic(self, camera):
         priors = PriorTable()
@@ -261,7 +266,7 @@ class TestAddKeyframe:
                 graph, values, 0, None, dets, no_matches(2), priors, camera
             )
             results.append((mapping, [f.kind for f in graph],
-                            {k: q.t.tolist() for k, q in values.quadrics.items()}))
+                            values.quadric_ids.tolist(), values.t.tolist()))
         assert results[0] == results[1]
 
     def test_duplicate_pose_id_rejected(self, camera):
@@ -278,9 +283,9 @@ class TestSolveBatch:
         solved, report = solve_batch(graph, init)
         assert report.converged
         assert report.final_cost <= report.initial_cost
-        assert np.linalg.norm(solved.quadrics[0].t - GT_QUADRIC.t) < 1e-3
+        assert np.linalg.norm(solved.get(("quadric", 0)).t - GT_QUADRIC.t) < 1e-3
         np.testing.assert_allclose(
-            np.sort(solved.quadrics[0].s), np.sort(GT_QUADRIC.s), atol=1e-3
+            np.sort(solved.get(("quadric", 0)).s), np.sort(GT_QUADRIC.s), atol=1e-3
         )
 
     def test_already_optimal_is_a_no_op(self, camera, rng):
@@ -291,7 +296,7 @@ class TestSolveBatch:
         assert report.converged
         assert report.final_cost == pytest.approx(report.initial_cost, abs=1e-12)
         np.testing.assert_allclose(
-            again.quadrics[0].t, solved.quadrics[0].t, atol=1e-12
+            again.get(("quadric", 0)).t, solved.get(("quadric", 0)).t, atol=1e-12
         )
 
     def test_unary_only_converges_to_prior_targets(self, rng):
@@ -309,7 +314,7 @@ class TestSolveBatch:
         )
         values = GraphValues(quadrics={7: start})
         solved, report = solve_batch(graph, values)
-        q = solved.quadrics[7]
+        q = solved.get(("quadric", 7))
         assert report.converged
         np.testing.assert_allclose(np.sort(q.s), target_s, atol=1e-6)
         np.testing.assert_allclose(q.t, target_t, atol=1e-6)
@@ -318,10 +323,10 @@ class TestSolveBatch:
     def test_first_pose_stays_anchored(self, camera, rng):
         graph, gt_values = three_view_graph(camera)
         init = perturbed(gt_values, rng)
-        anchor = init.poses[0]
+        anchor = init.get(("pose", 0))
         solved, _ = solve_batch(graph, init)
-        np.testing.assert_array_equal(solved.poses[0].rotation, anchor.rotation)
-        np.testing.assert_array_equal(solved.poses[0].translation, anchor.translation)
+        np.testing.assert_array_equal(solved.get(("pose", 0)).rotation, anchor.rotation)
+        np.testing.assert_array_equal(solved.get(("pose", 0)).translation, anchor.translation)
 
     def test_semi_axes_stay_clamped(self):
         graph = FactorGraph()
@@ -329,22 +334,20 @@ class TestSolveBatch:
         graph.add(SizePriorFactor(0, tiny, NoiseModel.isotropic(3, 0.01)))
         values = GraphValues(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.full(3, 0.3))})
         solved, _ = solve_batch(graph, values)
-        assert np.all(solved.quadrics[0].s >= 1e-4 - 1e-15)
+        assert np.all(solved.get(("quadric", 0)).s >= 1e-4 - 1e-15)
 
-    def test_singular_system(self):
-        class LyingFactor(SizePriorFactor):
-            """Constant-slope Jacobian over a residual that only grows."""
+    def test_singular_system(self, monkeypatch):
+        # The size-prior kind's batched function replaced by a constant-slope
+        # Jacobian over a residual that only grows.
+        def lying(c, q):
+            r = 1.0 + np.sqrt(np.abs(q[1][:, :1]))
+            J = np.zeros((len(r), 1, 9))
+            J[:, 0, 3] = 1.0
+            return r, J, np.ones(len(r), dtype=bool)
 
-            def residual_at(self, q):
-                return np.array([1.0 + np.sqrt(abs(q.t[0]))])
-
-            def jacobian_at(self, q):
-                J = np.zeros((1, 9))
-                J[0, 3] = 1.0
-                return self.residual_at(q), [J]
-
+        monkeypatch.setattr(SizePriorFactor, "jacobians", staticmethod(lying))
         graph = FactorGraph()
-        graph.add(LyingFactor(0, np.full(3, 0.1), NoiseModel.isotropic(1, 1.0)))
+        graph.add(SizePriorFactor(0, np.full(3, 0.1), NoiseModel.isotropic(1, 1.0)))
         values = GraphValues(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.ones(3))})
         with pytest.raises(SingularSystem):
             solve_batch(graph, values)
@@ -368,8 +371,8 @@ class TestSolveIncremental:
         add_keyframe(graph, values, 0, None, dets, no_matches(1), priors, camera)
         inc, _ = solve_incremental(graph, values)
         bat, _ = solve_batch(graph, values)
-        np.testing.assert_allclose(inc.quadrics[0].t, bat.quadrics[0].t, atol=1e-6)
-        np.testing.assert_allclose(inc.quadrics[0].s, bat.quadrics[0].s, atol=1e-6)
+        np.testing.assert_allclose(inc.get(("quadric", 0)).t, bat.get(("quadric", 0)).t, atol=1e-6)
+        np.testing.assert_allclose(inc.get(("quadric", 0)).s, bat.get(("quadric", 0)).s, atol=1e-6)
 
     def test_never_increases_cost(self, camera, rng):
         graph, gt_values = three_view_graph(camera, noise_px=2.0, rng=rng)
@@ -436,7 +439,7 @@ class TestSolveIncremental:
         graph_bat, values_bat = build(solve_each=False)
         values_bat, _ = solve_batch(graph_bat, values_bat)
         np.testing.assert_allclose(
-            values_inc.quadrics[0].t, values_bat.quadrics[0].t, atol=0.05
+            values_inc.get(("quadric", 0)).t, values_bat.get(("quadric", 0)).t, atol=0.05
         )
 
 
@@ -473,12 +476,72 @@ class TestDeactivation:
         graph.add(CentroidPriorFactor(0, np.array([0.0, 0.0, -1.0]), NoiseModel.isotropic(3, 0.01)))
         values = GraphValues(poses={0: Pose.identity()}, quadrics={0: q0})
         solved, report = solve_batch(graph, values)
-        assert solved.quadrics[0].t[2] > 0.0
+        assert solved.get(("quadric", 0)).t[2] > 0.0
         assert "bbox" in report.breakdown
         assert report.final_cost <= report.initial_cost
         active = np.zeros(len(graph), dtype=bool)
         cost_breakdown(graph, solved, active)
         assert active.all()
+
+
+class TestArrayState:
+    def test_solves_build_no_objects(self, camera, rng, monkeypatch):
+        graph, gt_values = three_view_graph(camera, noise_px=2.0, rng=rng)
+        init = perturbed(gt_values, rng)
+        calls: Counter = Counter()
+        for owner, name in [(Pose, "__post_init__"), (Quadric, "__post_init__"),
+                            (Factor, "residual_at"), (Factor, "jacobian_at")]:
+            def counting(*args, _fn=getattr(owner, name), _key=f"{owner.__name__}.{name}"):
+                calls[_key] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        batch = solve_batch(graph, init)
+        incremental = solve_incremental(graph, init)
+        assert batch[1].iterations > 0 and incremental[1].iterations > 0
+        assert calls == Counter()
+        # The values leave the solver through get, which builds and checks.
+        batch[0].get(("quadric", 0))
+        assert calls == Counter({"Quadric.__post_init__": 1})
+
+    def test_apply_step_is_the_retraction(self, rng):
+        values = GraphValues(
+            {3: random_pose(rng), 1: random_pose(rng), 2: random_pose(rng)},
+            {5: random_quadric(rng), 0: random_quadric(rng)},
+        )
+        delta = rng.normal(0.0, 0.3, size=2 * 6 + 2 * 9)
+        delta[-2:] = -1.0  # drives two semi-axes of quadric 5 below the floor
+        out = _apply_step(values, delta)
+        anchor, moved = values.get(("pose", 1)), out.get(("pose", 1))
+        np.testing.assert_array_equal(moved.rotation, anchor.rotation)
+        np.testing.assert_array_equal(moved.translation, anchor.translation)
+        offset = 0
+        for key in [("pose", 2), ("pose", 3), ("quadric", 0), ("quadric", 5)]:
+            before, after = values.get(key), out.get(key)
+            d = delta[offset : offset + (6 if key[0] == "pose" else 9)]
+            offset += len(d)
+            np.testing.assert_allclose(
+                after.rotation, before.rotation @ so3_exp(d[:3]), rtol=0.0, atol=1e-15
+            )
+            if key[0] == "pose":
+                np.testing.assert_array_equal(after.translation, before.translation + d[3:])
+            else:
+                np.testing.assert_array_equal(after.t, before.t + d[3:6])
+                np.testing.assert_array_equal(after.s, np.maximum(before.s + d[6:], 1e-4))
+        assert np.count_nonzero(out.get(("quadric", 5)).s == 1e-4) == 2
+
+
+def reference_ordering(values):
+    """The solver's column layout, key by key: the lowest-id pose anchored,
+    the other poses by id (6 columns each), then the quadrics by id (9)."""
+    keys = [("pose", int(i)) for i in values.pose_ids[1:]]
+    keys += [("quadric", int(j)) for j in values.quadric_ids]
+    index, offset = {}, 0
+    for key in keys:
+        dim = 6 if key[0] == "pose" else 9
+        index[key] = (offset, dim)
+        offset += dim
+    return index, offset
 
 
 def reference_linearize(graph, values, index, n):
@@ -522,21 +585,9 @@ def reference_cost_breakdown(graph, values):
     return out, np.array(active)
 
 
-class ScaledBBoxFactor(BBoxFactor):
-    """A BBoxFactor subclass with its own jacobian_at: it must be linearized
-    through the override, not the batched path of the base class."""
-
-    def jacobian_at(self, x, q):
-        out = super().jacobian_at(x, q)
-        if out is None:
-            return None
-        r, blocks = out
-        return r, [3.0 * J for J in blocks]
-
-
 def mixed_graph(camera):
     """Anchored pose, more bbox factors than one block, an invalid and a
-    Huber-clipped bbox factor, a jacobian_at override and non-robust priors."""
+    Huber-clipped bbox factor and non-robust priors."""
     rng = np.random.default_rng(71)
     poses = looking_at_poses() + [
         Pose.from_rotvec(np.array([0.0, np.pi, 0.0]), np.zeros(3))  # looks away
@@ -555,14 +606,13 @@ def mixed_graph(camera):
         graph.add(OdometryFactor(i, i + 1, u, odom_noise))
     bbox_noise = NoiseModel.isotropic(4, 2.0, huber_width=4.0)
     for i, x in enumerate(poses[:3]):
-        for j, q in values.quadrics.items():
+        for j, q in enumerate(grid):
             box = predict_bbox(x, camera, q).as_array() + rng.normal(0.0, 1.0, size=4)
-            cls = ScaledBBoxFactor if (i, j) == (1, 7) else BBoxFactor
-            graph.add(cls(i, j, BoundingBox2D(*box), camera, bbox_noise, (640.0, 480.0)))
+            graph.add(BBoxFactor(i, j, BoundingBox2D(*box), camera, bbox_noise, (640.0, 480.0)))
     clipped = predict_bbox(poses[2], camera, grid[3]).as_array() + 40.0
     graph.add(BBoxFactor(2, 3, BoundingBox2D(*clipped), camera, bbox_noise))
     graph.add(BBoxFactor(3, 5, BoundingBox2D(100, 100, 140, 150), camera, bbox_noise))
-    for j, q in list(values.quadrics.items())[::4]:
+    for j, q in list(enumerate(grid))[::4]:
         graph.add(SizePriorFactor(j, np.sort(q.s) * 1.1, NoiseModel.isotropic(3, 0.05)))
         graph.add(OrientationPriorFactor(
             j, q.rotation @ so3_exp(rng.normal(0.0, 0.1, size=3)),
@@ -579,8 +629,8 @@ class TestBatchedLinearization:
 
     def test_graph_covers_the_cases(self, camera):
         graph, values = mixed_graph(camera)
-        bbox = [f for f in graph if type(f) is BBoxFactor]
-        assert len(bbox) > _BBOX_BLOCK
+        bbox = [f for f in graph if f.kind == "bbox"]
+        assert len(bbox) > BBOX_BLOCK
         scored = [f.residual_at(*[values.get(k) for k in f.variable_keys()]) for f in bbox]
         assert any(r is None for r in scored)
         assert any(
@@ -590,8 +640,8 @@ class TestBatchedLinearization:
 
     def test_normal_equations_match_reference(self, camera):
         graph, values = mixed_graph(camera)
-        _, index, n = _ordering(values)
-        H, g = _linearize(graph, values, index, n)
+        index, n = reference_ordering(values)
+        H, g = _linearize(graph, values)
         H_ref, g_ref = reference_linearize(graph, values, index, n)
         np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
@@ -622,13 +672,13 @@ class TestBatchedLinearization:
         target = np.array([0.1, 0.0, -2.5])
         graph.add(CentroidPriorFactor(0, target, NoiseModel.isotropic(3, 0.1)))
         values = GraphValues(poses={0: Pose.identity()}, quadrics={0: q0})
-        _, index, n = _ordering(values)
-        H, g = _linearize(graph, values, index, n)
+        index, n = reference_ordering(values)
+        H, g = _linearize(graph, values)
         H_ref, g_ref = reference_linearize(graph, values, index, n)
         np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
         solved, report = solve_batch(graph, values)
-        np.testing.assert_allclose(solved.quadrics[0].t, target, atol=1e-6)
+        np.testing.assert_allclose(solved.get(("quadric", 0)).t, target, atol=1e-6)
         assert "bbox" not in report.breakdown
 
     def test_trailing_block_all_invalid(self, camera):
@@ -637,7 +687,7 @@ class TestBatchedLinearization:
         poses = looking_at_poses() + [
             Pose.from_rotvec(np.array([0.0, np.pi, 0.0]), np.zeros(3))
         ]
-        n_quadrics = -(-_BBOX_BLOCK // 3)
+        n_quadrics = -(-BBOX_BLOCK // 3)
         quadrics = {
             j: Quadric(np.eye(3), np.array([0.05 * j - 0.5, 0.0, 3.0]), np.full(3, 0.1))
             for j in range(n_quadrics)
@@ -645,14 +695,14 @@ class TestBatchedLinearization:
         values = GraphValues(dict(enumerate(poses)), quadrics)
         graph = FactorGraph()
         noise = NoiseModel.isotropic(4, 2.0, huber_width=4.0)
-        pairs = [(i, j) for j in quadrics for i in range(3)][:_BBOX_BLOCK]
+        pairs = [(i, j) for j in quadrics for i in range(3)][:BBOX_BLOCK]
         for i, j in pairs:
             box = predict_bbox(poses[i], camera, quadrics[j]).as_array() + 1.0
             graph.add(BBoxFactor(i, j, BoundingBox2D(*box), camera, noise))
         graph.add(BBoxFactor(3, 0, BoundingBox2D(300, 220, 340, 260), camera, noise))
         assert graph.factors[-1].residual_at(poses[3], quadrics[0]) is None
-        _, index, n = _ordering(values)
-        H, g = _linearize(graph, values, index, n)
+        index, n = reference_ordering(values)
+        H, g = _linearize(graph, values)
         H_ref, g_ref = reference_linearize(graph, values, index, n)
         np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
