@@ -1,25 +1,28 @@
 """Data association between detections, tracks, and ellipsoid landmarks.
 
-Two mechanisms cooperate:
+Two mechanisms cooperate, one call each per frame:
 
-- a short-term tracker carries detections across adjacent frames on bbox
-  overlap alone (no motion prediction), so a landmark bound to a track stays
-  bound while the track lives;
-- long-term association scores every (detection, landmark) pair with
-  geometric overlap, semantic label similarity, and centroid proximity, then
-  solves a rectangular linear sum assignment and drops matches whose weight
-  falls below a gate.
+- ``track_frame``: a short-term tracker carries detections across adjacent
+  frames on bbox overlap alone (no motion prediction), so a landmark bound
+  to a track stays bound while the track lives;
+- ``associate_long_term``: each tracker binding is verified in 3D against
+  the bound landmark (the track gate), and the remaining detections are
+  scored against every unclaimed landmark at once, then matched by a
+  rectangular linear sum assignment that drops pairs below a gate.
 
 Pair weight: IoU(measured box, predicted box) + w_s * psi + w_d / distance,
 where psi is 1 when the label embeddings are within a threshold (or the
 labels are identical), and the distance between the landmark centroid and
 the back-projected detection centroid is floored to keep the term bounded.
+Landmarks arrive as stacked (R, t, s) arrays, so one batched projection
+predicts the boxes of all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,9 +32,9 @@ from .geometry import (
     BoundingBox2D,
     CameraIntrinsics,
     Pose,
-    Quadric,
     back_project_pixel,
     project_bbox_batch,
+    require_finite_fields,
 )
 
 
@@ -47,6 +50,7 @@ class AssociationConfig:
     track_gate_dist: float = 0.3
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.gate < 0.0:
             raise ValueError("gate must be non-negative")
         if self.min_distance <= 0.0:
@@ -57,14 +61,22 @@ class AssociationConfig:
             raise ValueError("track_gate_dist must be positive")
 
 
-def bbox_iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
-    """Intersection over union of two pixel boxes, 0 when disjoint."""
-    ix = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-    iy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
+def box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union (n, m) of pixel boxes a (n, 4) and b (m, 4),
+    rows xmin, ymin, xmax, ymax; 0 when disjoint or when either row is NaN."""
+    a = np.asarray(a, dtype=np.float64)[:, None, :]
+    b = np.asarray(b, dtype=np.float64)[None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    overlap = (ix > 0.0) & (iy > 0.0)
     inter = ix * iy
-    return inter / (a.area() + b.area() - inter)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return np.where(overlap, inter / np.where(overlap, area_a + area_b - inter, 1.0), 0.0)
+
+
+def _box_rows(boxes: Iterable[BoundingBox2D]) -> np.ndarray:
+    return np.array([b.as_array() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 class EmbeddingTable:
@@ -121,46 +133,47 @@ def semantic_indicator(
     return 1.0 if d <= threshold else 0.0
 
 
-def predicted_box_or_none(
-    x: Pose, K: CameraIntrinsics, q: Quadric
-) -> BoundingBox2D | None:
-    boxes, valid = project_bbox_batch(
-        x.rotation[None], x.translation[None], K,
-        q.rotation[None], q.t[None], q.s[None],
-    )
-    if not valid[0]:
-        return None
-    return BoundingBox2D(*boxes[0])
-
-
 def association_weight(
-    detection: Detection,
-    quadric: Quadric,
-    landmark_label: str,
+    detections: Sequence[Detection],
+    centers: np.ndarray,
+    quadrics: tuple[np.ndarray, np.ndarray, np.ndarray],
+    landmark_labels: Sequence[str],
     x: Pose,
     K: CameraIntrinsics,
     table: EmbeddingTable,
     cfg: AssociationConfig,
-) -> float:
-    """Combined geometric, semantic, and centroid-proximity affinity."""
-    predicted = predicted_box_or_none(x, K, quadric)
-    overlap = bbox_iou(detection.bbox, predicted) if predicted is not None else 0.0
-    psi = semantic_indicator(detection.label, landmark_label, table, cfg.semantic_threshold)
-    w = overlap + cfg.semantic_weight * psi
-    if detection.center_depth is not None:
-        t_hat = back_project_pixel(K, x, detection.bbox.center(), detection.center_depth)
-        dist = max(float(np.linalg.norm(quadric.t - t_hat)), cfg.min_distance)
-        w += cfg.distance_weight / dist
+) -> np.ndarray:
+    """Weights (d, m) of every detection against every landmark.
+
+    ``centers`` are the detections' back-projected box centers (NaN rows
+    without depth, which omit the distance term); ``quadrics`` are the
+    landmarks' stacked rotations, centroids and semi-axes. A landmark whose
+    projection is invalid overlaps nothing.
+    """
+    R_q, t_q, s_q = quadrics
+    m = len(landmark_labels)
+    predicted, _ = project_bbox_batch(
+        np.broadcast_to(x.rotation, (m, 3, 3)), np.broadcast_to(x.translation, (m, 3)), K,
+        R_q, t_q, s_q,
+    )
+    psi = np.array(
+        [[semantic_indicator(det.label, label, table, cfg.semantic_threshold)
+          for label in landmark_labels] for det in detections],
+        dtype=np.float64,
+    ).reshape(len(detections), m)
+    w = box_ious(_box_rows(det.bbox for det in detections), predicted) + cfg.semantic_weight * psi
+    has_depth = ~np.isnan(centers[:, 0])
+    dist = np.linalg.norm(t_q[None, :, :] - centers[has_depth, None, :], axis=-1)
+    w[has_depth] += cfg.distance_weight / np.maximum(dist, cfg.min_distance)
     return w
 
 
 @dataclass(frozen=True)
 class AssociationResult:
-    """det index -> landmark id matches, plus leftovers and match weights."""
+    """det index -> landmark id matches, plus the unmatched detections."""
 
     matches: dict[int, int]
     unmatched_detections: tuple[int, ...]
-    weights: dict[int, float]
 
 
 def solve_lsap(W: np.ndarray, gate: float) -> AssociationResult:
@@ -173,33 +186,64 @@ def solve_lsap(W: np.ndarray, gate: float) -> AssociationResult:
     if W.ndim != 2:
         raise ValueError(f"weight matrix must be 2-d, got shape {W.shape}")
     matches: dict[int, int] = {}
-    weights: dict[int, float] = {}
     if W.size:
         rows, cols = linear_sum_assignment(W, maximize=True)
         for r, c in zip(rows, cols):
             if W[r, c] >= gate:
                 matches[int(r)] = int(c)
-                weights[int(r)] = float(W[r, c])
     unmatched = tuple(i for i in range(W.shape[0]) if i not in matches)
-    return AssociationResult(matches, unmatched, weights)
+    return AssociationResult(matches, unmatched)
 
 
 def associate_long_term(
-    detections: list[Detection],
-    landmarks: list[tuple[int, Quadric, str]],
+    detections: Sequence[Detection],
+    bindings: Mapping[int, int],
+    landmark_ids: Sequence[int],
+    landmark_labels: Sequence[str],
+    quadrics: tuple[np.ndarray, np.ndarray, np.ndarray],
     x: Pose,
     K: CameraIntrinsics,
     table: EmbeddingTable,
     cfg: AssociationConfig,
 ) -> AssociationResult:
-    """Assign detections to landmark ids given (id, quadric, label) triples."""
-    W = np.zeros((len(detections), len(landmarks)))
+    """Match one frame's detections to landmark ids.
+
+    ``bindings`` maps detection indices to the landmark their track is bound
+    to. A track can jump object when same-label boxes cross, so a binding is
+    kept only if the labels agree, no earlier detection claimed the
+    landmark, and the detection's back-projected center lies within
+    ``track_gate_dist`` of the centroid (bindings without depth are kept).
+    The other detections go to the gated LSAP over the unclaimed landmarks.
+    ``landmark_ids``, ``landmark_labels`` and the stacked ``quadrics``
+    (rotations, centroids, semi-axes) describe the landmarks row by row.
+    """
+    centers = np.full((len(detections), 3), np.nan)  # NaN rows: no depth
     for i, det in enumerate(detections):
-        for j, (_, quadric, label) in enumerate(landmarks):
-            W[i, j] = association_weight(det, quadric, label, x, K, table, cfg)
-    result = solve_lsap(W, cfg.gate)
-    id_matches = {i: landmarks[j][0] for i, j in result.matches.items()}
-    return AssociationResult(id_matches, result.unmatched_detections, result.weights)
+        if det.center_depth is not None:
+            centers[i] = back_project_pixel(K, x, det.bbox.center(), det.center_depth)
+    matches: dict[int, int] = {}
+    for i in sorted(bindings):
+        lid = bindings[i]
+        j = landmark_ids.index(lid)
+        if lid in matches.values() or landmark_labels[j] != detections[i].label:
+            continue
+        # A NaN gap (no depth) compares false and keeps the binding.
+        centroid = quadrics[1][j]
+        if np.linalg.norm(centers[i] - centroid) > cfg.track_gate_dist:
+            continue
+        matches[i] = lid
+    remaining = [i for i in range(len(detections)) if i not in matches]
+    free = [j for j, lid in enumerate(landmark_ids) if lid not in matches.values()]
+    if remaining and free:
+        W = association_weight(
+            [detections[i] for i in remaining], centers[remaining],
+            tuple(a[free] for a in quadrics), [landmark_labels[j] for j in free],
+            x, K, table, cfg,
+        )
+        for r, c in solve_lsap(W, cfg.gate).matches.items():
+            matches[remaining[r]] = landmark_ids[free[c]]
+    unmatched = tuple(i for i in range(len(detections)) if i not in matches)
+    return AssociationResult(matches, unmatched)
 
 
 @dataclass(frozen=True)
@@ -237,11 +281,11 @@ def track_frame(
     detection-index to track-id assignment for this frame.
     """
     tracks = list(state.tracks)
-    W = np.zeros((len(detections), len(tracks)))
-    for i, det in enumerate(detections):
-        for j, track in enumerate(tracks):
-            if det.label == track.label:
-                W[i, j] = bbox_iou(det.bbox, track.bbox)
+    same_label = np.array(
+        [[det.label == track.label for track in tracks] for det in detections], dtype=bool
+    ).reshape(len(detections), len(tracks))
+    ious = box_ious(_box_rows(det.bbox for det in detections), _box_rows(t.bbox for t in tracks))
+    W = np.where(same_label, ious, 0.0)
     result = solve_lsap(W, cfg.track_min_iou)
 
     assignments: dict[int, int] = {}

@@ -20,7 +20,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -203,6 +203,13 @@ def _read_jsonl(path: Path, parse: Callable[[dict, str], T]) -> list[T]:
     return out
 
 
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    """One line per record, the inverse of :func:`_read_jsonl`."""
+    with open(path, "w") as f:
+        for record in records:
+            f.write(_dump_line(record) + "\n")
+
+
 def _frame_from_json(record: dict, where: str) -> Frame:
     frame_id = _require(record, "frame_id", where)
     if not isinstance(frame_id, int):
@@ -248,67 +255,34 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     }
     (path / HEADER_FILE).write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
 
-    with open(path / FRAMES_FILE, "w") as f:
-        for frame in dataset.frames:
-            f.write(
-                _dump_line(
-                    {
-                        "frame_id": frame.frame_id,
-                        "detections": [detection_to_json(d) for d in frame.detections],
-                    }
-                )
-                + "\n"
-            )
-    with open(path / ODOMETRY_FILE, "w") as f:
-        for entry in dataset.odometry:
-            f.write(
-                _dump_line(
-                    {
-                        "from_frame": entry.from_frame,
-                        "to_frame": entry.to_frame,
-                        "rotation_quaternion": _quat_list(entry.relative.rotation),
-                        "translation": _vec_list(entry.relative.translation),
-                    }
-                )
-                + "\n"
-            )
+    _write_jsonl(path / FRAMES_FILE, (
+        {"frame_id": frame.frame_id,
+         "detections": [detection_to_json(d) for d in frame.detections]}
+        for frame in dataset.frames
+    ))
+    _write_jsonl(path / ODOMETRY_FILE, (
+        {"from_frame": entry.from_frame, "to_frame": entry.to_frame,
+         "rotation_quaternion": _quat_list(entry.relative.rotation),
+         "translation": _vec_list(entry.relative.translation)}
+        for entry in dataset.odometry
+    ))
     if dataset.gt_objects is not None:
-        with open(path / GT_OBJECTS_FILE, "w") as f:
-            for obj in dataset.gt_objects:
-                f.write(
-                    _dump_line(
-                        {
-                            "label": obj.label,
-                            "rotation_quaternion": _quat_list(obj.quadric.rotation),
-                            "center": _vec_list(obj.quadric.t),
-                            "half_extents": _vec_list(obj.quadric.s),
-                        }
-                    )
-                    + "\n"
-                )
+        _write_jsonl(path / GT_OBJECTS_FILE, (
+            {"label": obj.label, "rotation_quaternion": _quat_list(obj.quadric.rotation),
+             "center": _vec_list(obj.quadric.t), "half_extents": _vec_list(obj.quadric.s)}
+            for obj in dataset.gt_objects
+        ))
     if dataset.gt_trajectory is not None:
-        with open(path / GT_TRAJECTORY_FILE, "w") as f:
-            for frame_id, pose in dataset.gt_trajectory:
-                f.write(
-                    _dump_line(
-                        {
-                            "frame_id": frame_id,
-                            "rotation_quaternion": _quat_list(pose.rotation),
-                            "translation": _vec_list(pose.translation),
-                        }
-                    )
-                    + "\n"
-                )
+        _write_jsonl(path / GT_TRAJECTORY_FILE, (
+            {"frame_id": frame_id, "rotation_quaternion": _quat_list(pose.rotation),
+             "translation": _vec_list(pose.translation)}
+            for frame_id, pose in dataset.gt_trajectory
+        ))
     if dataset.gt_association is not None:
-        with open(path / GT_ASSOCIATION_FILE, "w") as f:
-            for frame_id in sorted(dataset.gt_association):
-                pairs = dataset.gt_association[frame_id]
-                f.write(
-                    _dump_line(
-                        {"frame_id": frame_id, "pairs": [list(p) for p in pairs]}
-                    )
-                    + "\n"
-                )
+        _write_jsonl(path / GT_ASSOCIATION_FILE, (
+            {"frame_id": frame_id, "pairs": [list(p) for p in dataset.gt_association[frame_id]]}
+            for frame_id in sorted(dataset.gt_association)
+        ))
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -55,6 +55,7 @@ from .geometry import (
     Quadric,
     back_project_pixel,
     compose,
+    require_finite_fields,
     retract,
 )
 from .priors import (
@@ -214,6 +215,7 @@ class SolverConfig:
     incremental_iters_per_keyframe: int = 5
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.max_iterations <= 0 or self.incremental_iters_per_keyframe <= 0:
             raise ValueError("iteration budgets must be positive")
         if min(self.initial_damping, self.max_damping) <= 0.0:
@@ -238,6 +240,7 @@ class NoiseConfig:
     odom_sigma_trans: float = 0.01
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if min(self.bbox_sigma_px, self.odom_sigma_rot, self.odom_sigma_trans) <= 0.0:
             raise ValueError("noise scales must be positive")
         if self.bbox_huber_multiplier <= 0.0:

@@ -1,10 +1,11 @@
 """End-to-end driver: dataset in, object map + trajectory + reports out.
 
 Per frame the flow is short-term tracking, long-term association against
-the current map, keyframe insertion, and (in incremental mode) a bounded
-re-optimization; batch mode defers solving to one final pass. Output files
-are written with fixed key order and float repr so identical inputs give
-byte-identical artifacts.
+the current map (one ``associate_long_term`` call over the stacked landmark
+arrays, which verifies the tracker's bindings and matches the rest), keyframe
+insertion, and (in incremental mode) a bounded re-optimization; batch mode
+defers solving to one final pass. Output files are written with fixed key
+order and float repr so identical inputs give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .association import (
-    AssociationResult,
     EmbeddingTable,
     TrackerState,
     associate_long_term,
@@ -49,7 +49,6 @@ from .evaluation import (
 from .geometry import (
     Pose,
     Quadric,
-    back_project_pixel,
     compose,
     matrix_to_quat,
     quat_to_matrix,
@@ -198,49 +197,17 @@ def run_slam(
             x_pred = (
                 Pose.identity() if odom is None else compose(values.get(("pose", prev_id)), odom)
             )
-            # Tracks propose continuity matches, but a track can jump object
-            # when same-label boxes cross, so each binding is verified in 3D:
-            # the detection's back-projected center must land near the bound
-            # landmark. Rejected bindings fall through to long-term LSAP,
-            # which re-sorts them by the full weight.
-            matches: dict[int, int] = {}
-            for det_idx in sorted(det_to_track):
-                lid = track_to_landmark.get(det_to_track[det_idx])
-                det = detections[det_idx]
-                if (
-                    lid is None
-                    or lid in matches.values()
-                    or labels.get(lid) != det.label
-                ):
-                    continue
-                if det.center_depth is not None and det.center_depth > 0.0:
-                    point = back_project_pixel(
-                        K, x_pred, det.bbox.center(), det.center_depth
-                    )
-                    gap = float(np.linalg.norm(point - values.get(("quadric", lid)).t))
-                    if gap > cfg.association.track_gate_dist:
-                        continue
-                matches[det_idx] = lid
-            remaining = [i for i in range(len(detections)) if i not in matches]
-            claimed = set(matches.values())
-            candidates = [
-                (lid, values.get(("quadric", lid)), labels[lid])
-                for lid in values.quadric_ids.tolist()
-                if lid not in claimed
-            ]
-            if remaining and candidates:
-                result = associate_long_term(
-                    [detections[i] for i in remaining],
-                    candidates,
-                    x_pred,
-                    K,
-                    table,
-                    cfg.association,
-                )
-                for local_idx, lid in result.matches.items():
-                    matches[remaining[local_idx]] = lid
-            unmatched = tuple(i for i in range(len(detections)) if i not in matches)
-            assoc = AssociationResult(matches, unmatched, {})
+            bindings = {
+                det_idx: track_to_landmark[track_id]
+                for det_idx, track_id in det_to_track.items()
+                if track_id in track_to_landmark
+            }
+            ids = values.quadric_ids.tolist()
+            assoc = associate_long_term(
+                detections, bindings, ids, [labels[lid] for lid in ids],
+                values.stacked("quadric", values.rows("quadric", ids)),
+                x_pred, K, table, cfg.association,
+            )
             t0 = lap("associate", t0)
 
             mapping = add_keyframe(

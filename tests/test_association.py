@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from objslam.association import (
     AssociationConfig,
@@ -12,22 +13,15 @@ from objslam.association import (
     TrackerState,
     associate_long_term,
     association_weight,
-    bbox_iou,
-    predicted_box_or_none,
+    box_ious,
     semantic_indicator,
     solve_lsap,
     track_frame,
 )
 from objslam.dataset import Detection
-from objslam.geometry import (
-    BoundingBox2D,
-    CameraIntrinsics,
-    Pose,
-    Quadric,
-    back_project_pixel,
-)
+from objslam.geometry import BoundingBox2D, Pose, Quadric, back_project_pixel
 
-from projection_oracle import predict_bbox
+from projection_oracle import BehindCamera, DegenerateConic, predict_bbox
 
 FIXTURE = Path(__file__).parent / "data" / "embeddings_50d.txt"
 
@@ -57,18 +51,74 @@ def det(box: BoundingBox2D, label: str = "mug", conf: float = 0.9,
     return Detection(box, label, conf, depth)
 
 
+def scalar_iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
+    """Reference: IoU of one pair of pixel boxes, 0 when disjoint."""
+    ix = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
+    iy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area() + b.area() - inter)
+
+
+def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
+    """box_ious of one pair."""
+    return float(box_ious(a.as_array()[None], b.as_array()[None])[0, 0])
+
+
+def reference_weight(d, q, label, x, K, table, cfg) -> float:
+    """Reference: the weight of one pair from the oracle projection."""
+    try:
+        overlap = scalar_iou(d.bbox, predict_bbox(x, K, q))
+    except (BehindCamera, DegenerateConic):
+        overlap = 0.0
+    w = overlap + cfg.semantic_weight * semantic_indicator(
+        d.label, label, table, cfg.semantic_threshold
+    )
+    if d.center_depth is not None:
+        t_hat = back_project_pixel(K, x, d.bbox.center(), d.center_depth)
+        w += cfg.distance_weight / max(float(np.linalg.norm(q.t - t_hat)), cfg.min_distance)
+    return w
+
+
+def stack(quadrics: list[Quadric]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (R, t, s) rows of these quadrics."""
+    return (np.array([q.rotation for q in quadrics]).reshape(-1, 3, 3),
+            np.array([q.t for q in quadrics]).reshape(-1, 3),
+            np.array([q.s for q in quadrics]).reshape(-1, 3))
+
+
+def weights(dets, quadrics, labels, x, K, table, cfg) -> np.ndarray:
+    """association_weight with the detection centers back-projected here."""
+    centers = np.array([
+        np.full(3, np.nan) if d.center_depth is None
+        else back_project_pixel(K, x, d.bbox.center(), d.center_depth)
+        for d in dets
+    ]).reshape(-1, 3)
+    return association_weight(dets, centers, stack(quadrics), labels, x, K, table, cfg)
+
+
+def long_term(dets, landmarks, x, K, cfg, bindings=None):
+    """associate_long_term over (id, quadric, label) triples."""
+    ids = [lid for lid, _, _ in landmarks]
+    labels = [label for _, _, label in landmarks]
+    quadrics = stack([q for _, q, _ in landmarks])
+    return associate_long_term(dets, bindings or {}, ids, labels, quadrics, x, K,
+                               EmbeddingTable.empty(), cfg)
+
+
 class TestBBoxIoU:
     def test_identical(self):
         b = BoundingBox2D(10, 20, 110, 220)
-        assert bbox_iou(b, b) == 1.0
+        assert iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert bbox_iou(BoundingBox2D(0, 0, 1, 1), BoundingBox2D(5, 5, 6, 6)) == 0.0
+        assert iou(BoundingBox2D(0, 0, 1, 1), BoundingBox2D(5, 5, 6, 6)) == 0.0
 
     def test_unit_squares_offset_half(self):
         a = BoundingBox2D(0, 0, 1, 1)
         b = BoundingBox2D(0.5, 0, 1.5, 1)
-        assert bbox_iou(a, b) == pytest.approx(1.0 / 3.0)
+        assert iou(a, b) == pytest.approx(1.0 / 3.0)
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(83)
@@ -77,9 +127,29 @@ class TestBBoxIoU:
             a = BoundingBox2D(x1, y1, x1 + rng.uniform(1, 50), y1 + rng.uniform(1, 50))
             x2, y2 = rng.uniform(0, 100, size=2)
             b = BoundingBox2D(x2, y2, x2 + rng.uniform(1, 50), y2 + rng.uniform(1, 50))
-            v = bbox_iou(a, b)
+            v = iou(a, b)
             assert 0.0 <= v <= 1.0
-            assert v == pytest.approx(bbox_iou(b, a), abs=1e-15)
+            assert v == pytest.approx(iou(b, a), abs=1e-15)
+
+    def test_matrix_equals_scalar_formula(self):
+        rng = np.random.default_rng(84)
+        corners = rng.uniform(0, 100, size=(13, 2))
+        boxes = [BoundingBox2D(x, y, x + w, y + h)
+                 for (x, y), (w, h) in zip(corners, rng.uniform(1, 50, size=(13, 2)))]
+        a, b = boxes[:6], boxes[6:]
+        M = box_ious(np.array([x.as_array() for x in a]), np.array([x.as_array() for x in b]))
+        assert M.shape == (6, 7)
+        for i, j in itertools.product(range(6), range(7)):
+            assert M[i, j] == scalar_iou(a[i], b[j])
+
+    def test_nan_row_overlaps_nothing(self):
+        a = np.array([[0.0, 0.0, 10.0, 10.0]])
+        b = np.array([[np.nan] * 4, [0.0, 0.0, 10.0, 10.0]])
+        assert box_ious(a, b).tolist() == [[0.0, 1.0]]
+
+    def test_empty_sides(self):
+        assert box_ious(np.zeros((0, 4)), np.zeros((3, 4))).shape == (0, 3)
+        assert box_ious(np.zeros((2, 4)), np.zeros((0, 4))).shape == (2, 0)
 
 
 class TestEmbeddings:
@@ -124,8 +194,9 @@ class TestAssociationWeight:
         x = Pose.identity()
         predicted = predict_bbox(x, camera, q)
         d = det(predicted, label="mug", depth=4.0)
-        w = association_weight(d, q, "mug", x, camera, EmbeddingTable.empty(), cfg)
-        assert w == pytest.approx(1.0 + 0.3 + 0.2 / 0.05, abs=1e-6)
+        W = weights([d], [q], ["mug"], x, camera, EmbeddingTable.empty(), cfg)
+        assert W.shape == (1, 1)
+        assert W[0, 0] == pytest.approx(1.0 + 0.3 + 0.2 / 0.05, abs=1e-6)
 
     def test_formula_consistency(self, camera):
         rng = np.random.default_rng(89)
@@ -142,12 +213,8 @@ class TestAssociationWeight:
             box = BoundingBox2D(center[0] - 40, center[1] - 30, center[0] + 40, center[1] + 30)
             depth = float(rng.uniform(2, 6))
             d = det(box, label="cup", depth=depth)
-            w = association_weight(d, q, "mug", x, camera, table, cfg)
-            predicted = predicted_box_or_none(x, camera, q)
-            expected = bbox_iou(box, predicted)
-            expected += cfg.semantic_weight * semantic_indicator("cup", "mug", table, cfg.semantic_threshold)
-            t_hat = back_project_pixel(camera, x, box.center(), depth)
-            expected += cfg.distance_weight / max(np.linalg.norm(q.t - t_hat), cfg.min_distance)
+            w = weights([d], [q], ["mug"], x, camera, table, cfg)[0, 0]
+            expected = reference_weight(d, q, "mug", x, camera, table, cfg)
             assert w == pytest.approx(expected, abs=1e-12)
 
     def test_no_depth_omits_distance_term(self, camera):
@@ -155,15 +222,47 @@ class TestAssociationWeight:
         q = Quadric(np.eye(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.5))
         predicted = predict_bbox(Pose.identity(), camera, q)
         d = det(predicted, label="mug", depth=None)
-        w = association_weight(d, q, "mug", Pose.identity(), camera, EmbeddingTable.empty(), cfg)
-        assert w == pytest.approx(1.3, abs=1e-6)
+        W = weights([d], [q], ["mug"], Pose.identity(), camera, EmbeddingTable.empty(), cfg)
+        assert W[0, 0] == pytest.approx(1.3, abs=1e-6)
 
     def test_invisible_landmark_keeps_semantic_term(self, camera):
         cfg = AssociationConfig()
         q = Quadric(np.eye(3), np.array([0.0, 0.0, -4.0]), np.full(3, 0.5))
         d = det(BoundingBox2D(100, 100, 200, 200), label="mug")
-        w = association_weight(d, q, "mug", Pose.identity(), camera, EmbeddingTable.empty(), cfg)
-        assert w == pytest.approx(cfg.semantic_weight)
+        W = weights([d], [q], ["mug"], Pose.identity(), camera, EmbeddingTable.empty(), cfg)
+        assert W[0, 0] == pytest.approx(cfg.semantic_weight)
+
+    def test_matrix_matches_per_pair_reference(self, camera):
+        # 5 detections (two without depth) against 7 landmarks (one behind
+        # the camera) under a non-trivial pose; every entry must equal the
+        # oracle weight of its pair.
+        rng = np.random.default_rng(91)
+        cfg = AssociationConfig()
+        table = EmbeddingTable.load(FIXTURE)
+        x = Pose(Rotation.from_rotvec([0.05, -0.1, 0.08]).as_matrix(), np.array([0.2, -0.1, 0.3]))
+        quadrics = [
+            Quadric(Rotation.from_rotvec(rng.normal(scale=0.5, size=3)).as_matrix(),
+                    x.rotation @ np.array([*rng.uniform(-1, 1, size=2), z]) + x.translation,
+                    rng.uniform(0.1, 0.5, size=3))
+            for z in (3.0, 4.0, 5.0, 6.0, 3.5, 4.5, -2.0)
+        ]
+        labels = ["mug", "cup", "monitor", "tv", "mug", "keyboard", "mug"]
+        dets = []
+        for k in range(5):
+            c = rng.uniform([150, 100], [490, 380])
+            half = rng.uniform(20, 60, size=2)
+            depth = None if k in (1, 3) else float(rng.uniform(2, 6))
+            dets.append(det(BoundingBox2D(*(c - half), *(c + half)),
+                            label=["mug", "cup", "tv", "mug", "lamp"][k], depth=depth))
+        # One detection is the exact prediction of landmark 0, so the box
+        # term is exercised at full overlap too.
+        dets[0] = det(predict_bbox(x, camera, quadrics[0]), label="mug", depth=3.0)
+        W = weights(dets, quadrics, labels, x, camera, table, cfg)
+        assert W.shape == (5, 7)
+        for i, j in itertools.product(range(5), range(7)):
+            expected = reference_weight(dets[i], quadrics[j], labels[j], x, camera, table, cfg)
+            assert W[i, j] == pytest.approx(expected, abs=1e-12)
+        assert W[0, 0] > 1.0 + cfg.semantic_weight
 
 
 class TestLSAP:
@@ -269,7 +368,7 @@ class TestLongTerm:
             det(predict_bbox(x, camera, right), label="bottle", depth=4.0),
             det(predict_bbox(x, camera, left), label="mug", depth=4.0),
         ]
-        result = associate_long_term(dets, landmarks, x, camera, EmbeddingTable.empty(), cfg)
+        result = long_term(dets, landmarks, x, camera, cfg)
         assert result.matches == {0: 11, 1: 10}
         assert result.unmatched_detections == ()
 
@@ -279,7 +378,7 @@ class TestLongTerm:
         lm = Quadric(np.eye(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
         # Different label, disjoint box, no depth: weight is zero.
         d = det(BoundingBox2D(500, 350, 600, 450), label="lamp")
-        result = associate_long_term([d], [(5, lm, "mug")], x, camera, EmbeddingTable.empty(), cfg)
+        result = long_term([d], [(5, lm, "mug")], x, camera, cfg)
         assert result.matches == {}
         assert result.unmatched_detections == (0,)
 
@@ -290,6 +389,69 @@ class TestLongTerm:
         lm = Quadric(np.eye(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.4))
         b = predict_bbox(x, camera, lm)
         dets = [det(b, label="mug", depth=4.0), det(b, label="mug", depth=4.0)]
-        result = associate_long_term(dets, [(3, lm, "mug")], x, camera, EmbeddingTable.empty(), cfg)
+        result = long_term(dets, [(3, lm, "mug")], x, camera, cfg)
         assert len(result.matches) == 1
         assert len(result.unmatched_detections) == 1
+
+
+class TestTrackGate:
+    """Tracker bindings (detection index -> landmark id) that
+    associate_long_term keeps or hands to the LSAP."""
+
+    x = Pose.identity()
+    left = Quadric(np.eye(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
+    right = Quadric(np.eye(3), np.array([1.0, 0.0, 4.0]), np.full(3, 0.4))
+    landmarks = [(7, left, "mug"), (8, right, "mug")]
+
+    def box(self, camera, q: Quadric, dx: float = 0.0) -> BoundingBox2D:
+        """The predicted box of q, shifted dx pixels to the right."""
+        b = predict_bbox(self.x, camera, q)
+        return BoundingBox2D(b.xmin + dx, b.ymin, b.xmax + dx, b.ymax)
+
+    def test_binding_is_kept(self, camera):
+        # Detection 0 predicts landmark 7 exactly and would win it in the
+        # LSAP; detection 1 is bound to it and lands 0.08 m away.
+        dets = [det(self.box(camera, self.left), depth=4.0),
+                det(self.box(camera, self.left, 10.0), depth=4.0)]
+        result = long_term(dets, self.landmarks[:1], self.x, camera,
+                           AssociationConfig(), bindings={1: 7})
+        assert result.matches == {1: 7}
+        assert result.unmatched_detections == (0,)
+
+    def test_label_mismatch_drops_binding(self, camera):
+        # Disjoint box, other label, no depth: the LSAP rejects it too.
+        d = det(BoundingBox2D(500, 350, 600, 450), label="lamp")
+        result = long_term([d], self.landmarks, self.x, camera,
+                           AssociationConfig(), bindings={0: 7})
+        assert result.matches == {}
+        assert result.unmatched_detections == (0,)
+
+    def test_binding_beyond_gate_goes_to_lsap(self, camera):
+        # Bound to landmark 7, but the detection back-projects onto 8, 2 m
+        # away: the binding is dropped and the LSAP picks 8. A gate wider
+        # than 2 m keeps it.
+        d = det(self.box(camera, self.right), depth=4.0)
+        result = long_term([d], self.landmarks, self.x, camera,
+                           AssociationConfig(), bindings={0: 7})
+        assert result.matches == {0: 8}
+        wide = AssociationConfig(track_gate_dist=2.5)
+        result = long_term([d], self.landmarks, self.x, camera, wide, bindings={0: 7})
+        assert result.matches == {0: 7}
+
+    def test_claimed_landmark_drops_later_binding(self, camera):
+        # Both detections are bound to landmark 7; the earlier one keeps it
+        # although the later one predicts it exactly.
+        dets = [det(self.box(camera, self.left, 10.0), depth=4.0),
+                det(self.box(camera, self.left), depth=4.0)]
+        result = long_term(dets, self.landmarks[:1], self.x, camera,
+                           AssociationConfig(), bindings={0: 7, 1: 7})
+        assert result.matches == {0: 7}
+        assert result.unmatched_detections == (1,)
+
+    def test_binding_without_depth_is_kept(self, camera):
+        # No depth, so nothing to gate on: the binding to 7 stands although
+        # the box is landmark 8's prediction.
+        d = det(self.box(camera, self.right), depth=None)
+        result = long_term([d], self.landmarks, self.x, camera,
+                           AssociationConfig(), bindings={0: 7})
+        assert result.matches == {0: 7}

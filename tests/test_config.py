@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from objslam.association import AssociationResult
+from objslam.association import AssociationConfig, AssociationResult
 from objslam.config import (
     CameraConfig,
     ConfigError,
@@ -20,7 +22,7 @@ from objslam.config import (
 )
 from objslam.dataset import Detection
 from objslam.geometry import BoundingBox2D, Pose
-from objslam.optimizer import FactorGraph, GraphValues, add_keyframe
+from objslam.optimizer import FactorGraph, GraphValues, SolverConfig, add_keyframe
 from objslam.priors import OrientationClass, PriorRecord, PriorTable
 
 
@@ -128,6 +130,31 @@ class TestValidation:
             load_run_config(overrides=[override])
 
 
+FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (SolverConfig, NoiseConfig, AssociationConfig)
+    for f in dataclasses.fields(cls)
+    if f.type == "float"
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "cls,name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS]
+)
+def test_settings_types_reject_non_finite_floats(cls, name, value):
+    # Built directly, not through build_run_config: a NaN slips past range
+    # checks written `x <= 0`, and a NaN damping never ends the solver's
+    # escalation loop.
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
+
+
+def test_float_fields_are_all_covered():
+    # 5 solver, 4 noise and 7 association settings.
+    assert len(FLOAT_FIELDS) == 16
+
+
 class TestOverrides:
     def test_dotted_override_types(self):
         doc = apply_overrides(
@@ -229,8 +256,8 @@ def _two_keyframe_graph(cfg, camera, image_sizes):
     ]
     graph, values = FactorGraph(), GraphValues()
     for pose_id, odom, assoc, image_size in (
-        (0, None, AssociationResult({}, (0, 1), {}), image_sizes[0]),
-        (1, Pose.identity(), AssociationResult({0: 0, 1: 1}, (), {}), image_sizes[1]),
+        (0, None, AssociationResult({}, (0, 1)), image_sizes[0]),
+        (1, Pose.identity(), AssociationResult({0: 0, 1: 1}, ()), image_sizes[1]),
     ):
         add_keyframe(
             graph, values, pose_id, odom, dets, assoc, priors, camera,

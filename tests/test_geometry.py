@@ -133,6 +133,15 @@ class TestSO3:
             w_back = so3_log(R)
             np.testing.assert_allclose(so3_exp(w_back), R, atol=1e-6)
 
+    @pytest.mark.parametrize("e", [1.01e-6, 2e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    def test_log_round_trip_approaching_pi(self, e):
+        # The general branch divides by sin(angle), which loses precision
+        # well before pi; the symmetric-part branch must take over in time.
+        rng = np.random.default_rng(29)
+        axes = rng.normal(size=(2000, 3))
+        w = axes / np.linalg.norm(axes, axis=1, keepdims=True) * (np.pi - e)
+        assert np.abs(so3_log(so3_exp(w)) - w).max() < 1e-9
+
 
 def rebuilt(R: np.ndarray) -> np.ndarray:
     """R rebuilt from its Quadric.theta by scipy's intrinsic X-Y-Z convention."""

@@ -180,7 +180,7 @@ def det_at(box: BoundingBox2D, label="mug", conf=0.8, depth=2.0) -> Detection:
 
 
 def no_matches(n: int) -> AssociationResult:
-    return AssociationResult({}, tuple(range(n)), {})
+    return AssociationResult({}, tuple(range(n)))
 
 
 class TestAddKeyframe:
@@ -205,7 +205,7 @@ class TestAddKeyframe:
         before = graph.counts_by_kind()
         mapping = add_keyframe(
             graph, values, 1, Pose.identity(), dets,
-            AssociationResult({0: 0}, (), {0: 5.0}), None, camera,
+            AssociationResult({0: 0}, ()), None, camera,
         )
         after = graph.counts_by_kind()
         assert mapping == {0: 0}
@@ -426,7 +426,7 @@ class TestSolveIncremental:
                 odom = None if i == 0 else between(poses[i - 1], poses[i])
                 assoc = (
                     no_matches(1) if i == 0
-                    else AssociationResult({0: 0}, (), {0: 5.0})
+                    else AssociationResult({0: 0}, ())
                 )
                 add_keyframe(graph, values, i, odom, dets, assoc, priors, camera)
                 if solve_each:

@@ -67,5 +67,8 @@ def test_install_traces_run_slam_and_close_restores(tmp_path, monkeypatch):
     finally:
         tr.close()
     assert metrics["optimizer.lm_iterations"] > 0
+    # Association reaches its weight function by the name the tracer patches.
+    assert metrics["association.long_term_calls"] > 0
+    assert metrics["association.weight_evals"] > 0
     assert metrics["geometry.project_rows"] > 0
     assert _changed(snapshot) == []
