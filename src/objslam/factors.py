@@ -19,15 +19,17 @@ the constant inputs of k factors (the class's ``stack``) and the stacked
 rows of their variables, (R (k, 3, 3), t (k, 3)) for a pose and (R, t,
 s (k, 3)) for a quadric, and returns the residuals (k, d), the Jacobians
 (k, d, 6 per pose + 9 per quadric) and the validity (k,). Bounding boxes
-also score with :func:`bbox_residuals`, one projection per observation
-instead of 31. ``residual_at`` and ``jacobian_at`` are one-row calls.
+also score with :func:`bbox_residuals`, the projection without the
+derivatives; :func:`bbox_jacobians` calls it, so a box is linearized exactly
+when it is scored. ``residual_at`` and ``jacobian_at`` are one-row calls.
 
 Jacobians are with respect to ``geometry.retract`` (rotation ``R exp(d)``,
 translation, centroid and semi-axes additive in the world frame). Odometry
 and the three unary priors have closed forms built from the inverse right
 Jacobian of SO(3) (Sola et al., "A micro Lie theory for state estimation in
-robotics", 2018). The bounding-box Jacobian is a central difference over
-the 15 tangent directions of its pose and quadric.
+robotics", 2018). The bounding-box Jacobian is closed form too: the 15
+tangent derivatives of the camera-frame dual conic, pushed through the
+envelope by the chain rule. Central differences live only in the tests.
 """
 
 from __future__ import annotations
@@ -43,14 +45,12 @@ from .geometry import (
     Pose,
     Quadric,
     as_rotation,
+    camera_dual_conic,
     project_bbox_batch,
     skew,
-    so3_exp,
     so3_jr_inv,
     so3_log,
 )
-
-DEFAULT_JACOBIAN_STEP = 1e-6
 
 VariableKey = tuple[str, int]
 
@@ -106,37 +106,47 @@ class NoiseModel:
         return self._threshold
 
 
+def stack_noises(noises: Sequence[NoiseModel]) -> tuple[np.ndarray, np.ndarray]:
+    """The square-root information matrices (k, d, d) and whitened Huber
+    thresholds (k,) of k noise models of one dimension, the threshold inf
+    for a model without a Huber width: the constants :func:`robust_whiten`
+    applies."""
+    thresholds = [nm.whitened_huber_threshold() for nm in noises]
+    return (
+        np.array([nm.sqrt_information for nm in noises]),
+        np.array([np.inf if t is None else t for t in thresholds]),
+    )
+
+
 def robust_whiten(
-    noises: Sequence[NoiseModel], r: np.ndarray
+    S: np.ndarray, delta: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Whitened residuals, robust costs and IRLS weights: the one place a
     noise model is applied.
 
-    ``r`` stacks m residuals of one dimension, one noise model each. Returns
-    the whitened residuals e = S r (m, d) with S the square-root information,
-    the Huber costs (m,): |e|^2 up to the whitened threshold delta and
-    2 delta |e| - delta^2 past it, and the square roots of the IRLS weights
-    (m,): 1 up to delta and sqrt(delta / |e|) past it. Models without a Huber
-    width keep the quadratic cost and unit weight.
+    ``r`` stacks m residuals of one dimension; ``S`` and ``delta`` are their
+    noise models' :func:`stack_noises`. Returns the whitened residuals
+    e = S r (m, d), the Huber costs (m,): |e|^2 up to the whitened threshold
+    delta and 2 delta |e| - delta^2 past it, and the square roots of the IRLS
+    weights (m,): 1 up to delta and sqrt(delta / |e|) past it. Models without
+    a Huber width (delta inf) keep the quadratic cost and unit weight.
     """
-    e = (np.array([nm.sqrt_information for nm in noises]) @ r[:, :, None])[:, :, 0]
-    e2 = np.einsum("ij,ij->i", e, e)
-    norm = np.sqrt(e2)
-    thresholds = [nm.whitened_huber_threshold() for nm in noises]
-    delta = np.array([0.0 if t is None else t for t in thresholds])
-    clipped = np.array([t is not None for t in thresholds], dtype=bool) & (norm > delta)
-    cost = np.where(clipped, 2.0 * delta * norm - delta * delta, e2)
-    weight = np.ones(len(e2))
-    weight[clipped] = np.sqrt(delta[clipped] / norm[clipped])
+    e = (S @ r[:, :, None])[:, :, 0]
+    cost = np.einsum("ij,ij->i", e, e)
+    norm = np.sqrt(cost)
+    clipped = norm > delta
+    d, n = delta[clipped], norm[clipped]
+    cost[clipped] = 2.0 * d * n - d * d
+    weight = np.ones(len(cost))
+    weight[clipped] = np.sqrt(d / n)
     return e, cost, weight
 
 
 # Tangent dimension of each variable kind.
 TANGENT_DIM = {"pose": 6, "quadric": 9}
 
-# Bbox observations differentiated per projection call: 64 x 31 rows keeps
-# the temporaries to a few MB whatever the graph size.
-BBOX_BLOCK = 64
+# Cross-product matrices of the unit axes.
+_AXES = skew(np.eye(3))
 
 
 def _transpose(R: np.ndarray) -> np.ndarray:
@@ -193,44 +203,62 @@ def bbox_residuals(c, x, q) -> tuple[np.ndarray, np.ndarray]:
     return np.where(keep, measured - boxes, 0.0), valid
 
 
-def bbox_jacobians(
-    c, x, q, step: float = DEFAULT_JACOBIAN_STEP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Central differences: 31 projections per observation, one projection
-    call per ``BBOX_BLOCK`` observations.
+def bbox_jacobians(c, x, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed form. The residuals and validity are those of
+    :func:`bbox_residuals`. Jacobian columns are the pose tangent (rotation,
+    translation) then the quadric tangent (rotation, centroid, semi-axes).
 
-    Jacobian columns are the pose tangent (rotation, translation) then the
-    quadric tangent (rotation, centroid, semi-axes). An observation is valid
-    only when all 31 of its projections are.
+    Along each tangent direction the camera-frame dual conic G = A S^2 A^T -
+    c c^T of ``geometry.camera_dual_conic`` (S = diag(s)) moves by
+    dG = X + X^T, with e the direction's unit axis, [e] its cross-product
+    matrix and a_k the k-th column of A:
+
+    - pose rotation ``-[e] G``, pose translation ``(R_cw e) c^T``;
+    - quadric rotation about e_i ``(s_j^2 - s_k^2) a_k a_j^T``, (i, j, k)
+      cyclic, so that dG = A ([e] S^2 - S^2 [e]) A^T;
+    - centroid ``-(R_cw e) c^T``, semi-axis k ``s_k a_k a_k^T``.
+
+    K only scales and shifts the envelope of the image conic K G K^T: its
+    sides are u = cx + fx (G02 -+ sqrt(G02^2 - G00 G22)) / G22 and
+    v = cy + fy (G12 -+ sqrt(G12^2 - G11 G22)) / G22, the min and max of
+    the two roots. The chain rule takes dG through them. Components the
+    border mask drops have zero rows.
     """
-    K, measured, keep = c
-    E = so3_exp(step * np.eye(3))
-    turns = np.stack([E[0], E[0].T, E[1], E[1].T, E[2], E[2].T])
-    shifts = np.kron(np.eye(3), [[step], [-step]])
-    blocks = []
-    for first in range(0, len(measured), BBOX_BLOCK):
-        block = slice(first, first + BBOX_BLOCK)
-        rows = [a[block] for a in (*x, *q)]
-        m = len(rows[0])
-        # Row layout per observation: 0 is the unperturbed center; then (+,-)
-        # pairs for pose rotation, pose translation, quadric rotation,
-        # centroid, semi-axes.
-        R_wc, t_wc, R_q, t_q, s = (np.repeat(a[:, None], 31, axis=1) for a in rows)
-        R_wc[:, 1:7] = rows[0][:, None] @ turns
-        t_wc[:, 7:13] += shifts
-        R_q[:, 13:19] = rows[2][:, None] @ turns
-        t_q[:, 19:25] += shifts
-        s[:, 25:31] += shifts
-        boxes, valid = project_bbox_batch(
-            R_wc.reshape(-1, 3, 3), t_wc.reshape(-1, 3), K,
-            R_q.reshape(-1, 3, 3), t_q.reshape(-1, 3), s.reshape(-1, 3),
-        )
-        r = np.where(
-            keep[block, None], measured[block, None] - boxes.reshape(m, 31, 4), 0.0
-        )
-        J = np.swapaxes(r[:, 1::2] - r[:, 2::2], 1, 2) / (2.0 * step)
-        blocks.append((r[:, 0], J, valid.reshape(m, 31).all(axis=1)))
-    return tuple(np.concatenate(a) for a in zip(*blocks))
+    K, _, keep = c
+    r, valid = bbox_residuals(c, x, q)
+    J = np.zeros((len(r), 4, 15))
+    if not valid.any():
+        return r, J, valid
+    R_wc, t_wc, R_q, t_q, s = (a[valid] for a in (*x, *q))
+    A, cen, G = camera_dual_conic(R_wc, t_wc, R_q, t_q, s)
+    a, s2 = _transpose(A), s * s
+    X = np.empty((len(G), 15, 3, 3))
+    X[:, 0:3] = -_AXES @ G[:, None]
+    # R_cw e_i is row i of R_wc.
+    X[:, 3:6] = R_wc[:, :, :, None] * cen[:, None, None, :]
+    j, k = [1, 2, 0], [2, 0, 1]
+    X[:, 6:9] = (s2[:, j] - s2[:, k])[:, :, None, None] * a[:, k, :, None] * a[:, j, None, :]
+    X[:, 9:12] = -X[:, 3:6]
+    X[:, 12:15] = s[:, :, None, None] * a[:, :, :, None] * a[:, :, None, :]
+    # Per column u, v: the envelope's numerator G02, G12, its diagonal term
+    # G00, G11 and the shared denominator G22 (m, 2 or 1), and their
+    # derivatives (m, 15, 2 or 1).
+    num, diag, den = G[:, [0, 1], 2], G[:, [0, 1], [0, 1]], G[:, 2, 2, None]
+    d_num = X[:, :, [0, 1], 2] + X[:, :, 2, [0, 1]]
+    d_diag = 2.0 * X[:, :, [0, 1], [0, 1]]
+    d_den = 2.0 * X[:, :, 2, 2, None]
+    root = np.sqrt(num * num - diag * den)
+    d_root = (
+        2.0 * num[:, None] * d_num - diag[:, None] * d_den - den[:, None] * d_diag
+    ) / (2.0 * root[:, None])
+    # The sides are center -+ half: center num / den, half root / |den|.
+    center, half = num / den, root / np.abs(den)
+    d_center = (d_num - center[:, None] * d_den) / den[:, None]
+    d_half = (d_root - (np.sign(den) * half)[:, None] * d_den) / np.abs(den)[:, None]
+    d_box = np.concatenate([d_center - d_half, d_center + d_half], axis=2)
+    focal = np.array([K.fx, K.fy, K.fx, K.fy])
+    J[valid] = np.where(keep[valid, :, None], -focal[:, None] * _transpose(d_box), 0.0)
+    return r, J, valid
 
 
 def size_prior_jacobians(c, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,10 +14,12 @@ Conventions used throughout the package:
   ``Q* = Z diag(sx^2, sy^2, sz^2, -1) Z^T`` where ``Z`` is the homogeneous
   pose built from the rotation and the centroid ``t``.
 - Projection of a dual quadric under ``P = K [R_cw | t_cw]`` yields a dual
-  conic ``C* = P Q* P^T`` whose axis-aligned envelope is the predicted
-  bounding box. :func:`project_bbox_batch` is the one implementation, over
-  stacked poses and quadrics; invalid projections (centroid behind the
-  camera, no real envelope) are flagged rather than raised.
+  conic ``C* = P Q* P^T = K G K^T``, with ``G`` the dual quadric seen from
+  the camera (:func:`camera_dual_conic`, the one conic construction). Its
+  axis-aligned envelope is the predicted bounding box.
+  :func:`project_bbox_batch` is the one implementation, over stacked poses
+  and quadrics; invalid projections (centroid behind the camera, no real
+  envelope) are flagged rather than raised.
 """
 
 from __future__ import annotations
@@ -364,6 +366,20 @@ def back_project_pixel(
     return x.rotation @ p_cam + x.translation
 
 
+def camera_dual_conic(
+    R_wc: np.ndarray, t_wc: np.ndarray, R_q: np.ndarray, t_q: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quadrics' axes A = R_cw R_q (n, 3, 3) and centroids c = R_cw (t_q -
+    t_wc) (n, 3) in the camera frame, and the dual conic G = A diag(s^2) A^T -
+    c c^T (n, 3, 3) that ``[R_cw | t_cw]`` makes of each dual quadric; the
+    image dual conic is K G K^T."""
+    R_cw = np.swapaxes(R_wc, 1, 2)
+    A = R_cw @ R_q
+    c = (R_cw @ (t_q - t_wc)[:, :, None])[:, :, 0]
+    B = A * s[:, None, :]
+    return A, c, B @ np.swapaxes(B, 1, 2) - c[:, :, None] * c[:, None, :]
+
+
 def project_bbox_batch(
     R_wc: np.ndarray,
     t_wc: np.ndarray,
@@ -379,31 +395,15 @@ def project_bbox_batch(
     validity mask (n,)); rows with non-positive centroid depth or a
     degenerate envelope are flagged invalid and left as NaN.
     """
-    R_wc = np.asarray(R_wc, dtype=np.float64)
-    t_wc = np.asarray(t_wc, dtype=np.float64)
-    R_q = np.asarray(R_q, dtype=np.float64)
-    t_q = np.asarray(t_q, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    n = R_wc.shape[0]
-
-    R_cw = np.swapaxes(R_wc, 1, 2)
-    t_cw = -(R_cw @ t_wc[:, :, None])[:, :, 0]
+    _, c, G = camera_dual_conic(
+        *(np.asarray(a, dtype=np.float64) for a in (R_wc, t_wc, R_q, t_q, s))
+    )
+    n = len(G)
     Km = K.matrix()
-    P = np.empty((n, 3, 4))
-    P[:, :, :3] = Km @ R_cw
-    P[:, :, 3] = t_cw @ Km.T
-
-    Z = np.zeros((n, 4, 4))
-    Z[:, :3, :3] = R_q
-    Z[:, :3, 3] = t_q
-    Z[:, 3, 3] = 1.0
-    d = np.concatenate([s * s, -np.ones((n, 1))], axis=1)
-    Q = (Z * d[:, None, :]) @ np.swapaxes(Z, 1, 2)
-
-    C = P @ Q @ np.swapaxes(P, 1, 2)
+    C = Km @ G @ Km.T
     C = 0.5 * (C + np.swapaxes(C, 1, 2))
 
-    depth = np.einsum("ni,ni->n", R_cw[:, 2, :], t_q - t_wc)
+    depth = c[:, 2]
     c33 = C[:, 2, 2]
     disc_u = C[:, 0, 2] ** 2 - C[:, 0, 0] * c33
     disc_v = C[:, 1, 2] ** 2 - C[:, 1, 1] * c33

@@ -11,13 +11,17 @@ manifold: dense normal equations, an additive damping schedule, and one
 constant in every solve, which fixes the gauge.
 
 ``FactorGraph.batches`` stacks the factors per kind (bbox factors per
-camera). Linearization and scoring gather each batch's variable rows by
-index arrays and call the kind's one batched function from ``factors``;
-every local ``J^T J`` and ``J^T r`` goes into the dense ``H`` and ``g``
-with one ``bincount``. ``factors.robust_whiten`` applies the noise models
-and the Huber cost. A trial step that makes a scored factor invalid (a
-landmark pushed behind a camera, say) would lower the cost only by dropping
-that factor's term, so LM rejects it like a cost increase.
+camera), with their noise models' square-root information matrices and
+Huber thresholds. A solve places each batch in the values' layout once
+(``_place``: the rows of its variables and its columns of ``H``), since a
+solve never adds a variable; every linearization and every trial's scoring
+then gathers the rows by those index arrays and calls the kind's one
+batched function from ``factors``. Every local ``J^T J`` and ``J^T r`` goes
+into the dense ``H`` and ``g`` with one ``bincount``.
+``factors.robust_whiten`` applies the noise models and the Huber cost. A
+trial step that makes a scored factor invalid (a landmark pushed behind a
+camera, say) would lower the cost only by dropping that factor's term, so
+LM rejects it like a cost increase.
 
 Incremental mode is the same solver warm-started from the current values
 with a small iteration budget per keyframe; it relinearizes the whole
@@ -46,6 +50,7 @@ from .factors import (
     SizePriorFactor,
     VariableKey,
     robust_whiten,
+    stack_noises,
 )
 from .geometry import (
     SEMI_AXIS_FLOOR,
@@ -156,7 +161,17 @@ class Batch(NamedTuple):
     variables: tuple[str, ...]  # kind of each variable slot
     ids: np.ndarray  # (slots, k) variable ids
     inputs: tuple  # the kind's stack of constant inputs
-    noises: list[NoiseModel]
+    sqrt_info: np.ndarray  # (k, d, d) and
+    huber: np.ndarray  # (k,): the noise models' stack_noises
+
+
+class Placed(NamedTuple):
+    """A batch placed in one values layout: fixed for a whole solve, since a
+    solve moves values but never adds or removes variables."""
+
+    batch: Batch
+    rows: list[np.ndarray]  # (k,) rows of each variable slot in the values
+    cols: np.ndarray  # (k, c) H columns of the factors' variables
 
 
 @dataclass
@@ -198,7 +213,7 @@ class FactorGraph:
                 self._batches.append(Batch(
                     cls, np.array(at), tuple(kind for kind, _ in keys[0]),
                     np.array([[i for _, i in k] for k in keys]).T,
-                    cls.stack(fs), [f.noise for f in fs],
+                    cls.stack(fs), *stack_noises([f.noise for f in fs]),
                 ))
             self._batched = len(self.factors)
         return self._batches
@@ -275,30 +290,43 @@ class SolveReport:
     breakdown: dict[str, float]
 
 
-def _gather(values: GraphValues, batch: Batch) -> tuple[list[np.ndarray], list[tuple]]:
-    """Rows of each variable slot of the batch's factors, and the stacked
-    values there: (R, t) for a pose, (R, t, s) for a quadric."""
-    rows = [values.rows(kind, ids) for kind, ids in zip(batch.variables, batch.ids)]
-    return rows, [values.stacked(kind, r) for kind, r in zip(batch.variables, rows)]
+def _place(graph: FactorGraph, values: GraphValues) -> list[Placed]:
+    """Every batch of the graph placed in the layout of these values."""
+    out = []
+    for batch in graph.batches():
+        rows = [values.rows(kind, ids) for kind, ids in zip(batch.variables, batch.ids)]
+        out.append(Placed(batch, rows, _columns(values, batch.variables, rows)))
+    return out
+
+
+def _stacked(values: GraphValues, placed: Placed) -> list[tuple]:
+    """The values of each variable slot of a placed batch: (R, t) for a pose,
+    (R, t, s) for a quadric."""
+    return [values.stacked(kind, r) for kind, r in zip(placed.batch.variables, placed.rows)]
 
 
 def cost_breakdown(
-    graph: FactorGraph, values: GraphValues, active: np.ndarray | None = None
+    graph: FactorGraph,
+    values: GraphValues,
+    active: np.ndarray | None = None,
+    placed: list[Placed] | None = None,
 ) -> dict[str, float]:
     """Robustified cost per factor kind; skipped residuals contribute nothing.
 
     When given, ``active`` (bool, one entry per factor in graph order) is set
     to the factors that were scored: a bbox factor whose projection is
-    invalid is not.
+    invalid is not. ``placed`` is the graph's ``_place`` in the layout of
+    these values, computed here when not given.
     """
     costs = np.zeros(len(graph))
     scored = np.zeros(len(graph), dtype=bool)
     kind_of = np.zeros(len(graph), dtype=np.int64)
     kinds: dict[str, int] = {}
-    for batch in graph.batches():
-        r, valid = batch.cls.residuals(batch.inputs, *_gather(values, batch)[1])
+    for p in _place(graph, values) if placed is None else placed:
+        batch = p.batch
+        r, valid = batch.cls.residuals(batch.inputs, *_stacked(values, p))
         r[~valid] = 0.0
-        costs[batch.at] = robust_whiten(batch.noises, r)[1]
+        costs[batch.at] = robust_whiten(batch.sqrt_info, batch.huber, r)[1]
         scored[batch.at] = valid
         kind_of[batch.at] = kinds.setdefault(batch.cls.kind, len(kinds))
     if active is not None:
@@ -338,20 +366,23 @@ def _columns(values: GraphValues, kinds: tuple[str, ...], rows: list[np.ndarray]
     return np.concatenate(out, axis=1)
 
 
-def _linearize(graph: FactorGraph, values: GraphValues) -> tuple[np.ndarray, np.ndarray]:
-    """Dense normal equations H, g of the robust-weighted linearization."""
+def _linearize(
+    graph: FactorGraph, values: GraphValues, placed: list[Placed] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense normal equations H, g of the robust-weighted linearization, over
+    the factors ``cost_breakdown`` scores. ``placed`` is as there."""
     n = _tangent_dim(values)
     # Per batch: the H columns (k, c), J^T J (k, c, c) and J^T r (k, c) of
     # the whitened, robust-weighted Jacobian.
     stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for batch in graph.batches():
-        rows, stacked = _gather(values, batch)
-        r, J, valid = batch.cls.jacobians(batch.inputs, *stacked)
+    for p in _place(graph, values) if placed is None else placed:
+        batch = p.batch
+        r, J, valid = batch.cls.jacobians(batch.inputs, *_stacked(values, p))
         if not valid.any():
             continue
-        cols = _columns(values, batch.variables, [at[valid] for at in rows])
-        noises = [batch.noises[i] for i in np.flatnonzero(valid)]
-        stacks.append((cols, *_normal_blocks(noises, r[valid], J[valid])))
+        stacks.append((p.cols[valid], *_normal_blocks(
+            batch.sqrt_info[valid], batch.huber[valid], r[valid], J[valid]
+        )))
 
     if not stacks:
         return np.zeros((n, n)), np.zeros(n)
@@ -372,12 +403,12 @@ def _linearize(graph: FactorGraph, values: GraphValues) -> tuple[np.ndarray, np.
 
 
 def _normal_blocks(
-    noises: Sequence[NoiseModel], r: np.ndarray, J: np.ndarray
+    S: np.ndarray, delta: np.ndarray, r: np.ndarray, J: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """J^T J (k, c, c) and J^T r (k, c) of k factors' whitened, robust-weighted
-    residuals (k, d) and Jacobians (k, d, c)."""
-    e, _, w = robust_whiten(noises, r)
-    S = np.array([nm.sqrt_information for nm in noises])
+    residuals (k, d) and Jacobians (k, d, c), under their noise models'
+    ``stack_noises`` S, delta."""
+    e, _, w = robust_whiten(S, delta, r)
     wJt = np.swapaxes(w[:, None, None] * (S @ J), 1, 2)
     return wJt @ np.swapaxes(wJt, 1, 2), (wJt @ (w[:, None] * e)[:, :, None])[:, :, 0]
 
@@ -395,29 +426,31 @@ def _lm_solve(
     graph: FactorGraph, values: GraphValues, cfg: SolverConfig, max_accepted: int
 ) -> tuple[GraphValues, SolveReport]:
     current = values.copy()
+    placed = _place(graph, current)
     active = np.empty(len(graph), dtype=bool)
-    breakdown = cost_breakdown(graph, current, active)
+    breakdown = cost_breakdown(graph, current, active, placed)
     cost = float(sum(breakdown.values()))
     initial_cost = cost
     n = _tangent_dim(current)
+    eye = np.eye(n)
     damping = cfg.initial_damping
     accepted = 0
     converged = n == 0 or cost <= _COST_FLOOR
     stalled = False
 
     while not converged and not stalled and accepted < max_accepted:
-        H, g = _linearize(graph, current)
+        H, g = _linearize(graph, current, placed)
         while True:
             delta = None
             try:
-                factor = scipy.linalg.cho_factor(H + damping * np.eye(n))
+                factor = scipy.linalg.cho_factor(H + damping * eye)
                 delta = scipy.linalg.cho_solve(factor, -g)
             except (scipy.linalg.LinAlgError, ValueError):
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
                 candidate = _apply_step(current, delta)
                 trial_active = np.empty(len(graph), dtype=bool)
-                trial_breakdown = cost_breakdown(graph, candidate, trial_active)
+                trial_breakdown = cost_breakdown(graph, candidate, trial_active, placed)
                 new_cost = float(sum(trial_breakdown.values()))
                 # A step that deactivates a scored factor lowers the cost by
                 # dropping its term, not by fitting it: reject it outright.

@@ -11,8 +11,8 @@ from objslam.factors import (
     OdometryFactor,
     OrientationPriorFactor,
     SizePriorFactor,
-    bbox_jacobians,
     robust_whiten,
+    stack_noises,
 )
 from objslam.geometry import (
     BoundingBox2D,
@@ -27,7 +27,7 @@ from objslam.geometry import (
 import noise_oracle
 from conftest import random_pose, random_quadric, random_rotation
 from jacobian_oracle import NonFiniteResidual, numeric_jacobian
-from projection_oracle import predict_bbox
+from projection_oracle import predict_bbox, project_quadric
 
 
 def odometry_residual(x_i: Pose, x_j: Pose, u: Pose) -> np.ndarray:
@@ -230,8 +230,9 @@ class TestNumericJacobian:
 
 
 class TestFactorJacobians:
-    """Half-step consistency: a correct central-difference Jacobian changes by
-    O(step^2), so full-step and half-step evaluations must agree tightly."""
+    """The bbox closed form against the central-difference oracle, and the
+    oracle's own half-step consistency: a correct central difference changes
+    by O(step^2), so full-step and half-step evaluations must agree tightly."""
 
     def test_bbox_fast_path_matches_generic(self, camera):
         rng = np.random.default_rng(37)
@@ -244,24 +245,49 @@ class TestFactorJacobians:
             r_fast, (Jx_fast, Jq_fast) = factor.jacobian_at(x, q)
             blocks = numeric_jacobian(factor.residual_at, [x, q])
             np.testing.assert_allclose(r_fast, factor.residual_at(x, q), atol=1e-12)
-            # Same formula, different rounding path: the generic route round-
-            # trips perturbed rotations through Euler storage, so agreement is
-            # limited by machine epsilon amplified by the 1/(2 step) division.
+            # Closed form against central differences: agreement is limited by
+            # the O(step^2) truncation and by roundoff over 2 step.
             np.testing.assert_allclose(Jx_fast, blocks[0], rtol=1e-5, atol=1e-6)
             np.testing.assert_allclose(Jq_fast, blocks[1], rtol=1e-5, atol=1e-6)
 
-    def test_bbox_half_step_consistency(self, camera):
-        rng = np.random.default_rng(41)
-        noise = NoiseModel.isotropic(4, 10.0)
-        for _ in range(20):
-            x, q = visible_setup(rng, camera)
-            b = predict_bbox(x, camera, q)
-            factor = BBoxFactor(0, 0, b, camera, noise)
-            rows = (x.rotation[None], x.translation[None]), (q.rotation[None], q.t[None], q.s[None])
-            _, full, _ = bbox_jacobians(factor.stack([factor]), *rows, step=1e-6)
-            _, half, _ = bbox_jacobians(factor.stack([factor]), *rows, step=5e-7)
-            assert frobenius_rel(full[0, :, :6], half[0, :, :6]) < 1e-4
-            assert frobenius_rel(full[0, :, 6:], half[0, :, 6:]) < 1e-4
+    def test_bbox_closed_form_on_hard_rows(self, camera):
+        # Each case is one camera and one ellipsoid in its frame, all turned
+        # by one random rotation: (centroid, semi-axes, tilt of the axes,
+        # measured box, image size).
+        rng = np.random.default_rng(83)
+        R0, t0 = random_rotation(rng), rng.normal(size=3)
+        x = Pose(R0, t0)
+        box, border = (1.0, 2.0, 30.0, 40.0), (0.0, 20.0, 300.0, 480.0)
+        cases = {
+            # The camera 0.65 m from a 0.3 m ellipsoid that straddles its
+            # principal plane: C22 > 0, which swaps the min and max roots.
+            "close, C22 > 0": ([0.5, 0.4, 0.1], [0.2, 0.15, 0.3], 0.05, box, None),
+            "close, C22 < 0": ([0.1, -0.05, 0.5], [0.2, 0.15, 0.3], 0.05, box, None),
+            # u's discriminant 2e-3 of its terms: the envelope is about to
+            # vanish at centroid x = 0.1886.
+            "small discriminant": ([0.1887, 0.4, 0.1], [0.2, 0.15, 0.3], 0.0, box, None),
+            "axis at the floor": ([0.2, -0.1, 2.0], [1.5e-4, 0.12, 0.2], 0.3, box, None),
+            "axes at the floor": ([0.2, -0.1, 2.0], [1.5e-4, 1.5e-4, 2e-4], 0.3, box, None),
+            "border": ([0.1, 0.05, 2.0], [0.2, 0.15, 0.3], 0.3, border, (640.0, 480.0)),
+        }
+        signs = set()
+        for name, (c, s, tilt, measured, image_size) in cases.items():
+            q = Quadric(R0 @ so3_exp(rng.normal(0.0, tilt, size=3)), R0 @ np.array(c) + t0, s)
+            factor = BBoxFactor(
+                0, 0, BoundingBox2D(*measured), camera, NoiseModel.isotropic(4, 1.0), image_size
+            )
+            C = project_quadric(x, camera, q).matrix
+            signs.add(np.sign(C[2, 2]))
+            if name == "small discriminant":
+                disc = C[0, 2] ** 2 - C[0, 0] * C[2, 2]
+                assert 0.0 < disc < 1e-2 * (C[0, 2] ** 2 + abs(C[0, 0] * C[2, 2]))
+            assert oracle_error(factor, (x, q)) < 1e-4, name
+            if image_size is not None:
+                # xmin and ymax touch the border: exactly zero rows.
+                J = np.hstack(factor.jacobian_at(x, q)[1])
+                np.testing.assert_array_equal(J[[0, 3]], 0.0)
+                assert np.abs(J[[1, 2]]).max(axis=1).min() > 0.0
+        assert signs == {-1.0, 1.0}
 
     def test_all_factor_types_half_step_consistency(self, camera):
         # The numeric oracle the closed forms are checked against.
@@ -352,7 +378,7 @@ class TestClosedFormJacobians:
 
 def robust_one(noise: NoiseModel, r) -> tuple[np.ndarray, float, float]:
     """robust_whiten on a batch of one: whitened residual, cost, sqrt weight."""
-    e, cost, weight = robust_whiten([noise], np.asarray(r, dtype=np.float64)[None])
+    e, cost, weight = robust_whiten(*stack_noises([noise]), np.asarray(r, dtype=np.float64)[None])
     return e[0], float(cost[0]), float(weight[0])
 
 
@@ -374,7 +400,7 @@ class TestNoiseModel:
     def test_cost_non_negative(self):
         rng = np.random.default_rng(53)
         noise = NoiseModel.isotropic(4, 3.0)
-        _, cost, _ = robust_whiten([noise] * 100, rng.normal(size=(100, 4)))
+        _, cost, _ = robust_whiten(*stack_noises([noise] * 100), rng.normal(size=(100, 4)))
         assert np.all(cost >= 0.0)
 
     def test_huber_linear_tail(self):
@@ -401,7 +427,7 @@ class TestNoiseModel:
             [0.5, 0.25, -1.0, 2.0],
             [-40.0, 12.0, 3.0, -7.0],
         ])
-        e, cost, weight = robust_whiten(noises, r)
+        e, cost, weight = robust_whiten(*stack_noises(noises), r)
         for i, (nm, ri) in enumerate(zip(noises, r)):
             np.testing.assert_allclose(e[i], noise_oracle.whiten(nm, ri), rtol=1e-15)
             assert cost[i] == pytest.approx(noise_oracle.cost(nm, ri), rel=1e-12)
