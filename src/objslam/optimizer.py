@@ -12,16 +12,22 @@ constant in every solve, which fixes the gauge.
 
 ``FactorGraph.batches`` stacks the factors per kind (bbox factors per
 camera), with their noise models' square-root information matrices and
-Huber thresholds. A solve places each batch in the values' layout once
-(``_place``: the rows of its variables and its columns of ``H``), since a
-solve never adds a variable; every linearization and every trial's scoring
-then gathers the rows by those index arrays and calls the kind's one
-batched function from ``factors``. Every local ``J^T J`` and ``J^T r`` goes
-into the dense ``H`` and ``g`` with one ``bincount``.
-``factors.robust_whiten`` applies the noise models and the Huber cost. A
-trial step that makes a scored factor invalid (a landmark pushed behind a
-camera, say) would lower the cost only by dropping that factor's term, so
-LM rejects it like a cost increase.
+Huber thresholds; it stacks only the factors added since its last call and
+joins them onto their batch. A solve places each batch in the values'
+layout once (``_place``: the rows of its variables and the flat ``bincount``
+indices of its entries in ``H`` and ``g``), since a solve never adds a
+variable. Each LM point, the start and every trial, is then evaluated once:
+``cost_breakdown`` gathers the rows by those index arrays, calls the kind's
+one batched Jacobian function from ``factors`` and keeps the whitened
+residuals, IRLS weights and Jacobians it scored with. After an accepted step
+``H`` and ``g`` are built from what that pass kept, every local ``J^T J``
+and ``J^T r`` with one ``bincount``; a row invalid at the point enters with
+zero residual and Jacobian. ``factors.robust_whiten`` applies the noise
+models and the Huber cost. A trial step that makes a scored factor invalid
+(a landmark pushed behind a camera, say) would lower the cost only by
+dropping that factor's term, so LM rejects it like a cost increase. A trial
+that changes the cost by a negligible amount, roundoff included, ends the
+solve without moving.
 
 Incremental mode is the same solver warm-started from the current values
 with a small iteration budget per keyframe; it relinearizes the whole
@@ -108,10 +114,11 @@ class GraphValues:
         """Rows of R and t holding the variables of one kind with these ids."""
         known = self.pose_ids if kind == "pose" else self.quadric_ids
         ids = np.asarray(ids)
-        missing = ~np.isin(ids, known)
-        if missing.any():
-            raise MissingVariable(f"{kind} {ids[missing][0]} not present in values")
         at = np.searchsorted(known, ids)
+        found = at < len(known)
+        found[found] = known[at[found]] == ids[found]
+        if not found.all():
+            raise MissingVariable(f"{kind} {ids[~found][0]} not present in values")
         return at if kind == "pose" else at + len(self.pose_ids)
 
     def stacked(self, kind: str, rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -164,14 +171,31 @@ class Batch(NamedTuple):
     sqrt_info: np.ndarray  # (k, d, d) and
     huber: np.ndarray  # (k,): the noise models' stack_noises
 
+    def joined(self, more: "Batch") -> "Batch":
+        """This batch with ``more`` of the same kind and camera appended. The
+        arrays of the inputs stack along their first axis; anything else
+        (the camera) is shared by the whole batch."""
+        return self._replace(
+            at=np.concatenate([self.at, more.at]),
+            ids=np.concatenate([self.ids, more.ids], axis=1),
+            inputs=tuple(
+                np.concatenate([a, b]) if isinstance(a, np.ndarray) else a
+                for a, b in zip(self.inputs, more.inputs)
+            ),
+            sqrt_info=np.concatenate([self.sqrt_info, more.sqrt_info]),
+            huber=np.concatenate([self.huber, more.huber]),
+        )
+
 
 class Placed(NamedTuple):
     """A batch placed in one values layout: fixed for a whole solve, since a
-    solve moves values but never adds or removes variables."""
+    solve moves values but never adds or removes variables. The indices are
+    into H and g padded by the anchored pose's spare row and column."""
 
     batch: Batch
     rows: list[np.ndarray]  # (k,) rows of each variable slot in the values
-    cols: np.ndarray  # (k, c) H columns of the factors' variables
+    h_at: np.ndarray  # (k c c,) flat index of each factor's J^T J entries
+    g_at: np.ndarray  # (k c,) index of each factor's J^T r entries
 
 
 @dataclass
@@ -181,6 +205,7 @@ class FactorGraph:
 
     factors: list[Factor] = field(default_factory=list)
     _batches: list[Batch] = field(default_factory=list, init=False, repr=False, compare=False)
+    _batch_of: dict[tuple, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     _batched: int = field(default=0, init=False, repr=False, compare=False)
 
     def add(self, factor: Factor) -> None:
@@ -200,22 +225,29 @@ class FactorGraph:
 
     def batches(self) -> list[Batch]:
         """The factors stacked per kind and camera, in order of first
-        appearance; restacked only after factors were added."""
+        appearance. Only the factors added since the last call are stacked,
+        each group joined onto its batch."""
         if self._batched != len(self.factors):
             groups: dict[tuple, list[int]] = {}
-            for i, f in enumerate(self.factors):
+            for i in range(self._batched, len(self.factors)):
+                f = self.factors[i]
                 # One projection takes one camera: bbox factors batch per K.
                 groups.setdefault((type(f), getattr(f, "K", None)), []).append(i)
-            self._batches = []
-            for (cls, _), at in groups.items():
+            batches = list(self._batches)
+            for key, at in groups.items():
                 fs = [self.factors[i] for i in at]
                 keys = [f.variable_keys() for f in fs]
-                self._batches.append(Batch(
-                    cls, np.array(at), tuple(kind for kind, _ in keys[0]),
+                new = Batch(
+                    key[0], np.array(at), tuple(kind for kind, _ in keys[0]),
                     np.array([[i for _, i in k] for k in keys]).T,
-                    cls.stack(fs), *stack_noises([f.noise for f in fs]),
-                ))
-            self._batched = len(self.factors)
+                    key[0].stack(fs), *stack_noises([f.noise for f in fs]),
+                )
+                if key in self._batch_of:
+                    batches[self._batch_of[key]] = batches[self._batch_of[key]].joined(new)
+                else:
+                    self._batch_of[key] = len(batches)
+                    batches.append(new)
+            self._batches, self._batched = batches, len(self.factors)
         return self._batches
 
 
@@ -292,10 +324,14 @@ class SolveReport:
 
 def _place(graph: FactorGraph, values: GraphValues) -> list[Placed]:
     """Every batch of the graph placed in the layout of these values."""
+    size = _tangent_dim(values) + 1
     out = []
     for batch in graph.batches():
         rows = [values.rows(kind, ids) for kind, ids in zip(batch.variables, batch.ids)]
-        out.append(Placed(batch, rows, _columns(values, batch.variables, rows)))
+        cols = _columns(values, batch.variables, rows)
+        out.append(Placed(
+            batch, rows, (cols[:, :, None] * size + cols[:, None, :]).ravel(), cols.ravel()
+        ))
     return out
 
 
@@ -310,13 +346,18 @@ def cost_breakdown(
     values: GraphValues,
     active: np.ndarray | None = None,
     placed: list[Placed] | None = None,
+    kept: list | None = None,
 ) -> dict[str, float]:
     """Robustified cost per factor kind; skipped residuals contribute nothing.
 
     When given, ``active`` (bool, one entry per factor in graph order) is set
     to the factors that were scored: a bbox factor whose projection is
     invalid is not. ``placed`` is the graph's ``_place`` in the layout of
-    these values, computed here when not given.
+    these values, computed here when not given. When ``kept`` (a list) is
+    given, the pass calls each kind's ``jacobians`` rather than its
+    ``residuals`` and appends per placed batch the whitened residuals e, the
+    IRLS weights w and the Jacobians J, e and J zero in unscored rows: what
+    ``_normal_equations`` builds H, g from.
     """
     costs = np.zeros(len(graph))
     scored = np.zeros(len(graph), dtype=bool)
@@ -324,9 +365,15 @@ def cost_breakdown(
     kinds: dict[str, int] = {}
     for p in _place(graph, values) if placed is None else placed:
         batch = p.batch
-        r, valid = batch.cls.residuals(batch.inputs, *_stacked(values, p))
+        if kept is None:
+            r, valid = batch.cls.residuals(batch.inputs, *_stacked(values, p))
+        else:
+            r, J, valid = batch.cls.jacobians(batch.inputs, *_stacked(values, p))
+            J[~valid] = 0.0
         r[~valid] = 0.0
-        costs[batch.at] = robust_whiten(batch.sqrt_info, batch.huber, r)[1]
+        e, costs[batch.at], w = robust_whiten(batch.sqrt_info, batch.huber, r)
+        if kept is not None:
+            kept.append((e, w, J))
         scored[batch.at] = valid
         kind_of[batch.at] = kinds.setdefault(batch.cls.kind, len(kinds))
     if active is not None:
@@ -366,51 +413,35 @@ def _columns(values: GraphValues, kinds: tuple[str, ...], rows: list[np.ndarray]
     return np.concatenate(out, axis=1)
 
 
-def _linearize(
-    graph: FactorGraph, values: GraphValues, placed: list[Placed] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense normal equations H, g of the robust-weighted linearization, over
-    the factors ``cost_breakdown`` scores. ``placed`` is as there."""
-    n = _tangent_dim(values)
-    # Per batch: the H columns (k, c), J^T J (k, c, c) and J^T r (k, c) of
-    # the whitened, robust-weighted Jacobian.
-    stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for p in _place(graph, values) if placed is None else placed:
-        batch = p.batch
-        r, J, valid = batch.cls.jacobians(batch.inputs, *_stacked(values, p))
-        if not valid.any():
-            continue
-        stacks.append((p.cols[valid], *_normal_blocks(
-            batch.sqrt_info[valid], batch.huber[valid], r[valid], J[valid]
-        )))
+def _linearize(graph: FactorGraph, values: GraphValues) -> tuple[np.ndarray, np.ndarray]:
+    """Dense normal equations H, g of the robust-weighted linearization at
+    these values, from scratch: one scoring pass that keeps its Jacobians."""
+    placed, kept = _place(graph, values), []
+    cost_breakdown(graph, values, placed=placed, kept=kept)
+    return _normal_equations(placed, kept, _tangent_dim(values))
 
-    if not stacks:
+
+def _normal_equations(
+    placed: list[Placed], kept: list, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """H (n, n) and g (n,) from the e, w, J a scoring pass kept: every
+    factor's J^T J and J^T r of its whitened, robust-weighted Jacobian w S J,
+    scattered with one ``bincount`` each. An unscored row adds +0.0, which
+    leaves every sum as it is. The anchored pose's spare row and column n
+    are cut off at the end."""
+    if not placed:
         return np.zeros((n, n)), np.zeros(n)
-    # One scatter-add for all factors. The anchored pose's columns go to a
-    # spare row and column n, cut off at the end.
+    JtJ, Jtr = [], []
+    for p, (e, w, J) in zip(placed, kept):
+        wJt = np.swapaxes(w[:, None, None] * (p.batch.sqrt_info @ J), 1, 2)
+        JtJ.append((wJt @ np.swapaxes(wJt, 1, 2)).ravel())
+        Jtr.append((wJt @ (w[:, None] * e)[:, :, None]).ravel())
     size = n + 1
     H = np.bincount(
-        np.concatenate([(c[:, :, None] * size + c[:, None, :]).ravel() for c, _, _ in stacks]),
-        np.concatenate([JtJ.ravel() for _, JtJ, _ in stacks]),
-        minlength=size * size,
+        np.concatenate([p.h_at for p in placed]), np.concatenate(JtJ), minlength=size * size
     )
-    g = np.bincount(
-        np.concatenate([c.ravel() for c, _, _ in stacks]),
-        np.concatenate([Jtr.ravel() for _, _, Jtr in stacks]),
-        minlength=size,
-    )
+    g = np.bincount(np.concatenate([p.g_at for p in placed]), np.concatenate(Jtr), minlength=size)
     return H.reshape(size, size)[:n, :n], g[:n]
-
-
-def _normal_blocks(
-    S: np.ndarray, delta: np.ndarray, r: np.ndarray, J: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """J^T J (k, c, c) and J^T r (k, c) of k factors' whitened, robust-weighted
-    residuals (k, d) and Jacobians (k, d, c), under their noise models'
-    ``stack_noises`` S, delta."""
-    e, _, w = robust_whiten(S, delta, r)
-    wJt = np.swapaxes(w[:, None, None] * (S @ J), 1, 2)
-    return wJt @ np.swapaxes(wJt, 1, 2), (wJt @ (w[:, None] * e)[:, :, None])[:, :, 0]
 
 
 def _apply_step(values: GraphValues, delta: np.ndarray) -> GraphValues:
@@ -428,7 +459,9 @@ def _lm_solve(
     current = values.copy()
     placed = _place(graph, current)
     active = np.empty(len(graph), dtype=bool)
-    breakdown = cost_breakdown(graph, current, active, placed)
+    # Each point is scored once, keeping what H, g are built from there.
+    kept: list = []
+    breakdown = cost_breakdown(graph, current, active, placed, kept)
     cost = float(sum(breakdown.values()))
     initial_cost = cost
     n = _tangent_dim(current)
@@ -439,7 +472,7 @@ def _lm_solve(
     stalled = False
 
     while not converged and not stalled and accepted < max_accepted:
-        H, g = _linearize(graph, current, placed)
+        H, g = _normal_equations(placed, kept, n)
         while True:
             delta = None
             try:
@@ -450,30 +483,27 @@ def _lm_solve(
             if delta is not None and np.all(np.isfinite(delta)):
                 candidate = _apply_step(current, delta)
                 trial_active = np.empty(len(graph), dtype=bool)
-                trial_breakdown = cost_breakdown(graph, candidate, trial_active, placed)
+                trial_kept: list = []
+                trial_breakdown = cost_breakdown(
+                    graph, candidate, trial_active, placed, trial_kept
+                )
                 new_cost = float(sum(trial_breakdown.values()))
                 # A step that deactivates a scored factor lowers the cost by
                 # dropping its term, not by fitting it: reject it outright.
-                keeps_active = not np.any(active & ~trial_active)
-                if keeps_active and np.isfinite(new_cost) and new_cost <= cost:
-                    decrease = cost - new_cost
-                    if decrease <= cfg.convergence_rel_decrease * max(cost, _COST_FLOOR):
+                if not np.any(active & ~trial_active) and np.isfinite(new_cost):
+                    if abs(new_cost - cost) <= cfg.convergence_rel_decrease * max(
+                        cost, _COST_FLOOR
+                    ):
+                        # The step changes the cost by a negligible amount,
+                        # roundoff included: converge without moving.
                         converged = True
-                    current, cost, active = candidate, new_cost, trial_active
-                    breakdown = trial_breakdown
-                    accepted += 1
-                    damping = max(damping / cfg.damping_down, _MIN_DAMPING)
-                    break
-                if (
-                    keeps_active
-                    and np.isfinite(new_cost)
-                    and abs(new_cost - cost)
-                    <= cfg.convergence_rel_decrease * max(cost, _COST_FLOOR)
-                ):
-                    # The best available step changes the cost by a negligible
-                    # amount: terminate without moving.
-                    converged = True
-                    break
+                        break
+                    if new_cost < cost:
+                        current, cost, active = candidate, new_cost, trial_active
+                        breakdown, kept = trial_breakdown, trial_kept
+                        accepted += 1
+                        damping = max(damping / cfg.damping_down, _MIN_DAMPING)
+                        break
             damping *= cfg.damping_up
             if damping > cfg.max_damping:
                 if accepted == 0:
