@@ -22,12 +22,13 @@ one batched Jacobian function from ``factors`` and keeps the whitened
 residuals, IRLS weights and Jacobians it scored with. After an accepted step
 ``H`` and ``g`` are built from what that pass kept, every local ``J^T J``
 and ``J^T r`` with one ``bincount``; a row invalid at the point enters with
-zero residual and Jacobian. ``factors.robust_whiten`` applies the noise
-models and the Huber cost. A trial step that makes a scored factor invalid
-(a landmark pushed behind a camera, say) would lower the cost only by
-dropping that factor's term, so LM rejects it like a cost increase. A trial
-that changes the cost by a negligible amount, roundoff included, ends the
-solve without moving.
+zero residual and Jacobian. The trials of a solve's last budgeted step are
+scored with each kind's ``residuals`` only, since no step is built from
+them. ``factors.robust_whiten`` applies the noise models and the Huber
+cost. A trial step that makes a scored factor invalid (a landmark pushed
+behind a camera, say) would lower the cost only by dropping that factor's
+term, so LM rejects it like a cost increase. A trial that changes the cost
+by a negligible amount, roundoff included, ends the solve without moving.
 
 Incremental mode is the same solver warm-started from the current values
 with a small iteration budget per keyframe; it relinearizes the whole
@@ -483,7 +484,8 @@ def _lm_solve(
             if delta is not None and np.all(np.isfinite(delta)):
                 candidate = _apply_step(current, delta)
                 trial_active = np.empty(len(graph), dtype=bool)
-                trial_kept: list = []
+                # The budget's last step is never linearized: no Jacobians.
+                trial_kept = [] if accepted + 1 < max_accepted else None
                 trial_breakdown = cost_breakdown(
                     graph, candidate, trial_active, placed, trial_kept
                 )

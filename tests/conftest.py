@@ -1,9 +1,18 @@
+"""Shared fixtures. Importing this file pins BLAS to one thread before
+numpy loads: the solver's dense systems are small, and on a shared machine
+extra BLAS threads only contend with each other."""
+
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from objslam.geometry import CameraIntrinsics, Pose, Quadric, so3_exp
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from objslam.geometry import CameraIntrinsics, Pose, Quadric, so3_exp  # noqa: E402
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

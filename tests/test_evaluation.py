@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from objslam import evaluation
 from objslam.evaluation import (
     EvalReport,
     LengthMismatch,
@@ -15,9 +16,10 @@ from objslam.evaluation import (
     size_error,
     write_iou_series_csv,
 )
-from objslam.geometry import Pose, Quadric, compose
+from objslam.geometry import Pose, Quadric, compose, so3_exp
 
 from conftest import random_pose, random_quadric, random_rotation
+from iou_oracle import hull_box_iou
 
 
 def box_corners(q: Quadric) -> np.ndarray:
@@ -109,6 +111,21 @@ def offset_yawed_cubes(side: float, center) -> tuple[Quadric, Quadric]:
     )
 
 
+def crossing_yawed_cubes(
+    half: float, center, offset: float, yaw: float
+) -> tuple[Quadric, Quadric]:
+    """Two cubes, the second moved `offset` along x and turned `yaw` about z.
+    For a small yaw their y faces are almost parallel and cross inside the
+    intersection, so each box bounds part of it on that side."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    Rz = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    center = np.asarray(center, dtype=np.float64)
+    return (
+        Quadric(np.eye(3), center, np.full(3, half)),
+        Quadric(Rz, center + [offset, 0, 0], np.full(3, half)),
+    )
+
+
 class TestBoxIoU3D:
     def test_identical(self, rng):
         for _ in range(5):
@@ -189,11 +206,80 @@ class TestBoxIoU3D:
                          id="near-parallel-semi-axis-floor"),
             pytest.param(*offset_yawed_cubes(1.0, [100, 50, 0]), 1.0 / 3.0,
                          id="near-parallel-far-from-origin"),
+            pytest.param(*crossing_yawed_cubes(0.5, [0, 0, 0], 0.2, 2e-9), 2.0 / 3.0,
+                         id="near-parallel-crossing"),
+            # The hull oracle keeps vertices up to 1e-9 of the largest plane
+            # offset outside a face, which far from the origin is large
+            # against these boxes; it scores the same pair moved there.
+            pytest.param(*crossing_yawed_cubes(1e-4, [100, 50, 0], 4e-5, 1.3e-3),
+                         hull_box_iou(*crossing_yawed_cubes(1e-4, [0, 0, 0], 4e-5, 1.3e-3)),
+                         id="near-parallel-crossing-small-far-1.3e-3"),
+            pytest.param(*crossing_yawed_cubes(1e-4, [100, 50, 0], 4e-5, 1e-3),
+                         hull_box_iou(*crossing_yawed_cubes(1e-4, [0, 0, 0], 4e-5, 1e-3)),
+                         id="near-parallel-crossing-small-far-1e-3"),
         ],
     )
     def test_degenerate_contacts(self, a, b, expected):
         assert box_iou_3d(a, b) == pytest.approx(expected, abs=1e-9)
         assert box_iou_3d(b, a) == pytest.approx(expected, abs=1e-9)
+
+    def test_coincident_faces_of_turned_boxes(self, rng):
+        # In a turned frame, faces that coincide do so up to roundoff: they
+        # must neither be cut at roundoff-placed points nor count twice.
+        n = 2000
+        boxes = [random_box(rng) for _ in range(n)]
+        keep, axis = rng.uniform(0.1, 1.0, size=n), rng.integers(3, size=n)
+        flush = []
+        for box, f, k in zip(boxes, keep, axis):
+            s = box.s.copy()
+            s[k] *= f
+            flush.append(Quadric(box.rotation, box.t + box.rotation[:, k] * (box.s[k] - s[k]), s))
+        np.testing.assert_allclose(box_iou_3d(boxes, boxes), 1.0, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(box_iou_3d(boxes, flush), keep, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(box_iou_3d(flush, boxes), keep, rtol=0.0, atol=1e-9)
+
+
+def yawed_twin(rng: np.random.Generator, box: Quadric) -> Quadric:
+    """The box turned by at most 1e-3 rad about the vertical, its center
+    and half extents moved by about 1 %."""
+    yaw = so3_exp(np.array([0.0, 0.0, rng.uniform(-1e-3, 1e-3)]))
+    return Quadric(yaw @ box.rotation, box.t + rng.normal(0.0, 0.01, size=3),
+                   box.s * rng.uniform(0.99, 1.01, size=3))
+
+
+class TestBatchedIoU:
+    """One batched call against the per-pair convex-hull oracle."""
+
+    def test_random_pairs_match_hull_oracle(self):
+        rng = np.random.default_rng(2024)
+        a = [random_box(rng) for _ in range(2000)]
+        b = [random_box(rng) for _ in range(2000)]
+        batched = box_iou_3d(a, b)
+        oracle = np.array([hull_box_iou(x, y) for x, y in zip(a, b)])
+        assert np.count_nonzero(oracle) > 1000
+        np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=1e-12)
+
+    def test_near_identical_pairs_match_hull_oracle(self):
+        rng = np.random.default_rng(2025)
+        a = [random_box(rng) for _ in range(2000)]
+        b = [yawed_twin(rng, box) for box in a]
+        batched = box_iou_3d(a, b)
+        oracle = np.array([hull_box_iou(x, y) for x, y in zip(a, b)])
+        assert oracle.min() > 0.5
+        np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, evaluation._IOU_BLOCK, evaluation._IOU_BLOCK + 1])
+    def test_block_boundaries_equal_one_pair_calls(self, n):
+        rng = np.random.default_rng(n)
+        a = [random_box(rng) for _ in range(n)]
+        b = [yawed_twin(rng, box) if i % 2 else random_box(rng) for i, box in enumerate(a)]
+        batched = box_iou_3d(a, b)
+        assert batched.shape == (n,)
+        np.testing.assert_array_equal(batched, [box_iou_3d(x, y) for x, y in zip(a, b)])
+
+    def test_unequal_lengths_rejected(self, rng):
+        with pytest.raises(ValueError):
+            box_iou_3d([random_box(rng)], [])
 
 
 class TestScalarErrors:

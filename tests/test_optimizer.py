@@ -830,9 +830,22 @@ class TestScoredOnce:
                             counting(factors.project_bbox_batch, "project"))
         monkeypatch.setattr(optimizer, "cost_breakdown",
                             counting(optimizer.cost_breakdown, "cost_breakdown"))
-        _, report = solve_incremental(graph, values)
-        assert report.iterations > 0
-        assert calls["jacobians"] == calls["project"] == calls["cost_breakdown"] > 1
+        normal_equations = optimizer._normal_equations
+
+        def last_build(*args):
+            calls["at_last_build"] = calls["cost_breakdown"]
+            return normal_equations(*args)
+
+        monkeypatch.setattr(optimizer, "_normal_equations", last_build)
+        cfg = SolverConfig()
+        _, report = solve_incremental(graph, values, cfg)
+        # The solve spends its budget, so the passes after the last H, g
+        # are the trials of its last step, which need no Jacobians.
+        assert report.iterations == cfg.incremental_iters_per_keyframe
+        last_step = calls["cost_breakdown"] - calls["at_last_build"]
+        assert last_step >= 1
+        assert calls["project"] == calls["cost_breakdown"] > 1
+        assert calls["jacobians"] == calls["cost_breakdown"] - last_step
 
     def test_solver_normal_equations_are_the_linearization(self, camera, monkeypatch):
         # The point after k accepted steps is solve_batch's estimate with a
