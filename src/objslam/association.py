@@ -95,11 +95,15 @@ class EmbeddingTable:
 
     @staticmethod
     def load(path: str | Path) -> "EmbeddingTable":
+        """One ``token v1 ... vd`` row per line, split on whitespace. A first
+        line of exactly two integers is word2vec's ``count dim`` header and is
+        skipped."""
         vectors: dict[str, np.ndarray] = {}
         with open(path) as f:
             for line_no, line in enumerate(f, start=1):
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) < 2:
+                parts = line.split()
+                header = line_no == 1 and len(parts) == 2 and all(p.isdigit() for p in parts)
+                if len(parts) < 2 or header:
                     continue
                 try:
                     vec = np.array([float(x) for x in parts[1:]])

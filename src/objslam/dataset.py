@@ -17,6 +17,7 @@ record whose values have the wrong type or range raises it too.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,8 +67,8 @@ class Detection:
             raise ValueError("detection label must be non-empty")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
-        if self.center_depth is not None and self.center_depth <= 0.0:
-            raise ValueError(f"center depth must be positive, got {self.center_depth}")
+        if self.center_depth is not None and not 0.0 < self.center_depth < math.inf:
+            raise ValueError(f"center depth must be finite and positive, got {self.center_depth}")
 
 
 @dataclass(frozen=True)

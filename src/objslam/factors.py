@@ -34,7 +34,7 @@ envelope by the chain rule. Central differences live only in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,64 +57,45 @@ VariableKey = tuple[str, int]
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gaussian noise with optional Huber robustification.
+    """Diagonal Gaussian noise with an optional Huber threshold.
 
-    ``huber_width`` is expressed in residual units and requires an isotropic
-    diagonal covariance so the whitened threshold is well defined.
+    ``variances`` (d,) are the residual components' variances, so the
+    square-root information is the vector ``1 / sqrt(variances)`` and
+    whitening scales each component. ``huber`` is the threshold on the
+    whitened residual norm, in standard deviations; ``threshold`` holds it,
+    inf for a model without one.
     """
 
-    covariance: np.ndarray
-    huber_width: float | None = None
+    variances: np.ndarray
+    huber: InitVar[float | None] = None
+    threshold: float = field(init=False)
     sqrt_information: np.ndarray = field(init=False, repr=False, compare=False)
-    _threshold: float | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        cov = np.array(self.covariance, dtype=np.float64)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError(f"covariance must be square, got {cov.shape}")
-        if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
-            raise ValueError("covariance must be symmetric")
-        try:
-            L = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance must be positive definite") from exc
-        if self.huber_width is not None:
-            diag = np.diag(cov)
-            if self.huber_width <= 0.0:
-                raise ValueError("huber width must be positive")
-            if np.abs(cov - np.diag(diag)).max() > 1e-12 or np.ptp(diag) > 1e-12:
-                raise ValueError("huber width requires isotropic diagonal covariance")
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
-        sqrt_info = np.linalg.inv(L).copy()
+    def __post_init__(self, huber: float | None) -> None:
+        v = np.array(self.variances, dtype=np.float64)
+        if v.ndim != 1 or not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ValueError(f"variances must be a vector of finite positive values, got {v}")
+        if huber is not None and not huber > 0.0:
+            raise ValueError(f"huber threshold must be positive, got {huber}")
+        sqrt_info = 1.0 / np.sqrt(v)
+        v.setflags(write=False)
         sqrt_info.setflags(write=False)
+        object.__setattr__(self, "variances", v)
+        object.__setattr__(self, "threshold", np.inf if huber is None else float(huber))
         object.__setattr__(self, "sqrt_information", sqrt_info)
-        threshold = None
-        if self.huber_width is not None:
-            threshold = self.huber_width / float(np.sqrt(cov[0, 0]))
-        object.__setattr__(self, "_threshold", threshold)
 
     @staticmethod
-    def isotropic(dim: int, sigma: float, huber_width: float | None = None) -> "NoiseModel":
-        return NoiseModel(np.eye(dim) * sigma * sigma, huber_width)
-
-    @staticmethod
-    def diagonal(variances: np.ndarray, huber_width: float | None = None) -> "NoiseModel":
-        return NoiseModel(np.diag(np.asarray(variances, dtype=np.float64)), huber_width)
-
-    def whitened_huber_threshold(self) -> float | None:
-        return self._threshold
+    def isotropic(dim: int, sigma: float, huber: float | None = None) -> "NoiseModel":
+        return NoiseModel(np.full(dim, sigma * sigma), huber)
 
 
 def stack_noises(noises: Sequence[NoiseModel]) -> tuple[np.ndarray, np.ndarray]:
-    """The square-root information matrices (k, d, d) and whitened Huber
-    thresholds (k,) of k noise models of one dimension, the threshold inf
-    for a model without a Huber width: the constants :func:`robust_whiten`
-    applies."""
-    thresholds = [nm.whitened_huber_threshold() for nm in noises]
+    """The square-root information rows (k, d) and whitened Huber thresholds
+    (k,) of k noise models of one dimension: the constants
+    :func:`robust_whiten` applies."""
     return (
         np.array([nm.sqrt_information for nm in noises]),
-        np.array([np.inf if t is None else t for t in thresholds]),
+        np.array([nm.threshold for nm in noises]),
     )
 
 
@@ -126,12 +107,13 @@ def robust_whiten(
 
     ``r`` stacks m residuals of one dimension; ``S`` and ``delta`` are their
     noise models' :func:`stack_noises`. Returns the whitened residuals
-    e = S r (m, d), the Huber costs (m,): |e|^2 up to the whitened threshold
-    delta and 2 delta |e| - delta^2 past it, and the square roots of the IRLS
-    weights (m,): 1 up to delta and sqrt(delta / |e|) past it. Models without
-    a Huber width (delta inf) keep the quadratic cost and unit weight.
+    e = S r (m, d), row by row, the Huber costs (m,): |e|^2 up to the
+    whitened threshold delta and 2 delta |e| - delta^2 past it, and the
+    square roots of the IRLS weights (m,): 1 up to delta and
+    sqrt(delta / |e|) past it. Models without a Huber threshold (delta inf)
+    keep the quadratic cost and unit weight.
     """
-    e = (S @ r[:, :, None])[:, :, 0]
+    e = S * r
     cost = np.einsum("ij,ij->i", e, e)
     norm = np.sqrt(cost)
     clipped = norm > delta

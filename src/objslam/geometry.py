@@ -306,6 +306,7 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
 

@@ -11,8 +11,8 @@ manifold: dense normal equations, an additive damping schedule, and one
 constant in every solve, which fixes the gauge.
 
 ``FactorGraph.batches`` stacks the factors per kind (bbox factors per
-camera), with their noise models' square-root information matrices and
-Huber thresholds; it stacks only the factors added since its last call and
+camera), with their noise models' square-root information rows and Huber
+thresholds; it stacks only the factors added since its last call and
 joins them onto their batch. A solve places each batch in the values'
 layout once (``_place``: the rows of its variables and the flat ``bincount``
 indices of its entries in ``H`` and ``g``), since a solve never adds a
@@ -75,7 +75,7 @@ from .priors import (
     PriorRecord,
     PriorTable,
     orientation_prior_frame,
-    prior_covariances,
+    prior_variances,
     size_prior_estimate,
 )
 
@@ -169,7 +169,7 @@ class Batch(NamedTuple):
     variables: tuple[str, ...]  # kind of each variable slot
     ids: np.ndarray  # (slots, k) variable ids
     inputs: tuple  # the kind's stack of constant inputs
-    sqrt_info: np.ndarray  # (k, d, d) and
+    sqrt_info: np.ndarray  # (k, d) and
     huber: np.ndarray  # (k,): the noise models' stack_noises
 
     def joined(self, more: "Batch") -> "Batch":
@@ -295,14 +295,10 @@ class NoiseConfig:
             raise ValueError("huber multiplier must be positive")
 
     def bbox_noise(self) -> NoiseModel:
-        return NoiseModel.isotropic(
-            4, self.bbox_sigma_px, self.bbox_huber_multiplier * self.bbox_sigma_px
-        )
+        return NoiseModel.isotropic(4, self.bbox_sigma_px, self.bbox_huber_multiplier)
 
     def odom_noise(self) -> NoiseModel:
-        return NoiseModel.diagonal(
-            np.array([self.odom_sigma_rot**2] * 3 + [self.odom_sigma_trans**2] * 3)
-        )
+        return NoiseModel(np.array([self.odom_sigma_rot**2] * 3 + [self.odom_sigma_trans**2] * 3))
 
 
 @dataclass(frozen=True)
@@ -386,10 +382,6 @@ def cost_breakdown(
     return {names[k]: float(sums[k]) for k in present[np.argsort(first)]}
 
 
-def total_cost(graph: FactorGraph, values: GraphValues) -> float:
-    return float(sum(cost_breakdown(graph, values).values()))
-
-
 def _anchored(values: GraphValues) -> int:
     """Rows before the first free one: the lowest-id pose, if any."""
     return min(len(values.pose_ids), 1)
@@ -414,14 +406,6 @@ def _columns(values: GraphValues, kinds: tuple[str, ...], rows: list[np.ndarray]
     return np.concatenate(out, axis=1)
 
 
-def _linearize(graph: FactorGraph, values: GraphValues) -> tuple[np.ndarray, np.ndarray]:
-    """Dense normal equations H, g of the robust-weighted linearization at
-    these values, from scratch: one scoring pass that keeps its Jacobians."""
-    placed, kept = _place(graph, values), []
-    cost_breakdown(graph, values, placed=placed, kept=kept)
-    return _normal_equations(placed, kept, _tangent_dim(values))
-
-
 def _normal_equations(
     placed: list[Placed], kept: list, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -434,7 +418,7 @@ def _normal_equations(
         return np.zeros((n, n)), np.zeros(n)
     JtJ, Jtr = [], []
     for p, (e, w, J) in zip(placed, kept):
-        wJt = np.swapaxes(w[:, None, None] * (p.batch.sqrt_info @ J), 1, 2)
+        wJt = np.swapaxes(w[:, None, None] * (p.batch.sqrt_info[:, :, None] * J), 1, 2)
         JtJ.append((wJt @ np.swapaxes(wJt, 1, 2)).ravel())
         Jtr.append((wJt @ (w[:, None] * e)[:, :, None]).ravel())
     size = n + 1
@@ -633,20 +617,16 @@ def add_keyframe(
         graph.add(BBoxFactor(pose_id, next_id, det.bbox, K, bbox_noise, image_size))
         if record is not None:
             s_hat = size_prior_estimate(record, q0.s, det.confidence)
-            sigma_r, sigma_t, sigma_s = prior_covariances(s_hat, prior)
+            var_r, var_t, var_s = prior_variances(s_hat, prior)
             if flags.size_prior:
-                graph.add(SizePriorFactor(next_id, s_hat, NoiseModel(sigma_s)))
+                graph.add(SizePriorFactor(next_id, s_hat, NoiseModel(var_s)))
             if flags.orientation_prior:
                 # initialize_landmark already adopted orientation_prior_frame,
                 # whose local z is gravity and carries the loose yaw variance
                 # kz, so the target is the initial rotation itself.
-                graph.add(
-                    OrientationPriorFactor(
-                        next_id, q0.rotation, NoiseModel(sigma_r)
-                    )
-                )
+                graph.add(OrientationPriorFactor(next_id, q0.rotation, NoiseModel(var_r)))
             if flags.centroid_factor:
-                graph.add(CentroidPriorFactor(next_id, q0.t, NoiseModel(sigma_t)))
+                graph.add(CentroidPriorFactor(next_id, q0.t, NoiseModel(var_t)))
         mapping[det_idx] = next_id
         next_id += 1
     return mapping

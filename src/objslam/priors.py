@@ -11,7 +11,7 @@ unary factors on each landmark:
 - orientation target: the landmark's frame from :func:`orientation_prior_frame`,
   whose local z is the world vertical and takes the extent the class puts
   upright, and whose local x keeps the heading of the initial rotation;
-- covariances scaled so roll/pitch (local x, y) are trusted, yaw about
+- variances scaled so roll/pitch (local x, y) are trusted, yaw about
   local z (gravity) is nearly free, and translation/size uncertainty grows
   with object size.
 
@@ -133,7 +133,7 @@ class PriorTable:
 
 @dataclass(frozen=True)
 class PriorConfig:
-    """Scales for prior covariances.
+    """Scales for prior variances.
 
     Roll/pitch deviations kx, ky must lie in (0, pi/16); yaw deviation kz in
     (pi/2, pi) so the heading stays effectively unconstrained; translation
@@ -378,9 +378,9 @@ def orientation_prior_frame(
     the world vertical and carries the class's designated extent (vertical
     objects stand up even if the single view says otherwise), and local x is
     the heading, taken from the horizontal projection of the corresponding
-    blob axis. This matters because the orientation covariance of
-    :func:`prior_covariances` is broad only in its z component (heading about
-    gravity, variance ``kz``); if the vertical landed on a tight local axis
+    blob axis. This matters because the orientation variances of
+    :func:`prior_variances` are broad only in the z component (heading about
+    gravity, deviation ``kz``); if the vertical landed on a tight local axis
     the prior would fight the data over yaw.
     """
     w_z = np.array([0.0, 0.0, 1.0])
@@ -411,14 +411,13 @@ def orientation_prior_frame(
     return frame, np.array([s[k_x], s[k_y], s[k_v]])
 
 
-def prior_covariances(
+def prior_variances(
     s_hat: np.ndarray, config: PriorConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rotation, translation, size) prior covariances for a size target."""
+    """(rotation, translation, size) prior variances (3,) each for a size
+    target."""
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s_hat.shape != (3,) or np.any(s_hat <= 0.0):
         raise ValueError(f"size target must be 3 positive values, got {s_hat}")
-    sigma_r = np.diag([config.kx**2, config.ky**2, config.kz**2])
-    sigma_t = config.kt**2 * np.diag(s_hat**2)
-    sigma_s = config.ks**2 * np.diag(s_hat**2)
-    return sigma_r, sigma_t, sigma_s
+    var_r = np.array([config.kx**2, config.ky**2, config.kz**2])
+    return var_r, config.kt**2 * s_hat**2, config.ks**2 * s_hat**2

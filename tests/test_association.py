@@ -158,6 +158,24 @@ class TestEmbeddings:
         assert len(table.vectors) == 20
         assert table.vectors["mug"].shape == (50,)
 
+    def test_load_word2vec_header_and_trailing_spaces(self, tmp_path):
+        # word2vec.c writes a "<count> <dim>" first line and a space after
+        # each row's last value.
+        rows = FIXTURE.read_text().splitlines()
+        path = tmp_path / "w2v.txt"
+        path.write_text(f"{len(rows)} 50\n" + "".join(row + " \n" for row in rows))
+        table, glove = EmbeddingTable.load(path), EmbeddingTable.load(FIXTURE)
+        assert table.vectors.keys() == glove.vectors.keys()
+        for token, vec in glove.vectors.items():
+            np.testing.assert_array_equal(table.vectors[token], vec)
+
+    def test_load_splits_rows_on_whitespace(self, tmp_path):
+        path = tmp_path / "tabs.txt"
+        path.write_text("mug\t1.0  2.0 \r\ncup 1.5\t2.5\n\n")
+        table = EmbeddingTable.load(path)
+        np.testing.assert_array_equal(table.vectors["mug"], [1.0, 2.0])
+        np.testing.assert_array_equal(table.vectors["cup"], [1.5, 2.5])
+
     def test_semantic_indicator_groups(self):
         table = EmbeddingTable.load(FIXTURE)
         assert semantic_indicator("monitor", "tv", table, 4.0) == 1.0

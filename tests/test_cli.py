@@ -89,6 +89,25 @@ class TestExitCodes:
         assert code == 1
         assert "odometry.jsonl:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file_name", ["frames.jsonl", "header.json"])
+    def test_non_finite_number_in_dataset_is_validation_error(self, tmp_path, capsys, file_name):
+        ds = _simulate(tmp_path, capsys)
+        path = ds / file_name
+        if file_name == "header.json":
+            text = path.read_text()
+            path.write_text(text.replace('"fx": 500.0', '"fx": NaN'))
+        else:
+            lines = path.read_text().splitlines()
+            record = json.loads(lines[0])
+            record["detections"][0]["center_depth"] = float("nan")
+            lines[0] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n")
+        assert "NaN" in path.read_text()
+        code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out")])
+        assert code == 1
+        assert file_name in capsys.readouterr().err
+        assert not (tmp_path / "out" / "map.json").exists()
+
     def test_malformed_map_is_validation_error(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys)
         out = tmp_path / "out"

@@ -281,12 +281,13 @@ class TestFactorPolicy:
         assert graph.counts_by_kind() == {"bbox": 4, "size_prior": 2, "odometry": 1}
         for f in graph:
             if f.kind == "bbox":
-                np.testing.assert_array_equal(f.noise.covariance, 9.0 * np.eye(4))
-                assert f.noise.huber_width == 4.5
+                np.testing.assert_array_equal(f.noise.variances, [9.0] * 4)
+                assert f.noise.threshold == cfg.noise.bbox_huber_multiplier == 1.5
         (odom,) = [f for f in graph if f.kind == "odometry"]
         np.testing.assert_allclose(
-            np.diag(odom.noise.covariance), [4e-4] * 3 + [2.5e-3] * 3, rtol=1e-15
+            odom.noise.variances, [4e-4] * 3 + [2.5e-3] * 3, rtol=1e-15
         )
+        assert odom.noise.threshold == np.inf
 
     def test_image_size_optional(self, camera):
         cfg = build_run_config({"flags": {"centroid_factor": False}})
@@ -300,7 +301,7 @@ class TestFactorPolicy:
         orient = [f for f in graph if f.kind == "orientation_prior"]
         assert len(orient) == 2
         for f in orient:
-            assert f.noise.covariance[2, 2] == 4.0
+            assert f.noise.variances[2] == 4.0
 
     def test_paths_defaults(self):
         p = Paths()

@@ -153,8 +153,41 @@ class TestValidation:
             Detection(BoundingBox2D(0, 0, 10, 10), "", confidence=0.5)
 
     def test_detection_rejects_nonpositive_depth(self):
-        with pytest.raises(ValueError):
-            Detection(BoundingBox2D(0, 0, 10, 10), "mug", 0.5, center_depth=0.0)
+        for depth in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                Detection(BoundingBox2D(0, 0, 10, 10), "mug", 0.5, center_depth=depth)
+
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    def test_intrinsics_reject_non_finite(self, field):
+        values = {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0, field: np.nan}
+        with pytest.raises(ValueError, match=field):
+            CameraIntrinsics(**values)
+
+    def test_non_finite_depth_in_file_is_schema_error(self, tmp_path, rng):
+        # Python's json reads the NaN and Infinity literals as floats.
+        write_dataset(make_dataset(rng), tmp_path)
+        frames_path = tmp_path / FRAMES_FILE
+        lines = frames_path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["detections"][0]["center_depth"] = float("nan")
+        lines[1] = json.dumps(record, sort_keys=True)
+        assert "NaN" in lines[1]
+        frames_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as exc:
+            load_dataset(tmp_path)
+        assert f"{FRAMES_FILE}:2:" in str(exc.value)
+        assert "center depth must be finite" in str(exc.value)
+
+    def test_non_finite_intrinsics_in_header_is_schema_error(self, tmp_path, rng):
+        write_dataset(make_dataset(rng), tmp_path)
+        header = json.loads((tmp_path / HEADER_FILE).read_text())
+        header["intrinsics"]["fx"] = float("nan")
+        (tmp_path / HEADER_FILE).write_text(json.dumps(header))
+        assert "NaN" in (tmp_path / HEADER_FILE).read_text()
+        with pytest.raises(SchemaError) as exc:
+            load_dataset(tmp_path)
+        assert HEADER_FILE in str(exc.value)
+        assert "fx must be finite" in str(exc.value)
 
     def test_parse_error_carries_line_number(self, tmp_path, rng):
         ds = make_dataset(rng)

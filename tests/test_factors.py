@@ -384,7 +384,7 @@ def robust_one(noise: NoiseModel, r) -> tuple[np.ndarray, float, float]:
 
 class TestNoiseModel:
     def test_cost_is_mahalanobis(self):
-        noise = NoiseModel.diagonal(np.array([4.0, 9.0]))
+        noise = NoiseModel(np.array([4.0, 9.0]))
         r = np.array([2.0, 3.0])
         assert robust_one(noise, r)[1] == pytest.approx(1.0 + 1.0)
 
@@ -393,8 +393,8 @@ class TestNoiseModel:
         for _ in range(20):
             var = rng.uniform(0.5, 2.0, size=3)
             r = rng.normal(size=3)
-            c1 = robust_one(NoiseModel.diagonal(var), r)[1]
-            c2 = robust_one(NoiseModel.diagonal(2.0 * var), r)[1]
+            c1 = robust_one(NoiseModel(var), r)[1]
+            c2 = robust_one(NoiseModel(2.0 * var), r)[1]
             assert c2 == pytest.approx(0.5 * c1, rel=1e-12)
 
     def test_cost_non_negative(self):
@@ -404,8 +404,7 @@ class TestNoiseModel:
         assert np.all(cost >= 0.0)
 
     def test_huber_linear_tail(self):
-        sigma, width = 10.0, 20.0
-        noise = NoiseModel.isotropic(4, sigma, huber_width=width)
+        noise = NoiseModel.isotropic(4, 10.0, huber=2.0)
         small = np.array([1.0, 0.0, 0.0, 0.0])
         assert robust_one(noise, small)[1] == pytest.approx(0.01)
         big = np.array([100.0, 0.0, 0.0, 0.0])
@@ -415,10 +414,11 @@ class TestNoiseModel:
         assert weight == pytest.approx(np.sqrt(2.0 / 10.0))
 
     def test_mixed_batch_matches_scalar_oracle(self):
-        # Whitened threshold 4 / 2 = 2, exact in binary: the second row sits
-        # on it (quadratic branch), the third just past it (linear branch).
-        huber = NoiseModel.isotropic(4, 2.0, huber_width=4.0)
-        plain = NoiseModel.diagonal(np.array([1.0, 4.0, 9.0, 16.0]))
+        # Whitened threshold 2, a whitened norm of 4 / 2 exact in binary: the
+        # second row sits on it (quadratic branch), the third just past it
+        # (linear branch).
+        huber = NoiseModel.isotropic(4, 2.0, huber=2.0)
+        plain = NoiseModel(np.array([1.0, 4.0, 9.0, 16.0]))
         noises = [plain, huber, huber, plain, huber]
         r = np.array([
             [30.0, -20.0, 10.0, 5.0],
@@ -436,16 +436,39 @@ class TestNoiseModel:
         assert cost[2] > 4.0 and weight[2] < 1.0
         assert weight[0] == weight[3] == 1.0 and cost[0] > 100.0
 
-    def test_huber_requires_isotropic(self):
+    @pytest.mark.parametrize(
+        "variances",
+        [[1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [np.inf, 1.0], 4.0, [[1.0, 0.0], [0.0, 1.0]]],
+        ids=["zero", "negative", "nan", "inf", "scalar", "matrix"],
+    )
+    def test_rejects_invalid_variances(self, variances):
         with pytest.raises(ValueError):
-            NoiseModel.diagonal(np.array([1.0, 2.0]), huber_width=1.0)
+            NoiseModel(np.array(variances))
 
-    def test_rejects_non_spd(self):
+    @pytest.mark.parametrize("huber", [0.0, -1.0, np.nan])
+    def test_rejects_non_positive_huber(self, huber):
         with pytest.raises(ValueError):
-            NoiseModel(np.array([[1.0, 0.0], [0.0, -1.0]]))
+            NoiseModel(np.ones(2), huber)
+
+    def test_fields(self):
+        noise = NoiseModel(np.array([4.0, 25.0]), 1.5)
+        np.testing.assert_array_equal(noise.variances, [4.0, 25.0])
+        np.testing.assert_array_equal(noise.sqrt_information, [0.5, 0.2])
+        assert noise.threshold == 1.5
+        assert NoiseModel(np.ones(2)).threshold == np.inf
+        with pytest.raises(ValueError):
+            noise.variances[0] = 1.0
+        # The square-root information is the full-matrix L^-1's diagonal,
+        # bit for bit.
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            noise = NoiseModel(rng.uniform(1e-6, 1e2, size=6))
+            S = noise_oracle.sqrt_information(noise)
+            np.testing.assert_array_equal(np.diag(S), noise.sqrt_information, strict=True)
+            np.testing.assert_array_equal(S, np.diag(noise.sqrt_information), strict=True)
 
     def test_whiten(self):
-        noise = NoiseModel.diagonal(np.array([4.0, 25.0]))
+        noise = NoiseModel(np.array([4.0, 25.0]))
         np.testing.assert_allclose(robust_one(noise, [2.0, 5.0])[0], [1.0, 1.0])
 
 

@@ -21,7 +21,7 @@ from objslam.priors import (
     generate_prior_table,
     orientation_prior_frame,
     parse_prior_csv,
-    prior_covariances,
+    prior_variances,
     size_prior_estimate,
     write_prior_csv,
 )
@@ -283,16 +283,14 @@ class TestCovariances:
     def test_formulas(self):
         cfg = PriorConfig(kx=np.pi / 32, ky=np.pi / 40, kz=0.6 * np.pi, kt=1.0, ks=1.5)
         s_hat = np.array([0.1, 0.2, 0.3])
-        sig_theta, sig_t, sig_s = prior_covariances(s_hat, cfg)
-        np.testing.assert_allclose(
-            np.diag(sig_theta), [cfg.kx**2, cfg.ky**2, cfg.kz**2]
-        )
-        np.testing.assert_allclose(np.diag(sig_t), [0.01, 0.04, 0.09])
-        np.testing.assert_allclose(np.diag(sig_s), 1.5**2 * np.array([0.01, 0.04, 0.09]))
+        var_theta, var_t, var_s = prior_variances(s_hat, cfg)
+        np.testing.assert_allclose(var_theta, [cfg.kx**2, cfg.ky**2, cfg.kz**2])
+        np.testing.assert_allclose(var_t, [0.01, 0.04, 0.09])
+        np.testing.assert_allclose(var_s, 1.5**2 * np.array([0.01, 0.04, 0.09]))
 
     def test_yaw_variance_dominates(self):
-        sig_theta, _, _ = prior_covariances(np.full(3, 0.2), PriorConfig())
-        assert sig_theta[2, 2] > 64.0 * sig_theta[0, 0]
+        var_theta, _, _ = prior_variances(np.full(3, 0.2), PriorConfig())
+        assert var_theta[2] > 64.0 * var_theta[0]
 
     def test_config_ranges_enforced(self):
         with pytest.raises(ConfigOutOfRange):
@@ -306,7 +304,7 @@ class TestCovariances:
 
     def test_rejects_bad_size_target(self):
         with pytest.raises(ValueError):
-            prior_covariances(np.array([0.1, -0.2, 0.3]), PriorConfig())
+            prior_variances(np.array([0.1, -0.2, 0.3]), PriorConfig())
 
 
 class TestCSVWriting:
