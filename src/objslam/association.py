@@ -95,18 +95,21 @@ class EmbeddingTable:
 
     @staticmethod
     def load(path: str | Path) -> "EmbeddingTable":
-        """One ``token v1 ... vd`` row per line, split on whitespace. A first
-        line of exactly two integers is word2vec's ``count dim`` header and is
-        skipped."""
+        """One ``token v1 ... vd`` row per line, split on whitespace. Blank
+        lines are skipped, and so is a first line of exactly two integers,
+        word2vec's ``count dim`` header. A row without a value, or with one
+        that is not a number, is an error."""
         vectors: dict[str, np.ndarray] = {}
         with open(path) as f:
             for line_no, line in enumerate(f, start=1):
                 parts = line.split()
                 header = line_no == 1 and len(parts) == 2 and all(p.isdigit() for p in parts)
-                if len(parts) < 2 or header:
+                if not parts or header:
                     continue
                 try:
                     vec = np.array([float(x) for x in parts[1:]])
+                    if not len(vec):
+                        raise ValueError("no values")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: bad embedding row") from exc
                 vectors[parts[0]] = vec

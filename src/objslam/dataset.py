@@ -131,6 +131,15 @@ def _require(record: dict, key: str, where: str):
     return record[key]
 
 
+def _integer(record: dict, key: str, where: str) -> int:
+    """The record's field ``key``, which must be a JSON integer: a float such
+    as 0.9 is not truncated and a bool is not taken for 0 or 1."""
+    value = _require(record, key, where)
+    if type(value) is not int:
+        raise SchemaError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 @contextmanager
 def _record(where: str) -> Iterator[None]:
     """Report a TypeError, ValueError or IndexError raised while one record
@@ -212,17 +221,14 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
 
 
 def _frame_from_json(record: dict, where: str) -> Frame:
-    frame_id = _require(record, "frame_id", where)
-    if not isinstance(frame_id, int):
-        raise SchemaError(f"{where}: field 'frame_id' must be an integer")
+    frame_id = _integer(record, "frame_id", where)
     dets = _require(record, "detections", where)
     return Frame(frame_id, tuple(detection_from_json(d, where) for d in dets))
 
 
 def _odometry_from_json(record: dict, where: str) -> OdometryEntry:
-    a = _require(record, "from_frame", where)
-    b = _require(record, "to_frame", where)
-    return OdometryEntry(int(a), int(b), _pose_from_record(record, where))
+    a, b = (_integer(record, key, where) for key in ("from_frame", "to_frame"))
+    return OdometryEntry(a, b, _pose_from_record(record, where))
 
 
 def _gt_object_from_json(record: dict, where: str) -> GroundTruthObject:
@@ -234,12 +240,17 @@ def _gt_object_from_json(record: dict, where: str) -> GroundTruthObject:
 
 
 def _frame_pose_from_json(record: dict, where: str) -> tuple[int, Pose]:
-    return int(_require(record, "frame_id", where)), _pose_from_record(record, where)
+    return _integer(record, "frame_id", where), _pose_from_record(record, where)
 
 
 def _gt_pairs_from_json(record: dict, where: str) -> tuple[int, list[tuple[int, int]]]:
     pairs = _require(record, "pairs", where)
-    return int(_require(record, "frame_id", where)), [(int(p[0]), int(p[1])) for p in pairs]
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise SchemaError(f"{where}: field 'pairs' must hold [detection, object] pairs")
+    named = [{f"pairs[{i}][{k}]": v for k, v in enumerate(p)} for i, p in enumerate(pairs)]
+    return _integer(record, "frame_id", where), [
+        tuple(_integer(pair, key, where) for key in pair) for pair in named
+    ]
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -188,7 +188,7 @@ def match_map_to_gt(
 ) -> MatchResult:
     """Assign estimates to ground truth by minimum total centroid distance,
     rejecting pairs farther apart than `threshold` meters."""
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     n_est, n_gt = len(estimates), len(gt_objects)
     matching: dict[int, int] = {}

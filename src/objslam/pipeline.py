@@ -32,6 +32,7 @@ from .dataset import (
     ParseError,
     SchemaError,
     _frame_pose_from_json,
+    _integer,
     _quaternion,
     _record,
     _require,
@@ -343,7 +344,7 @@ def _entries(doc, key: str, where: str, parse: Callable[[dict, str], T]) -> tupl
 
 def _landmark_from_json(entry: dict, where: str) -> LandmarkEstimate:
     return LandmarkEstimate(
-        int(_require(entry, "id", where)),
+        _integer(entry, "id", where),
         str(_require(entry, "label", where)),
         tuple(_quaternion(entry, where).tolist()),
         tuple(_vector3(entry, "centroid", where).tolist()),
@@ -355,11 +356,11 @@ def _snapshot_landmark_from_json(entry: dict, where: str) -> tuple[int, Quadric]
     rotation = quat_to_matrix(_quaternion(entry, where))
     centroid = _vector3(entry, "centroid", where)
     q = Quadric(rotation, centroid, _vector3(entry, "semi_axes", where))
-    return int(_require(entry, "id", where)), q
+    return _integer(entry, "id", where), q
 
 
 def _snapshot_from_json(entry: dict, where: str) -> tuple[int, tuple[tuple[int, Quadric], ...]]:
-    keyframe_index = int(_require(entry, "keyframe_index", where))
+    keyframe_index = _integer(entry, "keyframe_index", where)
     return keyframe_index, _entries(entry, "landmarks", where, _snapshot_landmark_from_json)
 
 

@@ -155,22 +155,17 @@ class PriorConfig:
             raise ConfigOutOfRange(f"kt, ks must lie in (0.5, 2), got {self.kt}, {self.ks}")
 
 
-def dedupe_labels(labels: list[str]) -> list[str]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for label in labels:
-        if label not in seen:
-            seen.add(label)
-            out.append(label)
-    return out
+def _vocabulary(labels: list[str]) -> list[str]:
+    """The non-blank labels, each once, in order of first appearance."""
+    unique = list(dict.fromkeys(l for l in labels if l.strip()))
+    if not unique:
+        raise EmptyVocabulary("prior generation needs at least one label")
+    return unique
 
 
 def build_prompt(labels: list[str]) -> str:
     """Instruction block followed by one label per line, duplicates removed."""
-    unique = dedupe_labels([l for l in labels if l.strip()])
-    if not unique:
-        raise EmptyVocabulary("prior generation needs at least one label")
-    return PROMPT_TEMPLATE + "\n\n" + "\n".join(unique) + "\n"
+    return PROMPT_TEMPLATE + "\n\n" + "\n".join(_vocabulary(labels)) + "\n"
 
 
 def _strip_code_fences(text: str) -> str:
@@ -300,7 +295,8 @@ class HTTPLLMClient(LLMClient):
 
 class CachedLLMClient(LLMClient):
     """Disk cache in front of another client, keyed by the SHA-256 of the
-    prompt (identical prompt implies identical vocabulary)."""
+    prompt (identical prompt implies identical vocabulary). Only a response
+    ``generate_prior_table`` would accept, one with a parseable row, is kept."""
 
     def __init__(self, inner: LLMClient, cache_dir: str | Path):
         self.inner = inner
@@ -313,7 +309,8 @@ class CachedLLMClient(LLMClient):
         if path.exists():
             return path.read_text()
         response = self.inner.complete(prompt)
-        path.write_text(response)
+        if _parse_rows(response)[0]:
+            path.write_text(response)
         return response
 
 
@@ -326,9 +323,7 @@ def generate_prior_table(
     validation, and labels the response omitted, fall back to a generic
     0.3 m uncertain-orientation record and are flagged.
     """
-    unique = dedupe_labels([l for l in labels if l.strip()])
-    if not unique:
-        raise EmptyVocabulary("prior generation needs at least one label")
+    unique = _vocabulary(labels)
     prompt = build_prompt(unique)
 
     records: list[PriorRecord] = []

@@ -15,13 +15,13 @@ from objslam.optimizer import FactorGraph, GraphValues
 
 def total_cost(graph: FactorGraph, values: GraphValues) -> float:
     """The robustified cost of the whole graph at these values."""
-    return float(sum(optimizer.cost_breakdown(graph, values).values()))
+    return optimizer.cost_breakdown(graph, values).cost
 
 
 def linearize(graph: FactorGraph, values: GraphValues) -> tuple[np.ndarray, np.ndarray]:
     """Dense normal equations H, g of the robust-weighted linearization at
     these values, from scratch: one scoring pass that keeps its Jacobians,
     then the solver's own ``_normal_equations``."""
-    placed, kept = optimizer._place(graph, values), []
-    optimizer.cost_breakdown(graph, values, placed=placed, kept=kept)
-    return optimizer._normal_equations(placed, kept, optimizer._tangent_dim(values))
+    placed = optimizer._place(graph, values)
+    point = optimizer.cost_breakdown(graph, values, placed, jacobians=True)
+    return optimizer._normal_equations(placed, point.kept, optimizer._tangent_dim(values))

@@ -176,6 +176,13 @@ class TestEmbeddings:
         np.testing.assert_array_equal(table.vectors["mug"], [1.0, 2.0])
         np.testing.assert_array_equal(table.vectors["cup"], [1.5, 2.5])
 
+    @pytest.mark.parametrize("row", ["cup", "cup 1.0 x"], ids=["token-only", "non-numeric"])
+    def test_load_rejects_a_bad_row(self, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"mug 1.0 2.0\n\n{row}\n")
+        with pytest.raises(ValueError, match=f"{path}:3: bad embedding row"):
+            EmbeddingTable.load(path)
+
     def test_semantic_indicator_groups(self):
         table = EmbeddingTable.load(FIXTURE)
         assert semantic_indicator("monitor", "tv", table, 4.0) == 1.0

@@ -120,6 +120,16 @@ class TestExitCodes:
         assert code == 1
         assert "map.json trajectory[0]: field 'rotation_quaternion'" in capsys.readouterr().err
 
+    def test_nan_threshold_is_validation_error(self, tmp_path, capsys):
+        ds = _simulate(tmp_path, capsys)
+        out = tmp_path / "out"
+        assert main(["run", "--dataset", str(ds), "-o", str(out), "--set", "mode=batch"]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--map", str(out / "map.json"), "--dataset", str(ds),
+                     "--threshold", "nan"])
+        assert code == 1
+        assert "threshold must be positive, got nan" in capsys.readouterr().err
+
     def test_non_finite_setting_is_validation_error(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys)
         code = main(

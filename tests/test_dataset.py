@@ -22,7 +22,8 @@ from objslam.dataset import (
     load_dataset,
     write_dataset,
 )
-from objslam.geometry import BoundingBox2D, CameraIntrinsics
+from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose, Quadric
+from objslam.pipeline import LandmarkEstimate, MapEstimate, load_map_json, write_map_json
 
 from conftest import random_pose, random_quadric
 
@@ -310,6 +311,62 @@ class TestValidation:
             load_dataset(tmp_path)
         where = file_name if file_name == HEADER_FILE else f"{file_name}:1:"
         assert where in str(exc.value)
+
+
+MAP_FILE = "map.json"
+
+
+def make_map() -> MapEstimate:
+    q = Quadric(np.eye(3), np.array([0.0, 0.0, 2.0]), np.full(3, 0.1))
+    return MapEstimate(
+        (LandmarkEstimate(0, "mug", (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (0.1, 0.1, 0.1)),),
+        ((0, Pose.identity()),),
+        ((0, ((0, q),)),),
+    )
+
+
+INTEGER_FIELDS = [
+    (FRAMES_FILE, ("frame_id",), "frame_id"),
+    (ODOMETRY_FILE, ("from_frame",), "from_frame"),
+    (ODOMETRY_FILE, ("to_frame",), "to_frame"),
+    (GT_TRAJECTORY_FILE, ("frame_id",), "frame_id"),
+    (GT_ASSOCIATION_FILE, ("frame_id",), "frame_id"),
+    (GT_ASSOCIATION_FILE, ("pairs", 0, 0), "pairs[0][0]"),
+    (GT_ASSOCIATION_FILE, ("pairs", 0, 1), "pairs[0][1]"),
+    (MAP_FILE, ("landmarks", 0, "id"), "id"),
+    (MAP_FILE, ("trajectory", 0, "frame_id"), "frame_id"),
+    (MAP_FILE, ("snapshots", 0, "keyframe_index"), "keyframe_index"),
+    (MAP_FILE, ("snapshots", 0, "landmarks", 0, "id"), "id"),
+]
+
+
+@pytest.mark.parametrize("value", [0.9, 1.0, True])
+@pytest.mark.parametrize(
+    "file_name, path, name", INTEGER_FIELDS,
+    ids=[".".join(map(str, (f.split(".")[0],) + path)) for f, path, _ in INTEGER_FIELDS],
+)
+def test_ids_must_be_json_integers(tmp_path, rng, file_name, path, name, value):
+    """An id is read as written or refused: 0.9 is not truncated to 0 and
+    true is not taken for 1."""
+    write_dataset(make_dataset(rng), tmp_path)
+    write_map_json(make_map(), tmp_path / MAP_FILE)
+    target = tmp_path / file_name
+    lines = target.read_text().splitlines()
+    # The first record of a JSONL file, or the whole map document.
+    doc = json.loads("".join(lines) if file_name == MAP_FILE else lines[0])
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    if file_name == MAP_FILE:
+        target.write_text(json.dumps(doc))
+    else:
+        target.write_text("\n".join([json.dumps(doc)] + lines[1:]) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        load_map_json(target) if file_name == MAP_FILE else load_dataset(tmp_path)
+    message = str(exc.value)
+    assert (MAP_FILE if file_name == MAP_FILE else f"{file_name}:1:") in message
+    assert f"field {name!r} must be an integer, got {value!r}" in message
 
 
 class TestHelpers:

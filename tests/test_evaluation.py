@@ -353,6 +353,12 @@ class TestMatching:
         result = match_map_to_gt(est, gt, threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (0, 1, 1)
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, float("nan")])
+    def test_threshold_must_be_positive(self, threshold):
+        q = aab([0, 0, 0], [0.3, 0.3, 0.3])
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            match_map_to_gt([q], [q], threshold)
+
     def test_count_identities(self, rng):
         for _ in range(20):
             n_est, n_gt = int(rng.integers(0, 6)), int(rng.integers(0, 6))

@@ -134,7 +134,7 @@ class TestTotalCost:
 
     def test_breakdown_keys(self, camera):
         graph, values = three_view_graph(camera)
-        breakdown = cost_breakdown(graph, values)
+        breakdown = cost_breakdown(graph, values).breakdown
         assert set(breakdown) == {
             "odometry", "bbox", "size_prior", "orientation_prior", "centroid",
         }
@@ -467,7 +467,7 @@ class TestSolveReport:
         assert batch[1].iterations > 0 and incremental[1].iterations > 0
         assert no_step[1].iterations == 0 and no_step[1].final_cost > 1e-12
         for solved, report in (batch, incremental, no_step):
-            assert report.breakdown == cost_breakdown(graph, solved)
+            assert report.breakdown == cost_breakdown(graph, solved).breakdown
 
 
 class TestDeactivation:
@@ -491,9 +491,7 @@ class TestDeactivation:
         assert solved.get(("quadric", 0)).t[2] > 0.0
         assert "bbox" in report.breakdown
         assert report.final_cost <= report.initial_cost
-        active = np.zeros(len(graph), dtype=bool)
-        cost_breakdown(graph, solved, active)
-        assert active.all()
+        assert cost_breakdown(graph, solved).active.all()
 
 
 class TestArrayState:
@@ -660,8 +658,8 @@ class TestBatchedLinearization:
 
     def test_breakdown_matches_reference(self, camera):
         graph, values = mixed_graph(camera)
-        active = np.zeros(len(graph), dtype=bool)
-        breakdown = cost_breakdown(graph, values, active)
+        point = cost_breakdown(graph, values)
+        breakdown, active = point.breakdown, point.active
         expected, expected_active = reference_cost_breakdown(graph, values)
         assert list(breakdown) == list(expected)
         for kind, cost in expected.items():
@@ -676,8 +674,7 @@ class TestBatchedLinearization:
                                             np.full(3, 0.1)))
         graph.add(BBoxFactor(0, 99, BoundingBox2D(100, 100, 140, 150), camera,
                              NoiseModel.isotropic(4, 2.0, huber=2.0)))
-        active = np.zeros(len(graph), dtype=bool)
-        cost_breakdown(graph, values, active)
+        active = cost_breakdown(graph, values).active
         bbox = [i for i, f in enumerate(graph) if f.kind == "bbox"]
         kept = [linearize(FactorGraph([graph.factors[i]]), values)[0].any() for i in bbox]
         np.testing.assert_array_equal(kept, active[bbox])
@@ -878,8 +875,7 @@ class TestScoredOnce:
         monkeypatch.undo()
         for k, (H, g) in enumerate(built):
             at = solve_batch(graph, values, SolverConfig(max_iterations=k))[0] if k else values
-            active = np.zeros(len(graph), dtype=bool)
-            cost_breakdown(graph, at, active)
+            active = cost_breakdown(graph, at).active
             assert not active[invalid] and active.sum() == len(graph) - 1
             for reference in (linearize(graph, at), linearize(without, at)):
                 np.testing.assert_array_equal(H, reference[0], strict=True)

@@ -152,6 +152,29 @@ class TestCache:
         client.complete(build_prompt(["mug"]))
         assert inner.call_count == 2
 
+    def test_unparseable_response_is_not_cached(self, tmp_path):
+        inner = ScriptedLLMClient(["garbage", WELL_FORMED])
+        table = generate_prior_table(["mug"], CachedLLMClient(inner, tmp_path / "cache"))
+        assert inner.call_count == 2
+        assert table.get("mug") == parse_prior_csv(WELL_FORMED).get("mug")
+        assert table.flagged == set()
+        # The stored response is the parseable one.
+        again = ScriptedLLMClient([])
+        generate_prior_table(["mug"], CachedLLMClient(again, tmp_path / "cache"))
+        assert again.call_count == 0
+
+
+class ScriptedLLMClient(FixtureLLMClient):
+    """Answers with the given responses in turn."""
+
+    def __init__(self, responses: list[str]):
+        super().__init__(response="")
+        self.responses = list(responses)
+
+    def complete(self, prompt: str) -> str:
+        self.call_count += 1
+        return self.responses.pop(0)
+
 
 class TestHTTPClient:
     def test_requires_environment(self, monkeypatch):
