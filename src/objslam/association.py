@@ -35,6 +35,7 @@ from .geometry import (
     back_project_pixel,
     project_bbox_batch,
     require_finite_fields,
+    require_int_fields,
 )
 
 
@@ -51,6 +52,7 @@ class AssociationConfig:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
+        require_int_fields(self)
         if self.gate < 0.0:
             raise ValueError("gate must be non-negative")
         if self.min_distance <= 0.0:

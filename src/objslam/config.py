@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .association import AssociationConfig
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, require_int_fields
 from .optimizer import Flags, NoiseConfig, SolverConfig
 from .priors import PriorConfig
 from .simulator import SimConfig
@@ -64,6 +64,7 @@ class CameraConfig:
     height: int = 480
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if min(self.fx, self.fy) <= 0.0 or min(self.width, self.height) <= 0:
             raise ValueError("camera focal lengths and image size must be positive")
 
@@ -87,6 +88,7 @@ class SceneConfig:
     arc: float = 5.2
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if self.n_frames < 0:
             raise ValueError("frame count must be non-negative")
         object.__setattr__(self, "area", tuple(float(a) for a in self.area))

@@ -319,9 +319,15 @@ def load_dataset(path: str | Path) -> Dataset:
             float(intr["fx"]), float(intr["fy"]), float(intr["cx"]), float(intr["cy"])
         )
         size = _require(header, "image_size", str(header_path))
-        if not (isinstance(size, list) and len(size) == 2 and all(v > 0 for v in size)):
-            raise SchemaError(f"{header_path}: field 'image_size' must be two positive values")
-        image_size = (int(size[0]), int(size[1]))
+        # JSON integers only: 640.7 is not truncated and true is not taken for 1.
+        if not (
+            isinstance(size, list) and len(size) == 2
+            and all(type(v) is int and v > 0 for v in size)
+        ):
+            raise SchemaError(
+                f"{header_path}: field 'image_size' must be two positive integers, got {size!r}"
+            )
+        image_size = (size[0], size[1])
 
     frames = _read_jsonl(path / FRAMES_FILE, _frame_from_json)
     ids = [f.frame_id for f in frames]

@@ -55,7 +55,9 @@ from .geometry import (
 VariableKey = tuple[str, int]
 
 
-@dataclass(frozen=True)
+# Noise models and factors hold arrays, so they compare and hash by identity
+# (eq=False): a field-wise == over arrays would raise.
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Diagonal Gaussian noise with an optional Huber threshold.
 
@@ -69,7 +71,7 @@ class NoiseModel:
     variances: np.ndarray
     huber: InitVar[float | None] = None
     threshold: float = field(init=False)
-    sqrt_information: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_information: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, huber: float | None) -> None:
         v = np.array(self.variances, dtype=np.float64)
@@ -126,10 +128,6 @@ def robust_whiten(
 
 # Tangent dimension of each variable kind.
 TANGENT_DIM = {"pose": 6, "quadric": 9}
-
-# Cross-product matrices of the unit axes.
-_AXES = skew(np.eye(3))
-
 
 def _transpose(R: np.ndarray) -> np.ndarray:
     return np.swapaxes(R, -1, -2)
@@ -203,8 +201,11 @@ def bbox_jacobians(c, x, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     K only scales and shifts the envelope of the image conic K G K^T: its
     sides are u = cx + fx (G02 -+ sqrt(G02^2 - G00 G22)) / G22 and
     v = cy + fy (G12 -+ sqrt(G12^2 - G11 G22)) / G22, the min and max of
-    the two roots. The chain rule takes dG through them. Components the
-    border mask drops have zero rows.
+    the two roots. The chain rule takes dG through them, so only the seven
+    entries of X it reads are formed, for all 15 directions at once. The
+    arithmetic runs over the factor axis: G, A, R_wc, c and s are copied
+    factor-last, every array is (entries or sides, 15, m), and the last
+    axis is the long one. Components the border mask drops have zero rows.
     """
     K, _, keep = c
     r, valid = bbox_residuals(c, x, q)
@@ -213,33 +214,49 @@ def bbox_jacobians(c, x, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return r, J, valid
     R_wc, t_wc, R_q, t_q, s = (a[valid] for a in (*x, *q))
     A, cen, G = camera_dual_conic(R_wc, t_wc, R_q, t_q, s)
-    a, s2 = _transpose(A), s * s
-    X = np.empty((len(G), 15, 3, 3))
-    X[:, 0:3] = -_AXES @ G[:, None]
-    # R_cw e_i is row i of R_wc.
-    X[:, 3:6] = R_wc[:, :, :, None] * cen[:, None, None, :]
-    j, k = [1, 2, 0], [2, 0, 1]
-    X[:, 6:9] = (s2[:, j] - s2[:, k])[:, :, None, None] * a[:, k, :, None] * a[:, j, None, :]
+    # Factor-last copies: G[i, j], A[i, k] and R_cw[i, j] = R_wc[j, i] (3, 3, m).
+    G, A, R_cw = (np.ascontiguousarray(M.transpose(axes)) for M, axes in (
+        (G, (1, 2, 0)), (A, (1, 2, 0)), (R_wc, (2, 1, 0))
+    ))
+    cen, s = np.ascontiguousarray(cen.T), np.ascontiguousarray(s.T)
+    # X (7, 15, m) at the entries (row, col) in this order: the numerators'
+    # X02, X12 and X20, X21, the diagonal terms' X00, X11, the denominator's X22.
+    row, col = np.array([0, 1, 2, 2, 0, 1, 2]), np.array([2, 2, 0, 1, 0, 1, 2])
+    entry = np.arange(7)
+    X = np.empty((7, 15, len(cen[0])))
+    # -[e_i] G: row r is G's row r + 1 along e_{r+2}, minus row r + 2 along
+    # e_{r+1}, and zero along e_r (indices mod 3).
+    X[:, 0:3] = 0.0
+    X[entry, (row + 2) % 3] = G[(row + 1) % 3, col]
+    X[entry, (row + 1) % 3] = -G[(row + 2) % 3, col]
+    # R_cw e_i is column i of R_cw.
+    X[:, 3:6] = R_cw[row] * cen[col, None]
+    # a_k[row] and a_k[col] (7, 3, m).
+    a_row, a_col = A[row], A[col]
+    s2, j, k = s * s, [1, 2, 0], [2, 0, 1]
+    X[:, 6:9] = (s2[j] - s2[k]) * a_row[:, k] * a_col[:, j]
     X[:, 9:12] = -X[:, 3:6]
-    X[:, 12:15] = s[:, :, None, None] * a[:, :, :, None] * a[:, :, None, :]
+    X[:, 12:15] = s * a_row * a_col
     # Per column u, v: the envelope's numerator G02, G12, its diagonal term
-    # G00, G11 and the shared denominator G22 (m, 2 or 1), and their
-    # derivatives (m, 15, 2 or 1).
-    num, diag, den = G[:, [0, 1], 2], G[:, [0, 1], [0, 1]], G[:, 2, 2, None]
-    d_num = X[:, :, [0, 1], 2] + X[:, :, 2, [0, 1]]
-    d_diag = 2.0 * X[:, :, [0, 1], [0, 1]]
-    d_den = 2.0 * X[:, :, 2, 2, None]
+    # G00, G11 (2, m) and the shared denominator G22 (m,), and their
+    # derivatives (2 or 1, 15, m).
+    num, diag, den = G[[0, 1], 2], G[[0, 1], [0, 1]], G[2, 2]
+    d_num = X[0:2] + X[2:4]
+    d_diag = 2.0 * X[4:6]
+    d_den = 2.0 * X[6]
     root = np.sqrt(num * num - diag * den)
     d_root = (
-        2.0 * num[:, None] * d_num - diag[:, None] * d_den - den[:, None] * d_diag
+        2.0 * num[:, None] * d_num - diag[:, None] * d_den - den * d_diag
     ) / (2.0 * root[:, None])
     # The sides are center -+ half: center num / den, half root / |den|.
     center, half = num / den, root / np.abs(den)
-    d_center = (d_num - center[:, None] * d_den) / den[:, None]
-    d_half = (d_root - (np.sign(den) * half)[:, None] * d_den) / np.abs(den)[:, None]
-    d_box = np.concatenate([d_center - d_half, d_center + d_half], axis=2)
+    d_center = (d_num - center[:, None] * d_den) / den
+    d_half = (d_root - (np.sign(den) * half)[:, None] * d_den) / np.abs(den)
+    d_box = np.concatenate([d_center - d_half, d_center + d_half])
     focal = np.array([K.fx, K.fy, K.fx, K.fy])
-    J[valid] = np.where(keep[valid, :, None], -focal[:, None] * _transpose(d_box), 0.0)
+    J[valid] = np.where(
+        keep[valid].T[:, None], -focal[:, None, None] * d_box, 0.0
+    ).transpose(2, 0, 1)
     return r, J, valid
 
 
@@ -308,7 +325,7 @@ class Factor:
         return r[0], np.split(J[0], np.cumsum(dims)[:-1], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OdometryFactor(Factor):
     pose_i: int
     pose_j: int
@@ -329,7 +346,7 @@ class OdometryFactor(Factor):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BBoxFactor(Factor):
     pose_id: int
     quadric_id: int
@@ -339,8 +356,8 @@ class BBoxFactor(Factor):
     image_size: tuple[float, float] | None = None
 
     # Residual inputs of bbox_residuals, fixed at construction.
-    measured: np.ndarray = field(init=False, repr=False, compare=False)
-    keep: np.ndarray = field(init=False, repr=False, compare=False)
+    measured: np.ndarray = field(init=False, repr=False)
+    keep: np.ndarray = field(init=False, repr=False)
 
     kind = "bbox"
     residuals = staticmethod(bbox_residuals)
@@ -367,7 +384,7 @@ class BBoxFactor(Factor):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _QuadricPrior(Factor):
     """A unary prior: one quadric, one target."""
 
@@ -388,7 +405,7 @@ class _QuadricPrior(Factor):
         return (np.array([f.target for f in factors]),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SizePriorFactor(_QuadricPrior):
     kind = "size_prior"
     jacobians = staticmethod(size_prior_jacobians)
@@ -399,7 +416,7 @@ class SizePriorFactor(_QuadricPrior):
             raise ValueError(f"size target must be positive and ascending, got {self.target}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientationPriorFactor(_QuadricPrior):
     kind = "orientation_prior"
     jacobians = staticmethod(orientation_prior_jacobians)
@@ -408,7 +425,7 @@ class OrientationPriorFactor(_QuadricPrior):
         object.__setattr__(self, "target", as_rotation(self.target))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentroidPriorFactor(_QuadricPrior):
     kind = "centroid"
     jacobians = staticmethod(centroid_jacobians)

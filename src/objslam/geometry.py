@@ -204,7 +204,19 @@ def require_finite_fields(obj) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
+def require_int_fields(obj) -> None:
+    """ValueError naming the first int field of a dataclass that holds
+    anything but an int: a float is not truncated, and a bool or a string is
+    not taken for a count. Settings types call it in ``__post_init__``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and type(value) is not int:
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
+# Poses and quadrics hold arrays, so they compare and hash by identity
+# (eq=False): a field-wise == over arrays would raise.
+@dataclass(frozen=True, eq=False)
 class Pose:
     """SE(3) world-from-body transform."""
 
@@ -259,7 +271,7 @@ def between(a: Pose, b: Pose) -> Pose:
     return Pose(Rt @ b.rotation, Rt @ (b.translation - a.translation))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadric:
     """Ellipsoid landmark: rotation matrix (columns are the axes), centroid,
     strictly positive semi-axes."""

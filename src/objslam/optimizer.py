@@ -13,24 +13,31 @@ constant in every solve, which fixes the gauge.
 ``FactorGraph.batches`` stacks the factors per kind (bbox factors per
 camera), with their noise models' square-root information rows and Huber
 thresholds; it stacks only the factors added since its last call and joins
-them onto their batch. A solve places each batch in the values' layout once
-(``_place``: the rows of its variables and the flat ``bincount`` indices of
-its entries in ``H`` and ``g``), since a solve never adds a variable.
+them onto their batch. A solve makes one ``Workspace`` (``_place``), since a
+solve never adds a variable: each batch placed in the values' layout (the
+rows of its variables), the flat ``bincount`` indices of all entries in
+``H`` and ``g`` concatenated once, and one buffer each for the ``J^T J``
+and ``J^T r`` products, of which each batch writes its slice.
 
 ``_lm_solve`` is one loop over trial steps. ``cost_breakdown`` scores each
 point, the start and every trial, once with each kind's batched functions
 from ``factors`` and returns it as a ``Point``: the values, their cost per
 kind, the factors it scored and the whitened residuals, IRLS weights and
 Jacobians it scored with. After an accepted step ``H`` and ``g`` are built
-from that point, every local ``J^T J`` and ``J^T r`` with one ``bincount``;
-a row invalid at the point enters with zero residual and Jacobian. The
-trials of a solve's last budgeted step take no Jacobians, since no step is
-built from them. ``factors.robust_whiten`` applies the noise models and the
-Huber cost. A failed Cholesky factorization or a rejected trial raises the
-damping. A trial that makes a scored factor invalid (a landmark pushed
-behind a camera, say) would lower the cost only by dropping that factor's
-term, so it is rejected like a cost increase. A trial that changes the cost
-by a negligible amount, roundoff included, ends the solve without moving.
+from that point, every local ``J^T J`` and ``J^T r`` written into the
+workspace's buffers and scattered with one ``bincount``; ``H`` and ``g``
+themselves are new arrays on every build. A row invalid at the point enters
+with zero residual and Jacobian. The trials of a solve's last budgeted step
+take no Jacobians, since no step is built from them.
+``factors.robust_whiten`` applies the noise models and the Huber cost. Each
+trial copies ``H`` into one (n, n) buffer of the solve, adds the damping on
+its diagonal and factors it in place, without a finiteness check: a
+non-finite system fails the factorization or gives a non-finite step.
+Either, or a rejected trial, raises the damping. A trial that makes a
+scored factor invalid (a landmark pushed behind a camera, say) would lower
+the cost only by dropping that factor's term, so it is rejected like a cost
+increase. A trial that changes the cost by a negligible amount, roundoff
+included, ends the solve without moving.
 
 Incremental mode is the same solver warm-started from the current values
 with a small iteration budget per keyframe; it relinearizes the whole
@@ -70,6 +77,7 @@ from .geometry import (
     back_project_pixel,
     compose,
     require_finite_fields,
+    require_int_fields,
     retract,
 )
 from .priors import (
@@ -192,13 +200,27 @@ class Batch(NamedTuple):
 
 class Placed(NamedTuple):
     """A batch placed in one values layout: fixed for a whole solve, since a
-    solve moves values but never adds or removes variables. The indices are
-    into H and g padded by the anchored pose's spare row and column."""
+    solve moves values but never adds or removes variables."""
 
     batch: Batch
     rows: list[np.ndarray]  # (k,) rows of each variable slot in the values
-    h_at: np.ndarray  # (k c c,) flat index of each factor's J^T J entries
-    g_at: np.ndarray  # (k c,) index of each factor's J^T r entries
+    JtJ: np.ndarray  # (k, c, c) and
+    Jtr: np.ndarray  # (k, c, 1): this batch's slices of the Workspace products
+
+
+class Workspace(NamedTuple):
+    """Every batch of a graph placed in one values layout, and what building
+    H and g needs besides the Jacobians, made once per solve: the flat
+    ``bincount`` indices of all factors' J^T J and J^T r entries, into H and
+    g padded by the anchored pose's spare row and column n, batch after
+    batch, and the buffers ``_normal_equations`` writes the products to."""
+
+    placed: list[Placed]
+    n: int  # the tangent dim
+    h_at: np.ndarray  # (sum k c c,) flat index of each J^T J entry
+    g_at: np.ndarray  # (sum k c,) index of each J^T r entry
+    JtJ: np.ndarray  # (sum k c c,) and
+    Jtr: np.ndarray  # (sum k c,): the products, overwritten by every build
 
 
 @dataclass
@@ -266,6 +288,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
+        require_int_fields(self)
         if self.max_iterations <= 0 or self.incremental_iters_per_keyframe <= 0:
             raise ValueError("iteration budgets must be positive")
         if min(self.initial_damping, self.max_damping) <= 0.0:
@@ -321,17 +344,24 @@ class SolveReport:
     breakdown: dict[str, float]
 
 
-def _place(graph: FactorGraph, values: GraphValues) -> list[Placed]:
+def _place(graph: FactorGraph, values: GraphValues) -> Workspace:
     """Every batch of the graph placed in the layout of these values."""
-    size = _tangent_dim(values) + 1
-    out = []
-    for batch in graph.batches():
-        rows = [values.rows(kind, ids) for kind, ids in zip(batch.variables, batch.ids)]
-        cols = _columns(values, batch.variables, rows)
-        out.append(Placed(
-            batch, rows, (cols[:, :, None] * size + cols[:, None, :]).ravel(), cols.ravel()
+    n = _tangent_dim(values)
+    batches = graph.batches()
+    rows = [[values.rows(kind, ids) for kind, ids in zip(b.variables, b.ids)] for b in batches]
+    cols = [_columns(values, b.variables, r) for b, r in zip(batches, rows)]
+    h_at = np.concatenate([np.empty(0, np.int64)] + [
+        (c[:, :, None] * (n + 1) + c[:, None, :]).ravel() for c in cols
+    ])
+    g_at = np.concatenate([np.empty(0, np.int64)] + [c.ravel() for c in cols])
+    JtJ, Jtr = np.empty(len(h_at)), np.empty(len(g_at))
+    placed, h, g = [], 0, 0
+    for batch, r, (k, c) in zip(batches, rows, (c.shape for c in cols)):
+        placed.append(Placed(
+            batch, r, JtJ[h:h + k * c * c].reshape(k, c, c), Jtr[g:g + k * c].reshape(k, c, 1)
         ))
-    return out
+        h, g = h + k * c * c, g + k * c
+    return Workspace(placed, n, h_at, g_at, JtJ, Jtr)
 
 
 def _stacked(values: GraphValues, placed: Placed) -> list[tuple]:
@@ -360,11 +390,11 @@ class Point(NamedTuple):
 def cost_breakdown(
     graph: FactorGraph,
     values: GraphValues,
-    placed: list[Placed] | None = None,
+    workspace: Workspace | None = None,
     jacobians: bool = False,
 ) -> Point:
     """The point scored at these values; skipped residuals contribute nothing.
-    ``placed`` is the graph's ``_place`` in the layout of these values,
+    ``workspace`` is the graph's ``_place`` in the layout of these values,
     computed here when not given. With ``jacobians`` each kind's
     ``jacobians`` replaces its ``residuals`` and the point keeps e, w and J,
     e and J zero in unscored rows."""
@@ -373,7 +403,7 @@ def cost_breakdown(
     kind_of = np.zeros(len(graph), dtype=np.int64)
     kinds: dict[str, int] = {}
     kept = [] if jacobians else None
-    for p in _place(graph, values) if placed is None else placed:
+    for p in (_place(graph, values) if workspace is None else workspace).placed:
         batch = p.batch
         if kept is None:
             r, valid = batch.cls.residuals(batch.inputs, *_stacked(values, p))
@@ -418,26 +448,21 @@ def _columns(values: GraphValues, kinds: tuple[str, ...], rows: list[np.ndarray]
     return np.concatenate(out, axis=1)
 
 
-def _normal_equations(
-    placed: list[Placed], kept: list, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _normal_equations(workspace: Workspace, kept: list) -> tuple[np.ndarray, np.ndarray]:
     """H (n, n) and g (n,) from the e, w, J of a ``Point.kept``: every
     factor's J^T J and J^T r of its whitened, robust-weighted Jacobian w S J,
-    scattered with one ``bincount`` each. An unscored row adds +0.0, which
-    leaves every sum as it is. The anchored pose's spare row and column n
-    are cut off at the end."""
-    if not placed:
-        return np.zeros((n, n)), np.zeros(n)
-    JtJ, Jtr = [], []
-    for p, (e, w, J) in zip(placed, kept):
+    written into the workspace's product buffers and scattered with one
+    ``bincount`` each. An unscored row adds +0.0, which leaves every sum as
+    it is. The anchored pose's spare row and column n are cut off at the
+    end. H and g are new arrays on every call, never views of the buffers."""
+    for p, (e, w, J) in zip(workspace.placed, kept):
         wJt = np.swapaxes(w[:, None, None] * (p.batch.sqrt_info[:, :, None] * J), 1, 2)
-        JtJ.append((wJt @ np.swapaxes(wJt, 1, 2)).ravel())
-        Jtr.append((wJt @ (w[:, None] * e)[:, :, None]).ravel())
+        np.matmul(wJt, np.swapaxes(wJt, 1, 2), out=p.JtJ)
+        np.matmul(wJt, (w[:, None] * e)[:, :, None], out=p.Jtr)
+    n = workspace.n
     size = n + 1
-    H = np.bincount(
-        np.concatenate([p.h_at for p in placed]), np.concatenate(JtJ), minlength=size * size
-    )
-    g = np.bincount(np.concatenate([p.g_at for p in placed]), np.concatenate(Jtr), minlength=size)
+    H = np.bincount(workspace.h_at, workspace.JtJ, minlength=size * size)
+    g = np.bincount(workspace.g_at, workspace.Jtr, minlength=size)
     return H.reshape(size, size)[:n, :n], g[:n]
 
 
@@ -453,11 +478,13 @@ def _apply_step(values: GraphValues, delta: np.ndarray) -> GraphValues:
 def _lm_solve(
     graph: FactorGraph, values: GraphValues, cfg: SolverConfig, max_accepted: int
 ) -> tuple[GraphValues, SolveReport]:
-    placed = _place(graph, values)
-    point = cost_breakdown(graph, values.copy(), placed, jacobians=True)
+    workspace = _place(graph, values)
+    point = cost_breakdown(graph, values.copy(), workspace, jacobians=True)
     initial_cost = point.cost
-    n = _tangent_dim(values)
-    eye = np.eye(n)
+    n = workspace.n
+    # H + damping I, factored in place: in Fortran order LAPACK needs no copy.
+    damped = np.empty((n, n), order="F")
+    diagonal = damped.reshape(-1, order="F")[:: n + 1]
     damping = cfg.initial_damping
     accepted = 0
     converged = n == 0 or point.cost <= _COST_FLOOR
@@ -467,15 +494,22 @@ def _lm_solve(
 
     while not converged and accepted < max_accepted:
         if built_at is not point:
-            H, g = _normal_equations(placed, point.kept, n)
+            H, g = _normal_equations(workspace, point.kept)
             built_at = point
+        damped[...] = H
+        diagonal += damping
         try:
-            delta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H + damping * eye), -g)
-        except (scipy.linalg.LinAlgError, ValueError):
+            delta = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(damped, overwrite_a=True, check_finite=False),
+                -g, check_finite=False,
+            )
+        except scipy.linalg.LinAlgError:
             delta = None  # H + damping I is not positive definite
-        # The budget's last step is never linearized: no Jacobians.
+        # Unchecked, a non-finite H or g fails the factorization or gives a
+        # non-finite delta: a failed step either way. The budget's last step
+        # is never linearized: no Jacobians.
         trial = None if delta is None or not np.all(np.isfinite(delta)) else cost_breakdown(
-            graph, _apply_step(point.values, delta), placed, accepted + 1 < max_accepted
+            graph, _apply_step(point.values, delta), workspace, accepted + 1 < max_accepted
         )
         # A step that deactivates a scored factor lowers the cost by dropping its term,
         # not by fitting it: reject it. A NaN or infinite cost fails both tests below.

@@ -22,6 +22,6 @@ def linearize(graph: FactorGraph, values: GraphValues) -> tuple[np.ndarray, np.n
     """Dense normal equations H, g of the robust-weighted linearization at
     these values, from scratch: one scoring pass that keeps its Jacobians,
     then the solver's own ``_normal_equations``."""
-    placed = optimizer._place(graph, values)
-    point = optimizer.cost_breakdown(graph, values, placed, jacobians=True)
-    return optimizer._normal_equations(placed, point.kept, optimizer._tangent_dim(values))
+    workspace = optimizer._place(graph, values)
+    point = optimizer.cost_breakdown(graph, values, workspace, jacobians=True)
+    return optimizer._normal_equations(workspace, point.kept)

@@ -140,6 +140,13 @@ class TestExitCodes:
         assert "match_threshold must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "map.json").exists()
 
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_non_integer_count_is_validation_error(self, tmp_path, capsys, value):
+        code = main(["simulate", "-o", str(tmp_path / "d"), "--set", f"scene.n_objects={value}"])
+        assert code == 1
+        assert "n_objects must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_gen_priors_without_credentials(self, tmp_path, capsys, no_llm_env):
         vocab = tmp_path / "vocab.txt"
         vocab.write_text("mug\n")

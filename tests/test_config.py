@@ -155,6 +155,33 @@ def test_float_fields_are_all_covered():
     assert len(FLOAT_FIELDS) == 16
 
 
+INT_FIELDS = [
+    (cls, f.name)
+    for cls in (CameraConfig, SceneConfig, SolverConfig, AssociationConfig)
+    for f in dataclasses.fields(cls)
+    if f.type == "int"
+]
+
+
+@pytest.mark.parametrize(
+    "value", [2.5, 2.0, True, "2"], ids=["fraction", "float", "bool", "string"]
+)
+@pytest.mark.parametrize("cls,name", INT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INT_FIELDS])
+def test_settings_types_reject_non_integers(cls, name, value):
+    # A float would be truncated or fail deep inside a run, and a bool would
+    # pass for 1.
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cls(**{name: value})
+
+
+def test_int_fields_are_all_covered():
+    # The camera's width and height, the scene's object and frame counts,
+    # the solver's two iteration budgets and the tracker's maximum age.
+    assert len(INT_FIELDS) == 7
+    for cls, name in INT_FIELDS:
+        assert getattr(cls(**{name: 3}), name) == 3
+
+
 class TestOverrides:
     def test_dotted_override_types(self):
         doc = apply_overrides(

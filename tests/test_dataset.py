@@ -312,6 +312,19 @@ class TestValidation:
         where = file_name if file_name == HEADER_FILE else f"{file_name}:1:"
         assert where in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "size",
+        [[640.7, True], [640.7, 480], [640, True], [640.0, 480], [0, 480], [640, -1],
+         [640], [640, 480, 3], "640x480"],
+    )
+    def test_image_size_must_be_two_positive_integers(self, tmp_path, rng, size):
+        write_dataset(make_dataset(rng), tmp_path)
+        set_first_record_field(tmp_path / HEADER_FILE, "image_size", size)
+        with pytest.raises(SchemaError) as exc:
+            load_dataset(tmp_path)
+        assert HEADER_FILE in str(exc.value)
+        assert "'image_size' must be two positive integers" in str(exc.value)
+
 
 MAP_FILE = "map.json"
 

@@ -11,6 +11,7 @@ from objslam.factors import (
     OdometryFactor,
     OrientationPriorFactor,
     SizePriorFactor,
+    bbox_jacobians,
     robust_whiten,
     stack_noises,
 )
@@ -26,7 +27,7 @@ from objslam.geometry import (
 
 import noise_oracle
 from conftest import random_pose, random_quadric, random_rotation
-from jacobian_oracle import NonFiniteResidual, numeric_jacobian
+from jacobian_oracle import NonFiniteResidual, bbox_jacobians_reference, numeric_jacobian
 from projection_oracle import predict_bbox, project_quadric
 
 
@@ -70,6 +71,17 @@ def visible_setup(rng: np.random.Generator, camera: CameraIntrinsics):
         np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4), rng.uniform(3.0, 7.0)])
     )
     return x, Quadric(q.rotation, p_world, q.s)
+
+
+def assert_bbox_jacobians_equal_reference(bbox: list[BBoxFactor], pairs: list) -> None:
+    """``bbox_jacobians`` of these factors at these (pose, quadric) pairs,
+    stacked in one batch, is the full-derivative reference bit for bit."""
+    xs, qs = zip(*pairs)
+    x = (np.array([v.rotation for v in xs]), np.array([v.translation for v in xs]))
+    q = tuple(np.array([getattr(v, a) for v in qs]) for a in ("rotation", "t", "s"))
+    c = BBoxFactor.stack(bbox)
+    for got, want in zip(bbox_jacobians(c, x, q), bbox_jacobians_reference(c, x, q)):
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 class TestOdometryResidual:
@@ -270,12 +282,13 @@ class TestFactorJacobians:
             "axes at the floor": ([0.2, -0.1, 2.0], [1.5e-4, 1.5e-4, 2e-4], 0.3, box, None),
             "border": ([0.1, 0.05, 2.0], [0.2, 0.15, 0.3], 0.3, border, (640.0, 480.0)),
         }
-        signs = set()
+        signs, hard = set(), []
         for name, (c, s, tilt, measured, image_size) in cases.items():
             q = Quadric(R0 @ so3_exp(rng.normal(0.0, tilt, size=3)), R0 @ np.array(c) + t0, s)
             factor = BBoxFactor(
                 0, 0, BoundingBox2D(*measured), camera, NoiseModel.isotropic(4, 1.0), image_size
             )
+            hard.append((factor, (x, q)))
             C = project_quadric(x, camera, q).matrix
             signs.add(np.sign(C[2, 2]))
             if name == "small discriminant":
@@ -288,6 +301,29 @@ class TestFactorJacobians:
                 np.testing.assert_array_equal(J[[0, 3]], 0.0)
                 assert np.abs(J[[1, 2]]).max(axis=1).min() > 0.0
         assert signs == {-1.0, 1.0}
+        assert_bbox_jacobians_equal_reference(*map(list, zip(*hard)))
+
+    def test_bbox_jacobians_equal_the_reference_on_a_random_batch(self, camera):
+        # 300 rows in one batch: centroids from 1 m behind to 6 m in front of
+        # their cameras, boxes that touch the border of a 640 x 480 image on
+        # about a fifth of their sides, half of them with that image size.
+        rng = np.random.default_rng(89)
+        noise = NoiseModel.isotropic(4, 2.0)
+        bbox, pairs = [], []
+        for i in range(300):
+            x = random_pose(rng, t_scale=0.5)
+            c = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 6.0)])
+            q = Quadric(random_rotation(rng), x.transform(c), rng.uniform(0.05, 0.6, size=3))
+            lo = rng.uniform(0.0, 250.0, size=2) * (rng.random(2) > 0.2)
+            hi = np.minimum(lo + rng.uniform(10.0, 400.0, size=2), [640.0, 480.0])
+            image_size = (640.0, 480.0) if i % 2 else None
+            bbox.append(BBoxFactor(0, i, BoundingBox2D(*lo, *hi), camera, noise, image_size))
+            pairs.append((x, q))
+        keep = BBoxFactor.stack(bbox)[2]
+        assert 0 < keep.sum() < keep.size
+        valid = [f.residual_at(*v) is not None for f, v in zip(bbox, pairs)]
+        assert 0 < sum(valid) < len(valid)
+        assert_bbox_jacobians_equal_reference(bbox, pairs)
 
     def test_all_factor_types_half_step_consistency(self, camera):
         # The numeric oracle the closed forms are checked against.
@@ -492,3 +528,26 @@ class TestFactorValidation:
         assert f.variable_keys() == (("pose", 3), ("quadric", 7))
         o = OdometryFactor(1, 2, Pose.identity(), NoiseModel.isotropic(6, 0.1))
         assert o.variable_keys() == (("pose", 1), ("pose", 2))
+
+    def test_array_holders_compare_by_identity(self):
+        # Field-wise == over ndarray fields would raise: two instances built
+        # from the same content are distinct, equal only to themselves, and
+        # hashable.
+        def build():
+            noise = NoiseModel.isotropic(3, 0.1)
+            box = BoundingBox2D(10, 20, 30, 40)
+            K = CameraIntrinsics(500, 500, 320, 240)
+            return [
+                noise,
+                Pose.identity(),
+                Quadric(np.eye(3), np.zeros(3), np.full(3, 0.2)),
+                OdometryFactor(0, 1, Pose.identity(), NoiseModel.isotropic(6, 0.1)),
+                BBoxFactor(0, 0, box, K, NoiseModel.isotropic(4, 1.0), (640.0, 480.0)),
+                SizePriorFactor(0, np.array([0.1, 0.2, 0.3]), noise),
+                OrientationPriorFactor(0, np.eye(3), noise),
+                CentroidPriorFactor(0, np.zeros(3), noise),
+            ]
+
+        for a, b in zip(build(), build()):
+            assert a == a and not a == b and a != b, type(a).__name__
+            assert len({a, b, a}) == 2 and hash(a) == hash(a)

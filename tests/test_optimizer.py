@@ -854,8 +854,8 @@ class TestScoredOnce:
         built: list = []
         scored: Counter = Counter()
 
-        def recording(placed, kept, n):
-            built.append(normal_equations(placed, kept, n))
+        def recording(workspace, kept):
+            built.append(normal_equations(workspace, kept))
             scored["at_last_build"] = scored["points"]
             return built[-1]
 
@@ -880,3 +880,86 @@ class TestScoredOnce:
             for reference in (linearize(graph, at), linearize(without, at)):
                 np.testing.assert_array_equal(H, reference[0], strict=True)
                 np.testing.assert_array_equal(g, reference[1], strict=True)
+
+
+class TestWorkspace:
+    """A solve places its batches and buffers once and reuses them; what it
+    hands out, H and g, is new on every build."""
+
+    def recorded_solve(self, camera, monkeypatch, steps=4):
+        """mixed_graph solved for ``steps`` steps: the _place calls, and per
+        build the workspace, H and g and copies of H and g made then."""
+        graph, values = mixed_graph(camera)
+        places, builds = [], []
+        place, normal_equations = optimizer._place, optimizer._normal_equations
+
+        def placing(*args):
+            places.append(place(*args))
+            return places[-1]
+
+        def recording(workspace, kept):
+            H, g = normal_equations(workspace, kept)
+            builds.append((workspace, H, g, H.copy(), g.copy()))
+            return H, g
+
+        monkeypatch.setattr(optimizer, "_place", placing)
+        monkeypatch.setattr(optimizer, "_normal_equations", recording)
+        _, report = solve_batch(graph, values, SolverConfig(max_iterations=steps))
+        assert report.iterations == steps and len(builds) == steps
+        return places, builds
+
+    def test_a_solve_builds_its_workspace_once(self, camera, monkeypatch):
+        places, builds = self.recorded_solve(camera, monkeypatch)
+        assert len(places) == 1
+        workspace = places[0]
+        for ws, *_ in builds:
+            assert ws is workspace
+            assert ws.JtJ is workspace.JtJ and ws.Jtr is workspace.Jtr
+        # Each batch's products are its slice of the one buffer.
+        for p in workspace.placed:
+            assert p.JtJ.base is workspace.JtJ and p.Jtr.base is workspace.Jtr
+        assert sum(p.JtJ.size for p in workspace.placed) == workspace.JtJ.size
+
+    def test_builds_do_not_alias(self, camera, monkeypatch):
+        _, builds = self.recorded_solve(camera, monkeypatch)
+        for i, (ws, H, g, H_then, g_then) in enumerate(builds):
+            np.testing.assert_array_equal(H, H_then, strict=True)
+            np.testing.assert_array_equal(g, g_then, strict=True)
+            for buffer in (ws.JtJ, ws.Jtr):
+                assert not np.shares_memory(H, buffer) and not np.shares_memory(g, buffer)
+            for _, H_later, g_later, _, _ in builds[i + 1:]:
+                assert not np.shares_memory(H, H_later) and not np.shares_memory(g, g_later)
+        # The builds differ, so an overwritten H would have shown.
+        assert not np.array_equal(builds[0][1], builds[1][1])
+
+    @staticmethod
+    def nan_jacobians_after(monkeypatch, clean: int) -> None:
+        """The centroid kind's Jacobians with a NaN row once ``clean`` calls
+        have passed."""
+        calls = Counter()
+
+        def poisoned(c, q):
+            r, J, valid = factors.centroid_jacobians(c, q)
+            calls["jacobians"] += 1
+            if calls["jacobians"] > clean:
+                J[0, 1] = np.nan
+            return r, J, valid
+
+        monkeypatch.setattr(CentroidPriorFactor, "jacobians", staticmethod(poisoned))
+
+    def test_nan_jacobian_at_the_start_is_singular(self, camera, monkeypatch):
+        graph, values = mixed_graph(camera)
+        self.nan_jacobians_after(monkeypatch, 0)
+        with pytest.raises(SingularSystem):
+            solve_batch(graph, values, SolverConfig(max_iterations=4))
+
+    def test_nan_jacobian_after_a_step_ends_the_solve_there(self, camera, monkeypatch):
+        # The first accepted trial is scored with a NaN Jacobian row: every
+        # step from its H, g fails, and the solve returns that point.
+        graph, values = mixed_graph(camera)
+        self.nan_jacobians_after(monkeypatch, 1)
+        solved, report = solve_batch(graph, values, SolverConfig(max_iterations=4))
+        assert report.iterations == 1 and not report.converged
+        assert np.isfinite(report.final_cost) and report.final_cost < report.initial_cost
+        for a in (solved.R, solved.t, solved.s):
+            assert np.all(np.isfinite(a))
