@@ -140,6 +140,14 @@ def _integer(record: dict, key: str, where: str) -> int:
     return value
 
 
+def _number(value, key: str, where: str) -> float:
+    """``value``, the field ``key`` or one entry of it, as a float. It must
+    be a JSON number: a bool is not taken for 0 or 1, nor "500" for 500."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"{where}: field {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 @contextmanager
 def _record(where: str) -> Iterator[None]:
     """Report a TypeError, ValueError or IndexError raised while one record
@@ -160,10 +168,10 @@ def detection_from_json(record: dict, where: str) -> Detection:
     confidence = _require(record, "confidence", where)
     depth = record.get("center_depth")
     return Detection(
-        BoundingBox2D(*[float(v) for v in bbox]),
+        BoundingBox2D(*[_number(v, "bbox", where) for v in bbox]),
         str(label),
-        float(confidence),
-        None if depth is None else float(depth),
+        _number(confidence, "confidence", where),
+        None if depth is None else _number(depth, "center_depth", where),
     )
 
 
@@ -173,7 +181,7 @@ def _quaternion(record: dict, where: str) -> np.ndarray:
     quat = _require(record, "rotation_quaternion", where)
     if not (isinstance(quat, list) and len(quat) == 4):
         raise SchemaError(f"{where}: field 'rotation_quaternion' must have 4 entries")
-    q = np.array([float(v) for v in quat])
+    q = np.array([_number(v, "rotation_quaternion", where) for v in quat])
     norm = float(np.linalg.norm(q))
     if not abs(norm - 1.0) <= 1e-6:  # NaN and inf entries fail too
         raise SchemaError(
@@ -187,7 +195,7 @@ def _vector3(record: dict, key: str, where: str) -> np.ndarray:
     v = _require(record, key, where)
     if not (isinstance(v, list) and len(v) == 3):
         raise SchemaError(f"{where}: field {key!r} must have 3 entries")
-    return np.array([float(x) for x in v])
+    return np.array([_number(x, key, where) for x in v])
 
 
 def _pose_from_record(record: dict, where: str) -> Pose:
@@ -313,11 +321,10 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ParseError(f"{header_path}:1: invalid JSON: {exc.msg}") from exc
     with _record(str(header_path)):
         intr = _require(header, "intrinsics", str(header_path))
-        for key in ("fx", "fy", "cx", "cy"):
-            _require(intr, key, f"{header_path}: intrinsics")
-        intrinsics = CameraIntrinsics(
-            float(intr["fx"]), float(intr["fy"]), float(intr["cx"]), float(intr["cy"])
-        )
+        where = f"{header_path}: intrinsics"
+        intrinsics = CameraIntrinsics(*(
+            _number(_require(intr, key, where), key, where) for key in ("fx", "fy", "cx", "cy")
+        ))
         size = _require(header, "image_size", str(header_path))
         # JSON integers only: 640.7 is not truncated and true is not taken for 1.
         if not (
@@ -360,7 +367,17 @@ def load_dataset(path: str | Path) -> Dataset:
 
     gt_objects = optional(GT_OBJECTS_FILE, _gt_object_from_json)
     gt_trajectory = optional(GT_TRAJECTORY_FILE, _frame_pose_from_json)
-    gt_pairs = optional(GT_ASSOCIATION_FILE, _gt_pairs_from_json)
+    seen: set[int] = set()
+
+    def new_frame_pairs(record: dict, where: str) -> tuple[int, list[tuple[int, int]]]:
+        """A frame's pairs; a second record of a frame would replace the first."""
+        frame_id, pairs = _gt_pairs_from_json(record, where)
+        if frame_id in seen:
+            raise SchemaError(f"{where}: duplicate 'frame_id' {frame_id}")
+        seen.add(frame_id)
+        return frame_id, pairs
+
+    gt_pairs = optional(GT_ASSOCIATION_FILE, new_frame_pairs)
     gt_association = None if gt_pairs is None else dict(gt_pairs)
     return Dataset(
         intrinsics, image_size, frames, odometry, gt_objects, gt_trajectory, gt_association

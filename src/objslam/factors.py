@@ -14,14 +14,23 @@ Residual conventions:
 - Orientation prior: SO(3) log of R_target^T R, R the quadric's rotation.
 - Centroid prior: centroid minus the single-shot measured centroid.
 
-A kind is a class with one batched function, ``<kind>_jacobians``. It takes
-the constant inputs of k factors (the class's ``stack``) and the stacked
-rows of their variables, (R (k, 3, 3), t (k, 3)) for a pose and (R, t,
-s (k, 3)) for a quadric, and returns the residuals (k, d), the Jacobians
-(k, d, 6 per pose + 9 per quadric) and the validity (k,). Bounding boxes
-also score with :func:`bbox_residuals`, the projection without the
-derivatives; :func:`bbox_jacobians` calls it, so a box is linearized exactly
-when it is scored. ``residual_at`` and ``jacobian_at`` are one-row calls.
+A kind is a class with two batched functions, one per pass. Both take the
+constant inputs of k factors (the class's ``stack``) and the stacked rows of
+their variables, (R (k, 3, 3), t (k, 3)) for a pose and (R, t, s (k, 3)) for
+a quadric.
+
+- The scoring pass, ``<kind>_residuals``, returns a ``Scored``: the
+  residuals (k, d), the validity (k,) and what the derivative needs that
+  scoring computed anyway. For bounding boxes that is the projection's
+  camera-frame axes A, centroids c and dual conics G; for odometry it is
+  the transposed predicted rotation R_p^T; the priors keep nothing.
+- The derivative pass, ``<kind>_jacobians``, takes that ``Scored`` after
+  the constant inputs and returns the Jacobians (k, d, 6 per pose + 9 per
+  quadric), zero in invalid rows. It never projects again.
+
+So a point can be scored without derivatives and linearized later from
+what its scoring kept, and a box is linearized exactly when it is scored.
+``residual_at`` and ``jacobian_at`` are one-row calls.
 
 Jacobians are with respect to ``geometry.retract`` (rotation ``R exp(d)``,
 translation, centroid and semi-axes additive in the world frame). Odometry
@@ -35,7 +44,7 @@ envelope by the chain rule. Central differences live only in the tests.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,6 +138,17 @@ def robust_whiten(
 # Tangent dimension of each variable kind.
 TANGENT_DIM = {"pose": 6, "quadric": 9}
 
+
+class Scored(NamedTuple):
+    """A scoring pass over k factors of one kind: the residuals (k, d), the
+    validity (k,) and ``lin``, the kind's own tuple of what its derivative
+    pass reads besides the residuals and the values."""
+
+    r: np.ndarray
+    valid: np.ndarray
+    lin: tuple
+
+
 def _transpose(R: np.ndarray) -> np.ndarray:
     return np.swapaxes(R, -1, -2)
 
@@ -155,38 +175,49 @@ def _border_mask(
     )
 
 
-def odometry_jacobians(c, x_i, x_j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed form. With the prediction p = x_i u, the error rotation
-    R_e = R_p^T R_j and d = R_i^T (t_j - t_i): the rotation rows are
-    -Jr^-1 R_j^T R_i and Jr^-1; the translation rows, for world-frame
-    translation updates, are R_u^T [d]x and -R_p^T for x_i, R_p^T for x_j."""
+def odometry_residuals(c, x_i, x_j) -> Scored:
+    """The split log of the error pose. With the prediction p = x_i u, the
+    error rotation is R_p^T R_j and the translation R_p^T (t_j - t_p); R_p^T
+    is kept for the derivative."""
     R_u, t_u = c
     (R_i, t_i), (R_j, t_j) = x_i, x_j
     R_pT = _transpose(R_i @ R_u)
     t_p = _times(R_i, t_u) + t_i
     r = np.concatenate([so3_log(R_pT @ R_j), _times(R_pT, t_j - t_p)], axis=1)
-    Jr_inv = so3_jr_inv(r[:, :3])
-    J = np.zeros((len(r), 6, 12))
+    return Scored(r, np.ones(len(r), dtype=bool), (R_pT,))
+
+
+def odometry_jacobians(c, scored: Scored, x_i, x_j) -> np.ndarray:
+    """Closed form. With R_e = R_p^T R_j and d = R_i^T (t_j - t_i): the
+    rotation rows are -Jr^-1 R_j^T R_i and Jr^-1; the translation rows, for
+    world-frame translation updates, are R_u^T [d]x and -R_p^T for x_i,
+    R_p^T for x_j."""
+    R_u, _ = c
+    (R_i, t_i), (R_j, t_j) = x_i, x_j
+    (R_pT,) = scored.lin
+    Jr_inv = so3_jr_inv(scored.r[:, :3])
+    J = np.zeros((len(R_pT), 6, 12))
     J[:, :3, :3] = -Jr_inv @ (_transpose(R_j) @ R_i)
     J[:, 3:, :3] = _transpose(R_u) @ skew(_times(_transpose(R_i), t_j - t_i))
     J[:, 3:, 3:6] = -R_pT
     J[:, :3, 6:9] = Jr_inv
     J[:, 3:, 9:] = R_pT
-    return r, J, np.ones(len(r), dtype=bool)
+    return J
 
 
-def bbox_residuals(c, x, q) -> tuple[np.ndarray, np.ndarray]:
+def bbox_residuals(c, x, q) -> Scored:
     """Measured minus predicted boxes (k, 4) and the projection validity (k,)
-    in one projection. Rows of invalid projections hold NaN."""
+    in one projection. Rows of invalid projections hold NaN. The
+    projection's camera-frame axes, centroids and dual conics are kept."""
     K, measured, keep = c
-    boxes, valid = project_bbox_batch(*x, K, *q)
-    return np.where(keep, measured - boxes, 0.0), valid
+    boxes, valid, conic = project_bbox_batch(*x, K, *q, conic=True)
+    return Scored(np.where(keep, measured - boxes, 0.0), valid, conic)
 
 
-def bbox_jacobians(c, x, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed form. The residuals and validity are those of
-    :func:`bbox_residuals`. Jacobian columns are the pose tangent (rotation,
-    translation) then the quadric tangent (rotation, centroid, semi-axes).
+def bbox_jacobians(c, scored: Scored, x, q) -> np.ndarray:
+    """Closed form, from the conic :func:`bbox_residuals` kept. Jacobian
+    columns are the pose tangent (rotation, translation) then the quadric
+    tangent (rotation, centroid, semi-axes).
 
     Along each tangent direction the camera-frame dual conic G = A S^2 A^T -
     c c^T of ``geometry.camera_dual_conic`` (S = diag(s)) moves by
@@ -205,15 +236,16 @@ def bbox_jacobians(c, x, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     entries of X it reads are formed, for all 15 directions at once. The
     arithmetic runs over the factor axis: G, A, R_wc, c and s are copied
     factor-last, every array is (entries or sides, 15, m), and the last
-    axis is the long one. Components the border mask drops have zero rows.
+    axis is the long one. Invalid rows and components the border mask
+    drops have zero rows.
     """
     K, _, keep = c
-    r, valid = bbox_residuals(c, x, q)
-    J = np.zeros((len(r), 4, 15))
+    valid = scored.valid
+    J = np.zeros((len(valid), 4, 15))
     if not valid.any():
-        return r, J, valid
-    R_wc, t_wc, R_q, t_q, s = (a[valid] for a in (*x, *q))
-    A, cen, G = camera_dual_conic(R_wc, t_wc, R_q, t_q, s)
+        return J
+    R_wc, s = x[0][valid], q[2][valid]
+    A, cen, G = (a[valid] for a in scored.lin)
     # Factor-last copies: G[i, j], A[i, k] and R_cw[i, j] = R_wc[j, i] (3, 3, m).
     G, A, R_cw = (np.ascontiguousarray(M.transpose(axes)) for M, axes in (
         (G, (1, 2, 0)), (A, (1, 2, 0)), (R_wc, (2, 1, 0))
@@ -257,31 +289,46 @@ def bbox_jacobians(c, x, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     J[valid] = np.where(
         keep[valid].T[:, None], -focal[:, None, None] * d_box, 0.0
     ).transpose(2, 0, 1)
-    return r, J, valid
+    return J
 
 
-def size_prior_jacobians(c, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed form: the sort permutation on the semi-axis columns."""
+def size_prior_residuals(c, q) -> Scored:
+    """Ascending-sorted semi-axes minus the target."""
     r = np.sort(q[2], axis=1) - c[0]
-    J = np.zeros((len(r), 3, 9))
-    J[np.arange(len(r))[:, None], np.arange(3), 6 + np.argsort(q[2], axis=1, kind="stable")] = 1.0
-    return r, J, np.ones(len(r), dtype=bool)
+    return Scored(r, np.ones(len(r), dtype=bool), ())
 
 
-def orientation_prior_jacobians(c, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed form: Jr^-1 of the residual on the rotation columns."""
+def size_prior_jacobians(c, scored: Scored, q) -> np.ndarray:
+    """Closed form: the sort permutation on the semi-axis columns."""
+    J = np.zeros((len(q[2]), 3, 9))
+    J[np.arange(len(J))[:, None], np.arange(3), 6 + np.argsort(q[2], axis=1, kind="stable")] = 1.0
+    return J
+
+
+def orientation_prior_residuals(c, q) -> Scored:
+    """SO(3) log of R_target^T R."""
     r = so3_log(_transpose(c[0]) @ q[0])
-    J = np.zeros((len(r), 3, 9))
-    J[:, :, :3] = so3_jr_inv(r)
-    return r, J, np.ones(len(r), dtype=bool)
+    return Scored(r, np.ones(len(r), dtype=bool), ())
 
 
-def centroid_jacobians(c, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed form: [0 I 0]."""
+def orientation_prior_jacobians(c, scored: Scored, q) -> np.ndarray:
+    """Closed form: Jr^-1 of the residual on the rotation columns."""
+    J = np.zeros((len(scored.r), 3, 9))
+    J[:, :, :3] = so3_jr_inv(scored.r)
+    return J
+
+
+def centroid_residuals(c, q) -> Scored:
+    """Centroid minus the target."""
     r = q[1] - c[0]
-    J = np.zeros((len(r), 3, 9))
+    return Scored(r, np.ones(len(r), dtype=bool), ())
+
+
+def centroid_jacobians(c, scored: Scored, q) -> np.ndarray:
+    """Closed form: [0 I 0]."""
+    J = np.zeros((len(q[1]), 3, 9))
     J[:, :, 3:6] = np.eye(3)
-    return r, J, np.ones(len(r), dtype=bool)
+    return J
 
 
 def _row(v: Pose | Quadric) -> tuple[np.ndarray, ...]:
@@ -292,37 +339,35 @@ def _row(v: Pose | Quadric) -> tuple[np.ndarray, ...]:
 
 
 class Factor:
-    """Base interface. A factor kind is a class with one batched function,
-    ``jacobians``, over the constant inputs its ``stack`` gathers from k
-    factors; ``residuals`` is its residual part unless the kind has a
-    cheaper one. ``residual_at`` and ``jacobian_at`` are one-row calls."""
+    """Base interface. A factor kind is a class with two batched functions
+    over the constant inputs its ``stack`` gathers from k factors:
+    ``residuals``, the scoring pass, and ``jacobians``, the derivative pass
+    from that pass's ``Scored``. ``residual_at`` and ``jacobian_at`` are
+    one-row calls."""
 
     kind: str = "factor"
     noise: NoiseModel
-    jacobians: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
+    residuals: Callable[..., Scored]
+    jacobians: Callable[..., np.ndarray]
 
     def variable_keys(self) -> tuple[VariableKey, ...]:
         raise NotImplementedError
 
-    @classmethod
-    def residuals(cls, c, *rows) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals (k, d) and validity (k,)."""
-        r, _, valid = cls.jacobians(c, *rows)
-        return r, valid
-
     def residual_at(self, *variables: Pose | Quadric) -> np.ndarray | None:
         """This factor's residual, or None when it is skipped."""
-        r, valid = self.residuals(self.stack([self]), *map(_row, variables))
+        r, valid, _ = self.residuals(self.stack([self]), *map(_row, variables))
         return r[0] if valid[0] else None
 
     def jacobian_at(self, *variables: Pose | Quadric) -> tuple[np.ndarray, list[np.ndarray]] | None:
         """(residual, Jacobian blocks, one per variable) or None when the
         factor is skipped."""
-        r, J, valid = self.jacobians(self.stack([self]), *map(_row, variables))
-        if not valid[0]:
+        c, rows = self.stack([self]), [_row(v) for v in variables]
+        scored = self.residuals(c, *rows)
+        if not scored.valid[0]:
             return None
+        J = self.jacobians(c, scored, *rows)
         dims = [TANGENT_DIM[kind] for kind, _ in self.variable_keys()]
-        return r[0], np.split(J[0], np.cumsum(dims)[:-1], axis=1)
+        return scored.r[0], np.split(J[0], np.cumsum(dims)[:-1], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,6 +378,7 @@ class OdometryFactor(Factor):
     noise: NoiseModel
 
     kind = "odometry"
+    residuals = staticmethod(odometry_residuals)
     jacobians = staticmethod(odometry_jacobians)
 
     def variable_keys(self) -> tuple[VariableKey, ...]:
@@ -408,6 +454,7 @@ class _QuadricPrior(Factor):
 @dataclass(frozen=True, eq=False)
 class SizePriorFactor(_QuadricPrior):
     kind = "size_prior"
+    residuals = staticmethod(size_prior_residuals)
     jacobians = staticmethod(size_prior_jacobians)
 
     def __post_init__(self) -> None:
@@ -419,6 +466,7 @@ class SizePriorFactor(_QuadricPrior):
 @dataclass(frozen=True, eq=False)
 class OrientationPriorFactor(_QuadricPrior):
     kind = "orientation_prior"
+    residuals = staticmethod(orientation_prior_residuals)
     jacobians = staticmethod(orientation_prior_jacobians)
 
     def __post_init__(self) -> None:
@@ -428,4 +476,5 @@ class OrientationPriorFactor(_QuadricPrior):
 @dataclass(frozen=True, eq=False)
 class CentroidPriorFactor(_QuadricPrior):
     kind = "centroid"
+    residuals = staticmethod(centroid_residuals)
     jacobians = staticmethod(centroid_jacobians)

@@ -400,15 +400,18 @@ def project_bbox_batch(
     R_q: np.ndarray,
     t_q: np.ndarray,
     s: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    conic: bool = False,
+) -> tuple:
     """Vectorized quadric-to-bbox projection over a batch of configurations.
 
     Inputs are stacked along axis 0: rotations (n, 3, 3), translations and
     semi-axes (n, 3). Returns (boxes (n, 4) as xmin, ymin, xmax, ymax and a
     validity mask (n,)); rows with non-positive centroid depth or a
-    degenerate envelope are flagged invalid and left as NaN.
+    degenerate envelope are flagged invalid and left as NaN. With ``conic``
+    the :func:`camera_dual_conic` it projected, (A, c, G) of every row, is
+    returned third.
     """
-    _, c, G = camera_dual_conic(
+    A, c, G = camera_dual_conic(
         *(np.asarray(a, dtype=np.float64) for a in (R_wc, t_wc, R_q, t_q, s))
     )
     n = len(G)
@@ -441,4 +444,4 @@ def project_bbox_batch(
         boxes[i, 1] = np.minimum(v1, v2)
         boxes[i, 2] = np.maximum(u1, u2)
         boxes[i, 3] = np.maximum(v1, v2)
-    return boxes, valid
+    return (boxes, valid, (A, c, G)) if conic else (boxes, valid)

@@ -20,15 +20,18 @@ rows of its variables), the flat ``bincount`` indices of all entries in
 and ``J^T r`` products, of which each batch writes its slice.
 
 ``_lm_solve`` is one loop over trial steps. ``cost_breakdown`` scores each
-point, the start and every trial, once with each kind's batched functions
-from ``factors`` and returns it as a ``Point``: the values, their cost per
-kind, the factors it scored and the whitened residuals, IRLS weights and
-Jacobians it scored with. After an accepted step ``H`` and ``g`` are built
-from that point, every local ``J^T J`` and ``J^T r`` written into the
-workspace's buffers and scattered with one ``bincount``; ``H`` and ``g``
-themselves are new arrays on every build. A row invalid at the point enters
-with zero residual and Jacobian. The trials of a solve's last budgeted step
-take no Jacobians, since no step is built from them.
+point, the start and every trial, once and without derivatives: each kind's
+scoring pass from ``factors`` (the residuals, their validity, and what the
+derivative needs, such as the projection's conics) through the noise models.
+It returns a ``Point``: the values, their cost per kind, the factors it
+scored, and per batch what it scored with. ``_normal_equations`` runs each
+kind's derivative pass from that kept output only where ``H`` and ``g`` are
+built: at the start point and at each accepted point from which another
+step is taken. Rejected trials and the trials of a solve's last budgeted
+step are never differentiated. Every local ``J^T J`` and ``J^T r`` is
+written into the workspace's buffers and scattered with one ``bincount``;
+``H`` and ``g`` themselves are new arrays on every build. A row invalid at
+the point enters with zero residual and Jacobian.
 ``factors.robust_whiten`` applies the noise models and the Huber cost. Each
 trial copies ``H`` into one (n, n) buffer of the solve, adds the damping on
 its diagonal and factors it in place, without a finiteness check: a
@@ -63,6 +66,7 @@ from .factors import (
     NoiseModel,
     OdometryFactor,
     OrientationPriorFactor,
+    Scored,
     SizePriorFactor,
     VariableKey,
     robust_whiten,
@@ -373,14 +377,15 @@ def _stacked(values: GraphValues, placed: Placed) -> list[tuple]:
 class Point(NamedTuple):
     """One scored LM point: the values, their robustified cost per factor
     kind, which factors were scored (bool, one per factor in graph order; a
-    bbox factor whose projection is invalid is not), and, when Jacobians
-    were taken, per placed batch the whitened residuals e, IRLS weights w
-    and Jacobians J that ``_normal_equations`` builds H, g from."""
+    bbox factor whose projection is invalid is not), and per placed batch
+    what ``_normal_equations`` builds H, g from: the values of its variable
+    slots, the kind's ``Scored`` pass, the whitened residuals e and the IRLS
+    weights w."""
 
     values: GraphValues
     breakdown: dict[str, float]
     active: np.ndarray
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None
+    kept: list[tuple[list[tuple], Scored, np.ndarray, np.ndarray]]
 
     @property
     def cost(self) -> float:
@@ -388,40 +393,32 @@ class Point(NamedTuple):
 
 
 def cost_breakdown(
-    graph: FactorGraph,
-    values: GraphValues,
-    workspace: Workspace | None = None,
-    jacobians: bool = False,
+    graph: FactorGraph, values: GraphValues, workspace: Workspace | None = None
 ) -> Point:
-    """The point scored at these values; skipped residuals contribute nothing.
+    """The point scored at these values, without derivatives; skipped
+    residuals contribute nothing and are zero in the point's ``Scored``.
     ``workspace`` is the graph's ``_place`` in the layout of these values,
-    computed here when not given. With ``jacobians`` each kind's
-    ``jacobians`` replaces its ``residuals`` and the point keeps e, w and J,
-    e and J zero in unscored rows."""
+    computed here when not given."""
     costs = np.zeros(len(graph))
-    scored = np.zeros(len(graph), dtype=bool)
+    active = np.zeros(len(graph), dtype=bool)
     kind_of = np.zeros(len(graph), dtype=np.int64)
     kinds: dict[str, int] = {}
-    kept = [] if jacobians else None
+    kept = []
     for p in (_place(graph, values) if workspace is None else workspace).placed:
         batch = p.batch
-        if kept is None:
-            r, valid = batch.cls.residuals(batch.inputs, *_stacked(values, p))
-        else:
-            r, J, valid = batch.cls.jacobians(batch.inputs, *_stacked(values, p))
-            J[~valid] = 0.0
-        r[~valid] = 0.0
-        e, costs[batch.at], w = robust_whiten(batch.sqrt_info, batch.huber, r)
-        if kept is not None:
-            kept.append((e, w, J))
-        scored[batch.at] = valid
+        rows = _stacked(values, p)
+        scored = batch.cls.residuals(batch.inputs, *rows)
+        scored.r[~scored.valid] = 0.0
+        e, costs[batch.at], w = robust_whiten(batch.sqrt_info, batch.huber, scored.r)
+        kept.append((rows, scored, e, w))
+        active[batch.at] = scored.valid
         kind_of[batch.at] = kinds.setdefault(batch.cls.kind, len(kinds))
     # Sums in graph order, kinds in order of their first scored factor.
-    sums = np.bincount(kind_of[scored], costs[scored], minlength=len(kinds))
-    present, first = np.unique(kind_of[scored], return_index=True)
+    sums = np.bincount(kind_of[active], costs[active], minlength=len(kinds))
+    present, first = np.unique(kind_of[active], return_index=True)
     names = list(kinds)
     breakdown = {names[k]: float(sums[k]) for k in present[np.argsort(first)]}
-    return Point(values, breakdown, scored, kept)
+    return Point(values, breakdown, active, kept)
 
 
 def _anchored(values: GraphValues) -> int:
@@ -448,16 +445,19 @@ def _columns(values: GraphValues, kinds: tuple[str, ...], rows: list[np.ndarray]
     return np.concatenate(out, axis=1)
 
 
-def _normal_equations(workspace: Workspace, kept: list) -> tuple[np.ndarray, np.ndarray]:
-    """H (n, n) and g (n,) from the e, w, J of a ``Point.kept``: every
-    factor's J^T J and J^T r of its whitened, robust-weighted Jacobian w S J,
-    written into the workspace's product buffers and scattered with one
+def _normal_equations(workspace: Workspace, point: Point) -> tuple[np.ndarray, np.ndarray]:
+    """H (n, n) and g (n,) at a scored point: each batch's derivative pass
+    from what the point kept, then every factor's J^T J and J^T r of its
+    whitened, robust-weighted Jacobian w S J, written into the workspace's
+    product buffers from contiguous (w S J)^T stacks and scattered with one
     ``bincount`` each. An unscored row adds +0.0, which leaves every sum as
     it is. The anchored pose's spare row and column n are cut off at the
     end. H and g are new arrays on every call, never views of the buffers."""
-    for p, (e, w, J) in zip(workspace.placed, kept):
-        wJt = np.swapaxes(w[:, None, None] * (p.batch.sqrt_info[:, :, None] * J), 1, 2)
-        np.matmul(wJt, np.swapaxes(wJt, 1, 2), out=p.JtJ)
+    for p, (rows, scored, e, w) in zip(workspace.placed, point.kept):
+        J = p.batch.cls.jacobians(p.batch.inputs, scored, *rows)
+        wJ = (w[:, None] * p.batch.sqrt_info)[:, :, None] * J
+        wJt = np.ascontiguousarray(np.swapaxes(wJ, 1, 2))
+        np.matmul(wJt, wJ, out=p.JtJ)
         np.matmul(wJt, (w[:, None] * e)[:, :, None], out=p.Jtr)
     n = workspace.n
     size = n + 1
@@ -479,7 +479,7 @@ def _lm_solve(
     graph: FactorGraph, values: GraphValues, cfg: SolverConfig, max_accepted: int
 ) -> tuple[GraphValues, SolveReport]:
     workspace = _place(graph, values)
-    point = cost_breakdown(graph, values.copy(), workspace, jacobians=True)
+    point = cost_breakdown(graph, values.copy(), workspace)
     initial_cost = point.cost
     n = workspace.n
     # H + damping I, factored in place: in Fortran order LAPACK needs no copy.
@@ -494,7 +494,7 @@ def _lm_solve(
 
     while not converged and accepted < max_accepted:
         if built_at is not point:
-            H, g = _normal_equations(workspace, point.kept)
+            H, g = _normal_equations(workspace, point)
             built_at = point
         damped[...] = H
         diagonal += damping
@@ -506,10 +506,9 @@ def _lm_solve(
         except scipy.linalg.LinAlgError:
             delta = None  # H + damping I is not positive definite
         # Unchecked, a non-finite H or g fails the factorization or gives a
-        # non-finite delta: a failed step either way. The budget's last step
-        # is never linearized: no Jacobians.
+        # non-finite delta: a failed step either way.
         trial = None if delta is None or not np.all(np.isfinite(delta)) else cost_breakdown(
-            graph, _apply_step(point.values, delta), workspace, accepted + 1 < max_accepted
+            graph, _apply_step(point.values, delta), workspace
         )
         # A step that deactivates a scored factor lowers the cost by dropping its term,
         # not by fitting it: reject it. A NaN or infinite cost fails both tests below.

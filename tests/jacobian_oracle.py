@@ -70,12 +70,13 @@ _AXES = skew(np.eye(3))
 
 
 def bbox_jacobians_reference(c, x, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``factors.bbox_jacobians`` with every derivative of the camera-frame
-    dual conic built: dG = X + X^T along each of the 15 tangent directions,
+    """The residuals, Jacobians and validity of ``factors.bbox_jacobians``
+    with every derivative of the camera-frame dual conic built from a conic
+    of its own: dG = X + X^T along each of the 15 tangent directions,
     X (m, 15, 3, 3) as that function's docstring lists them, pushed through
     the envelope with the factor axis first."""
     K, _, keep = c
-    r, valid = bbox_residuals(c, x, q)
+    r, valid, _ = bbox_residuals(c, x, q)
     J = np.zeros((len(r), 4, 15))
     if not valid.any():
         return r, J, valid

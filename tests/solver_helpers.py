@@ -20,8 +20,8 @@ def total_cost(graph: FactorGraph, values: GraphValues) -> float:
 
 def linearize(graph: FactorGraph, values: GraphValues) -> tuple[np.ndarray, np.ndarray]:
     """Dense normal equations H, g of the robust-weighted linearization at
-    these values, from scratch: one scoring pass that keeps its Jacobians,
-    then the solver's own ``_normal_equations``."""
+    these values, from scratch: one scoring pass, then the solver's own
+    ``_normal_equations``, which differentiates from what that pass kept."""
     workspace = optimizer._place(graph, values)
-    point = optimizer.cost_breakdown(graph, values, workspace, jacobians=True)
-    return optimizer._normal_equations(workspace, point.kept)
+    point = optimizer.cost_breakdown(graph, values, workspace)
+    return optimizer._normal_equations(workspace, point)

@@ -382,6 +382,73 @@ def test_ids_must_be_json_integers(tmp_path, rng, file_name, path, name, value):
     assert f"field {name!r} must be an integer, got {value!r}" in message
 
 
+# (file, line of the record in a JSONL file or None for a whole document,
+# path to the value, field name in the error). Frame 0 has no detections, so
+# the detection fields are read from frame 1, on line 2.
+NUMBER_FIELDS = [
+    (HEADER_FILE, None, ("intrinsics", "fx"), "fx"),
+    (HEADER_FILE, None, ("intrinsics", "fy"), "fy"),
+    (HEADER_FILE, None, ("intrinsics", "cx"), "cx"),
+    (HEADER_FILE, None, ("intrinsics", "cy"), "cy"),
+    (FRAMES_FILE, 2, ("detections", 0, "bbox", 2), "bbox"),
+    (FRAMES_FILE, 2, ("detections", 0, "confidence"), "confidence"),
+    (FRAMES_FILE, 2, ("detections", 0, "center_depth"), "center_depth"),
+    (ODOMETRY_FILE, 1, ("rotation_quaternion", 0), "rotation_quaternion"),
+    (ODOMETRY_FILE, 1, ("translation", 1), "translation"),
+    (GT_OBJECTS_FILE, 1, ("rotation_quaternion", 3), "rotation_quaternion"),
+    (GT_OBJECTS_FILE, 1, ("center", 0), "center"),
+    (GT_OBJECTS_FILE, 1, ("half_extents", 2), "half_extents"),
+    (GT_TRAJECTORY_FILE, 1, ("rotation_quaternion", 1), "rotation_quaternion"),
+    (GT_TRAJECTORY_FILE, 1, ("translation", 2), "translation"),
+    (MAP_FILE, None, ("landmarks", 0, "rotation_quaternion", 0), "rotation_quaternion"),
+    (MAP_FILE, None, ("landmarks", 0, "centroid", 2), "centroid"),
+    (MAP_FILE, None, ("landmarks", 0, "semi_axes", 0), "semi_axes"),
+    (MAP_FILE, None, ("trajectory", 0, "translation", 0), "translation"),
+    (MAP_FILE, None, ("snapshots", 0, "landmarks", 0, "centroid", 1), "centroid"),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, "500"])
+@pytest.mark.parametrize(
+    "file_name, line, path, name", NUMBER_FIELDS,
+    ids=[".".join(map(str, (f.split(".")[0],) + path)) for f, _, path, _ in NUMBER_FIELDS],
+)
+def test_numbers_must_be_json_numbers(tmp_path, rng, file_name, line, path, name, value):
+    """A number is read only from a JSON number: true is not taken for 1.0,
+    false for 0.0 or "500" for 500.0."""
+    write_dataset(make_dataset(rng), tmp_path)
+    write_map_json(make_map(), tmp_path / MAP_FILE)
+    target = tmp_path / file_name
+    lines = target.read_text().splitlines()
+    doc = json.loads("".join(lines) if line is None else lines[line - 1])
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    if line is None:
+        target.write_text(json.dumps(doc))
+    else:
+        lines[line - 1] = json.dumps(doc)
+        target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        load_map_json(target) if file_name == MAP_FILE else load_dataset(tmp_path)
+    message = str(exc.value)
+    assert (file_name if line is None else f"{file_name}:{line}:") in message
+    assert f"field {name!r} must be a number, got {value!r}" in message
+
+
+def test_duplicate_ground_truth_frame_is_schema_error(tmp_path, rng):
+    # A second record for frame 0 would silently replace the first.
+    write_dataset(make_dataset(rng), tmp_path)
+    target = tmp_path / GT_ASSOCIATION_FILE
+    lines = target.read_text().splitlines()
+    assert len(lines) == 2 and json.loads(lines[0])["frame_id"] == 0
+    target.write_text("\n".join(lines + [json.dumps({"frame_id": 0, "pairs": [[1, 1]]})]) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(tmp_path)
+    assert f"{GT_ASSOCIATION_FILE}:3: duplicate 'frame_id' 0" in str(exc.value)
+
+
 class TestHelpers:
     def test_odometry_by_pair(self, rng):
         ds = make_dataset(rng)

@@ -12,6 +12,7 @@ from objslam.factors import (
     OrientationPriorFactor,
     SizePriorFactor,
     bbox_jacobians,
+    bbox_residuals,
     robust_whiten,
     stack_noises,
 )
@@ -73,14 +74,25 @@ def visible_setup(rng: np.random.Generator, camera: CameraIntrinsics):
     return x, Quadric(q.rotation, p_world, q.s)
 
 
+def stacked_rows(variables) -> list[tuple]:
+    """Per variable slot of k factors' variables, their rows stacked: (R, t)
+    for poses, (R, t, s) for quadrics."""
+    out = []
+    for slot in zip(*variables):
+        pose = isinstance(slot[0], Pose)
+        fields = ("rotation", "translation") if pose else ("rotation", "t", "s")
+        out.append(tuple(np.array([getattr(v, a) for v in slot]) for a in fields))
+    return out
+
+
 def assert_bbox_jacobians_equal_reference(bbox: list[BBoxFactor], pairs: list) -> None:
     """``bbox_jacobians`` of these factors at these (pose, quadric) pairs,
     stacked in one batch, is the full-derivative reference bit for bit."""
-    xs, qs = zip(*pairs)
-    x = (np.array([v.rotation for v in xs]), np.array([v.translation for v in xs]))
-    q = tuple(np.array([getattr(v, a) for v in qs]) for a in ("rotation", "t", "s"))
+    x, q = stacked_rows(pairs)
     c = BBoxFactor.stack(bbox)
-    for got, want in zip(bbox_jacobians(c, x, q), bbox_jacobians_reference(c, x, q)):
+    scored = bbox_residuals(c, x, q)
+    got = (scored.r, bbox_jacobians(c, scored, x, q), scored.valid)
+    for got, want in zip(got, bbox_jacobians_reference(c, x, q)):
         np.testing.assert_array_equal(got, want, strict=True)
 
 
@@ -410,6 +422,63 @@ class TestClosedFormJacobians:
             CentroidPriorFactor(0, rng.normal(size=3), NoiseModel.isotropic(3, 0.1)),
         ):
             np.testing.assert_array_equal(factor.jacobian_at(q)[0], factor.residual_at(q))
+
+
+class TestDerivativePass:
+    """Each kind's derivative pass from what its scoring pass kept: the
+    oracle's Jacobian, and bit for bit the Jacobian of a fresh scoring of the
+    same values, although other values were scored in between."""
+
+    TOL = 1e-4
+
+    def cases(self, camera):
+        """Per kind, five factors and their variables; the last bbox factor's
+        landmark is behind its camera."""
+        rng = np.random.default_rng(101)
+        noise = {d: NoiseModel.isotropic(d, 0.1) for d in (3, 4, 6)}
+        odometry, bbox, size, orientation, centroid = [], [], [], [], []
+        for i in range(5):
+            x_i, u = random_pose(rng), random_pose(rng)
+            x_j = compose(x_i, u).retract(rng.normal(0.0, 0.2, size=6))
+            odometry.append((OdometryFactor(0, 1, u, noise[6]), (x_i, x_j)))
+            x, q = visible_setup(rng, camera)
+            if i == 4:
+                q = Quadric(q.rotation, x.transform(np.array([0.0, 0.0, -3.0])), q.s)
+            b = predict_bbox(x, camera, q) if i < 4 else BoundingBox2D(1, 1, 20, 20)
+            measured = BoundingBox2D(b.xmin - 1.0, b.ymin + 0.5, b.xmax + 2.0, b.ymax + 1.0)
+            bbox.append((BBoxFactor(0, 0, measured, camera, noise[4]), (x, q)))
+            # Semi-axes at least 0.05 apart: the sort has no tie to cross.
+            s = np.array([0.1, 0.3, 0.2]) + 0.1 * i
+            q = Quadric(random_rotation(rng), rng.normal(size=3), s)
+            size.append((SizePriorFactor(0, np.array([0.1, 0.2, 0.3]), noise[3]), (q,)))
+            orientation.append((OrientationPriorFactor(0, random_rotation(rng), noise[3]), (q,)))
+            centroid.append((CentroidPriorFactor(0, rng.normal(size=3), noise[3]), (q,)))
+        return [odometry, bbox, size, orientation, centroid], rng
+
+    def test_kept_pass_gives_the_oracle_jacobian(self, camera):
+        kinds, rng = self.cases(camera)
+        for case in kinds:
+            factors, variables = map(list, zip(*case))
+            cls = type(factors[0])
+            c, rows = cls.stack(factors), stacked_rows(variables)
+            kept = cls.residuals(c, *rows)
+            # Other values (moved translations) scored with the same constants
+            # in between.
+            moved = [(r[0], r[1] + rng.normal(0.0, 0.1, size=r[1].shape), *r[2:]) for r in rows]
+            cls.residuals(c, *moved)
+            J = cls.jacobians(c, kept, *rows)
+            fresh_rows = [tuple(a.copy() for a in r) for r in rows]
+            fresh = cls.jacobians(c, cls.residuals(c, *fresh_rows), *fresh_rows)
+            np.testing.assert_array_equal(J, fresh, strict=True)
+            for k, (factor, v) in enumerate(case):
+                if not kept.valid[k]:
+                    assert cls is BBoxFactor and factor.residual_at(*v) is None
+                    np.testing.assert_array_equal(J[k], 0.0)
+                    continue
+                want = np.hstack(numeric_jacobian(factor.residual_at, list(v)))
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(J[k] - want).max() / scale < self.TOL, (cls.kind, k)
+            assert kept.valid.sum() == (4 if cls is BBoxFactor else 5)
 
 
 def robust_one(noise: NoiseModel, r) -> tuple[np.ndarray, float, float]:

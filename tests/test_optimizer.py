@@ -16,6 +16,7 @@ from objslam.factors import (
     NoiseModel,
     OdometryFactor,
     OrientationPriorFactor,
+    Scored,
     SizePriorFactor,
 )
 from objslam.geometry import (
@@ -350,14 +351,18 @@ class TestSolveBatch:
         assert np.all(solved.get(("quadric", 0)).s >= 1e-4 - 1e-15)
 
     def test_singular_system(self, monkeypatch):
-        # The size-prior kind's batched function replaced by a constant-slope
+        # The size-prior kind's batched functions replaced by a constant-slope
         # Jacobian over a residual that only grows.
-        def lying(c, q):
+        def growing(c, q):
             r = 1.0 + np.sqrt(np.abs(q[1][:, :1]))
-            J = np.zeros((len(r), 1, 9))
-            J[:, 0, 3] = 1.0
-            return r, J, np.ones(len(r), dtype=bool)
+            return Scored(r, np.ones(len(r), dtype=bool), ())
 
+        def lying(c, scored, q):
+            J = np.zeros((len(scored.r), 1, 9))
+            J[:, 0, 3] = 1.0
+            return J
+
+        monkeypatch.setattr(SizePriorFactor, "residuals", staticmethod(growing))
         monkeypatch.setattr(SizePriorFactor, "jacobians", staticmethod(lying))
         graph = FactorGraph()
         graph.add(SizePriorFactor(0, np.full(3, 0.1), NoiseModel.isotropic(1, 1.0)))
@@ -807,7 +812,9 @@ class TestGraphStructure:
 
 
 class TestScoredOnce:
-    """The solver scores each point once and builds H, g from that pass."""
+    """The solver scores each point once, without derivatives, and
+    differentiates only the points it builds H, g at, from what their
+    scoring kept."""
 
     def test_each_point_is_projected_once(self, camera, monkeypatch):
         graph, values = mixed_graph(camera)
@@ -826,22 +833,53 @@ class TestScoredOnce:
                             counting(factors.project_bbox_batch, "project"))
         monkeypatch.setattr(optimizer, "cost_breakdown",
                             counting(optimizer.cost_breakdown, "cost_breakdown"))
-        normal_equations = optimizer._normal_equations
-
-        def last_build(*args):
-            calls["at_last_build"] = calls["cost_breakdown"]
-            return normal_equations(*args)
-
-        monkeypatch.setattr(optimizer, "_normal_equations", last_build)
+        monkeypatch.setattr(optimizer, "_normal_equations",
+                            counting(optimizer._normal_equations, "builds"))
         cfg = SolverConfig()
         _, report = solve_incremental(graph, values, cfg)
-        # The solve spends its budget, so the passes after the last H, g
-        # are the trials of its last step, which need no Jacobians.
+        # The solve spends its budget: the trials of its last step are
+        # scored after the last build and never differentiated.
         assert report.iterations == cfg.incremental_iters_per_keyframe
-        last_step = calls["cost_breakdown"] - calls["at_last_build"]
-        assert last_step >= 1
-        assert calls["project"] == calls["cost_breakdown"] > 1
-        assert calls["jacobians"] == calls["cost_breakdown"] - last_step
+        assert calls["project"] == calls["cost_breakdown"] > calls["builds"]
+        assert calls["jacobians"] == calls["builds"] == report.iterations
+
+    def test_rejected_trials_take_no_derivatives(self, camera, monkeypatch):
+        # mixed_graph's batch solve of 4 steps rejects trials. Every kind's
+        # derivative pass runs once per build, on the Scored passes of the
+        # point H, g are built at, and never on a trial that was rejected.
+        graph, values = mixed_graph(camera)
+        points, built, differentiated = [], [], []
+
+        def scoring(*args, **kwargs):
+            points.append(cost_breakdown(*args, **kwargs))
+            return points[-1]
+
+        def building(workspace, point):
+            built.append(point)
+            return normal_equations(workspace, point)
+
+        normal_equations = optimizer._normal_equations
+        monkeypatch.setattr(optimizer, "cost_breakdown", scoring)
+        monkeypatch.setattr(optimizer, "_normal_equations", building)
+        for cls in {b.cls for b in graph.batches()}:
+            def derivative(c, scored, *rows, fn=cls.jacobians):
+                differentiated.append(scored)
+                return fn(c, scored, *rows)
+
+            monkeypatch.setattr(cls, "jacobians", staticmethod(derivative))
+        solved, report = solve_batch(graph, values, SolverConfig(max_iterations=4))
+        assert report.iterations == len(built) == 4 and built[0] is points[0]
+        assert len(graph.batches()) == 5
+        assert len(differentiated) == len(built) * len(graph.batches())
+
+        def passes(ps):
+            return {id(scored) for p in ps for _, scored, _, _ in p.kept}
+
+        assert {id(scored) for scored in differentiated} == passes(built)
+        # The trials neither built at nor returned: the rejected ones.
+        rejected = [p for p in points if p.values is not solved and not any(p is b for b in built)]
+        assert len(rejected) > 0
+        assert passes(rejected).isdisjoint(id(scored) for scored in differentiated)
 
     def test_solver_normal_equations_are_the_linearization(self, camera, monkeypatch):
         # The point after k accepted steps is solve_batch's estimate with a
@@ -854,8 +892,8 @@ class TestScoredOnce:
         built: list = []
         scored: Counter = Counter()
 
-        def recording(workspace, kept):
-            built.append(normal_equations(workspace, kept))
+        def recording(workspace, point):
+            built.append(normal_equations(workspace, point))
             scored["at_last_build"] = scored["points"]
             return built[-1]
 
@@ -869,7 +907,7 @@ class TestScoredOnce:
         steps = 4
         _, report = solve_batch(graph, values, SolverConfig(max_iterations=steps))
         assert report.iterations == steps and len(built) == steps
-        # A trial was rejected before the last build: a kept pass that H, g
+        # A trial was rejected before the last build: a scored pass that H, g
         # must not come from.
         assert scored["at_last_build"] > steps
         monkeypatch.undo()
@@ -897,8 +935,8 @@ class TestWorkspace:
             places.append(place(*args))
             return places[-1]
 
-        def recording(workspace, kept):
-            H, g = normal_equations(workspace, kept)
+        def recording(workspace, point):
+            H, g = normal_equations(workspace, point)
             builds.append((workspace, H, g, H.copy(), g.copy()))
             return H, g
 
@@ -938,12 +976,12 @@ class TestWorkspace:
         have passed."""
         calls = Counter()
 
-        def poisoned(c, q):
-            r, J, valid = factors.centroid_jacobians(c, q)
+        def poisoned(c, scored, q):
+            J = factors.centroid_jacobians(c, scored, q)
             calls["jacobians"] += 1
             if calls["jacobians"] > clean:
                 J[0, 1] = np.nan
-            return r, J, valid
+            return J
 
         monkeypatch.setattr(CentroidPriorFactor, "jacobians", staticmethod(poisoned))
 
@@ -954,7 +992,7 @@ class TestWorkspace:
             solve_batch(graph, values, SolverConfig(max_iterations=4))
 
     def test_nan_jacobian_after_a_step_ends_the_solve_there(self, camera, monkeypatch):
-        # The first accepted trial is scored with a NaN Jacobian row: every
+        # The first accepted trial is differentiated with a NaN row: every
         # step from its H, g fails, and the solve returns that point.
         graph, values = mixed_graph(camera)
         self.nan_jacobians_after(monkeypatch, 1)
