@@ -10,6 +10,14 @@ Two mechanisms cooperate, one call each per frame:
   scored against every unclaimed landmark at once, then matched by a
   rectangular linear sum assignment that drops pairs below a gate.
 
+The assignment is ``linear_sum_assignment``, a port of the
+shortest-augmenting-path algorithm of Crouse ("On implementing 2D
+rectangular assignment algorithms", IEEE TAES 2016) as scipy implements it,
+with scipy's tie rule: each search scans the unvisited columns in reverse
+index order, takes the first of the cheapest, and prefers a free column on
+equal cost. So it returns scipy's assignment, ties included, and the
+tracker, the association and ``evaluation.match_map_to_gt`` share it.
+
 Pair weight: IoU(measured box, predicted box) + w_s * psi + w_d / distance,
 where psi is 1 when the label embeddings are within a threshold (or the
 labels are identical), and the distance between the landmark centroid and
@@ -25,7 +33,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dataset import Detection
 from .geometry import (
@@ -175,6 +182,111 @@ def association_weight(
     dist = np.linalg.norm(t_q[None, :, :] - centers[has_depth, None, :], axis=-1)
     w[has_depth] += cfg.distance_weight / np.maximum(dist, cfg.min_distance)
     return w
+
+
+def linear_sum_assignment(cost, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost (maximum with ``maximize``) assignment of the rows of a
+    rectangular cost matrix to distinct columns, or of its columns when it
+    is tall: the row indices, ascending, and their columns, as int64 arrays.
+
+    ``+inf`` forbids a pair (``-inf`` under ``maximize``). NaN, the other
+    infinity and a matrix with no full assignment raise ValueError. Results,
+    ties and errors are those of scipy's ``linear_sum_assignment``.
+    """
+    cost = np.asarray(cost)
+    if cost.ndim != 2:
+        raise ValueError(f"expected a matrix (2-D array), got a {cost.ndim} array")
+    nr, nc = cost.shape
+    if nr == 0 or nc == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    transpose = nc < nr
+    if transpose:
+        cost = cost.T
+        nr, nc = nc, nr
+    cost = -cost.astype(np.float64) if maximize else cost.astype(np.float64, copy=False)
+    if not (cost > -np.inf).all():  # NaN compares false too
+        raise ValueError("matrix contains invalid numeric entries")
+    C = cost.tolist()
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    v_zero = True  # no column potential moved yet
+    for cur in range(nr):
+        # The search from row cur: spc[j] is the shortest reduced path cost
+        # to column j. Its first step (u[cur] is still 0) reaches every
+        # column from cur; x - 0.0 is x exactly, so while v is zero the row
+        # is its own first step.
+        spc = C[cur] if v_zero else [c - w for c, w in zip(C[cur], v)]
+        lowest = min(spc)
+        if lowest == np.inf:
+            raise ValueError("cost matrix is infeasible")
+        # Columns are scanned from the last: the first cheapest one scanned
+        # (the highest index) wins, unless free columns tie it; then the
+        # last free one scanned (the lowest free index) does.
+        if spc.count(lowest) == 1:
+            j = spc.index(lowest)
+        else:
+            ties = [j for j, s in enumerate(spc) if s == lowest]
+            free = [j for j in ties if row4col[j] < 0]
+            j = free[0] if free else ties[-1]
+        if row4col[j] < 0:
+            # The path is the single edge (cur, j): u[cur] takes its cost
+            # and v[j] moves by lowest - spc[j] = 0.
+            u[cur] = lowest
+            row4col[j] = cur
+            col4row[cur] = j
+            continue
+        v_zero = False
+        spc = list(spc)
+        path = [cur] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        remaining[nc - 1 - j] = remaining[-1]
+        remaining.pop()
+        SR = [cur]  # rows and columns the search has reached (Crouse's SR, SC)
+        SC = [j]
+        min_val = lowest
+        while row4col[j] >= 0:
+            i = row4col[j]
+            SR.append(i)
+            ci, ui = C[i], u[i]
+            for k in remaining:
+                r = min_val + ci[k] - ui - v[k]
+                if r < spc[k]:
+                    path[k] = i
+                    spc[k] = r
+            vals = [spc[k] for k in remaining]
+            min_val = min(vals)
+            if min_val == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            index = vals.index(min_val)
+            if vals.count(min_val) > 1:
+                for it in range(len(vals) - 1, index, -1):
+                    if vals[it] == min_val and row4col[remaining[it]] < 0:
+                        index = it
+                        break
+            j = remaining[index]
+            SC.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # Update the potentials, then flip the path ending at the free column j.
+        u[cur] += min_val
+        for i in SR[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for k in SC:
+            v[k] -= min_val - spc[k]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    rows = np.arange(nr, dtype=np.int64)
+    cols = np.array(col4row, dtype=np.int64)
+    if transpose:
+        order = np.argsort(cols)
+        return cols[order], rows[order]
+    return rows, cols
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,23 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         ))
 
 
+def _one_per_frame(
+    parse: Callable[[dict, str], tuple[int, T]]
+) -> Callable[[dict, str], tuple[int, T]]:
+    """``parse`` of per-frame records that refuses a second record of a
+    frame: read into a dict by frame, it would silently replace the first."""
+    seen: set[int] = set()
+
+    def parse_new(record: dict, where: str) -> tuple[int, T]:
+        frame_id, value = parse(record, where)
+        if frame_id in seen:
+            raise SchemaError(f"{where}: duplicate 'frame_id' {frame_id}")
+        seen.add(frame_id)
+        return frame_id, value
+
+    return parse_new
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read and validate a dataset directory.
 
@@ -366,18 +383,8 @@ def load_dataset(path: str | Path) -> Dataset:
         return _read_jsonl(path / name, parse) if (path / name).exists() else None
 
     gt_objects = optional(GT_OBJECTS_FILE, _gt_object_from_json)
-    gt_trajectory = optional(GT_TRAJECTORY_FILE, _frame_pose_from_json)
-    seen: set[int] = set()
-
-    def new_frame_pairs(record: dict, where: str) -> tuple[int, list[tuple[int, int]]]:
-        """A frame's pairs; a second record of a frame would replace the first."""
-        frame_id, pairs = _gt_pairs_from_json(record, where)
-        if frame_id in seen:
-            raise SchemaError(f"{where}: duplicate 'frame_id' {frame_id}")
-        seen.add(frame_id)
-        return frame_id, pairs
-
-    gt_pairs = optional(GT_ASSOCIATION_FILE, new_frame_pairs)
+    gt_trajectory = optional(GT_TRAJECTORY_FILE, _one_per_frame(_frame_pose_from_json))
+    gt_pairs = optional(GT_ASSOCIATION_FILE, _one_per_frame(_gt_pairs_from_json))
     gt_association = None if gt_pairs is None else dict(gt_pairs)
     return Dataset(
         intrinsics, image_size, frames, odometry, gt_objects, gt_trajectory, gt_association

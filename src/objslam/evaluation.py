@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
+from .association import linear_sum_assignment
 from .geometry import Pose, Quadric
 
 # A vertex within this of a clipping plane, relative to the largest plane
@@ -196,7 +196,7 @@ def match_map_to_gt(
         est_t = np.array([q.t for q in estimates])
         gt_t = np.array([gt.t for gt in gt_objects])
         dist = np.linalg.norm(est_t[:, None] - gt_t[None], axis=2)
-        rows, cols = scipy.optimize.linear_sum_assignment(dist)
+        rows, cols = linear_sum_assignment(dist)
         for i, j in zip(rows, cols):
             if dist[i, j] <= threshold:
                 matching[int(i)] = int(j)

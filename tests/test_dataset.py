@@ -449,6 +449,20 @@ def test_duplicate_ground_truth_frame_is_schema_error(tmp_path, rng):
     assert f"{GT_ASSOCIATION_FILE}:3: duplicate 'frame_id' 0" in str(exc.value)
 
 
+def test_duplicate_trajectory_frame_is_schema_error(tmp_path, rng):
+    # A second pose for frame 0 would silently become the start pose and
+    # the frame's ATE reference.
+    write_dataset(make_dataset(rng), tmp_path)
+    target = tmp_path / GT_TRAJECTORY_FILE
+    lines = target.read_text().splitlines()
+    assert len(lines) == 4 and json.loads(lines[0])["frame_id"] == 0
+    moved = dict(json.loads(lines[0]), translation=[9.0, 9.0, 9.0])
+    target.write_text("\n".join(lines + [json.dumps(moved)]) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(tmp_path)
+    assert f"{GT_TRAJECTORY_FILE}:5: duplicate 'frame_id' 0" in str(exc.value)
+
+
 class TestHelpers:
     def test_odometry_by_pair(self, rng):
         ds = make_dataset(rng)
