@@ -41,8 +41,7 @@ from .geometry import (
     Pose,
     back_project_pixel,
     project_bbox_batch,
-    require_finite_fields,
-    require_int_fields,
+    require_field_types,
 )
 
 
@@ -58,8 +57,7 @@ class AssociationConfig:
     track_gate_dist: float = 0.3
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
-        require_int_fields(self)
+        require_field_types(self)
         if self.gate < 0.0:
             raise ValueError("gate must be non-negative")
         if self.min_distance <= 0.0:

@@ -9,7 +9,6 @@ priors.HTTPLLMClient); experiment manifests stay credential-free.
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import yaml
 
 from .association import AssociationConfig
-from .geometry import CameraIntrinsics, require_int_fields
+from .geometry import CameraIntrinsics, SettingTypeError, require_field_types
 from .optimizer import Flags, NoiseConfig, SolverConfig
 from .priors import PriorConfig
 from .simulator import SimConfig
@@ -51,6 +50,9 @@ class Paths:
     embeddings: str | None = None
     output_dir: str = "out"
 
+    def __post_init__(self) -> None:
+        require_field_types(self)
+
 
 @dataclass(frozen=True)
 class CameraConfig:
@@ -64,7 +66,7 @@ class CameraConfig:
     height: int = 480
 
     def __post_init__(self) -> None:
-        require_int_fields(self)
+        require_field_types(self)
         if min(self.fx, self.fy) <= 0.0 or min(self.width, self.height) <= 0:
             raise ValueError("camera focal lengths and image size must be positive")
 
@@ -88,7 +90,7 @@ class SceneConfig:
     arc: float = 5.2
 
     def __post_init__(self) -> None:
-        require_int_fields(self)
+        require_field_types(self)
         if self.n_frames < 0:
             raise ValueError("frame count must be non-negative")
         object.__setattr__(self, "area", tuple(float(a) for a in self.area))
@@ -111,67 +113,38 @@ class RunConfig:
     camera: CameraConfig = field(default_factory=CameraConfig)
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.match_threshold <= 0.0:
             raise ValueError("match threshold must be positive")
 
 
-_SECTIONS = {
-    "paths": Paths,
-    "flags": Flags,
-    "prior": PriorConfig,
-    "association": AssociationConfig,
-    "solver": SolverConfig,
-    "noise": NoiseConfig,
-    "sim": SimConfig,
-    "scene": SceneConfig,
-    "camera": CameraConfig,
-}
-_SCALARS = ("mode", "match_threshold")
-
-
-def _build_section(cls, data: dict, section: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in [{section}]: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid [{section}] section: {exc}") from exc
-
-
-def _require_finite(value, key: str) -> None:
-    """ConfigError naming the dotted key of any NaN or infinite float."""
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _require_finite(v, f"{key}.{k}" if key else str(k))
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _require_finite(v, key)
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value}")
-
-
 def build_run_config(document: dict | None) -> RunConfig:
-    """Construct a validated RunConfig from a parsed YAML document, every
-    float in it finite."""
+    """Construct a validated RunConfig from a parsed YAML document, whose
+    sections are the fields of RunConfig with a default factory."""
     document = dict(document or {})
-    _require_finite(document, "")
     kwargs = {}
-    for section, cls in _SECTIONS.items():
-        data = document.pop(section, {})
-        if data is None:
-            data = {}
+    for f in fields(RunConfig):
+        section, cls = f.name, f.default_factory
+        if cls is dataclasses.MISSING:
+            if section in document:
+                kwargs[section] = document.pop(section)
+            continue
+        data = document.pop(section, None)
+        data = {} if data is None else data
         if not isinstance(data, dict):
             raise ConfigError(f"section [{section}] must be a mapping")
-        kwargs[section] = _build_section(cls, data, section)
-    for key in _SCALARS:
-        if key in document:
-            kwargs[key] = document.pop(key)
+        unknown = set(data) - {g.name for g in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown key(s) in [{section}]: {sorted(map(str, unknown))}")
+        try:
+            kwargs[section] = cls(**data)
+        except (TypeError, ValueError) as exc:
+            key = f"{section}." if isinstance(exc, SettingTypeError) else ""
+            raise ConfigError(f"invalid [{section}] section: {key}{exc}") from exc
     if document:
-        raise ConfigError(f"unknown top-level key(s): {sorted(document)}")
+        raise ConfigError(f"unknown top-level key(s): {sorted(map(str, document))}")
     try:
         return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:

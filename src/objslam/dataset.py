@@ -305,19 +305,18 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         ))
 
 
-def _one_per_frame(
-    parse: Callable[[dict, str], tuple[int, T]]
-) -> Callable[[dict, str], tuple[int, T]]:
-    """``parse`` of per-frame records that refuses a second record of a
-    frame: read into a dict by frame, it would silently replace the first."""
+def _one_per(key: str, parse: Callable[[dict, str], T]) -> Callable[[dict, str], T]:
+    """``parse`` of records that refuses a second record with the same
+    ``key``, an integer field ``parse`` has checked: read into a dict by that
+    key, it would silently replace the first."""
     seen: set[int] = set()
 
-    def parse_new(record: dict, where: str) -> tuple[int, T]:
-        frame_id, value = parse(record, where)
-        if frame_id in seen:
-            raise SchemaError(f"{where}: duplicate 'frame_id' {frame_id}")
-        seen.add(frame_id)
-        return frame_id, value
+    def parse_new(record: dict, where: str) -> T:
+        value = parse(record, where)
+        if record[key] in seen:
+            raise SchemaError(f"{where}: duplicate {key!r} {record[key]}")
+        seen.add(record[key])
+        return value
 
     return parse_new
 
@@ -383,8 +382,8 @@ def load_dataset(path: str | Path) -> Dataset:
         return _read_jsonl(path / name, parse) if (path / name).exists() else None
 
     gt_objects = optional(GT_OBJECTS_FILE, _gt_object_from_json)
-    gt_trajectory = optional(GT_TRAJECTORY_FILE, _one_per_frame(_frame_pose_from_json))
-    gt_pairs = optional(GT_ASSOCIATION_FILE, _one_per_frame(_gt_pairs_from_json))
+    gt_trajectory = optional(GT_TRAJECTORY_FILE, _one_per("frame_id", _frame_pose_from_json))
+    gt_pairs = optional(GT_ASSOCIATION_FILE, _one_per("frame_id", _gt_pairs_from_json))
     gt_association = None if gt_pairs is None else dict(gt_pairs)
     return Dataset(
         intrinsics, image_size, frames, odometry, gt_objects, gt_trajectory, gt_association

@@ -25,6 +25,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -195,23 +196,44 @@ def as_rotation(R: np.ndarray) -> np.ndarray:
     return R
 
 
-def require_finite_fields(obj) -> None:
-    """ValueError naming the first float field of a dataclass that is NaN or
-    infinite; settings types call it first in ``__post_init__``."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+class SettingTypeError(ValueError):
+    """A settings field's value that its annotation does not admit."""
 
 
-def require_int_fields(obj) -> None:
-    """ValueError naming the first int field of a dataclass that holds
-    anything but an int: a float is not truncated, and a bool or a string is
-    not taken for a count. Settings types call it in ``__post_init__``."""
+_EXACT = {"int": (int, "an integer"), "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _misfit(value, annotation: str) -> str | None:
+    """Why ``value`` does not fit the field annotation ``annotation``, or
+    None when it fits or the rule does not read the annotation."""
+    if annotation.endswith(" | None"):
+        return None if value is None else _misfit(value, annotation[: -len(" | None")])
+    if annotation == "float":
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return "must be a number"
+        return None if math.isfinite(value) else "must be finite"
+    if annotation in _EXACT:
+        kind, name = _EXACT[annotation]
+        return None if type(value) is kind else f"must be {name}"
+    if annotation.startswith("tuple["):
+        if not isinstance(value, (tuple, list)):
+            return "must be a list"
+        entries = annotation[len("tuple["):-1].split(", ")
+        return next(filter(None, map(_misfit, value, entries)), None)
+    return None
+
+
+def require_field_types(obj) -> None:
+    """SettingTypeError naming the first field of a settings dataclass whose
+    value its annotation does not admit. A ``float`` takes a finite real
+    number but not a bool, as does each entry of a ``tuple[float, float]``;
+    ``int``, ``bool`` and ``str`` take exactly that type, so 2.0 is no count
+    and "false" no switch; ``X | None`` also takes None."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type == "int" and type(value) is not int:
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        problem = _misfit(value, f.type)
+        if problem:
+            raise SettingTypeError(f"{f.name} {problem}, got {value!r}")
 
 
 # Poses and quadrics hold arrays, so they compare and hash by identity
@@ -318,7 +340,7 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
+        require_field_types(self)
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
 

@@ -80,8 +80,7 @@ from .geometry import (
     Quadric,
     back_project_pixel,
     compose,
-    require_finite_fields,
-    require_int_fields,
+    require_field_types,
     retract,
 )
 from .priors import (
@@ -291,8 +290,7 @@ class SolverConfig:
     incremental_iters_per_keyframe: int = 5
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
-        require_int_fields(self)
+        require_field_types(self)
         if self.max_iterations <= 0 or self.incremental_iters_per_keyframe <= 0:
             raise ValueError("iteration budgets must be positive")
         if min(self.initial_damping, self.max_damping) <= 0.0:
@@ -317,7 +315,7 @@ class NoiseConfig:
     odom_sigma_trans: float = 0.01
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
+        require_field_types(self)
         if min(self.bbox_sigma_px, self.odom_sigma_rot, self.odom_sigma_trans) <= 0.0:
             raise ValueError("noise scales must be positive")
         if self.bbox_huber_multiplier <= 0.0:
@@ -337,6 +335,9 @@ class Flags:
     size_prior: bool = True
     orientation_prior: bool = True
     centroid_factor: bool = True
+
+    def __post_init__(self) -> None:
+        require_field_types(self)
 
 
 @dataclass(frozen=True)

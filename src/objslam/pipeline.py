@@ -33,6 +33,7 @@ from .dataset import (
     SchemaError,
     _frame_pose_from_json,
     _integer,
+    _one_per,
     _quaternion,
     _record,
     _require,
@@ -64,6 +65,7 @@ from .optimizer import (
 )
 from .priors import (
     LLMClient,
+    MalformedResponse,
     PriorTable,
     generate_prior_table,
     parse_prior_csv,
@@ -156,7 +158,10 @@ def run_slam(
             raise ValueError("config has no dataset path and none was provided")
         dataset = load_dataset(cfg.paths.dataset)
     if priors is None and cfg.paths.priors_csv is not None:
-        priors = parse_prior_csv(Path(cfg.paths.priors_csv).read_text())
+        try:
+            priors = parse_prior_csv(Path(cfg.paths.priors_csv).read_text())
+        except MalformedResponse as exc:  # a bad input file, not a bad model reply
+            raise SchemaError(f"{cfg.paths.priors_csv}: {exc}") from exc
     table = (
         EmbeddingTable.load(cfg.paths.embeddings)
         if cfg.paths.embeddings is not None
@@ -361,23 +366,27 @@ def _snapshot_landmark_from_json(entry: dict, where: str) -> tuple[int, Quadric]
 
 def _snapshot_from_json(entry: dict, where: str) -> tuple[int, tuple[tuple[int, Quadric], ...]]:
     keyframe_index = _integer(entry, "keyframe_index", where)
-    return keyframe_index, _entries(entry, "landmarks", where, _snapshot_landmark_from_json)
+    landmarks = _entries(entry, "landmarks", where, _one_per("id", _snapshot_landmark_from_json))
+    return keyframe_index, landmarks
 
 
 def load_map_json(path: str | Path) -> MapEstimate:
     """Read a map written by :func:`write_map_json`. Malformed JSON raises
-    ParseError, a malformed entry SchemaError naming the file and the entry."""
+    ParseError; a malformed entry, or a second entry of one frame, landmark
+    id or keyframe, raises SchemaError naming the file and the entry."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     where = str(path)
     # Landmarks first: past them, doc is known to be a JSON object.
-    landmarks = _entries(doc, "landmarks", where, _landmark_from_json)
-    trajectory = _entries(doc, "trajectory", where, _frame_pose_from_json)
+    landmarks = _entries(doc, "landmarks", where, _one_per("id", _landmark_from_json))
+    trajectory = _entries(doc, "trajectory", where, _one_per("frame_id", _frame_pose_from_json))
     snapshots = ()
     if "snapshots" in doc:
-        snapshots = _entries(doc, "snapshots", where, _snapshot_from_json)
+        snapshots = _entries(
+            doc, "snapshots", where, _one_per("keyframe_index", _snapshot_from_json)
+        )
     return MapEstimate(landmarks, trajectory, snapshots)
 
 

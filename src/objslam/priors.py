@@ -31,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import require_field_types
+
 PROMPT_TEMPLATE = (
     "Provide commonsense knowledge about the physical dimensions and "
     "orientation of the following objects. Generate a CSV with columns "
@@ -147,6 +149,7 @@ class PriorConfig:
     ks: float = 1.0
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         if not (0.0 < self.kx < np.pi / 16.0 and 0.0 < self.ky < np.pi / 16.0):
             raise ConfigOutOfRange(f"kx, ky must lie in (0, pi/16), got {self.kx}, {self.ky}")
         if not (np.pi / 2.0 < self.kz < np.pi):
@@ -200,7 +203,9 @@ def _parse_rows(text: str) -> tuple[list[PriorRecord], list[str]]:
 
 
 def parse_prior_csv(text: str) -> PriorTable:
-    """Strict parse of a prior CSV; raises MalformedResponse on any bad row."""
+    """Strict parse of a prior CSV; raises MalformedResponse on any bad row
+    and on a repeated label, which one reading would take from its first row
+    and another from its last."""
     records, errors = _parse_rows(text)
     if errors:
         raise MalformedResponse("; ".join(errors))
@@ -208,6 +213,8 @@ def parse_prior_csv(text: str) -> PriorTable:
         raise MalformedResponse("no data rows found")
     table = PriorTable()
     for record in records:
+        if record.label in table:
+            raise MalformedResponse(f"repeated label {record.label!r}")
         table.add(record)
     return table
 

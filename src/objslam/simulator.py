@@ -24,6 +24,7 @@ from .geometry import (
     between,
     compose,
     project_bbox_batch,
+    require_field_types,
 )
 from .priors import OrientationClass, PriorRecord, PriorTable
 
@@ -212,6 +213,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_field_types(self)
         for name in ("sigma_rot", "sigma_trans", "sigma_px", "sigma_depth",
                      "confidence_jitter"):
             if getattr(self, name) < 0.0:

@@ -140,12 +140,58 @@ class TestExitCodes:
         assert "match_threshold must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "map.json").exists()
 
-    @pytest.mark.parametrize("value", ["2.5", "true"])
-    def test_non_integer_count_is_validation_error(self, tmp_path, capsys, value):
-        code = main(["simulate", "-o", str(tmp_path / "d"), "--set", f"scene.n_objects={value}"])
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "scene.n_objects=2.5",
+            "scene.n_objects=true",
+            "camera.fx=true",
+            "sim.seed=1.5",
+            "sim.seed=true",
+            "sim.max_observations_per_object=2.5",
+            "paths.dataset=5",
+            "association.gate=true",
+            "prior.kt=true",
+            "match_threshold=true",
+            "scene.area=[true, 1]",
+            'flags.size_prior="false"',
+        ],
+    )
+    def test_mistyped_setting_is_validation_error(self, tmp_path, capsys, override):
+        # A number is a number and a switch is true or false: a bool is not
+        # taken for 1, nor a quoted "false" for false.
+        code = main(["simulate", "-o", str(tmp_path / "d"), "--set", override])
         assert code == 1
-        assert "n_objects must be an integer" in capsys.readouterr().err
+        assert f"{override.split('=')[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_quoted_switch_in_config_file_is_validation_error(self, tmp_path, capsys):
+        # Taken as truthy, the string would leave the size prior on.
+        ds = _simulate(tmp_path, capsys)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text('flags:\n  size_prior: "false"\n')
+        code = main(["run", "-c", str(cfg), "--dataset", str(ds), "-o", str(tmp_path / "out")])
+        assert code == 1
+        assert "flags.size_prior must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("I am sorry, I cannot help with that.\n", "expected 5 fields"),
+            ("mug,0.12,0.085,0.1,2\nmug,1.5,0.1,0.1,0\n", "repeated label 'mug'"),
+        ],
+        ids=["garbage", "repeated-label"],
+    )
+    def test_bad_priors_csv_is_validation_error(self, tmp_path, capsys, text, message):
+        ds = _simulate(tmp_path, capsys)
+        priors = tmp_path / "bad.csv"
+        priors.write_text(text)
+        code = main(["run", "--dataset", str(ds), "--priors", str(priors),
+                     "-o", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {priors}: " in err and message in err
 
     def test_gen_priors_without_credentials(self, tmp_path, capsys, no_llm_env):
         vocab = tmp_path / "vocab.txt"
@@ -194,6 +240,16 @@ class TestFlow:
             ["run", "-c", str(cfg), "--dataset", str(ds), "-o", str(tmp_path / "out"),
              "--set", "mode=batch", "--set", "solver.convergence_rel_decrease=1e-9"]
         )
+        assert code == 0
+        assert (tmp_path / "out" / "map.json").exists()
+
+    def test_integer_valued_floats(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["simulate", "-o", str(ds), "--set", "scene.n_objects=2",
+                     "--set", "scene.n_frames=4", "--set", "camera.fx=500"]) == 0
+        assert json.loads((ds / "header.json").read_text())["intrinsics"]["fx"] == 500
+        code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out"),
+                     "--set", "mode=batch", "--set", "prior.kt=1"])
         assert code == 0
         assert (tmp_path / "out" / "map.json").exists()
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from objslam.association import AssociationConfig, AssociationResult
+from objslam.association import AssociationResult
 from objslam.config import (
     CameraConfig,
     ConfigError,
@@ -21,9 +21,10 @@ from objslam.config import (
     write_config_yaml,
 )
 from objslam.dataset import Detection
-from objslam.geometry import BoundingBox2D, Pose
-from objslam.optimizer import FactorGraph, GraphValues, SolverConfig, add_keyframe
+from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
+from objslam.optimizer import FactorGraph, GraphValues, add_keyframe
 from objslam.priors import OrientationClass, PriorRecord, PriorTable
+from objslam.simulator import SimConfig
 
 
 class TestDefaults:
@@ -74,6 +75,13 @@ class TestSections:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="top-level"):
             build_run_config({"velocity": 3})
+
+    @pytest.mark.parametrize("document", [{1: 2, "velocity": 3}, {"solver": {1: 2, "step": 3}}])
+    def test_unknown_keys_of_mixed_types_rejected(self, document):
+        # YAML keys need not be strings; sorting 1 with "velocity" raised a
+        # TypeError, which the CLI reports as a runtime error.
+        with pytest.raises(ConfigError, match=r"unknown .*\['1', '(velocity|step)'\]"):
+            build_run_config(document)
 
     def test_non_mapping_section_rejected(self):
         with pytest.raises(ConfigError, match="mapping"):
@@ -130,56 +138,125 @@ class TestValidation:
             load_run_config(overrides=[override])
 
 
-FLOAT_FIELDS = [
-    (cls, f.name)
-    for cls in (SolverConfig, NoiseConfig, AssociationConfig)
-    for f in dataclasses.fields(cls)
-    if f.type == "float"
+def _settings_types(cls) -> list:
+    """cls and every settings type reachable through its sections."""
+    sections = [
+        f.default_factory for f in dataclasses.fields(cls)
+        if f.default_factory is not dataclasses.MISSING
+    ]
+    return [cls] + [t for section in sections for t in _settings_types(section)]
+
+
+SETTINGS_TYPES = _settings_types(RunConfig) + [CameraIntrinsics]
+# Every settings type but CameraIntrinsics builds from its defaults alone.
+REQUIRED = {CameraIntrinsics: {"fx": 500.0, "fy": 500.0, "cx": 320.0, "cy": 240.0}}
+
+
+def _build(cls, name, value):
+    return cls(**{**REQUIRED.get(cls, {}), name: value})
+
+
+def _fields_typed(*annotations) -> list:
+    return [
+        (cls, f.name)
+        for cls in SETTINGS_TYPES
+        for f in dataclasses.fields(cls)
+        if f.type in annotations
+    ]
+
+
+def _ids(pairs) -> list[str]:
+    return [f"{cls.__name__}.{name}" for cls, name in pairs]
+
+
+FLOAT_FIELDS = _fields_typed("float")
+INT_FIELDS = _fields_typed("int", "int | None")
+BOOL_FIELDS = _fields_typed("bool")
+STR_FIELDS = _fields_typed("str", "str | None")
+# scene.area holds two floats; RunConfig's sections are settings types of their own.
+AREA_FIELDS = _fields_typed("tuple[float, float]")
+SECTION_FIELDS = [
+    (RunConfig, f.name) for f in dataclasses.fields(RunConfig)
+    if f.default_factory is not dataclasses.MISSING
 ]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize(
-    "cls,name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS]
-)
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS, ids=_ids(FLOAT_FIELDS))
 def test_settings_types_reject_non_finite_floats(cls, name, value):
     # Built directly, not through build_run_config: a NaN slips past range
     # checks written `x <= 0`, and a NaN damping never ends the solver's
     # escalation loop.
-    with pytest.raises(ValueError, match=name):
-        cls(**{name: value})
-
-
-def test_float_fields_are_all_covered():
-    # 5 solver, 4 noise and 7 association settings.
-    assert len(FLOAT_FIELDS) == 16
-
-
-INT_FIELDS = [
-    (cls, f.name)
-    for cls in (CameraConfig, SceneConfig, SolverConfig, AssociationConfig)
-    for f in dataclasses.fields(cls)
-    if f.type == "int"
-]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        _build(cls, name, value)
 
 
 @pytest.mark.parametrize(
     "value", [2.5, 2.0, True, "2"], ids=["fraction", "float", "bool", "string"]
 )
-@pytest.mark.parametrize("cls,name", INT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INT_FIELDS])
+@pytest.mark.parametrize("cls,name", INT_FIELDS, ids=_ids(INT_FIELDS))
 def test_settings_types_reject_non_integers(cls, name, value):
     # A float would be truncated or fail deep inside a run, and a bool would
     # pass for 1.
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        cls(**{name: value})
+        _build(cls, name, value)
+
+
+@pytest.mark.parametrize("value", [True, False, "2.0"], ids=["true", "false", "string"])
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS, ids=_ids(FLOAT_FIELDS))
+def test_float_fields_reject_non_numbers(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        _build(cls, name, value)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, None], ids=["false", "true", "int", "null"])
+@pytest.mark.parametrize("cls,name", BOOL_FIELDS, ids=_ids(BOOL_FIELDS))
+def test_bool_fields_reject_non_bools(cls, name, value):
+    # A quoted "false" is truthy: taken as is, it would leave a prior on.
+    with pytest.raises(ValueError, match=f"{name} must be true or false"):
+        _build(cls, name, value)
+
+
+@pytest.mark.parametrize("value", [5, True, ["a"]], ids=["int", "bool", "list"])
+@pytest.mark.parametrize("cls,name", STR_FIELDS, ids=_ids(STR_FIELDS))
+def test_str_fields_reject_non_strings(cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a string"):
+        _build(cls, name, value)
+
+
+@pytest.mark.parametrize(
+    "value,problem",
+    [
+        ((2.0, "1"), "must be a number"),
+        ([float("-inf"), 1.0], "must be finite"),
+        (2.0, "must be a list"),
+        ("21", "must be a list"),
+    ],
+)
+def test_area_entries_follow_the_float_rule(value, problem):
+    # Bool and NaN entries from a document are in TestValidation and the CLI.
+    with pytest.raises(ValueError, match=f"area {problem}"):
+        SceneConfig(area=value)
+
+
+def test_float_fields_are_all_covered():
+    # Every field of every settings type is checked above by its annotation,
+    # so a field with an annotation the rule does not read shows here.
+    typed = FLOAT_FIELDS + INT_FIELDS + BOOL_FIELDS + STR_FIELDS + AREA_FIELDS + SECTION_FIELDS
+    every = [(cls, f.name) for cls in SETTINGS_TYPES for f in dataclasses.fields(cls)]
+    assert sorted(_ids(typed)) == sorted(_ids(every))
+    assert len(SETTINGS_TYPES) == 11
 
 
 def test_int_fields_are_all_covered():
-    # The camera's width and height, the scene's object and frame counts,
-    # the solver's two iteration budgets and the tracker's maximum age.
-    assert len(INT_FIELDS) == 7
+    # Each int and bool field takes a value of its own type, and None where
+    # its annotation admits it.
     for cls, name in INT_FIELDS:
-        assert getattr(cls(**{name: 3}), name) == 3
+        assert getattr(_build(cls, name, 3), name) == 3
+    assert SimConfig(max_observations_per_object=None).max_observations_per_object is None
+    for cls, name in BOOL_FIELDS:
+        assert getattr(_build(cls, name, False), name) is False
+    assert Paths(dataset=None, output_dir="o").output_dir == "o"
 
 
 class TestOverrides:

@@ -155,6 +155,18 @@ def _set(path: list, value):
     return mutate
 
 
+def _repeat_first(path: list):
+    """Mutation of a map document: the list at `path` repeats its entry 0 as
+    its entry 1, so two entries share one key."""
+
+    def mutate(doc):
+        for key in path:
+            doc = doc[key]
+        doc[1] = copy.deepcopy(doc[0])
+
+    return mutate
+
+
 def _drop_centroid(doc):
     del doc["landmarks"][0]["centroid"]
 
@@ -180,6 +192,19 @@ MALFORMED_MAPS = {
     "snapshot-quaternion-norm-2": (
         _set(["snapshots", 2, "landmarks", 0, "rotation_quaternion"], [2, 0, 0, 0]),
         " snapshots[2] landmarks[0]: field 'rotation_quaternion'",
+    ),
+    # Read into dicts by key, a second entry would replace the first: a
+    # repeated trajectory frame moves the ATE, a repeated landmark adds an FP.
+    "trajectory-duplicate-frame": (
+        _repeat_first(["trajectory"]), " trajectory[1]: duplicate 'frame_id'"
+    ),
+    "landmark-duplicate-id": (_repeat_first(["landmarks"]), " landmarks[1]: duplicate 'id'"),
+    "snapshot-duplicate-keyframe": (
+        _repeat_first(["snapshots"]), " snapshots[1]: duplicate 'keyframe_index'"
+    ),
+    "snapshot-landmark-duplicate-id": (
+        _repeat_first(["snapshots", 2, "landmarks"]),
+        " snapshots[2] landmarks[1]: duplicate 'id'",
     ),
 }
 

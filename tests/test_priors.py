@@ -87,6 +87,13 @@ class TestParse:
         with pytest.raises(MalformedResponse):
             parse_prior_csv("building,50.0,30.0,100.0,0\n")
 
+    def test_repeated_label_raises(self):
+        # generate_prior_table keeps a label's first row; a strict reader
+        # keeping the last would give the same text another table.
+        text = "mug,0.12,0.085,0.1,2\nbook,0.24,0.16,0.035,1\nmug,1.5,0.1,0.1,0\n"
+        with pytest.raises(MalformedResponse, match="repeated label 'mug'"):
+            parse_prior_csv(text)
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             PriorRecord("x", 0.0, 0.1, 0.1, OrientationClass.VERTICAL)
