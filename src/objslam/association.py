@@ -166,7 +166,7 @@ def association_weight(
     """
     R_q, t_q, s_q = quadrics
     m = len(landmark_labels)
-    predicted, _ = project_bbox_batch(
+    predicted, _, _ = project_bbox_batch(
         np.broadcast_to(x.rotation, (m, 3, 3)), np.broadcast_to(x.translation, (m, 3)), K,
         R_q, t_q, s_q,
     )

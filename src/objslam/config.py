@@ -91,8 +91,12 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         require_field_types(self)
+        if self.n_objects < 0:
+            raise ValueError(f"n_objects must be non-negative, got {self.n_objects}")
         if self.n_frames < 0:
             raise ValueError("frame count must be non-negative")
+        if self.radius <= 0.0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
         object.__setattr__(self, "area", tuple(float(a) for a in self.area))
         if len(self.area) != 2 or min(self.area) <= 0.0:
             raise ValueError("area must be two positive extents")

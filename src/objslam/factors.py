@@ -210,7 +210,7 @@ def bbox_residuals(c, x, q) -> Scored:
     in one projection. Rows of invalid projections hold NaN. The
     projection's camera-frame axes, centroids and dual conics are kept."""
     K, measured, keep = c
-    boxes, valid, conic = project_bbox_batch(*x, K, *q, conic=True)
+    boxes, valid, conic = project_bbox_batch(*x, K, *q)
     return Scored(np.where(keep, measured - boxes, 0.0), valid, conic)
 
 

@@ -422,16 +422,14 @@ def project_bbox_batch(
     R_q: np.ndarray,
     t_q: np.ndarray,
     s: np.ndarray,
-    conic: bool = False,
-) -> tuple:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Vectorized quadric-to-bbox projection over a batch of configurations.
 
     Inputs are stacked along axis 0: rotations (n, 3, 3), translations and
-    semi-axes (n, 3). Returns (boxes (n, 4) as xmin, ymin, xmax, ymax and a
-    validity mask (n,)); rows with non-positive centroid depth or a
-    degenerate envelope are flagged invalid and left as NaN. With ``conic``
-    the :func:`camera_dual_conic` it projected, (A, c, G) of every row, is
-    returned third.
+    semi-axes (n, 3). Returns boxes (n, 4) as xmin, ymin, xmax, ymax, a
+    validity mask (n,), and the :func:`camera_dual_conic` it projected,
+    (A, c, G) of every row; rows with non-positive centroid depth or a
+    degenerate envelope are flagged invalid and their boxes left as NaN.
     """
     A, c, G = camera_dual_conic(
         *(np.asarray(a, dtype=np.float64) for a in (R_wc, t_wc, R_q, t_q, s))
@@ -466,4 +464,4 @@ def project_bbox_batch(
         boxes[i, 1] = np.minimum(v1, v2)
         boxes[i, 2] = np.maximum(u1, u2)
         boxes[i, 3] = np.maximum(v1, v2)
-    return (boxes, valid, (A, c, G)) if conic else (boxes, valid)
+    return boxes, valid, (A, c, G)

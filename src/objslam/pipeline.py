@@ -6,6 +6,11 @@ arrays, which verifies the tracker's bindings and matches the rest), keyframe
 insertion, and (in incremental mode) a bounded re-optimization; batch mode
 defers solving to one final pass. Output files are written with fixed key
 order and float repr so identical inputs give byte-identical artifacts.
+
+A map landmark is one :class:`Landmark` record, the same in memory as in
+``map.json``, for the final map and every snapshot alike. Evaluation scores
+those records' quadrics, so ``evaluate_files`` on a run's ``map.json``
+reproduces the report that run computed.
 """
 
 from __future__ import annotations
@@ -83,52 +88,41 @@ class PipelineError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LandmarkEstimate:
-    """One mapped object: identity, semantics, and ellipsoid parameters."""
+class Landmark:
+    """One mapped ellipsoid as ``map.json`` holds it: id, unit quaternion
+    (w, x, y, z), centroid and semi-axes. The final map and every snapshot
+    hold these records; :meth:`quadric` is what evaluation scores."""
 
     landmark_id: int
-    label: str
     rotation_quaternion: tuple[float, float, float, float]
     centroid: tuple[float, float, float]
     semi_axes: tuple[float, float, float]
 
-    def __post_init__(self) -> None:
-        norm = float(np.linalg.norm(self.rotation_quaternion))
-        if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
-            raise ValueError(f"quaternion norm {norm} deviates from 1 by more than 1e-6")
-        if min(self.semi_axes) <= 0.0:
-            raise ValueError("semi-axes must be positive")
-
     def quadric(self) -> Quadric:
+        """The validated quadric: ValueError for a bad rotation or a
+        non-positive semi-axis."""
         R = quat_to_matrix(np.array(self.rotation_quaternion, dtype=np.float64))
         return Quadric(R, self.centroid, self.semi_axes)
 
 
 @dataclass(frozen=True)
 class MapEstimate:
-    """Final object map and trajectory, plus optional per-keyframe landmark
-    snapshots for convergence curves."""
+    """Final object map with each landmark's label, trajectory, and optional
+    per-keyframe landmark snapshots for convergence curves."""
 
-    landmarks: tuple[LandmarkEstimate, ...]
+    landmarks: tuple[Landmark, ...]
+    labels: dict[int, str]
     trajectory: tuple[tuple[int, Pose], ...]
-    snapshots: tuple[tuple[int, tuple[tuple[int, Quadric], ...]], ...] = ()
+    snapshots: tuple[tuple[int, tuple[Landmark, ...]], ...] = ()
 
 
-def _quat_of(q: Quadric) -> tuple[float, float, float, float]:
-    return tuple(float(v) for v in matrix_to_quat(q.rotation))
-
-
-def _snapshot(values: GraphValues) -> tuple[tuple[int, Quadric], ...]:
-    return tuple((lid, values.get(("quadric", lid))) for lid in values.quadric_ids.tolist())
-
-
-def _landmark_estimates(
-    values: GraphValues, labels: dict[int, str]
-) -> tuple[LandmarkEstimate, ...]:
+def _landmarks(values: GraphValues) -> tuple[Landmark, ...]:
+    """One record per quadric row of `values`, in id order."""
+    ids = values.quadric_ids
+    R, t, s = values.stacked("quadric", values.rows("quadric", ids))
     return tuple(
-        LandmarkEstimate(lid, labels.get(lid, ""), _quat_of(q),
-                         tuple(float(v) for v in q.t), tuple(float(v) for v in q.s))
-        for lid, q in _snapshot(values)
+        Landmark(lid, tuple(matrix_to_quat(r).tolist()), tuple(c), tuple(a))
+        for lid, r, c, a in zip(ids.tolist(), R, t.tolist(), s.tolist())
     )
 
 
@@ -184,7 +178,7 @@ def run_slam(
     tracker = TrackerState.empty()
     track_to_landmark: dict[int, int] = {}
     labels: dict[int, str] = {}
-    snapshots: list[tuple[int, tuple[tuple[int, Quadric], ...]]] = []
+    snapshots: list[tuple[int, tuple[Landmark, ...]]] = []
     report: SolveReport | None = None
     prev_id: int | None = None
 
@@ -229,7 +223,7 @@ def run_slam(
 
             if cfg.mode == "incremental":
                 values, report = solve_incremental(graph, values, cfg.solver)
-                snapshots.append((frame.frame_id, _snapshot(values)))
+                snapshots.append((frame.frame_id, _landmarks(values)))
             t0 = lap("solve", t0)
             prev_id = frame.frame_id
         except Exception as exc:
@@ -243,10 +237,11 @@ def run_slam(
             raise PipelineError(f"final solve: {exc}") from exc
         t0 = lap("solve", t0)
         if prev_id is not None:
-            snapshots.append((prev_id, _snapshot(values)))
+            snapshots.append((prev_id, _landmarks(values)))
 
     estimate = MapEstimate(
-        landmarks=_landmark_estimates(values, labels),
+        landmarks=_landmarks(values),
+        labels=labels,
         trajectory=tuple(
             (pid, values.get(("pose", pid))) for pid in values.pose_ids.tolist()
         ),
@@ -279,7 +274,7 @@ def _evaluate_against(
     series: tuple = ()
     if estimate.snapshots:
         series = iou_error_series(
-            [(kf, [q for _, q in snap]) for kf, snap in estimate.snapshots],
+            [(kf, [lm.quadric() for lm in snap]) for kf, snap in estimate.snapshots],
             gt_quadrics,
             threshold,
         )
@@ -290,17 +285,19 @@ def _evaluate_against(
 # Deterministic file formats
 
 
+def _landmark_entry(lm: Landmark) -> dict:
+    return {
+        "id": lm.landmark_id,
+        "rotation_quaternion": list(lm.rotation_quaternion),
+        "centroid": list(lm.centroid),
+        "semi_axes": list(lm.semi_axes),
+    }
+
+
 def _map_document(m: MapEstimate) -> dict:
     return {
         "landmarks": [
-            {
-                "id": lm.landmark_id,
-                "label": lm.label,
-                "rotation_quaternion": list(lm.rotation_quaternion),
-                "centroid": list(lm.centroid),
-                "semi_axes": list(lm.semi_axes),
-            }
-            for lm in m.landmarks
+            {**_landmark_entry(lm), "label": m.labels[lm.landmark_id]} for lm in m.landmarks
         ],
         "trajectory": [
             {
@@ -311,18 +308,7 @@ def _map_document(m: MapEstimate) -> dict:
             for fid, x in m.trajectory
         ],
         "snapshots": [
-            {
-                "keyframe_index": kf,
-                "landmarks": [
-                    {
-                        "id": lid,
-                        "rotation_quaternion": list(_quat_of(q)),
-                        "centroid": [float(v) for v in q.t],
-                        "semi_axes": [float(v) for v in q.s],
-                    }
-                    for lid, q in snap
-                ],
-            }
+            {"keyframe_index": kf, "landmarks": [_landmark_entry(lm) for lm in snap]}
             for kf, snap in m.snapshots
         ],
     }
@@ -347,26 +333,25 @@ def _entries(doc, key: str, where: str, parse: Callable[[dict, str], T]) -> tupl
     return tuple(out)
 
 
-def _landmark_from_json(entry: dict, where: str) -> LandmarkEstimate:
-    return LandmarkEstimate(
+def _landmark_from_json(entry: dict, where: str) -> Landmark:
+    """A landmark entry of either list, validated through its quadric."""
+    lm = Landmark(
         _integer(entry, "id", where),
-        str(_require(entry, "label", where)),
         tuple(_quaternion(entry, where).tolist()),
         tuple(_vector3(entry, "centroid", where).tolist()),
         tuple(_vector3(entry, "semi_axes", where).tolist()),
     )
+    lm.quadric()
+    return lm
 
 
-def _snapshot_landmark_from_json(entry: dict, where: str) -> tuple[int, Quadric]:
-    rotation = quat_to_matrix(_quaternion(entry, where))
-    centroid = _vector3(entry, "centroid", where)
-    q = Quadric(rotation, centroid, _vector3(entry, "semi_axes", where))
-    return _integer(entry, "id", where), q
+def _labelled_landmark_from_json(entry: dict, where: str) -> tuple[Landmark, str]:
+    return _landmark_from_json(entry, where), str(_require(entry, "label", where))
 
 
-def _snapshot_from_json(entry: dict, where: str) -> tuple[int, tuple[tuple[int, Quadric], ...]]:
+def _snapshot_from_json(entry: dict, where: str) -> tuple[int, tuple[Landmark, ...]]:
     keyframe_index = _integer(entry, "keyframe_index", where)
-    landmarks = _entries(entry, "landmarks", where, _one_per("id", _snapshot_landmark_from_json))
+    landmarks = _entries(entry, "landmarks", where, _one_per("id", _landmark_from_json))
     return keyframe_index, landmarks
 
 
@@ -380,14 +365,16 @@ def load_map_json(path: str | Path) -> MapEstimate:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     where = str(path)
     # Landmarks first: past them, doc is known to be a JSON object.
-    landmarks = _entries(doc, "landmarks", where, _one_per("id", _landmark_from_json))
+    final = _entries(doc, "landmarks", where, _one_per("id", _labelled_landmark_from_json))
     trajectory = _entries(doc, "trajectory", where, _one_per("frame_id", _frame_pose_from_json))
     snapshots = ()
     if "snapshots" in doc:
         snapshots = _entries(
             doc, "snapshots", where, _one_per("keyframe_index", _snapshot_from_json)
         )
-    return MapEstimate(landmarks, trajectory, snapshots)
+    landmarks = tuple(lm for lm, _ in final)
+    labels = {lm.landmark_id: label for lm, label in final}
+    return MapEstimate(landmarks, labels, trajectory, snapshots)
 
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:

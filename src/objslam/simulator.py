@@ -227,6 +227,8 @@ class SimConfig:
             and self.max_observations_per_object <= 0
         ):
             raise ValueError("sparse-mode observation cap must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,7 @@ def _frame_geometry(
     R_q = np.stack([o.quadric.rotation for o in scene.objects])
     t_q = np.stack([o.quadric.t for o in scene.objects])
     s = np.stack([o.quadric.s for o in scene.objects])
-    boxes, valid = project_bbox_batch(R_wc, t_wc, K, R_q, t_q, s)
+    boxes, valid, _ = project_bbox_batch(R_wc, t_wc, K, R_q, t_q, s)
     depths = (t_q - x.translation) @ x.rotation[:, 2]
     sightings = []
     for i in range(n):

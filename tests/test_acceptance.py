@@ -438,9 +438,9 @@ def test_criterion_08_iou_error_decreases():
         lm_ids = [lm.landmark_id for lm in estimate.landmarks]
         first_seen = {}
         for _, snap in estimate.snapshots:
-            for lid, q in snap:
-                first_seen.setdefault(lid, q)
-        last = dict(estimate.snapshots[-1][1])
+            for lm in snap:
+                first_seen.setdefault(lm.landmark_id, lm.quadric())
+        last = {lm.landmark_id: lm.quadric() for lm in estimate.snapshots[-1][1]}
         improved = 0
         for m in report.objects:
             lid = lm_ids[m.est_index]

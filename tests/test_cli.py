@@ -165,6 +165,21 @@ class TestExitCodes:
         assert f"{override.split('=')[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("sim.seed=-1", "invalid [sim] section: seed must be non-negative"),
+            ("scene.n_objects=-1", "invalid [scene] section: n_objects must be non-negative"),
+            ("scene.radius=0", "invalid [scene] section: radius must be positive"),
+        ],
+    )
+    def test_out_of_range_setting_is_validation_error(self, tmp_path, capsys, override, message):
+        # Checked by its settings type, so the error names the section and key.
+        code = main(["simulate", "-o", str(tmp_path / "d"), "--set", override])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_quoted_switch_in_config_file_is_validation_error(self, tmp_path, capsys):
         # Taken as truthy, the string would leave the size prior on.
         ds = _simulate(tmp_path, capsys)

@@ -22,8 +22,8 @@ from objslam.dataset import (
     load_dataset,
     write_dataset,
 )
-from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose, Quadric
-from objslam.pipeline import LandmarkEstimate, MapEstimate, load_map_json, write_map_json
+from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
+from objslam.pipeline import Landmark, MapEstimate, load_map_json, write_map_json
 
 from conftest import random_pose, random_quadric
 
@@ -330,12 +330,8 @@ MAP_FILE = "map.json"
 
 
 def make_map() -> MapEstimate:
-    q = Quadric(np.eye(3), np.array([0.0, 0.0, 2.0]), np.full(3, 0.1))
-    return MapEstimate(
-        (LandmarkEstimate(0, "mug", (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (0.1, 0.1, 0.1)),),
-        ((0, Pose.identity()),),
-        ((0, ((0, q),)),),
-    )
+    lm = Landmark(0, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (0.1, 0.1, 0.1))
+    return MapEstimate((lm,), {0: "mug"}, ((0, Pose.identity()),), ((0, (lm,)),))
 
 
 INTEGER_FIELDS = [

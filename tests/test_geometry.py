@@ -322,7 +322,7 @@ class TestProjection:
             q = Quadric(q.rotation, p_world, q.s)
             poses.append(x)
             quads.append(q)
-        boxes, valid = project_bbox_batch(
+        boxes, valid, _ = project_bbox_batch(
             np.stack([p.rotation for p in poses]),
             np.stack([p.translation for p in poses]),
             camera,
@@ -337,7 +337,7 @@ class TestProjection:
 
     def test_batch_flags_behind_camera(self, camera):
         q = Quadric(np.eye(3), np.array([0.0, 0.0, -5.0]), np.ones(3))
-        boxes, valid = project_bbox_batch(
+        boxes, valid, _ = project_bbox_batch(
             np.eye(3)[None], np.zeros((1, 3)), camera,
             q.rotation[None], q.t[None], q.s[None],
         )

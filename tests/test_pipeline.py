@@ -10,7 +10,7 @@ import pytest
 from objslam.config import build_run_config
 from objslam.dataset import ParseError, SchemaError, load_dataset, write_dataset
 from objslam.pipeline import (
-    LandmarkEstimate,
+    Landmark,
     PipelineError,
     evaluate_files,
     load_map_json,
@@ -73,7 +73,7 @@ class TestRunSlam:
         priors = scene.prior_table()
         inc, _, _ = run_slam(_run_config(), dataset, priors)
         bat, _, _ = run_slam(_run_config(mode="batch"), dataset, priors)
-        assert {lm.label for lm in inc.landmarks} == {lm.label for lm in bat.landmarks}
+        assert set(inc.labels.values()) == set(bat.labels.values())
         for a, b in zip(inc.landmarks, bat.landmarks):
             assert np.linalg.norm(np.array(a.centroid) - np.array(b.centroid)) < 0.02
 
@@ -125,20 +125,9 @@ class TestRunSlam:
             run_slam(_run_config(), broken, scene.prior_table())
 
 
-class TestLandmarkEstimate:
-    def test_quaternion_norm_checked(self):
-        for quat in ((2.0, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 0.0)):
-            with pytest.raises(ValueError, match="quaternion"):
-                LandmarkEstimate(0, "mug", quat, (0, 0, 0), (1, 1, 1))
-
-    def test_semi_axes_positive(self):
-        with pytest.raises(ValueError, match="semi-axes"):
-            LandmarkEstimate(0, "mug", (1.0, 0.0, 0.0, 0.0), (0, 0, 0), (1.0, 0.0, 1.0))
-
+class TestLandmark:
     def test_quadric_round_trip(self, rng):
-        lm = LandmarkEstimate(
-            3, "book", (1.0, 0.0, 0.0, 0.0), (0.2, -0.1, 0.05), (0.1, 0.08, 0.02)
-        )
+        lm = Landmark(3, (1.0, 0.0, 0.0, 0.0), (0.2, -0.1, 0.05), (0.1, 0.08, 0.02))
         q = lm.quadric()
         assert np.allclose(q.t, lm.centroid)
         assert np.allclose(q.s, lm.semi_axes)
@@ -185,6 +174,14 @@ MALFORMED_MAPS = {
         " trajectory[1]: field 'rotation_quaternion'",
     ),
     "landmark-entry-int": (_set(["landmarks", 0], 5), " landmarks[0]: invalid record"),
+    "landmark-negative-semi-axis": (
+        _set(["landmarks", 0, "semi_axes"], [0.1, 0.1, -0.2]),
+        " landmarks[0]: invalid record",
+    ),
+    "landmark-quaternion-norm-2": (
+        _set(["landmarks", 0, "rotation_quaternion"], [2, 0, 0, 0]),
+        " landmarks[0]: field 'rotation_quaternion'",
+    ),
     "snapshot-negative-semi-axis": (
         _set(["snapshots", 1, "landmarks", 0, "semi_axes"], [0.1, -0.2, 0.1]),
         " snapshots[1] landmarks[0]: invalid record",
@@ -245,12 +242,27 @@ class TestFileFormats:
         write_map_json(estimate, path)
         loaded = load_map_json(path)
         assert loaded.landmarks == estimate.landmarks
+        assert loaded.labels == estimate.labels
+        assert loaded.snapshots == estimate.snapshots
         assert len(loaded.trajectory) == len(estimate.trajectory)
         for (fa, xa), (fb, xb) in zip(loaded.trajectory, estimate.trajectory):
             assert fa == fb
             assert np.allclose(xa.rotation, xb.rotation, atol=1e-12)
             assert np.allclose(xa.translation, xb.translation, atol=1e-12)
-        assert len(loaded.snapshots) == len(estimate.snapshots)
+
+    @pytest.mark.parametrize("mode", ["incremental", "batch"])
+    def test_evaluate_reproduces_run_report(self, small_world, tmp_path, mode):
+        # evaluate scores the landmarks map.json holds, which are the ones
+        # run scored: the reports agree to the last bit, iou_series too.
+        dataset, _ = small_world
+        ds_dir = tmp_path / "ds"
+        write_dataset(dataset, ds_dir)
+        cfg = _run_config(
+            paths={"output_dir": str(tmp_path / "out"), "dataset": str(ds_dir)}, mode=mode
+        )
+        out = run_to_files(cfg)
+        report = evaluate_files(out / "map.json", ds_dir)
+        assert report.to_json() == json.loads((out / "report.json").read_text())
 
     def test_run_to_files_artifacts(self, small_world, tmp_path):
         dataset, scene = small_world
