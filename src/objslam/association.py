@@ -371,7 +371,6 @@ class Track:
     bbox: BoundingBox2D
     label: str
     age: int = 0
-    hits: int = 1
 
 
 @dataclass(frozen=True)
@@ -412,9 +411,7 @@ def track_frame(
     new_tracks: list[Track] = []
     for det_idx, track_idx in result.matches.items():
         old = tracks[track_idx]
-        new_tracks.append(
-            replace(old, bbox=detections[det_idx].bbox, age=0, hits=old.hits + 1)
-        )
+        new_tracks.append(replace(old, bbox=detections[det_idx].bbox, age=0))
         assignments[det_idx] = old.track_id
         matched_tracks.add(track_idx)
     for j, track in enumerate(tracks):

@@ -7,6 +7,7 @@ files), 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ConfigError, load_run_config
@@ -45,18 +46,21 @@ def _add_config_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config(args: argparse.Namespace, extra: list[str] | None = None):
-    overrides = list(args.set)
-    if extra:
-        overrides.extend(extra)
-    return load_run_config(args.config, overrides)
+# Path flags of simulate and run, by the Paths field each one sets.
+_PATH_FLAGS = {"dataset": "dataset", "priors_csv": "priors", "output_dir": "output"}
+
+
+def _load_config(args: argparse.Namespace):
+    """The run config of ``--config`` and ``--set``, then the command's path
+    flags set on ``cfg.paths`` as literal strings, not parsed as YAML."""
+    cfg = load_run_config(args.config, args.set)
+    flags = {key: getattr(args, name, None) for key, name in _PATH_FLAGS.items()}
+    given = {key: value for key, value in flags.items() if value}
+    return dataclasses.replace(cfg, paths=dataclasses.replace(cfg.paths, **given))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    extra = []
-    if args.output:
-        extra.append(f"paths.output_dir={args.output}")
-    cfg = _load_config(args, extra)
+    cfg = _load_config(args)
     out = run_simulate(cfg)
     print(f"wrote dataset to {out}")
     return 0
@@ -78,14 +82,7 @@ def _cmd_gen_priors(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    extra = []
-    if args.dataset:
-        extra.append(f"paths.dataset={args.dataset}")
-    if args.priors:
-        extra.append(f"paths.priors_csv={args.priors}")
-    if args.output:
-        extra.append(f"paths.output_dir={args.output}")
-    cfg = _load_config(args, extra)
+    cfg = _load_config(args)
     out = run_to_files(cfg)
     print(f"wrote map and reports to {out}")
     return 0

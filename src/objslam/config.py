@@ -3,7 +3,7 @@
 Every field has a documented default and can be overridden either in the
 file or from the command line as dotted `section.key=value` pairs. The only
 settings read from the environment are the hosted-LLM credentials (see
-priors.HTTPLLMClient); experiment manifests stay credential-free.
+priors.HTTPLLMClient).
 """
 
 from __future__ import annotations
@@ -207,14 +207,3 @@ def load_run_config(path: str | Path | None = None, overrides: list[str] | None 
         document = apply_overrides(document, list(overrides))
     return build_run_config(document)
 
-
-def config_document(cfg: RunConfig) -> dict:
-    """The config as a plain nested dict (round-trips through build_run_config)."""
-    doc = dataclasses.asdict(cfg)
-    doc["scene"]["area"] = list(doc["scene"]["area"])
-    return doc
-
-
-def write_config_yaml(cfg: RunConfig, path: str | Path) -> None:
-    """Persist the effective configuration as a reproducible manifest."""
-    Path(path).write_text(yaml.safe_dump(config_document(cfg), sort_keys=True))

@@ -229,15 +229,13 @@ def bbox_jacobians(c, scored: Scored, x, q) -> np.ndarray:
       cyclic, so that dG = A ([e] S^2 - S^2 [e]) A^T;
     - centroid ``-(R_cw e) c^T``, semi-axis k ``s_k a_k a_k^T``.
 
-    K only scales and shifts the envelope of the image conic K G K^T: its
-    sides are u = cx + fx (G02 -+ sqrt(G02^2 - G00 G22)) / G22 and
-    v = cy + fy (G12 -+ sqrt(G12^2 - G11 G22)) / G22, the min and max of
-    the two roots. The chain rule takes dG through them, so only the seven
-    entries of X it reads are formed, for all 15 directions at once. The
-    arithmetic runs over the factor axis: G, A, R_wc, c and s are copied
-    factor-last, every array is (entries or sides, 15, m), and the last
-    axis is the long one. Invalid rows and components the border mask
-    drops have zero rows.
+    The chain rule takes dG through the box sides of
+    ``geometry.project_bbox_batch``, center -+ half read from G, so only the
+    seven entries of X it reads are formed, for all 15 directions at once.
+    The arithmetic runs over the factor axis: G, A, R_wc, c and s are copied
+    factor-last, every array is (entries or sides, 15, m), and the last axis
+    is the long one. Invalid rows and components the border mask drops have
+    zero rows.
     """
     K, _, keep = c
     valid = scored.valid

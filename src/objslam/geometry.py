@@ -13,13 +13,13 @@ Conventions used throughout the package:
 - An ellipsoid landmark is represented by its dual quadric
   ``Q* = Z diag(sx^2, sy^2, sz^2, -1) Z^T`` where ``Z`` is the homogeneous
   pose built from the rotation and the centroid ``t``.
-- Projection of a dual quadric under ``P = K [R_cw | t_cw]`` yields a dual
-  conic ``C* = P Q* P^T = K G K^T``, with ``G`` the dual quadric seen from
-  the camera (:func:`camera_dual_conic`, the one conic construction). Its
-  axis-aligned envelope is the predicted bounding box.
-  :func:`project_bbox_batch` is the one implementation, over stacked poses
-  and quadrics; invalid projections (centroid behind the camera, no real
-  envelope) are flagged rather than raised.
+- Projection of a dual quadric under ``[R_cw | t_cw]`` yields the dual
+  conic ``G`` seen from the camera (:func:`camera_dual_conic`, the one conic
+  construction). The predicted bounding box is the axis-aligned envelope of
+  the image conic ``K G K^T``; it is read from ``G``, K only scaling and
+  shifting its sides. :func:`project_bbox_batch` is the one implementation,
+  over stacked poses and quadrics; invalid projections (centroid behind the
+  camera, no real envelope) are flagged rather than raised.
 """
 
 from __future__ import annotations
@@ -428,40 +428,30 @@ def project_bbox_batch(
     Inputs are stacked along axis 0: rotations (n, 3, 3), translations and
     semi-axes (n, 3). Returns boxes (n, 4) as xmin, ymin, xmax, ymax, a
     validity mask (n,), and the :func:`camera_dual_conic` it projected,
-    (A, c, G) of every row; rows with non-positive centroid depth or a
-    degenerate envelope are flagged invalid and their boxes left as NaN.
+    (A, c, G) of every row.
+
+    The sides are read from G, K only scaling and shifting them:
+    u = cx + fx (center -+ half) with center = G02 / G22 and half =
+    sqrt(G02^2 - G00 G22) / |G22|, and v the same with fy, cy and row 1 of
+    G. Rows with non-positive centroid depth, a G22 vanishing against the
+    conic's size or a non-positive discriminant are flagged invalid and
+    their boxes left as NaN.
     """
     A, c, G = camera_dual_conic(
         *(np.asarray(a, dtype=np.float64) for a in (R_wc, t_wc, R_q, t_q, s))
     )
-    n = len(G)
-    Km = K.matrix()
-    C = Km @ G @ Km.T
-    C = 0.5 * (C + np.swapaxes(C, 1, 2))
-
-    depth = c[:, 2]
-    c33 = C[:, 2, 2]
-    disc_u = C[:, 0, 2] ** 2 - C[:, 0, 0] * c33
-    disc_v = C[:, 1, 2] ** 2 - C[:, 1, 1] * c33
-    scale = np.abs(C).max(axis=(1, 2))
+    den = G[:, 2, 2]
+    num = G[:, [0, 1], 2]
+    disc = num * num - G[:, [0, 1], [0, 1]] * den[:, None]
+    scale = np.abs(G).max(axis=(1, 2))
     valid = (
-        (depth > 0.0)
-        & (np.abs(c33) > _EPS * np.maximum(scale, 1.0))
-        & (disc_u > 0.0)
-        & (disc_v > 0.0)
+        (c[:, 2] > 0.0)
+        & (np.abs(den) > _EPS * np.maximum(scale, 1.0))
+        & np.all(disc > 0.0, axis=1)
     )
-
-    boxes = np.full((n, 4), np.nan)
-    if np.any(valid):
-        i = valid
-        ru = np.sqrt(disc_u[i])
-        rv = np.sqrt(disc_v[i])
-        u1 = (C[i, 0, 2] - ru) / c33[i]
-        u2 = (C[i, 0, 2] + ru) / c33[i]
-        v1 = (C[i, 1, 2] - rv) / c33[i]
-        v2 = (C[i, 1, 2] + rv) / c33[i]
-        boxes[i, 0] = np.minimum(u1, u2)
-        boxes[i, 1] = np.minimum(v1, v2)
-        boxes[i, 2] = np.maximum(u1, u2)
-        boxes[i, 3] = np.maximum(v1, v2)
+    boxes = np.full((len(G), 4), np.nan)
+    den = den[valid, None]
+    center, half = num[valid] / den, np.sqrt(disc[valid]) / np.abs(den)
+    sides = np.concatenate([center - half, center + half], axis=1)
+    boxes[valid] = np.array([K.cx, K.cy] * 2) + np.array([K.fx, K.fy] * 2) * sides
     return boxes, valid, (A, c, G)

@@ -247,6 +247,23 @@ class TestFlow:
         doc = json.loads(report_path.read_text())
         assert doc["counts"]["tp"] == 2
 
+    @pytest.mark.parametrize("name", ["2024", "yes", "out #1"])
+    def test_path_flags_are_literal(self, tmp_path, capsys, monkeypatch, name):
+        # Path flags are taken as given, not parsed as YAML scalars: a bare
+        # number or yes stays a name, and "#" does not start a comment.
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "-o", name, "--set", "scene.n_objects=2",
+                     "--set", "scene.n_frames=4"])
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name / "priors.csv").exists()
+        code = main(["run", "--dataset", name, "--priors", f"{name}/priors.csv",
+                     "-o", name, "--set", "mode=batch"])
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name / "map.json").exists()
+        assert (tmp_path / name / "report.json").exists()
+
     def test_exponent_floats_from_file_and_set(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys)
         cfg = tmp_path / "c.yaml"

@@ -16,9 +16,7 @@ from objslam.config import (
     SceneConfig,
     apply_overrides,
     build_run_config,
-    config_document,
     load_run_config,
-    write_config_yaml,
 )
 from objslam.dataset import Detection
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
@@ -308,18 +306,6 @@ class TestOverrides:
 
 
 class TestFiles:
-    def test_yaml_round_trip(self, tmp_path):
-        cfg = build_run_config(
-            {"mode": "batch", "noise": {"bbox_sigma_px": 2.0}, "scene": {"n_objects": 3}}
-        )
-        p = tmp_path / "cfg.yaml"
-        write_config_yaml(cfg, p)
-        assert load_run_config(p) == cfg
-
-    def test_document_round_trip(self):
-        cfg = build_run_config({"scene": {"area": [1.1, 0.7]}, "match_threshold": 0.4})
-        assert build_run_config(config_document(cfg)) == cfg
-
     def test_exponent_float_in_file(self, tmp_path):
         p = tmp_path / "run.yaml"
         p.write_text("solver:\n  convergence_rel_decrease: 1e-9\n  max_damping: 1.0e9\n")

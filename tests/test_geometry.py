@@ -344,6 +344,42 @@ class TestProjection:
         assert not valid[0]
         assert np.all(np.isnan(boxes[0]))
 
+    def test_batch_validity_matches_scalar_path(self, camera):
+        # Centroids in front of, behind and straddling the camera plane: a
+        # row is valid exactly when the scalar path projects it, and then
+        # the boxes agree.
+        rng = np.random.default_rng(59)
+        poses, quads = [], []
+        for depth_range in ((1.0, 8.0), (-8.0, -1.0), (-1.0, 1.0)):
+            for _ in range(1000):
+                x = random_pose(rng, t_scale=0.3)
+                q = random_quadric(rng)
+                depth = rng.uniform(*depth_range)
+                if depth_range == (-1.0, 1.0):
+                    depth *= q.s.max()
+                p_cam = np.append(rng.normal(scale=0.3, size=2) * abs(depth), depth)
+                poses.append(x)
+                quads.append(Quadric(q.rotation, x.transform(p_cam), q.s))
+        boxes, valid, _ = project_bbox_batch(
+            np.stack([p.rotation for p in poses]),
+            np.stack([p.translation for p in poses]),
+            camera,
+            np.stack([q.rotation for q in quads]),
+            np.stack([q.t for q in quads]),
+            np.stack([q.s for q in quads]),
+        )
+        for i, (x, q) in enumerate(zip(poses, quads)):
+            try:
+                box = predict_bbox(x, camera, q).as_array()
+            except ValueError:
+                box = None
+            assert valid[i] == (box is not None), i
+            if box is None:
+                assert np.all(np.isnan(boxes[i]))
+            else:
+                np.testing.assert_allclose(boxes[i], box, rtol=1e-9, atol=1e-9)
+        assert 0 < valid.sum() < len(valid)
+
 
 class TestBoundingBox:
     def test_rejects_degenerate(self):
