@@ -6,10 +6,11 @@ Residual conventions:
   ``between(compose(x_i, u), x_{i+1})`` as a 6-vector (rotation log first,
   then translation).
 - Bounding box: measured minus predicted box as (xmin, ymin, xmax, ymax).
-  Observations whose projection is behind the camera or has a degenerate
-  envelope are flagged invalid and skipped. When the measured box touches
-  the image border the corresponding residual components are zeroed so
-  truncated detections do not drag the landmark toward the border.
+  Observations whose ellipsoid is behind the camera or reaches across its
+  plane, or whose envelope is degenerate, are flagged invalid and skipped.
+  When the measured box touches the image border the corresponding residual
+  components are zeroed so truncated detections do not drag the landmark
+  toward the border.
 - Size prior: ascending-sorted semi-axes minus the prior target.
 - Orientation prior: SO(3) log of R_target^T R, R the quadric's rotation.
 - Centroid prior: centroid minus the single-shot measured centroid.
@@ -278,10 +279,11 @@ def bbox_jacobians(c, scored: Scored, x, q) -> np.ndarray:
     d_root = (
         2.0 * num[:, None] * d_num - diag[:, None] * d_den - den * d_diag
     ) / (2.0 * root[:, None])
-    # The sides are center -+ half: center num / den, half root / |den|.
-    center, half = num / den, root / np.abs(den)
+    # The sides are center -+ half: center num / den, half root / -den, as
+    # den < 0 on every valid row.
+    center, half = num / den, root / -den
     d_center = (d_num - center[:, None] * d_den) / den
-    d_half = (d_root - (np.sign(den) * half)[:, None] * d_den) / np.abs(den)
+    d_half = (d_root + half[:, None] * d_den) / -den
     d_box = np.concatenate([d_center - d_half, d_center + d_half])
     focal = np.array([K.fx, K.fy, K.fx, K.fy])
     J[valid] = np.where(

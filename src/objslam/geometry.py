@@ -19,7 +19,8 @@ Conventions used throughout the package:
   the image conic ``K G K^T``; it is read from ``G``, K only scaling and
   shifting its sides. :func:`project_bbox_batch` is the one implementation,
   over stacked poses and quadrics; invalid projections (centroid behind the
-  camera, no real envelope) are flagged rather than raised.
+  camera, an ellipsoid reaching across the camera plane, no real envelope)
+  are flagged rather than raised.
 """
 
 from __future__ import annotations
@@ -344,15 +345,6 @@ class CameraIntrinsics:
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError("focal lengths must be positive")
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.fx, 0.0, self.cx],
-                [0.0, self.fy, self.cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class BoundingBox2D:
@@ -432,10 +424,13 @@ def project_bbox_batch(
 
     The sides are read from G, K only scaling and shifting them:
     u = cx + fx (center -+ half) with center = G02 / G22 and half =
-    sqrt(G02^2 - G00 G22) / |G22|, and v the same with fy, cy and row 1 of
-    G. Rows with non-positive centroid depth, a G22 vanishing against the
-    conic's size or a non-positive discriminant are flagged invalid and
-    their boxes left as NaN.
+    sqrt(G02^2 - G00 G22) / -G22, and v the same with fy, cy and row 1 of
+    G. The ellipsoid lies wholly in front of the camera plane exactly when
+    its centroid depth is positive and G22 is negative; G22 >= 0 means it
+    straddles or touches that plane, and the conic is then no ellipse. Rows
+    with non-positive centroid depth, a G22 not below minus a small multiple
+    of the conic's size, or a non-positive discriminant are flagged invalid
+    and their boxes left as NaN.
     """
     A, c, G = camera_dual_conic(
         *(np.asarray(a, dtype=np.float64) for a in (R_wc, t_wc, R_q, t_q, s))
@@ -446,12 +441,12 @@ def project_bbox_batch(
     scale = np.abs(G).max(axis=(1, 2))
     valid = (
         (c[:, 2] > 0.0)
-        & (np.abs(den) > _EPS * np.maximum(scale, 1.0))
+        & (den < -_EPS * np.maximum(scale, 1.0))
         & np.all(disc > 0.0, axis=1)
     )
     boxes = np.full((len(G), 4), np.nan)
     den = den[valid, None]
-    center, half = num[valid] / den, np.sqrt(disc[valid]) / np.abs(den)
+    center, half = num[valid] / den, np.sqrt(disc[valid]) / -den
     sides = np.concatenate([center - half, center + half], axis=1)
     boxes[valid] = np.array([K.cx, K.cy] * 2) + np.array([K.fx, K.fy] * 2) * sides
     return boxes, valid, (A, c, G)

@@ -63,7 +63,8 @@ def projection_matrix(x: Pose, K: CameraIntrinsics) -> np.ndarray:
     P = np.empty((3, 4))
     P[:, :3] = R_cw
     P[:, 3] = t_cw
-    return K.matrix() @ P
+    K_matrix = np.array([[K.fx, 0.0, K.cx], [0.0, K.fy, K.cy], [0.0, 0.0, 1.0]])
+    return K_matrix @ P
 
 
 def project_quadric(x: Pose, K: CameraIntrinsics, q: Quadric) -> DualConic:
@@ -85,12 +86,21 @@ def conic_to_bbox(conic: DualConic) -> BoundingBox2D:
 
     The tangency conditions give the extremal image coordinates
     u = (C13 +- sqrt(C13^2 - C11 C33)) / C33 and the analogous v from C23,
-    C22. Raises DegenerateConic when no real envelope exists.
+    C22. The envelope bounds the conic only when the conic is an ellipse,
+    that is when C33 and det C have the same sign, a test that holds at any
+    scale of C. For a projected ellipsoid with the camera outside it,
+    det C < 0 and C33 is the camera-frame G22 (K's last row is e3), so this
+    is the batch's rule G22 < 0: the ellipsoid lies wholly in front of the
+    camera plane. With the camera inside the ellipsoid C is definite and the
+    discriminants below are negative. Raises DegenerateConic when the conic
+    is not an ellipse or no real envelope exists.
     """
     C = conic.matrix
     scale = np.abs(C).max()
     if scale < _EPS or abs(C[2, 2]) < _EPS * scale:
         raise DegenerateConic("conic has vanishing homogeneous component")
+    if C[2, 2] * np.linalg.det(C) <= 0.0:
+        raise DegenerateConic("conic is not an ellipse: the quadric straddles the camera plane")
     disc_u = C[0, 2] ** 2 - C[0, 0] * C[2, 2]
     disc_v = C[1, 2] ** 2 - C[1, 1] * C[2, 2]
     if disc_u <= 0.0 or disc_v <= 0.0:

@@ -380,6 +380,28 @@ class TestProjection:
                 np.testing.assert_allclose(boxes[i], box, rtol=1e-9, atol=1e-9)
         assert 0 < valid.sum() < len(valid)
 
+    @pytest.mark.parametrize("semi_z, projects", [(0.5, False), (0.05, True)])
+    def test_straddling_camera_plane_is_invalid(self, camera, semi_z, projects):
+        # Centroid 0.1 m in front of the camera. With a 0.5 m z semi-axis the
+        # ellipsoid reaches behind the camera plane (G22 = 0.24 > 0) and its
+        # tangents bound none of its visible surface; with 0.05 m it lies
+        # wholly in front (G22 < 0) and projects.
+        q = Quadric(np.eye(3), np.array([0.5, 0.5, 0.1]), np.array([0.05, 0.05, semi_z]))
+        boxes, valid, (_, _, G) = project_bbox_batch(
+            np.eye(3)[None], np.zeros((1, 3)), camera,
+            q.rotation[None], q.t[None], q.s[None],
+        )
+        assert (G[0, 2, 2] < 0.0) == projects
+        assert valid[0] == projects
+        assert np.all(np.isfinite(boxes[0])) == projects
+        if projects:
+            np.testing.assert_allclose(
+                boxes[0], predict_bbox(Pose.identity(), camera, q).as_array(), rtol=1e-9
+            )
+        else:
+            with pytest.raises(DegenerateConic):
+                predict_bbox(Pose.identity(), camera, q)
+
 
 class TestBoundingBox:
     def test_rejects_degenerate(self):

@@ -672,10 +672,11 @@ class TestBatchedLinearization:
         np.testing.assert_array_equal(active, expected_active)
 
     def test_linearizes_exactly_the_scored_factors(self, camera):
-        # mixed_graph, and a landmark whose centroid sits 5e-7 m in front of
-        # camera 0: its projection is valid, a 1e-6 step in depth is not.
+        # mixed_graph, and a landmark whose near side sits 5e-7 m in front of
+        # camera 0's plane: its projection is valid, a 1e-6 step in depth is
+        # not.
         graph, values = mixed_graph(camera)
-        values.set(("quadric", 99), Quadric(np.eye(3), np.array([1.0, 1.0, 5e-7]),
+        values.set(("quadric", 99), Quadric(np.eye(3), np.array([1.0, 1.0, 0.1 + 5e-7]),
                                             np.full(3, 0.1)))
         graph.add(BBoxFactor(0, 99, BoundingBox2D(100, 100, 140, 150), camera,
                              NoiseModel.isotropic(4, 2.0, huber=2.0)))

@@ -77,6 +77,30 @@ class TestRunSlam:
         for a, b in zip(inc.landmarks, bat.landmarks):
             assert np.linalg.norm(np.array(a.centroid) - np.array(b.centroid)) < 0.02
 
+    def test_incremental_budget_is_enough(self, camera_module):
+        # The standard fixture scene of seed 12 (outside the acceptance
+        # seeds) mapped with the default budget of accepted steps per
+        # keyframe and with 5: more steps per keyframe do not change the map.
+        sim = SimConfig(sigma_px=2.0, sigma_rot=0.005, sigma_trans=0.005, seed=12)
+        dataset, scene = simulate_dataset(SceneSpec(n_objects=10), 30, camera_module, (640, 480), sim)
+        noise = {"bbox_sigma_px": 2.0, "odom_sigma_rot": 0.005, "odom_sigma_trans": 0.005}
+        maps = {}
+        for budget in (None, 5):
+            doc = {"noise": noise}
+            if budget is not None:
+                doc["solver"] = {"incremental_iters_per_keyframe": budget}
+            estimate, report, _ = run_slam(build_run_config(doc), dataset, scene.prior_table())
+            maps[budget] = report.tp, report.fp, {
+                m.gt_index: estimate.landmarks[m.est_index] for m in report.objects
+            }
+        (tp, fp, default), (tp5, fp5, five) = maps[None], maps[5]
+        assert (tp, fp) == (tp5, fp5) == (10, 0)
+        for g, lm in default.items():
+            assert np.linalg.norm(np.subtract(lm.centroid, five[g].centroid)) < 1e-3, g
+            np.testing.assert_allclose(
+                np.sort(lm.semi_axes), np.sort(five[g].semi_axes), rtol=0, atol=5e-3
+            )
+
     def test_deterministic(self, small_world):
         dataset, scene = small_world
         priors = scene.prior_table()
