@@ -105,7 +105,7 @@ class EmbeddingTable:
         """One ``token v1 ... vd`` row per line, split on whitespace. Blank
         lines are skipped, and so is a first line of exactly two integers,
         word2vec's ``count dim`` header. A row without a value, or with one
-        that is not a number, is an error."""
+        that is not a finite number, is an error."""
         vectors: dict[str, np.ndarray] = {}
         with open(path) as f:
             for line_no, line in enumerate(f, start=1):
@@ -115,8 +115,8 @@ class EmbeddingTable:
                     continue
                 try:
                     vec = np.array([float(x) for x in parts[1:]])
-                    if not len(vec):
-                        raise ValueError("no values")
+                    if not len(vec) or not np.all(np.isfinite(vec)):
+                        raise ValueError("no values or a non-finite one")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: bad embedding row") from exc
                 vectors[parts[0]] = vec

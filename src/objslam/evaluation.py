@@ -1,13 +1,16 @@
 """Map and trajectory quality metrics.
 
-Estimated and ground-truth objects are both ``Quadric``s, a ground-truth
-object's semi-axes being its box's half extents. They are compared by the
-exact 3D IoU of their circumscribed oriented boxes, centroid distance, and
-sorted-semi-axis size error. Map-to-truth correspondence is a one-to-one
-assignment gated by centroid distance, which yields TP/FP/FN counts.
-Trajectories are scored by translational RMSE after a closed-form rigid
-alignment (no scale). A per-keyframe IoU-error series reproduces
-convergence curves from map snapshots.
+Estimated and ground-truth ellipsoids come as stacked rows, the convention
+of projection, association and the solver: axes R (n, 3, 3), centroids
+t (n, 3) and semi-axes s (n, 3), a ground-truth object's semi-axes being
+its box's half extents. They are compared by the exact 3D IoU of their
+circumscribed oriented boxes, centroid distance, and sorted-semi-axis size
+error. Map-to-truth correspondence is a one-to-one assignment gated by
+centroid distance, which yields TP/FP/FN counts. Trajectories are scored by
+translational RMSE after a closed-form rigid alignment (no scale). A
+per-keyframe IoU-error series reproduces convergence curves from map
+snapshots. Nothing here validates its input: the callers pass the solver's
+output or records checked where they were read.
 
 The IoU needs no convex hull. One box's surface is clipped by the other's
 six half-spaces, the cut faces closed along each plane, and the volume of
@@ -25,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .association import linear_sum_assignment
-from .geometry import Pose, Quadric
+from .geometry import Pose
 
 # A vertex within this of a clipping plane, relative to the largest plane
 # offset in the first box's frame, counts as inside it: a face flush with
@@ -46,6 +49,10 @@ _BOX_FACES = np.array([
 # face g's closing edge in slot _CAP_SLOT[g] = (g + 6) % 12, so the edge from
 # an earlier plane's face lands in a slot below j, free of later closings.
 _CAP_SLOT = (np.arange(12) + 6) % 12
+
+
+# Stacked ellipsoids: axes R (n, 3, 3), centroids t (n, 3), semi-axes s (n, 3).
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class LengthMismatch(ValueError):
@@ -125,49 +132,25 @@ def _intersection_volumes(
     return (offset * sum(normal[k] * area[k] for k in range(3))).sum(axis=1) / 6.0
 
 
-def _stacked(quadrics: Sequence[Quadric]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axes (n, 3, 3), centroids (n, 3) and semi-axes (n, 3) of quadrics."""
-    return (
-        np.array([q.rotation for q in quadrics], dtype=np.float64).reshape(-1, 3, 3),
-        np.array([q.t for q in quadrics], dtype=np.float64).reshape(-1, 3),
-        np.array([q.s for q in quadrics], dtype=np.float64).reshape(-1, 3),
-    )
+def _take(rows: Rows, index: Sequence[int]) -> Rows:
+    """The ellipsoids at these indices, in this order."""
+    index = np.asarray(index, dtype=np.intp)
+    return tuple(x[index] for x in rows)
 
 
-def box_iou_3d(
-    a: Quadric | Sequence[Quadric], b: Quadric | Sequence[Quadric]
-) -> float | np.ndarray:
-    """Exact IoU of the circumscribed oriented boxes of two quadrics: each
-    box has the quadric's axes, centroid and semi-axes as half extents.
-    Given two equal-length sequences of quadrics, the IoUs (n,) of their
-    pairs, scored in blocks of ``_IOU_BLOCK`` pairs.
+def box_iou_3d(a: Rows, b: Rows) -> np.ndarray:
+    """Exact IoUs (n,) of n pairs of circumscribed oriented boxes: each box
+    has an ellipsoid's axes, centroid and semi-axes as half extents. Pairs
+    are scored in blocks of ``_IOU_BLOCK``.
     """
-    single = isinstance(a, Quadric)
-    if single:
-        a, b = [a], [b]
-    if len(a) != len(b):
-        raise ValueError(f"cannot pair {len(a)} boxes with {len(b)}")
-    rows_a, rows_b = _stacked(a), _stacked(b)
+    if len(a[1]) != len(b[1]):
+        raise ValueError(f"cannot pair {len(a[1])} boxes with {len(b[1])}")
     inter = np.concatenate([np.zeros(0)] + [
-        _intersection_volumes(*(x[k:k + _IOU_BLOCK] for x in rows_a + rows_b))
-        for k in range(0, len(a), _IOU_BLOCK)
+        _intersection_volumes(*(x[k:k + _IOU_BLOCK] for x in a + b))
+        for k in range(0, len(a[1]), _IOU_BLOCK)
     ])
-    union = 8.0 * np.prod(rows_a[2], axis=1) + 8.0 * np.prod(rows_b[2], axis=1) - inter
-    iou = np.clip(inter / union, 0.0, 1.0)
-    return float(iou[0]) if single else iou
-
-
-def centroid_error(est: Quadric, gt: Quadric) -> float:
-    """Euclidean distance between estimated and true centroids (meters)."""
-    return float(np.linalg.norm(est.t - gt.t))
-
-
-def size_error(est: Quadric, gt: Quadric) -> float:
-    """L2 distance between the ascending-sorted semi-axes of both.
-
-    Sorting removes the arbitrary axis labeling on both sides.
-    """
-    return float(np.linalg.norm(np.sort(est.s) - np.sort(gt.s)))
+    union = 8.0 * np.prod(a[2], axis=1) + 8.0 * np.prod(b[2], axis=1) - inter
+    return np.clip(inter / union, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -182,20 +165,16 @@ class MatchResult:
 
 
 def match_map_to_gt(
-    estimates: Sequence[Quadric],
-    gt_objects: Sequence[Quadric],
-    threshold: float = 0.5,
+    estimates: Rows, gt_objects: Rows, threshold: float = 0.5
 ) -> MatchResult:
     """Assign estimates to ground truth by minimum total centroid distance,
     rejecting pairs farther apart than `threshold` meters."""
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    n_est, n_gt = len(estimates), len(gt_objects)
+    n_est, n_gt = len(estimates[1]), len(gt_objects[1])
     matching: dict[int, int] = {}
     if n_est and n_gt:
-        est_t = np.array([q.t for q in estimates])
-        gt_t = np.array([gt.t for gt in gt_objects])
-        dist = np.linalg.norm(est_t[:, None] - gt_t[None], axis=2)
+        dist = np.linalg.norm(estimates[1][:, None] - gt_objects[1][None], axis=2)
         rows, cols = linear_sum_assignment(dist)
         for i, j in zip(rows, cols):
             if dist[i, j] <= threshold:
@@ -305,21 +284,23 @@ class EvalReport:
 
 
 def evaluate_map(
-    estimates: Sequence[Quadric],
-    gt_objects: Sequence[Quadric],
-    threshold: float = 0.5,
+    estimates: Rows, gt_objects: Rows, threshold: float = 0.5
 ) -> EvalReport:
-    """Match estimates to ground truth and score every matched pair."""
+    """Match estimates to ground truth and score every matched pair. The
+    size error is the distance between the ascending-sorted semi-axes,
+    which removes the arbitrary axis labeling on both sides."""
     result = match_map_to_gt(estimates, gt_objects, threshold)
     pairs = sorted(result.matching.items())
-    ious = box_iou_3d([estimates[i] for i, _ in pairs], [gt_objects[j] for _, j in pairs])
+    ious = box_iou_3d(_take(estimates, [i for i, _ in pairs]),
+                      _take(gt_objects, [j for _, j in pairs]))
+    (_, est_t, est_s), (_, gt_t, gt_s) = estimates, gt_objects
     metrics = tuple(
         ObjectMetrics(
             est_index=i,
             gt_index=j,
             iou=float(iou),
-            centroid_error=centroid_error(estimates[i], gt_objects[j]),
-            size_error=size_error(estimates[i], gt_objects[j]),
+            centroid_error=float(np.linalg.norm(est_t[i] - gt_t[j])),
+            size_error=float(np.linalg.norm(np.sort(est_s[i]) - np.sort(gt_s[j]))),
         )
         for (i, j), iou in zip(pairs, ious)
     )
@@ -327,8 +308,8 @@ def evaluate_map(
 
 
 def iou_error_series(
-    snapshots: Sequence[tuple[int, Sequence[Quadric]]],
-    gt_objects: Sequence[Quadric],
+    snapshots: Sequence[tuple[int, Rows]],
+    gt_objects: Rows,
     threshold: float = 0.5,
 ) -> tuple[tuple[int, float | None, float | None], ...]:
     """Per-keyframe mean and std of 1 - IoU over matched objects.
@@ -337,17 +318,20 @@ def iou_error_series(
     zero. Every snapshot is matched first; one ``box_iou_3d`` call then
     scores all the matched pairs.
     """
+    if not snapshots:
+        return ()
     pairs = [
-        [(estimates[i], gt_objects[j]) for i, j in sorted(
-            match_map_to_gt(estimates, gt_objects, threshold).matching.items()
-        )]
+        sorted(match_map_to_gt(estimates, gt_objects, threshold).matching.items())
         for _, estimates in snapshots
     ]
-    flat = [pair for matched in pairs for pair in matched]
-    errors = 1.0 - box_iou_3d([est for est, _ in flat], [gt for _, gt in flat])
+    matched = [_take(estimates, [i for i, _ in p]) for (_, estimates), p in zip(snapshots, pairs)]
+    errors = 1.0 - box_iou_3d(
+        tuple(np.concatenate(x) for x in zip(*matched)),
+        _take(gt_objects, [j for p in pairs for _, j in p]),
+    )
     rows, start = [], 0
-    for (keyframe_index, _), matched in zip(snapshots, pairs):
-        err, start = errors[start:start + len(matched)], start + len(matched)
+    for (keyframe_index, _), p in zip(snapshots, pairs):
+        err, start = errors[start:start + len(p)], start + len(p)
         if len(err):
             rows.append((keyframe_index, float(np.mean(err)), float(np.std(err))))
         else:

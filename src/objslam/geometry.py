@@ -348,7 +348,7 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class BoundingBox2D:
-    """Axis-aligned pixel box with xmin < xmax and ymin < ymax."""
+    """Axis-aligned pixel box with finite sides, xmin < xmax and ymin < ymax."""
 
     xmin: float
     ymin: float
@@ -356,10 +356,11 @@ class BoundingBox2D:
     ymax: float
 
     def __post_init__(self) -> None:
+        sides = (self.xmin, self.ymin, self.xmax, self.ymax)
+        if not np.all(np.isfinite(sides)):
+            raise ValueError(f"box sides must be finite, got {sides}")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
-            raise ValueError(
-                f"degenerate box ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
-            )
+            raise ValueError(f"degenerate box {sides}")
 
     @property
     def width(self) -> float:

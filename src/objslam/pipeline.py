@@ -9,8 +9,9 @@ order and float repr so identical inputs give byte-identical artifacts.
 
 A map landmark is one :class:`Landmark` record, the same in memory as in
 ``map.json``, for the final map and every snapshot alike. Evaluation scores
-those records' quadrics, so ``evaluate_files`` on a run's ``map.json``
-reproduces the report that run computed.
+those records as stacked rows, so ``evaluate_files`` on a run's ``map.json``
+reproduces the report that run computed. A record is validated only where
+it is read from a file: the solver's records need no check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .dataset import (
 )
 from .evaluation import (
     EvalReport,
+    Rows,
     ate_rmse,
     evaluate_map,
     iou_error_series,
@@ -91,7 +93,7 @@ class PipelineError(RuntimeError):
 class Landmark:
     """One mapped ellipsoid as ``map.json`` holds it: id, unit quaternion
     (w, x, y, z), centroid and semi-axes. The final map and every snapshot
-    hold these records; :meth:`quadric` is what evaluation scores."""
+    hold these records; :func:`landmark_rows` stacks them for evaluation."""
 
     landmark_id: int
     rotation_quaternion: tuple[float, float, float, float]
@@ -114,6 +116,16 @@ class MapEstimate:
     labels: dict[int, str]
     trajectory: tuple[tuple[int, Pose], ...]
     snapshots: tuple[tuple[int, tuple[Landmark, ...]], ...] = ()
+
+
+def landmark_rows(landmarks: Sequence[Landmark]) -> Rows:
+    """Stacked rotations (n, 3, 3), centroids (n, 3) and semi-axes (n, 3) of
+    landmark records: :meth:`Landmark.quadric`'s values without its check."""
+    return (
+        np.array([quat_to_matrix(lm.rotation_quaternion) for lm in landmarks]).reshape(-1, 3, 3),
+        np.array([lm.centroid for lm in landmarks], dtype=np.float64).reshape(-1, 3),
+        np.array([lm.semi_axes for lm in landmarks], dtype=np.float64).reshape(-1, 3),
+    )
 
 
 def _landmarks(values: GraphValues) -> tuple[Landmark, ...]:
@@ -260,8 +272,12 @@ def _evaluate_against(
     dataset: Dataset, estimate: MapEstimate, threshold: float
 ) -> EvalReport:
     gt_quadrics = [g.quadric for g in dataset.gt_objects]
-    est_quadrics = [lm.quadric() for lm in estimate.landmarks]
-    base = evaluate_map(est_quadrics, gt_quadrics, threshold)
+    gt = (
+        np.array([q.rotation for q in gt_quadrics]),
+        np.array([q.t for q in gt_quadrics]),
+        np.array([q.s for q in gt_quadrics]),
+    )
+    base = evaluate_map(landmark_rows(estimate.landmarks), gt, threshold)
     ate = None
     if dataset.gt_trajectory:
         gt_by_id = dict(dataset.gt_trajectory)
@@ -271,13 +287,9 @@ def _evaluate_against(
             ate = ate_rmse(
                 [est_by_id[fid] for fid in common], [gt_by_id[fid] for fid in common]
             )
-    series: tuple = ()
-    if estimate.snapshots:
-        series = iou_error_series(
-            [(kf, [lm.quadric() for lm in snap]) for kf, snap in estimate.snapshots],
-            gt_quadrics,
-            threshold,
-        )
+    series = iou_error_series(
+        [(kf, landmark_rows(snap)) for kf, snap in estimate.snapshots], gt, threshold
+    )
     return dataclasses.replace(base, ate=ate, iou_series=series)
 
 

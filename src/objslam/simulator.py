@@ -180,7 +180,6 @@ def orbit_trajectory(
     radius: float = 2.2,
     height: float = 1.2,
     arc: float = 5.2,
-    start_angle: float = 0.0,
 ) -> list[Pose]:
     """Camera poses along a circular arc, all looking at the scene center."""
     if n_frames <= 0:
@@ -188,7 +187,7 @@ def orbit_trajectory(
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=np.float64)
-    angles = start_angle + np.linspace(0.0, arc, n_frames)
+    angles = np.linspace(0.0, arc, n_frames)
     poses = []
     for a in angles:
         eye = center + np.array([radius * np.cos(a), radius * np.sin(a), height])
@@ -401,7 +400,6 @@ def simulate_dataset(
     K: CameraIntrinsics,
     image_size: tuple[int, int],
     cfg: SimConfig,
-    center: Sequence[float] = (0.0, 0.0, 0.1),
     radius: float = 2.2,
     height: float = 1.2,
     arc: float = 5.2,
@@ -409,7 +407,7 @@ def simulate_dataset(
     """Full synthetic dataset: scene, orbit, noisy detections + odometry,
     ground truth, and the per-frame detection-to-object association."""
     scene = generate_scene(spec, cfg.seed)
-    poses = orbit_trajectory(n_frames, center=center, radius=radius, height=height, arc=arc)
+    poses = orbit_trajectory(n_frames, radius=radius, height=height, arc=arc)
     render_rng = np.random.default_rng([cfg.seed, 1])
     odom_rng = np.random.default_rng([cfg.seed, 2])
 

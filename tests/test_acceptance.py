@@ -27,9 +27,11 @@ from objslam.factors import (
     SizePriorFactor,
 )
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose, Quadric, compose
-from objslam.pipeline import run_slam, run_to_files
+from objslam.pipeline import landmark_rows, run_slam, run_to_files
 from objslam.priors import OrientationClass, orientation_prior_frame
 from objslam.simulator import SceneSpec, SimConfig, simulate_dataset
+
+from conftest import rows
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IMG = (640, 480)
@@ -340,6 +342,11 @@ def _points_inside(q: Quadric, pts: np.ndarray) -> np.ndarray:
     return np.all(np.abs(local) <= q.s, axis=1)
 
 
+def _iou(a: Quadric, b: Quadric) -> float:
+    """The IoU of one pair, scored as a batch of one."""
+    return float(box_iou_3d(rows([a]), rows([b]))[0])
+
+
 def _mc_iou(a: Quadric, b: Quadric, rng, n: int = 1_000_000) -> float:
     corners = np.vstack([_box_corners(a), _box_corners(b)])
     lo, hi = corners.min(axis=0), corners.max(axis=0)
@@ -357,16 +364,16 @@ def test_criterion_04_iou_oracle():
         for _ in range(100):
             a = _random_box(rng, rng.uniform(-0.3, 0.3, 3))
             b = _random_box(rng, a.t + rng.uniform(-0.6, 0.6, 3))
-            exact = box_iou_3d(a, b)
+            exact = _iou(a, b)
             assert 0.0 <= exact <= 1.0
             assert abs(exact - _mc_iou(a, b, rng)) < 0.01
 
         cube = Quadric(np.eye(3), np.zeros(3), np.full(3, 0.5))
-        assert abs(box_iou_3d(cube, cube) - 1.0) < 1e-9
+        assert abs(_iou(cube, cube) - 1.0) < 1e-9
         far = Quadric(np.eye(3), np.array([10.0, 0.0, 0.0]), np.full(3, 0.5))
-        assert abs(box_iou_3d(cube, far)) < 1e-9
+        assert abs(_iou(cube, far)) < 1e-9
         half = Quadric(np.eye(3), np.array([0.5, 0.0, 0.0]), np.full(3, 0.5))
-        assert abs(box_iou_3d(cube, half) - 1.0 / 3.0) < 1e-9
+        assert abs(_iou(cube, half) - 1.0 / 3.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +446,14 @@ def test_criterion_08_iou_error_decreases():
         first_seen = {}
         for _, snap in estimate.snapshots:
             for lm in snap:
-                first_seen.setdefault(lm.landmark_id, lm.quadric())
-        last = {lm.landmark_id: lm.quadric() for lm in estimate.snapshots[-1][1]}
+                first_seen.setdefault(lm.landmark_id, lm)
+        last = {lm.landmark_id: lm for lm in estimate.snapshots[-1][1]}
         improved = 0
         for m in report.objects:
             lid = lm_ids[m.est_index]
-            gt = gt_quadrics[m.gt_index]
-            err_first = 1.0 - box_iou_3d(first_seen[lid], gt)
-            err_last = 1.0 - box_iou_3d(last[lid], gt)
+            gt = rows([gt_quadrics[m.gt_index]])
+            err_first = 1.0 - box_iou_3d(landmark_rows([first_seen[lid]]), gt)[0]
+            err_last = 1.0 - box_iou_3d(landmark_rows([last[lid]]), gt)[0]
             improved += err_last < err_first
         assert improved >= 0.9 * len(report.objects), improved
 

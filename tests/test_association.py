@@ -176,7 +176,10 @@ class TestEmbeddings:
         np.testing.assert_array_equal(table.vectors["mug"], [1.0, 2.0])
         np.testing.assert_array_equal(table.vectors["cup"], [1.5, 2.5])
 
-    @pytest.mark.parametrize("row", ["cup", "cup 1.0 x"], ids=["token-only", "non-numeric"])
+    @pytest.mark.parametrize(
+        "row", ["cup", "cup 1.0 x", "cup nan 1.0", "cup 1.0 -inf"],
+        ids=["token-only", "non-numeric", "nan", "infinite"],
+    )
     def test_load_rejects_a_bad_row(self, tmp_path, row):
         path = tmp_path / "bad.txt"
         path.write_text(f"mug 1.0 2.0\n\n{row}\n")

@@ -108,6 +108,20 @@ class TestExitCodes:
         assert file_name in capsys.readouterr().err
         assert not (tmp_path / "out" / "map.json").exists()
 
+    def test_infinite_bbox_side_in_dataset_is_validation_error(self, tmp_path, capsys):
+        ds = _simulate(tmp_path, capsys)
+        path = ds / "frames.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["detections"][0]["bbox"][0] = float("-inf")
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert "-Infinity" in path.read_text()
+        code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out")])
+        assert code == 1
+        assert "frames.jsonl:1:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "map.json").exists()
+
     def test_malformed_map_is_validation_error(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys)
         out = tmp_path / "out"

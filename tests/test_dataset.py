@@ -179,6 +179,21 @@ class TestValidation:
         assert f"{FRAMES_FILE}:2:" in str(exc.value)
         assert "center depth must be finite" in str(exc.value)
 
+    def test_infinite_bbox_side_in_file_is_schema_error(self, tmp_path, rng):
+        # An infinite side would pass xmin < xmax and read as truncated.
+        write_dataset(make_dataset(rng), tmp_path)
+        frames_path = tmp_path / FRAMES_FILE
+        lines = frames_path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["detections"][0]["bbox"][0] = float("-inf")
+        lines[1] = json.dumps(record, sort_keys=True)
+        assert "-Infinity" in lines[1]
+        frames_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as exc:
+            load_dataset(tmp_path)
+        assert f"{FRAMES_FILE}:2:" in str(exc.value)
+        assert "box sides must be finite" in str(exc.value)
+
     def test_non_finite_intrinsics_in_header_is_schema_error(self, tmp_path, rng):
         write_dataset(make_dataset(rng), tmp_path)
         header = json.loads((tmp_path / HEADER_FILE).read_text())

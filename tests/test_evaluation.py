@@ -5,21 +5,30 @@ import pytest
 
 from objslam import evaluation
 from objslam.evaluation import (
-    EvalReport,
     LengthMismatch,
+    ObjectMetrics,
     ate_rmse,
     box_iou_3d,
-    centroid_error,
     evaluate_map,
     iou_error_series,
     match_map_to_gt,
-    size_error,
     write_iou_series_csv,
 )
 from objslam.geometry import Pose, Quadric, compose, so3_exp
 
-from conftest import random_pose, random_quadric, random_rotation
+from conftest import random_pose, random_quadric, random_rotation, rows
 from iou_oracle import hull_box_iou
+
+
+def iou(a: Quadric, b: Quadric) -> float:
+    """The IoU of one pair, scored as a batch of one."""
+    return float(box_iou_3d(rows([a]), rows([b]))[0])
+
+
+def pair_metrics(est: Quadric, gt: Quadric) -> ObjectMetrics:
+    """The report entry of one estimate matched to one ground truth."""
+    (metrics,) = evaluate_map(rows([est]), rows([gt]), threshold=np.inf).objects
+    return metrics
 
 
 def box_corners(q: Quadric) -> np.ndarray:
@@ -130,28 +139,28 @@ class TestBoxIoU3D:
     def test_identical(self, rng):
         for _ in range(5):
             box = random_box(rng)
-            assert box_iou_3d(box, box) == pytest.approx(1.0, abs=1e-9)
+            assert iou(box, box) == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint(self):
         a = aab([0, 0, 0], [0.5, 0.5, 0.5])
         b = aab([5, 0, 0], [0.5, 0.5, 0.5])
-        assert box_iou_3d(a, b) == 0.0
+        assert iou(a, b) == 0.0
 
     def test_touching_faces(self):
         a = aab([0, 0, 0], [0.5, 0.5, 0.5])
         b = aab([1, 0, 0], [0.5, 0.5, 0.5])
-        assert box_iou_3d(a, b) == pytest.approx(0.0, abs=1e-12)
+        assert iou(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_cubes_offset_half(self):
         a = aab([0, 0, 0], [0.5, 0.5, 0.5])
         b = aab([0.5, 0, 0], [0.5, 0.5, 0.5])
-        assert box_iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_nested_boxes(self):
         outer = aab([0, 0, 0], [1.0, 1.0, 1.0])
         inner = aab([0.1, -0.1, 0.2], [0.3, 0.4, 0.5])
         expected = np.prod(inner.s) / np.prod(outer.s)
-        assert box_iou_3d(outer, inner) == pytest.approx(expected, abs=1e-9)
+        assert iou(outer, inner) == pytest.approx(expected, abs=1e-9)
 
     def test_rotated_45_degrees(self):
         # Unit cube vs itself rotated 45 deg about z: the cross-section is a
@@ -164,30 +173,30 @@ class TestBoxIoU3D:
         inter = 2 * (np.sqrt(2) - 1)
         expected = inter / (2 - inter)
         assert expected == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        assert box_iou_3d(a, b) == pytest.approx(expected, abs=1e-9)
+        assert iou(a, b) == pytest.approx(expected, abs=1e-9)
 
     def test_symmetry(self, rng):
         for _ in range(20):
             a, b = random_box(rng), random_box(rng)
-            assert box_iou_3d(a, b) == pytest.approx(box_iou_3d(b, a), abs=1e-9)
+            assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-9)
 
     def test_rigid_invariance(self, rng):
         for _ in range(10):
             a, b = random_box(rng), random_box(rng)
             T = random_pose(rng)
-            before = box_iou_3d(a, b)
-            after = box_iou_3d(transformed(a, T), transformed(b, T))
+            before = iou(a, b)
+            after = iou(transformed(a, T), transformed(b, T))
             assert after == pytest.approx(before, abs=1e-9)
 
     def test_bounded(self, rng):
         for _ in range(50):
-            v = box_iou_3d(random_box(rng), random_box(rng))
+            v = iou(random_box(rng), random_box(rng))
             assert 0.0 <= v <= 1.0
 
     def test_against_monte_carlo(self, rng):
         for i in range(20):
             a, b = random_box(rng), random_box(rng)
-            exact = box_iou_3d(a, b)
+            exact = iou(a, b)
             sampled = mc_iou(a, b, n=200_000, seed=1000 + i)
             assert exact == pytest.approx(sampled, abs=0.02)
 
@@ -220,8 +229,8 @@ class TestBoxIoU3D:
         ],
     )
     def test_degenerate_contacts(self, a, b, expected):
-        assert box_iou_3d(a, b) == pytest.approx(expected, abs=1e-9)
-        assert box_iou_3d(b, a) == pytest.approx(expected, abs=1e-9)
+        assert iou(a, b) == pytest.approx(expected, abs=1e-9)
+        assert iou(b, a) == pytest.approx(expected, abs=1e-9)
 
     def test_coincident_faces_of_turned_boxes(self, rng):
         # In a turned frame, faces that coincide do so up to roundoff: they
@@ -234,9 +243,9 @@ class TestBoxIoU3D:
             s = box.s.copy()
             s[k] *= f
             flush.append(Quadric(box.rotation, box.t + box.rotation[:, k] * (box.s[k] - s[k]), s))
-        np.testing.assert_allclose(box_iou_3d(boxes, boxes), 1.0, rtol=0.0, atol=1e-9)
-        np.testing.assert_allclose(box_iou_3d(boxes, flush), keep, rtol=0.0, atol=1e-9)
-        np.testing.assert_allclose(box_iou_3d(flush, boxes), keep, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(box_iou_3d(rows(boxes), rows(boxes)), 1.0, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(box_iou_3d(rows(boxes), rows(flush)), keep, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(box_iou_3d(rows(flush), rows(boxes)), keep, rtol=0.0, atol=1e-9)
 
 
 def yawed_twin(rng: np.random.Generator, box: Quadric) -> Quadric:
@@ -254,7 +263,7 @@ class TestBatchedIoU:
         rng = np.random.default_rng(2024)
         a = [random_box(rng) for _ in range(2000)]
         b = [random_box(rng) for _ in range(2000)]
-        batched = box_iou_3d(a, b)
+        batched = box_iou_3d(rows(a), rows(b))
         oracle = np.array([hull_box_iou(x, y) for x, y in zip(a, b)])
         assert np.count_nonzero(oracle) > 1000
         np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=1e-12)
@@ -263,7 +272,7 @@ class TestBatchedIoU:
         rng = np.random.default_rng(2025)
         a = [random_box(rng) for _ in range(2000)]
         b = [yawed_twin(rng, box) for box in a]
-        batched = box_iou_3d(a, b)
+        batched = box_iou_3d(rows(a), rows(b))
         oracle = np.array([hull_box_iou(x, y) for x, y in zip(a, b)])
         assert oracle.min() > 0.5
         np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=1e-12)
@@ -273,25 +282,25 @@ class TestBatchedIoU:
         rng = np.random.default_rng(n)
         a = [random_box(rng) for _ in range(n)]
         b = [yawed_twin(rng, box) if i % 2 else random_box(rng) for i, box in enumerate(a)]
-        batched = box_iou_3d(a, b)
+        batched = box_iou_3d(rows(a), rows(b))
         assert batched.shape == (n,)
-        np.testing.assert_array_equal(batched, [box_iou_3d(x, y) for x, y in zip(a, b)])
+        np.testing.assert_array_equal(batched, [iou(x, y) for x, y in zip(a, b)])
 
     def test_unequal_lengths_rejected(self, rng):
         with pytest.raises(ValueError):
-            box_iou_3d([random_box(rng)], [])
+            box_iou_3d(rows([random_box(rng)]), rows([]))
 
 
 class TestScalarErrors:
     def test_centroid_345(self):
         est = Quadric(np.eye(3), np.array([1.0, 1.0, 1.0]), np.ones(3))
         gt = aab([1.0, 4.0, 5.0], [0.5, 0.5, 0.5])
-        assert centroid_error(est, gt) == pytest.approx(5.0)
+        assert pair_metrics(est, gt).centroid_error == pytest.approx(5.0)
 
     def test_centroid_zero(self):
         est = Quadric(np.eye(3), np.array([0.3, -0.2, 1.0]), np.ones(3))
         gt = aab([0.3, -0.2, 1.0], [0.5, 0.5, 0.5])
-        assert centroid_error(est, gt) == 0.0
+        assert pair_metrics(est, gt).centroid_error == 0.0
 
     def test_centroid_rigid_invariance(self, rng):
         est = random_quadric(rng)
@@ -301,38 +310,39 @@ class TestScalarErrors:
             T.rotation @ est.rotation, T.transform(est.t), est.s
         )
         gt2 = transformed(gt, T)
-        assert centroid_error(est2, gt2) == pytest.approx(centroid_error(est, gt), abs=1e-9)
+        before = pair_metrics(est, gt).centroid_error
+        assert pair_metrics(est2, gt2).centroid_error == pytest.approx(before, abs=1e-9)
 
     def test_size_permutation_invariant(self, rng):
         s = np.array([0.1, 0.25, 0.4])
         est = Quadric(np.eye(3), np.zeros(3), s[[2, 0, 1]])
         gt = Quadric(np.eye(3), np.zeros(3), s[[1, 2, 0]])
-        assert size_error(est, gt) == pytest.approx(0.0, abs=1e-15)
+        assert pair_metrics(est, gt).size_error == pytest.approx(0.0, abs=1e-15)
 
     def test_size_single_axis(self):
         est = Quadric(np.eye(3), np.zeros(3), np.array([0.1, 0.1, 0.1]))
         gt = aab([0, 0, 0], [0.1, 0.1, 0.2])
-        assert size_error(est, gt) == pytest.approx(0.1)
+        assert pair_metrics(est, gt).size_error == pytest.approx(0.1)
 
     def test_size_symmetric(self, rng):
         a = rng.uniform(0.05, 0.5, size=3)
         b = rng.uniform(0.05, 0.5, size=3)
-        e1 = size_error(Quadric(np.eye(3), np.zeros(3), a), aab([0, 0, 0], b))
-        e2 = size_error(Quadric(np.eye(3), np.zeros(3), b), aab([0, 0, 0], a))
+        e1 = pair_metrics(Quadric(np.eye(3), np.zeros(3), a), aab([0, 0, 0], b)).size_error
+        e2 = pair_metrics(Quadric(np.eye(3), np.zeros(3), b), aab([0, 0, 0], a)).size_error
         assert e1 == pytest.approx(e2, abs=1e-15)
 
 
 class TestMatching:
     def test_empty_estimates(self):
         gt = [aab([0, 0, 0], [0.5, 0.5, 0.5]), aab([2, 0, 0], [0.5, 0.5, 0.5])]
-        result = match_map_to_gt([], gt, threshold=0.5)
+        result = match_map_to_gt(rows([]), rows(gt), threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (0, 0, 2)
         assert result.matching == {}
 
     def test_perfect_map(self, rng):
         gt = [random_box(rng) for _ in range(4)]
         est = list(gt)
-        result = match_map_to_gt(est, gt, threshold=0.5)
+        result = match_map_to_gt(rows(est), rows(gt), threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (4, 0, 0)
         assert all(result.matching[i] == i for i in range(4))
 
@@ -342,7 +352,7 @@ class TestMatching:
             Quadric(np.eye(3), np.array([0.05, 0.0, 0.0]), np.full(3, 0.3)),
             Quadric(np.eye(3), np.array([0.0, 0.1, 0.0]), np.full(3, 0.3)),
         ]
-        result = match_map_to_gt(est, gt, threshold=0.5)
+        result = match_map_to_gt(rows(est), rows(gt), threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (1, 1, 0)
         # One-to-one: the closer estimate wins.
         assert result.matching == {0: 0}
@@ -350,14 +360,14 @@ class TestMatching:
     def test_threshold_rejects_distant_pairs(self):
         gt = [aab([0, 0, 0], [0.3, 0.3, 0.3])]
         est = [Quadric(np.eye(3), np.array([0.9, 0.0, 0.0]), np.full(3, 0.3))]
-        result = match_map_to_gt(est, gt, threshold=0.5)
+        result = match_map_to_gt(rows(est), rows(gt), threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (0, 1, 1)
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, float("nan")])
     def test_threshold_must_be_positive(self, threshold):
         q = aab([0, 0, 0], [0.3, 0.3, 0.3])
         with pytest.raises(ValueError, match="threshold must be positive"):
-            match_map_to_gt([q], [q], threshold)
+            match_map_to_gt(rows([q]), rows([q]), threshold)
 
     def test_count_identities(self, rng):
         for _ in range(20):
@@ -367,7 +377,7 @@ class TestMatching:
                 for _ in range(n_est)
             ]
             gt = [aab(rng.uniform(-1, 1, size=3), [0.2, 0.2, 0.2]) for _ in range(n_gt)]
-            r = match_map_to_gt(est, gt, threshold=0.5)
+            r = match_map_to_gt(rows(est), rows(gt), threshold=0.5)
             assert r.tp + r.fp == n_est
             assert r.tp + r.fn == n_gt
             for i, j in r.matching.items():
@@ -426,7 +436,7 @@ class TestReport:
     def test_evaluate_map_perfect(self, rng):
         gt = [random_box(rng) for _ in range(3)]
         est = list(gt)
-        report = evaluate_map(est, gt, threshold=0.5)
+        report = evaluate_map(rows(est), rows(gt), threshold=0.5)
         assert (report.tp, report.fp, report.fn) == (3, 0, 0)
         for m in report.objects:
             assert m.iou == pytest.approx(1.0, abs=1e-9)
@@ -437,13 +447,13 @@ class TestReport:
     def test_report_to_json_is_deterministic(self, rng):
         gt = [random_box(rng) for _ in range(3)]
         est = list(gt)
-        r1 = evaluate_map(est, gt, threshold=0.5)
-        r2 = evaluate_map(est, gt, threshold=0.5)
+        r1 = evaluate_map(rows(est), rows(gt), threshold=0.5)
+        r2 = evaluate_map(rows(est), rows(gt), threshold=0.5)
         assert r1.to_json() == r2.to_json()
         assert r1.to_json()["counts"] == {"tp": 3, "fp": 0, "fn": 0}
 
     def test_mean_metrics_none_without_matches(self):
-        report = evaluate_map([], [aab([0, 0, 0], [0.3, 0.3, 0.3])], threshold=0.5)
+        report = evaluate_map(rows([]), rows([aab([0, 0, 0], [0.3, 0.3, 0.3])]), threshold=0.5)
         assert report.mean_iou is None
         assert report.mean_centroid_error is None
         assert report.mean_size_error is None
@@ -453,8 +463,8 @@ class TestIoUSeries:
     def test_perfect_map_is_all_zero(self, rng):
         gt = [random_box(rng) for _ in range(2)]
         est = tuple(gt)
-        snapshots = [(0, est), (1, est), (5, est)]
-        series = iou_error_series(snapshots, gt, threshold=0.5)
+        snapshots = [(0, rows(est)), (1, rows(est)), (5, rows(est))]
+        series = iou_error_series(snapshots, rows(gt), threshold=0.5)
         assert [kf for kf, _, _ in series] == [0, 1, 5]
         for _, mean, std in series:
             assert mean == pytest.approx(0.0, abs=1e-9)
@@ -463,7 +473,7 @@ class TestIoUSeries:
     def test_empty_snapshot_marked_absent(self, rng):
         gt = [aab([0, 0, 0], [0.3, 0.3, 0.3])]
         good = (Quadric(np.eye(3), np.zeros(3), np.full(3, 0.3)),)
-        series = iou_error_series([(0, ()), (1, good)], gt, threshold=0.5)
+        series = iou_error_series([(0, rows(())), (1, rows(good))], rows(gt), threshold=0.5)
         assert series[0][1] is None and series[0][2] is None
         assert series[1][1] == pytest.approx(0.0, abs=1e-9)
 
@@ -472,8 +482,8 @@ class TestIoUSeries:
         snapshots = []
         for k, offset in enumerate([0.25, 0.15, 0.05, 0.0]):
             q = Quadric(np.eye(3), np.array([offset, 0.0, 0.0]), np.full(3, 0.3))
-            snapshots.append((k, (q,)))
-        series = iou_error_series(snapshots, gt, threshold=0.5)
+            snapshots.append((k, rows([q])))
+        series = iou_error_series(snapshots, rows(gt), threshold=0.5)
         means = [m for _, m, _ in series]
         assert all(a > b for a, b in zip(means, means[1:]))
 
@@ -483,10 +493,10 @@ class TestIoUSeries:
             Quadric(np.eye(3), np.array([0.1, 0.0, 0.0]), np.full(3, 0.3)),
             Quadric(np.eye(3), np.array([2.0, 0.05, 0.0]), np.full(3, 0.3)),
         )
-        series = iou_error_series([(0, est)], gt, threshold=0.5)
+        series = iou_error_series([(0, rows(est))], rows(gt), threshold=0.5)
         errs = [
-            1.0 - box_iou_3d(est[0], gt[0]),
-            1.0 - box_iou_3d(est[1], gt[1]),
+            1.0 - iou(est[0], gt[0]),
+            1.0 - iou(est[1], gt[1]),
         ]
         assert series[0][1] == pytest.approx(np.mean(errs), abs=1e-12)
         assert series[0][2] == pytest.approx(np.std(errs), abs=1e-12)

@@ -410,6 +410,14 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox2D(0.0, 2.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("side", [0, 1, 2, 3])
+    @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
+    def test_rejects_non_finite_side(self, side, value):
+        sides = [0.0, 0.0, 10.0, 10.0]
+        sides[side] = value
+        with pytest.raises(ValueError, match="box sides must be finite"):
+            BoundingBox2D(*sides)
+
     def test_accessors(self):
         b = BoundingBox2D(1.0, 2.0, 5.0, 10.0)
         assert b.width == 4.0 and b.height == 8.0

@@ -7,12 +7,15 @@ import json
 import numpy as np
 import pytest
 
+from objslam import pipeline
 from objslam.config import build_run_config
 from objslam.dataset import ParseError, SchemaError, load_dataset, write_dataset
+from objslam.geometry import Quadric
 from objslam.pipeline import (
     Landmark,
     PipelineError,
     evaluate_files,
+    landmark_rows,
     load_map_json,
     run_gen_priors,
     run_simulate,
@@ -137,6 +140,21 @@ class TestRunSlam:
             timings
         )
 
+    def test_evaluation_validates_no_quadric(self, small_world, monkeypatch):
+        # Ground-truth quadrics are validated when the dataset is built and
+        # the solver's landmark records are scored as rows, so scoring a
+        # mapped scene validates no quadric again.
+        dataset, scene = small_world
+        cfg = _run_config()
+        estimate, report, _ = run_slam(cfg, dataset, scene.prior_table())
+        assert len(estimate.snapshots) == len(dataset.frames)
+        validated = []
+        check = Quadric.__post_init__
+        monkeypatch.setattr(Quadric, "__post_init__", lambda q: validated.append(q) or check(q))
+        again = pipeline._evaluate_against(dataset, estimate, cfg.match_threshold)
+        assert validated == []
+        assert again == report
+
     def test_missing_dataset_rejected(self):
         with pytest.raises(ValueError, match="dataset"):
             run_slam(_run_config())
@@ -155,6 +173,21 @@ class TestLandmark:
         q = lm.quadric()
         assert np.allclose(q.t, lm.centroid)
         assert np.allclose(q.s, lm.semi_axes)
+
+    def test_rows_hold_the_quadrics_values(self, small_world):
+        # Evaluation scores rows; they must carry the validated quadric's
+        # bits, so that report.json does not depend on the form.
+        dataset, scene = small_world
+        estimate, _, _ = run_slam(_run_config(), dataset, scene.prior_table())
+        landmarks = [lm for _, snap in estimate.snapshots for lm in snap]
+        R, t, s = landmark_rows(landmarks)
+        assert R.shape == (len(landmarks), 3, 3)
+        for k, lm in enumerate(landmarks):
+            q = lm.quadric()
+            np.testing.assert_array_equal(R[k], q.rotation)
+            np.testing.assert_array_equal(t[k], q.t)
+            np.testing.assert_array_equal(s[k], q.s)
+        assert [x.shape for x in landmark_rows(())] == [(0, 3, 3), (0, 3), (0, 3)]
 
 
 def _set(path: list, value):
