@@ -94,9 +94,6 @@ class EmbeddingTable:
     """
 
     def __init__(self, vectors: dict[str, np.ndarray]):
-        dims = {v.shape for v in vectors.values()}
-        if len(dims) > 1:
-            raise ValueError(f"inconsistent embedding dimensions: {dims}")
         self.vectors = vectors
         self.missing_tokens: set[str] = set()
 
@@ -104,8 +101,9 @@ class EmbeddingTable:
     def load(path: str | Path) -> "EmbeddingTable":
         """One ``token v1 ... vd`` row per line, split on whitespace. Blank
         lines are skipped, and so is a first line of exactly two integers,
-        word2vec's ``count dim`` header. A row without a value, or with one
-        that is not a finite number, is an error."""
+        word2vec's ``count dim`` header. A row without a value, with one that
+        is not a finite number, with a token of an earlier row, or with
+        another number of values than the first row is an error."""
         vectors: dict[str, np.ndarray] = {}
         with open(path) as f:
             for line_no, line in enumerate(f, start=1):
@@ -119,7 +117,14 @@ class EmbeddingTable:
                         raise ValueError("no values or a non-finite one")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: bad embedding row") from exc
+                if parts[0] in vectors:
+                    raise ValueError(f"{path}:{line_no}: repeated embedding token {parts[0]!r}")
+                if vectors and len(vec) != dim:
+                    raise ValueError(
+                        f"{path}:{line_no}: embedding row has {len(vec)} values, expected {dim}"
+                    )
                 vectors[parts[0]] = vec
+                dim = len(vec)
         return EmbeddingTable(vectors)
 
     @staticmethod

@@ -3,11 +3,11 @@
 The map state is a set of camera poses and ellipsoid landmarks tied
 together by odometry, bounding-box, and unary prior factors.
 ``GraphValues`` holds it as arrays (stacked rotations, translations or
-centroids, and semi-axes; poses first, each kind by id). ``Pose`` and
-``Quadric`` objects are built only where values leave the solver, through
-``GraphValues.get``. Solving is Levenberg-Marquardt on the product
-manifold: dense normal equations, an additive damping schedule, and one
-``geometry.retract`` of all free rows per step. The lowest-id pose is held
+centroids, and semi-axes; poses first, each kind appended in id order).
+``Pose`` and ``Quadric`` objects are built only where values leave the
+solver, through ``GraphValues.get``. Solving is Levenberg-Marquardt on the
+product manifold: dense normal equations, an additive damping schedule, and
+one ``geometry.retract`` of all free rows per step. The lowest-id pose is held
 constant in every solve, which fixes the gauge.
 
 ``FactorGraph.batches`` stacks the factors per kind (bbox factors per
@@ -87,7 +87,6 @@ from .geometry import (
     Pose,
     Quadric,
     back_project_pixel,
-    compose,
     require_field_types,
     retract,
 )
@@ -119,7 +118,8 @@ class GraphValues:
     Rows of ``R`` (n, 3, 3) and ``t`` (n, 3) are the poses' rotations and
     translations, then the quadrics' rotations and centroids; ``s`` (m, 3)
     holds the quadrics' semi-axes. ``pose_ids`` and ``quadric_ids`` are the
-    ids of the rows, each sorted ascending.
+    ids of the rows. Values only grow, by ``append``, and each kind's ids
+    increase row by row, so the last pose is the latest keyframe.
     """
 
     def __init__(
@@ -127,10 +127,9 @@ class GraphValues:
     ) -> None:
         self.pose_ids = self.quadric_ids = np.empty(0, dtype=np.int64)
         self.R, self.t, self.s = np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, 3))
-        for i, x in (poses or {}).items():
-            self.set(("pose", i), x)
-        for j, q in (quadrics or {}).items():
-            self.set(("quadric", j), q)
+        for kind, given in (("pose", poses or {}), ("quadric", quadrics or {})):
+            for i in sorted(given):
+                self.append((kind, i), given[i])
 
     def rows(self, kind: str, ids: np.ndarray) -> np.ndarray:
         """Rows of R and t holding the variables of one kind with these ids."""
@@ -155,25 +154,23 @@ class GraphValues:
         one = self.stacked(kind, self.rows(kind, [idx]))
         return (Pose if kind == "pose" else Quadric)(*(a[0] for a in one))
 
-    def set(self, key: VariableKey, value: Pose | Quadric) -> None:
-        """Overwrite a variable, or insert it at its place in id order."""
+    def append(self, key: VariableKey, value: Pose | Quadric) -> None:
+        """Add a variable after every variable of its kind. ValueError unless
+        its id is above all of theirs."""
         kind, idx = key
         pose = kind == "pose"
         ids = self.pose_ids if pose else self.quadric_ids
-        at = int(np.searchsorted(ids, idx))
-        row = at if pose else at + len(self.pose_ids)
-        if at == len(ids) or ids[at] != idx:
-            ids = np.insert(ids, at, idx)
-            self.R, self.t = (np.insert(a, row, 0.0, axis=0) for a in (self.R, self.t))
-            if pose:
-                self.pose_ids = ids
-            else:
-                self.quadric_ids, self.s = ids, np.insert(self.s, at, 0.0, axis=0)
-        self.R[row] = value.rotation
+        if len(ids) and idx <= ids[-1]:
+            raise ValueError(f"{kind} id {idx} is not above the last {kind} id {ids[-1]}")
+        row = len(self.pose_ids) if pose else len(self.R)
+        self.R = np.insert(self.R, row, value.rotation, axis=0)
         if pose:
-            self.t[row] = value.translation
+            self.pose_ids = np.append(ids, idx)
+            self.t = np.insert(self.t, row, value.translation, axis=0)
         else:
-            self.t[row], self.s[at] = value.t, value.s
+            self.quadric_ids = np.append(ids, idx)
+            self.t = np.insert(self.t, row, value.t, axis=0)
+            self.s = np.append(self.s, value.s[None], axis=0)
 
     def copy(self) -> "GraphValues":
         out = GraphValues()
@@ -589,6 +586,7 @@ def add_keyframe(
     graph: FactorGraph,
     values: GraphValues,
     pose_id: int,
+    x: Pose,
     odom: Pose | None,
     detections: Sequence[Detection],
     associations: AssociationResult,
@@ -598,31 +596,24 @@ def add_keyframe(
     flags: Flags = Flags(),
     prior: PriorConfig = PriorConfig(),
     image_size: tuple[float, float] | None = None,
-    initial_pose: Pose | None = None,
 ) -> dict[int, int]:
     """Append one keyframe's variables and factors.
 
-    The new pose starts at compose(previous, odom); the first keyframe takes
-    `initial_pose` (default identity, which doubles as the gauge anchor and
-    fixes the world frame - pass the gravity-aligned start pose so vertical
-    priors mean what they say) and adds no odometry factor. Matched
-    detections contribute a bounding-box factor each. Unmatched detections
-    with depth spawn a new landmark plus its unary priors (attached exactly
-    once, here). Returns the detection-index to landmark-id mapping for this
-    frame, covering both matches and newly created landmarks. Box
-    components on the border of an image of `image_size` are not scored.
+    The new pose `x` is appended under `pose_id`, which must be above every
+    pose id so far; after the first keyframe, `odom` ties it to the latest
+    pose with an odometry factor. Matched detections contribute a
+    bounding-box factor each. Unmatched detections with depth spawn a new
+    landmark plus its unary priors (attached exactly once, here). Returns the
+    detection-index to landmark-id mapping for this frame, covering both
+    matches and newly created landmarks. Box components on the border of an
+    image of `image_size` are not scored.
     """
-    if pose_id in values.pose_ids:
-        raise ValueError(f"pose id {pose_id} already present")
-    if len(values.pose_ids):
-        prev_id = int(values.pose_ids[-1])
-        if odom is None:
-            raise ValueError("odometry measurement required after the first keyframe")
-        x = compose(values.get(("pose", prev_id)), odom)
-        graph.add(OdometryFactor(prev_id, pose_id, odom, noise.odom_noise()))
-    else:
-        x = initial_pose if initial_pose is not None else Pose.identity()
-    values.set(("pose", pose_id), x)
+    latest = values.pose_ids[-1:].tolist()
+    if latest and odom is None:
+        raise ValueError("odometry measurement required after the first keyframe")
+    values.append(("pose", pose_id), x)
+    if latest:
+        graph.add(OdometryFactor(latest[0], pose_id, odom, noise.odom_noise()))
 
     mapping: dict[int, int] = {}
     bbox_noise = noise.bbox_noise()
@@ -644,7 +635,7 @@ def add_keyframe(
         record = priors.resolve(det.label) if priors is not None else None
         init_record = record if flags.orientation_prior else None
         q0 = initialize_landmark(det, x, K, init_record)
-        values.set(("quadric", next_id), q0)
+        values.append(("quadric", next_id), q0)
         graph.add(BBoxFactor(pose_id, next_id, det.bbox, K, bbox_noise, image_size))
         if record is not None:
             s_hat = size_prior_estimate(record, q0.s, det.confidence)

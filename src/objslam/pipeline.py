@@ -177,14 +177,7 @@ def run_slam(
 
     K = dataset.intrinsics
     odometry = dataset.odometry_by_pair()
-    # The first pose anchors the gauge and defines the world frame; use the
-    # dataset's stated start pose so the map lands in the gravity-aligned
-    # frame its priors (and any ground truth) are expressed in.
-    initial_pose: Pose | None = None
-    if dataset.gt_trajectory:
-        start = dict(dataset.gt_trajectory)
-        first_frame = dataset.frames[0].frame_id if dataset.frames else None
-        initial_pose = start.get(first_frame)
+    start = dict(dataset.gt_trajectory or ())
     graph = FactorGraph()
     values = GraphValues()
     tracker = TrackerState.empty()
@@ -198,17 +191,21 @@ def run_slam(
         try:
             detections = list(frame.detections)
             odom = None
-            if prev_id is not None:
+            if prev_id is None:
+                # The first pose anchors the gauge and defines the world
+                # frame; the dataset's stated start pose puts the map in the
+                # gravity-aligned frame its priors (and any ground truth) are
+                # expressed in.
+                x = start.get(frame.frame_id, Pose.identity())
+            else:
                 odom = odometry.get((prev_id, frame.frame_id))
                 if odom is None:
                     raise ValueError(f"no odometry from frame {prev_id}")
+                x = compose(values.get(("pose", prev_id)), odom)
             t0 = time.perf_counter()
             tracker, det_to_track = track_frame(tracker, detections, cfg.association)
             t0 = lap("track", t0)
 
-            x_pred = (
-                Pose.identity() if odom is None else compose(values.get(("pose", prev_id)), odom)
-            )
             bindings = {
                 det_idx: track_to_landmark[track_id]
                 for det_idx, track_id in det_to_track.items()
@@ -218,13 +215,13 @@ def run_slam(
             assoc = associate_long_term(
                 detections, bindings, ids, [labels[lid] for lid in ids],
                 values.stacked("quadric", values.rows("quadric", ids)),
-                x_pred, K, table, cfg.association,
+                x, K, table, cfg.association,
             )
             t0 = lap("associate", t0)
 
             mapping = add_keyframe(
-                graph, values, frame.frame_id, odom, detections, assoc, priors, K,
-                cfg.noise, cfg.flags, cfg.prior, dataset.image_size, initial_pose,
+                graph, values, frame.frame_id, x, odom, detections, assoc, priors, K,
+                cfg.noise, cfg.flags, cfg.prior, dataset.image_size,
             )
             for det_idx, lid in mapping.items():
                 labels.setdefault(lid, detections[det_idx].label)

@@ -186,6 +186,18 @@ class TestEmbeddings:
         with pytest.raises(ValueError, match=f"{path}:3: bad embedding row"):
             EmbeddingTable.load(path)
 
+    @pytest.mark.parametrize(
+        "rows, error",
+        [("mug 1.0 2.0\ncup 1.0 2.0\nmug 3.0 4.0\n", "repeated embedding token 'mug'"),
+         ("mug 1.0 2.0\n\ncup 1.0 2.0 3.0\n", "embedding row has 3 values, expected 2")],
+        ids=["repeated-token", "other-length"],
+    )
+    def test_load_rejects_a_row_unlike_the_earlier_ones(self, tmp_path, rows, error):
+        path = tmp_path / "emb.txt"
+        path.write_text(rows)
+        with pytest.raises(ValueError, match=f"^{path}:3: {error}$"):
+            EmbeddingTable.load(path)
+
     def test_semantic_indicator_groups(self):
         table = EmbeddingTable.load(FIXTURE)
         assert semantic_indicator("monitor", "tv", table, 4.0) == 1.0

@@ -122,6 +122,22 @@ class TestExitCodes:
         assert "frames.jsonl:1:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "map.json").exists()
 
+    @pytest.mark.parametrize(
+        "rows, error",
+        [("mug 1.0 2.0\ncup 1.0 2.0\nmug 3.0 4.0\n", ":3: repeated embedding token 'mug'"),
+         ("mug 1.0 2.0\ncup 1.0 2.0 3.0\n", ":2: embedding row has 3 values, expected 2")],
+        ids=["repeated-token", "other-length"],
+    )
+    def test_bad_embeddings_file_is_validation_error(self, tmp_path, capsys, rows, error):
+        ds = _simulate(tmp_path, capsys)
+        table = tmp_path / "emb.txt"
+        table.write_text(rows)
+        code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out"),
+                     "--set", f"paths.embeddings={table}"])
+        assert code == 1
+        assert f"{table}{error}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "map.json").exists()
+
     def test_malformed_map_is_validation_error(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys)
         out = tmp_path / "out"

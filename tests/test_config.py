@@ -350,7 +350,7 @@ def _two_keyframe_graph(cfg, camera, image_sizes):
         (1, Pose.identity(), AssociationResult({0: 0, 1: 1}, ()), image_sizes[1]),
     ):
         add_keyframe(
-            graph, values, pose_id, odom, dets, assoc, priors, camera,
+            graph, values, pose_id, Pose.identity(), odom, dets, assoc, priors, camera,
             cfg.noise, cfg.flags, cfg.prior, image_size,
         )
     return graph

@@ -69,10 +69,7 @@ def three_view_graph(camera, noise_px: float = 0.0, rng=None):
     """Noise-free (or lightly noisy) single-quadric graph with GT priors."""
     poses = looking_at_poses()
     graph = FactorGraph()
-    values = GraphValues()
-    for i, x in enumerate(poses):
-        values.set(("pose", i), x)
-    values.set(("quadric", 0), GT_QUADRIC)
+    values = GraphValues(dict(enumerate(poses)), {0: GT_QUADRIC})
     odom_noise = NoiseModel(np.array([1e-4] * 3 + [1e-4] * 3))
     bbox_noise = NoiseModel.isotropic(4, 10.0)
     for i in range(2):
@@ -93,14 +90,14 @@ def three_view_graph(camera, noise_px: float = 0.0, rng=None):
 
 
 def perturbed(values: GraphValues, rng: np.random.Generator) -> GraphValues:
-    out = values.copy()
-    q = out.get(("quadric", 0))
+    """Fresh values: the same poses, and quadric 0 moved by a random step."""
+    q = values.get(("quadric", 0))
     delta = np.zeros(9)
     delta[0:3] = rng.normal(0.0, 0.05, size=3)
     delta[3:6] = 0.2 * rng.standard_normal(3) / np.sqrt(3)
     delta[6:9] = rng.normal(0.0, 0.05, size=3)
-    out.set(("quadric", 0), q.retract(delta))
-    return out
+    poses = {i: values.get(("pose", i)) for i in values.pose_ids.tolist()}
+    return GraphValues(poses, {0: q.retract(delta)})
 
 
 class TestTotalCost:
@@ -191,7 +188,7 @@ class TestAddKeyframe:
         priors.add(PriorRecord("mug", 0.1, 0.1, 0.12, OrientationClass.VERTICAL))
         dets = [det_at(BoundingBox2D(300, 220, 340, 260))]
         mapping = add_keyframe(
-            graph, values, 0, None, dets, no_matches(1), priors, camera
+            graph, values, 0, Pose.identity(), None, dets, no_matches(1), priors, camera
         )
         assert mapping == {0: 0}
         assert len(values.pose_ids) == 1 and len(values.quadric_ids) == 1
@@ -202,10 +199,10 @@ class TestAddKeyframe:
     def test_reobservation_adds_only_bbox(self, camera):
         graph, values = FactorGraph(), GraphValues()
         dets = [det_at(BoundingBox2D(300, 220, 340, 260))]
-        add_keyframe(graph, values, 0, None, dets, no_matches(1), None, camera)
+        add_keyframe(graph, values, 0, Pose.identity(), None, dets, no_matches(1), None, camera)
         before = graph.counts_by_kind()
         mapping = add_keyframe(
-            graph, values, 1, Pose.identity(), dets,
+            graph, values, 1, Pose.identity(), Pose.identity(), dets,
             AssociationResult({0: 0}, ()), None, camera,
         )
         after = graph.counts_by_kind()
@@ -216,10 +213,11 @@ class TestAddKeyframe:
 
     def test_empty_frame_adds_only_odometry(self, camera):
         graph, values = FactorGraph(), GraphValues()
-        add_keyframe(graph, values, 0, None, [], no_matches(0), None, camera)
+        add_keyframe(graph, values, 0, Pose.identity(), None, [], no_matches(0), None, camera)
         assert len(graph) == 0
         u = Pose.from_rotvec(np.array([0.0, 0.01, 0.0]), np.array([0.1, 0.0, 0.0]))
-        add_keyframe(graph, values, 1, u, [], no_matches(0), None, camera)
+        x = compose(values.get(("pose", 0)), u)
+        add_keyframe(graph, values, 1, x, u, [], no_matches(0), None, camera)
         assert graph.counts_by_kind() == {"odometry": 1}
         np.testing.assert_allclose(
             values.get(("pose", 1)).matrix(),
@@ -234,7 +232,8 @@ class TestAddKeyframe:
         flags = Flags(size_prior=False, orientation_prior=False, centroid_factor=False)
         graph, values = FactorGraph(), GraphValues()
         add_keyframe(
-            graph, values, 0, None, dets, no_matches(1), priors, camera, flags=flags
+            graph, values, 0, Pose.identity(), None, dets, no_matches(1), priors, camera,
+            flags=flags,
         )
         assert graph.counts_by_kind() == {"bbox": 1}
 
@@ -242,14 +241,16 @@ class TestAddKeyframe:
         priors = PriorTable()
         dets = [det_at(BoundingBox2D(300, 220, 340, 260), label="gizmo")]
         graph, values = FactorGraph(), GraphValues()
-        add_keyframe(graph, values, 0, None, dets, no_matches(1), priors, camera)
+        add_keyframe(graph, values, 0, Pose.identity(), None, dets, no_matches(1), priors, camera)
         assert "gizmo" in priors.flagged
         assert graph.counts_by_kind()["size_prior"] == 1
 
     def test_detection_without_depth_is_deferred(self, camera):
         graph, values = FactorGraph(), GraphValues()
         dets = [Detection(BoundingBox2D(300, 220, 340, 260), "mug", 0.8)]
-        mapping = add_keyframe(graph, values, 0, None, dets, no_matches(1), None, camera)
+        mapping = add_keyframe(
+            graph, values, 0, Pose.identity(), None, dets, no_matches(1), None, camera
+        )
         assert mapping == {}
         assert len(values.quadric_ids) == 0 and len(graph) == 0
 
@@ -264,7 +265,7 @@ class TestAddKeyframe:
         for _ in range(2):
             graph, values = FactorGraph(), GraphValues()
             mapping = add_keyframe(
-                graph, values, 0, None, dets, no_matches(2), priors, camera
+                graph, values, 0, Pose.identity(), None, dets, no_matches(2), priors, camera
             )
             results.append((mapping, [f.kind for f in graph],
                             values.quadric_ids.tolist(), values.t.tolist()))
@@ -272,9 +273,11 @@ class TestAddKeyframe:
 
     def test_duplicate_pose_id_rejected(self, camera):
         graph, values = FactorGraph(), GraphValues()
-        add_keyframe(graph, values, 0, None, [], no_matches(0), None, camera)
+        add_keyframe(graph, values, 0, Pose.identity(), None, [], no_matches(0), None, camera)
         with pytest.raises(ValueError):
-            add_keyframe(graph, values, 0, Pose.identity(), [], no_matches(0), None, camera)
+            add_keyframe(
+                graph, values, 0, Pose.identity(), Pose.identity(), [], no_matches(0), None, camera
+            )
 
 
 class TestSolveBatch:
@@ -386,7 +389,7 @@ class TestSolveIncremental:
         priors = PriorTable()
         priors.add(PriorRecord("mug", 0.2, 0.25, 0.3, OrientationClass.UNCERTAIN))
         dets = [det_at(BoundingBox2D(290, 210, 350, 270))]
-        add_keyframe(graph, values, 0, None, dets, no_matches(1), priors, camera)
+        add_keyframe(graph, values, 0, Pose.identity(), None, dets, no_matches(1), priors, camera)
         inc, _ = solve_incremental(graph, values)
         bat, _ = solve_batch(graph, values)
         np.testing.assert_allclose(inc.get(("quadric", 0)).t, bat.get(("quadric", 0)).t, atol=1e-6)
@@ -440,13 +443,14 @@ class TestSolveIncremental:
 
         def build(solve_each: bool):
             graph, values = FactorGraph(), GraphValues()
-            for i, x, dets in frames():
+            for i, _, dets in frames():
                 odom = None if i == 0 else between(poses[i - 1], poses[i])
+                x = Pose.identity() if i == 0 else compose(values.get(("pose", i - 1)), odom)
                 assoc = (
                     no_matches(1) if i == 0
                     else AssociationResult({0: 0}, ())
                 )
-                add_keyframe(graph, values, i, odom, dets, assoc, priors, camera)
+                add_keyframe(graph, values, i, x, odom, dets, assoc, priors, camera)
                 if solve_each:
                     values, _ = solve_incremental(graph, values)
             return graph, values
@@ -676,7 +680,7 @@ class TestBatchedLinearization:
         # camera 0's plane: its projection is valid, a 1e-6 step in depth is
         # not.
         graph, values = mixed_graph(camera)
-        values.set(("quadric", 99), Quadric(np.eye(3), np.array([1.0, 1.0, 0.1 + 5e-7]),
+        values.append(("quadric", 99), Quadric(np.eye(3), np.array([1.0, 1.0, 0.1 + 5e-7]),
                                             np.full(3, 0.1)))
         graph.add(BBoxFactor(0, 99, BoundingBox2D(100, 100, 140, 150), camera,
                              NoiseModel.isotropic(4, 2.0, huber=2.0)))
@@ -810,6 +814,31 @@ class TestGraphStructure:
         np.testing.assert_array_equal(values.rows("pose", np.array([9, 2, 5, 2])), [2, 0, 1, 0])
         np.testing.assert_array_equal(values.rows("quadric", np.array([7, 4, 7])), [4, 3, 4])
         assert values.rows("quadric", np.empty(0, dtype=np.int64)).shape == (0,)
+
+    def test_append_refuses_an_id_not_above_its_kinds_last(self, rng):
+        x, q = random_pose(rng), random_quadric(rng)
+        values = GraphValues({2: random_pose(rng), 5: x}, {4: q})
+        for kind, idx in [("pose", 5), ("pose", 3), ("quadric", 4), ("quadric", 1)]:
+            new = random_pose(rng) if kind == "pose" else random_quadric(rng)
+            with pytest.raises(ValueError, match=f"^{kind} id {idx} is not above the last"):
+                values.append((kind, idx), new)
+        assert values.pose_ids.tolist() == [2, 5] and values.quadric_ids.tolist() == [4]
+        assert len(values.R) == len(values.t) == 3 and len(values.s) == 1
+        # A pose appended after the quadrics still takes its row before theirs.
+        x6, q5 = random_pose(rng), random_quadric(rng)
+        values.append(("pose", 6), x6)
+        values.append(("quadric", 5), q5)
+        np.testing.assert_array_equal(values.rows("pose", np.array([2, 5, 6])), [0, 1, 2])
+        np.testing.assert_array_equal(values.rows("quadric", np.array([4, 5])), [3, 4])
+        expected = [(("pose", 5), x), (("pose", 6), x6), (("quadric", 4), q), (("quadric", 5), q5)]
+        for key, want in expected:
+            got = values.get(key)
+            np.testing.assert_array_equal(got.rotation, want.rotation)
+            if key[0] == "pose":
+                np.testing.assert_array_equal(got.translation, want.translation)
+            else:
+                np.testing.assert_array_equal(got.t, want.t)
+                np.testing.assert_array_equal(got.s, want.s)
 
 
 class TestScoredOnce:

@@ -10,7 +10,7 @@ import pytest
 from objslam import pipeline
 from objslam.config import build_run_config
 from objslam.dataset import ParseError, SchemaError, load_dataset, write_dataset
-from objslam.geometry import Quadric
+from objslam.geometry import Pose, Quadric
 from objslam.pipeline import (
     Landmark,
     PipelineError,
@@ -165,6 +165,53 @@ class TestRunSlam:
         second = dataset.frames[1].frame_id
         with pytest.raises(PipelineError, match=f"frame {second}"):
             run_slam(_run_config(), broken, scene.prior_table())
+
+    def test_out_of_order_frame_ids_name_the_frame(self, camera_module):
+        # Frames keep their file order but are relabelled 0, 2, 1, 3, 4, 5,
+        # the odometry following them: frame 1 comes after frame 2.
+        dataset, scene = simulate_dataset(
+            SceneSpec(n_objects=3), 6, camera_module, (640, 480),
+            SimConfig(sigma_px=1.0, sigma_rot=0.002, sigma_trans=0.002, seed=0),
+        )
+        new = dict(zip([f.frame_id for f in dataset.frames], [0, 2, 1, 3, 4, 5]))
+        relabelled = dataclasses.replace(
+            dataset,
+            frames=[dataclasses.replace(f, frame_id=new[f.frame_id]) for f in dataset.frames],
+            odometry=[
+                dataclasses.replace(o, from_frame=new[o.from_frame], to_frame=new[o.to_frame])
+                for o in dataset.odometry
+            ],
+            gt_trajectory=[(new[fid], x) for fid, x in dataset.gt_trajectory],
+            gt_association=None,
+        )
+        assert {(o.from_frame, o.to_frame) for o in relabelled.odometry} >= {(2, 1), (1, 3)}
+        for mode in ("incremental", "batch"):
+            with pytest.raises(PipelineError, match=r"^frame 1: pose id 1 is not above"):
+                run_slam(_run_config(mode=mode), relabelled, scene.prior_table())
+
+    def test_add_keyframe_builds_no_pose(self, small_world, monkeypatch):
+        # run_slam decides each keyframe's pose; add_keyframe only appends it.
+        dataset, scene = small_world
+        built, inside = [], []
+        check, add_keyframe = Pose.__post_init__, pipeline.add_keyframe
+
+        def counting(x):
+            if inside:
+                built.append(x)
+            check(x)
+
+        def watched(*args, **kwargs):
+            inside.append(True)
+            try:
+                return add_keyframe(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Pose, "__post_init__", counting)
+        monkeypatch.setattr(pipeline, "add_keyframe", watched)
+        estimate, _, _ = run_slam(_run_config(mode="batch"), dataset, scene.prior_table())
+        assert len(estimate.trajectory) == len(dataset.frames) == 10
+        assert built == []
 
 
 class TestLandmark:
