@@ -43,17 +43,19 @@ increase. A trial that changes the cost by a negligible amount, roundoff
 included, ends the solve without moving.
 
 Incremental mode is the same solver warm-started from the current values
-with a budget of ``incremental_iters_per_keyframe`` accepted steps per
-keyframe, 2 by default; it relinearizes the whole graph rather than
+with a budget of ``incremental_iters_per_keyframe`` accepted steps for a
+keyframe that adds a landmark, 2 by default, and one fewer (at least one)
+for a keyframe that adds none; it relinearizes the whole graph rather than
 maintaining a Bayes tree, which is accurate and fast at desk scale. Each
 keyframe's solve starts from the last one's result, so it continues that
 solve rather than re-converging the graph (iSAM2 likewise takes one
 Gauss-Newton step per update). On the standard scene the median
 keyframe's first step cuts the cost by about 8 % and its second by about
 0.4 %; a third to fifth step would move it by 3e-4 to 4e-6 relative and
-would not change the map's accuracy. The second step is kept because a graph
-built from one fresh keyframe needs it to come within 1e-6 m of the batch
-solution.
+would not change the map's accuracy. Fresh landmarks keep the second step: a
+graph built from one fresh keyframe needs it to come within 1e-6 m of the
+batch solution. On the standard scenes every landmark spawns in the first
+keyframes, so most keyframes take one step.
 """
 
 from __future__ import annotations
@@ -292,6 +294,8 @@ class SolverConfig:
     damping_down: float = 10.0
     max_damping: float = 1e8
     convergence_rel_decrease: float = 1e-8
+    # Accepted steps of a keyframe that adds a landmark; one fewer, but at
+    # least one, for a keyframe that adds none.
     incremental_iters_per_keyframe: int = 2
 
     def __post_init__(self) -> None:
@@ -548,11 +552,16 @@ def solve_batch(
 
 
 def solve_incremental(
-    graph: FactorGraph, values: GraphValues, cfg: SolverConfig | None = None
+    graph: FactorGraph,
+    values: GraphValues,
+    cfg: SolverConfig | None = None,
+    adds_landmark: bool = True,
 ) -> tuple[GraphValues, SolveReport]:
-    """Per-keyframe warm-started update with a bounded iteration budget."""
+    """Per-keyframe warm-started update with a bounded iteration budget: one
+    step fewer, but at least one, for a keyframe that added no landmark."""
     cfg = cfg or SolverConfig()
-    return _lm_solve(graph, values, cfg, cfg.incremental_iters_per_keyframe)
+    budget = cfg.incremental_iters_per_keyframe
+    return _lm_solve(graph, values, cfg, budget if adds_landmark else max(1, budget - 1))
 
 
 def initialize_landmark(

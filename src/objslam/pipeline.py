@@ -58,7 +58,6 @@ from .evaluation import (
 from .geometry import (
     Pose,
     Quadric,
-    compose,
     matrix_to_quat,
     quat_to_matrix,
 )
@@ -201,7 +200,9 @@ def run_slam(
                 odom = odometry.get((prev_id, frame.frame_id))
                 if odom is None:
                     raise ValueError(f"no odometry from frame {prev_id}")
-                x = compose(values.get(("pose", prev_id)), odom)
+                # The previous keyframe's pose is the last pose row.
+                R, t = values.stacked("pose", len(values.pose_ids) - 1)
+                x = Pose(R @ odom.rotation, R @ odom.translation + t)
             t0 = time.perf_counter()
             tracker, det_to_track = track_frame(tracker, detections, cfg.association)
             t0 = lap("track", t0)
@@ -219,6 +220,7 @@ def run_slam(
             )
             t0 = lap("associate", t0)
 
+            landmarks = len(values.quadric_ids)
             mapping = add_keyframe(
                 graph, values, frame.frame_id, x, odom, detections, assoc, priors, K,
                 cfg.noise, cfg.flags, cfg.prior, dataset.image_size,
@@ -231,7 +233,9 @@ def run_slam(
             t0 = lap("add_keyframe", t0)
 
             if cfg.mode == "incremental":
-                values, report = solve_incremental(graph, values, cfg.solver)
+                values, report = solve_incremental(
+                    graph, values, cfg.solver, adds_landmark=len(values.quadric_ids) > landmarks
+                )
                 snapshots.append((frame.frame_id, _landmarks(values)))
             t0 = lap("solve", t0)
             prev_id = frame.frame_id

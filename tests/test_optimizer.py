@@ -419,6 +419,16 @@ class TestSolveIncremental:
         )
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_keyframe_without_landmark_takes_one_step_fewer(self, camera, rng, budget):
+        graph, gt_values = three_view_graph(camera, noise_px=2.0, rng=rng)
+        values = perturbed(gt_values, rng)
+        cfg = SolverConfig(incremental_iters_per_keyframe=budget)
+        _, full = solve_incremental(graph, values, cfg)
+        _, fewer = solve_incremental(graph, values, cfg, adds_landmark=False)
+        assert full.iterations == budget
+        assert fewer.iterations == max(1, budget - 1)
+
     def test_multi_keyframe_pipeline_matches_batch(self, camera, rng):
         gt_q = Quadric(Rotation.from_euler("XYZ", [0.0, 0.1, -0.1]).as_matrix(),
                        np.array([0.0, 0.0, 2.0]), np.array([0.15, 0.2, 0.3]))

@@ -82,8 +82,9 @@ class TestRunSlam:
 
     def test_incremental_budget_is_enough(self, camera_module):
         # The standard fixture scene of seed 12 (outside the acceptance
-        # seeds) mapped with the default budget of accepted steps per
-        # keyframe and with 5: more steps per keyframe do not change the map.
+        # seeds) mapped with the default budget (two accepted steps for a
+        # keyframe that adds a landmark, one for any other) and with 5 (five
+        # and four): more steps per keyframe do not change the map.
         sim = SimConfig(sigma_px=2.0, sigma_rot=0.005, sigma_trans=0.005, seed=12)
         dataset, scene = simulate_dataset(SceneSpec(n_objects=10), 30, camera_module, (640, 480), sim)
         noise = {"bbox_sigma_px": 2.0, "odom_sigma_rot": 0.005, "odom_sigma_trans": 0.005}
@@ -103,6 +104,53 @@ class TestRunSlam:
             np.testing.assert_allclose(
                 np.sort(lm.semi_axes), np.sort(five[g].semi_axes), rtol=0, atol=5e-3
             )
+
+    def test_only_keyframes_adding_a_landmark_take_a_second_step(
+        self, camera_module, monkeypatch
+    ):
+        # The standard fixture scene of seed 12 (outside the acceptance
+        # seeds) at the default budget of two accepted steps per keyframe.
+        sim = SimConfig(sigma_px=2.0, sigma_rot=0.005, sigma_trans=0.005, seed=12)
+        dataset, scene = simulate_dataset(SceneSpec(n_objects=10), 30, camera_module, (640, 480), sim)
+        noise = {"bbox_sigma_px": 2.0, "odom_sigma_rot": 0.005, "odom_sigma_trans": 0.005}
+        solves = []  # (landmarks in the graph, accepted steps) per solve
+        solve = pipeline.solve_incremental
+
+        def collecting(graph, values, *args, **kwargs):
+            landmarks = len(values.quadric_ids)
+            result = solve(graph, values, *args, **kwargs)
+            solves.append((landmarks, result[1].iterations))
+            return result
+
+        monkeypatch.setattr(pipeline, "solve_incremental", collecting)
+        run_slam(build_run_config({"noise": noise}), dataset, scene.prior_table())
+        assert len(solves) == len(dataset.frames)
+        before = [0] + [n for n, _ in solves[:-1]]
+        adding = [steps for (n, steps), m in zip(solves, before) if n > m]
+        other = [steps for (n, steps), m in zip(solves, before) if n == m]
+        assert other and max(other) <= 1
+        assert 2 in adding
+
+    def test_keyframe_pose_is_validated_once(self, small_world, monkeypatch):
+        # Each keyframe after the first is built from the previous pose's
+        # rows: one validated Pose between the trackings of two frames.
+        dataset, scene = small_world
+        validated = [0]
+        at_tracking = []
+        post_init, track = Pose.__post_init__, pipeline.track_frame
+
+        def counting(self):
+            validated[0] += 1
+            post_init(self)
+
+        def tracking(*args):
+            at_tracking.append(validated[0])
+            return track(*args)
+
+        monkeypatch.setattr(Pose, "__post_init__", counting)
+        monkeypatch.setattr(pipeline, "track_frame", tracking)
+        run_slam(_run_config(), dataset, scene.prior_table())
+        assert np.diff(at_tracking).tolist() == [1] * (len(dataset.frames) - 1)
 
     def test_deterministic(self, small_world):
         dataset, scene = small_world
