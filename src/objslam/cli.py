@@ -101,7 +101,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         from .pipeline import write_report_json
 
         write_report_json(report, args.output)
-    if args.iou_csv and report.iou_series:
+    if args.iou_csv:
         from .evaluation import write_iou_series_csv
 
         write_iou_series_csv(report.iou_series, args.iou_csv)

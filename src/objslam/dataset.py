@@ -140,6 +140,15 @@ def _integer(record: dict, key: str, where: str) -> int:
     return value
 
 
+def _string(record: dict, key: str, where: str) -> str:
+    """The record's field ``key``, which must be a JSON string: null, 7 or
+    ["mug"] is not turned into "None", "7" or "['mug']"."""
+    value = _require(record, key, where)
+    if type(value) is not str:
+        raise SchemaError(f"{where}: field {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _number(value, key: str, where: str) -> float:
     """``value``, the field ``key`` or one entry of it, as a float. It must
     be a JSON number: a bool is not taken for 0 or 1, nor "500" for 500."""
@@ -164,12 +173,12 @@ def detection_from_json(record: dict, where: str) -> Detection:
     bbox = _require(record, "bbox", where)
     if not (isinstance(bbox, list) and len(bbox) == 4):
         raise SchemaError(f"{where}: field 'bbox' must be a 4-element list")
-    label = _require(record, "label", where)
+    label = _string(record, "label", where)
     confidence = _require(record, "confidence", where)
     depth = record.get("center_depth")
     return Detection(
         BoundingBox2D(*[_number(v, "bbox", where) for v in bbox]),
-        str(label),
+        label,
         _number(confidence, "confidence", where),
         None if depth is None else _number(depth, "center_depth", where),
     )
@@ -240,7 +249,7 @@ def _odometry_from_json(record: dict, where: str) -> OdometryEntry:
 
 
 def _gt_object_from_json(record: dict, where: str) -> GroundTruthObject:
-    label = str(_require(record, "label", where))
+    label = _string(record, "label", where)
     rotation = quat_to_matrix(_quaternion(record, where))
     center = _vector3(record, "center", where)
     half = _vector3(record, "half_extents", where)

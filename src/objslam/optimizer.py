@@ -10,21 +10,21 @@ product manifold: dense normal equations, an additive damping schedule, and
 one ``geometry.retract`` of all free rows per step. The lowest-id pose is held
 constant in every solve, which fixes the gauge.
 
-``FactorGraph.batches`` stacks the factors per kind (bbox factors per
-camera), with their noise models' square-root information rows and Huber
-thresholds; it stacks only the factors added since its last call and joins
-them onto their batch. A solve makes one ``Workspace`` (``_place``), since a
-solve never adds a variable: each batch placed in the values' layout (the
-rows of its variables), the flat ``bincount`` indices of all entries in
-``H`` and ``g`` concatenated once, and one buffer each for the ``J^T J``
-and ``J^T r`` products, of which each batch writes its slice.
+``FactorGraph`` stores the factors once, as batches per kind (bbox factors
+per camera) with their noise models' square-root information rows and Huber
+thresholds: ``FactorGraph.batches`` stacks the factors added since its last
+call onto their batch and lets them go. A solve makes one ``Workspace``
+(``_place``), since a solve never adds a variable: each batch placed in the
+values' layout (the rows of its variables), the flat ``bincount`` indices of
+all entries in ``H`` and ``g`` concatenated once, and one buffer each for the
+``J^T J`` and ``J^T r`` products, of which each batch writes its slice.
 
 ``_lm_solve`` is one loop over trial steps. ``cost_breakdown`` scores each
 point, the start and every trial, once and without derivatives: each kind's
 scoring pass from ``factors`` (the residuals, their validity, and what the
 derivative needs, such as the projection's conics) through the noise models.
-It returns a ``Point``: the values, their cost per kind, the factors it
-scored, and per batch what it scored with. ``_normal_equations`` runs each
+It returns a ``Point``: the values, their cost per kind, the rows it scored,
+and per batch what it scored with. ``_normal_equations`` runs each
 kind's derivative pass from that kept output only where ``H`` and ``g`` are
 built: at the start point and at each accepted point from which another
 step is taken. Rejected trials and the trials of a solve's last budgeted
@@ -60,8 +60,8 @@ keyframes, so most keyframes take one step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -185,7 +185,6 @@ class Batch(NamedTuple):
     """Factors of one kind (and camera) stacked for the batched functions."""
 
     cls: type[Factor]
-    at: np.ndarray  # (k,) positions in the graph
     variables: tuple[str, ...]  # kind of each variable slot
     ids: np.ndarray  # (slots, k) variable ids
     inputs: tuple  # the kind's stack of constant inputs
@@ -197,7 +196,6 @@ class Batch(NamedTuple):
         arrays of the inputs stack along their first axis; anything else
         (the camera) is shared by the whole batch."""
         return self._replace(
-            at=np.concatenate([self.at, more.at]),
             ids=np.concatenate([self.ids, more.ids], axis=1),
             inputs=tuple(
                 np.concatenate([a, b]) if isinstance(a, np.ndarray) else a
@@ -233,56 +231,51 @@ class Workspace(NamedTuple):
     Jtr: np.ndarray  # (sum k c,): the products, overwritten by every build
 
 
-@dataclass
 class FactorGraph:
-    """Ordered factor container; iteration order is insertion order.
-    Factors are only ever appended."""
+    """The factors of a map, stored once as their batches; factors are only
+    ever appended. A factor lives from ``add`` to the next ``batches()``."""
 
-    factors: list[Factor] = field(default_factory=list)
-    _batches: list[Batch] = field(default_factory=list, init=False, repr=False, compare=False)
-    _batch_of: dict[tuple, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _batched: int = field(default=0, init=False, repr=False, compare=False)
+    def __init__(self) -> None:
+        self._batches: list[Batch] = []
+        self._batch_of: dict[tuple, int] = {}
+        self._new: list[Factor] = []
 
     def add(self, factor: Factor) -> None:
-        self.factors.append(factor)
+        self._new.append(factor)
 
     def __len__(self) -> int:
-        return len(self.factors)
-
-    def __iter__(self) -> Iterator[Factor]:
-        return iter(self.factors)
+        return sum(self.counts_by_kind().values())
 
     def counts_by_kind(self) -> dict[str, int]:
+        """Batch rows plus factors not yet batched, per kind."""
+        batched = [(b.cls.kind, len(b.huber)) for b in self._batches]
         out: dict[str, int] = {}
-        for f in self.factors:
-            out[f.kind] = out.get(f.kind, 0) + 1
+        for kind, k in batched + [(f.kind, 1) for f in self._new]:
+            out[kind] = out.get(kind, 0) + k
         return out
 
     def batches(self) -> list[Batch]:
         """The factors stacked per kind and camera, in order of first
-        appearance. Only the factors added since the last call are stacked,
-        each group joined onto its batch."""
-        if self._batched != len(self.factors):
-            groups: dict[tuple, list[int]] = {}
-            for i in range(self._batched, len(self.factors)):
-                f = self.factors[i]
+        appearance: the graph's own list. The factors added since the last
+        call are stacked onto their batch here and let go."""
+        if self._new:
+            groups: dict[tuple, list[Factor]] = {}
+            for f in self._new:
                 # One projection takes one camera: bbox factors batch per K.
-                groups.setdefault((type(f), getattr(f, "K", None)), []).append(i)
-            batches = list(self._batches)
-            for key, at in groups.items():
-                fs = [self.factors[i] for i in at]
+                groups.setdefault((type(f), getattr(f, "K", None)), []).append(f)
+            for key, fs in groups.items():
                 keys = [f.variable_keys() for f in fs]
                 new = Batch(
-                    key[0], np.array(at), tuple(kind for kind, _ in keys[0]),
+                    key[0], tuple(kind for kind, _ in keys[0]),
                     np.array([[i for _, i in k] for k in keys]).T,
                     key[0].stack(fs), *stack_noises([f.noise for f in fs]),
                 )
-                if key in self._batch_of:
-                    batches[self._batch_of[key]] = batches[self._batch_of[key]].joined(new)
+                at = self._batch_of.setdefault(key, len(self._batches))
+                if at == len(self._batches):
+                    self._batches.append(new)
                 else:
-                    self._batch_of[key] = len(batches)
-                    batches.append(new)
-            self._batches, self._batched = batches, len(self.factors)
+                    self._batches[at] = self._batches[at].joined(new)
+            self._new = []
         return self._batches
 
 
@@ -386,11 +379,11 @@ def _stacked(values: GraphValues, placed: Placed) -> list[tuple]:
 
 class Point(NamedTuple):
     """One scored LM point: the values, their robustified cost per factor
-    kind, which factors were scored (bool, one per factor in graph order; a
-    bbox factor whose projection is invalid is not), and per placed batch
-    what ``_normal_equations`` builds H, g from: the values of its variable
-    slots, the kind's ``Scored`` pass, the whitened residuals e and the IRLS
-    weights w."""
+    kind, which rows were scored (the batches' validity masks concatenated
+    in batch order; a bbox row whose projection is invalid is not scored),
+    and per placed batch what ``_normal_equations`` builds H, g from: the
+    values of its variable slots, the kind's ``Scored`` pass, the whitened
+    residuals e and the IRLS weights w."""
 
     values: GraphValues
     breakdown: dict[str, float]
@@ -405,30 +398,24 @@ class Point(NamedTuple):
 def cost_breakdown(
     graph: FactorGraph, values: GraphValues, workspace: Workspace | None = None
 ) -> Point:
-    """The point scored at these values, without derivatives; skipped
-    residuals contribute nothing and are zero in the point's ``Scored``.
-    ``workspace`` is the graph's ``_place`` in the layout of these values,
-    computed here when not given."""
-    costs = np.zeros(len(graph))
-    active = np.zeros(len(graph), dtype=bool)
-    kind_of = np.zeros(len(graph), dtype=np.int64)
-    kinds: dict[str, int] = {}
-    kept = []
+    """The point scored at these values, without derivatives: skipped rows add
+    nothing and are zero in its ``Scored``. A kind's cost is the builtin ``sum``
+    (not numpy's pairwise one) of its valid rows' costs, batch after batch, and
+    kinds come in batch order. ``workspace`` is this layout's ``_place``."""
+    breakdown: dict[str, float] = {}
+    active, kept = [np.empty(0, dtype=bool)], []
     for p in (_place(graph, values) if workspace is None else workspace).placed:
         batch = p.batch
         rows = _stacked(values, p)
         scored = batch.cls.residuals(batch.inputs, *rows)
         scored.r[~scored.valid] = 0.0
-        e, costs[batch.at], w = robust_whiten(batch.sqrt_info, batch.huber, scored.r)
+        e, costs, w = robust_whiten(batch.sqrt_info, batch.huber, scored.r)
         kept.append((rows, scored, e, w))
-        active[batch.at] = scored.valid
-        kind_of[batch.at] = kinds.setdefault(batch.cls.kind, len(kinds))
-    # Sums in graph order, kinds in order of their first scored factor.
-    sums = np.bincount(kind_of[active], costs[active], minlength=len(kinds))
-    present, first = np.unique(kind_of[active], return_index=True)
-    names = list(kinds)
-    breakdown = {names[k]: float(sums[k]) for k in present[np.argsort(first)]}
-    return Point(values, breakdown, active, kept)
+        active.append(scored.valid)
+        if scored.valid.any():
+            kind = batch.cls.kind
+            breakdown[kind] = sum(costs[scored.valid].tolist(), breakdown.get(kind, 0.0))
+    return Point(values, breakdown, np.concatenate(active), kept)
 
 
 def _anchored(values: GraphValues) -> int:

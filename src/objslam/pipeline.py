@@ -43,6 +43,7 @@ from .dataset import (
     _quaternion,
     _record,
     _require,
+    _string,
     _vector3,
     load_dataset,
     write_dataset,
@@ -359,7 +360,7 @@ def _landmark_from_json(entry: dict, where: str) -> Landmark:
 
 
 def _labelled_landmark_from_json(entry: dict, where: str) -> tuple[Landmark, str]:
-    return _landmark_from_json(entry, where), str(_require(entry, "label", where))
+    return _landmark_from_json(entry, where), _string(entry, "label", where)
 
 
 def _snapshot_from_json(entry: dict, where: str) -> tuple[int, tuple[Landmark, ...]]:

@@ -2,7 +2,9 @@
 
 The solver scores and linearizes inside its LM loop; these wrap the same
 calls for one set of values, so the tests can compare them with the
-per-factor references and with what a solve built.
+per-factor references and with what a solve built. A ``FactorGraph`` keeps
+no factor objects once it has batched them, so the references walk the
+factor lists the tests built the graphs from.
 """
 
 from __future__ import annotations
@@ -10,7 +12,26 @@ from __future__ import annotations
 import numpy as np
 
 from objslam import optimizer
+from objslam.factors import Factor
 from objslam.optimizer import FactorGraph, GraphValues
+
+
+def graph_of(factors: list[Factor]) -> FactorGraph:
+    """A graph of these factors, added in this order."""
+    graph = FactorGraph()
+    for f in factors:
+        graph.add(f)
+    return graph
+
+
+def batch_rows(factors: list[Factor]) -> np.ndarray:
+    """The row of each factor, in added order, in its graph's batch rows
+    concatenated (the order of ``Point.active``): grouped by kind and camera
+    in order of first appearance, in added order within a group."""
+    groups: dict[tuple, list[int]] = {}
+    for i, f in enumerate(factors):
+        groups.setdefault((type(f), getattr(f, "K", None)), []).append(i)
+    return np.argsort([i for group in groups.values() for i in group])
 
 
 def total_cost(graph: FactorGraph, values: GraphValues) -> float:

@@ -277,6 +277,21 @@ class TestFlow:
         doc = json.loads(report_path.read_text())
         assert doc["counts"]["tp"] == 2
 
+    def test_evaluate_writes_the_iou_csv_it_is_asked_for(self, tmp_path, capsys):
+        # A map without snapshots has an empty IoU-error series: evaluate
+        # still writes the file, its header alone, as run does.
+        ds = _simulate(tmp_path, capsys)
+        out = tmp_path / "out"
+        assert main(["run", "--dataset", str(ds), "--priors", str(ds / "priors.csv"),
+                     "-o", str(out), "--set", "mode=batch"]) == 0
+        doc = json.loads((out / "map.json").read_text())
+        doc["snapshots"] = []
+        (out / "map.json").write_text(json.dumps(doc))
+        csv = tmp_path / "iou.csv"
+        assert main(["evaluate", "--map", str(out / "map.json"), "--dataset", str(ds),
+                     "--iou-csv", str(csv)]) == 0
+        assert csv.read_text() == "keyframe_index,mean_iou_error,std_iou_error\n"
+
     @pytest.mark.parametrize("name", ["2024", "yes", "out #1"])
     def test_path_flags_are_literal(self, tmp_path, capsys, monkeypatch, name):
         # Path flags are taken as given, not parsed as YAML scalars: a bare

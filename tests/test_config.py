@@ -369,29 +369,33 @@ class TestFactorPolicy:
         )
         graph = _two_keyframe_graph(cfg, camera, (None, None))
         assert graph.counts_by_kind() == {"bbox": 4, "size_prior": 2, "odometry": 1}
-        for f in graph:
-            if f.kind == "bbox":
-                np.testing.assert_array_equal(f.noise.variances, [9.0] * 4)
-                assert f.noise.threshold == cfg.noise.bbox_huber_multiplier == 1.5
-        (odom,) = [f for f in graph if f.kind == "odometry"]
+        # A batch holds its noise models as square-root information rows
+        # 1 / sqrt(variances) and Huber thresholds.
+        for b in graph.batches():
+            if b.cls.kind == "bbox":
+                np.testing.assert_array_equal(b.sqrt_info, 1.0 / np.sqrt(np.full((4, 4), 9.0)))
+                assert (b.huber == cfg.noise.bbox_huber_multiplier).all()
+                assert cfg.noise.bbox_huber_multiplier == 1.5
+        (odom,) = [b for b in graph.batches() if b.cls.kind == "odometry"]
         np.testing.assert_allclose(
-            odom.noise.variances, [4e-4] * 3 + [2.5e-3] * 3, rtol=1e-15
+            odom.sqrt_info, 1.0 / np.sqrt([[4e-4] * 3 + [2.5e-3] * 3]), rtol=1e-15
         )
-        assert odom.noise.threshold == np.inf
+        assert odom.huber.tolist() == [np.inf]
 
     def test_image_size_optional(self, camera):
         cfg = build_run_config({"flags": {"centroid_factor": False}})
         graph = _two_keyframe_graph(cfg, camera, ((640, 480), None))
-        masks = [f.keep.tolist() for f in graph if f.kind == "bbox"]
+        (bbox,) = [b for b in graph.batches() if b.cls.kind == "bbox"]
+        masks = bbox.inputs[2].tolist()  # the border masks, in the order added
         assert masks == [[True] * 4, [True, True, False, False], [True] * 4, [True] * 4]
 
     def test_prior_config_shared(self, camera):
         cfg = build_run_config({"prior": {"kz": 2.0}, "flags": {"centroid_factor": False}})
         graph = _two_keyframe_graph(cfg, camera, (None, None))
-        orient = [f for f in graph if f.kind == "orientation_prior"]
-        assert len(orient) == 2
-        for f in orient:
-            assert f.noise.variances[2] == 4.0
+        (orient,) = [b for b in graph.batches() if b.cls.kind == "orientation_prior"]
+        assert len(orient.huber) == 2
+        for sqrt_info in orient.sqrt_info:
+            assert sqrt_info[2] == 1.0 / np.sqrt(4.0)
 
     def test_paths_defaults(self):
         p = Paths()

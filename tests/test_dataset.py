@@ -393,6 +393,29 @@ def test_ids_must_be_json_integers(tmp_path, rng, file_name, path, name, value):
     assert f"field {name!r} must be an integer, got {value!r}" in message
 
 
+def load_error_with(tmp_path, rng, file_name, line, path, value) -> str:
+    """The SchemaError message of loading a written dataset, or map, in
+    which the entry at ``path`` of one record (the JSONL file's ``line``, or
+    the whole document when None) is set to ``value``."""
+    write_dataset(make_dataset(rng), tmp_path)
+    write_map_json(make_map(), tmp_path / MAP_FILE)
+    target = tmp_path / file_name
+    lines = target.read_text().splitlines()
+    doc = json.loads("".join(lines) if line is None else lines[line - 1])
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    if line is None:
+        target.write_text(json.dumps(doc))
+    else:
+        lines[line - 1] = json.dumps(doc)
+        target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        load_map_json(target) if file_name == MAP_FILE else load_dataset(tmp_path)
+    return str(exc.value)
+
+
 # (file, line of the record in a JSONL file or None for a whole document,
 # path to the value, field name in the error). Frame 0 has no detections, so
 # the detection fields are read from frame 1, on line 2.
@@ -427,25 +450,32 @@ NUMBER_FIELDS = [
 def test_numbers_must_be_json_numbers(tmp_path, rng, file_name, line, path, name, value):
     """A number is read only from a JSON number: true is not taken for 1.0,
     false for 0.0 or "500" for 500.0."""
-    write_dataset(make_dataset(rng), tmp_path)
-    write_map_json(make_map(), tmp_path / MAP_FILE)
-    target = tmp_path / file_name
-    lines = target.read_text().splitlines()
-    doc = json.loads("".join(lines) if line is None else lines[line - 1])
-    field = doc
-    for key in path[:-1]:
-        field = field[key]
-    field[path[-1]] = value
-    if line is None:
-        target.write_text(json.dumps(doc))
-    else:
-        lines[line - 1] = json.dumps(doc)
-        target.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaError) as exc:
-        load_map_json(target) if file_name == MAP_FILE else load_dataset(tmp_path)
-    message = str(exc.value)
+    message = load_error_with(tmp_path, rng, file_name, line, path, value)
     assert (file_name if line is None else f"{file_name}:{line}:") in message
     assert f"field {name!r} must be a number, got {value!r}" in message
+
+
+# (file, line of the record in a JSONL file or None for a whole document,
+# path to the label, where the error says it is). Frame 0 has no
+# detections, so the detection label is read from frame 1, on line 2.
+STRING_FIELDS = [
+    (FRAMES_FILE, 2, ("detections", 0, "label"), f"{FRAMES_FILE}:2:"),
+    (GT_OBJECTS_FILE, 1, ("label",), f"{GT_OBJECTS_FILE}:1:"),
+    (MAP_FILE, None, ("landmarks", 0, "label"), f"{MAP_FILE} landmarks[0]:"),
+]
+
+
+@pytest.mark.parametrize("value", [None, 7, ["mug"]])
+@pytest.mark.parametrize(
+    "file_name, line, path, at", STRING_FIELDS,
+    ids=[".".join(map(str, (f.split(".")[0],) + path)) for f, _, path, _ in STRING_FIELDS],
+)
+def test_labels_must_be_json_strings(tmp_path, rng, file_name, line, path, at, value):
+    """A label is read only from a JSON string: null, 7 and ["mug"] are not
+    turned into "None", "7" and "['mug']"."""
+    message = load_error_with(tmp_path, rng, file_name, line, path, value)
+    assert at in message
+    assert f"field 'label' must be a string, got {value!r}" in message
 
 
 def test_duplicate_ground_truth_frame_is_schema_error(tmp_path, rng):

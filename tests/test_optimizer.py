@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -49,7 +50,7 @@ from objslam.priors import OrientationClass, PriorRecord, PriorTable
 import noise_oracle
 from conftest import random_pose, random_quadric, random_rotation
 from projection_oracle import predict_bbox
-from solver_helpers import linearize, total_cost
+from solver_helpers import batch_rows, graph_of, linearize, total_cost
 
 
 def looking_at_poses() -> list[Pose]:
@@ -65,28 +66,35 @@ GT_QUADRIC = Quadric(Rotation.from_euler("XYZ", [0.1, -0.2, 0.3]).as_matrix(),
                      np.array([0.0, 0.0, 2.0]), np.array([0.2, 0.3, 0.4]))
 
 
-def three_view_graph(camera, noise_px: float = 0.0, rng=None):
-    """Noise-free (or lightly noisy) single-quadric graph with GT priors."""
+def three_view_factors(camera, noise_px: float = 0.0, rng=None):
+    """Noise-free (or lightly noisy) single-quadric factors with GT priors,
+    and their values."""
     poses = looking_at_poses()
-    graph = FactorGraph()
+    fs: list[Factor] = []
     values = GraphValues(dict(enumerate(poses)), {0: GT_QUADRIC})
     odom_noise = NoiseModel(np.array([1e-4] * 3 + [1e-4] * 3))
     bbox_noise = NoiseModel.isotropic(4, 10.0)
     for i in range(2):
-        graph.add(OdometryFactor(i, i + 1, between(poses[i], poses[i + 1]), odom_noise))
+        fs.append(OdometryFactor(i, i + 1, between(poses[i], poses[i + 1]), odom_noise))
     for i, x in enumerate(poses):
         box = predict_bbox(x, camera, GT_QUADRIC).as_array()
         if noise_px > 0.0:
             box = box + rng.normal(0.0, noise_px, size=4)
-        graph.add(BBoxFactor(i, 0, BoundingBox2D(*box), camera, bbox_noise))
-    graph.add(SizePriorFactor(0, np.sort(GT_QUADRIC.s), NoiseModel.isotropic(3, 0.1)))
-    graph.add(
+        fs.append(BBoxFactor(i, 0, BoundingBox2D(*box), camera, bbox_noise))
+    fs.append(SizePriorFactor(0, np.sort(GT_QUADRIC.s), NoiseModel.isotropic(3, 0.1)))
+    fs.append(
         OrientationPriorFactor(
             0, GT_QUADRIC.rotation, NoiseModel.isotropic(3, 0.2)
         )
     )
-    graph.add(CentroidPriorFactor(0, GT_QUADRIC.t, NoiseModel.isotropic(3, 0.5)))
-    return graph, values
+    fs.append(CentroidPriorFactor(0, GT_QUADRIC.t, NoiseModel.isotropic(3, 0.5)))
+    return fs, values
+
+
+def three_view_graph(camera, noise_px: float = 0.0, rng=None):
+    """The graph of ``three_view_factors``, and their values."""
+    fs, values = three_view_factors(camera, noise_px, rng)
+    return graph_of(fs), values
 
 
 def perturbed(values: GraphValues, rng: np.random.Generator) -> GraphValues:
@@ -106,10 +114,11 @@ class TestTotalCost:
         assert total_cost(graph, values) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_brute_force_mahalanobis(self, camera, rng):
-        graph, values = three_view_graph(camera)
+        fs, values = three_view_factors(camera)
+        graph = graph_of(fs)
         values = perturbed(values, rng)
         expected = 0.0
-        for f in graph:
+        for f in fs:
             r = f.residual_at(*[values.get(k) for k in f.variable_keys()])
             if r is None:
                 continue
@@ -267,7 +276,7 @@ class TestAddKeyframe:
             mapping = add_keyframe(
                 graph, values, 0, Pose.identity(), None, dets, no_matches(2), priors, camera
             )
-            results.append((mapping, [f.kind for f in graph],
+            results.append((mapping, [(b.cls.kind, b.ids.tolist()) for b in graph.batches()],
                             values.quadric_ids.tolist(), values.t.tolist()))
         assert results[0] == results[1]
 
@@ -573,11 +582,11 @@ def reference_ordering(values):
     return index, offset
 
 
-def reference_linearize(graph, values, index, n):
+def reference_linearize(factors, values, index, n):
     """The per-factor loop: each factor's own jacobian_at, block by block."""
     H = np.zeros((n, n))
     g = np.zeros(n)
-    for f in graph:
+    for f in factors:
         keys = f.variable_keys()
         out = f.jacobian_at(*[values.get(k) for k in keys])
         if out is None:
@@ -603,10 +612,11 @@ def reference_linearize(graph, values, index, n):
     return H, g
 
 
-def reference_cost_breakdown(graph, values):
-    """The per-factor walk: residual_at and the scalar robust cost."""
+def reference_cost_breakdown(factors, values):
+    """The per-factor walk: residual_at and the scalar robust cost. Returns
+    the cost per kind and which factors were scored, in the factors' order."""
     out, active = {}, []
-    for f in graph:
+    for f in factors:
         r = f.residual_at(*[values.get(k) for k in f.variable_keys()])
         active.append(r is not None)
         if r is not None:
@@ -614,9 +624,9 @@ def reference_cost_breakdown(graph, values):
     return out, np.array(active)
 
 
-def mixed_graph(camera):
+def mixed_factors(camera):
     """Anchored pose, 77 bbox factors, an invalid and a Huber-clipped bbox
-    factor and non-robust priors."""
+    factor and non-robust priors, and their values."""
     rng = np.random.default_rng(71)
     poses = looking_at_poses() + [
         Pose.from_rotvec(np.array([0.0, np.pi, 0.0]), np.zeros(3))  # looks away
@@ -628,27 +638,33 @@ def mixed_graph(camera):
         for y in np.linspace(-0.4, 0.4, 5)
     ]
     values = GraphValues(dict(enumerate(poses)), dict(enumerate(grid)))
-    graph = FactorGraph()
+    fs: list[Factor] = []
     odom_noise = NoiseModel(np.array([1e-4] * 3 + [4e-4] * 3))
     for i in range(len(poses) - 1):
         u = between(poses[i], poses[i + 1]).retract(rng.normal(0.0, 0.01, size=6))
-        graph.add(OdometryFactor(i, i + 1, u, odom_noise))
+        fs.append(OdometryFactor(i, i + 1, u, odom_noise))
     bbox_noise = NoiseModel.isotropic(4, 2.0, huber=2.0)
     for i, x in enumerate(poses[:3]):
         for j, q in enumerate(grid):
             box = predict_bbox(x, camera, q).as_array() + rng.normal(0.0, 1.0, size=4)
-            graph.add(BBoxFactor(i, j, BoundingBox2D(*box), camera, bbox_noise, (640.0, 480.0)))
+            fs.append(BBoxFactor(i, j, BoundingBox2D(*box), camera, bbox_noise, (640.0, 480.0)))
     clipped = predict_bbox(poses[2], camera, grid[3]).as_array() + 40.0
-    graph.add(BBoxFactor(2, 3, BoundingBox2D(*clipped), camera, bbox_noise))
-    graph.add(BBoxFactor(3, 5, BoundingBox2D(100, 100, 140, 150), camera, bbox_noise))
+    fs.append(BBoxFactor(2, 3, BoundingBox2D(*clipped), camera, bbox_noise))
+    fs.append(BBoxFactor(3, 5, BoundingBox2D(100, 100, 140, 150), camera, bbox_noise))
     for j, q in list(enumerate(grid))[::4]:
-        graph.add(SizePriorFactor(j, np.sort(q.s) * 1.1, NoiseModel.isotropic(3, 0.05)))
-        graph.add(OrientationPriorFactor(
+        fs.append(SizePriorFactor(j, np.sort(q.s) * 1.1, NoiseModel.isotropic(3, 0.05)))
+        fs.append(OrientationPriorFactor(
             j, q.rotation @ so3_exp(rng.normal(0.0, 0.1, size=3)),
             NoiseModel.isotropic(3, 0.2),
         ))
-        graph.add(CentroidPriorFactor(j, q.t + 0.05, NoiseModel.isotropic(3, 0.1)))
-    return graph, values
+        fs.append(CentroidPriorFactor(j, q.t + 0.05, NoiseModel.isotropic(3, 0.1)))
+    return fs, values
+
+
+def mixed_graph(camera):
+    """The graph of ``mixed_factors``, and their values."""
+    fs, values = mixed_factors(camera)
+    return graph_of(fs), values
 
 
 class TestBatchedLinearization:
@@ -657,8 +673,8 @@ class TestBatchedLinearization:
     RTOL, ATOL = 1e-5, 1e-6
 
     def test_graph_covers_the_cases(self, camera):
-        graph, values = mixed_graph(camera)
-        bbox = [f for f in graph if f.kind == "bbox"]
+        fs, values = mixed_factors(camera)
+        bbox = [f for f in fs if f.kind == "bbox"]
         assert len(bbox) > 64
         scored = [f.residual_at(*[values.get(k) for k in f.variable_keys()]) for f in bbox]
         assert any(r is None for r in scored)
@@ -668,18 +684,18 @@ class TestBatchedLinearization:
         )
 
     def test_normal_equations_match_reference(self, camera):
-        graph, values = mixed_graph(camera)
+        fs, values = mixed_factors(camera)
         index, n = reference_ordering(values)
-        H, g = linearize(graph, values)
-        H_ref, g_ref = reference_linearize(graph, values, index, n)
+        H, g = linearize(graph_of(fs), values)
+        H_ref, g_ref = reference_linearize(fs, values, index, n)
         np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
 
     def test_breakdown_matches_reference(self, camera):
-        graph, values = mixed_graph(camera)
-        point = cost_breakdown(graph, values)
-        breakdown, active = point.breakdown, point.active
-        expected, expected_active = reference_cost_breakdown(graph, values)
+        fs, values = mixed_factors(camera)
+        point = cost_breakdown(graph_of(fs), values)
+        breakdown, active = point.breakdown, point.active[batch_rows(fs)]
+        expected, expected_active = reference_cost_breakdown(fs, values)
         assert list(breakdown) == list(expected)
         for kind, cost in expected.items():
             assert breakdown[kind] == pytest.approx(cost, rel=self.RTOL, abs=self.ATOL)
@@ -689,36 +705,38 @@ class TestBatchedLinearization:
         # mixed_graph, and a landmark whose near side sits 5e-7 m in front of
         # camera 0's plane: its projection is valid, a 1e-6 step in depth is
         # not.
-        graph, values = mixed_graph(camera)
+        fs, values = mixed_factors(camera)
         values.append(("quadric", 99), Quadric(np.eye(3), np.array([1.0, 1.0, 0.1 + 5e-7]),
                                             np.full(3, 0.1)))
-        graph.add(BBoxFactor(0, 99, BoundingBox2D(100, 100, 140, 150), camera,
+        fs.append(BBoxFactor(0, 99, BoundingBox2D(100, 100, 140, 150), camera,
                              NoiseModel.isotropic(4, 2.0, huber=2.0)))
-        active = cost_breakdown(graph, values).active
-        bbox = [i for i, f in enumerate(graph) if f.kind == "bbox"]
-        kept = [linearize(FactorGraph([graph.factors[i]]), values)[0].any() for i in bbox]
+        active = cost_breakdown(graph_of(fs), values).active[batch_rows(fs)]
+        bbox = [i for i, f in enumerate(fs) if f.kind == "bbox"]
+        kept = [linearize(graph_of([fs[i]]), values)[0].any() for i in bbox]
         np.testing.assert_array_equal(kept, active[bbox])
         assert active[-1] and not active[bbox].all()
 
     def test_solve_report_breakdown_matches_reference(self, camera):
-        graph, values = mixed_graph(camera)
-        solved, report = solve_batch(graph, values, SolverConfig(max_iterations=3))
-        expected, _ = reference_cost_breakdown(graph, solved)
+        fs, values = mixed_factors(camera)
+        solved, report = solve_batch(graph_of(fs), values, SolverConfig(max_iterations=3))
+        expected, _ = reference_cost_breakdown(fs, solved)
         assert report.breakdown == pytest.approx(expected, rel=self.RTOL, abs=self.ATOL)
 
     def test_only_bbox_factor_invalid(self, camera):
         # The landmark sits behind the only camera: its bbox factor is
         # skipped and the centroid prior alone moves it.
         q0 = Quadric(np.eye(3), np.array([0.0, 0.0, -2.0]), np.full(3, 0.1))
-        graph = FactorGraph()
-        graph.add(BBoxFactor(0, 0, BoundingBox2D(300, 220, 340, 260), camera,
-                             NoiseModel.isotropic(4, 2.0)))
         target = np.array([0.1, 0.0, -2.5])
-        graph.add(CentroidPriorFactor(0, target, NoiseModel.isotropic(3, 0.1)))
+        fs = [
+            BBoxFactor(0, 0, BoundingBox2D(300, 220, 340, 260), camera,
+                       NoiseModel.isotropic(4, 2.0)),
+            CentroidPriorFactor(0, target, NoiseModel.isotropic(3, 0.1)),
+        ]
+        graph = graph_of(fs)
         values = GraphValues(poses={0: Pose.identity()}, quadrics={0: q0})
         index, n = reference_ordering(values)
         H, g = linearize(graph, values)
-        H_ref, g_ref = reference_linearize(graph, values, index, n)
+        H_ref, g_ref = reference_linearize(fs, values, index, n)
         np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
         solved, report = solve_batch(graph, values)
@@ -737,17 +755,17 @@ class TestBatchedLinearization:
             for j in range(n_quadrics)
         }
         values = GraphValues(dict(enumerate(poses)), quadrics)
-        graph = FactorGraph()
+        fs: list[Factor] = []
         noise = NoiseModel.isotropic(4, 2.0, huber=2.0)
         pairs = [(i, j) for j in quadrics for i in range(3)][:64]
         for i, j in pairs:
             box = predict_bbox(poses[i], camera, quadrics[j]).as_array() + 1.0
-            graph.add(BBoxFactor(i, j, BoundingBox2D(*box), camera, noise))
-        graph.add(BBoxFactor(3, 0, BoundingBox2D(300, 220, 340, 260), camera, noise))
-        assert graph.factors[-1].residual_at(poses[3], quadrics[0]) is None
+            fs.append(BBoxFactor(i, j, BoundingBox2D(*box), camera, noise))
+        fs.append(BBoxFactor(3, 0, BoundingBox2D(300, 220, 340, 260), camera, noise))
+        assert fs[-1].residual_at(poses[3], quadrics[0]) is None
         index, n = reference_ordering(values)
-        H, g = linearize(graph, values)
-        H_ref, g_ref = reference_linearize(graph, values, index, n)
+        H, g = linearize(graph_of(fs), values)
+        H_ref, g_ref = reference_linearize(fs, values, index, n)
         np.testing.assert_allclose(H, H_ref, rtol=self.RTOL, atol=self.ATOL)
         np.testing.assert_allclose(g, g_ref, rtol=self.RTOL, atol=self.ATOL)
 
@@ -758,7 +776,7 @@ def assert_batches_equal(got, want):
     for a, b in zip(got, want):
         assert a.cls is b.cls and a.variables == b.variables
         assert len(a.inputs) == len(b.inputs)
-        pairs = [(a.at, b.at), (a.ids, b.ids), (a.sqrt_info, b.sqrt_info),
+        pairs = [(a.ids, b.ids), (a.sqrt_info, b.sqrt_info),
                  (a.huber, b.huber), *zip(a.inputs, b.inputs)]
         for x, y in pairs:
             if isinstance(y, np.ndarray):
@@ -772,30 +790,47 @@ class TestGraphStructure:
         # mixed_graph's factors with the kinds interleaved, and every third
         # bbox factor seen by a second camera: two bbox batches.
         other = CameraIntrinsics(fx=400.0, fy=420.0, cx=300.0, cy=200.0)
-        source, _ = mixed_graph(camera)
+        source, _ = mixed_factors(camera)
         order = np.random.default_rng(5).permutation(len(source))
         bbox_seen = 0
-        graph = FactorGraph()
+        graph, added = FactorGraph(), []
         for i in order:
-            f = source.factors[i]
+            f = source[i]
             if f.kind == "bbox":
                 bbox_seen += 1
                 if bbox_seen % 3 == 0:
                     f = dataclasses.replace(f, K=other)
             graph.add(f)
-            assert_batches_equal(graph.batches(), FactorGraph(list(graph.factors)).batches())
+            added.append(f)
+            assert_batches_equal(graph.batches(), graph_of(added).batches())
         cameras = {b.inputs[0] for b in graph.batches() if b.cls is BBoxFactor}
         assert cameras == {camera, other}
         assert len({b.cls for b in graph.batches()}) == 5
 
     def test_batches_after_several_adds(self, camera):
-        source, _ = mixed_graph(camera)
+        source, _ = mixed_factors(camera)
         graph = FactorGraph()
         for chunk in np.array_split(np.arange(len(source)), 7):
             for i in chunk:
-                graph.add(source.factors[i])
-            assert_batches_equal(graph.batches(), FactorGraph(list(graph.factors)).batches())
+                graph.add(source[i])
+            assert_batches_equal(graph.batches(), graph_of(source[:chunk[-1] + 1]).batches())
         assert graph.batches() is graph.batches()
+
+    def test_batched_factors_are_let_go(self, camera):
+        # The graph holds a factor from add until batches() stacks it; len
+        # and counts_by_kind count it either way, without batching it.
+        graph = FactorGraph()
+        f = BBoxFactor(0, 0, BoundingBox2D(300, 220, 340, 260), camera,
+                       NoiseModel.isotropic(4, 2.0))
+        ref = weakref.ref(f)
+        graph.add(f)
+        del f
+        assert len(graph) == 1 and graph.counts_by_kind() == {"bbox": 1}
+        assert ref() is not None
+        (batch,) = graph.batches()
+        assert ref() is None
+        assert len(graph) == 1 and graph.counts_by_kind() == {"bbox": 1}
+        np.testing.assert_array_equal(batch.inputs[1], [[300.0, 220.0, 340.0, 260.0]])
 
     def test_rows_name_the_first_missing_id(self, rng):
         values = GraphValues(
@@ -926,9 +961,10 @@ class TestScoredOnce:
         # budget of k; the solver's k-th H, g (from 0) must be linearize's
         # there, bit for bit. mixed_graph's factor of camera 3, which looks
         # away, stays invalid: without it H, g are the same bits.
-        graph, values = mixed_graph(camera)
-        invalid = next(i for i, f in enumerate(graph) if f.kind == "bbox" and f.pose_id == 3)
-        without = FactorGraph([f for i, f in enumerate(graph) if i != invalid])
+        fs, values = mixed_factors(camera)
+        graph = graph_of(fs)
+        invalid = next(i for i, f in enumerate(fs) if f.kind == "bbox" and f.pose_id == 3)
+        without = graph_of([f for i, f in enumerate(fs) if i != invalid])
         built: list = []
         scored: Counter = Counter()
 
@@ -953,7 +989,7 @@ class TestScoredOnce:
         monkeypatch.undo()
         for k, (H, g) in enumerate(built):
             at = solve_batch(graph, values, SolverConfig(max_iterations=k))[0] if k else values
-            active = cost_breakdown(graph, at).active
+            active = cost_breakdown(graph, at).active[batch_rows(fs)]
             assert not active[invalid] and active.sum() == len(graph) - 1
             for reference in (linearize(graph, at), linearize(without, at)):
                 np.testing.assert_array_equal(H, reference[0], strict=True)
