@@ -160,7 +160,7 @@ def apply_overrides(document: dict, overrides: list[str]) -> dict:
 
     Values parse as YAML scalars, as in a config file, so
     `solver.max_iterations=50` yields an int, `flags.size_prior=false` a bool
-    and `solver.convergence_rel_decrease=1e-9` a float.
+    and `noise.bbox_sigma_px=1e-1` a float.
     """
     for item in overrides:
         if "=" not in item:

@@ -169,8 +169,9 @@ def match_map_to_gt(
 ) -> MatchResult:
     """Assign estimates to ground truth by minimum total centroid distance,
     rejecting pairs farther apart than `threshold` meters."""
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0.0 < threshold < np.inf:
+        bound = "finite" if threshold > 0.0 else "positive"
+        raise ValueError(f"threshold must be {bound}, got {threshold}")
     n_est, n_gt = len(estimates[1]), len(gt_objects[1])
     matching: dict[int, int] = {}
     if n_est and n_gt:

@@ -261,22 +261,6 @@ class Pose:
     def from_rotvec(w: np.ndarray, t: np.ndarray) -> "Pose":
         return Pose(so3_exp(np.asarray(w, dtype=np.float64)), t)
 
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous transform."""
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.translation
-        return T
-
-    def inverse(self) -> "Pose":
-        Rt = self.rotation.T
-        return Pose(Rt, -Rt @ self.translation)
-
-    def transform(self, p: np.ndarray) -> np.ndarray:
-        """Map body-frame point(s) to the world frame. Accepts (3,) or (n, 3)."""
-        p = np.asarray(p, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
-
     def retract(self, delta: np.ndarray) -> "Pose":
         """:func:`retract` of this one pose."""
         R, t, _ = retract(self.rotation[None], self.translation[None], np.empty((0, 3)), delta)
@@ -372,9 +356,6 @@ class BoundingBox2D:
 
     def center(self) -> np.ndarray:
         return np.array([0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax)])
-
-    def area(self) -> float:
-        return self.width * self.height
 
     def as_array(self) -> np.ndarray:
         return np.array([self.xmin, self.ymin, self.xmax, self.ymax])

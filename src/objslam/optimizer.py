@@ -6,9 +6,10 @@ together by odometry, bounding-box, and unary prior factors.
 centroids, and semi-axes; poses first, each kind appended in id order).
 ``Pose`` and ``Quadric`` objects are built only where values leave the
 solver, through ``GraphValues.get``. Solving is Levenberg-Marquardt on the
-product manifold: dense normal equations, an additive damping schedule, and
-one ``geometry.retract`` of all free rows per step. The lowest-id pose is held
-constant in every solve, which fixes the gauge.
+product manifold: dense normal equations, damping added to their diagonal on
+one fixed schedule (the module's damping constants; ``SolverConfig`` holds only
+the step budgets), and one ``geometry.retract`` of all free rows per step. The
+lowest-id pose is held constant in every solve, which fixes the gauge.
 
 ``FactorGraph`` stores the factors once, as batches per kind (bbox factors
 per camera) with their noise models' square-root information rows and Huber
@@ -103,7 +104,15 @@ from .priors import (
 
 # Total costs at or below this are treated as an exact fit.
 _COST_FLOOR = 1e-12
+# The damping schedule: start at _INITIAL_DAMPING, divide by _DAMPING_FACTOR
+# after an accepted step (down to _MIN_DAMPING), multiply by it after a
+# rejected trial, and give up past _MAX_DAMPING. A trial that changes the cost
+# by at most _CONVERGED_REL_CHANGE of it ends the solve.
+_INITIAL_DAMPING = 1e-4
+_DAMPING_FACTOR = 10.0
 _MIN_DAMPING = 1e-15
+_MAX_DAMPING = 1e8
+_CONVERGED_REL_CHANGE = 1e-8
 
 
 class MissingVariable(KeyError):
@@ -243,9 +252,6 @@ class FactorGraph:
     def add(self, factor: Factor) -> None:
         self._new.append(factor)
 
-    def __len__(self) -> int:
-        return sum(self.counts_by_kind().values())
-
     def counts_by_kind(self) -> dict[str, int]:
         """Batch rows plus factors not yet batched, per kind."""
         batched = [(b.cls.kind, len(b.huber)) for b in self._batches]
@@ -281,12 +287,10 @@ class FactorGraph:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The solver's two budgets of accepted LM steps: a batch solve's, and a
+    keyframe's in incremental mode. The damping schedule is fixed."""
+
     max_iterations: int = 100
-    initial_damping: float = 1e-4
-    damping_up: float = 10.0
-    damping_down: float = 10.0
-    max_damping: float = 1e8
-    convergence_rel_decrease: float = 1e-8
     # Accepted steps of a keyframe that adds a landmark; one fewer, but at
     # least one, for a keyframe that adds none.
     incremental_iters_per_keyframe: int = 2
@@ -295,12 +299,6 @@ class SolverConfig:
         require_field_types(self)
         if self.max_iterations <= 0 or self.incremental_iters_per_keyframe <= 0:
             raise ValueError("iteration budgets must be positive")
-        if min(self.initial_damping, self.max_damping) <= 0.0:
-            raise ValueError("damping values must be positive")
-        if self.damping_up <= 1.0 or self.damping_down <= 1.0:
-            raise ValueError("damping factors must exceed 1")
-        if not 0.0 < self.convergence_rel_decrease < 1.0:
-            raise ValueError("convergence threshold must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -473,7 +471,7 @@ def _apply_step(values: GraphValues, delta: np.ndarray) -> GraphValues:
 
 
 def _lm_solve(
-    graph: FactorGraph, values: GraphValues, cfg: SolverConfig, max_accepted: int
+    graph: FactorGraph, values: GraphValues, max_accepted: int
 ) -> tuple[GraphValues, SolveReport]:
     workspace = _place(graph, values)
     point = cost_breakdown(graph, values.copy(), workspace)
@@ -482,7 +480,7 @@ def _lm_solve(
     # H + damping I, factored in place: in Fortran order LAPACK needs no copy.
     damped = np.empty((n, n), order="F")
     diagonal = damped.reshape(-1, order="F")[:: n + 1]
-    damping = cfg.initial_damping
+    damping = _INITIAL_DAMPING
     accepted = 0
     converged = n == 0 or point.cost <= _COST_FLOOR
     # The point H, g were built at. The old H, g stay alive until the new ones
@@ -511,18 +509,18 @@ def _lm_solve(
         # not by fitting it: reject it. A NaN or infinite cost fails both tests below.
         if trial is not None and not np.any(point.active & ~trial.active):
             change = abs(trial.cost - point.cost)
-            if change <= cfg.convergence_rel_decrease * max(point.cost, _COST_FLOOR):
+            if change <= _CONVERGED_REL_CHANGE * max(point.cost, _COST_FLOOR):
                 # A negligible change, roundoff included: converge without moving.
                 converged = True
                 break
             if trial.cost < point.cost:
                 point = trial
                 accepted += 1
-                damping = max(damping / cfg.damping_down, _MIN_DAMPING)
+                damping = max(damping / _DAMPING_FACTOR, _MIN_DAMPING)
                 converged = point.cost <= _COST_FLOOR
                 continue
-        damping *= cfg.damping_up
-        if damping > cfg.max_damping:
+        damping *= _DAMPING_FACTOR
+        if damping > _MAX_DAMPING:
             if accepted == 0:
                 raise SingularSystem("damping escalation exhausted without an accepted step")
             break
@@ -535,7 +533,7 @@ def solve_batch(
 ) -> tuple[GraphValues, SolveReport]:
     """Levenberg-Marquardt to convergence (or the iteration budget)."""
     cfg = cfg or SolverConfig()
-    return _lm_solve(graph, values, cfg, cfg.max_iterations)
+    return _lm_solve(graph, values, cfg.max_iterations)
 
 
 def solve_incremental(
@@ -548,7 +546,7 @@ def solve_incremental(
     step fewer, but at least one, for a keyframe that added no landmark."""
     cfg = cfg or SolverConfig()
     budget = cfg.incremental_iters_per_keyframe
-    return _lm_solve(graph, values, cfg, budget if adds_landmark else max(1, budget - 1))
+    return _lm_solve(graph, values, budget if adds_landmark else max(1, budget - 1))
 
 
 def initialize_landmark(

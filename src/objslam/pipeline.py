@@ -228,9 +228,7 @@ def run_slam(
             )
             for det_idx, lid in mapping.items():
                 labels.setdefault(lid, detections[det_idx].label)
-                track_id = det_to_track.get(det_idx)
-                if track_id is not None:
-                    track_to_landmark[track_id] = lid
+                track_to_landmark[det_to_track[det_idx]] = lid
             t0 = lap("add_keyframe", t0)
 
             if cfg.mode == "incremental":
@@ -263,7 +261,7 @@ def run_slam(
     )
 
     eval_report: EvalReport | None = None
-    if dataset.gt_objects:
+    if dataset.gt_objects is not None:
         t0 = time.perf_counter()
         eval_report = _evaluate_against(dataset, estimate, cfg.match_threshold)
         lap("evaluate", t0)
@@ -275,9 +273,9 @@ def _evaluate_against(
 ) -> EvalReport:
     gt_quadrics = [g.quadric for g in dataset.gt_objects]
     gt = (
-        np.array([q.rotation for q in gt_quadrics]),
-        np.array([q.t for q in gt_quadrics]),
-        np.array([q.s for q in gt_quadrics]),
+        np.array([q.rotation for q in gt_quadrics]).reshape(-1, 3, 3),
+        np.array([q.t for q in gt_quadrics]).reshape(-1, 3),
+        np.array([q.s for q in gt_quadrics]).reshape(-1, 3),
     )
     base = evaluate_map(landmark_rows(estimate.landmarks), gt, threshold)
     ate = None
@@ -468,6 +466,6 @@ def evaluate_files(
     """Score a persisted map against a dataset's ground truth."""
     estimate = load_map_json(map_path)
     dataset = load_dataset(dataset_path)
-    if not dataset.gt_objects:
+    if dataset.gt_objects is None:
         raise ValueError(f"dataset {dataset_path} carries no ground-truth objects")
     return _evaluate_against(dataset, estimate, threshold)

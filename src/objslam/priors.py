@@ -115,9 +115,6 @@ class PriorTable:
         if flagged:
             self.flagged.add(record.label)
 
-    def get(self, label: str) -> PriorRecord | None:
-        return self.records.get(label)
-
     def resolve(self, label: str) -> PriorRecord:
         """Record for the label; unknown labels get a flagged fallback."""
         record = self.records.get(label)

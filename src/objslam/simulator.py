@@ -87,7 +87,6 @@ class SceneObject:
 @dataclass(frozen=True)
 class Scene:
     objects: tuple[SceneObject, ...]
-    spec: SceneSpec
 
     def prior_table(self) -> PriorTable:
         """True-dimension priors, one record per distinct label."""
@@ -153,7 +152,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
         objects.append(SceneObject(label, Quadric(rotation, center, s), record))
         centers.append(center)
         radii.append(radius)
-    return Scene(tuple(objects), spec)
+    return Scene(tuple(objects))
 
 
 def look_at_pose(eye: np.ndarray, target: np.ndarray) -> Pose:
@@ -327,21 +326,6 @@ def _render_frame(
         )
         sources.append(sighting.index)
     return detections, sources
-
-
-def render_detections(
-    scene: Scene,
-    x: Pose,
-    K: CameraIntrinsics,
-    image_size: tuple[int, int],
-    cfg: SimConfig,
-    rng: np.random.Generator | None = None,
-) -> list[Detection]:
-    """One frame of noisy detections (see _render_frame for the recipe)."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    detections, _ = _render_frame(scene, x, K, image_size, cfg, rng)
-    return detections
 
 
 def perturb_odometry(

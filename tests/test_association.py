@@ -21,6 +21,7 @@ from objslam.association import (
 from objslam.dataset import Detection
 from objslam.geometry import BoundingBox2D, Pose, Quadric, back_project_pixel
 
+from helpers import box_area
 from projection_oracle import BehindCamera, DegenerateConic, predict_bbox
 
 FIXTURE = Path(__file__).parent / "data" / "embeddings_50d.txt"
@@ -58,7 +59,7 @@ def scalar_iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area() + b.area() - inter)
+    return inter / (box_area(a) + box_area(b) - inter)
 
 
 def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:

@@ -160,6 +160,27 @@ class TestExitCodes:
         assert code == 1
         assert "threshold must be positive, got nan" in capsys.readouterr().err
 
+    def test_infinite_threshold_is_validation_error(self, tmp_path, capsys):
+        # run refuses match_threshold=.inf, so evaluate refuses it too: equal
+        # thresholds give equal reports.
+        ds = _simulate(tmp_path, capsys)
+        out = tmp_path / "out"
+        assert main(["run", "--dataset", str(ds), "-o", str(out), "--set", "mode=batch"]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--map", str(out / "map.json"), "--dataset", str(ds),
+                     "--threshold", "inf"])
+        assert code == 1
+        assert "threshold must be finite, got inf" in capsys.readouterr().err
+
+    def test_removed_damping_key_is_unknown(self, tmp_path, capsys):
+        # The damping schedule is fixed in the solver; its old keys are unknown keys.
+        ds = _simulate(tmp_path, capsys)
+        code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out"),
+                     "--set", "solver.damping_up=2"])
+        assert code == 1
+        assert "damping_up" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_setting_is_validation_error(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys)
         code = main(
@@ -277,6 +298,18 @@ class TestFlow:
         doc = json.loads(report_path.read_text())
         assert doc["counts"]["tp"] == 2
 
+    def test_scene_without_objects_is_scored(self, tmp_path, capsys):
+        # An empty gt_objects.jsonl is ground truth with no objects in it.
+        ds = _simulate(tmp_path, capsys, n_objects=0)
+        assert (ds / "gt_objects.jsonl").read_text() == ""
+        out = tmp_path / "out"
+        assert main(["run", "--dataset", str(ds), "-o", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["counts"] == {"tp": 0, "fp": 0, "fn": 0}
+        capsys.readouterr()
+        assert main(["evaluate", "--map", str(out / "map.json"), "--dataset", str(ds)]) == 0
+        assert "tp=0 fp=0 fn=0" in capsys.readouterr().out
+
     def test_evaluate_writes_the_iou_csv_it_is_asked_for(self, tmp_path, capsys):
         # A map without snapshots has an empty IoU-error series: evaluate
         # still writes the file, its header alone, as run does.
@@ -312,10 +345,10 @@ class TestFlow:
     def test_exponent_floats_from_file_and_set(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys)
         cfg = tmp_path / "c.yaml"
-        cfg.write_text("solver:\n  max_damping: 1e9\n")
+        cfg.write_text("association:\n  semantic_threshold: 4e0\n")
         code = main(
             ["run", "-c", str(cfg), "--dataset", str(ds), "-o", str(tmp_path / "out"),
-             "--set", "mode=batch", "--set", "solver.convergence_rel_decrease=1e-9"]
+             "--set", "mode=batch", "--set", "association.min_distance=5e-2"]
         )
         assert code == 0
         assert (tmp_path / "out" / "map.json").exists()

@@ -118,10 +118,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "override",
         [
-            "solver.initial_damping=.nan",
-            "solver.damping_up=.nan",
-            "solver.max_damping=.nan",
-            "solver.max_damping=.inf",
+            "noise.bbox_huber_multiplier=.nan",
+            "camera.fx=.nan",
+            "prior.ks=.nan",
+            "sim.sigma_px=.inf",
             "noise.bbox_sigma_px=.nan",
             "noise.odom_sigma_rot=.nan",
             "association.gate=.nan",
@@ -130,8 +130,7 @@ class TestValidation:
         ],
     )
     def test_non_finite_numbers_rejected(self, override):
-        # Range checks written `x <= 0` pass NaN; a NaN damping never ends
-        # the solver's escalation loop.
+        # Range checks written `x <= 0` pass NaN.
         with pytest.raises(ConfigError, match=override.split("=")[0]):
             load_run_config(overrides=[override])
 
@@ -296,8 +295,8 @@ class TestOverrides:
             apply_overrides({"mode": "batch"}, ["mode.inner=1"])
 
     def test_exponent_float_override(self):
-        doc = apply_overrides({}, ["solver.convergence_rel_decrease=1e-9"])
-        assert build_run_config(doc).solver.convergence_rel_decrease == 1e-9
+        doc = apply_overrides({}, ["association.gate=1e-9"])
+        assert build_run_config(doc).association.gate == 1e-9
 
     def test_unknown_override_key_caught_at_build(self):
         doc = apply_overrides({}, ["solver.step_size=1"])
@@ -308,10 +307,10 @@ class TestOverrides:
 class TestFiles:
     def test_exponent_float_in_file(self, tmp_path):
         p = tmp_path / "run.yaml"
-        p.write_text("solver:\n  convergence_rel_decrease: 1e-9\n  max_damping: 1.0e9\n")
+        p.write_text("association:\n  gate: 1e-9\n  semantic_threshold: 1.0e9\n")
         cfg = load_run_config(p)
-        assert cfg.solver.convergence_rel_decrease == 1e-9
-        assert cfg.solver.max_damping == 1e9
+        assert cfg.association.gate == 1e-9
+        assert cfg.association.semantic_threshold == 1e9
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

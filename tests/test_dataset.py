@@ -26,6 +26,7 @@ from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
 from objslam.pipeline import Landmark, MapEstimate, load_map_json, write_map_json
 
 from conftest import random_pose, random_quadric
+from helpers import pose_matrix
 
 
 def make_dataset(rng: np.random.Generator, n_frames: int = 4) -> Dataset:
@@ -510,5 +511,5 @@ class TestHelpers:
         table = ds.odometry_by_pair()
         assert set(table) == {(0, 1), (1, 2), (2, 3)}
         np.testing.assert_allclose(
-            table[(1, 2)].matrix(), ds.odometry[1].relative.matrix(), atol=1e-12
+            pose_matrix(table[(1, 2)]), pose_matrix(ds.odometry[1].relative), atol=1e-12
         )

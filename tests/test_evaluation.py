@@ -17,6 +17,7 @@ from objslam.evaluation import (
 from objslam.geometry import Pose, Quadric, compose, so3_exp
 
 from conftest import random_pose, random_quadric, random_rotation, rows
+from helpers import pose_transform
 from iou_oracle import hull_box_iou
 
 
@@ -26,8 +27,9 @@ def iou(a: Quadric, b: Quadric) -> float:
 
 
 def pair_metrics(est: Quadric, gt: Quadric) -> ObjectMetrics:
-    """The report entry of one estimate matched to one ground truth."""
-    (metrics,) = evaluate_map(rows([est]), rows([gt]), threshold=np.inf).objects
+    """The report entry of one estimate matched to one ground truth: a
+    threshold of 1e9 m matches any pair these tests build."""
+    (metrics,) = evaluate_map(rows([est]), rows([gt]), threshold=1e9).objects
     return metrics
 
 
@@ -307,7 +309,7 @@ class TestScalarErrors:
         gt = random_box(rng)
         T = random_pose(rng)
         est2 = Quadric(
-            T.rotation @ est.rotation, T.transform(est.t), est.s
+            T.rotation @ est.rotation, pose_transform(T, est.t), est.s
         )
         gt2 = transformed(gt, T)
         before = pair_metrics(est, gt).centroid_error
@@ -368,6 +370,11 @@ class TestMatching:
         q = aab([0, 0, 0], [0.3, 0.3, 0.3])
         with pytest.raises(ValueError, match="threshold must be positive"):
             match_map_to_gt(rows([q]), rows([q]), threshold)
+
+    def test_threshold_must_be_finite(self):
+        q = aab([0, 0, 0], [0.3, 0.3, 0.3])
+        with pytest.raises(ValueError, match="threshold must be finite, got inf"):
+            match_map_to_gt(rows([q]), rows([q]), np.inf)
 
     def test_count_identities(self, rng):
         for _ in range(20):

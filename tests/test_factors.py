@@ -28,6 +28,7 @@ from objslam.geometry import (
 
 import noise_oracle
 from conftest import random_pose, random_quadric, random_rotation
+from helpers import pose_inverse, pose_matrix, pose_transform
 from jacobian_oracle import NonFiniteResidual, bbox_jacobians_reference, numeric_jacobian
 from projection_oracle import predict_bbox, project_quadric
 
@@ -68,8 +69,8 @@ def visible_setup(rng: np.random.Generator, camera: CameraIntrinsics):
     """Random pose and quadric with the quadric well inside the view."""
     x = random_pose(rng, t_scale=0.5)
     q = random_quadric(rng)
-    p_world = x.transform(
-        np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4), rng.uniform(3.0, 7.0)])
+    p_world = pose_transform(
+        x, np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4), rng.uniform(3.0, 7.0)])
     )
     return x, Quadric(q.rotation, p_world, q.s)
 
@@ -125,7 +126,7 @@ class TestOdometryResidual:
         rng = np.random.default_rng(7)
         for _ in range(300):
             x_i, x_j, u = random_pose(rng), random_pose(rng), random_pose(rng)
-            err = np.linalg.inv(compose(x_i, u).matrix()) @ x_j.matrix()
+            err = np.linalg.inv(pose_matrix(compose(x_i, u))) @ pose_matrix(x_j)
             np.testing.assert_allclose(
                 odometry_residual(x_i, x_j, u), scipy_split_log(err), atol=1e-7
             )
@@ -137,7 +138,7 @@ class TestOdometryResidual:
         for _ in range(300):
             x_i, x_j, u = random_pose(rng), random_pose(rng), random_pose(rng)
             r_fwd = odometry_residual(x_i, x_j, u)
-            r_rev = odometry_residual(x_j, x_i, u.inverse())
+            r_rev = odometry_residual(x_j, x_i, pose_inverse(u))
             assert abs(np.linalg.norm(r_fwd[:3]) - np.linalg.norm(r_rev[:3])) < 1e-9
 
     def test_full_norm_symmetric_for_rotation_consistent_measurements(self):
@@ -149,7 +150,7 @@ class TestOdometryResidual:
             x_i, x_j = random_pose(rng), random_pose(rng)
             u = Pose(between(x_i, x_j).rotation, rng.normal(size=3))
             r_fwd = odometry_residual(x_i, x_j, u)
-            r_rev = odometry_residual(x_j, x_i, u.inverse())
+            r_rev = odometry_residual(x_j, x_i, pose_inverse(u))
             assert abs(np.linalg.norm(r_fwd) - np.linalg.norm(r_rev)) < 1e-9
 
 
@@ -328,7 +329,7 @@ class TestFactorJacobians:
         for i in range(300):
             x = random_pose(rng, t_scale=0.5)
             c = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 6.0)])
-            q = Quadric(random_rotation(rng), x.transform(c), rng.uniform(0.05, 0.6, size=3))
+            q = Quadric(random_rotation(rng), pose_transform(x, c), rng.uniform(0.05, 0.6, size=3))
             lo = rng.uniform(0.0, 250.0, size=2) * (rng.random(2) > 0.2)
             hi = np.minimum(lo + rng.uniform(10.0, 400.0, size=2), [640.0, 480.0])
             image_size = (640.0, 480.0) if i % 2 else None
@@ -446,7 +447,7 @@ class TestDerivativePass:
             odometry.append((OdometryFactor(0, 1, u, noise[6]), (x_i, x_j)))
             x, q = visible_setup(rng, camera)
             if i == 4:
-                q = Quadric(q.rotation, x.transform(np.array([0.0, 0.0, -3.0])), q.s)
+                q = Quadric(q.rotation, pose_transform(x, np.array([0.0, 0.0, -3.0])), q.s)
             b = predict_bbox(x, camera, q) if i < 4 else BoundingBox2D(1, 1, 20, 20)
             measured = BoundingBox2D(b.xmin - 1.0, b.ymin + 0.5, b.xmax + 2.0, b.ymax + 1.0)
             bbox.append((BBoxFactor(0, 0, measured, camera, noise[4]), (x, q)))

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.spatial.transform import Rotation
 
 from objslam.association import AssociationResult
@@ -49,6 +50,7 @@ from objslam.priors import OrientationClass, PriorRecord, PriorTable
 
 import noise_oracle
 from conftest import random_pose, random_quadric, random_rotation
+from helpers import pose_matrix
 from projection_oracle import predict_bbox
 from solver_helpers import batch_rows, graph_of, linearize, total_cost
 
@@ -223,14 +225,14 @@ class TestAddKeyframe:
     def test_empty_frame_adds_only_odometry(self, camera):
         graph, values = FactorGraph(), GraphValues()
         add_keyframe(graph, values, 0, Pose.identity(), None, [], no_matches(0), None, camera)
-        assert len(graph) == 0
+        assert sum(graph.counts_by_kind().values()) == 0
         u = Pose.from_rotvec(np.array([0.0, 0.01, 0.0]), np.array([0.1, 0.0, 0.0]))
         x = compose(values.get(("pose", 0)), u)
         add_keyframe(graph, values, 1, x, u, [], no_matches(0), None, camera)
         assert graph.counts_by_kind() == {"odometry": 1}
         np.testing.assert_allclose(
-            values.get(("pose", 1)).matrix(),
-            compose(values.get(("pose", 0)), u).matrix(),
+            pose_matrix(values.get(("pose", 1))),
+            pose_matrix(compose(values.get(("pose", 0)), u)),
             atol=1e-12,
         )
 
@@ -261,7 +263,7 @@ class TestAddKeyframe:
             graph, values, 0, Pose.identity(), None, dets, no_matches(1), None, camera
         )
         assert mapping == {}
-        assert len(values.quadric_ids) == 0 and len(graph) == 0
+        assert len(values.quadric_ids) == 0 and sum(graph.counts_by_kind().values()) == 0
 
     def test_deterministic(self, camera):
         priors = PriorTable()
@@ -364,7 +366,10 @@ class TestSolveBatch:
 
     def test_singular_system(self, monkeypatch):
         # The size-prior kind's batched functions replaced by a constant-slope
-        # Jacobian over a residual that only grows.
+        # Jacobian over a residual that only grows: every trial is rejected,
+        # so the damping climbs tenfold from 1e-4 and the solve gives up once
+        # it passes 1e8, after 13 factorizations. H's first diagonal entry is
+        # zero, so the damped matrix's is the damping.
         def growing(c, q):
             r = 1.0 + np.sqrt(np.abs(q[1][:, :1]))
             return Scored(r, np.ones(len(r), dtype=bool), ())
@@ -374,21 +379,26 @@ class TestSolveBatch:
             J[:, 0, 3] = 1.0
             return J
 
+        dampings = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def recording(a, *args, **kwargs):
+            dampings.append(a[0, 0])
+            return cho_factor(a, *args, **kwargs)
+
         monkeypatch.setattr(SizePriorFactor, "residuals", staticmethod(growing))
         monkeypatch.setattr(SizePriorFactor, "jacobians", staticmethod(lying))
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
         graph = FactorGraph()
         graph.add(SizePriorFactor(0, np.full(3, 0.1), NoiseModel.isotropic(1, 1.0)))
         values = GraphValues(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.ones(3))})
         with pytest.raises(SingularSystem):
             solve_batch(graph, values)
+        np.testing.assert_allclose(dampings, 10.0 ** np.arange(-4, 9), rtol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(convergence_rel_decrease=1.5)
-        with pytest.raises(ValueError):
-            SolverConfig(damping_up=0.5)
 
 
 class TestSolveIncremental:
@@ -825,11 +835,11 @@ class TestGraphStructure:
         ref = weakref.ref(f)
         graph.add(f)
         del f
-        assert len(graph) == 1 and graph.counts_by_kind() == {"bbox": 1}
+        assert sum(graph.counts_by_kind().values()) == 1 and graph.counts_by_kind() == {"bbox": 1}
         assert ref() is not None
         (batch,) = graph.batches()
         assert ref() is None
-        assert len(graph) == 1 and graph.counts_by_kind() == {"bbox": 1}
+        assert sum(graph.counts_by_kind().values()) == 1 and graph.counts_by_kind() == {"bbox": 1}
         np.testing.assert_array_equal(batch.inputs[1], [[300.0, 220.0, 340.0, 260.0]])
 
     def test_rows_name_the_first_missing_id(self, rng):
@@ -990,7 +1000,7 @@ class TestScoredOnce:
         for k, (H, g) in enumerate(built):
             at = solve_batch(graph, values, SolverConfig(max_iterations=k))[0] if k else values
             active = cost_breakdown(graph, at).active[batch_rows(fs)]
-            assert not active[invalid] and active.sum() == len(graph) - 1
+            assert not active[invalid] and active.sum() == sum(graph.counts_by_kind().values()) - 1
             for reference in (linearize(graph, at), linearize(without, at)):
                 np.testing.assert_array_equal(H, reference[0], strict=True)
                 np.testing.assert_array_equal(g, reference[1], strict=True)

@@ -13,6 +13,7 @@ from objslam.dataset import ParseError, SchemaError, load_dataset, write_dataset
 from objslam.geometry import Pose, Quadric
 from objslam.pipeline import (
     Landmark,
+    MapEstimate,
     PipelineError,
     evaluate_files,
     landmark_rows,
@@ -440,6 +441,23 @@ class TestFileFormats:
         assert (
             outs[0] / "solve.json"
         ).read_bytes() == (outs[1] / "solve.json").read_bytes()
+
+    def test_empty_ground_truth_makes_every_landmark_false(self, small_world, tmp_path):
+        # Ground truth with no objects is not missing ground truth.
+        dataset, _ = small_world
+        landmarks = tuple(
+            Landmark(i, (1.0, 0.0, 0.0, 0.0), (0.3 * i, 0.0, 0.0), (0.1, 0.1, 0.1))
+            for i in range(4)
+        )
+        estimate = MapEstimate(
+            landmarks, {i: "mug" for i in range(4)}, tuple(dataset.gt_trajectory),
+            ((9, landmarks),),
+        )
+        write_map_json(estimate, tmp_path / "map.json")
+        write_dataset(dataclasses.replace(dataset, gt_objects=[]), tmp_path / "ds")
+        report = evaluate_files(tmp_path / "map.json", tmp_path / "ds")
+        assert (report.tp, report.fp, report.fn) == (0, 4, 0)
+        assert report.objects == () and report.iou_series == ((9, None, None),)
 
     def test_evaluate_files_requires_ground_truth(self, small_world, tmp_path):
         dataset, scene = small_world

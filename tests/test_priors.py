@@ -58,10 +58,10 @@ class TestParse:
     def test_well_formed(self):
         table = parse_prior_csv(WELL_FORMED)
         assert len(table) == 3
-        rec = table.get("bottle")
+        rec = table.records.get("bottle")
         assert rec.height == 0.25
         assert rec.orientation == OrientationClass.VERTICAL
-        assert table.get("keyboard").orientation == OrientationClass.HORIZONTAL
+        assert table.records.get("keyboard").orientation == OrientationClass.HORIZONTAL
 
     def test_header_optional(self):
         table = parse_prior_csv("mug,0.12,0.09,0.10,2\n")
@@ -119,7 +119,7 @@ class TestGenerate:
         table = generate_prior_table(["bottle", "mug"], FixtureLLMClient(response=response))
         assert len(table) == 2
         assert table.flagged == {"mug"}
-        rec = table.get("mug")
+        rec = table.records.get("mug")
         assert rec.orientation == OrientationClass.UNCERTAIN
         np.testing.assert_allclose(rec.dimensions(), [0.3, 0.3, 0.3])
 
@@ -128,7 +128,7 @@ class TestGenerate:
             ["bottle", "plant"], FixtureLLMClient(response=WELL_FORMED)
         )
         assert table.flagged == {"plant"}
-        assert table.get("plant") is not None
+        assert table.records.get("plant") is not None
 
     def test_unparseable_response_retries_then_raises(self):
         client = FixtureLLMClient(response="I cannot help with that.")
@@ -163,7 +163,7 @@ class TestCache:
         inner = ScriptedLLMClient(["garbage", WELL_FORMED])
         table = generate_prior_table(["mug"], CachedLLMClient(inner, tmp_path / "cache"))
         assert inner.call_count == 2
-        assert table.get("mug") == parse_prior_csv(WELL_FORMED).get("mug")
+        assert table.records.get("mug") == parse_prior_csv(WELL_FORMED).records.get("mug")
         assert table.flagged == set()
         # The stored response is the parseable one.
         again = ScriptedLLMClient([])
@@ -347,5 +347,5 @@ class TestCSVWriting:
         back = parse_prior_csv(text)
         assert len(back) == len(table)
         for label, rec in table.records.items():
-            np.testing.assert_allclose(back.get(label).dimensions(), rec.dimensions())
-            assert back.get(label).orientation == rec.orientation
+            np.testing.assert_allclose(back.records.get(label).dimensions(), rec.dimensions())
+            assert back.records.get(label).orientation == rec.orientation

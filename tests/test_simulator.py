@@ -21,10 +21,10 @@ from objslam.simulator import (
     look_at_pose,
     orbit_trajectory,
     perturb_odometry,
-    render_detections,
     simulate_dataset,
 )
 
+from helpers import render_detections
 from projection_oracle import predict_bbox
 
 IMAGE = (640, 480)
@@ -115,7 +115,7 @@ class TestSceneGeneration:
         scene = generate_scene(SceneSpec(n_objects=10), seed=9)
         table = scene.prior_table()
         for obj in scene.objects:
-            record = table.get(obj.label)
+            record = table.records.get(obj.label)
             assert record is not None
             assert np.array_equal(record.dimensions(), obj.record.dimensions())
         assert table.flagged == set()
