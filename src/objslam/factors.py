@@ -55,7 +55,6 @@ from .geometry import (
     Pose,
     Quadric,
     as_rotation,
-    camera_dual_conic,
     project_bbox_batch,
     skew,
     so3_jr_inv,

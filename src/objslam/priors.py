@@ -25,7 +25,7 @@ import csv
 import hashlib
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 

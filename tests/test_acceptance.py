@@ -29,7 +29,7 @@ from objslam.factors import (
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose, Quadric, compose
 from objslam.pipeline import landmark_rows, run_slam, run_to_files
 from objslam.priors import OrientationClass, orientation_prior_frame
-from objslam.simulator import SceneSpec, SimConfig, simulate_dataset
+from objslam.simulator import PlacementFailure, SceneSpec, SimConfig, simulate_dataset
 
 from conftest import rows
 
@@ -425,6 +425,27 @@ def test_criterion_07_full_priors_dominate(sparse_suite):
         }
         assert iou["full"] >= iou["size"], iou
         assert iou["full"] >= iou["orient"], iou
+
+
+def test_sparse_batch_solves_converge_within_30_steps():
+    """Every placeable sparse-observation scene of seeds 0 to 30, at the
+    suite's noise with full priors, converges in at most 30 accepted LM
+    steps of its batch solve."""
+    steps = {}
+    for seed in range(31):
+        sim = SimConfig(
+            sigma_px=5.0, sigma_rot=0.01, sigma_trans=0.01,
+            max_observations_per_object=5, seed=seed,
+        )
+        try:
+            dataset, scene = simulate_dataset(SceneSpec(n_objects=10), 30, K, IMG, sim)
+        except PlacementFailure:
+            continue
+        _, _, solve = run_slam(_estimator_config("batch", 5.0, 0.01), dataset, scene.prior_table())
+        steps[seed] = (solve.iterations, solve.converged)
+    assert len(steps) == 25
+    slow = {seed: s for seed, s in steps.items() if s[0] > 30 or not s[1]}
+    assert not slow, slow
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,56 @@ class TestSolveBatch:
             SolverConfig(max_iterations=0)
 
 
+class TestDampingSchedule:
+    """The damping of every factorization, read from the damped matrix's first
+    diagonal entry: quadric 0 has no factor, so its columns of H are zero."""
+
+    @staticmethod
+    def solve_recording(monkeypatch, graph, quadric):
+        dampings = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def recording(a, *args, **kwargs):
+            dampings.append(a[0, 0])
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+        free = Quadric(np.eye(3), np.zeros(3), np.ones(3))
+        solved, report = solve_batch(graph, GraphValues(quadrics={0: free, 1: quadric}))
+        np.testing.assert_array_equal(solved.get(("quadric", 0)).t, free.t)
+        return dampings, report
+
+    def test_floor_after_an_accepted_step(self, monkeypatch):
+        # An orientation prior from 0.9 rad away: every step is accepted. The
+        # first trial is near Gauss-Newton; after it the damping never falls
+        # below 1.
+        target = so3_exp(np.array([0.2, -0.1, 0.3]))
+        graph = FactorGraph()
+        graph.add(OrientationPriorFactor(1, target, NoiseModel.isotropic(3, 0.1)))
+        start = Quadric(
+            target @ so3_exp(np.array([0.5, 0.6, -0.4])), np.zeros(3), np.full(3, 0.2)
+        )
+        dampings, report = self.solve_recording(monkeypatch, graph, start)
+        assert report.converged and report.iterations >= 2
+        assert dampings[0] == 1e-4
+        assert len(dampings) > 1 and min(dampings[1:]) >= 1.0
+
+    def test_a_step_that_no_longer_pays_ends_the_solve(self, monkeypatch):
+        # Two centroid priors 0.2 m apart leave a cost of 2 at their midpoint;
+        # a start 0.1 mm off it adds 2e-6, so the first step lowers the cost
+        # by 1e-6 of it, more than roundoff: kept, and the solve ends there
+        # as converged.
+        graph = FactorGraph()
+        for z in (-0.1, 0.1):
+            graph.add(CentroidPriorFactor(1, np.array([0.0, 0.0, z]), NoiseModel.isotropic(3, 0.1)))
+        start = Quadric(np.eye(3), np.array([0.0, 0.0, 1e-4]), np.full(3, 0.2))
+        dampings, report = self.solve_recording(monkeypatch, graph, start)
+        assert report.final_cost < report.initial_cost
+        assert report.initial_cost - report.final_cost <= 1e-5 * report.initial_cost
+        assert report.converged and report.iterations == 1
+        assert dampings == [1e-4]
+
+
 class TestSolveIncremental:
     def test_single_keyframe_matches_batch(self, camera, rng):
         graph = FactorGraph()

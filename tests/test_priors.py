@@ -16,7 +16,6 @@ from objslam.priors import (
     OrientationClass,
     PriorConfig,
     PriorRecord,
-    PriorTable,
     build_prompt,
     generate_prior_table,
     orientation_prior_frame,

@@ -5,7 +5,6 @@ import pytest
 
 from objslam.dataset import load_dataset, write_dataset
 from objslam.geometry import (
-    BoundingBox2D,
     CameraIntrinsics,
     Pose,
     compose,
@@ -13,7 +12,6 @@ from objslam.geometry import (
 from objslam.priors import OrientationClass, PriorRecord
 from objslam.simulator import (
     PlacementFailure,
-    Scene,
     SceneSpec,
     SimConfig,
     default_label_pool,
