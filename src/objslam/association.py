@@ -1,14 +1,8 @@
-"""Data association between detections, tracks, and ellipsoid landmarks.
+"""Data association between detections and ellipsoid landmarks.
 
-Two mechanisms cooperate, one call each per frame:
-
-- ``track_frame``: a short-term tracker carries detections across adjacent
-  frames on bbox overlap alone (no motion prediction), so a landmark bound
-  to a track stays bound while the track lives;
-- ``associate_long_term``: each tracker binding is verified in 3D against
-  the bound landmark (the track gate), and the remaining detections are
-  scored against every unclaimed landmark at once, then matched by a
-  rectangular linear sum assignment that drops pairs below a gate.
+``associate_long_term`` maps one frame's detections to landmarks: every
+detection is scored against every landmark at once, then matched by a
+rectangular linear sum assignment that drops pairs below a gate.
 
 The assignment is ``linear_sum_assignment``, a port of the
 shortest-augmenting-path algorithm of Crouse ("On implementing 2D
@@ -16,7 +10,7 @@ rectangular assignment algorithms", IEEE TAES 2016) as scipy implements it,
 with scipy's tie rule: each search scans the unvisited columns in reverse
 index order, takes the first of the cheapest, and prefers a free column on
 equal cost. So it returns scipy's assignment, ties included, and the
-tracker, the association and ``evaluation.match_map_to_gt`` share it.
+association and ``evaluation.match_map_to_gt`` share it.
 
 Pair weight: IoU(measured box, predicted box) + w_s * psi + w_d / distance,
 where psi is 1 when the label embeddings are within a threshold (or the
@@ -30,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,9 +46,6 @@ class AssociationConfig:
     semantic_threshold: float = 4.0
     gate: float = 0.2
     min_distance: float = 0.05
-    track_min_iou: float = 0.3
-    track_max_age: int = 5
-    track_gate_dist: float = 0.3
 
     def __post_init__(self) -> None:
         require_field_types(self)
@@ -62,10 +53,6 @@ class AssociationConfig:
             raise ValueError("gate must be non-negative")
         if self.min_distance <= 0.0:
             raise ValueError("distance floor must be positive")
-        if not 0.0 <= self.track_min_iou <= 1.0:
-            raise ValueError("track_min_iou must lie in [0, 1]")
-        if self.track_gate_dist <= 0.0:
-            raise ValueError("track_gate_dist must be positive")
 
 
 def box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -321,7 +308,6 @@ def solve_lsap(W: np.ndarray, gate: float) -> AssociationResult:
 
 def associate_long_term(
     detections: Sequence[Detection],
-    bindings: Mapping[int, int],
     landmark_ids: Sequence[int],
     landmark_labels: Sequence[str],
     quadrics: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -330,44 +316,21 @@ def associate_long_term(
     table: EmbeddingTable,
     cfg: AssociationConfig,
 ) -> AssociationResult:
-    """Match one frame's detections to landmark ids.
-
-    ``bindings`` maps detection indices to the landmark their track is bound
-    to. A track can jump object when same-label boxes cross, so a binding is
-    kept only if the labels agree, no earlier detection claimed the
-    landmark, and the detection's back-projected center lies within
-    ``track_gate_dist`` of the centroid (bindings without depth are kept).
-    The other detections go to the gated LSAP over the unclaimed landmarks.
-    ``landmark_ids``, ``landmark_labels`` and the stacked ``quadrics``
-    (rotations, centroids, semi-axes) describe the landmarks row by row.
+    """Match one frame's detections to landmark ids by the gated LSAP over
+    every detection and every landmark. ``landmark_ids``,
+    ``landmark_labels`` and the stacked ``quadrics`` (rotations, centroids,
+    semi-axes) describe the landmarks row by row.
     """
     centers = np.full((len(detections), 3), np.nan)  # NaN rows: no depth
     for i, det in enumerate(detections):
         if det.center_depth is not None:
             centers[i] = back_project_pixel(K, x, det.bbox.center(), det.center_depth)
-    matches: dict[int, int] = {}
-    for i in sorted(bindings):
-        lid = bindings[i]
-        j = landmark_ids.index(lid)
-        if lid in matches.values() or landmark_labels[j] != detections[i].label:
-            continue
-        # A NaN gap (no depth) compares false and keeps the binding.
-        centroid = quadrics[1][j]
-        if np.linalg.norm(centers[i] - centroid) > cfg.track_gate_dist:
-            continue
-        matches[i] = lid
-    remaining = [i for i in range(len(detections)) if i not in matches]
-    free = [j for j, lid in enumerate(landmark_ids) if lid not in matches.values()]
-    if remaining and free:
-        W = association_weight(
-            [detections[i] for i in remaining], centers[remaining],
-            tuple(a[free] for a in quadrics), [landmark_labels[j] for j in free],
-            x, K, table, cfg,
-        )
-        for r, c in solve_lsap(W, cfg.gate).matches.items():
-            matches[remaining[r]] = landmark_ids[free[c]]
-    unmatched = tuple(i for i in range(len(detections)) if i not in matches)
-    return AssociationResult(matches, unmatched)
+    result = solve_lsap(
+        association_weight(detections, centers, quadrics, landmark_labels, x, K, table, cfg),
+        cfg.gate,
+    )
+    matches = {r: landmark_ids[c] for r, c in result.matches.items()}
+    return AssociationResult(matches, result.unmatched_detections)
 
 
 @dataclass(frozen=True)
@@ -391,17 +354,22 @@ class TrackerState:
 
 
 def track_frame(
-    state: TrackerState, detections: list[Detection], cfg: AssociationConfig
+    state: TrackerState, detections: list[Detection], min_iou: float = 0.3, max_age: int = 5
 ) -> tuple[TrackerState, dict[int, int]]:
-    """Advance the tracker one frame.
+    """Advance a short-term box-overlap tracker one frame.
+
+    No run calls this: every detection goes through ``associate_long_term``.
+    It stays, with ``Track`` and ``TrackerState``, only because the
+    benchmark's tracer (``perfbench/tracer.py``) patches it by name; it goes
+    when the tracer stops doing so.
 
     Detections are matched to live tracks of the same label by bbox IoU
-    through the same assignment solver; matches under ``track_min_iou`` are
+    through the same assignment solver; matches under ``min_iou`` are
     rejected, and cross-label pairs are forbidden outright so a track cannot
     jump onto an overlapping object of another class. Matched tracks refresh,
-    unmatched tracks age (and retire past ``track_max_age``), unmatched
-    detections spawn new tracks. Returns the new state and the
-    detection-index to track-id assignment for this frame.
+    unmatched tracks age (and retire past ``max_age``), unmatched detections
+    spawn new tracks. Returns the new state and the detection-index to
+    track-id assignment for this frame.
     """
     tracks = list(state.tracks)
     same_label = np.array(
@@ -409,7 +377,7 @@ def track_frame(
     ).reshape(len(detections), len(tracks))
     ious = box_ious(_box_rows(det.bbox for det in detections), _box_rows(t.bbox for t in tracks))
     W = np.where(same_label, ious, 0.0)
-    result = solve_lsap(W, cfg.track_min_iou)
+    result = solve_lsap(W, min_iou)
 
     assignments: dict[int, int] = {}
     matched_tracks: set[int] = set()
@@ -420,7 +388,7 @@ def track_frame(
         assignments[det_idx] = old.track_id
         matched_tracks.add(track_idx)
     for j, track in enumerate(tracks):
-        if j not in matched_tracks and track.age + 1 <= cfg.track_max_age:
+        if j not in matched_tracks and track.age + 1 <= max_age:
             new_tracks.append(replace(track, age=track.age + 1))
     next_id = state.next_id
     for det_idx in result.unmatched_detections:

@@ -114,7 +114,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     estimate, _, solve_report = run_slam(cfg, timings=timings)
     total = sum(timings.values())
     print("stage          seconds")
-    for stage in ("load", "track", "associate", "add_keyframe", "solve", "evaluate"):
+    for stage in ("load", "associate", "add_keyframe", "solve", "evaluate"):
         if stage in timings:
             print(f"{stage:<14} {timings[stage]:.4f}")
     print(f"{'total':<14} {total:.4f}")

@@ -260,14 +260,39 @@ def _frame_pose_from_json(record: dict, where: str) -> tuple[int, Pose]:
     return _integer(record, "frame_id", where), _pose_from_record(record, where)
 
 
-def _gt_pairs_from_json(record: dict, where: str) -> tuple[int, list[tuple[int, int]]]:
-    pairs = _require(record, "pairs", where)
-    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise SchemaError(f"{where}: field 'pairs' must hold [detection, object] pairs")
-    named = [{f"pairs[{i}][{k}]": v for k, v in enumerate(p)} for i, p in enumerate(pairs)]
-    return _integer(record, "frame_id", where), [
-        tuple(_integer(pair, key, where) for key in pair) for pair in named
-    ]
+def _gt_pairs_reader(
+    frames: list[Frame], n_objects: int
+) -> Callable[[dict, str], tuple[int, list[tuple[int, int]]]]:
+    """A parser of ``gt_association.jsonl`` records whose pairs must name a
+    frame of `frames`, each of its detections at most once, and an object
+    index below `n_objects`."""
+    detections = {f.frame_id: len(f.detections) for f in frames}
+
+    def parse(record: dict, where: str) -> tuple[int, list[tuple[int, int]]]:
+        pairs = _require(record, "pairs", where)
+        if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise SchemaError(f"{where}: field 'pairs' must hold [detection, object] pairs")
+        named = [{f"pairs[{i}][{k}]": v for k, v in enumerate(p)} for i, p in enumerate(pairs)]
+        frame_id = _integer(record, "frame_id", where)
+        out = [tuple(_integer(pair, key, where) for key in pair) for pair in named]
+        if frame_id not in detections:
+            raise SchemaError(f"{where}: frame {frame_id} is not in {FRAMES_FILE}")
+        seen: set[int] = set()
+        for i, (det, obj) in enumerate(out):
+            if not 0 <= det < detections[frame_id]:
+                raise SchemaError(
+                    f"{where}: field 'pairs[{i}][0]': frame {frame_id} has no detection {det}"
+                )
+            if det in seen:
+                raise SchemaError(f"{where}: field 'pairs[{i}][0]': detection {det} paired twice")
+            if not 0 <= obj < n_objects:
+                raise SchemaError(
+                    f"{where}: field 'pairs[{i}][1]': object {obj} is not in {GT_OBJECTS_FILE}"
+                )
+            seen.add(det)
+        return frame_id, out
+
+    return parse
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -333,8 +358,11 @@ def _one_per(key: str, parse: Callable[[dict, str], T]) -> Callable[[dict, str],
 def load_dataset(path: str | Path) -> Dataset:
     """Read and validate a dataset directory.
 
-    Checks strictly increasing frame ids and that every consecutive frame
-    pair has exactly one odometry record connecting it.
+    Checks strictly increasing frame ids, that every consecutive frame pair
+    has exactly one odometry record connecting it, and that each
+    ground-truth association pair names a frame, one of its detections and
+    an object of ``gt_objects.jsonl``, each detection at most once (so a
+    dataset without that file can hold no pair).
     """
     path = Path(path)
     header_path = path / HEADER_FILE
@@ -392,7 +420,9 @@ def load_dataset(path: str | Path) -> Dataset:
 
     gt_objects = optional(GT_OBJECTS_FILE, _gt_object_from_json)
     gt_trajectory = optional(GT_TRAJECTORY_FILE, _one_per("frame_id", _frame_pose_from_json))
-    gt_pairs = optional(GT_ASSOCIATION_FILE, _one_per("frame_id", _gt_pairs_from_json))
+    gt_pairs = optional(GT_ASSOCIATION_FILE, _one_per(
+        "frame_id", _gt_pairs_reader(frames, len(gt_objects or ()))
+    ))
     gt_association = None if gt_pairs is None else dict(gt_pairs)
     return Dataset(
         intrinsics, image_size, frames, odometry, gt_objects, gt_trajectory, gt_association

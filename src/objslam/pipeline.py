@@ -1,11 +1,11 @@
 """End-to-end driver: dataset in, object map + trajectory + reports out.
 
-Per frame the flow is short-term tracking, long-term association against
-the current map (one ``associate_long_term`` call over the stacked landmark
-arrays, which verifies the tracker's bindings and matches the rest), keyframe
-insertion, and (in incremental mode) a bounded re-optimization; batch mode
-defers solving to one final pass. Output files are written with fixed key
-order and float repr so identical inputs give byte-identical artifacts.
+Per frame the flow is association against the current map (one
+``associate_long_term`` call, the gated LSAP of every detection over the
+stacked landmark arrays), keyframe insertion, and (in incremental mode) a
+bounded re-optimization; batch mode defers solving to one final pass.
+Output files are written with fixed key order and float repr so identical
+inputs give byte-identical artifacts.
 
 A map landmark is one :class:`Landmark` record, the same in memory as in
 ``map.json``, for the final map and every snapshot alike. Evaluation scores
@@ -25,12 +25,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .association import (
-    EmbeddingTable,
-    TrackerState,
-    associate_long_term,
-    track_frame,
-)
+from .association import EmbeddingTable, associate_long_term
 from .config import RunConfig
 # load_map_json reads its entries with the dataset's record readers.
 from .dataset import (
@@ -180,8 +175,6 @@ def run_slam(
     start = dict(dataset.gt_trajectory or ())
     graph = FactorGraph()
     values = GraphValues()
-    tracker = TrackerState.empty()
-    track_to_landmark: dict[int, int] = {}
     labels: dict[int, str] = {}
     snapshots: list[tuple[int, tuple[Landmark, ...]]] = []
     report: SolveReport | None = None
@@ -189,7 +182,7 @@ def run_slam(
 
     for frame in dataset.frames:
         try:
-            detections = list(frame.detections)
+            detections = frame.detections
             odom = None
             if prev_id is None:
                 # The first pose anchors the gauge and defines the world
@@ -205,17 +198,9 @@ def run_slam(
                 R, t = values.stacked("pose", len(values.pose_ids) - 1)
                 x = Pose(R @ odom.rotation, R @ odom.translation + t)
             t0 = time.perf_counter()
-            tracker, det_to_track = track_frame(tracker, detections, cfg.association)
-            t0 = lap("track", t0)
-
-            bindings = {
-                det_idx: track_to_landmark[track_id]
-                for det_idx, track_id in det_to_track.items()
-                if track_id in track_to_landmark
-            }
             ids = values.quadric_ids.tolist()
             assoc = associate_long_term(
-                detections, bindings, ids, [labels[lid] for lid in ids],
+                detections, ids, [labels[lid] for lid in ids],
                 values.stacked("quadric", values.rows("quadric", ids)),
                 x, K, table, cfg.association,
             )
@@ -228,7 +213,6 @@ def run_slam(
             )
             for det_idx, lid in mapping.items():
                 labels.setdefault(lid, detections[det_idx].label)
-                track_to_landmark[det_to_track[det_idx]] = lid
             t0 = lap("add_keyframe", t0)
 
             if cfg.mode == "incremental":

@@ -99,13 +99,12 @@ def weights(dets, quadrics, labels, x, K, table, cfg) -> np.ndarray:
     return association_weight(dets, centers, stack(quadrics), labels, x, K, table, cfg)
 
 
-def long_term(dets, landmarks, x, K, cfg, bindings=None):
+def long_term(dets, landmarks, x, K, cfg):
     """associate_long_term over (id, quadric, label) triples."""
     ids = [lid for lid, _, _ in landmarks]
     labels = [label for _, _, label in landmarks]
     quadrics = stack([q for _, q, _ in landmarks])
-    return associate_long_term(dets, bindings or {}, ids, labels, quadrics, x, K,
-                               EmbeddingTable.empty(), cfg)
+    return associate_long_term(dets, ids, labels, quadrics, x, K, EmbeddingTable.empty(), cfg)
 
 
 class TestBBoxIoU:
@@ -342,59 +341,54 @@ class TestLSAP:
 
 class TestTracker:
     def test_continuity_and_fresh_ids(self):
-        cfg = AssociationConfig()
         state = TrackerState.empty()
         d1 = [det(BoundingBox2D(10, 10, 60, 60)), det(BoundingBox2D(200, 200, 260, 280))]
-        state, assign1 = track_frame(state, d1, cfg)
+        state, assign1 = track_frame(state, d1)
         assert assign1 == {0: 0, 1: 1}
         # Slightly shifted boxes keep their track ids.
         d2 = [det(BoundingBox2D(14, 12, 64, 62)), det(BoundingBox2D(205, 203, 265, 283))]
-        state, assign2 = track_frame(state, d2, cfg)
+        state, assign2 = track_frame(state, d2)
         assert assign2 == {0: 0, 1: 1}
         # A far-away detection spawns a new id.
         d3 = [det(BoundingBox2D(400, 50, 460, 120))]
-        state, assign3 = track_frame(state, d3, cfg)
+        state, assign3 = track_frame(state, d3)
         assert assign3 == {0: 2}
 
     def test_low_overlap_spawns_new_track(self):
-        cfg = AssociationConfig()
-        state, _ = track_frame(TrackerState.empty(), [det(BoundingBox2D(0, 0, 10, 10))], cfg)
-        state, assign = track_frame(state, [det(BoundingBox2D(9, 9, 19, 19))], cfg)
+        state, _ = track_frame(TrackerState.empty(), [det(BoundingBox2D(0, 0, 10, 10))])
+        state, assign = track_frame(state, [det(BoundingBox2D(9, 9, 19, 19))])
         # IoU of the two boxes is ~0.005, far below the 0.3 threshold.
         assert assign == {0: 1}
 
     def test_track_survives_short_gap(self):
-        cfg = AssociationConfig(track_max_age=2)
         box = BoundingBox2D(50, 50, 150, 150)
-        state, _ = track_frame(TrackerState.empty(), [det(box)], cfg)
-        state, _ = track_frame(state, [], cfg)
-        state, _ = track_frame(state, [], cfg)
-        state, assign = track_frame(state, [det(box)], cfg)
+        state, _ = track_frame(TrackerState.empty(), [det(box)], max_age=2)
+        state, _ = track_frame(state, [], max_age=2)
+        state, _ = track_frame(state, [], max_age=2)
+        state, assign = track_frame(state, [det(box)], max_age=2)
         assert assign == {0: 0}
 
     def test_track_retires_after_max_age(self):
-        cfg = AssociationConfig(track_max_age=2)
         box = BoundingBox2D(50, 50, 150, 150)
-        state, _ = track_frame(TrackerState.empty(), [det(box)], cfg)
+        state, _ = track_frame(TrackerState.empty(), [det(box)], max_age=2)
         for _ in range(3):
-            state, _ = track_frame(state, [], cfg)
+            state, _ = track_frame(state, [], max_age=2)
         assert state.tracks == ()
         # The id is not reused by the next spawn.
-        state, assign = track_frame(state, [det(box)], cfg)
+        state, assign = track_frame(state, [det(box)], max_age=2)
         assert assign == {0: 1}
 
     def test_ids_never_reused(self):
-        cfg = AssociationConfig(track_max_age=0)
         state = TrackerState.empty()
         seen: list[int] = []
         rng = np.random.default_rng(101)
         for _ in range(20):
             x, y = rng.uniform(0, 500, size=2)
             state, assign = track_frame(
-                state, [det(BoundingBox2D(x, y, x + 20, y + 20))], cfg
+                state, [det(BoundingBox2D(x, y, x + 20, y + 20))], max_age=0
             )
             seen.extend(assign.values())
-            state, _ = track_frame(state, [], cfg)
+            state, _ = track_frame(state, [], max_age=0)
         assert len(seen) == len(set(seen))
 
 
@@ -434,65 +428,13 @@ class TestLongTerm:
         assert len(result.matches) == 1
         assert len(result.unmatched_detections) == 1
 
-
-class TestTrackGate:
-    """Tracker bindings (detection index -> landmark id) that
-    associate_long_term keeps or hands to the LSAP."""
-
-    x = Pose.identity()
-    left = Quadric(np.eye(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
-    right = Quadric(np.eye(3), np.array([1.0, 0.0, 4.0]), np.full(3, 0.4))
-    landmarks = [(7, left, "mug"), (8, right, "mug")]
-
-    def box(self, camera, q: Quadric, dx: float = 0.0) -> BoundingBox2D:
-        """The predicted box of q, shifted dx pixels to the right."""
-        b = predict_bbox(self.x, camera, q)
-        return BoundingBox2D(b.xmin + dx, b.ymin, b.xmax + dx, b.ymax)
-
-    def test_binding_is_kept(self, camera):
-        # Detection 0 predicts landmark 7 exactly and would win it in the
-        # LSAP; detection 1 is bound to it and lands 0.08 m away.
-        dets = [det(self.box(camera, self.left), depth=4.0),
-                det(self.box(camera, self.left, 10.0), depth=4.0)]
-        result = long_term(dets, self.landmarks[:1], self.x, camera,
-                           AssociationConfig(), bindings={1: 7})
-        assert result.matches == {1: 7}
-        assert result.unmatched_detections == (0,)
-
-    def test_label_mismatch_drops_binding(self, camera):
-        # Disjoint box, other label, no depth: the LSAP rejects it too.
-        d = det(BoundingBox2D(500, 350, 600, 450), label="lamp")
-        result = long_term([d], self.landmarks, self.x, camera,
-                           AssociationConfig(), bindings={0: 7})
-        assert result.matches == {}
-        assert result.unmatched_detections == (0,)
-
-    def test_binding_beyond_gate_goes_to_lsap(self, camera):
-        # Bound to landmark 7, but the detection back-projects onto 8, 2 m
-        # away: the binding is dropped and the LSAP picks 8. A gate wider
-        # than 2 m keeps it.
-        d = det(self.box(camera, self.right), depth=4.0)
-        result = long_term([d], self.landmarks, self.x, camera,
-                           AssociationConfig(), bindings={0: 7})
+    def test_same_label_landmarks_split_by_position(self, camera):
+        # Two mugs 2 m apart: the detection that back-projects onto the
+        # right one is matched to it, not to the left one.
+        x = Pose.identity()
+        left = Quadric(np.eye(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
+        right = Quadric(np.eye(3), np.array([1.0, 0.0, 4.0]), np.full(3, 0.4))
+        d = det(predict_bbox(x, camera, right), depth=4.0)
+        result = long_term([d], [(7, left, "mug"), (8, right, "mug")], x, camera,
+                           AssociationConfig())
         assert result.matches == {0: 8}
-        wide = AssociationConfig(track_gate_dist=2.5)
-        result = long_term([d], self.landmarks, self.x, camera, wide, bindings={0: 7})
-        assert result.matches == {0: 7}
-
-    def test_claimed_landmark_drops_later_binding(self, camera):
-        # Both detections are bound to landmark 7; the earlier one keeps it
-        # although the later one predicts it exactly.
-        dets = [det(self.box(camera, self.left, 10.0), depth=4.0),
-                det(self.box(camera, self.left), depth=4.0)]
-        result = long_term(dets, self.landmarks[:1], self.x, camera,
-                           AssociationConfig(), bindings={0: 7, 1: 7})
-        assert result.matches == {0: 7}
-        assert result.unmatched_detections == (1,)
-
-    def test_binding_without_depth_is_kept(self, camera):
-        # No depth, so nothing to gate on: the binding to 7 stands although
-        # the box is landmark 8's prediction.
-        d = det(self.box(camera, self.right), depth=None)
-        result = long_term([d], self.landmarks, self.x, camera,
-                           AssociationConfig(), bindings={0: 7})
-        assert result.matches == {0: 7}

@@ -173,13 +173,16 @@ class TestExitCodes:
         assert "threshold must be finite, got inf" in capsys.readouterr().err
 
     def test_removed_damping_key_is_unknown(self, tmp_path, capsys):
-        # The damping schedule is fixed in the solver; its old keys are unknown keys.
+        # The damping schedule is fixed in the solver and the short-term
+        # tracker left the run; their old keys are unknown keys.
         ds = _simulate(tmp_path, capsys)
-        code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out"),
-                     "--set", "solver.damping_up=2"])
-        assert code == 1
-        assert "damping_up" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for key in ("solver.damping_up", "association.track_min_iou",
+                    "association.track_max_age", "association.track_gate_dist"):
+            code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out"),
+                         "--set", f"{key}=1"])
+            assert code == 1
+            assert key.split(".")[1] in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_non_finite_setting_is_validation_error(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys)
@@ -412,6 +415,6 @@ class TestFlow:
         )
         assert code == 0
         printed = capsys.readouterr().out
-        for stage in ("track", "associate", "solve", "total"):
+        for stage in ("associate", "solve", "total"):
             assert stage in printed
         assert "landmarks=" in printed

@@ -48,7 +48,7 @@ def make_dataset(rng: np.random.Generator, n_frames: int = 4) -> Dataset:
         GroundTruthObject("mug", random_quadric(rng)),
         GroundTruthObject("bottle", random_quadric(rng)),
     ]
-    gt_association = {0: [(0, 0)], 2: [(0, 1), (1, 0)]}
+    gt_association = {1: [(0, 0)], 2: [(0, 1), (1, 0)]}
     return Dataset(
         intrinsics=CameraIntrinsics(500.0, 480.0, 320.0, 240.0),
         image_size=(640, 480),
@@ -480,15 +480,40 @@ def test_labels_must_be_json_strings(tmp_path, rng, file_name, line, path, at, v
 
 
 def test_duplicate_ground_truth_frame_is_schema_error(tmp_path, rng):
-    # A second record for frame 0 would silently replace the first.
+    # A second record for frame 1 would silently replace the first.
     write_dataset(make_dataset(rng), tmp_path)
     target = tmp_path / GT_ASSOCIATION_FILE
     lines = target.read_text().splitlines()
-    assert len(lines) == 2 and json.loads(lines[0])["frame_id"] == 0
-    target.write_text("\n".join(lines + [json.dumps({"frame_id": 0, "pairs": [[1, 1]]})]) + "\n")
+    assert len(lines) == 2 and json.loads(lines[0])["frame_id"] == 1
+    target.write_text("\n".join(lines + [json.dumps({"frame_id": 1, "pairs": [[0, 1]]})]) + "\n")
     with pytest.raises(SchemaError) as exc:
         load_dataset(tmp_path)
-    assert f"{GT_ASSOCIATION_FILE}:3: duplicate 'frame_id' 0" in str(exc.value)
+    assert f"{GT_ASSOCIATION_FILE}:3: duplicate 'frame_id' 1" in str(exc.value)
+
+
+# A second-line record of gt_association.jsonl that names something the
+# dataset does not hold. Frame 2 has two detections; there are two objects.
+BAD_PAIRS = {
+    "unknown-frame": ({"frame_id": 4, "pairs": [[0, 0]]},
+                      f"frame 4 is not in {FRAMES_FILE}"),
+    "detection-outside-frame": ({"frame_id": 2, "pairs": [[0, 1], [2, 0]]},
+                                "field 'pairs[1][0]': frame 2 has no detection 2"),
+    "object-outside-gt": ({"frame_id": 2, "pairs": [[0, 1], [1, 2]]},
+                          f"field 'pairs[1][1]': object 2 is not in {GT_OBJECTS_FILE}"),
+    "detection-twice": ({"frame_id": 2, "pairs": [[1, 1], [1, 0]]},
+                        "field 'pairs[1][0]': detection 1 paired twice"),
+}
+
+
+@pytest.mark.parametrize("record, message", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
+def test_ground_truth_pairs_name_what_the_dataset_holds(tmp_path, rng, record, message):
+    write_dataset(make_dataset(rng), tmp_path)
+    target = tmp_path / GT_ASSOCIATION_FILE
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        load_dataset(tmp_path)
+    assert f"{GT_ASSOCIATION_FILE}:2: {message}" in str(exc.value)
 
 
 def test_duplicate_trajectory_frame_is_schema_error(tmp_path, rng):

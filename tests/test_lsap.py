@@ -31,7 +31,7 @@ def _small_int(rng, shape):
 
 
 def _zero_masked(rng, shape):
-    """Mostly zeros, like a tracker's IoU matrix of mostly disjoint boxes."""
+    """Mostly zeros, like an IoU matrix of mostly disjoint boxes."""
     return np.where(rng.random(shape) < 0.7, 0.0, rng.random(shape))
 
 
@@ -161,8 +161,8 @@ def test_optimal_against_brute_force():
 
 def test_a_run_never_imports_scipy_optimize():
     """A fresh interpreter imports the CLI, maps a scene incrementally and
-    scores it, which calls the tracker, the association and the evaluation
-    matching, without loading `scipy.optimize`, then or later."""
+    scores it, which calls the association and the evaluation matching,
+    without loading `scipy.optimize`, then or later."""
     script = textwrap.dedent(
         """
         import sys

@@ -134,24 +134,24 @@ class TestRunSlam:
 
     def test_keyframe_pose_is_validated_once(self, small_world, monkeypatch):
         # Each keyframe after the first is built from the previous pose's
-        # rows: one validated Pose between the trackings of two frames.
+        # rows: one validated Pose between the associations of two frames.
         dataset, scene = small_world
         validated = [0]
-        at_tracking = []
-        post_init, track = Pose.__post_init__, pipeline.track_frame
+        at_association = []
+        post_init, associate = Pose.__post_init__, pipeline.associate_long_term
 
         def counting(self):
             validated[0] += 1
             post_init(self)
 
-        def tracking(*args):
-            at_tracking.append(validated[0])
-            return track(*args)
+        def associating(*args):
+            at_association.append(validated[0])
+            return associate(*args)
 
         monkeypatch.setattr(Pose, "__post_init__", counting)
-        monkeypatch.setattr(pipeline, "track_frame", tracking)
+        monkeypatch.setattr(pipeline, "associate_long_term", associating)
         run_slam(_run_config(), dataset, scene.prior_table())
-        assert np.diff(at_tracking).tolist() == [1] * (len(dataset.frames) - 1)
+        assert np.diff(at_association).tolist() == [1] * (len(dataset.frames) - 1)
 
     def test_deterministic(self, small_world):
         dataset, scene = small_world
@@ -185,9 +185,7 @@ class TestRunSlam:
         dataset, scene = small_world
         timings: dict[str, float] = {}
         run_slam(_run_config(), dataset, scene.prior_table(), timings=timings)
-        assert {"load", "track", "associate", "add_keyframe", "solve", "evaluate"} <= set(
-            timings
-        )
+        assert {"load", "associate", "add_keyframe", "solve", "evaluate"} <= set(timings)
 
     def test_evaluation_validates_no_quadric(self, small_world, monkeypatch):
         # Ground-truth quadrics are validated when the dataset is built and
@@ -454,7 +452,9 @@ class TestFileFormats:
             ((9, landmarks),),
         )
         write_map_json(estimate, tmp_path / "map.json")
-        write_dataset(dataclasses.replace(dataset, gt_objects=[]), tmp_path / "ds")
+        # Association pairs would name objects the empty file does not hold.
+        empty = dataclasses.replace(dataset, gt_objects=[], gt_association=None)
+        write_dataset(empty, tmp_path / "ds")
         report = evaluate_files(tmp_path / "map.json", tmp_path / "ds")
         assert (report.tp, report.fp, report.fn) == (0, 4, 0)
         assert report.objects == () and report.iou_series == ((9, None, None),)
@@ -463,7 +463,9 @@ class TestFileFormats:
         dataset, scene = small_world
         estimate, _, _ = run_slam(_run_config(mode="batch"), dataset, scene.prior_table())
         write_map_json(estimate, tmp_path / "map.json")
-        bare = dataclasses.replace(dataset, gt_objects=None, gt_trajectory=None)
+        bare = dataclasses.replace(
+            dataset, gt_objects=None, gt_trajectory=None, gt_association=None
+        )
         write_dataset(bare, tmp_path / "ds")
         with pytest.raises(ValueError, match="ground-truth"):
             evaluate_files(tmp_path / "map.json", tmp_path / "ds")
