@@ -13,11 +13,14 @@ equal cost. So it returns scipy's assignment, ties included, and the
 association and ``evaluation.match_map_to_gt`` share it.
 
 Pair weight: IoU(measured box, predicted box) + w_s * psi + w_d / distance,
-where psi is 1 when the label embeddings are within a threshold (or the
-labels are identical), and the distance between the landmark centroid and
-the back-projected detection centroid is floored to keep the term bounded.
-Landmarks arrive as stacked (R, t, s) arrays, so one batched projection
-predicts the boxes of all of them.
+where psi is 1 when the labels are identical or their embeddings lie within
+a threshold, and the distance between the landmark centroid and the
+back-projected detection center is floored to keep the term bounded; a
+detection without depth has no distance term. Each term is one (d, m) array
+over all pairs: landmarks arrive as stacked (R, t, s) arrays, so one batched
+projection predicts every box; ``EmbeddingTable.compatible`` gives psi as
+one matrix; and one stacked ``back_project_pixel`` places the centers of
+the detections that carry depth.
 """
 
 from __future__ import annotations
@@ -118,30 +121,28 @@ class EmbeddingTable:
     def empty() -> "EmbeddingTable":
         return EmbeddingTable({})
 
-    def distance(self, label_a: str, label_b: str) -> float | None:
-        """Euclidean embedding distance, or None when either token is absent."""
-        missing = [l for l in (label_a, label_b) if l not in self.vectors]
-        if missing:
-            self.missing_tokens.update(missing)
-            return None
-        return float(np.linalg.norm(self.vectors[label_a] - self.vectors[label_b]))
-
-
-def semantic_indicator(
-    label_det: str, label_lm: str, table: EmbeddingTable, threshold: float
-) -> float:
-    """1.0 when the labels are semantically compatible, else 0.0."""
-    if label_det == label_lm:
-        return 1.0
-    d = table.distance(label_det, label_lm)
-    if d is None:
-        return 0.0
-    return 1.0 if d <= threshold else 0.0
+    def compatible(self, rows: Sequence[str], cols: Sequence[str], threshold: float) -> np.ndarray:
+        """Indicator psi (len(rows), len(cols)): 1.0 where the two labels are
+        identical or their embeddings lie within ``threshold`` (Euclidean),
+        else 0.0. A token absent from the table matches only itself, and is
+        recorded in ``missing_tokens`` once it meets a different label."""
+        rows, cols = np.array(rows, dtype=object), np.array(cols, dtype=object)
+        same = rows[:, None] == cols[None, :]
+        known_r = np.array([label in self.vectors for label in rows], dtype=bool)
+        known_c = np.array([label in self.vectors for label in cols], dtype=bool)
+        self.missing_tokens.update(rows[~known_r & ~same.all(axis=1)])
+        self.missing_tokens.update(cols[~known_c & ~same.all(axis=0)])
+        near = known_r[:, None] & known_c[None, :]
+        if near.any():
+            v_r = np.array([self.vectors[label] for label in rows[known_r]])
+            v_c = np.array([self.vectors[label] for label in cols[known_c]])
+            # The True entries of near are the known_r x known_c block, row-major.
+            near[near] = (np.linalg.norm(v_r[:, None] - v_c[None], axis=-1) <= threshold).ravel()
+        return (same | near).astype(np.float64)
 
 
 def association_weight(
     detections: Sequence[Detection],
-    centers: np.ndarray,
     quadrics: tuple[np.ndarray, np.ndarray, np.ndarray],
     landmark_labels: Sequence[str],
     x: Pose,
@@ -151,10 +152,9 @@ def association_weight(
 ) -> np.ndarray:
     """Weights (d, m) of every detection against every landmark.
 
-    ``centers`` are the detections' back-projected box centers (NaN rows
-    without depth, which omit the distance term); ``quadrics`` are the
-    landmarks' stacked rotations, centroids and semi-axes. A landmark whose
-    projection is invalid overlaps nothing.
+    ``quadrics`` are the landmarks' stacked rotations, centroids and
+    semi-axes. A landmark whose projection is invalid overlaps nothing, and a
+    detection without depth has no distance term.
     """
     R_q, t_q, s_q = quadrics
     m = len(landmark_labels)
@@ -162,14 +162,16 @@ def association_weight(
         np.broadcast_to(x.rotation, (m, 3, 3)), np.broadcast_to(x.translation, (m, 3)), K,
         R_q, t_q, s_q,
     )
-    psi = np.array(
-        [[semantic_indicator(det.label, label, table, cfg.semantic_threshold)
-          for label in landmark_labels] for det in detections],
-        dtype=np.float64,
-    ).reshape(len(detections), m)
-    w = box_ious(_box_rows(det.bbox for det in detections), predicted) + cfg.semantic_weight * psi
-    has_depth = ~np.isnan(centers[:, 0])
-    dist = np.linalg.norm(t_q[None, :, :] - centers[has_depth, None, :], axis=-1)
+    boxes = _box_rows(det.bbox for det in detections)
+    psi = table.compatible([d.label for d in detections], landmark_labels, cfg.semantic_threshold)
+    w = box_ious(boxes, predicted) + cfg.semantic_weight * psi
+    depths = np.array([np.nan if det.center_depth is None else det.center_depth
+                       for det in detections], dtype=np.float64)
+    has_depth = ~np.isnan(depths)
+    centers = back_project_pixel(
+        K, x, 0.5 * (boxes[has_depth, :2] + boxes[has_depth, 2:]), depths[has_depth]
+    )
+    dist = np.linalg.norm(t_q[None, :, :] - centers[:, None, :], axis=-1)
     w[has_depth] += cfg.distance_weight / np.maximum(dist, cfg.min_distance)
     return w
 
@@ -321,13 +323,8 @@ def associate_long_term(
     ``landmark_labels`` and the stacked ``quadrics`` (rotations, centroids,
     semi-axes) describe the landmarks row by row.
     """
-    centers = np.full((len(detections), 3), np.nan)  # NaN rows: no depth
-    for i, det in enumerate(detections):
-        if det.center_depth is not None:
-            centers[i] = back_project_pixel(K, x, det.bbox.center(), det.center_depth)
     result = solve_lsap(
-        association_weight(detections, centers, quadrics, landmark_labels, x, K, table, cfg),
-        cfg.gate,
+        association_weight(detections, quadrics, landmark_labels, x, K, table, cfg), cfg.gate
     )
     matches = {r: landmark_ids[c] for r, c in result.matches.items()}
     return AssociationResult(matches, result.unmatched_detections)

@@ -175,7 +175,9 @@ def apply_overrides(document: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override {item!r} value does not parse: {exc}") from exc
         node = document
         for key in keys[:-1]:
-            child = node.setdefault(key, {})
+            if node.get(key) is None:  # a section with nothing under it loads as None
+                node[key] = {}
+            child = node[key]
             if not isinstance(child, dict):
                 raise ConfigError(f"override {item!r} descends into non-mapping {key!r}")
             node = child

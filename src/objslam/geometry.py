@@ -362,17 +362,22 @@ class BoundingBox2D:
 
 
 def back_project_pixel(
-    K: CameraIntrinsics, x: Pose, pixel: np.ndarray, depth: float
+    K: CameraIntrinsics, x: Pose, pixels: np.ndarray, depths: np.ndarray
 ) -> np.ndarray:
-    """World point of a pixel at the given camera-frame depth (z coordinate).
+    """World points (n, 3) of pixels (n, 2) at their camera-frame depths (n,),
+    the z coordinates.
 
-    Raises NonPositiveDepth for depth <= 0.
+    Raises NonPositiveDepth unless every depth is positive.
     """
-    if depth <= 0.0:
-        raise NonPositiveDepth(f"depth must be positive, got {depth}")
-    u, v = float(pixel[0]), float(pixel[1])
-    p_cam = np.array([(u - K.cx) / K.fx * depth, (v - K.cy) / K.fy * depth, depth])
-    return x.rotation @ p_cam + x.translation
+    pixels, depths = np.asarray(pixels, dtype=np.float64), np.asarray(depths, dtype=np.float64)
+    if not np.all(depths > 0.0):
+        raise NonPositiveDepth(f"depths must be positive, got {depths}")
+    p_cam = np.stack(
+        [(pixels[:, 0] - K.cx) / K.fx * depths, (pixels[:, 1] - K.cy) / K.fy * depths, depths],
+        axis=1,
+    )
+    # Stacked 3x3 products, not p_cam @ R.T: each point gets the bits of R @ p.
+    return (x.rotation @ p_cam[:, :, None])[:, :, 0] + x.translation
 
 
 def camera_dual_conic(

@@ -67,7 +67,7 @@ keyframes, so most keyframes take one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -147,18 +147,13 @@ class GraphValues:
     Rows of ``R`` (n, 3, 3) and ``t`` (n, 3) are the poses' rotations and
     translations, then the quadrics' rotations and centroids; ``s`` (m, 3)
     holds the quadrics' semi-axes. ``pose_ids`` and ``quadric_ids`` are the
-    ids of the rows. Values only grow, by ``append``, and each kind's ids
-    increase row by row, so the last pose is the latest keyframe.
+    ids of the rows. Values start empty and grow only by ``append``, and each
+    kind's ids increase row by row, so the last pose is the latest keyframe.
     """
 
-    def __init__(
-        self, poses: Mapping[int, Pose] | None = None, quadrics: Mapping[int, Quadric] | None = None
-    ) -> None:
+    def __init__(self) -> None:
         self.pose_ids = self.quadric_ids = np.empty(0, dtype=np.int64)
         self.R, self.t, self.s = np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, 3))
-        for kind, given in (("pose", poses or {}), ("quadric", quadrics or {})):
-            for i in sorted(given):
-                self.append((kind, i), given[i])
 
     def rows(self, kind: str, ids: np.ndarray) -> np.ndarray:
         """Rows of R and t holding the variables of one kind with these ids."""
@@ -585,9 +580,9 @@ def initialize_landmark(
     orientation-prior target when a prior record is available.
     """
     d = detection.center_depth
-    if d is None or d <= 0.0:
-        raise NonPositiveDepth(f"landmark initialization needs positive depth, got {d}")
-    t = back_project_pixel(K, x, detection.bbox.center(), d)
+    if d is None:
+        raise NonPositiveDepth("landmark initialization needs a center depth")
+    t = back_project_pixel(K, x, detection.bbox.center()[None], np.array([d]))[0]
     sx = detection.bbox.width * d / (2.0 * K.fx)
     sy = detection.bbox.height * d / (2.0 * K.fy)
     s = np.maximum(np.array([sx, sy, 0.5 * (sx + sy)]), SEMI_AXIS_FLOOR)

@@ -4,15 +4,20 @@ The solver scores and linearizes inside its LM loop; these wrap the same
 calls for one set of values, so the tests can compare them with the
 per-factor references and with what a solve built. A ``FactorGraph`` keeps
 no factor objects once it has batched them, so the references walk the
-factor lists the tests built the graphs from.
+factor lists the tests built the graphs from. ``values_of`` fills values
+from pose and quadric mappings at once, where a run appends one keyframe's
+variables at a time.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 import numpy as np
 
 from objslam import optimizer
 from objslam.factors import Factor
+from objslam.geometry import Pose, Quadric
 from objslam.optimizer import FactorGraph, GraphValues
 
 
@@ -22,6 +27,17 @@ def graph_of(factors: list[Factor]) -> FactorGraph:
     for f in factors:
         graph.add(f)
     return graph
+
+
+def values_of(
+    poses: Mapping[int, Pose] | None = None, quadrics: Mapping[int, Quadric] | None = None
+) -> GraphValues:
+    """Values holding these poses and quadrics, each kind appended in id order."""
+    values = GraphValues()
+    for kind, given in (("pose", poses or {}), ("quadric", quadrics or {})):
+        for i in sorted(given):
+            values.append((kind, i), given[i])
+    return values
 
 
 def batch_rows(factors: list[Factor]) -> np.ndarray:

@@ -14,12 +14,11 @@ from objslam.association import (
     associate_long_term,
     association_weight,
     box_ious,
-    semantic_indicator,
     solve_lsap,
     track_frame,
 )
 from objslam.dataset import Detection
-from objslam.geometry import BoundingBox2D, Pose, Quadric, back_project_pixel
+from objslam.geometry import BoundingBox2D, Pose, Quadric
 
 from helpers import box_area
 from projection_oracle import BehindCamera, DegenerateConic, predict_bbox
@@ -67,17 +66,27 @@ def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
     return float(box_ious(a.as_array()[None], b.as_array()[None])[0, 0])
 
 
+def reference_psi(a: str, b: str, table: EmbeddingTable, threshold: float) -> float:
+    """Reference: the label rule of one pair, read off the table's vectors."""
+    if a == b:
+        return 1.0
+    if a not in table.vectors or b not in table.vectors:
+        return 0.0
+    return float(np.linalg.norm(table.vectors[a] - table.vectors[b]) <= threshold)
+
+
 def reference_weight(d, q, label, x, K, table, cfg) -> float:
-    """Reference: the weight of one pair from the oracle projection."""
+    """Reference: the weight of one pair from the oracle projection, with the
+    box center back-projected along its pinhole ray to the measured depth."""
     try:
         overlap = scalar_iou(d.bbox, predict_bbox(x, K, q))
     except (BehindCamera, DegenerateConic):
         overlap = 0.0
-    w = overlap + cfg.semantic_weight * semantic_indicator(
-        d.label, label, table, cfg.semantic_threshold
-    )
+    w = overlap + cfg.semantic_weight * reference_psi(d.label, label, table, cfg.semantic_threshold)
     if d.center_depth is not None:
-        t_hat = back_project_pixel(K, x, d.bbox.center(), d.center_depth)
+        u, v = d.bbox.center()
+        ray = np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
+        t_hat = x.rotation @ (d.center_depth * ray) + x.translation
         w += cfg.distance_weight / max(float(np.linalg.norm(q.t - t_hat)), cfg.min_distance)
     return w
 
@@ -90,13 +99,8 @@ def stack(quadrics: list[Quadric]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def weights(dets, quadrics, labels, x, K, table, cfg) -> np.ndarray:
-    """association_weight with the detection centers back-projected here."""
-    centers = np.array([
-        np.full(3, np.nan) if d.center_depth is None
-        else back_project_pixel(K, x, d.bbox.center(), d.center_depth)
-        for d in dets
-    ]).reshape(-1, 3)
-    return association_weight(dets, centers, stack(quadrics), labels, x, K, table, cfg)
+    """association_weight over a list of quadrics."""
+    return association_weight(dets, stack(quadrics), labels, x, K, table, cfg)
 
 
 def long_term(dets, landmarks, x, K, cfg):
@@ -200,28 +204,51 @@ class TestEmbeddings:
 
     def test_semantic_indicator_groups(self):
         table = EmbeddingTable.load(FIXTURE)
-        assert semantic_indicator("monitor", "tv", table, 4.0) == 1.0
-        assert semantic_indicator("monitor", "mug", table, 4.0) == 0.0
+        assert table.compatible(["monitor"], ["tv", "mug"], 4.0).tolist() == [[1.0, 0.0]]
         # Tighter threshold splits even in-group pairs.
-        d = table.distance("monitor", "tv")
-        assert semantic_indicator("monitor", "tv", table, d - 0.01) == 0.0
+        d = np.linalg.norm(table.vectors["monitor"] - table.vectors["tv"])
+        assert table.compatible(["monitor"], ["tv"], d - 0.01).tolist() == [[0.0]]
 
     def test_identical_labels_need_no_table(self):
         table = EmbeddingTable.empty()
-        assert semantic_indicator("gizmo", "gizmo", table, 4.0) == 1.0
+        assert table.compatible(["gizmo"], ["gizmo"], 4.0).tolist() == [[1.0]]
+        assert table.missing_tokens == set()
 
     def test_missing_token_scores_zero_and_flags(self):
         table = EmbeddingTable.load(FIXTURE)
-        assert semantic_indicator("gizmo", "mug", table, 4.0) == 0.0
-        assert "gizmo" in table.missing_tokens
+        assert table.compatible(["gizmo"], ["mug"], 4.0).tolist() == [[0.0]]
+        assert table.missing_tokens == {"gizmo"}
 
     def test_distance_values(self):
+        # |a - b| = sqrt(2) and |a - c| = sqrt(0.02): a threshold just above
+        # a distance makes its pair compatible, one just below does not.
         table = EmbeddingTable(
             {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
              "c": np.array([1.1, 0.1])}
         )
-        assert table.distance("a", "b") == pytest.approx(np.sqrt(2.0))
-        assert table.distance("a", "c") == pytest.approx(np.sqrt(0.02))
+        ab, ac = np.sqrt(2.0), np.sqrt(0.02)
+        for threshold, row in ((ab * (1.0 + 1e-9), [1.0, 1.0]), (ab * (1.0 - 1e-9), [0.0, 1.0]),
+                               (ac * (1.0 + 1e-9), [0.0, 1.0]), (ac * (1.0 - 1e-9), [0.0, 0.0])):
+            assert table.compatible(["a"], ["b", "c"], threshold).tolist() == [row]
+
+    def test_matrix_matches_per_pair_rule(self):
+        # Known and absent tokens on both sides, repeats included: every
+        # entry follows the per-pair rule, and exactly the absent tokens that
+        # meet a different label are recorded.
+        labels = ["monitor", "tv", "mug", "cup", "gizmo", "widget", "mug", "gizmo"]
+        rng = np.random.default_rng(103)
+        for _ in range(50):
+            rows = list(rng.choice(labels, size=int(rng.integers(0, 5))))
+            cols = list(rng.choice(labels, size=int(rng.integers(0, 5))))
+            threshold = float(rng.uniform(0.0, 8.0))
+            table = EmbeddingTable.load(FIXTURE)
+            psi = table.compatible(rows, cols, threshold)
+            assert psi.shape == (len(rows), len(cols))
+            for i, j in itertools.product(range(len(rows)), range(len(cols))):
+                assert psi[i, j] == reference_psi(rows[i], cols[j], table, threshold)
+            missing = {token for a, b in itertools.product(rows, cols) if a != b
+                       for token in (a, b) if token not in table.vectors}
+            assert table.missing_tokens == missing
 
 
 class TestAssociationWeight:
@@ -438,3 +465,34 @@ class TestLongTerm:
         result = long_term([d], [(7, left, "mug"), (8, right, "mug")], x, camera,
                            AssociationConfig())
         assert result.matches == {0: 8}
+
+    def test_detection_order_does_not_matter(self, camera):
+        # Detections with and without depth, under labels the embedding
+        # fixture holds and one it lacks: every order of them permutes the
+        # weight rows exactly, and each match stays with its detection.
+        cfg = AssociationConfig()
+        table = EmbeddingTable.load(FIXTURE)
+        x = Pose(Rotation.from_rotvec([0.02, -0.05, 0.03]).as_matrix(), np.array([0.1, 0.0, -0.2]))
+        landmarks = [
+            Quadric(np.eye(3), x.rotation @ np.array(p) + x.translation, np.full(3, 0.3))
+            for p in ((-1.2, 0.0, 4.0), (0.0, 0.5, 5.0), (1.2, -0.3, 4.5), (0.4, -0.6, 3.5))
+        ]
+        quadrics = stack(landmarks)
+        ids, labels = [20, 21, 22, 23], ["mug", "monitor", "bottle", "gizmo"]
+        dets = [
+            det(predict_bbox(x, camera, landmarks[j]), label, depth=depth)
+            for j, label, depth in ((2, "bottle", 4.5), (0, "cup", None), (3, "gizmo", 3.4),
+                                    (1, "tv", None))
+        ] + [det(BoundingBox2D(10, 10, 60, 50), label="lamp", depth=2.0)]
+        W = association_weight(dets, quadrics, labels, x, camera, table, cfg)
+        result = associate_long_term(dets, ids, labels, quadrics, x, camera, table, cfg)
+        assert result.matches == {0: 22, 1: 20, 2: 23, 3: 21}
+        for order in itertools.permutations(range(len(dets))):
+            moved = [dets[i] for i in order]
+            np.testing.assert_array_equal(
+                association_weight(moved, quadrics, labels, x, camera, table, cfg), W[list(order)]
+            )
+            again = associate_long_term(moved, ids, labels, quadrics, x, camera, table, cfg)
+            assert again.matches == {
+                k: result.matches[i] for k, i in enumerate(order) if i in result.matches
+            }

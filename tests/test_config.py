@@ -282,6 +282,14 @@ class TestOverrides:
         assert cfg.mode == "batch"
         assert cfg.noise.bbox_sigma_px == 3.0
 
+    def test_override_into_empty_section(self, tmp_path):
+        # "solver:" with nothing under it loads as None, an empty section.
+        p = tmp_path / "run.yaml"
+        p.write_text("mode: batch\nsolver:\n")
+        cfg = load_run_config(p, ["solver.max_iterations=5"])
+        assert cfg.mode == "batch"
+        assert cfg.solver == dataclasses.replace(RunConfig().solver, max_iterations=5)
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides({}, ["solver.max_iterations"])

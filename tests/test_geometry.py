@@ -291,13 +291,31 @@ class TestProjection:
         np.testing.assert_allclose(box1.as_array(), box2.as_array(), rtol=1e-9)
 
     def test_back_project_example(self, camera):
-        pixel = np.array([camera.cx + camera.fx, camera.cy])
-        p = back_project_pixel(camera, Pose.identity(), pixel, 2.0)
-        np.testing.assert_allclose(p, [2.0, 0.0, 2.0], atol=1e-9)
+        pixels = np.array([[camera.cx + camera.fx, camera.cy], [camera.cx, camera.cy]])
+        p = back_project_pixel(camera, Pose.identity(), pixels, np.array([2.0, 3.0]))
+        np.testing.assert_allclose(p, [[2.0, 0.0, 2.0], [0.0, 0.0, 3.0]], atol=1e-9)
 
     def test_back_project_rejects_bad_depth(self, camera):
-        with pytest.raises(NonPositiveDepth):
-            back_project_pixel(camera, Pose.identity(), np.zeros(2), 0.0)
+        # One bad depth among good ones is enough.
+        for depths in ([0.0], [2.0, -1.0], [np.nan, 2.0]):
+            with pytest.raises(NonPositiveDepth):
+                back_project_pixel(camera, Pose.identity(), np.zeros((len(depths), 2)),
+                                   np.array(depths))
+
+    def test_back_project_stack_equals_its_rows(self, camera):
+        # Association back-projects a frame's detections as one stack, and
+        # landmark initialization one at a time: both give the same bits.
+        rng = np.random.default_rng(59)
+        x = random_pose(rng, t_scale=0.5)
+        pixels = rng.uniform([0.0, 0.0], [640.0, 480.0], size=(9, 2))
+        depths = rng.uniform(1.0, 6.0, size=9)
+        stacked = back_project_pixel(camera, x, pixels, depths)
+        assert stacked.shape == (9, 3)
+        for i in range(9):
+            np.testing.assert_array_equal(
+                back_project_pixel(camera, x, pixels[i:i + 1], depths[i:i + 1]), stacked[i:i + 1]
+            )
+        assert back_project_pixel(camera, x, np.zeros((0, 2)), np.zeros(0)).shape == (0, 3)
 
     def test_back_project_project_round_trip(self, camera):
         # A small sphere centered at the back-projected point projects to a
@@ -307,7 +325,7 @@ class TestProjection:
             x = random_pose(rng, t_scale=0.5)
             pixel = rng.uniform([100, 100], [540, 380])
             depth = rng.uniform(1.0, 6.0)
-            p = back_project_pixel(camera, x, pixel, depth)
+            p = back_project_pixel(camera, x, pixel[None], np.array([depth]))[0]
             q = Quadric(np.eye(3), p, np.full(3, 1e-4))
             box = predict_bbox(x, camera, q)
             np.testing.assert_allclose(box.center(), pixel, atol=1e-3)

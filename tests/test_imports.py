@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of its tests imports is used in
+that module.
 
 An ``ast`` scan: the names each import statement binds, against the names
 the module's code loads. A deletion that leaves an import behind fails here.
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "objslam").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "objslam").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,6 +36,8 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(source) == ["Mapping"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -52,7 +52,7 @@ import noise_oracle
 from conftest import random_pose, random_quadric, random_rotation
 from helpers import pose_matrix
 from projection_oracle import predict_bbox
-from solver_helpers import batch_rows, graph_of, linearize, total_cost
+from solver_helpers import batch_rows, graph_of, linearize, total_cost, values_of
 
 
 def looking_at_poses() -> list[Pose]:
@@ -73,7 +73,7 @@ def three_view_factors(camera, noise_px: float = 0.0, rng=None):
     and their values."""
     poses = looking_at_poses()
     fs: list[Factor] = []
-    values = GraphValues(dict(enumerate(poses)), {0: GT_QUADRIC})
+    values = values_of(dict(enumerate(poses)), {0: GT_QUADRIC})
     odom_noise = NoiseModel(np.array([1e-4] * 3 + [1e-4] * 3))
     bbox_noise = NoiseModel.isotropic(4, 10.0)
     for i in range(2):
@@ -107,7 +107,7 @@ def perturbed(values: GraphValues, rng: np.random.Generator) -> GraphValues:
     delta[3:6] = 0.2 * rng.standard_normal(3) / np.sqrt(3)
     delta[6:9] = rng.normal(0.0, 0.05, size=3)
     poses = {i: values.get(("pose", i)) for i in values.pose_ids.tolist()}
-    return GraphValues(poses, {0: q.retract(delta)})
+    return values_of(poses, {0: q.retract(delta)})
 
 
 class TestTotalCost:
@@ -128,7 +128,7 @@ class TestTotalCost:
         assert total_cost(graph, values) == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_covariance_halves_contribution(self):
-        values = GraphValues(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.ones(3))})
+        values = values_of(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.ones(3))})
         target = np.array([1.0, 1.0, 2.0])
         g1, g2 = FactorGraph(), FactorGraph()
         g1.add(CentroidPriorFactor(0, target, NoiseModel.isotropic(3, 1.0)))
@@ -327,7 +327,7 @@ class TestSolveBatch:
             target_t + np.array([0.1, 0.05, -0.08]),
             target_s[[1, 0, 2]] * 1.3,
         )
-        values = GraphValues(quadrics={7: start})
+        values = values_of(quadrics={7: start})
         solved, report = solve_batch(graph, values)
         q = solved.get(("quadric", 7))
         assert report.converged
@@ -360,7 +360,7 @@ class TestSolveBatch:
         graph = FactorGraph()
         tiny = np.full(3, 1e-4)
         graph.add(SizePriorFactor(0, tiny, NoiseModel.isotropic(3, 0.01)))
-        values = GraphValues(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.full(3, 0.3))})
+        values = values_of(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.full(3, 0.3))})
         solved, _ = solve_batch(graph, values)
         assert np.all(solved.get(("quadric", 0)).s >= 1e-4 - 1e-15)
 
@@ -391,7 +391,7 @@ class TestSolveBatch:
         monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
         graph = FactorGraph()
         graph.add(SizePriorFactor(0, np.full(3, 0.1), NoiseModel.isotropic(1, 1.0)))
-        values = GraphValues(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.ones(3))})
+        values = values_of(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.ones(3))})
         with pytest.raises(SingularSystem):
             solve_batch(graph, values)
         np.testing.assert_allclose(dampings, 10.0 ** np.arange(-4, 9), rtol=1e-12)
@@ -416,7 +416,7 @@ class TestDampingSchedule:
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
         free = Quadric(np.eye(3), np.zeros(3), np.ones(3))
-        solved, report = solve_batch(graph, GraphValues(quadrics={0: free, 1: quadric}))
+        solved, report = solve_batch(graph, values_of(quadrics={0: free, 1: quadric}))
         np.testing.assert_array_equal(solved.get(("quadric", 0)).t, free.t)
         return dampings, report
 
@@ -574,7 +574,7 @@ class TestDeactivation:
             )
         )
         graph.add(CentroidPriorFactor(0, np.array([0.0, 0.0, -1.0]), NoiseModel.isotropic(3, 0.01)))
-        values = GraphValues(poses={0: Pose.identity()}, quadrics={0: q0})
+        values = values_of(poses={0: Pose.identity()}, quadrics={0: q0})
         solved, report = solve_batch(graph, values)
         assert solved.get(("quadric", 0)).t[2] > 0.0
         assert "bbox" in report.breakdown
@@ -603,7 +603,7 @@ class TestArrayState:
         assert calls == Counter({"Quadric.__post_init__": 1})
 
     def test_apply_step_is_the_retraction(self, rng):
-        values = GraphValues(
+        values = values_of(
             {3: random_pose(rng), 1: random_pose(rng), 2: random_pose(rng)},
             {5: random_quadric(rng), 0: random_quadric(rng)},
         )
@@ -697,7 +697,7 @@ def mixed_factors(camera):
         for x in np.linspace(-0.6, 0.6, 5)
         for y in np.linspace(-0.4, 0.4, 5)
     ]
-    values = GraphValues(dict(enumerate(poses)), dict(enumerate(grid)))
+    values = values_of(dict(enumerate(poses)), dict(enumerate(grid)))
     fs: list[Factor] = []
     odom_noise = NoiseModel(np.array([1e-4] * 3 + [4e-4] * 3))
     for i in range(len(poses) - 1):
@@ -793,7 +793,7 @@ class TestBatchedLinearization:
             CentroidPriorFactor(0, target, NoiseModel.isotropic(3, 0.1)),
         ]
         graph = graph_of(fs)
-        values = GraphValues(poses={0: Pose.identity()}, quadrics={0: q0})
+        values = values_of(poses={0: Pose.identity()}, quadrics={0: q0})
         index, n = reference_ordering(values)
         H, g = linearize(graph, values)
         H_ref, g_ref = reference_linearize(fs, values, index, n)
@@ -814,7 +814,7 @@ class TestBatchedLinearization:
             j: Quadric(np.eye(3), np.array([0.05 * j - 0.5, 0.0, 3.0]), np.full(3, 0.1))
             for j in range(n_quadrics)
         }
-        values = GraphValues(dict(enumerate(poses)), quadrics)
+        values = values_of(dict(enumerate(poses)), quadrics)
         fs: list[Factor] = []
         noise = NoiseModel.isotropic(4, 2.0, huber=2.0)
         pairs = [(i, j) for j in quadrics for i in range(3)][:64]
@@ -893,7 +893,7 @@ class TestGraphStructure:
         np.testing.assert_array_equal(batch.inputs[1], [[300.0, 220.0, 340.0, 260.0]])
 
     def test_rows_name_the_first_missing_id(self, rng):
-        values = GraphValues(
+        values = values_of(
             {2: random_pose(rng), 5: random_pose(rng), 9: random_pose(rng)},
             {4: random_quadric(rng), 7: random_quadric(rng)},
         )
@@ -912,7 +912,7 @@ class TestGraphStructure:
                 GraphValues().rows(kind, np.array([3, 0]))
 
     def test_quadric_rows_follow_the_poses(self, rng):
-        values = GraphValues(
+        values = values_of(
             {9: random_pose(rng), 2: random_pose(rng), 5: random_pose(rng)},
             {7: random_quadric(rng), 4: random_quadric(rng)},
         )
@@ -922,7 +922,7 @@ class TestGraphStructure:
 
     def test_append_refuses_an_id_not_above_its_kinds_last(self, rng):
         x, q = random_pose(rng), random_quadric(rng)
-        values = GraphValues({2: random_pose(rng), 5: x}, {4: q})
+        values = values_of({2: random_pose(rng), 5: x}, {4: q})
         for kind, idx in [("pose", 5), ("pose", 3), ("quadric", 4), ("quadric", 1)]:
             new = random_pose(rng) if kind == "pose" else random_quadric(rng)
             with pytest.raises(ValueError, match=f"^{kind} id {idx} is not above the last"):
