@@ -69,7 +69,8 @@ class MissingCredentials(RuntimeError):
 
 
 class LLMRequestError(RuntimeError):
-    """Hosted model returned an error response."""
+    """Hosted model could not be reached, or answered with an error status or
+    a reply that holds no completion text."""
 
 
 class OrientationClass(IntEnum):
@@ -288,13 +289,26 @@ class HTTPLLMClient(LLMClient):
                 "temperature": 0,
                 "messages": [{"role": "user", "content": prompt}],
             }
-        resp = requests.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
+        try:
+            resp = requests.post(
+                self.endpoint, json=body, headers=headers, timeout=self.timeout
+            )
+        except requests.RequestException as exc:
+            raise LLMRequestError(f"{self.endpoint}: request failed: {exc}") from exc
         if resp.status_code != 200:
-            raise LLMRequestError(f"status {resp.status_code}: {resp.text[:500]}")
-        data = resp.json()
-        if self.provider == "anthropic":
-            return data["content"][0]["text"]
-        return data["choices"][0]["message"]["content"]
+            raise LLMRequestError(
+                f"{self.endpoint}: status {resp.status_code}: {resp.text[:500]}"
+            )
+        try:
+            data = resp.json()
+            if self.provider == "anthropic":
+                return data["content"][0]["text"]
+            return data["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise LLMRequestError(
+                f"{self.endpoint}: unreadable reply ({type(exc).__name__}: {exc}): "
+                f"{resp.text[:500]}"
+            ) from exc
 
 
 class CachedLLMClient(LLMClient):

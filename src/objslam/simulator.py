@@ -4,8 +4,11 @@ Stands in for a real detector + visual-odometry front end: ellipsoid
 objects are placed on a surface without overlap, a camera orbit looks at
 the scene, detections are exact projected boxes corrupted by pixel noise,
 border truncation, dropout, and a confidence model, and odometry is the
-true relative motion right-composed with Gaussian SE(3) noise. Everything
-is deterministic given the config seed.
+true relative motion right-composed with Gaussian SE(3) noise. The view of
+every (frame, object) pair comes from one batched projection of the whole
+orbit, held as (frames, objects) arrays; the sparse-mode cap is a mask over
+them, and one loop draws the noise of the pairs it shows. Everything is
+deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -229,103 +232,91 @@ class SimConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class _Sighting:
-    """Noiseless per-object view geometry for one frame."""
-
-    index: int
-    full_box: np.ndarray
-    clipped_box: np.ndarray
-    depth: float
-    truncated: bool
-
-
-def _frame_geometry(
-    scene: Scene, x: Pose, K: CameraIntrinsics, image_size: tuple[int, int]
-) -> list[_Sighting]:
-    n = len(scene.objects)
-    if n == 0:
-        return []
+def _clip(boxes: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
+    """Boxes (..., 4) as xmin, ymin, xmax, ymax, clipped to the image."""
     W, H = float(image_size[0]), float(image_size[1])
-    R_wc = np.tile(x.rotation, (n, 1, 1))
-    t_wc = np.tile(x.translation, (n, 1))
-    R_q = np.stack([o.quadric.rotation for o in scene.objects])
-    t_q = np.stack([o.quadric.t for o in scene.objects])
-    s = np.stack([o.quadric.s for o in scene.objects])
-    boxes, valid, _ = project_bbox_batch(R_wc, t_wc, K, R_q, t_q, s)
-    depths = (t_q - x.translation) @ x.rotation[:, 2]
-    sightings = []
-    for i in range(n):
-        if not valid[i]:
-            continue
-        full = boxes[i]
-        clipped = np.array(
-            [max(full[0], 0.0), max(full[1], 0.0), min(full[2], W), min(full[3], H)]
-        )
-        if (
-            clipped[2] - clipped[0] < MIN_VISIBLE_EXTENT_PX
-            or clipped[3] - clipped[1] < MIN_VISIBLE_EXTENT_PX
-        ):
-            continue
-        truncated = bool(np.any(np.abs(clipped - full) > 1e-9))
-        sightings.append(_Sighting(i, full, clipped, float(depths[i]), truncated))
-    return sightings
+    return np.clip(boxes, (0.0, 0.0, -np.inf, -np.inf), (np.inf, np.inf, W, H))
 
 
-def _render_frame(
+def render_orbit(
     scene: Scene,
-    x: Pose,
+    poses: Sequence[Pose],
     K: CameraIntrinsics,
     image_size: tuple[int, int],
     cfg: SimConfig,
     rng: np.random.Generator,
-    allowed: set[int] | None = None,
-) -> tuple[list[Detection], list[int]]:
-    """Noisy detections plus the index of the source object for each."""
-    W, H = float(image_size[0]), float(image_size[1])
-    detections: list[Detection] = []
-    sources: list[int] = []
-    for sighting in _frame_geometry(scene, x, K, image_size):
-        if allowed is not None and sighting.index not in allowed:
-            continue
-        if sighting.truncated and not cfg.truncation:
-            continue
-        if cfg.dropout > 0.0 and rng.uniform() < cfg.dropout:
-            continue
-        box = sighting.clipped_box.copy()
-        if cfg.sigma_px > 0.0:
-            box = box + rng.normal(0.0, cfg.sigma_px, size=4)
-            box = np.array(
-                [max(box[0], 0.0), max(box[1], 0.0), min(box[2], W), min(box[3], H)]
-            )
-            if box[2] - box[0] < 1.0 or box[3] - box[1] < 1.0:
+) -> list[list[tuple[int, Detection]]]:
+    """Noisy detections of every pose, each paired with its source object.
+
+    One projection gives the noiseless view of every (frame, object) pair as
+    (frames, objects) arrays: the box clipped to the image, visibility (a
+    valid projection whose clipped box is at least MIN_VISIBLE_EXTENT_PX
+    both ways), border truncation, the visible share of the box that the
+    confidence starts from, and the centroid depth. The sparse cap keeps, of
+    the frames that see an object, `cap` spread evenly; truncation and
+    dropout filter after it. Noise is drawn frame by frame, objects by
+    index, each shown pair drawing dropout, box noise, confidence jitter and
+    depth noise in that order.
+    """
+    n_f, n_o = len(poses), len(scene.objects)
+    R_wc = np.array([x.rotation for x in poses]).reshape(n_f, 3, 3)
+    t_wc = np.array([x.translation for x in poses]).reshape(n_f, 3)
+    R_q = np.array([o.quadric.rotation for o in scene.objects]).reshape(n_o, 3, 3)
+    t_q = np.array([o.quadric.t for o in scene.objects]).reshape(n_o, 3)
+    s = np.array([o.quadric.s for o in scene.objects]).reshape(n_o, 3)
+    full, valid, _ = project_bbox_batch(
+        np.repeat(R_wc, n_o, axis=0), np.repeat(t_wc, n_o, axis=0), K,
+        np.tile(R_q, (n_f, 1, 1)), np.tile(t_q, (n_f, 1)), np.tile(s, (n_f, 1)),
+    )
+    full = full.reshape(n_f, n_o, 4)
+    boxes = _clip(full, image_size)
+    extent = boxes[..., 2:] - boxes[..., :2]
+    full_extent = full[..., 2:] - full[..., :2]
+    shown = valid.reshape(n_f, n_o) & np.all(extent >= MIN_VISIBLE_EXTENT_PX, axis=2)
+    truncated = np.any(np.abs(boxes - full) > 1e-9, axis=2)
+    confidences = np.clip(
+        extent[..., 0] * extent[..., 1] / (full_extent[..., 0] * full_extent[..., 1]),
+        cfg.confidence_floor, cfg.confidence_ceiling,
+    )
+    # one product per pose: a stacked product can round the last bit
+    # differently, and every simulated dataset would change with it
+    depths = np.array([(t_q - x.translation) @ x.rotation[:, 2] for x in poses])
+
+    cap = cfg.max_observations_per_object
+    if cap is not None:
+        for o in range(n_o):
+            seen = np.flatnonzero(shown[:, o])
+            if len(seen) > cap:
+                picks = np.round(np.linspace(0, len(seen) - 1, cap)).astype(int)
+                shown[np.delete(seen, picks), o] = False
+    if not cfg.truncation:
+        shown &= ~truncated
+
+    frames: list[list[tuple[int, Detection]]] = []
+    for f in range(n_f):
+        sightings = []
+        for o in map(int, np.flatnonzero(shown[f])):
+            if cfg.dropout > 0.0 and rng.uniform() < cfg.dropout:
                 continue
-        full_area = (sighting.full_box[2] - sighting.full_box[0]) * (
-            sighting.full_box[3] - sighting.full_box[1]
-        )
-        visible_area = (sighting.clipped_box[2] - sighting.clipped_box[0]) * (
-            sighting.clipped_box[3] - sighting.clipped_box[1]
-        )
-        confidence = float(
-            np.clip(visible_area / full_area, cfg.confidence_floor, cfg.confidence_ceiling)
-        )
-        if cfg.confidence_jitter > 0.0:
-            confidence = float(
-                np.clip(confidence + rng.normal(0.0, cfg.confidence_jitter), 0.0, 1.0)
+            box = boxes[f, o]
+            if cfg.sigma_px > 0.0:
+                box = _clip(box + rng.normal(0.0, cfg.sigma_px, size=4), image_size)
+                if np.any(box[2:] - box[:2] < 1.0):
+                    continue
+            confidence = float(confidences[f, o])
+            if cfg.confidence_jitter > 0.0:
+                confidence = float(
+                    np.clip(confidence + rng.normal(0.0, cfg.confidence_jitter), 0.0, 1.0)
+                )
+            depth = float(depths[f, o])
+            if cfg.sigma_depth > 0.0:
+                depth = max(depth + float(rng.normal(0.0, cfg.sigma_depth)), 0.05)
+            detection = Detection(
+                BoundingBox2D(*box), scene.objects[o].label, confidence, center_depth=depth
             )
-        depth = sighting.depth
-        if cfg.sigma_depth > 0.0:
-            depth = max(depth + float(rng.normal(0.0, cfg.sigma_depth)), 0.05)
-        detections.append(
-            Detection(
-                BoundingBox2D(*box),
-                scene.objects[sighting.index].label,
-                confidence,
-                center_depth=depth,
-            )
-        )
-        sources.append(sighting.index)
-    return detections, sources
+            sightings.append((o, detection))
+        frames.append(sightings)
+    return frames
 
 
 def perturb_odometry(
@@ -349,35 +340,6 @@ def perturb_odometry(
     return entries
 
 
-def _sparse_allowance(
-    scene: Scene,
-    poses: Sequence[Pose],
-    K: CameraIntrinsics,
-    image_size: tuple[int, int],
-    cap: int,
-) -> list[set[int]]:
-    """Per-frame object whitelists limiting each object to `cap` sightings,
-    spread evenly over the frames where it is geometrically visible."""
-    visible_frames: dict[int, list[int]] = {i: [] for i in range(len(scene.objects))}
-    for f, x in enumerate(poses):
-        for sighting in _frame_geometry(scene, x, K, image_size):
-            visible_frames[sighting.index].append(f)
-    allowed: list[set[int]] = [set() for _ in poses]
-    for obj_index, frames in visible_frames.items():
-        if not frames:
-            continue
-        if len(frames) <= cap:
-            chosen = frames
-        else:
-            picks = np.unique(
-                np.round(np.linspace(0, len(frames) - 1, cap)).astype(int)
-            )
-            chosen = [frames[p] for p in picks]
-        for f in chosen:
-            allowed[f].add(obj_index)
-    return allowed
-
-
 def simulate_dataset(
     spec: SceneSpec,
     n_frames: int,
@@ -395,22 +357,12 @@ def simulate_dataset(
     render_rng = np.random.default_rng([cfg.seed, 1])
     odom_rng = np.random.default_rng([cfg.seed, 2])
 
-    allowed: list[set[int]] | None = None
-    if cfg.max_observations_per_object is not None:
-        allowed = _sparse_allowance(
-            scene, poses, K, image_size, cfg.max_observations_per_object
-        )
-
     frames: list[Frame] = []
     gt_association: dict[int, list[tuple[int, int]]] = {}
-    for f, x in enumerate(poses):
-        detections, sources = _render_frame(
-            scene, x, K, image_size, cfg, render_rng,
-            allowed[f] if allowed is not None else None,
-        )
-        frames.append(Frame(f, tuple(detections)))
-        if sources:
-            gt_association[f] = [(d, o) for d, o in enumerate(sources)]
+    for f, sightings in enumerate(render_orbit(scene, poses, K, image_size, cfg, render_rng)):
+        frames.append(Frame(f, tuple(det for _, det in sightings)))
+        if sightings:
+            gt_association[f] = [(d, o) for d, (o, _) in enumerate(sightings)]
 
     dataset = Dataset(
         intrinsics=K,

@@ -9,8 +9,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from types import SimpleNamespace  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+import requests  # noqa: E402
 
 from objslam.geometry import CameraIntrinsics, Pose, Quadric, so3_exp  # noqa: E402
 
@@ -54,3 +57,37 @@ def camera() -> CameraIntrinsics:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+ENDPOINT = "http://llm.invalid/v1/complete"
+
+
+def reply(status: int, content: bytes) -> requests.Response:
+    """A real `requests` response with the given status and body."""
+    resp = requests.Response()
+    resp.status_code = status
+    resp._content = content
+    resp.encoding = "utf-8"
+    return resp
+
+
+@pytest.fixture()
+def hosted(monkeypatch):
+    """Point the hosted client at a fake endpoint and replace `requests.post`
+    with a stub that records each call and answers with ``hosted.answer``
+    (a Response, or an exception to raise); no socket is opened. The
+    provider is the default, openai, unless a test sets it."""
+    monkeypatch.delenv("OBJSLAM_LLM_PROVIDER", raising=False)
+    monkeypatch.setenv("OBJSLAM_LLM_ENDPOINT", ENDPOINT)
+    monkeypatch.setenv("OBJSLAM_LLM_API_KEY", "k-123")
+    monkeypatch.setenv("OBJSLAM_LLM_MODEL", "m-1")
+    state = SimpleNamespace(calls=[], answer=None)
+
+    def post(url, **kwargs):
+        state.calls.append((url, kwargs))
+        if isinstance(state.answer, Exception):
+            raise state.answer
+        return state.answer
+
+    monkeypatch.setattr(requests, "post", post)
+    return state

@@ -18,7 +18,7 @@ from objslam.config import RunConfig
 from objslam.dataset import Dataset, Detection, Frame
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
 from objslam.priors import PriorTable
-from objslam.simulator import Scene, SimConfig, _render_frame
+from objslam.simulator import Scene, SimConfig, render_orbit
 
 
 def pose_matrix(x: Pose) -> np.ndarray:
@@ -52,12 +52,12 @@ def render_detections(
     cfg: SimConfig,
     rng: np.random.Generator | None = None,
 ) -> list[Detection]:
-    """One frame of noisy detections (see simulator._render_frame for the
-    recipe), drawn from `rng` or from a generator seeded with cfg.seed."""
+    """One frame of noisy detections, the orbit renderer's (see
+    simulator.render_orbit) over the single pose `x`, drawn from `rng` or
+    from a generator seeded with cfg.seed."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    detections, _ = _render_frame(scene, x, K, image_size, cfg, rng)
-    return detections
+    return [det for _, det in render_orbit(scene, [x], K, image_size, cfg, rng)[0]]
 
 
 def drop_depths(dataset: Dataset, fraction: float, seed: int) -> Dataset:

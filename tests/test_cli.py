@@ -3,11 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 
 from objslam import pipeline
 from objslam.cli import main
 from objslam.dataset import load_dataset
 from objslam.priors import ENV_API_KEY, ENV_ENDPOINT, parse_prior_csv
+
+from conftest import ENDPOINT, reply
 
 
 @pytest.fixture()
@@ -268,6 +271,21 @@ class TestExitCodes:
         code = main(["gen-priors", "--vocab", str(vocab), "-o", str(tmp_path / "p.csv")])
         assert code == 1
         assert ENV_ENDPOINT in capsys.readouterr().err
+
+    @pytest.mark.parametrize("answer", [
+        requests.ConnectionError("Connection refused"),
+        reply(200, b"<html>not json</html>"),
+        reply(200, b'{"error": "no choices here"}'),
+    ], ids=["unreachable", "not-json", "no-choices"])
+    def test_failed_model_exchange_is_runtime_error(self, tmp_path, capsys, hosted, answer):
+        hosted.answer = answer
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("mug\n")
+        code = main(["gen-priors", "--vocab", str(vocab), "-o", str(tmp_path / "p.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and ENDPOINT in err
+        assert len(hosted.calls) == 1
 
 
 class TestFlow:

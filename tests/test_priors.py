@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import requests
 
 from objslam.priors import (
     CSV_HEADER,
@@ -11,6 +12,7 @@ from objslam.priors import (
     EmptyVocabulary,
     FixtureLLMClient,
     HTTPLLMClient,
+    LLMRequestError,
     MalformedResponse,
     MissingCredentials,
     OrientationClass,
@@ -25,7 +27,7 @@ from objslam.priors import (
     write_prior_csv,
 )
 
-from conftest import random_rotation
+from conftest import ENDPOINT, random_rotation, reply
 
 WELL_FORMED = """object,length,width,height,orientation
 bottle,0.08,0.08,0.25,0
@@ -188,6 +190,49 @@ class TestHTTPClient:
             monkeypatch.delenv(var, raising=False)
         with pytest.raises(MissingCredentials):
             HTTPLLMClient()
+
+    def test_openai_request_shape(self, hosted):
+        hosted.answer = reply(200, b'{"choices": [{"message": {"content": "csv"}}]}')
+        assert HTTPLLMClient(timeout=7.0).complete("the prompt") == "csv"
+        assert hosted.calls == [(ENDPOINT, {
+            "json": {
+                "model": "m-1",
+                "temperature": 0,
+                "messages": [{"role": "user", "content": "the prompt"}],
+            },
+            "headers": {"Authorization": "Bearer k-123"},
+            "timeout": 7.0,
+        })]
+
+    def test_anthropic_request_shape(self, hosted, monkeypatch):
+        monkeypatch.setenv("OBJSLAM_LLM_PROVIDER", "anthropic")
+        hosted.answer = reply(200, b'{"content": [{"type": "text", "text": "csv"}]}')
+        assert HTTPLLMClient(timeout=7.0).complete("the prompt") == "csv"
+        assert hosted.calls == [(ENDPOINT, {
+            "json": {
+                "model": "m-1",
+                "max_tokens": 2048,
+                "temperature": 0,
+                "messages": [{"role": "user", "content": "the prompt"}],
+            },
+            "headers": {"x-api-key": "k-123", "anthropic-version": "2023-06-01"},
+            "timeout": 7.0,
+        })]
+
+    def test_error_status_is_request_error(self, hosted):
+        hosted.answer = reply(503, b"overloaded")
+        with pytest.raises(LLMRequestError, match="status 503: overloaded"):
+            HTTPLLMClient().complete("p")
+
+    @pytest.mark.parametrize("answer", [
+        requests.ConnectionError("Connection refused"),
+        reply(200, b"<html>not json</html>"),
+        reply(200, b'{"error": "no choices here"}'),
+    ], ids=["unreachable", "not-json", "no-choices"])
+    def test_failed_exchange_is_request_error_naming_endpoint(self, hosted, answer):
+        hosted.answer = answer
+        with pytest.raises(LLMRequestError, match=ENDPOINT):
+            HTTPLLMClient().complete("p")
 
 
 class TestSizeEstimate:

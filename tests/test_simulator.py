@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from objslam import simulator
 from objslam.dataset import load_dataset, write_dataset
 from objslam.geometry import (
     CameraIntrinsics,
     Pose,
     compose,
+    project_bbox_batch,
 )
 from objslam.priors import OrientationClass, PriorRecord
 from objslam.simulator import (
@@ -370,6 +372,71 @@ class TestSimulatedDataset:
                 counts[obj_idx] += 1
         assert all(c <= 3 for c in counts.values())
         assert any(c > 0 for c in counts.values())
+
+    @pytest.mark.parametrize("cap", [1, 3, 5])
+    def test_sparse_cap_keeps_evenly_spread_frames(self, cap):
+        # quiet runs draw nothing, so capping only removes sightings
+        spec = SceneSpec(n_objects=6)
+        dense, _ = simulate_dataset(spec, 15, self.K, IMAGE, quiet_config())
+        capped, _ = simulate_dataset(
+            spec, 15, self.K, IMAGE, quiet_config(max_observations_per_object=cap)
+        )
+
+        def sightings(dataset):
+            """object index -> [(frame id, box sides)] in frame order"""
+            views = {}
+            for frame in dataset.frames:
+                for d, o in (dataset.gt_association or {}).get(frame.frame_id, []):
+                    box = frame.detections[d].bbox.as_array()
+                    views.setdefault(o, []).append((frame.frame_id, box))
+            return views
+
+        seen, kept = sightings(dense), sightings(capped)
+        assert kept.keys() == seen.keys()
+        assert any(len(views) > cap for views in seen.values())
+        for o, views in seen.items():
+            frames = np.array([f for f, _ in views])
+            if len(frames) > cap:
+                frames = frames[np.unique(np.round(np.linspace(0, len(frames) - 1, cap)).astype(int))]
+            assert [f for f, _ in kept[o]] == frames.tolist()
+            boxes = dict(views)
+            for f, box in kept[o]:
+                assert box.tobytes() == boxes[f].tobytes()
+
+    @pytest.mark.parametrize("truncation", [True, False])
+    def test_orbit_equals_one_pose_at_a_time(self, truncation):
+        cfg = quiet_config(truncation=truncation)
+        dataset, scene = simulate_dataset(
+            SceneSpec(n_objects=8), 20, self.K, IMAGE, cfg, radius=1.4, height=0.9
+        )
+        poses = dict(dataset.gt_trajectory)
+
+        def bits(detections):
+            return [
+                (d.bbox.as_array().tobytes(), d.confidence, d.center_depth, d.label)
+                for d in detections
+            ]
+
+        confidences = set()
+        for frame in dataset.frames:
+            alone = render_detections(scene, poses[frame.frame_id], self.K, IMAGE, cfg)
+            assert bits(frame.detections) == bits(alone)
+            confidences |= {d.confidence for d in alone}
+        assert len(confidences) > (1 if truncation else 0)
+
+    def test_one_projection_per_dataset(self, monkeypatch):
+        rows = []
+
+        def counting(*args):
+            rows.append(len(args[0]))
+            return project_bbox_batch(*args)
+
+        monkeypatch.setattr(simulator, "project_bbox_batch", counting)
+        simulate_dataset(
+            SceneSpec(n_objects=5), 12, self.K, IMAGE,
+            SimConfig(sigma_px=2.0, max_observations_per_object=3, seed=1),
+        )
+        assert rows == [60]
 
     def test_sparse_cap_looser_than_visibility_changes_nothing(self):
         dense, _ = simulate_dataset(SceneSpec(n_objects=4), 6, self.K, IMAGE,
