@@ -2,7 +2,7 @@
 
 ``associate_long_term`` maps one frame's detections to landmarks: every
 detection is scored against every landmark at once, then matched by a
-rectangular linear sum assignment that drops pairs below a gate.
+rectangular linear sum assignment that drops pairs below ``GATE``.
 
 The assignment is ``linear_sum_assignment``, a port of the
 shortest-augmenting-path algorithm of Crouse ("On implementing 2D
@@ -12,15 +12,16 @@ index order, takes the first of the cheapest, and prefers a free column on
 equal cost. So it returns scipy's assignment, ties included, and the
 association and ``evaluation.match_map_to_gt`` share it.
 
-Pair weight: IoU(measured box, predicted box) + w_s * psi + w_d / distance,
-where psi is 1 when the labels are identical or their embeddings lie within
-a threshold, and the distance between the landmark centroid and the
-back-projected detection center is floored to keep the term bounded; a
-detection without depth has no distance term. Each term is one (d, m) array
-over all pairs: landmarks arrive as stacked (R, t, s) arrays, so one batched
-projection predicts every box; ``EmbeddingTable.compatible`` gives psi as
-one matrix; and one stacked ``back_project_pixel`` places the centers of
-the detections that carry depth.
+Pair weight: IoU(measured box, predicted box) + SEMANTIC_WEIGHT * psi +
+DISTANCE_WEIGHT / max(distance, MIN_DISTANCE), where psi is 1 when the
+labels are identical or their embeddings lie within SEMANTIC_THRESHOLD, and
+the distance runs from the landmark centroid to the back-projected detection
+center; a detection without depth has no distance term. These weights and
+the gate are module constants, as the paper fixes them. Each term is one
+(d, m) array over all pairs: landmarks arrive as stacked (R, t, s) arrays,
+so one batched projection predicts every box; ``EmbeddingTable.compatible``
+gives psi as one matrix; and one stacked ``back_project_pixel`` places the
+centers of the detections that carry depth.
 """
 
 from __future__ import annotations
@@ -38,24 +39,7 @@ from .geometry import (
     Pose,
     back_project_pixel,
     project_bbox_batch,
-    require_field_types,
 )
-
-
-@dataclass(frozen=True)
-class AssociationConfig:
-    semantic_weight: float = 0.3
-    distance_weight: float = 0.2
-    semantic_threshold: float = 4.0
-    gate: float = 0.2
-    min_distance: float = 0.05
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        if self.gate < 0.0:
-            raise ValueError("gate must be non-negative")
-        if self.min_distance <= 0.0:
-            raise ValueError("distance floor must be positive")
 
 
 def box_ious(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,6 +125,15 @@ class EmbeddingTable:
         return (same | near).astype(np.float64)
 
 
+# The pair weight's coefficients (see above). SEMANTIC_THRESHOLD is a
+# Euclidean distance on the scale of the bundled 50-d embedding table.
+SEMANTIC_WEIGHT = 0.3
+DISTANCE_WEIGHT = 0.2
+SEMANTIC_THRESHOLD = 4.0
+GATE = 0.2
+MIN_DISTANCE = 0.05
+
+
 def association_weight(
     detections: Sequence[Detection],
     quadrics: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -148,7 +141,6 @@ def association_weight(
     x: Pose,
     K: CameraIntrinsics,
     table: EmbeddingTable,
-    cfg: AssociationConfig,
 ) -> np.ndarray:
     """Weights (d, m) of every detection against every landmark.
 
@@ -163,8 +155,8 @@ def association_weight(
         R_q, t_q, s_q,
     )
     boxes = _box_rows(det.bbox for det in detections)
-    psi = table.compatible([d.label for d in detections], landmark_labels, cfg.semantic_threshold)
-    w = box_ious(boxes, predicted) + cfg.semantic_weight * psi
+    psi = table.compatible([d.label for d in detections], landmark_labels, SEMANTIC_THRESHOLD)
+    w = box_ious(boxes, predicted) + SEMANTIC_WEIGHT * psi
     depths = np.array([np.nan if det.center_depth is None else det.center_depth
                        for det in detections], dtype=np.float64)
     has_depth = ~np.isnan(depths)
@@ -172,7 +164,7 @@ def association_weight(
         K, x, 0.5 * (boxes[has_depth, :2] + boxes[has_depth, 2:]), depths[has_depth]
     )
     dist = np.linalg.norm(t_q[None, :, :] - centers[:, None, :], axis=-1)
-    w[has_depth] += cfg.distance_weight / np.maximum(dist, cfg.min_distance)
+    w[has_depth] += DISTANCE_WEIGHT / np.maximum(dist, MIN_DISTANCE)
     return w
 
 
@@ -316,16 +308,14 @@ def associate_long_term(
     x: Pose,
     K: CameraIntrinsics,
     table: EmbeddingTable,
-    cfg: AssociationConfig,
 ) -> AssociationResult:
     """Match one frame's detections to landmark ids by the gated LSAP over
     every detection and every landmark. ``landmark_ids``,
     ``landmark_labels`` and the stacked ``quadrics`` (rotations, centroids,
     semi-axes) describe the landmarks row by row.
     """
-    result = solve_lsap(
-        association_weight(detections, quadrics, landmark_labels, x, K, table, cfg), cfg.gate
-    )
+    W = association_weight(detections, quadrics, landmark_labels, x, K, table)
+    result = solve_lsap(W, GATE)
     matches = {r: landmark_ids[c] for r, c in result.matches.items()}
     return AssociationResult(matches, result.unmatched_detections)
 

@@ -15,10 +15,8 @@ from pathlib import Path
 
 import yaml
 
-from .association import AssociationConfig
 from .geometry import CameraIntrinsics, SettingTypeError, require_field_types
 from .optimizer import Flags, NoiseConfig, SolverConfig
-from .priors import PriorConfig
 from .simulator import SimConfig
 
 MODES = ("batch", "incremental")
@@ -108,8 +106,6 @@ class RunConfig:
     mode: str = "incremental"
     match_threshold: float = 0.5
     flags: Flags = field(default_factory=Flags)
-    prior: PriorConfig = field(default_factory=PriorConfig)
-    association: AssociationConfig = field(default_factory=AssociationConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     sim: SimConfig = field(default_factory=SimConfig)

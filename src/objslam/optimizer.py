@@ -99,7 +99,6 @@ from .geometry import (
     retract,
 )
 from .priors import (
-    PriorConfig,
     PriorRecord,
     PriorTable,
     orientation_prior_frame,
@@ -314,16 +313,17 @@ class SolverConfig:
             raise ValueError("iteration budgets must be positive")
 
 
+# The Huber width of the bbox factors in standard deviations: an outlier box
+# loses influence past two.
+BBOX_HUBER_MULTIPLIER = 2.0
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Factor noise scales assumed by the estimator (not the simulator).
-
-    The Huber width of the bbox factors is ``bbox_huber_multiplier`` standard
-    deviations, so outlier boxes lose influence past two by default.
-    """
+    """Factor noise scales assumed by the estimator (not the simulator). The
+    bbox factors' Huber width is the constant ``BBOX_HUBER_MULTIPLIER``."""
 
     bbox_sigma_px: float = 10.0
-    bbox_huber_multiplier: float = 2.0
     odom_sigma_rot: float = 0.01
     odom_sigma_trans: float = 0.01
 
@@ -331,11 +331,9 @@ class NoiseConfig:
         require_field_types(self)
         if min(self.bbox_sigma_px, self.odom_sigma_rot, self.odom_sigma_trans) <= 0.0:
             raise ValueError("noise scales must be positive")
-        if self.bbox_huber_multiplier <= 0.0:
-            raise ValueError("huber multiplier must be positive")
 
     def bbox_noise(self) -> NoiseModel:
-        return NoiseModel.isotropic(4, self.bbox_sigma_px, self.bbox_huber_multiplier)
+        return NoiseModel.isotropic(4, self.bbox_sigma_px, BBOX_HUBER_MULTIPLIER)
 
     def odom_noise(self) -> NoiseModel:
         return NoiseModel(np.array([self.odom_sigma_rot**2] * 3 + [self.odom_sigma_trans**2] * 3))
@@ -604,7 +602,6 @@ def add_keyframe(
     K: CameraIntrinsics,
     noise: NoiseConfig = NoiseConfig(),
     flags: Flags = Flags(),
-    prior: PriorConfig = PriorConfig(),
     image_size: tuple[float, float] | None = None,
 ) -> dict[int, int]:
     """Append one keyframe's variables and factors.
@@ -649,13 +646,13 @@ def add_keyframe(
         graph.add(BBoxFactor(pose_id, next_id, det.bbox, K, bbox_noise, image_size))
         if record is not None:
             s_hat = size_prior_estimate(record, q0.s, det.confidence)
-            var_r, var_t, var_s = prior_variances(s_hat, prior)
+            var_r, var_t, var_s = prior_variances(s_hat)
             if flags.size_prior:
                 graph.add(SizePriorFactor(next_id, s_hat, NoiseModel(var_s)))
             if flags.orientation_prior:
                 # initialize_landmark already adopted orientation_prior_frame,
                 # whose local z is gravity and carries the loose yaw variance
-                # kz, so the target is the initial rotation itself.
+                # KZ, so the target is the initial rotation itself.
                 graph.add(OrientationPriorFactor(next_id, q0.rotation, NoiseModel(var_r)))
             if flags.centroid_factor:
                 graph.add(CentroidPriorFactor(next_id, q0.t, NoiseModel(var_t)))

@@ -201,15 +201,14 @@ def run_slam(
             ids = values.quadric_ids.tolist()
             assoc = associate_long_term(
                 detections, ids, [labels[lid] for lid in ids],
-                values.stacked("quadric", values.rows("quadric", ids)),
-                x, K, table, cfg.association,
+                values.stacked("quadric", values.rows("quadric", ids)), x, K, table,
             )
             t0 = lap("associate", t0)
 
             landmarks = len(values.quadric_ids)
             mapping = add_keyframe(
                 graph, values, frame.frame_id, x, odom, detections, assoc, priors, K,
-                cfg.noise, cfg.flags, cfg.prior, dataset.image_size,
+                cfg.noise, cfg.flags, dataset.image_size,
             )
             for det_idx, lid in mapping.items():
                 labels.setdefault(lid, detections[det_idx].label)

@@ -13,7 +13,8 @@ unary factors on each landmark:
   upright, and whose local x keeps the heading of the initial rotation;
 - variances scaled so roll/pitch (local x, y) are trusted, yaw about
   local z (gravity) is nearly free, and translation/size uncertainty grows
-  with object size.
+  with object size; the scales KX, KY, KZ, KT and KS are module constants,
+  as the paper fixes them.
 
 Responses are cached on disk per vocabulary. Credentials for the hosted
 model come from environment variables only.
@@ -30,8 +31,6 @@ from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
-
-from .geometry import require_field_types
 
 PROMPT_TEMPLATE = (
     "Provide commonsense knowledge about the physical dimensions and "
@@ -58,10 +57,6 @@ class EmptyVocabulary(ValueError):
 
 class MalformedResponse(ValueError):
     """Model response could not be parsed as the requested CSV."""
-
-
-class ConfigOutOfRange(ValueError):
-    """A prior scale parameter lies outside its admissible interval."""
 
 
 class MissingCredentials(RuntimeError):
@@ -129,31 +124,6 @@ class PriorTable:
 
     def __contains__(self, label: str) -> bool:
         return label in self.records
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    """Scales for prior variances.
-
-    Roll/pitch deviations kx, ky must lie in (0, pi/16); yaw deviation kz in
-    (pi/2, pi) so the heading stays effectively unconstrained; translation
-    and size multipliers kt, ks in (0.5, 2).
-    """
-
-    kx: float = np.pi / 32.0
-    ky: float = np.pi / 32.0
-    kz: float = 3.0 * np.pi / 4.0
-    kt: float = 1.0
-    ks: float = 1.0
-
-    def __post_init__(self) -> None:
-        require_field_types(self)
-        if not (0.0 < self.kx < np.pi / 16.0 and 0.0 < self.ky < np.pi / 16.0):
-            raise ConfigOutOfRange(f"kx, ky must lie in (0, pi/16), got {self.kx}, {self.ky}")
-        if not (np.pi / 2.0 < self.kz < np.pi):
-            raise ConfigOutOfRange(f"kz must lie in (pi/2, pi), got {self.kz}")
-        if not (0.5 < self.kt < 2.0 and 0.5 < self.ks < 2.0):
-            raise ConfigOutOfRange(f"kt, ks must lie in (0.5, 2), got {self.kt}, {self.ks}")
 
 
 def _vocabulary(labels: list[str]) -> list[str]:
@@ -332,9 +302,11 @@ class CachedLLMClient(LLMClient):
         return response
 
 
-def generate_prior_table(
-    labels: list[str], client: LLMClient, retries: int = 2
-) -> PriorTable:
+# Model queries after a reply with no parseable row, before giving up.
+RETRIES = 2
+
+
+def generate_prior_table(labels: list[str], client: LLMClient) -> PriorTable:
     """Query the model once for the whole vocabulary and assemble the table.
 
     Every input label ends up with exactly one record: rows that fail
@@ -346,7 +318,7 @@ def generate_prior_table(
 
     records: list[PriorRecord] = []
     last_errors: list[str] = []
-    for _ in range(retries + 1):
+    for _ in range(RETRIES + 1):
         response = client.complete(prompt)
         records, last_errors = _parse_rows(response)
         if records:
@@ -393,7 +365,7 @@ def orientation_prior_frame(
     the heading, taken from the horizontal projection of the corresponding
     blob axis. This matters because the orientation variances of
     :func:`prior_variances` are broad only in the z component (heading about
-    gravity, deviation ``kz``); if the vertical landed on a tight local axis
+    gravity, deviation ``KZ``); if the vertical landed on a tight local axis
     the prior would fight the data over yaw.
     """
     w_z = np.array([0.0, 0.0, 1.0])
@@ -424,13 +396,21 @@ def orientation_prior_frame(
     return frame, np.array([s[k_x], s[k_y], s[k_v]])
 
 
-def prior_variances(
-    s_hat: np.ndarray, config: PriorConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# Prior variance scales: roll/pitch deviations KX, KY (admissible in
+# (0, pi/16)); yaw deviation KZ (in (pi/2, pi), so the heading stays
+# effectively unconstrained); translation and size multipliers KT, KS (in
+# (0.5, 2)).
+KX = np.pi / 32.0
+KY = np.pi / 32.0
+KZ = 3.0 * np.pi / 4.0
+KT = 1.0
+KS = 1.0
+
+
+def prior_variances(s_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rotation, translation, size) prior variances (3,) each for a size
     target."""
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s_hat.shape != (3,) or np.any(s_hat <= 0.0):
         raise ValueError(f"size target must be 3 positive values, got {s_hat}")
-    var_r = np.array([config.kx**2, config.ky**2, config.kz**2])
-    return var_r, config.kt**2 * s_hat**2, config.ks**2 * s_hat**2
+    return np.array([KX**2, KY**2, KZ**2]), KT**2 * s_hat**2, KS**2 * s_hat**2

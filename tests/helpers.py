@@ -16,6 +16,7 @@ import numpy as np
 from objslam import pipeline
 from objslam.config import RunConfig
 from objslam.dataset import Dataset, Detection, Frame
+from objslam.evaluation import EvalReport
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
 from objslam.priors import PriorTable
 from objslam.simulator import Scene, SimConfig, render_orbit
@@ -74,11 +75,13 @@ def drop_depths(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     return dataclasses.replace(dataset, frames=frames)
 
 
-def wrong_detections(cfg: RunConfig, dataset: Dataset, priors: PriorTable) -> int:
+def wrong_detections(
+    cfg: RunConfig, dataset: Dataset, priors: PriorTable
+) -> tuple[int, EvalReport]:
     """Run the pipeline and score every detection it put on the map against
-    ``dataset.gt_association``: the number of wrong ones. A detection is
-    wrong in the CLEAR MOT sense when the landmark it was mapped to mostly
-    holds another ground-truth object."""
+    ``dataset.gt_association``: the number of wrong ones, and the run's
+    evaluation report. A detection is wrong in the CLEAR MOT sense when the
+    landmark it was mapped to mostly holds another ground-truth object."""
     held: dict[int, list[int]] = {}  # landmark id -> the object of each detection
     add = pipeline.add_keyframe
 
@@ -91,7 +94,7 @@ def wrong_detections(cfg: RunConfig, dataset: Dataset, priors: PriorTable) -> in
 
     pipeline.add_keyframe = recording
     try:
-        pipeline.run_slam(cfg, dataset, priors)
+        _, report, _ = pipeline.run_slam(cfg, dataset, priors)
     finally:
         pipeline.add_keyframe = add
-    return sum(len(objs) - max(Counter(objs).values()) for objs in held.values())
+    return sum(len(objs) - max(Counter(objs).values()) for objs in held.values()), report

@@ -8,7 +8,10 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from objslam.association import (
-    AssociationConfig,
+    DISTANCE_WEIGHT,
+    MIN_DISTANCE,
+    SEMANTIC_THRESHOLD,
+    SEMANTIC_WEIGHT,
     EmbeddingTable,
     TrackerState,
     associate_long_term,
@@ -75,19 +78,19 @@ def reference_psi(a: str, b: str, table: EmbeddingTable, threshold: float) -> fl
     return float(np.linalg.norm(table.vectors[a] - table.vectors[b]) <= threshold)
 
 
-def reference_weight(d, q, label, x, K, table, cfg) -> float:
+def reference_weight(d, q, label, x, K, table) -> float:
     """Reference: the weight of one pair from the oracle projection, with the
     box center back-projected along its pinhole ray to the measured depth."""
     try:
         overlap = scalar_iou(d.bbox, predict_bbox(x, K, q))
     except (BehindCamera, DegenerateConic):
         overlap = 0.0
-    w = overlap + cfg.semantic_weight * reference_psi(d.label, label, table, cfg.semantic_threshold)
+    w = overlap + SEMANTIC_WEIGHT * reference_psi(d.label, label, table, SEMANTIC_THRESHOLD)
     if d.center_depth is not None:
         u, v = d.bbox.center()
         ray = np.array([(u - K.cx) / K.fx, (v - K.cy) / K.fy, 1.0])
         t_hat = x.rotation @ (d.center_depth * ray) + x.translation
-        w += cfg.distance_weight / max(float(np.linalg.norm(q.t - t_hat)), cfg.min_distance)
+        w += DISTANCE_WEIGHT / max(float(np.linalg.norm(q.t - t_hat)), MIN_DISTANCE)
     return w
 
 
@@ -98,17 +101,17 @@ def stack(quadrics: list[Quadric]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([q.s for q in quadrics]).reshape(-1, 3))
 
 
-def weights(dets, quadrics, labels, x, K, table, cfg) -> np.ndarray:
+def weights(dets, quadrics, labels, x, K, table) -> np.ndarray:
     """association_weight over a list of quadrics."""
-    return association_weight(dets, stack(quadrics), labels, x, K, table, cfg)
+    return association_weight(dets, stack(quadrics), labels, x, K, table)
 
 
-def long_term(dets, landmarks, x, K, cfg):
+def long_term(dets, landmarks, x, K):
     """associate_long_term over (id, quadric, label) triples."""
     ids = [lid for lid, _, _ in landmarks]
     labels = [label for _, _, label in landmarks]
     quadrics = stack([q for _, q, _ in landmarks])
-    return associate_long_term(dets, ids, labels, quadrics, x, K, EmbeddingTable.empty(), cfg)
+    return associate_long_term(dets, ids, labels, quadrics, x, K, EmbeddingTable.empty())
 
 
 class TestBBoxIoU:
@@ -256,18 +259,16 @@ class TestAssociationWeight:
         # Sphere dead ahead: measured box equals the prediction, labels match,
         # and the back-projected center lands on the centroid, so the
         # distance term saturates at w_d / min_distance.
-        cfg = AssociationConfig()
         q = Quadric(np.eye(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.5))
         x = Pose.identity()
         predicted = predict_bbox(x, camera, q)
         d = det(predicted, label="mug", depth=4.0)
-        W = weights([d], [q], ["mug"], x, camera, EmbeddingTable.empty(), cfg)
+        W = weights([d], [q], ["mug"], x, camera, EmbeddingTable.empty())
         assert W.shape == (1, 1)
         assert W[0, 0] == pytest.approx(1.0 + 0.3 + 0.2 / 0.05, abs=1e-6)
 
     def test_formula_consistency(self, camera):
         rng = np.random.default_rng(89)
-        cfg = AssociationConfig()
         table = EmbeddingTable.load(FIXTURE)
         x = Pose.identity()
         for _ in range(50):
@@ -280,31 +281,28 @@ class TestAssociationWeight:
             box = BoundingBox2D(center[0] - 40, center[1] - 30, center[0] + 40, center[1] + 30)
             depth = float(rng.uniform(2, 6))
             d = det(box, label="cup", depth=depth)
-            w = weights([d], [q], ["mug"], x, camera, table, cfg)[0, 0]
-            expected = reference_weight(d, q, "mug", x, camera, table, cfg)
+            w = weights([d], [q], ["mug"], x, camera, table)[0, 0]
+            expected = reference_weight(d, q, "mug", x, camera, table)
             assert w == pytest.approx(expected, abs=1e-12)
 
     def test_no_depth_omits_distance_term(self, camera):
-        cfg = AssociationConfig()
         q = Quadric(np.eye(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.5))
         predicted = predict_bbox(Pose.identity(), camera, q)
         d = det(predicted, label="mug", depth=None)
-        W = weights([d], [q], ["mug"], Pose.identity(), camera, EmbeddingTable.empty(), cfg)
+        W = weights([d], [q], ["mug"], Pose.identity(), camera, EmbeddingTable.empty())
         assert W[0, 0] == pytest.approx(1.3, abs=1e-6)
 
     def test_invisible_landmark_keeps_semantic_term(self, camera):
-        cfg = AssociationConfig()
         q = Quadric(np.eye(3), np.array([0.0, 0.0, -4.0]), np.full(3, 0.5))
         d = det(BoundingBox2D(100, 100, 200, 200), label="mug")
-        W = weights([d], [q], ["mug"], Pose.identity(), camera, EmbeddingTable.empty(), cfg)
-        assert W[0, 0] == pytest.approx(cfg.semantic_weight)
+        W = weights([d], [q], ["mug"], Pose.identity(), camera, EmbeddingTable.empty())
+        assert W[0, 0] == pytest.approx(SEMANTIC_WEIGHT)
 
     def test_matrix_matches_per_pair_reference(self, camera):
         # 5 detections (two without depth) against 7 landmarks (one behind
         # the camera) under a non-trivial pose; every entry must equal the
         # oracle weight of its pair.
         rng = np.random.default_rng(91)
-        cfg = AssociationConfig()
         table = EmbeddingTable.load(FIXTURE)
         x = Pose(Rotation.from_rotvec([0.05, -0.1, 0.08]).as_matrix(), np.array([0.2, -0.1, 0.3]))
         quadrics = [
@@ -324,12 +322,12 @@ class TestAssociationWeight:
         # One detection is the exact prediction of landmark 0, so the box
         # term is exercised at full overlap too.
         dets[0] = det(predict_bbox(x, camera, quadrics[0]), label="mug", depth=3.0)
-        W = weights(dets, quadrics, labels, x, camera, table, cfg)
+        W = weights(dets, quadrics, labels, x, camera, table)
         assert W.shape == (5, 7)
         for i, j in itertools.product(range(5), range(7)):
-            expected = reference_weight(dets[i], quadrics[j], labels[j], x, camera, table, cfg)
+            expected = reference_weight(dets[i], quadrics[j], labels[j], x, camera, table)
             assert W[i, j] == pytest.approx(expected, abs=1e-12)
-        assert W[0, 0] > 1.0 + cfg.semantic_weight
+        assert W[0, 0] > 1.0 + SEMANTIC_WEIGHT
 
 
 class TestLSAP:
@@ -421,7 +419,6 @@ class TestTracker:
 
 class TestLongTerm:
     def test_bijection_on_separated_landmarks(self, camera):
-        cfg = AssociationConfig()
         x = Pose.identity()
         left = Quadric(np.eye(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
         right = Quadric(np.eye(3), np.array([1.0, 0.0, 4.0]), np.full(3, 0.4))
@@ -430,28 +427,26 @@ class TestLongTerm:
             det(predict_bbox(x, camera, right), label="bottle", depth=4.0),
             det(predict_bbox(x, camera, left), label="mug", depth=4.0),
         ]
-        result = long_term(dets, landmarks, x, camera, cfg)
+        result = long_term(dets, landmarks, x, camera)
         assert result.matches == {0: 11, 1: 10}
         assert result.unmatched_detections == ()
 
     def test_weak_pairs_stay_unmatched(self, camera):
-        cfg = AssociationConfig()
         x = Pose.identity()
         lm = Quadric(np.eye(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
         # Different label, disjoint box, no depth: weight is zero.
         d = det(BoundingBox2D(500, 350, 600, 450), label="lamp")
-        result = long_term([d], [(5, lm, "mug")], x, camera, cfg)
+        result = long_term([d], [(5, lm, "mug")], x, camera)
         assert result.matches == {}
         assert result.unmatched_detections == (0,)
 
     def test_one_landmark_per_detection(self, camera):
         # Two detections of the same landmark: only one may claim it.
-        cfg = AssociationConfig()
         x = Pose.identity()
         lm = Quadric(np.eye(3), np.array([0.0, 0.0, 4.0]), np.full(3, 0.4))
         b = predict_bbox(x, camera, lm)
         dets = [det(b, label="mug", depth=4.0), det(b, label="mug", depth=4.0)]
-        result = long_term(dets, [(3, lm, "mug")], x, camera, cfg)
+        result = long_term(dets, [(3, lm, "mug")], x, camera)
         assert len(result.matches) == 1
         assert len(result.unmatched_detections) == 1
 
@@ -462,15 +457,13 @@ class TestLongTerm:
         left = Quadric(np.eye(3), np.array([-1.0, 0.0, 4.0]), np.full(3, 0.4))
         right = Quadric(np.eye(3), np.array([1.0, 0.0, 4.0]), np.full(3, 0.4))
         d = det(predict_bbox(x, camera, right), depth=4.0)
-        result = long_term([d], [(7, left, "mug"), (8, right, "mug")], x, camera,
-                           AssociationConfig())
+        result = long_term([d], [(7, left, "mug"), (8, right, "mug")], x, camera)
         assert result.matches == {0: 8}
 
     def test_detection_order_does_not_matter(self, camera):
         # Detections with and without depth, under labels the embedding
         # fixture holds and one it lacks: every order of them permutes the
         # weight rows exactly, and each match stays with its detection.
-        cfg = AssociationConfig()
         table = EmbeddingTable.load(FIXTURE)
         x = Pose(Rotation.from_rotvec([0.02, -0.05, 0.03]).as_matrix(), np.array([0.1, 0.0, -0.2]))
         landmarks = [
@@ -484,15 +477,15 @@ class TestLongTerm:
             for j, label, depth in ((2, "bottle", 4.5), (0, "cup", None), (3, "gizmo", 3.4),
                                     (1, "tv", None))
         ] + [det(BoundingBox2D(10, 10, 60, 50), label="lamp", depth=2.0)]
-        W = association_weight(dets, quadrics, labels, x, camera, table, cfg)
-        result = associate_long_term(dets, ids, labels, quadrics, x, camera, table, cfg)
+        W = association_weight(dets, quadrics, labels, x, camera, table)
+        result = associate_long_term(dets, ids, labels, quadrics, x, camera, table)
         assert result.matches == {0: 22, 1: 20, 2: 23, 3: 21}
         for order in itertools.permutations(range(len(dets))):
             moved = [dets[i] for i in order]
             np.testing.assert_array_equal(
-                association_weight(moved, quadrics, labels, x, camera, table, cfg), W[list(order)]
+                association_weight(moved, quadrics, labels, x, camera, table), W[list(order)]
             )
-            again = associate_long_term(moved, ids, labels, quadrics, x, camera, table, cfg)
+            again = associate_long_term(moved, ids, labels, quadrics, x, camera, table)
             assert again.matches == {
                 k: result.matches[i] for k, i in enumerate(order) if i in result.matches
             }

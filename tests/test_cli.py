@@ -176,15 +176,27 @@ class TestExitCodes:
         assert "threshold must be finite, got inf" in capsys.readouterr().err
 
     def test_removed_damping_key_is_unknown(self, tmp_path, capsys):
-        # The damping schedule is fixed in the solver and the short-term
-        # tracker left the run; their old keys are unknown keys.
+        # The damping schedule, the association weights, the prior scales and
+        # the box Huber width are module constants, and the short-term tracker
+        # left the run: their old keys are unknown keys. A key of a removed
+        # section stops at its section, so the error names the section.
         ds = _simulate(tmp_path, capsys)
-        for key in ("solver.damping_up", "association.track_min_iou",
-                    "association.track_max_age", "association.track_gate_dist"):
-            code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out"),
-                         "--set", f"{key}=1"])
+        config = tmp_path / "c.yaml"
+        config.write_text("association:\n  gate: 0.3\n")
+        for args, named in (
+            (["--set", "solver.damping_up=1"], "damping_up"),
+            (["--set", "noise.bbox_huber_multiplier=1.5"], "bbox_huber_multiplier"),
+            (["--set", "association.gate=0.3"], "association"),
+            (["--set", "association.track_min_iou=1"], "association"),
+            (["--set", "association.track_max_age=1"], "association"),
+            (["--set", "association.track_gate_dist=1"], "association"),
+            (["--set", "prior.kt=1"], "prior"),
+            (["-c", str(config)], "association"),
+        ):
+            code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out"), *args])
             assert code == 1
-            assert key.split(".")[1] in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "unknown" in err and named in err
             assert not (tmp_path / "out").exists()
 
     def test_non_finite_setting_is_validation_error(self, tmp_path, capsys):
@@ -207,8 +219,8 @@ class TestExitCodes:
             "sim.seed=true",
             "sim.max_observations_per_object=2.5",
             "paths.dataset=5",
-            "association.gate=true",
-            "prior.kt=true",
+            "sim.dropout=true",
+            "noise.bbox_sigma_px=true",
             "match_threshold=true",
             "scene.area=[true, 1]",
             'flags.size_prior="false"',
@@ -366,10 +378,10 @@ class TestFlow:
     def test_exponent_floats_from_file_and_set(self, tmp_path, capsys):
         ds = _simulate(tmp_path, capsys)
         cfg = tmp_path / "c.yaml"
-        cfg.write_text("association:\n  semantic_threshold: 4e0\n")
+        cfg.write_text("noise:\n  bbox_sigma_px: 1e1\n")
         code = main(
             ["run", "-c", str(cfg), "--dataset", str(ds), "-o", str(tmp_path / "out"),
-             "--set", "mode=batch", "--set", "association.min_distance=5e-2"]
+             "--set", "mode=batch", "--set", "noise.odom_sigma_rot=1e-2"]
         )
         assert code == 0
         assert (tmp_path / "out" / "map.json").exists()
@@ -380,7 +392,7 @@ class TestFlow:
                      "--set", "scene.n_frames=4", "--set", "camera.fx=500"]) == 0
         assert json.loads((ds / "header.json").read_text())["intrinsics"]["fx"] == 500
         code = main(["run", "--dataset", str(ds), "-o", str(tmp_path / "out"),
-                     "--set", "mode=batch", "--set", "prior.kt=1"])
+                     "--set", "mode=batch", "--set", "noise.bbox_sigma_px=10"])
         assert code == 0
         assert (tmp_path / "out" / "map.json").exists()
 

@@ -20,8 +20,8 @@ from objslam.config import (
 )
 from objslam.dataset import Detection
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
-from objslam.optimizer import FactorGraph, GraphValues, add_keyframe
-from objslam.priors import OrientationClass, PriorRecord, PriorTable
+from objslam.optimizer import BBOX_HUBER_MULTIPLIER, FactorGraph, GraphValues, add_keyframe
+from objslam.priors import KZ, OrientationClass, PriorRecord, PriorTable
 from objslam.simulator import SimConfig
 
 
@@ -60,7 +60,7 @@ class TestSections:
         assert cfg.solver.max_iterations == 17
         assert cfg.scene.area == (1.5, 0.9)
         # untouched sections keep their defaults
-        assert cfg.association.gate == 0.2
+        assert cfg.camera.fx == 500.0
 
     def test_null_section_is_defaults(self):
         cfg = build_run_config({"noise": None})
@@ -118,13 +118,13 @@ class TestValidation:
     @pytest.mark.parametrize(
         "override",
         [
-            "noise.bbox_huber_multiplier=.nan",
+            "noise.odom_sigma_trans=.nan",
             "camera.fx=.nan",
-            "prior.ks=.nan",
+            "scene.radius=.nan",
             "sim.sigma_px=.inf",
             "noise.bbox_sigma_px=.nan",
             "noise.odom_sigma_rot=.nan",
-            "association.gate=.nan",
+            "sim.sigma_depth=.nan",
             "match_threshold=.nan",
             "scene.area=[2.0, .nan]",
         ],
@@ -242,7 +242,7 @@ def test_float_fields_are_all_covered():
     typed = FLOAT_FIELDS + INT_FIELDS + BOOL_FIELDS + STR_FIELDS + AREA_FIELDS + SECTION_FIELDS
     every = [(cls, f.name) for cls in SETTINGS_TYPES for f in dataclasses.fields(cls)]
     assert sorted(_ids(typed)) == sorted(_ids(every))
-    assert len(SETTINGS_TYPES) == 11
+    assert len(SETTINGS_TYPES) == 9
 
 
 def test_int_fields_are_all_covered():
@@ -303,8 +303,8 @@ class TestOverrides:
             apply_overrides({"mode": "batch"}, ["mode.inner=1"])
 
     def test_exponent_float_override(self):
-        doc = apply_overrides({}, ["association.gate=1e-9"])
-        assert build_run_config(doc).association.gate == 1e-9
+        doc = apply_overrides({}, ["noise.odom_sigma_rot=1e-9"])
+        assert build_run_config(doc).noise.odom_sigma_rot == 1e-9
 
     def test_unknown_override_key_caught_at_build(self):
         doc = apply_overrides({}, ["solver.step_size=1"])
@@ -315,10 +315,10 @@ class TestOverrides:
 class TestFiles:
     def test_exponent_float_in_file(self, tmp_path):
         p = tmp_path / "run.yaml"
-        p.write_text("association:\n  gate: 1e-9\n  semantic_threshold: 1.0e9\n")
+        p.write_text("noise:\n  odom_sigma_rot: 1e-9\n  bbox_sigma_px: 1.0e9\n")
         cfg = load_run_config(p)
-        assert cfg.association.gate == 1e-9
-        assert cfg.association.semantic_threshold == 1e9
+        assert cfg.noise.odom_sigma_rot == 1e-9
+        assert cfg.noise.bbox_sigma_px == 1e9
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -358,20 +358,21 @@ def _two_keyframe_graph(cfg, camera, image_sizes):
     ):
         add_keyframe(
             graph, values, pose_id, Pose.identity(), odom, dets, assoc, priors, camera,
-            cfg.noise, cfg.flags, cfg.prior, image_size,
+            cfg.noise, cfg.flags, image_size,
         )
     return graph
 
 
 class TestFactorPolicy:
-    """The noise, flags and prior sections set the factors add_keyframe builds."""
+    """The noise and flags sections, with the Huber width and prior scale
+    constants, set the factors add_keyframe builds."""
 
     def test_flags_and_noise_propagate(self, camera):
         cfg = build_run_config(
             {
                 "flags": {"orientation_prior": False, "centroid_factor": False},
-                "noise": {"bbox_sigma_px": 3.0, "bbox_huber_multiplier": 1.5,
-                          "odom_sigma_rot": 0.02, "odom_sigma_trans": 0.05},
+                "noise": {"bbox_sigma_px": 3.0, "odom_sigma_rot": 0.02,
+                          "odom_sigma_trans": 0.05},
             }
         )
         graph = _two_keyframe_graph(cfg, camera, (None, None))
@@ -381,8 +382,8 @@ class TestFactorPolicy:
         for b in graph.batches():
             if b.cls.kind == "bbox":
                 np.testing.assert_array_equal(b.sqrt_info, 1.0 / np.sqrt(np.full((4, 4), 9.0)))
-                assert (b.huber == cfg.noise.bbox_huber_multiplier).all()
-                assert cfg.noise.bbox_huber_multiplier == 1.5
+                assert (b.huber == BBOX_HUBER_MULTIPLIER).all()
+                assert BBOX_HUBER_MULTIPLIER == 2.0
         (odom,) = [b for b in graph.batches() if b.cls.kind == "odometry"]
         np.testing.assert_allclose(
             odom.sqrt_info, 1.0 / np.sqrt([[4e-4] * 3 + [2.5e-3] * 3]), rtol=1e-15
@@ -397,12 +398,12 @@ class TestFactorPolicy:
         assert masks == [[True] * 4, [True, True, False, False], [True] * 4, [True] * 4]
 
     def test_prior_config_shared(self, camera):
-        cfg = build_run_config({"prior": {"kz": 2.0}, "flags": {"centroid_factor": False}})
+        cfg = build_run_config({"flags": {"centroid_factor": False}})
         graph = _two_keyframe_graph(cfg, camera, (None, None))
         (orient,) = [b for b in graph.batches() if b.cls.kind == "orientation_prior"]
         assert len(orient.huber) == 2
         for sqrt_info in orient.sqrt_info:
-            assert sqrt_info[2] == 1.0 / np.sqrt(4.0)
+            assert sqrt_info[2] == 1.0 / np.sqrt(KZ**2)
 
     def test_paths_defaults(self):
         p = Paths()

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 import requests
 
+from objslam import priors
 from objslam.priors import (
+    KS,
+    KT,
+    KX,
+    KY,
+    KZ,
+    RETRIES,
     CSV_HEADER,
     PROMPT_TEMPLATE,
     CachedLLMClient,
-    ConfigOutOfRange,
     EmptyVocabulary,
     FixtureLLMClient,
     HTTPLLMClient,
@@ -16,7 +22,6 @@ from objslam.priors import (
     MalformedResponse,
     MissingCredentials,
     OrientationClass,
-    PriorConfig,
     PriorRecord,
     build_prompt,
     generate_prior_table,
@@ -134,8 +139,8 @@ class TestGenerate:
     def test_unparseable_response_retries_then_raises(self):
         client = FixtureLLMClient(response="I cannot help with that.")
         with pytest.raises(MalformedResponse):
-            generate_prior_table(["mug"], client, retries=2)
-        assert client.call_count == 3
+            generate_prior_table(["mug"], client)
+        assert client.call_count == RETRIES + 1 == 3
 
     def test_resolve_unknown_label_flags(self):
         table = parse_prior_csv(WELL_FORMED)
@@ -354,31 +359,30 @@ class TestOrientationRotation:
 
 
 class TestCovariances:
-    def test_formulas(self):
-        cfg = PriorConfig(kx=np.pi / 32, ky=np.pi / 40, kz=0.6 * np.pi, kt=1.0, ks=1.5)
+    def test_formulas(self, monkeypatch):
+        # Scales unlike each other and unlike the defaults, so a swapped or
+        # unsquared scale shows.
+        scales = {"KX": np.pi / 32, "KY": np.pi / 40, "KZ": 0.6 * np.pi, "KT": 1.0, "KS": 1.5}
+        for name, value in scales.items():
+            monkeypatch.setattr(priors, name, value)
         s_hat = np.array([0.1, 0.2, 0.3])
-        var_theta, var_t, var_s = prior_variances(s_hat, cfg)
-        np.testing.assert_allclose(var_theta, [cfg.kx**2, cfg.ky**2, cfg.kz**2])
+        var_theta, var_t, var_s = prior_variances(s_hat)
+        np.testing.assert_allclose(var_theta, [scales["KX"]**2, scales["KY"]**2, scales["KZ"]**2])
         np.testing.assert_allclose(var_t, [0.01, 0.04, 0.09])
         np.testing.assert_allclose(var_s, 1.5**2 * np.array([0.01, 0.04, 0.09]))
 
     def test_yaw_variance_dominates(self):
-        var_theta, _, _ = prior_variances(np.full(3, 0.2), PriorConfig())
+        var_theta, _, _ = prior_variances(np.full(3, 0.2))
         assert var_theta[2] > 64.0 * var_theta[0]
 
-    def test_config_ranges_enforced(self):
-        with pytest.raises(ConfigOutOfRange):
-            PriorConfig(kx=np.pi / 8)
-        with pytest.raises(ConfigOutOfRange):
-            PriorConfig(kz=np.pi / 4)
-        with pytest.raises(ConfigOutOfRange):
-            PriorConfig(kt=2.5)
-        with pytest.raises(ConfigOutOfRange):
-            PriorConfig(ks=0.1)
+    def test_scales_lie_in_paper_ranges(self):
+        assert 0.0 < KX < np.pi / 16.0 and 0.0 < KY < np.pi / 16.0
+        assert np.pi / 2.0 < KZ < np.pi
+        assert 0.5 < KT < 2.0 and 0.5 < KS < 2.0
 
     def test_rejects_bad_size_target(self):
         with pytest.raises(ValueError):
-            prior_variances(np.array([0.1, -0.2, 0.3]), PriorConfig())
+            prior_variances(np.array([0.1, -0.2, 0.3]))
 
 
 class TestCSVWriting:

@@ -4,7 +4,8 @@ suite's seeds.
 A detection is wrong when the landmark it was mapped to mostly holds another
 object (``helpers.wrong_detections``). The standard scenes of seeds 12-23
 are solved in both modes, as simulated and with 30 % of the detections'
-depths removed by a seeded draw.
+depths removed by a seeded draw. Each of those runs must also map at least
+80 % of the scene's objects as true positives.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from objslam.config import build_run_config
+from objslam.evaluation import EvalReport
 from objslam.geometry import CameraIntrinsics
 from objslam.simulator import PlacementFailure, SceneSpec, SimConfig, simulate_dataset
 
@@ -34,9 +36,10 @@ TRACKER_WRONG = {
 
 
 @pytest.fixture(scope="module")
-def scored() -> dict[tuple[int, str, bool], int]:
-    """Wrong detections by (seed, mode, depths removed); seeds whose scene
-    cannot be placed are left out."""
+def scored() -> dict[tuple[int, str, bool], tuple[int, EvalReport, int]]:
+    """Wrong detections, the evaluation report and the object count by
+    (seed, mode, depths removed); seeds whose scene cannot be placed are
+    left out."""
     out = {}
     for seed in SEEDS:
         sim = SimConfig(sigma_px=2.0, sigma_rot=0.005, sigma_trans=0.005, seed=seed)
@@ -51,16 +54,24 @@ def scored() -> dict[tuple[int, str, bool], int]:
                 cfg = build_run_config({"mode": mode, "noise": {
                     "bbox_sigma_px": 2.0, "odom_sigma_rot": 0.005, "odom_sigma_trans": 0.005,
                 }})
-                out[seed, mode, dropped] = wrong_detections(cfg, data, priors)
+                out[seed, mode, dropped] = (
+                    *wrong_detections(cfg, data, priors), len(dataset.gt_objects)
+                )
     return out
 
 
 def test_seed_23_has_no_wrong_detection(scored):
-    assert {mode: scored[23, mode, False] for mode in MODES} == {"batch": 0, "incremental": 0}
+    assert {mode: scored[23, mode, False][0] for mode in MODES} == {"batch": 0, "incremental": 0}
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("dropped", [False, True], ids=["depth", "no-depth-30pct"])
 def test_no_more_wrong_detections_than_the_tracker(scored, mode, dropped):
-    wrong = sum(n for (_, m, d), n in scored.items() if (m, d) == (mode, dropped))
+    wrong = sum(n for (_, m, d), (n, _, _) in scored.items() if (m, d) == (mode, dropped))
     assert wrong <= TRACKER_WRONG[mode, dropped]
+
+
+def test_true_positives_cover_80_percent_of_objects(scored):
+    short = {key: (report.tp, gt) for key, (_, report, gt) in scored.items()
+             if report.tp < 0.8 * gt}
+    assert short == {}
