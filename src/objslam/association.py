@@ -26,7 +26,7 @@ centers of the detections that carry depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -320,69 +320,9 @@ def associate_long_term(
     return AssociationResult(matches, result.unmatched_detections)
 
 
-@dataclass(frozen=True)
-class Track:
-    track_id: int
-    bbox: BoundingBox2D
-    label: str
-    age: int = 0
-
-
-@dataclass(frozen=True)
-class TrackerState:
-    """Immutable short-term tracker state; ids are never reused."""
-
-    tracks: tuple[Track, ...] = ()
-    next_id: int = 0
-
-    @staticmethod
-    def empty() -> "TrackerState":
-        return TrackerState()
-
-
-def track_frame(
-    state: TrackerState, detections: list[Detection], min_iou: float = 0.3, max_age: int = 5
-) -> tuple[TrackerState, dict[int, int]]:
-    """Advance a short-term box-overlap tracker one frame.
-
-    No run calls this: every detection goes through ``associate_long_term``.
-    It stays, with ``Track`` and ``TrackerState``, only because the
-    benchmark's tracer (``perfbench/tracer.py``) patches it by name; it goes
-    when the tracer stops doing so.
-
-    Detections are matched to live tracks of the same label by bbox IoU
-    through the same assignment solver; matches under ``min_iou`` are
-    rejected, and cross-label pairs are forbidden outright so a track cannot
-    jump onto an overlapping object of another class. Matched tracks refresh,
-    unmatched tracks age (and retire past ``max_age``), unmatched detections
-    spawn new tracks. Returns the new state and the detection-index to
-    track-id assignment for this frame.
-    """
-    tracks = list(state.tracks)
-    same_label = np.array(
-        [[det.label == track.label for track in tracks] for det in detections], dtype=bool
-    ).reshape(len(detections), len(tracks))
-    ious = box_ious(_box_rows(det.bbox for det in detections), _box_rows(t.bbox for t in tracks))
-    W = np.where(same_label, ious, 0.0)
-    result = solve_lsap(W, min_iou)
-
-    assignments: dict[int, int] = {}
-    matched_tracks: set[int] = set()
-    new_tracks: list[Track] = []
-    for det_idx, track_idx in result.matches.items():
-        old = tracks[track_idx]
-        new_tracks.append(replace(old, bbox=detections[det_idx].bbox, age=0))
-        assignments[det_idx] = old.track_id
-        matched_tracks.add(track_idx)
-    for j, track in enumerate(tracks):
-        if j not in matched_tracks and track.age + 1 <= max_age:
-            new_tracks.append(replace(track, age=track.age + 1))
-    next_id = state.next_id
-    for det_idx in result.unmatched_detections:
-        det = detections[det_idx]
-        new_tracks.append(Track(next_id, det.bbox, det.label))
-        assignments[det_idx] = next_id
-        next_id += 1
-
-    new_tracks.sort(key=lambda t: t.track_id)
-    return TrackerState(tuple(new_tracks), next_id), assignments
+def track_frame(*args, **kwargs):
+    """A stub that raises. No run reaches it: every detection goes through
+    ``associate_long_term``. It stays only because the benchmark's tracer
+    (``perfbench/tracer.py:244``) wraps this name; the benchmark change that
+    drops that hook deletes it too."""
+    raise NotImplementedError("the short-term tracker is gone; use associate_long_term")

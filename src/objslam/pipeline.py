@@ -27,7 +27,7 @@ import numpy as np
 
 from .association import EmbeddingTable, associate_long_term
 from .config import RunConfig
-# load_map_json reads its entries with the dataset's record readers.
+# map.json is written and read with the dataset's record helpers.
 from .dataset import (
     Dataset,
     ParseError,
@@ -35,10 +35,12 @@ from .dataset import (
     _frame_pose_from_json,
     _integer,
     _one_per,
+    _quat_list,
     _quaternion,
     _record,
     _require,
     _string,
+    _vec_list,
     _vector3,
     load_dataset,
     write_dataset,
@@ -297,8 +299,8 @@ def _map_document(m: MapEstimate) -> dict:
         "trajectory": [
             {
                 "frame_id": fid,
-                "rotation_quaternion": [float(v) for v in matrix_to_quat(x.rotation)],
-                "translation": [float(v) for v in x.translation],
+                "rotation_quaternion": _quat_list(x.rotation),
+                "translation": _vec_list(x.translation),
             }
             for fid, x in m.trajectory
         ],

@@ -13,12 +13,10 @@ from objslam.association import (
     SEMANTIC_THRESHOLD,
     SEMANTIC_WEIGHT,
     EmbeddingTable,
-    TrackerState,
     associate_long_term,
     association_weight,
     box_ious,
     solve_lsap,
-    track_frame,
 )
 from objslam.dataset import Detection
 from objslam.geometry import BoundingBox2D, Pose, Quadric
@@ -362,59 +360,6 @@ class TestLSAP:
             best_value, best = brute_force_lsap(W)
             assert value == pytest.approx(best_value, abs=1e-12)
             assert result.matches == best
-
-
-class TestTracker:
-    def test_continuity_and_fresh_ids(self):
-        state = TrackerState.empty()
-        d1 = [det(BoundingBox2D(10, 10, 60, 60)), det(BoundingBox2D(200, 200, 260, 280))]
-        state, assign1 = track_frame(state, d1)
-        assert assign1 == {0: 0, 1: 1}
-        # Slightly shifted boxes keep their track ids.
-        d2 = [det(BoundingBox2D(14, 12, 64, 62)), det(BoundingBox2D(205, 203, 265, 283))]
-        state, assign2 = track_frame(state, d2)
-        assert assign2 == {0: 0, 1: 1}
-        # A far-away detection spawns a new id.
-        d3 = [det(BoundingBox2D(400, 50, 460, 120))]
-        state, assign3 = track_frame(state, d3)
-        assert assign3 == {0: 2}
-
-    def test_low_overlap_spawns_new_track(self):
-        state, _ = track_frame(TrackerState.empty(), [det(BoundingBox2D(0, 0, 10, 10))])
-        state, assign = track_frame(state, [det(BoundingBox2D(9, 9, 19, 19))])
-        # IoU of the two boxes is ~0.005, far below the 0.3 threshold.
-        assert assign == {0: 1}
-
-    def test_track_survives_short_gap(self):
-        box = BoundingBox2D(50, 50, 150, 150)
-        state, _ = track_frame(TrackerState.empty(), [det(box)], max_age=2)
-        state, _ = track_frame(state, [], max_age=2)
-        state, _ = track_frame(state, [], max_age=2)
-        state, assign = track_frame(state, [det(box)], max_age=2)
-        assert assign == {0: 0}
-
-    def test_track_retires_after_max_age(self):
-        box = BoundingBox2D(50, 50, 150, 150)
-        state, _ = track_frame(TrackerState.empty(), [det(box)], max_age=2)
-        for _ in range(3):
-            state, _ = track_frame(state, [], max_age=2)
-        assert state.tracks == ()
-        # The id is not reused by the next spawn.
-        state, assign = track_frame(state, [det(box)], max_age=2)
-        assert assign == {0: 1}
-
-    def test_ids_never_reused(self):
-        state = TrackerState.empty()
-        seen: list[int] = []
-        rng = np.random.default_rng(101)
-        for _ in range(20):
-            x, y = rng.uniform(0, 500, size=2)
-            state, assign = track_frame(
-                state, [det(BoundingBox2D(x, y, x + 20, y + 20))], max_age=0
-            )
-            seen.extend(assign.values())
-            state, _ = track_frame(state, [], max_age=0)
-        assert len(seen) == len(set(seen))
 
 
 class TestLongTerm:

@@ -1,8 +1,13 @@
 """Every name a module of the package or of its tests imports is used in
-that module.
+that module, and every module-level definition of the package is named
+somewhere in the package or in the benchmark.
 
-An ``ast`` scan: the names each import statement binds, against the names
-the module's code loads. A deletion that leaves an import behind fails here.
+Two ``ast`` scans. The first checks the names each import statement binds
+against the names the module's code loads: a deletion that leaves an import
+behind fails here. The second checks each top-level ``def`` and ``class`` of
+``src/objslam`` against the identifiers, attributes and string constants of
+``src/objslam`` and ``perfbench``: code that no caller names any more fails
+here. Tests do not count as callers.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "objslam").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +47,38 @@ def test_scan_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names(source: str) -> set[str]:
+    """The identifiers, attribute names and string constants of `source`."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unnamed_definitions(source: str, named: set[str]) -> list[str]:
+    """The top-level functions and classes of `source` that are not in
+    `named`, in order of appearance."""
+    return [
+        node.name for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+
+
+def test_scan_finds_an_unnamed_definition():
+    source = "def kept():\n    pass\n\ndef dropped():\n    kept()\n\nclass Hooked:\n    pass\n"
+    assert unnamed_definitions(source, names(source)) == ["dropped", "Hooked"]
+    caller = "patch(module, 'Hooked')\nmodule.dropped()\n"
+    assert unnamed_definitions(source, names(source) | names(caller)) == []
+
+
+def test_every_definition_is_named():
+    named = set().union(*(names(p.read_text()) for p in SOURCES + BENCHMARK))
+    unnamed = {p.name: unnamed_definitions(p.read_text(), named) for p in SOURCES}
+    assert {module: defs for module, defs in unnamed.items() if defs} == {}

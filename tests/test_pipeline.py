@@ -3,14 +3,26 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from objslam import pipeline
+from objslam.association import GATE, SEMANTIC_WEIGHT, EmbeddingTable, association_weight
 from objslam.config import build_run_config
-from objslam.dataset import ParseError, SchemaError, load_dataset, write_dataset
-from objslam.geometry import Pose, Quadric
+from objslam.dataset import (
+    Dataset,
+    Detection,
+    Frame,
+    OdometryEntry,
+    ParseError,
+    SchemaError,
+    load_dataset,
+    write_dataset,
+)
+from objslam.geometry import BoundingBox2D, Pose, Quadric
+from objslam.optimizer import initialize_landmark
 from objslam.pipeline import (
     Landmark,
     MapEstimate,
@@ -26,6 +38,8 @@ from objslam.pipeline import (
 )
 from objslam.priors import FixtureLLMClient, parse_prior_csv
 from objslam.simulator import SceneSpec, SimConfig, simulate_dataset
+
+EMBEDDINGS = str(Path(__file__).parent / "data" / "embeddings_50d.txt")
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +249,30 @@ class TestRunSlam:
         for mode in ("incremental", "batch"):
             with pytest.raises(PipelineError, match=r"^frame 1: pose id 1 is not above"):
                 run_slam(_run_config(mode=mode), relabelled, scene.prior_table())
+
+    @pytest.mark.parametrize("mode", ["incremental", "batch"])
+    def test_embedding_table_reaches_association(self, camera_module, mode):
+        # One object seen twice from one pose, as a "mug" and then as a
+        # "cup" whose box and depth place it 2 m to the side: the pair clears
+        # the gate only with the semantic term, which the loaded table gives
+        # (cup and mug lie 2.08 apart in it, under SEMANTIC_THRESHOLD 4.0).
+        mug = Detection(BoundingBox2D(270, 190, 370, 290), "mug", 0.9, 4.0)
+        cup = Detection(BoundingBox2D(20, 190, 120, 290), "cup", 0.9, 4.0)
+        dataset = Dataset(
+            camera_module, (640, 480), [Frame(0, (mug,)), Frame(1, (cup,))],
+            [OdometryEntry(0, 1, Pose.identity())],
+        )
+        q = initialize_landmark(mug, Pose.identity(), camera_module)
+        w = association_weight(
+            [cup], (q.rotation[None], q.t[None], q.s[None]), ["mug"], Pose.identity(),
+            camera_module, EmbeddingTable.empty(),
+        )[0, 0]
+        assert w < GATE <= w + SEMANTIC_WEIGHT
+        landmarks = {}
+        for table in (None, EMBEDDINGS):
+            cfg = _run_config(mode=mode, paths={"embeddings": table})
+            landmarks[table] = len(run_slam(cfg, dataset)[0].landmarks)
+        assert landmarks == {None: 2, EMBEDDINGS: 1}
 
     def test_add_keyframe_builds_no_pose(self, small_world, monkeypatch):
         # run_slam decides each keyframe's pose; add_keyframe only appends it.

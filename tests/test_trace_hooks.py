@@ -62,6 +62,8 @@ def test_install_traces_run_slam_and_close_restores(tmp_path, monkeypatch):
         patched = _changed(snapshot)
         assert "objslam.pipeline.run_slam" in patched
         assert "Pose.retract" in patched and "BBoxFactor.jacobian_at" in patched
+        # The tracer still wraps the short-term tracker's stub by name.
+        assert "objslam.association.track_frame" in patched
         pipeline.run_slam(cfg, dataset, table)
         metrics = tracer.layer_metrics(tr, seen, {})
     finally:
@@ -77,5 +79,7 @@ def test_install_traces_run_slam_and_close_restores(tmp_path, monkeypatch):
     # Association reaches its weight function by the name the tracer patches.
     assert metrics["association.long_term_calls"] > 0
     assert metrics["association.weight_evals"] > 0
+    # No run reaches the short-term tracker's stub.
+    assert metrics["association.track_calls"] == 0
     assert metrics["geometry.project_rows"] > 0
     assert _changed(snapshot) == []
