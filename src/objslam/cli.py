@@ -1,4 +1,4 @@
-"""Command-line entry points: simulate, gen-priors, run, evaluate, bench.
+"""Command-line entry points: simulate, gen-priors, run, evaluate.
 
 Exit codes: 0 success, 1 validation error (bad arguments, config, or input
 files), 2 runtime error.
@@ -16,7 +16,6 @@ from .pipeline import (
     evaluate_files,
     run_gen_priors,
     run_simulate,
-    run_slam,
     run_to_files,
 )
 from .priors import (
@@ -83,8 +82,14 @@ def _cmd_gen_priors(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    out = run_to_files(cfg)
+    timings: dict[str, float] = {}
+    out = run_to_files(cfg, timings)
     print(f"wrote map and reports to {out}")
+    print("stage          seconds")
+    for stage in ("load", "associate", "add_keyframe", "solve", "evaluate"):
+        if stage in timings:
+            print(f"{stage:<14} {timings[stage]:.4f}")
+    print(f"{'total':<14} {sum(timings.values()):.4f}")
     return 0
 
 
@@ -105,23 +110,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         from .evaluation import write_iou_series_csv
 
         write_iou_series_csv(report.iou_series, args.iou_csv)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    timings: dict[str, float] = {}
-    estimate, _, solve_report = run_slam(cfg, timings=timings)
-    total = sum(timings.values())
-    print("stage          seconds")
-    for stage in ("load", "associate", "add_keyframe", "solve", "evaluate"):
-        if stage in timings:
-            print(f"{stage:<14} {timings[stage]:.4f}")
-    print(f"{'total':<14} {total:.4f}")
-    print(
-        f"landmarks={len(estimate.landmarks)} keyframes={len(estimate.trajectory)} "
-        f"final_cost={solve_report.final_cost:.6g} converged={solve_report.converged}"
-    )
     return 0
 
 
@@ -156,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the report JSON here")
     p.add_argument("--iou-csv", help="write the IoU-error series CSV here")
     p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("bench", help="run with a per-stage timing breakdown")
-    _add_config_args(p)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

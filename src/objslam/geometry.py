@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -315,6 +316,16 @@ class Quadric:
         """:func:`retract` of this one quadric."""
         R, t, s = retract(self.rotation[None], self.t[None], self.s[None], delta)
         return Quadric(R[0], t[0], s[0])
+
+
+def quadric_rows(quadrics: Sequence[Quadric]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked rotations (n, 3, 3), centroids (n, 3) and semi-axes (n, 3) of
+    quadrics: the rows that projection, association and evaluation take."""
+    return (
+        np.array([q.rotation for q in quadrics]).reshape(-1, 3, 3),
+        np.array([q.t for q in quadrics]).reshape(-1, 3),
+        np.array([q.s for q in quadrics]).reshape(-1, 3),
+    )
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ from .geometry import (
     Pose,
     Quadric,
     matrix_to_quat,
+    quadric_rows,
     quat_to_matrix,
 )
 from .optimizer import (
@@ -137,40 +138,23 @@ def _landmarks(values: GraphValues) -> tuple[Landmark, ...]:
 
 def run_slam(
     cfg: RunConfig,
-    dataset: Dataset | None = None,
+    dataset: Dataset,
     priors: PriorTable | None = None,
     timings: dict[str, float] | None = None,
+    *,
+    embeddings: EmbeddingTable | None = None,
 ) -> tuple[MapEstimate, EvalReport | None, SolveReport]:
-    """Run the full pipeline under `cfg`.
-
-    The dataset and prior table may be passed in directly (tests, sweeps);
-    otherwise they are loaded from cfg.paths. Returns the map, an evaluation
-    report when the dataset carries ground truth, and the last solver report.
-    Wall time per stage is added to `timings` when it is given.
-    """
+    """Map `dataset` under `cfg` with the given prior table and label
+    embeddings; it reads no file. Returns the map, an evaluation report when
+    the dataset carries ground truth, and the last solver report. Wall time
+    per stage is added to `timings` when it is given."""
     timings = {} if timings is None else timings
+    table = EmbeddingTable.empty() if embeddings is None else embeddings
 
     def lap(stage: str, t0: float) -> float:
         t1 = time.perf_counter()
         timings[stage] = timings.get(stage, 0.0) + (t1 - t0)
         return t1
-
-    t0 = time.perf_counter()
-    if dataset is None:
-        if cfg.paths.dataset is None:
-            raise ValueError("config has no dataset path and none was provided")
-        dataset = load_dataset(cfg.paths.dataset)
-    if priors is None and cfg.paths.priors_csv is not None:
-        try:
-            priors = parse_prior_csv(Path(cfg.paths.priors_csv).read_text())
-        except MalformedResponse as exc:  # a bad input file, not a bad model reply
-            raise SchemaError(f"{cfg.paths.priors_csv}: {exc}") from exc
-    table = (
-        EmbeddingTable.load(cfg.paths.embeddings)
-        if cfg.paths.embeddings is not None
-        else EmbeddingTable.empty()
-    )
-    t0 = lap("load", t0)
 
     K = dataset.intrinsics
     odometry = dataset.odometry_by_pair()
@@ -256,12 +240,7 @@ def run_slam(
 def _evaluate_against(
     dataset: Dataset, estimate: MapEstimate, threshold: float
 ) -> EvalReport:
-    gt_quadrics = [g.quadric for g in dataset.gt_objects]
-    gt = (
-        np.array([q.rotation for q in gt_quadrics]).reshape(-1, 3, 3),
-        np.array([q.t for q in gt_quadrics]).reshape(-1, 3),
-        np.array([q.s for q in gt_quadrics]).reshape(-1, 3),
-    )
+    gt = quadric_rows([g.quadric for g in dataset.gt_objects])
     base = evaluate_map(landmark_rows(estimate.landmarks), gt, threshold)
     ate = None
     if dataset.gt_trajectory:
@@ -393,17 +372,33 @@ def write_solve_json(report: SolveReport, path: str | Path) -> None:
 # Command drivers
 
 
-def run_to_files(cfg: RunConfig, dataset: Dataset | None = None) -> Path:
-    """Execute run_slam and persist map/report/solve artifacts. Returns the
-    output directory."""
-    estimate, eval_report, solve_report = run_slam(cfg, dataset)
+def run_to_files(cfg: RunConfig, timings: dict[str, float] | None = None) -> Path:
+    """Load the dataset, prior CSV and embeddings that cfg.paths names (the
+    `load` stage of `timings`), run_slam, and persist map/report/solve
+    artifacts. Returns the output directory."""
+    timings = {} if timings is None else timings
+    t0 = time.perf_counter()
+    if cfg.paths.dataset is None:
+        raise ValueError("config has no dataset path")
+    dataset = load_dataset(cfg.paths.dataset)
+    priors = embeddings = None
+    if cfg.paths.priors_csv is not None:
+        try:
+            priors = parse_prior_csv(Path(cfg.paths.priors_csv).read_text())
+        except MalformedResponse as exc:  # a bad input file, not a bad model reply
+            raise SchemaError(f"{cfg.paths.priors_csv}: {exc}") from exc
+    if cfg.paths.embeddings is not None:
+        embeddings = EmbeddingTable.load(cfg.paths.embeddings)
+    timings["load"] = timings.get("load", 0.0) + (time.perf_counter() - t0)
+
+    estimate, report, solve = run_slam(cfg, dataset, priors, timings, embeddings=embeddings)
     out = Path(cfg.paths.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_map_json(estimate, out / "map.json")
-    write_solve_json(solve_report, out / "solve.json")
-    if eval_report is not None:
-        write_report_json(eval_report, out / "report.json")
-        write_iou_series_csv(eval_report.iou_series, out / "iou_series.csv")
+    write_solve_json(solve, out / "solve.json")
+    if report is not None:
+        write_report_json(report, out / "report.json")
+        write_iou_series_csv(report.iou_series, out / "iou_series.csv")
     return out
 
 

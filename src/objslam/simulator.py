@@ -27,6 +27,7 @@ from .geometry import (
     between,
     compose,
     project_bbox_batch,
+    quadric_rows,
     require_field_types,
 )
 from .priors import OrientationClass, PriorRecord, PriorTable
@@ -261,9 +262,7 @@ def render_orbit(
     n_f, n_o = len(poses), len(scene.objects)
     R_wc = np.array([x.rotation for x in poses]).reshape(n_f, 3, 3)
     t_wc = np.array([x.translation for x in poses]).reshape(n_f, 3)
-    R_q = np.array([o.quadric.rotation for o in scene.objects]).reshape(n_o, 3, 3)
-    t_q = np.array([o.quadric.t for o in scene.objects]).reshape(n_o, 3)
-    s = np.array([o.quadric.s for o in scene.objects]).reshape(n_o, 3)
+    R_q, t_q, s = quadric_rows([o.quadric for o in scene.objects])
     full, valid, _ = project_bbox_batch(
         np.repeat(R_wc, n_o, axis=0), np.repeat(t_wc, n_o, axis=0), K,
         np.tile(R_q, (n_f, 1, 1)), np.tile(t_q, (n_f, 1)), np.tile(s, (n_f, 1)),

@@ -39,16 +39,6 @@ def random_quadric(rng: np.random.Generator) -> Quadric:
     return Quadric(R, t, s)
 
 
-def rows(quadrics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked axes (n, 3, 3), centroids (n, 3) and semi-axes (n, 3) of
-    quadrics, the form evaluation scores."""
-    return (
-        np.array([q.rotation for q in quadrics], dtype=np.float64).reshape(-1, 3, 3),
-        np.array([q.t for q in quadrics], dtype=np.float64).reshape(-1, 3),
-        np.array([q.s for q in quadrics], dtype=np.float64).reshape(-1, 3),
-    )
-
-
 @pytest.fixture
 def camera() -> CameraIntrinsics:
     return CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)

@@ -26,12 +26,13 @@ from objslam.factors import (
     OrientationPriorFactor,
     SizePriorFactor,
 )
-from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose, Quadric, compose
+from objslam.geometry import (
+    BoundingBox2D, CameraIntrinsics, Pose, Quadric, compose, quadric_rows,
+)
 from objslam.pipeline import landmark_rows, run_slam, run_to_files
 from objslam.priors import OrientationClass, orientation_prior_frame
 from objslam.simulator import PlacementFailure, SceneSpec, SimConfig, simulate_dataset
 
-from conftest import rows
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
 IMG = (640, 480)
@@ -344,7 +345,7 @@ def _points_inside(q: Quadric, pts: np.ndarray) -> np.ndarray:
 
 def _iou(a: Quadric, b: Quadric) -> float:
     """The IoU of one pair, scored as a batch of one."""
-    return float(box_iou_3d(rows([a]), rows([b]))[0])
+    return float(box_iou_3d(quadric_rows([a]), quadric_rows([b]))[0])
 
 
 def _mc_iou(a: Quadric, b: Quadric, rng, n: int = 1_000_000) -> float:
@@ -472,7 +473,7 @@ def test_criterion_08_iou_error_decreases():
         improved = 0
         for m in report.objects:
             lid = lm_ids[m.est_index]
-            gt = rows([gt_quadrics[m.gt_index]])
+            gt = quadric_rows([gt_quadrics[m.gt_index]])
             err_first = 1.0 - box_iou_3d(landmark_rows([first_seen[lid]]), gt)[0]
             err_last = 1.0 - box_iou_3d(landmark_rows([last[lid]]), gt)[0]
             improved += err_last < err_first

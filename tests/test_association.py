@@ -19,7 +19,7 @@ from objslam.association import (
     solve_lsap,
 )
 from objslam.dataset import Detection
-from objslam.geometry import BoundingBox2D, Pose, Quadric
+from objslam.geometry import BoundingBox2D, Pose, Quadric, quadric_rows
 
 from helpers import box_area
 from projection_oracle import BehindCamera, DegenerateConic, predict_bbox
@@ -92,23 +92,16 @@ def reference_weight(d, q, label, x, K, table) -> float:
     return w
 
 
-def stack(quadrics: list[Quadric]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (R, t, s) rows of these quadrics."""
-    return (np.array([q.rotation for q in quadrics]).reshape(-1, 3, 3),
-            np.array([q.t for q in quadrics]).reshape(-1, 3),
-            np.array([q.s for q in quadrics]).reshape(-1, 3))
-
-
 def weights(dets, quadrics, labels, x, K, table) -> np.ndarray:
     """association_weight over a list of quadrics."""
-    return association_weight(dets, stack(quadrics), labels, x, K, table)
+    return association_weight(dets, quadric_rows(quadrics), labels, x, K, table)
 
 
 def long_term(dets, landmarks, x, K):
     """associate_long_term over (id, quadric, label) triples."""
     ids = [lid for lid, _, _ in landmarks]
     labels = [label for _, _, label in landmarks]
-    quadrics = stack([q for _, q, _ in landmarks])
+    quadrics = quadric_rows([q for _, q, _ in landmarks])
     return associate_long_term(dets, ids, labels, quadrics, x, K, EmbeddingTable.empty())
 
 
@@ -415,7 +408,7 @@ class TestLongTerm:
             Quadric(np.eye(3), x.rotation @ np.array(p) + x.translation, np.full(3, 0.3))
             for p in ((-1.2, 0.0, 4.0), (0.0, 0.5, 5.0), (1.2, -0.3, 4.5), (0.4, -0.6, 3.5))
         ]
-        quadrics = stack(landmarks)
+        quadrics = quadric_rows(landmarks)
         ids, labels = [20, 21, 22, 23], ["mug", "monitor", "bottle", "gizmo"]
         dets = [
             det(predict_bbox(x, camera, landmarks[j]), label, depth=depth)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 import requests
 
-from objslam import pipeline
-from objslam.cli import main
+from objslam import cli, pipeline
+from objslam.cli import build_parser, main
 from objslam.dataset import load_dataset
 from objslam.priors import ENV_API_KEY, ENV_ENDPOINT, parse_prior_csv
 
@@ -439,12 +441,24 @@ class TestFlow:
         assert main(args) == 0
 
     def test_bench_prints_stages(self, tmp_path, capsys):
+        # run prints the stage table; bench, which printed it, is gone.
         ds = _simulate(tmp_path, capsys)
         code = main(
-            ["bench", "--set", f"paths.dataset={ds}", "--set", "mode=batch"]
+            ["run", "--dataset", str(ds), "-o", str(tmp_path / "out"), "--set", "mode=batch"]
         )
         assert code == 0
-        printed = capsys.readouterr().out
-        for stage in ("associate", "solve", "total"):
-            assert stage in printed
-        assert "landmarks=" in printed
+        printed = capsys.readouterr().out.splitlines()
+        stages = [line.split()[0] for line in printed[2:]]
+        assert printed[1].split() == ["stage", "seconds"]
+        assert stages == ["load", "associate", "add_keyframe", "solve", "evaluate", "total"]
+        assert main(["bench", "--set", f"paths.dataset={ds}"]) == 1
+
+
+def test_docs_name_the_parsers_subcommands():
+    # cli's docstring (its first line) and README's layout line for cli.py
+    # list the subcommands; both must match what build_parser accepts.
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    docstring = [n.strip(" .") for n in cli.__doc__.splitlines()[0].split(":", 1)[1].split(",")]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    (layout,) = [line.split("cli.py", 1)[1] for line in readme if line.startswith("  cli.py ")]
+    assert docstring == [n.strip() for n in layout.split("/")] == list(sub.choices)

@@ -14,22 +14,22 @@ from objslam.evaluation import (
     match_map_to_gt,
     write_iou_series_csv,
 )
-from objslam.geometry import Pose, Quadric, compose, so3_exp
+from objslam.geometry import Pose, Quadric, compose, quadric_rows, so3_exp
 
-from conftest import random_pose, random_quadric, random_rotation, rows
+from conftest import random_pose, random_quadric, random_rotation
 from helpers import pose_transform
 from iou_oracle import hull_box_iou
 
 
 def iou(a: Quadric, b: Quadric) -> float:
     """The IoU of one pair, scored as a batch of one."""
-    return float(box_iou_3d(rows([a]), rows([b]))[0])
+    return float(box_iou_3d(quadric_rows([a]), quadric_rows([b]))[0])
 
 
 def pair_metrics(est: Quadric, gt: Quadric) -> ObjectMetrics:
     """The report entry of one estimate matched to one ground truth: a
     threshold of 1e9 m matches any pair these tests build."""
-    (metrics,) = evaluate_map(rows([est]), rows([gt]), threshold=1e9).objects
+    (metrics,) = evaluate_map(quadric_rows([est]), quadric_rows([gt]), threshold=1e9).objects
     return metrics
 
 
@@ -245,9 +245,9 @@ class TestBoxIoU3D:
             s = box.s.copy()
             s[k] *= f
             flush.append(Quadric(box.rotation, box.t + box.rotation[:, k] * (box.s[k] - s[k]), s))
-        np.testing.assert_allclose(box_iou_3d(rows(boxes), rows(boxes)), 1.0, rtol=0.0, atol=1e-9)
-        np.testing.assert_allclose(box_iou_3d(rows(boxes), rows(flush)), keep, rtol=0.0, atol=1e-9)
-        np.testing.assert_allclose(box_iou_3d(rows(flush), rows(boxes)), keep, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(box_iou_3d(quadric_rows(boxes), quadric_rows(boxes)), 1.0, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(box_iou_3d(quadric_rows(boxes), quadric_rows(flush)), keep, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(box_iou_3d(quadric_rows(flush), quadric_rows(boxes)), keep, rtol=0.0, atol=1e-9)
 
 
 def yawed_twin(rng: np.random.Generator, box: Quadric) -> Quadric:
@@ -265,7 +265,7 @@ class TestBatchedIoU:
         rng = np.random.default_rng(2024)
         a = [random_box(rng) for _ in range(2000)]
         b = [random_box(rng) for _ in range(2000)]
-        batched = box_iou_3d(rows(a), rows(b))
+        batched = box_iou_3d(quadric_rows(a), quadric_rows(b))
         oracle = np.array([hull_box_iou(x, y) for x, y in zip(a, b)])
         assert np.count_nonzero(oracle) > 1000
         np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=1e-12)
@@ -274,7 +274,7 @@ class TestBatchedIoU:
         rng = np.random.default_rng(2025)
         a = [random_box(rng) for _ in range(2000)]
         b = [yawed_twin(rng, box) for box in a]
-        batched = box_iou_3d(rows(a), rows(b))
+        batched = box_iou_3d(quadric_rows(a), quadric_rows(b))
         oracle = np.array([hull_box_iou(x, y) for x, y in zip(a, b)])
         assert oracle.min() > 0.5
         np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=1e-12)
@@ -284,13 +284,13 @@ class TestBatchedIoU:
         rng = np.random.default_rng(n)
         a = [random_box(rng) for _ in range(n)]
         b = [yawed_twin(rng, box) if i % 2 else random_box(rng) for i, box in enumerate(a)]
-        batched = box_iou_3d(rows(a), rows(b))
+        batched = box_iou_3d(quadric_rows(a), quadric_rows(b))
         assert batched.shape == (n,)
         np.testing.assert_array_equal(batched, [iou(x, y) for x, y in zip(a, b)])
 
     def test_unequal_lengths_rejected(self, rng):
         with pytest.raises(ValueError):
-            box_iou_3d(rows([random_box(rng)]), rows([]))
+            box_iou_3d(quadric_rows([random_box(rng)]), quadric_rows([]))
 
 
 class TestScalarErrors:
@@ -337,14 +337,14 @@ class TestScalarErrors:
 class TestMatching:
     def test_empty_estimates(self):
         gt = [aab([0, 0, 0], [0.5, 0.5, 0.5]), aab([2, 0, 0], [0.5, 0.5, 0.5])]
-        result = match_map_to_gt(rows([]), rows(gt), threshold=0.5)
+        result = match_map_to_gt(quadric_rows([]), quadric_rows(gt), threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (0, 0, 2)
         assert result.matching == {}
 
     def test_perfect_map(self, rng):
         gt = [random_box(rng) for _ in range(4)]
         est = list(gt)
-        result = match_map_to_gt(rows(est), rows(gt), threshold=0.5)
+        result = match_map_to_gt(quadric_rows(est), quadric_rows(gt), threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (4, 0, 0)
         assert all(result.matching[i] == i for i in range(4))
 
@@ -354,7 +354,7 @@ class TestMatching:
             Quadric(np.eye(3), np.array([0.05, 0.0, 0.0]), np.full(3, 0.3)),
             Quadric(np.eye(3), np.array([0.0, 0.1, 0.0]), np.full(3, 0.3)),
         ]
-        result = match_map_to_gt(rows(est), rows(gt), threshold=0.5)
+        result = match_map_to_gt(quadric_rows(est), quadric_rows(gt), threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (1, 1, 0)
         # One-to-one: the closer estimate wins.
         assert result.matching == {0: 0}
@@ -362,19 +362,19 @@ class TestMatching:
     def test_threshold_rejects_distant_pairs(self):
         gt = [aab([0, 0, 0], [0.3, 0.3, 0.3])]
         est = [Quadric(np.eye(3), np.array([0.9, 0.0, 0.0]), np.full(3, 0.3))]
-        result = match_map_to_gt(rows(est), rows(gt), threshold=0.5)
+        result = match_map_to_gt(quadric_rows(est), quadric_rows(gt), threshold=0.5)
         assert (result.tp, result.fp, result.fn) == (0, 1, 1)
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, float("nan")])
     def test_threshold_must_be_positive(self, threshold):
         q = aab([0, 0, 0], [0.3, 0.3, 0.3])
         with pytest.raises(ValueError, match="threshold must be positive"):
-            match_map_to_gt(rows([q]), rows([q]), threshold)
+            match_map_to_gt(quadric_rows([q]), quadric_rows([q]), threshold)
 
     def test_threshold_must_be_finite(self):
         q = aab([0, 0, 0], [0.3, 0.3, 0.3])
         with pytest.raises(ValueError, match="threshold must be finite, got inf"):
-            match_map_to_gt(rows([q]), rows([q]), np.inf)
+            match_map_to_gt(quadric_rows([q]), quadric_rows([q]), np.inf)
 
     def test_count_identities(self, rng):
         for _ in range(20):
@@ -384,7 +384,7 @@ class TestMatching:
                 for _ in range(n_est)
             ]
             gt = [aab(rng.uniform(-1, 1, size=3), [0.2, 0.2, 0.2]) for _ in range(n_gt)]
-            r = match_map_to_gt(rows(est), rows(gt), threshold=0.5)
+            r = match_map_to_gt(quadric_rows(est), quadric_rows(gt), threshold=0.5)
             assert r.tp + r.fp == n_est
             assert r.tp + r.fn == n_gt
             for i, j in r.matching.items():
@@ -443,7 +443,7 @@ class TestReport:
     def test_evaluate_map_perfect(self, rng):
         gt = [random_box(rng) for _ in range(3)]
         est = list(gt)
-        report = evaluate_map(rows(est), rows(gt), threshold=0.5)
+        report = evaluate_map(quadric_rows(est), quadric_rows(gt), threshold=0.5)
         assert (report.tp, report.fp, report.fn) == (3, 0, 0)
         for m in report.objects:
             assert m.iou == pytest.approx(1.0, abs=1e-9)
@@ -454,13 +454,13 @@ class TestReport:
     def test_report_to_json_is_deterministic(self, rng):
         gt = [random_box(rng) for _ in range(3)]
         est = list(gt)
-        r1 = evaluate_map(rows(est), rows(gt), threshold=0.5)
-        r2 = evaluate_map(rows(est), rows(gt), threshold=0.5)
+        r1 = evaluate_map(quadric_rows(est), quadric_rows(gt), threshold=0.5)
+        r2 = evaluate_map(quadric_rows(est), quadric_rows(gt), threshold=0.5)
         assert r1.to_json() == r2.to_json()
         assert r1.to_json()["counts"] == {"tp": 3, "fp": 0, "fn": 0}
 
     def test_mean_metrics_none_without_matches(self):
-        report = evaluate_map(rows([]), rows([aab([0, 0, 0], [0.3, 0.3, 0.3])]), threshold=0.5)
+        report = evaluate_map(quadric_rows([]), quadric_rows([aab([0, 0, 0], [0.3, 0.3, 0.3])]), threshold=0.5)
         assert report.mean_iou is None
         assert report.mean_centroid_error is None
         assert report.mean_size_error is None
@@ -470,8 +470,8 @@ class TestIoUSeries:
     def test_perfect_map_is_all_zero(self, rng):
         gt = [random_box(rng) for _ in range(2)]
         est = tuple(gt)
-        snapshots = [(0, rows(est)), (1, rows(est)), (5, rows(est))]
-        series = iou_error_series(snapshots, rows(gt), threshold=0.5)
+        snapshots = [(0, quadric_rows(est)), (1, quadric_rows(est)), (5, quadric_rows(est))]
+        series = iou_error_series(snapshots, quadric_rows(gt), threshold=0.5)
         assert [kf for kf, _, _ in series] == [0, 1, 5]
         for _, mean, std in series:
             assert mean == pytest.approx(0.0, abs=1e-9)
@@ -480,7 +480,7 @@ class TestIoUSeries:
     def test_empty_snapshot_marked_absent(self, rng):
         gt = [aab([0, 0, 0], [0.3, 0.3, 0.3])]
         good = (Quadric(np.eye(3), np.zeros(3), np.full(3, 0.3)),)
-        series = iou_error_series([(0, rows(())), (1, rows(good))], rows(gt), threshold=0.5)
+        series = iou_error_series([(0, quadric_rows(())), (1, quadric_rows(good))], quadric_rows(gt), threshold=0.5)
         assert series[0][1] is None and series[0][2] is None
         assert series[1][1] == pytest.approx(0.0, abs=1e-9)
 
@@ -489,8 +489,8 @@ class TestIoUSeries:
         snapshots = []
         for k, offset in enumerate([0.25, 0.15, 0.05, 0.0]):
             q = Quadric(np.eye(3), np.array([offset, 0.0, 0.0]), np.full(3, 0.3))
-            snapshots.append((k, rows([q])))
-        series = iou_error_series(snapshots, rows(gt), threshold=0.5)
+            snapshots.append((k, quadric_rows([q])))
+        series = iou_error_series(snapshots, quadric_rows(gt), threshold=0.5)
         means = [m for _, m, _ in series]
         assert all(a > b for a, b in zip(means, means[1:]))
 
@@ -500,7 +500,7 @@ class TestIoUSeries:
             Quadric(np.eye(3), np.array([0.1, 0.0, 0.0]), np.full(3, 0.3)),
             Quadric(np.eye(3), np.array([2.0, 0.05, 0.0]), np.full(3, 0.3)),
         )
-        series = iou_error_series([(0, rows(est))], rows(gt), threshold=0.5)
+        series = iou_error_series([(0, quadric_rows(est))], quadric_rows(gt), threshold=0.5)
         errs = [
             1.0 - iou(est[0], gt[0]),
             1.0 - iou(est[1], gt[1]),

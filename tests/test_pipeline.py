@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import builtins
 import copy
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from objslam.pipeline import (
     run_to_files,
     write_map_json,
 )
-from objslam.priors import FixtureLLMClient, parse_prior_csv
+from objslam.priors import FixtureLLMClient, parse_prior_csv, write_prior_csv
 from objslam.simulator import SceneSpec, SimConfig, simulate_dataset
 
 EMBEDDINGS = str(Path(__file__).parent / "data" / "embeddings_50d.txt")
@@ -183,23 +185,32 @@ class TestRunSlam:
         assert len(report.iou_series) == len(dataset.frames)
 
     def test_priors_from_csv_match_direct(self, small_world, tmp_path):
-        from objslam.priors import write_prior_csv
-
         dataset, scene = small_world
         priors = scene.prior_table()
         csv_path = tmp_path / "priors.csv"
         write_prior_csv(priors, csv_path)
-        direct, _, _ = run_slam(_run_config(), dataset, priors)
-        via_csv, _, _ = run_slam(
-            _run_config(paths={"priors_csv": str(csv_path)}), dataset
-        )
-        assert direct.landmarks == via_csv.landmarks
+        write_dataset(dataset, tmp_path / "ds")
+        direct, _, _ = run_slam(_run_config(), load_dataset(tmp_path / "ds"), priors)
+        out = run_to_files(_run_config(paths={
+            "dataset": str(tmp_path / "ds"), "priors_csv": str(csv_path),
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert load_map_json(out / "map.json").landmarks == direct.landmarks
 
-    def test_timings_populated(self, small_world):
+    def test_timings_populated(self, small_world, tmp_path):
         dataset, scene = small_world
+        stages = {"associate", "add_keyframe", "solve", "evaluate"}
         timings: dict[str, float] = {}
         run_slam(_run_config(), dataset, scene.prior_table(), timings=timings)
-        assert {"load", "associate", "add_keyframe", "solve", "evaluate"} <= set(timings)
+        assert set(timings) == stages
+        # Loading the files is run_to_files' stage.
+        write_dataset(dataset, tmp_path / "ds")
+        timings = {}
+        run_to_files(
+            _run_config(paths={"dataset": str(tmp_path / "ds"), "output_dir": str(tmp_path / "out")}),
+            timings,
+        )
+        assert set(timings) == stages | {"load"}
 
     def test_evaluation_validates_no_quadric(self, small_world, monkeypatch):
         # Ground-truth quadrics are validated when the dataset is built and
@@ -218,7 +229,58 @@ class TestRunSlam:
 
     def test_missing_dataset_rejected(self):
         with pytest.raises(ValueError, match="dataset"):
-            run_slam(_run_config())
+            run_to_files(_run_config())
+
+    @pytest.mark.parametrize("mode", ["incremental", "batch"])
+    def test_run_slam_opens_no_file(self, small_world, tmp_path, monkeypatch, mode):
+        # Every input path names a real file, and run_slam reads none of
+        # them: run_to_files loads what cfg.paths names.
+        dataset, scene = small_world
+        write_dataset(dataset, tmp_path / "ds")
+        write_prior_csv(scene.prior_table(), tmp_path / "priors.csv")
+        cfg = _run_config(mode=mode, paths={
+            "dataset": str(tmp_path / "ds"), "priors_csv": str(tmp_path / "priors.csv"),
+            "embeddings": EMBEDDINGS,
+        })
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_slam opened a file")
+
+        with monkeypatch.context() as m:
+            for target, name in ((builtins, "open"), (io, "open"), (Path, "read_text")):
+                m.setattr(target, name, refuse)
+            estimate, report, _ = run_slam(cfg, dataset, scene.prior_table())
+        assert len(estimate.landmarks) == report.tp == 3
+
+    @pytest.mark.parametrize("mode", ["incremental", "batch"])
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_detection_order_does_not_change_the_map(self, camera_module, seed, mode):
+        # A standard scene outside the acceptance seeds, mapped as simulated
+        # and with the detections of every frame in a seeded random order:
+        # the same objects are found, at the same places to roundoff.
+        sim = SimConfig(sigma_px=2.0, sigma_rot=0.005, sigma_trans=0.005, seed=seed)
+        dataset, scene = simulate_dataset(SceneSpec(n_objects=10), 30, camera_module, (640, 480), sim)
+        rng = np.random.default_rng(seed)
+        shuffled = dataclasses.replace(dataset, gt_association=None, frames=[
+            dataclasses.replace(f, detections=tuple(
+                f.detections[i] for i in rng.permutation(len(f.detections))
+            ))
+            for f in dataset.frames
+        ])
+        cfg = build_run_config({"mode": mode, "noise": {
+            "bbox_sigma_px": 2.0, "odom_sigma_rot": 0.005, "odom_sigma_trans": 0.005,
+        }})
+        runs = []
+        for data in (dataset, shuffled):
+            estimate, report, _ = run_slam(cfg, data, scene.prior_table())
+            landmarks = sorted(estimate.landmarks, key=lambda lm: lm.centroid)
+            runs.append(((report.tp, report.fp, report.fn),
+                         np.array([lm.centroid for lm in landmarks]),
+                         np.array([lm.semi_axes for lm in landmarks])))
+        (counts, centroids, axes), (counts_s, centroids_s, axes_s) = runs
+        assert counts == counts_s
+        np.testing.assert_allclose(centroids_s, centroids, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(axes_s, axes, rtol=0, atol=1e-9)
 
     def test_missing_odometry_names_frame(self, small_world):
         dataset, scene = small_world
@@ -270,8 +332,9 @@ class TestRunSlam:
         assert w < GATE <= w + SEMANTIC_WEIGHT
         landmarks = {}
         for table in (None, EMBEDDINGS):
-            cfg = _run_config(mode=mode, paths={"embeddings": table})
-            landmarks[table] = len(run_slam(cfg, dataset)[0].landmarks)
+            embeddings = None if table is None else EmbeddingTable.load(table)
+            estimate, _, _ = run_slam(_run_config(mode=mode), dataset, embeddings=embeddings)
+            landmarks[table] = len(estimate.landmarks)
         assert landmarks == {None: 2, EMBEDDINGS: 1}
 
     def test_add_keyframe_builds_no_pose(self, small_world, monkeypatch):
@@ -469,10 +532,14 @@ class TestFileFormats:
 
     def test_run_to_files_deterministic_bytes(self, small_world, tmp_path):
         dataset, scene = small_world
+        write_dataset(dataset, tmp_path / "ds")
         outs = []
         for name in ("a", "b"):
-            cfg = _run_config(paths={"output_dir": str(tmp_path / name)}, mode="batch")
-            outs.append(run_to_files(cfg, dataset))
+            cfg = _run_config(
+                paths={"output_dir": str(tmp_path / name), "dataset": str(tmp_path / "ds")},
+                mode="batch",
+            )
+            outs.append(run_to_files(cfg))
         assert (outs[0] / "map.json").read_bytes() == (outs[1] / "map.json").read_bytes()
         assert (
             outs[0] / "solve.json"
