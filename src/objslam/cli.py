@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import Collection
 
 from .config import ConfigError, load_run_config
-from .dataset import ParseError, SchemaError
+from .dataset import ParseError, SchemaError, write_iou_series_csv, write_report_json
 from .pipeline import (
     evaluate_files,
     run_gen_priors,
@@ -58,6 +59,12 @@ def _load_config(args: argparse.Namespace):
     return dataclasses.replace(cfg, paths=dataclasses.replace(cfg.paths, **given))
 
 
+def _print_fallbacks(what: str, unit: str, names: Collection[str]) -> None:
+    """One line naming the labels a command fell back on, sorted, if any."""
+    if names:
+        print(f"{what} for {len(names)} {unit}(s): {', '.join(sorted(names))}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = run_simulate(cfg)
@@ -73,23 +80,25 @@ def _cmd_gen_priors(args: argparse.Namespace) -> int:
     if args.cache:
         client = CachedLLMClient(client, args.cache)
     table = run_gen_priors(args.vocab, args.output, client)
-    flagged = sorted(table.flagged)
     print(f"wrote {len(table)} prior rows to {args.output}")
-    if flagged:
-        print(f"fallback rows for {len(flagged)} label(s): {', '.join(flagged)}")
+    _print_fallbacks("fallback rows", "label", table.flagged)
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     timings: dict[str, float] = {}
-    out = run_to_files(cfg, timings)
+    out, priors, embeddings = run_to_files(cfg, timings)
     print(f"wrote map and reports to {out}")
     print("stage          seconds")
     for stage in ("load", "associate", "add_keyframe", "solve", "evaluate"):
         if stage in timings:
             print(f"{stage:<14} {timings[stage]:.4f}")
     print(f"{'total':<14} {sum(timings.values()):.4f}")
+    _print_fallbacks("fallback priors", "label", () if priors is None else priors.flagged)
+    _print_fallbacks(
+        "missing embeddings", "token", () if embeddings is None else embeddings.missing_tokens
+    )
     return 0
 
 
@@ -103,12 +112,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if report.ate is not None:
         print(f"ate_rmse={report.ate:.4f}")
     if args.output:
-        from .pipeline import write_report_json
-
         write_report_json(report, args.output)
     if args.iou_csv:
-        from .evaluation import write_iou_series_csv
-
         write_iou_series_csv(report.iou_series, args.iou_csv)
     return 0
 

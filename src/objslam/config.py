@@ -17,7 +17,7 @@ import yaml
 
 from .geometry import CameraIntrinsics, SettingTypeError, require_field_types
 from .optimizer import Flags, NoiseConfig, SolverConfig
-from .simulator import SimConfig
+from .simulator import ORBIT_ARC, ORBIT_HEIGHT, ORBIT_RADIUS, SceneSpec, SimConfig
 
 MODES = ("batch", "incremental")
 
@@ -79,13 +79,13 @@ class CameraConfig:
 class SceneConfig:
     """Scene and orbit shape for the simulate command."""
 
-    n_objects: int = 10
+    n_objects: int = SceneSpec.n_objects
     n_frames: int = 30
-    area: tuple[float, float] = (2.0, 1.2)
-    surface_height: float = 0.0
-    radius: float = 2.2
-    height: float = 1.2
-    arc: float = 5.2
+    area: tuple[float, float] = SceneSpec.area
+    surface_height: float = SceneSpec.surface_height
+    radius: float = ORBIT_RADIUS
+    height: float = ORBIT_HEIGHT
+    arc: float = ORBIT_ARC
 
     def __post_init__(self) -> None:
         require_field_types(self)

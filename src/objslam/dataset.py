@@ -1,4 +1,4 @@
-"""On-disk dataset layout and record schemas.
+"""Every file a run reads or writes, and the records they hold.
 
 A dataset is a directory:
 
@@ -8,10 +8,19 @@ A dataset is a directory:
 - ``gt_objects.jsonl``, ``gt_trajectory.jsonl``, ``gt_association.jsonl``
   (optional): ground truth for evaluation.
 
-Rotations appear on disk as unit quaternions in (w, x, y, z) order.
-``ParseError`` carries file and line number. ``SchemaError`` names the
-file and line of the offending record, and the field where it is known; a
-record whose values have the wrong type or range raises it too.
+A run writes ``map.json`` (the labelled landmarks, the trajectory and the
+per-keyframe landmark snapshots), ``solve.json`` (the last solve's costs)
+and, when the dataset carries ground truth, ``report.json`` and
+``iou_series.csv``. A map landmark is one :class:`Landmark` record, the same
+in memory as in ``map.json``, for the final map and every snapshot alike;
+it is validated only where it is read from a file.
+
+Rotations appear on disk as unit quaternions in (w, x, y, z) order. Keys
+are sorted and floats written by repr, so equal records give equal bytes.
+``ParseError`` carries file and line number. ``SchemaError`` names the file
+and line of the offending record, or the entry of a document, and the field
+where it is known; a record whose values have the wrong type or range
+raises it too.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -33,6 +42,10 @@ from .geometry import (
     matrix_to_quat,
     quat_to_matrix,
 )
+
+if TYPE_CHECKING:  # annotations only: these modules import this one
+    from .evaluation import EvalReport, Rows
+    from .optimizer import SolveReport
 
 HEADER_FILE = "header.json"
 FRAMES_FILE = "frames.jsonl"
@@ -104,8 +117,43 @@ class Dataset:
         return {(o.from_frame, o.to_frame): o.relative for o in self.odometry}
 
 
-def _dump_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "))
+@dataclass(frozen=True)
+class Landmark:
+    """One mapped ellipsoid as ``map.json`` holds it: id, unit quaternion
+    (w, x, y, z), centroid and semi-axes. The final map and every snapshot
+    hold these records; :func:`landmark_rows` stacks them for evaluation."""
+
+    landmark_id: int
+    rotation_quaternion: tuple[float, float, float, float]
+    centroid: tuple[float, float, float]
+    semi_axes: tuple[float, float, float]
+
+    def quadric(self) -> Quadric:
+        """The validated quadric: ValueError for a bad rotation or a
+        non-positive semi-axis."""
+        R = quat_to_matrix(np.array(self.rotation_quaternion, dtype=np.float64))
+        return Quadric(R, self.centroid, self.semi_axes)
+
+
+@dataclass(frozen=True)
+class MapEstimate:
+    """Final object map with each landmark's label, trajectory, and optional
+    per-keyframe landmark snapshots for convergence curves."""
+
+    landmarks: tuple[Landmark, ...]
+    labels: dict[int, str]
+    trajectory: tuple[tuple[int, Pose], ...]
+    snapshots: tuple[tuple[int, tuple[Landmark, ...]], ...] = ()
+
+
+def landmark_rows(landmarks: Sequence[Landmark]) -> Rows:
+    """Stacked rotations (n, 3, 3), centroids (n, 3) and semi-axes (n, 3) of
+    landmark records: :meth:`Landmark.quadric`'s values without its check."""
+    return (
+        np.array([quat_to_matrix(lm.rotation_quaternion) for lm in landmarks]).reshape(-1, 3, 3),
+        np.array([lm.centroid for lm in landmarks], dtype=np.float64).reshape(-1, 3),
+        np.array([lm.semi_axes for lm in landmarks], dtype=np.float64).reshape(-1, 3),
+    )
 
 
 def _quat_list(R: np.ndarray) -> list[float]:
@@ -114,6 +162,16 @@ def _quat_list(R: np.ndarray) -> list[float]:
 
 def _vec_list(v: np.ndarray) -> list[float]:
     return [float(x) for x in np.asarray(v)]
+
+
+def _pose_entry(pose: Pose, **ids: int) -> dict:
+    """A pose record: the frame ids it belongs to, its rotation quaternion
+    and its translation. :func:`_pose_from_record` reads it back."""
+    return {
+        **ids,
+        "rotation_quaternion": _quat_list(pose.rotation),
+        "translation": _vec_list(pose.translation),
+    }
 
 
 def detection_to_json(det: Detection) -> dict:
@@ -169,6 +227,30 @@ def _record(where: str) -> Iterator[None]:
         raise SchemaError(f"{where}: invalid record: {exc}") from exc
 
 
+def _parse_each(records: Iterable[tuple[str, object]], parse: Callable[[dict, str], T]) -> list[T]:
+    """parse(record, where) of each (where, record) pair, in order: a JSONL
+    file's lines or the entries of a document's list."""
+    out = []
+    for where, record in records:
+        with _record(where):
+            out.append(parse(record, where))
+    return out
+
+
+def _decode(text: str, path: str | Path, line_no: int = 1):
+    """The JSON value of `text`, which starts on line `line_no` of `path`.
+    Malformed JSON is a ParseError naming the line of the fault."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{line_no + exc.lineno - 1}: invalid JSON: {exc.msg}") from exc
+
+
+def _write_document(path: str | Path, doc: dict) -> None:
+    """A JSON document, indented, with sorted keys."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def detection_from_json(record: dict, where: str) -> Detection:
     bbox = _require(record, "bbox", where)
     if not (isinstance(bbox, list) and len(bbox) == 4):
@@ -184,13 +266,18 @@ def detection_from_json(record: dict, where: str) -> Detection:
     )
 
 
+def _vector(record: dict, key: str, where: str, n: int = 3) -> np.ndarray:
+    """The record's field ``key``: a list of `n` JSON numbers."""
+    v = _require(record, key, where)
+    if not (isinstance(v, list) and len(v) == n):
+        raise SchemaError(f"{where}: field {key!r} must have {n} entries")
+    return np.array([_number(x, key, where) for x in v])
+
+
 def _quaternion(record: dict, where: str) -> np.ndarray:
     """The record's 'rotation_quaternion' as read: four finite numbers of
     unit norm within 1e-6, in (w, x, y, z) order."""
-    quat = _require(record, "rotation_quaternion", where)
-    if not (isinstance(quat, list) and len(quat) == 4):
-        raise SchemaError(f"{where}: field 'rotation_quaternion' must have 4 entries")
-    q = np.array([_number(v, "rotation_quaternion", where) for v in quat])
+    q = _vector(record, "rotation_quaternion", where, 4)
     norm = float(np.linalg.norm(q))
     if not abs(norm - 1.0) <= 1e-6:  # NaN and inf entries fail too
         raise SchemaError(
@@ -200,41 +287,25 @@ def _quaternion(record: dict, where: str) -> np.ndarray:
     return q
 
 
-def _vector3(record: dict, key: str, where: str) -> np.ndarray:
-    v = _require(record, key, where)
-    if not (isinstance(v, list) and len(v) == 3):
-        raise SchemaError(f"{where}: field {key!r} must have 3 entries")
-    return np.array([_number(x, key, where) for x in v])
-
-
 def _pose_from_record(record: dict, where: str) -> Pose:
     rotation = quat_to_matrix(_quaternion(record, where))
-    return Pose(rotation, _vector3(record, "translation", where))
+    return Pose(rotation, _vector(record, "translation", where))
 
 
 def _read_jsonl(path: Path, parse: Callable[[dict, str], T]) -> list[T]:
     """parse(record, where) of every non-blank line, where is "file:line"."""
-    out = []
     with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from exc
-            with _record(where):
-                out.append(parse(record, where))
-    return out
+        return _parse_each((
+            (f"{path}:{line_no}", _decode(line, path, line_no))
+            for line_no, line in enumerate(f, start=1) if line.strip()
+        ), parse)
 
 
 def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
     """One line per record, the inverse of :func:`_read_jsonl`."""
     with open(path, "w") as f:
         for record in records:
-            f.write(_dump_line(record) + "\n")
+            f.write(json.dumps(record, sort_keys=True, separators=(",", ": ")) + "\n")
 
 
 def _frame_from_json(record: dict, where: str) -> Frame:
@@ -251,8 +322,8 @@ def _odometry_from_json(record: dict, where: str) -> OdometryEntry:
 def _gt_object_from_json(record: dict, where: str) -> GroundTruthObject:
     label = _string(record, "label", where)
     rotation = quat_to_matrix(_quaternion(record, where))
-    center = _vector3(record, "center", where)
-    half = _vector3(record, "half_extents", where)
+    center = _vector(record, "center", where)
+    half = _vector(record, "half_extents", where)
     return GroundTruthObject(label, Quadric(rotation, center, half))
 
 
@@ -307,7 +378,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         },
         "image_size": list(dataset.image_size),
     }
-    (path / HEADER_FILE).write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
+    _write_document(path / HEADER_FILE, header)
 
     _write_jsonl(path / FRAMES_FILE, (
         {"frame_id": frame.frame_id,
@@ -315,9 +386,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         for frame in dataset.frames
     ))
     _write_jsonl(path / ODOMETRY_FILE, (
-        {"from_frame": entry.from_frame, "to_frame": entry.to_frame,
-         "rotation_quaternion": _quat_list(entry.relative.rotation),
-         "translation": _vec_list(entry.relative.translation)}
+        _pose_entry(entry.relative, from_frame=entry.from_frame, to_frame=entry.to_frame)
         for entry in dataset.odometry
     ))
     if dataset.gt_objects is not None:
@@ -328,9 +397,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         ))
     if dataset.gt_trajectory is not None:
         _write_jsonl(path / GT_TRAJECTORY_FILE, (
-            {"frame_id": frame_id, "rotation_quaternion": _quat_list(pose.rotation),
-             "translation": _vec_list(pose.translation)}
-            for frame_id, pose in dataset.gt_trajectory
+            _pose_entry(pose, frame_id=frame_id) for frame_id, pose in dataset.gt_trajectory
         ))
     if dataset.gt_association is not None:
         _write_jsonl(path / GT_ASSOCIATION_FILE, (
@@ -368,10 +435,7 @@ def load_dataset(path: str | Path) -> Dataset:
     header_path = path / HEADER_FILE
     if not header_path.exists():
         raise SchemaError(f"{header_path}: missing dataset header")
-    try:
-        header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{header_path}:1: invalid JSON: {exc.msg}") from exc
+    header = _decode(header_path.read_text(), header_path)
     with _record(str(header_path)):
         intr = _require(header, "intrinsics", str(header_path))
         where = f"{header_path}: intrinsics"
@@ -427,3 +491,134 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(
         intrinsics, image_size, frames, odometry, gt_objects, gt_trajectory, gt_association
     )
+
+
+# ---------------------------------------------------------------------------
+# The files a run writes: map.json, solve.json, report.json, iou_series.csv
+
+
+def _landmark_entry(lm: Landmark) -> dict:
+    return {
+        "id": lm.landmark_id,
+        "rotation_quaternion": list(lm.rotation_quaternion),
+        "centroid": list(lm.centroid),
+        "semi_axes": list(lm.semi_axes),
+    }
+
+
+def write_map_json(m: MapEstimate, path: str | Path) -> None:
+    _write_document(path, {
+        "landmarks": [
+            {**_landmark_entry(lm), "label": m.labels[lm.landmark_id]} for lm in m.landmarks
+        ],
+        "trajectory": [_pose_entry(x, frame_id=fid) for fid, x in m.trajectory],
+        "snapshots": [
+            {"keyframe_index": kf, "landmarks": [_landmark_entry(lm) for lm in snap]}
+            for kf, snap in m.snapshots
+        ],
+    })
+
+
+def _entries(doc, key: str, where: str, parse: Callable[[dict, str], T]) -> tuple[T, ...]:
+    """parse(entry, name) of each entry of the list doc[key], name being
+    "<where> key[i]"; a malformed entry raises SchemaError naming it."""
+    with _record(where):
+        items = _require(doc, key, where)
+        if not isinstance(items, list):
+            raise SchemaError(f"{where}: field {key!r} must be a list")
+    named = ((f"{where} {key}[{i}]", item) for i, item in enumerate(items))
+    return tuple(_parse_each(named, parse))
+
+
+def _landmark_from_json(entry: dict, where: str) -> Landmark:
+    """A landmark entry of either list, validated through its quadric."""
+    lm = Landmark(
+        _integer(entry, "id", where),
+        tuple(_quaternion(entry, where).tolist()),
+        tuple(_vector(entry, "centroid", where).tolist()),
+        tuple(_vector(entry, "semi_axes", where).tolist()),
+    )
+    lm.quadric()
+    return lm
+
+
+def _labelled_landmark_from_json(entry: dict, where: str) -> tuple[Landmark, str]:
+    return _landmark_from_json(entry, where), _string(entry, "label", where)
+
+
+def _snapshot_from_json(entry: dict, where: str) -> tuple[int, tuple[Landmark, ...]]:
+    keyframe_index = _integer(entry, "keyframe_index", where)
+    landmarks = _entries(entry, "landmarks", where, _one_per("id", _landmark_from_json))
+    return keyframe_index, landmarks
+
+
+def load_map_json(path: str | Path) -> MapEstimate:
+    """Read a map written by :func:`write_map_json`. Malformed JSON raises
+    ParseError; a malformed entry, or a second entry of one frame, landmark
+    id or keyframe, raises SchemaError naming the file and the entry."""
+    doc = _decode(Path(path).read_text(), path)
+    where = str(path)
+    # Landmarks first: past them, doc is known to be a JSON object.
+    final = _entries(doc, "landmarks", where, _one_per("id", _labelled_landmark_from_json))
+    trajectory = _entries(doc, "trajectory", where, _one_per("frame_id", _frame_pose_from_json))
+    snapshots = ()
+    if "snapshots" in doc:
+        snapshots = _entries(
+            doc, "snapshots", where, _one_per("keyframe_index", _snapshot_from_json)
+        )
+    landmarks = tuple(lm for lm, _ in final)
+    labels = {lm.landmark_id: label for lm, label in final}
+    return MapEstimate(landmarks, labels, trajectory, snapshots)
+
+
+def write_solve_json(report: SolveReport, path: str | Path) -> None:
+    _write_document(path, {
+        "initial_cost": report.initial_cost,
+        "final_cost": report.final_cost,
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "breakdown": dict(sorted(report.breakdown.items())),
+    })
+
+
+def report_document(report: EvalReport) -> dict:
+    """The document ``report.json`` holds."""
+    return {
+        "counts": {"tp": report.tp, "fp": report.fp, "fn": report.fn},
+        "objects": [
+            {
+                "est_index": m.est_index,
+                "gt_index": m.gt_index,
+                "iou": m.iou,
+                "centroid_error": m.centroid_error,
+                "size_error": m.size_error,
+            }
+            for m in report.objects
+        ],
+        "means": {
+            "iou": report.mean_iou,
+            "centroid_error": report.mean_centroid_error,
+            "size_error": report.mean_size_error,
+        },
+        "ate_rmse": report.ate,
+        "iou_series": [
+            {"keyframe_index": k, "mean_iou_error": m, "std_iou_error": s}
+            for k, m, s in report.iou_series
+        ],
+    }
+
+
+def write_report_json(report: EvalReport, path: str | Path) -> None:
+    _write_document(path, report_document(report))
+
+
+def write_iou_series_csv(
+    rows: Sequence[tuple[int, float | None, float | None]], path: str | Path
+) -> None:
+    """Flat CSV of the IoU-error curve; absent entries serialize as nan."""
+    lines = ["keyframe_index,mean_iou_error,std_iou_error"]
+    for keyframe_index, mean, std in rows:
+        m = "nan" if mean is None else repr(float(mean))
+        s = "nan" if std is None else repr(float(std))
+        lines.append(f"{keyframe_index},{m},{s}")
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -9,8 +9,9 @@ error. Map-to-truth correspondence is a one-to-one assignment gated by
 centroid distance, which yields TP/FP/FN counts. Trajectories are scored by
 translational RMSE after a closed-form rigid alignment (no scale). A
 per-keyframe IoU-error series reproduces convergence curves from map
-snapshots. Nothing here validates its input: the callers pass the solver's
-output or records checked where they were read.
+snapshots. Nothing here validates its input, reads or writes a file: the
+callers pass the solver's output or records checked where they were read,
+and ``dataset`` writes ``report.json`` and ``iou_series.csv``.
 
 The IoU needs no convex hull. One box's surface is clipped by the other's
 six half-spaces, the cut faces closed along each plane, and the volume of
@@ -22,7 +23,6 @@ report or an IoU-error series makes one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -258,31 +258,6 @@ class EvalReport:
             return None
         return float(np.mean([m.size_error for m in self.objects]))
 
-    def to_json(self) -> dict:
-        return {
-            "counts": {"tp": self.tp, "fp": self.fp, "fn": self.fn},
-            "objects": [
-                {
-                    "est_index": m.est_index,
-                    "gt_index": m.gt_index,
-                    "iou": m.iou,
-                    "centroid_error": m.centroid_error,
-                    "size_error": m.size_error,
-                }
-                for m in self.objects
-            ],
-            "means": {
-                "iou": self.mean_iou,
-                "centroid_error": self.mean_centroid_error,
-                "size_error": self.mean_size_error,
-            },
-            "ate_rmse": self.ate,
-            "iou_series": [
-                {"keyframe_index": k, "mean_iou_error": m, "std_iou_error": s}
-                for k, m, s in self.iou_series
-            ],
-        }
-
 
 def evaluate_map(
     estimates: Rows, gt_objects: Rows, threshold: float = 0.5
@@ -338,15 +313,3 @@ def iou_error_series(
         else:
             rows.append((keyframe_index, None, None))
     return tuple(rows)
-
-
-def write_iou_series_csv(
-    rows: Sequence[tuple[int, float | None, float | None]], path: str | Path
-) -> None:
-    """Flat CSV of the IoU-error curve; absent entries serialize as nan."""
-    lines = ["keyframe_index,mean_iou_error,std_iou_error"]
-    for keyframe_index, mean, std in rows:
-        m = "nan" if mean is None else repr(float(mean))
-        s = "nan" if std is None else repr(float(std))
-        lines.append(f"{keyframe_index},{m},{s}")
-    Path(path).write_text("\n".join(lines) + "\n")

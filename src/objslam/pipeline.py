@@ -1,65 +1,41 @@
-"""End-to-end driver: dataset in, object map + trajectory + reports out.
+"""The estimator loop and its drivers: dataset in, object map out.
 
 Per frame the flow is association against the current map (one
 ``associate_long_term`` call, the gated LSAP of every detection over the
 stacked landmark arrays), keyframe insertion, and (in incremental mode) a
 bounded re-optimization; batch mode defers solving to one final pass.
-Output files are written with fixed key order and float repr so identical
-inputs give byte-identical artifacts.
+``run_slam`` reads and writes no file; the drivers load its inputs and
+write its outputs through ``dataset``, which owns every file format.
 
-A map landmark is one :class:`Landmark` record, the same in memory as in
-``map.json``, for the final map and every snapshot alike. Evaluation scores
-those records as stacked rows, so ``evaluate_files`` on a run's ``map.json``
-reproduces the report that run computed. A record is validated only where
-it is read from a file: the solver's records need no check.
+The final map and every snapshot hold ``dataset.Landmark`` records.
+Evaluation scores those records as stacked rows, so ``evaluate_files`` on
+a run's ``map.json`` reproduces the report that run computed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
-
-import numpy as np
 
 from .association import EmbeddingTable, associate_long_term
 from .config import RunConfig
-# map.json is written and read with the dataset's record helpers.
 from .dataset import (
     Dataset,
-    ParseError,
+    Landmark,
+    MapEstimate,
     SchemaError,
-    _frame_pose_from_json,
-    _integer,
-    _one_per,
-    _quat_list,
-    _quaternion,
-    _record,
-    _require,
-    _string,
-    _vec_list,
-    _vector3,
+    landmark_rows,
     load_dataset,
+    load_map_json,
     write_dataset,
-)
-from .evaluation import (
-    EvalReport,
-    Rows,
-    ate_rmse,
-    evaluate_map,
-    iou_error_series,
     write_iou_series_csv,
+    write_map_json,
+    write_report_json,
+    write_solve_json,
 )
-from .geometry import (
-    Pose,
-    Quadric,
-    matrix_to_quat,
-    quadric_rows,
-    quat_to_matrix,
-)
+from .evaluation import EvalReport, ate_rmse, evaluate_map, iou_error_series
+from .geometry import Pose, matrix_to_quat, quadric_rows
 from .optimizer import (
     FactorGraph,
     GraphValues,
@@ -79,51 +55,9 @@ from .priors import (
 from .simulator import SceneSpec, simulate_dataset
 
 
-T = TypeVar("T")
-
-
 class PipelineError(RuntimeError):
     """A failure inside the pipeline, annotated with the frame it happened on
     or with the final solve."""
-
-
-@dataclass(frozen=True)
-class Landmark:
-    """One mapped ellipsoid as ``map.json`` holds it: id, unit quaternion
-    (w, x, y, z), centroid and semi-axes. The final map and every snapshot
-    hold these records; :func:`landmark_rows` stacks them for evaluation."""
-
-    landmark_id: int
-    rotation_quaternion: tuple[float, float, float, float]
-    centroid: tuple[float, float, float]
-    semi_axes: tuple[float, float, float]
-
-    def quadric(self) -> Quadric:
-        """The validated quadric: ValueError for a bad rotation or a
-        non-positive semi-axis."""
-        R = quat_to_matrix(np.array(self.rotation_quaternion, dtype=np.float64))
-        return Quadric(R, self.centroid, self.semi_axes)
-
-
-@dataclass(frozen=True)
-class MapEstimate:
-    """Final object map with each landmark's label, trajectory, and optional
-    per-keyframe landmark snapshots for convergence curves."""
-
-    landmarks: tuple[Landmark, ...]
-    labels: dict[int, str]
-    trajectory: tuple[tuple[int, Pose], ...]
-    snapshots: tuple[tuple[int, tuple[Landmark, ...]], ...] = ()
-
-
-def landmark_rows(landmarks: Sequence[Landmark]) -> Rows:
-    """Stacked rotations (n, 3, 3), centroids (n, 3) and semi-axes (n, 3) of
-    landmark records: :meth:`Landmark.quadric`'s values without its check."""
-    return (
-        np.array([quat_to_matrix(lm.rotation_quaternion) for lm in landmarks]).reshape(-1, 3, 3),
-        np.array([lm.centroid for lm in landmarks], dtype=np.float64).reshape(-1, 3),
-        np.array([lm.semi_axes for lm in landmarks], dtype=np.float64).reshape(-1, 3),
-    )
 
 
 def _landmarks(values: GraphValues) -> tuple[Landmark, ...]:
@@ -258,124 +192,17 @@ def _evaluate_against(
 
 
 # ---------------------------------------------------------------------------
-# Deterministic file formats
-
-
-def _landmark_entry(lm: Landmark) -> dict:
-    return {
-        "id": lm.landmark_id,
-        "rotation_quaternion": list(lm.rotation_quaternion),
-        "centroid": list(lm.centroid),
-        "semi_axes": list(lm.semi_axes),
-    }
-
-
-def _map_document(m: MapEstimate) -> dict:
-    return {
-        "landmarks": [
-            {**_landmark_entry(lm), "label": m.labels[lm.landmark_id]} for lm in m.landmarks
-        ],
-        "trajectory": [
-            {
-                "frame_id": fid,
-                "rotation_quaternion": _quat_list(x.rotation),
-                "translation": _vec_list(x.translation),
-            }
-            for fid, x in m.trajectory
-        ],
-        "snapshots": [
-            {"keyframe_index": kf, "landmarks": [_landmark_entry(lm) for lm in snap]}
-            for kf, snap in m.snapshots
-        ],
-    }
-
-
-def write_map_json(m: MapEstimate, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_map_document(m), sort_keys=True, indent=2) + "\n")
-
-
-def _entries(doc, key: str, where: str, parse: Callable[[dict, str], T]) -> tuple[T, ...]:
-    """parse(entry, name) of each entry of the list doc[key], name being
-    "<where> key[i]"; a malformed entry raises SchemaError naming it."""
-    with _record(where):
-        items = _require(doc, key, where)
-        if not isinstance(items, list):
-            raise SchemaError(f"{where}: field {key!r} must be a list")
-    out = []
-    for i, item in enumerate(items):
-        name = f"{where} {key}[{i}]"
-        with _record(name):
-            out.append(parse(item, name))
-    return tuple(out)
-
-
-def _landmark_from_json(entry: dict, where: str) -> Landmark:
-    """A landmark entry of either list, validated through its quadric."""
-    lm = Landmark(
-        _integer(entry, "id", where),
-        tuple(_quaternion(entry, where).tolist()),
-        tuple(_vector3(entry, "centroid", where).tolist()),
-        tuple(_vector3(entry, "semi_axes", where).tolist()),
-    )
-    lm.quadric()
-    return lm
-
-
-def _labelled_landmark_from_json(entry: dict, where: str) -> tuple[Landmark, str]:
-    return _landmark_from_json(entry, where), _string(entry, "label", where)
-
-
-def _snapshot_from_json(entry: dict, where: str) -> tuple[int, tuple[Landmark, ...]]:
-    keyframe_index = _integer(entry, "keyframe_index", where)
-    landmarks = _entries(entry, "landmarks", where, _one_per("id", _landmark_from_json))
-    return keyframe_index, landmarks
-
-
-def load_map_json(path: str | Path) -> MapEstimate:
-    """Read a map written by :func:`write_map_json`. Malformed JSON raises
-    ParseError; a malformed entry, or a second entry of one frame, landmark
-    id or keyframe, raises SchemaError naming the file and the entry."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    where = str(path)
-    # Landmarks first: past them, doc is known to be a JSON object.
-    final = _entries(doc, "landmarks", where, _one_per("id", _labelled_landmark_from_json))
-    trajectory = _entries(doc, "trajectory", where, _one_per("frame_id", _frame_pose_from_json))
-    snapshots = ()
-    if "snapshots" in doc:
-        snapshots = _entries(
-            doc, "snapshots", where, _one_per("keyframe_index", _snapshot_from_json)
-        )
-    landmarks = tuple(lm for lm, _ in final)
-    labels = {lm.landmark_id: label for lm, label in final}
-    return MapEstimate(landmarks, labels, trajectory, snapshots)
-
-
-def write_report_json(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
-
-
-def write_solve_json(report: SolveReport, path: str | Path) -> None:
-    doc = {
-        "initial_cost": report.initial_cost,
-        "final_cost": report.final_cost,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "breakdown": dict(sorted(report.breakdown.items())),
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # Command drivers
 
 
-def run_to_files(cfg: RunConfig, timings: dict[str, float] | None = None) -> Path:
+def run_to_files(
+    cfg: RunConfig, timings: dict[str, float] | None = None
+) -> tuple[Path, PriorTable | None, EmbeddingTable | None]:
     """Load the dataset, prior CSV and embeddings that cfg.paths names (the
     `load` stage of `timings`), run_slam, and persist map/report/solve
-    artifacts. Returns the output directory."""
+    artifacts. Returns the output directory and the prior and embedding
+    tables the run used (None for a path cfg.paths leaves unset), whose
+    ``flagged`` and ``missing_tokens`` hold the labels it fell back on."""
     timings = {} if timings is None else timings
     t0 = time.perf_counter()
     if cfg.paths.dataset is None:
@@ -399,7 +226,7 @@ def run_to_files(cfg: RunConfig, timings: dict[str, float] | None = None) -> Pat
     if report is not None:
         write_report_json(report, out / "report.json")
         write_iou_series_csv(report.iou_series, out / "iou_series.csv")
-    return out
+    return out, priors, embeddings
 
 
 def run_simulate(cfg: RunConfig) -> Path:

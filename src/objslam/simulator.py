@@ -33,6 +33,12 @@ from .geometry import (
 from .priors import OrientationClass, PriorRecord, PriorTable
 
 MIN_VISIBLE_EXTENT_PX = 4.0
+# The default orbit: the camera's distance from the scene center's vertical
+# axis and its height above the center (meters), and the arc it sweeps
+# (radians).
+ORBIT_RADIUS = 2.2
+ORBIT_HEIGHT = 1.2
+ORBIT_ARC = 5.2
 
 
 class PlacementFailure(RuntimeError):
@@ -180,9 +186,9 @@ def look_at_pose(eye: np.ndarray, target: np.ndarray) -> Pose:
 def orbit_trajectory(
     n_frames: int,
     center: Sequence[float] = (0.0, 0.0, 0.1),
-    radius: float = 2.2,
-    height: float = 1.2,
-    arc: float = 5.2,
+    radius: float = ORBIT_RADIUS,
+    height: float = ORBIT_HEIGHT,
+    arc: float = ORBIT_ARC,
 ) -> list[Pose]:
     """Camera poses along a circular arc, all looking at the scene center."""
     if n_frames <= 0:
@@ -345,14 +351,13 @@ def simulate_dataset(
     K: CameraIntrinsics,
     image_size: tuple[int, int],
     cfg: SimConfig,
-    radius: float = 2.2,
-    height: float = 1.2,
-    arc: float = 5.2,
+    **orbit: float,
 ) -> tuple[Dataset, Scene]:
     """Full synthetic dataset: scene, orbit, noisy detections + odometry,
-    ground truth, and the per-frame detection-to-object association."""
+    ground truth, and the per-frame detection-to-object association.
+    `orbit` passes radius, height or arc on to :func:`orbit_trajectory`."""
     scene = generate_scene(spec, cfg.seed)
-    poses = orbit_trajectory(n_frames, radius=radius, height=height, arc=arc)
+    poses = orbit_trajectory(n_frames, **orbit)
     render_rng = np.random.default_rng([cfg.seed, 1])
     odom_rng = np.random.default_rng([cfg.seed, 2])
 

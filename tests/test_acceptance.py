@@ -17,6 +17,7 @@ from scipy.spatial.transform import Rotation
 from objslam.association import solve_lsap
 from objslam.cli import main as cli_main
 from objslam.config import build_run_config
+from objslam.dataset import landmark_rows
 from objslam.evaluation import box_iou_3d
 from objslam.factors import (
     BBoxFactor,
@@ -29,7 +30,7 @@ from objslam.factors import (
 from objslam.geometry import (
     BoundingBox2D, CameraIntrinsics, Pose, Quadric, compose, quadric_rows,
 )
-from objslam.pipeline import landmark_rows, run_slam, run_to_files
+from objslam.pipeline import run_slam, run_to_files
 from objslam.priors import OrientationClass, orientation_prior_frame
 from objslam.simulator import PlacementFailure, SceneSpec, SimConfig, simulate_dataset
 
@@ -550,7 +551,7 @@ def test_criterion_10_deterministic_outputs(tmp_path):
                     },
                 }
             )
-            outs.append(run_to_files(cfg))
+            outs.append(run_to_files(cfg)[0])
         for name in ("map.json", "report.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 

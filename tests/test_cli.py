@@ -453,6 +453,27 @@ class TestFlow:
         assert stages == ["load", "associate", "add_keyframe", "solve", "evaluate", "total"]
         assert main(["bench", "--set", f"paths.dataset={ds}"]) == 1
 
+    def test_run_prints_the_labels_it_fell_back_on(self, tmp_path, capsys):
+        # One label has no row in the prior CSV and another no row in the
+        # loaded embedding table; run names each, once, on its own line.
+        ds = _simulate(tmp_path, capsys, n_objects=3)
+        labels = sorted({d.label for f in load_dataset(ds).frames for d in f.detections})
+        assert len(labels) >= 2
+        rows = (ds / "priors.csv").read_text().splitlines()
+        priors = tmp_path / "priors.csv"
+        priors.write_text("\n".join(r for r in rows if not r.startswith(f"{labels[0]},")) + "\n")
+        embeddings = tmp_path / "emb.txt"
+        rows = (Path(__file__).parent / "data" / "embeddings_50d.txt").read_text().splitlines()
+        embeddings.write_text("\n".join(r for r in rows if r.split()[0] != labels[-1]) + "\n")
+        code = main(["run", "--dataset", str(ds), "--priors", str(priors),
+                     "-o", str(tmp_path / "out"), "--set", f"paths.embeddings={embeddings}"])
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-2:] == [
+            f"fallback priors for 1 label(s): {labels[0]}",
+            f"missing embeddings for 1 token(s): {labels[-1]}",
+        ]
+
 
 def test_docs_name_the_parsers_subcommands():
     # cli's docstring (its first line) and README's layout line for cli.py

@@ -16,14 +16,17 @@ from objslam.dataset import (
     Detection,
     Frame,
     GroundTruthObject,
+    Landmark,
+    MapEstimate,
     OdometryEntry,
     ParseError,
     SchemaError,
     load_dataset,
+    load_map_json,
     write_dataset,
+    write_map_json,
 )
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
-from objslam.pipeline import Landmark, MapEstimate, load_map_json, write_map_json
 
 from conftest import random_pose, random_quadric
 from helpers import pose_matrix
@@ -217,6 +220,17 @@ class TestValidation:
             load_dataset(tmp_path)
         assert ":3" in str(exc.value)
         assert FRAMES_FILE in str(exc.value)
+
+    def test_header_parse_error_names_its_line(self, tmp_path, rng):
+        # The header is an indented document; the error is on line 4 of it.
+        write_dataset(make_dataset(rng), tmp_path)
+        header_path = tmp_path / HEADER_FILE
+        lines = header_path.read_text().splitlines()
+        assert len(lines) > 4
+        lines[3] += " !!!"
+        header_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"{header_path}:4: invalid JSON"):
+            load_dataset(tmp_path)
 
     def test_missing_header_field(self, tmp_path, rng):
         ds = make_dataset(rng)

@@ -1,13 +1,17 @@
 """Every name a module of the package or of its tests imports is used in
-that module, and every module-level definition of the package is named
-somewhere in the package or in the benchmark.
+that module, every module-level definition of the package is named
+somewhere in the package or in the benchmark, and no module of the package
+imports another one's private names.
 
-Two ``ast`` scans. The first checks the names each import statement binds
+Three ``ast`` scans. The first checks the names each import statement binds
 against the names the module's code loads: a deletion that leaves an import
 behind fails here. The second checks each top-level ``def`` and ``class`` of
 ``src/objslam`` against the identifiers, attributes and string constants of
 ``src/objslam`` and ``perfbench``: code that no caller names any more fails
-here. Tests do not count as callers.
+here. Tests do not count as callers. The third lists the underscore names
+each module of the package imports from another: a helper that two modules
+need belongs, with both its callers, in one of them. ``dataset`` owns every
+file format, so it alone imports ``json``.
 """
 
 from __future__ import annotations
@@ -82,3 +86,41 @@ def test_every_definition_is_named():
     named = set().union(*(names(p.read_text()) for p in SOURCES + BENCHMARK))
     unnamed = {p.name: unnamed_definitions(p.read_text(), named) for p in SOURCES}
     assert {module: defs for module, defs in unnamed.items() if defs} == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore names that `source` imports from a module of the
+    package, relatively or as ``objslam``, in order of appearance."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "objslam")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_scan_finds_a_private_import():
+    source = (
+        "from __future__ import annotations\nimport json\nfrom typing import _T\n"
+        "from .dataset import _record, load_dataset\nfrom objslam.geometry import _skew\n"
+        "from . import _internal\n"
+    )
+    assert private_imports(source) == ["_record", "_skew", "_internal"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {p.name: private_imports(p.read_text()) for p in SOURCES}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_only_dataset_imports_json():
+    def imports_json(source: str) -> bool:
+        return any(
+            isinstance(node, ast.Import) and any(a.name == "json" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "json"
+            for node in ast.walk(ast.parse(source))
+        )
+
+    assert [p.name for p in SOURCES if imports_json(p.read_text())] == ["dataset.py"]

@@ -17,26 +17,27 @@ from objslam.dataset import (
     Dataset,
     Detection,
     Frame,
+    Landmark,
+    MapEstimate,
     OdometryEntry,
     ParseError,
     SchemaError,
+    landmark_rows,
     load_dataset,
+    load_map_json,
+    report_document,
     write_dataset,
+    write_map_json,
 )
 from objslam.geometry import BoundingBox2D, Pose, Quadric
 from objslam.optimizer import initialize_landmark
 from objslam.pipeline import (
-    Landmark,
-    MapEstimate,
     PipelineError,
     evaluate_files,
-    landmark_rows,
-    load_map_json,
     run_gen_priors,
     run_simulate,
     run_slam,
     run_to_files,
-    write_map_json,
 )
 from objslam.priors import FixtureLLMClient, parse_prior_csv, write_prior_csv
 from objslam.simulator import SceneSpec, SimConfig, simulate_dataset
@@ -191,7 +192,7 @@ class TestRunSlam:
         write_prior_csv(priors, csv_path)
         write_dataset(dataset, tmp_path / "ds")
         direct, _, _ = run_slam(_run_config(), load_dataset(tmp_path / "ds"), priors)
-        out = run_to_files(_run_config(paths={
+        out, _, _ = run_to_files(_run_config(paths={
             "dataset": str(tmp_path / "ds"), "priors_csv": str(csv_path),
             "output_dir": str(tmp_path / "out"),
         }))
@@ -512,9 +513,9 @@ class TestFileFormats:
         cfg = _run_config(
             paths={"output_dir": str(tmp_path / "out"), "dataset": str(ds_dir)}, mode=mode
         )
-        out = run_to_files(cfg)
+        out, _, _ = run_to_files(cfg)
         report = evaluate_files(out / "map.json", ds_dir)
-        assert report.to_json() == json.loads((out / "report.json").read_text())
+        assert report_document(report) == json.loads((out / "report.json").read_text())
 
     def test_run_to_files_artifacts(self, small_world, tmp_path):
         dataset, scene = small_world
@@ -524,7 +525,7 @@ class TestFileFormats:
         cfg = _run_config(
             paths={"output_dir": str(out_dir), "dataset": str(ds_dir)}, mode="batch"
         )
-        out = run_to_files(cfg)
+        out, _, _ = run_to_files(cfg)
         for name in ("map.json", "solve.json", "report.json", "iou_series.csv"):
             assert (out / name).exists(), name
         report = evaluate_files(out / "map.json", ds_dir)
@@ -539,7 +540,7 @@ class TestFileFormats:
                 paths={"output_dir": str(tmp_path / name), "dataset": str(tmp_path / "ds")},
                 mode="batch",
             )
-            outs.append(run_to_files(cfg))
+            outs.append(run_to_files(cfg)[0])
         assert (outs[0] / "map.json").read_bytes() == (outs[1] / "map.json").read_bytes()
         assert (
             outs[0] / "solve.json"
