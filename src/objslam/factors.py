@@ -15,10 +15,12 @@ Residual conventions:
 - Orientation prior: SO(3) log of R_target^T R, R the quadric's rotation.
 - Centroid prior: centroid minus the single-shot measured centroid.
 
-A kind is a class with two batched functions, one per pass. Both take the
-constant inputs of k factors (the class's ``stack``) and the stacked rows of
-their variables, (R (k, 3, 3), t (k, 3)) for a pose and (R, t, s (k, 3)) for
-a quadric.
+A ``Factor`` is k factors of one kind, stacked: their variable ids, their
+constant inputs and their noise rows. It is the one factor record, from
+``optimizer.add_keyframe`` to the solver. A kind is a subclass that names its
+variable slots and two batched functions, one per pass. Both take the
+constant inputs of k factors and the stacked rows of their variables,
+(R (k, 3, 3), t (k, 3)) for a pose and (R, t, s (k, 3)) for a quadric.
 
 - The scoring pass, ``<kind>_residuals``, returns a ``Scored``: the
   residuals (k, d), the validity (k,) and what the derivative needs that
@@ -45,16 +47,13 @@ envelope by the chain rule. Central differences live only in the tests.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import (
-    BoundingBox2D,
-    CameraIntrinsics,
     Pose,
     Quadric,
-    as_rotation,
     project_bbox_batch,
     skew,
     so3_jr_inv,
@@ -158,21 +157,15 @@ def _times(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v[:, :, None])[:, :, 0]
 
 
-def _border_mask(
-    measurement: BoundingBox2D, image_size: tuple[float, float] | None, tol: float = 1e-6
+def border_mask(
+    boxes: np.ndarray, image_size: tuple[float, float] | None, tol: float = 1e-6
 ) -> np.ndarray:
-    """Per-component validity mask: False where the box touches the border."""
+    """Per-component validity (k, 4) of measured boxes (k, 4): False where a
+    box touches the border of an image of ``image_size``."""
     if image_size is None:
-        return np.ones(4, dtype=bool)
+        return np.ones(boxes.shape, dtype=bool)
     w, h = image_size
-    return np.array(
-        [
-            measurement.xmin > tol,
-            measurement.ymin > tol,
-            measurement.xmax < w - tol,
-            measurement.ymax < h - tol,
-        ]
-    )
+    return np.concatenate([boxes[:, :2] > tol, boxes[:, 2:] < [w - tol, h - tol]], axis=1)
 
 
 def odometry_residuals(c, x_i, x_j) -> Scored:
@@ -337,143 +330,105 @@ def _row(v: Pose | Quadric) -> tuple[np.ndarray, ...]:
     return v.rotation[None], v.t[None], v.s[None]
 
 
+@dataclass(frozen=True, eq=False)
 class Factor:
-    """Base interface. A factor kind is a class with two batched functions
-    over the constant inputs its ``stack`` gathers from k factors:
+    """k factors of one kind, stacked: the graph's one factor record.
+
+    ``ids`` (slots, k) are the variable ids of each slot, whose kinds the
+    class's ``variables`` name; ``inputs`` the kind's constant inputs, each
+    array stacked along its first axis and anything else (the camera) shared
+    by all k; ``sqrt_info`` (k, d) and ``huber`` (k,) the noise models'
+    :func:`stack_noises`. A kind is a subclass that sets ``kind``,
+    ``variables`` and its two batched passes over those inputs:
     ``residuals``, the scoring pass, and ``jacobians``, the derivative pass
     from that pass's ``Scored``. ``residual_at`` and ``jacobian_at`` are
-    one-row calls."""
+    calls of a one-row factor.
+    """
 
-    kind: str = "factor"
-    noise: NoiseModel
-    residuals: Callable[..., Scored]
-    jacobians: Callable[..., np.ndarray]
+    ids: np.ndarray
+    inputs: tuple
+    sqrt_info: np.ndarray
+    huber: np.ndarray
 
-    def variable_keys(self) -> tuple[VariableKey, ...]:
-        raise NotImplementedError
+    kind: ClassVar[str] = "factor"
+    variables: ClassVar[tuple[str, ...]] = ()
+    residuals: ClassVar[Callable[..., Scored]]
+    jacobians: ClassVar[Callable[..., np.ndarray]]
+
+    @property
+    def key(self) -> tuple:
+        """What factors share to join one batch: the kind and the shared
+        inputs. One projection takes one camera, so bbox factors batch per K."""
+        return (type(self), *(a for a in self.inputs if not isinstance(a, np.ndarray)))
+
+    def joined(self, more: Sequence["Factor"]) -> "Factor":
+        """A new factor: this one's rows, then those of ``more``, of the
+        same key."""
+        every = [self, *more]
+        return type(self)(
+            np.concatenate([f.ids for f in every], axis=1),
+            tuple(
+                np.concatenate(column) if isinstance(column[0], np.ndarray) else column[0]
+                for column in zip(*(f.inputs for f in every))
+            ),
+            np.concatenate([f.sqrt_info for f in every]),
+            np.concatenate([f.huber for f in every]),
+        )
 
     def residual_at(self, *variables: Pose | Quadric) -> np.ndarray | None:
         """This factor's residual, or None when it is skipped."""
-        r, valid, _ = self.residuals(self.stack([self]), *map(_row, variables))
+        r, valid, _ = self.residuals(self.inputs, *map(_row, variables))
         return r[0] if valid[0] else None
 
     def jacobian_at(self, *variables: Pose | Quadric) -> tuple[np.ndarray, list[np.ndarray]] | None:
         """(residual, Jacobian blocks, one per variable) or None when the
         factor is skipped."""
-        c, rows = self.stack([self]), [_row(v) for v in variables]
-        scored = self.residuals(c, *rows)
+        rows = [_row(v) for v in variables]
+        scored = self.residuals(self.inputs, *rows)
         if not scored.valid[0]:
             return None
-        J = self.jacobians(c, scored, *rows)
-        dims = [TANGENT_DIM[kind] for kind, _ in self.variable_keys()]
+        J = self.jacobians(self.inputs, scored, *rows)
+        dims = [TANGENT_DIM[kind] for kind in self.variables]
         return scored.r[0], np.split(J[0], np.cumsum(dims)[:-1], axis=1)
 
 
-@dataclass(frozen=True, eq=False)
 class OdometryFactor(Factor):
-    pose_i: int
-    pose_j: int
-    measurement: Pose
-    noise: NoiseModel
+    """Inputs: the measured relative rotations and translations."""
 
     kind = "odometry"
+    variables = ("pose", "pose")
     residuals = staticmethod(odometry_residuals)
     jacobians = staticmethod(odometry_jacobians)
 
-    def variable_keys(self) -> tuple[VariableKey, ...]:
-        return (("pose", self.pose_i), ("pose", self.pose_j))
 
-    @staticmethod
-    def stack(factors: Sequence["OdometryFactor"]) -> tuple:
-        return (
-            np.array([f.measurement.rotation for f in factors]),
-            np.array([f.measurement.translation for f in factors]),
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class BBoxFactor(Factor):
-    pose_id: int
-    quadric_id: int
-    measurement: BoundingBox2D
-    K: CameraIntrinsics
-    noise: NoiseModel
-    image_size: tuple[float, float] | None = None
-
-    # Residual inputs of bbox_residuals, fixed at construction.
-    measured: np.ndarray = field(init=False, repr=False)
-    keep: np.ndarray = field(init=False, repr=False)
+    """Inputs: the camera, the measured boxes (k, 4) and their
+    :func:`border_mask`."""
 
     kind = "bbox"
+    variables = ("pose", "quadric")
     residuals = staticmethod(bbox_residuals)
     jacobians = staticmethod(bbox_jacobians)
 
-    def __post_init__(self) -> None:
-        measured = self.measurement.as_array()
-        keep = _border_mask(self.measurement, self.image_size)
-        measured.setflags(write=False)
-        keep.setflags(write=False)
-        object.__setattr__(self, "measured", measured)
-        object.__setattr__(self, "keep", keep)
 
-    def variable_keys(self) -> tuple[VariableKey, ...]:
-        return (("pose", self.pose_id), ("quadric", self.quadric_id))
-
-    @staticmethod
-    def stack(factors: Sequence["BBoxFactor"]) -> tuple:
-        """The camera (one for all k), measured boxes and border masks."""
-        return (
-            factors[0].K,
-            np.array([f.measured for f in factors]),
-            np.array([f.keep for f in factors]),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class _QuadricPrior(Factor):
-    """A unary prior: one quadric, one target."""
-
-    quadric_id: int
-    target: np.ndarray
-    noise: NoiseModel
-
-    def __post_init__(self) -> None:
-        target = np.array(self.target, dtype=np.float64).reshape(3)
-        target.setflags(write=False)
-        object.__setattr__(self, "target", target)
-
-    def variable_keys(self) -> tuple[VariableKey, ...]:
-        return (("quadric", self.quadric_id),)
-
-    @staticmethod
-    def stack(factors: Sequence["_QuadricPrior"]) -> tuple:
-        return (np.array([f.target for f in factors]),)
-
-
-@dataclass(frozen=True, eq=False)
-class SizePriorFactor(_QuadricPrior):
+# The three unary landmark priors take one input: their targets, (k, 3) or
+# for orientation (k, 3, 3).
+class SizePriorFactor(Factor):
     kind = "size_prior"
+    variables = ("quadric",)
     residuals = staticmethod(size_prior_residuals)
     jacobians = staticmethod(size_prior_jacobians)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if np.any(self.target <= 0.0) or np.any(np.diff(self.target) < 0.0):
-            raise ValueError(f"size target must be positive and ascending, got {self.target}")
 
-
-@dataclass(frozen=True, eq=False)
-class OrientationPriorFactor(_QuadricPrior):
+class OrientationPriorFactor(Factor):
     kind = "orientation_prior"
+    variables = ("quadric",)
     residuals = staticmethod(orientation_prior_residuals)
     jacobians = staticmethod(orientation_prior_jacobians)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "target", as_rotation(self.target))
 
-
-@dataclass(frozen=True, eq=False)
-class CentroidPriorFactor(_QuadricPrior):
+class CentroidPriorFactor(Factor):
     kind = "centroid"
+    variables = ("quadric",)
     residuals = staticmethod(centroid_residuals)
     jacobians = staticmethod(centroid_jacobians)

@@ -11,14 +11,16 @@ one fixed schedule (the module's damping constants; ``SolverConfig`` holds only
 the step budgets), and one ``geometry.retract`` of all free rows per step. The
 lowest-id pose is held constant in every solve, which fixes the gauge.
 
-``FactorGraph`` stores the factors once, as batches per kind (bbox factors
-per camera) with their noise models' square-root information rows and Huber
-thresholds: ``FactorGraph.batches`` stacks the factors added since its last
-call onto their batch and lets them go. A solve makes one ``Workspace``
-(``_place``), since a solve never adds a variable: each batch placed in the
-values' layout (the rows of its variables), the flat ``bincount`` indices of
-all entries in ``H`` and ``g`` concatenated once, and one buffer each for the
-``J^T J`` and ``J^T r`` products, of which each batch writes its slice.
+``FactorGraph`` stores the factors once, as one ``factors.Factor`` batch
+per kind (bbox factors per camera): stacked variable ids, constant inputs,
+square-root information rows and Huber thresholds. ``add_keyframe`` adds at
+most one factor per kind per keyframe, and ``FactorGraph.batches`` joins
+those added since its last call onto their batch. A solve makes one
+``Workspace`` (``_place``), since a solve never adds a variable: each batch
+placed in the values' layout (the rows of its variables), the flat
+``bincount`` indices of all entries in ``H`` and ``g`` concatenated once,
+and one buffer each for the ``J^T J`` and ``J^T r`` products, of which each
+batch writes its slice.
 
 ``_lm_solve`` is one loop over trial steps. ``cost_breakdown`` scores each
 point, the start and every trial, once and without derivatives: each kind's
@@ -85,6 +87,7 @@ from .factors import (
     Scored,
     SizePriorFactor,
     VariableKey,
+    border_mask,
     robust_whiten,
     stack_noises,
 )
@@ -202,36 +205,11 @@ class GraphValues:
         return out
 
 
-class Batch(NamedTuple):
-    """Factors of one kind (and camera) stacked for the batched functions."""
-
-    cls: type[Factor]
-    variables: tuple[str, ...]  # kind of each variable slot
-    ids: np.ndarray  # (slots, k) variable ids
-    inputs: tuple  # the kind's stack of constant inputs
-    sqrt_info: np.ndarray  # (k, d) and
-    huber: np.ndarray  # (k,): the noise models' stack_noises
-
-    def joined(self, more: "Batch") -> "Batch":
-        """This batch with ``more`` of the same kind and camera appended. The
-        arrays of the inputs stack along their first axis; anything else
-        (the camera) is shared by the whole batch."""
-        return self._replace(
-            ids=np.concatenate([self.ids, more.ids], axis=1),
-            inputs=tuple(
-                np.concatenate([a, b]) if isinstance(a, np.ndarray) else a
-                for a, b in zip(self.inputs, more.inputs)
-            ),
-            sqrt_info=np.concatenate([self.sqrt_info, more.sqrt_info]),
-            huber=np.concatenate([self.huber, more.huber]),
-        )
-
-
 class Placed(NamedTuple):
     """A batch placed in one values layout: fixed for a whole solve, since a
     solve moves values but never adds or removes variables."""
 
-    batch: Batch
+    batch: Factor
     rows: list[np.ndarray]  # (k,) rows of each variable slot in the values
     JtJ: np.ndarray  # (k, c, c) and
     Jtr: np.ndarray  # (k, c, 1): this batch's slices of the Workspace products
@@ -253,47 +231,36 @@ class Workspace(NamedTuple):
 
 
 class FactorGraph:
-    """The factors of a map, stored once as their batches; factors are only
-    ever appended. A factor lives from ``add`` to the next ``batches()``."""
+    """The factors of a map, stored once as their batches: one ``Factor``
+    per kind and camera, in order of first appearance. Factors are only
+    ever appended; those added since the last ``batches()`` wait, per batch
+    key, to be joined there."""
 
     def __init__(self) -> None:
-        self._batches: list[Batch] = []
-        self._batch_of: dict[tuple, int] = {}
-        self._new: list[Factor] = []
+        self._joined: dict[tuple, Factor] = {}
+        self._new: dict[tuple, list[Factor]] = {}
+        self._batches: list[Factor] = []
 
     def add(self, factor: Factor) -> None:
-        self._new.append(factor)
+        self._new.setdefault(factor.key, []).append(factor)
 
     def counts_by_kind(self) -> dict[str, int]:
-        """Batch rows plus factors not yet batched, per kind."""
-        batched = [(b.cls.kind, len(b.huber)) for b in self._batches]
+        """Rows per kind, joined or not."""
         out: dict[str, int] = {}
-        for kind, k in batched + [(f.kind, 1) for f in self._new]:
-            out[kind] = out.get(kind, 0) + k
+        for f in [*self._joined.values(), *(f for fs in self._new.values() for f in fs)]:
+            out[f.kind] = out.get(f.kind, 0) + len(f.huber)
         return out
 
-    def batches(self) -> list[Batch]:
-        """The factors stacked per kind and camera, in order of first
-        appearance: the graph's own list. The factors added since the last
-        call are stacked onto their batch here and let go."""
+    def batches(self) -> list[Factor]:
+        """The graph's own list of batches. The factors added since the last
+        call are joined onto their batch here, one concatenation per batch."""
         if self._new:
-            groups: dict[tuple, list[Factor]] = {}
-            for f in self._new:
-                # One projection takes one camera: bbox factors batch per K.
-                groups.setdefault((type(f), getattr(f, "K", None)), []).append(f)
-            for key, fs in groups.items():
-                keys = [f.variable_keys() for f in fs]
-                new = Batch(
-                    key[0], tuple(kind for kind, _ in keys[0]),
-                    np.array([[i for _, i in k] for k in keys]).T,
-                    key[0].stack(fs), *stack_noises([f.noise for f in fs]),
-                )
-                at = self._batch_of.setdefault(key, len(self._batches))
-                if at == len(self._batches):
-                    self._batches.append(new)
-                else:
-                    self._batches[at] = self._batches[at].joined(new)
-            self._new = []
+            for key, fs in self._new.items():
+                if key in self._joined:
+                    fs = [self._joined[key], *fs]
+                self._joined[key] = fs[0].joined(fs[1:])
+            self._new = {}
+            self._batches = list(self._joined.values())
         return self._batches
 
 
@@ -416,13 +383,13 @@ def cost_breakdown(
     for p in (_place(graph, values) if workspace is None else workspace).placed:
         batch = p.batch
         rows = _stacked(values, p)
-        scored = batch.cls.residuals(batch.inputs, *rows)
+        scored = batch.residuals(batch.inputs, *rows)
         scored.r[~scored.valid] = 0.0
         e, costs, w = robust_whiten(batch.sqrt_info, batch.huber, scored.r)
         kept.append((rows, scored, e, w))
         active.append(scored.valid)
         if scored.valid.any():
-            kind = batch.cls.kind
+            kind = batch.kind
             breakdown[kind] = sum(costs[scored.valid].tolist(), breakdown.get(kind, 0.0))
     return Point(values, breakdown, np.concatenate(active), kept)
 
@@ -460,7 +427,7 @@ def _normal_equations(workspace: Workspace, point: Point) -> tuple[np.ndarray, n
     it is. The anchored pose's spare row and column n are cut off at the
     end. H and g are new arrays on every call, never views of the buffers."""
     for p, (rows, scored, e, w) in zip(workspace.placed, point.kept):
-        J = p.batch.cls.jacobians(p.batch.inputs, scored, *rows)
+        J = p.batch.jacobians(p.batch.inputs, scored, *rows)
         wJ = (w[:, None] * p.batch.sqrt_info)[:, :, None] * J
         wJt = np.ascontiguousarray(np.swapaxes(wJ, 1, 2))
         np.matmul(wJt, wJ, out=p.JtJ)
@@ -609,53 +576,65 @@ def add_keyframe(
     The new pose `x` is appended under `pose_id`, which must be above every
     pose id so far; after the first keyframe, `odom` ties it to the latest
     pose with an odometry factor. Matched detections contribute a
-    bounding-box factor each. Unmatched detections with depth spawn a new
-    landmark plus its unary priors (attached exactly once, here). Returns the
+    bounding-box row each. Unmatched detections with depth spawn a new
+    landmark plus its unary priors (attached exactly once, here); a prior
+    record is resolved only when a prior flag is on. Returns the
     detection-index to landmark-id mapping for this frame, covering both
     matches and newly created landmarks. Box components on the border of an
     image of `image_size` are not scored.
+
+    The graph gains at most one factor per kind, each stacking this
+    keyframe's rows: odometry, bbox (matched detections sorted, then spawns),
+    size, orientation, centroid.
     """
     latest = values.pose_ids[-1:].tolist()
     if latest and odom is None:
         raise ValueError("odometry measurement required after the first keyframe")
     values.append(("pose", pose_id), x)
     if latest:
-        graph.add(OdometryFactor(latest[0], pose_id, odom, noise.odom_noise()))
+        graph.add(OdometryFactor(
+            np.array([latest, [pose_id]]), (odom.rotation[None], odom.translation[None]),
+            *stack_noises([noise.odom_noise()]),
+        ))
 
-    mapping: dict[int, int] = {}
-    bbox_noise = noise.bbox_noise()
-    for det_idx in sorted(associations.matches):
-        quadric_id = associations.matches[det_idx]
-        graph.add(
-            BBoxFactor(
-                pose_id, quadric_id, detections[det_idx].bbox, K, bbox_noise, image_size
-            )
-        )
-        mapping[det_idx] = quadric_id
-
+    mapping = {det_idx: associations.matches[det_idx] for det_idx in sorted(associations.matches)}
+    # The (landmark id, target, noise model) rows of each prior kind, in spawn order.
+    unary = {cls: [] for cls in (SizePriorFactor, OrientationPriorFactor, CentroidPriorFactor)}
+    any_prior = flags.size_prior or flags.orientation_prior or flags.centroid_factor
     next_id = int(values.quadric_ids.max(initial=-1)) + 1
     for det_idx in associations.unmatched_detections:
         det = detections[det_idx]
         if det.center_depth is None:
             # No depth means no initial centroid; wait for a better view.
             continue
-        record = priors.resolve(det.label) if priors is not None else None
-        init_record = record if flags.orientation_prior else None
-        q0 = initialize_landmark(det, x, K, init_record)
+        record = priors.resolve(det.label) if priors is not None and any_prior else None
+        q0 = initialize_landmark(det, x, K, record if flags.orientation_prior else None)
         values.append(("quadric", next_id), q0)
-        graph.add(BBoxFactor(pose_id, next_id, det.bbox, K, bbox_noise, image_size))
+        mapping[det_idx] = next_id
         if record is not None:
             s_hat = size_prior_estimate(record, q0.s, det.confidence)
             var_r, var_t, var_s = prior_variances(s_hat)
-            if flags.size_prior:
-                graph.add(SizePriorFactor(next_id, s_hat, NoiseModel(var_s)))
-            if flags.orientation_prior:
-                # initialize_landmark already adopted orientation_prior_frame,
-                # whose local z is gravity and carries the loose yaw variance
-                # KZ, so the target is the initial rotation itself.
-                graph.add(OrientationPriorFactor(next_id, q0.rotation, NoiseModel(var_r)))
-            if flags.centroid_factor:
-                graph.add(CentroidPriorFactor(next_id, q0.t, NoiseModel(var_t)))
-        mapping[det_idx] = next_id
+            # initialize_landmark already adopted orientation_prior_frame,
+            # whose local z is gravity and carries the loose yaw variance KZ,
+            # so the orientation target is the initial rotation itself.
+            for cls, on, target, variances in (
+                (SizePriorFactor, flags.size_prior, s_hat, var_s),
+                (OrientationPriorFactor, flags.orientation_prior, q0.rotation, var_r),
+                (CentroidPriorFactor, flags.centroid_factor, q0.t, var_t),
+            ):
+                if on:
+                    unary[cls].append((next_id, target, NoiseModel(variances)))
         next_id += 1
+
+    if mapping:
+        boxes = np.array([detections[i].bbox.as_array() for i in mapping])
+        graph.add(BBoxFactor(
+            np.array([[pose_id] * len(mapping), list(mapping.values())]),
+            (K, boxes, border_mask(boxes, image_size)),
+            *stack_noises([noise.bbox_noise()] * len(mapping)),
+        ))
+    for cls, rows in unary.items():
+        if rows:
+            ids, targets, noises = zip(*rows)
+            graph.add(cls(np.array([ids]), (np.array(targets),), *stack_noises(noises)))
     return mapping

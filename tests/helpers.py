@@ -2,8 +2,12 @@
 
 The pipeline works on stacked arrays and never needs a 4x4 pose matrix, a
 pose inverse, a box area or one frame of detections on its own; the tests
-state their expectations in those terms. ``wrong_detections`` scores a
-run's association against the dataset's ground truth.
+state their expectations in those terms. Nor does it build one factor at a
+time: ``add_keyframe`` stacks a keyframe's rows of each kind into one
+``Factor``. The one-row builders here take one factor's variable ids,
+measurement or target and noise model, as the tests write them; a list of
+them joins into one batch with ``Factor.joined``. ``wrong_detections``
+scores a run's association against the dataset's ground truth.
 """
 
 from __future__ import annotations
@@ -17,6 +21,19 @@ from objslam import pipeline
 from objslam.config import RunConfig
 from objslam.dataset import Dataset, Detection, Frame
 from objslam.evaluation import EvalReport
+from objslam.factors import (
+    BBoxFactor,
+    CentroidPriorFactor,
+    Factor,
+    NoiseModel,
+    OdometryFactor,
+    OrientationPriorFactor,
+    SizePriorFactor,
+    VariableKey,
+    _row,
+    border_mask,
+    stack_noises,
+)
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
 from objslam.priors import PriorTable
 from objslam.simulator import Scene, SimConfig, render_orbit
@@ -43,6 +60,57 @@ def pose_transform(x: Pose, p: np.ndarray) -> np.ndarray:
 
 def box_area(b: BoundingBox2D) -> float:
     return b.width * b.height
+
+
+def odometry_factor(
+    pose_i: int, pose_j: int, measurement: Pose, noise: NoiseModel
+) -> OdometryFactor:
+    return OdometryFactor(np.array([[pose_i], [pose_j]]), _row(measurement), *stack_noises([noise]))
+
+
+def bbox_factor(
+    pose_id: int,
+    quadric_id: int,
+    measurement: BoundingBox2D,
+    K: CameraIntrinsics,
+    noise: NoiseModel,
+    image_size: tuple[float, float] | None = None,
+) -> BBoxFactor:
+    box = measurement.as_array()[None]
+    return BBoxFactor(
+        np.array([[pose_id], [quadric_id]]), (K, box, border_mask(box, image_size)),
+        *stack_noises([noise]),
+    )
+
+
+def _prior(cls: type[Factor], quadric_id: int, target, noise: NoiseModel) -> Factor:
+    target = np.array(target, dtype=np.float64)[None]
+    return cls(np.array([[quadric_id]]), (target,), *stack_noises([noise]))
+
+
+def size_prior_factor(quadric_id: int, target, noise: NoiseModel) -> SizePriorFactor:
+    return _prior(SizePriorFactor, quadric_id, target, noise)
+
+
+def orientation_prior_factor(
+    quadric_id: int, target, noise: NoiseModel
+) -> OrientationPriorFactor:
+    return _prior(OrientationPriorFactor, quadric_id, target, noise)
+
+
+def centroid_prior_factor(quadric_id: int, target, noise: NoiseModel) -> CentroidPriorFactor:
+    return _prior(CentroidPriorFactor, quadric_id, target, noise)
+
+
+def variable_keys(f: Factor) -> list[VariableKey]:
+    """The (kind, id) of each variable of a one-row factor."""
+    return [(kind, int(ids[0])) for kind, ids in zip(f.variables, f.ids)]
+
+
+def noise_of(f: Factor) -> NoiseModel:
+    """The noise model of a one-row factor, rebuilt from its rows."""
+    huber = float(f.huber[0])
+    return NoiseModel(1.0 / f.sqrt_info[0] ** 2, None if np.isinf(huber) else huber)
 
 
 def render_detections(

@@ -2,11 +2,13 @@
 
 The solver scores and linearizes inside its LM loop; these wrap the same
 calls for one set of values, so the tests can compare them with the
-per-factor references and with what a solve built. A ``FactorGraph`` keeps
-no factor objects once it has batched them, so the references walk the
-factor lists the tests built the graphs from. ``values_of`` fills values
-from pose and quadric mappings at once, where a run appends one keyframe's
-variables at a time.
+per-factor references and with what a solve built. A ``FactorGraph`` joins
+the factors added to it into one batch per kind and camera, so the
+references walk the lists of one-row factors (``helpers.bbox_factor`` and
+its siblings) the tests built the graphs from, and ``batch_rows`` maps each
+to its row of the joined batches. ``values_of`` fills values from pose and
+quadric mappings at once, where a run appends one keyframe's variables at a
+time.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ def values_of(
 
 
 def batch_rows(factors: list[Factor]) -> np.ndarray:
-    """The row of each factor, in added order, in its graph's batch rows
-    concatenated (the order of ``Point.active``): grouped by kind and camera
+    """The row of each one-row factor, in added order, in its graph's batch
+    rows concatenated (the order of ``Point.active``): grouped by batch key
     in order of first appearance, in added order within a group."""
     groups: dict[tuple, list[int]] = {}
     for i, f in enumerate(factors):
-        groups.setdefault((type(f), getattr(f, "K", None)), []).append(i)
+        groups.setdefault(f.key, []).append(i)
     return np.argsort([i for group in groups.values() for i in group])
 
 

@@ -19,20 +19,21 @@ from objslam.cli import main as cli_main
 from objslam.config import build_run_config
 from objslam.dataset import landmark_rows
 from objslam.evaluation import box_iou_3d
-from objslam.factors import (
-    BBoxFactor,
-    CentroidPriorFactor,
-    NoiseModel,
-    OdometryFactor,
-    OrientationPriorFactor,
-    SizePriorFactor,
-)
+from objslam.factors import NoiseModel
 from objslam.geometry import (
     BoundingBox2D, CameraIntrinsics, Pose, Quadric, compose, quadric_rows,
 )
 from objslam.pipeline import run_slam, run_to_files
 from objslam.priors import OrientationClass, orientation_prior_frame
 from objslam.simulator import PlacementFailure, SceneSpec, SimConfig, simulate_dataset
+
+from helpers import (
+    bbox_factor,
+    centroid_prior_factor,
+    odometry_factor,
+    orientation_prior_factor,
+    size_prior_factor,
+)
 
 
 K = CameraIntrinsics(500.0, 500.0, 320.0, 240.0)
@@ -240,7 +241,7 @@ def test_criterion_02_factor_jacobians():
             u = _random_pose(rng)
             delta = rng.uniform(-0.3, 0.3, 6)
             x_j = compose(x_i, u).retract(delta)
-            odo = OdometryFactor(0, 1, u, NoiseModel.isotropic(6, 1.0))
+            odo = odometry_factor(0, 1, u, NoiseModel.isotropic(6, 1.0))
             assert _relative_jacobian_error(odo, (x_i, x_j)) < tol
 
         box = BoundingBox2D(0.0, 0.0, 1.0, 1.0)
@@ -249,7 +250,7 @@ def test_criterion_02_factor_jacobians():
         while count < n_points:
             q = _random_quadric(rng)
             x = _camera_looking_at(rng, q.t)
-            factor = BBoxFactor(0, 0, box, K, bbox_noise)
+            factor = bbox_factor(0, 0, box, K, bbox_noise)
             if factor.residual_at(x, q) is None:
                 continue
             assert _relative_jacobian_error(factor, (x, q)) < tol
@@ -260,7 +261,7 @@ def test_criterion_02_factor_jacobians():
             # sorted-size residual is not differentiable across a tie.
             q = _random_quadric(rng, min_gap=1e-2)
             target = np.sort(rng.uniform(0.05, 0.4, 3))
-            factor = SizePriorFactor(0, target, iso3)
+            factor = size_prior_factor(0, target, iso3)
             assert _relative_jacobian_error(factor, (q,)) < tol
 
         for _ in range(n_points):
@@ -268,12 +269,12 @@ def test_criterion_02_factor_jacobians():
             twist = rng.uniform(-1.0, 1.0, 3)
             twist *= rng.uniform(0.0, 2.5) / max(np.linalg.norm(twist), 1e-12)
             target = q.rotation @ Rotation.from_rotvec(twist).as_matrix()
-            factor = OrientationPriorFactor(0, target, iso3)
+            factor = orientation_prior_factor(0, target, iso3)
             assert _relative_jacobian_error(factor, (q,)) < tol
 
         for _ in range(n_points):
             q = _random_quadric(rng)
-            factor = CentroidPriorFactor(0, rng.uniform(-1.0, 1.0, 3), iso3)
+            factor = centroid_prior_factor(0, rng.uniform(-1.0, 1.0, 3), iso3)
             assert _relative_jacobian_error(factor, (q,)) < tol
 
 

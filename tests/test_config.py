@@ -380,11 +380,11 @@ class TestFactorPolicy:
         # A batch holds its noise models as square-root information rows
         # 1 / sqrt(variances) and Huber thresholds.
         for b in graph.batches():
-            if b.cls.kind == "bbox":
+            if b.kind == "bbox":
                 np.testing.assert_array_equal(b.sqrt_info, 1.0 / np.sqrt(np.full((4, 4), 9.0)))
                 assert (b.huber == BBOX_HUBER_MULTIPLIER).all()
                 assert BBOX_HUBER_MULTIPLIER == 2.0
-        (odom,) = [b for b in graph.batches() if b.cls.kind == "odometry"]
+        (odom,) = [b for b in graph.batches() if b.kind == "odometry"]
         np.testing.assert_allclose(
             odom.sqrt_info, 1.0 / np.sqrt([[4e-4] * 3 + [2.5e-3] * 3]), rtol=1e-15
         )
@@ -393,14 +393,14 @@ class TestFactorPolicy:
     def test_image_size_optional(self, camera):
         cfg = build_run_config({"flags": {"centroid_factor": False}})
         graph = _two_keyframe_graph(cfg, camera, ((640, 480), None))
-        (bbox,) = [b for b in graph.batches() if b.cls.kind == "bbox"]
+        (bbox,) = [b for b in graph.batches() if b.kind == "bbox"]
         masks = bbox.inputs[2].tolist()  # the border masks, in the order added
         assert masks == [[True] * 4, [True, True, False, False], [True] * 4, [True] * 4]
 
     def test_prior_config_shared(self, camera):
         cfg = build_run_config({"flags": {"centroid_factor": False}})
         graph = _two_keyframe_graph(cfg, camera, (None, None))
-        (orient,) = [b for b in graph.batches() if b.cls.kind == "orientation_prior"]
+        (orient,) = [b for b in graph.batches() if b.kind == "orientation_prior"]
         assert len(orient.huber) == 2
         for sqrt_info in orient.sqrt_info:
             assert sqrt_info[2] == 1.0 / np.sqrt(KZ**2)
