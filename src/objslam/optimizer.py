@@ -37,8 +37,13 @@ written into the workspace's buffers and scattered with one ``bincount``;
 the point enters with zero residual and Jacobian.
 ``factors.robust_whiten`` applies the noise models and the Huber cost. Each
 trial copies ``H`` into one (n, n) buffer of the solve, adds the damping on
-its diagonal and factors it in place, without a finiteness check: a
-non-finite system fails the factorization or gives a non-finite step.
+its diagonal and solves it by ``_schur_step``, numpy only: no factor joins
+two quadrics, so the quadric block is block-diagonal in 9x9 blocks, which
+one batched Cholesky factors and eliminates into the pose system (the
+bundle-adjustment Schur complement; Triggs et al., "Bundle Adjustment - A
+Modern Synthesis", 2000). Both Cholesky factorizations succeed exactly when
+the damped system is positive definite. There is no finiteness check: a
+non-finite system fails a factorization or gives a non-finite step.
 Either, or a rejected trial, raises the damping. A trial that makes a
 scored factor invalid (a landmark pushed behind a camera, say) would lower
 the cost only by dropping that factor's term, so it is rejected like a cost
@@ -69,10 +74,10 @@ keyframes, so most keyframes take one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .association import AssociationResult
 from .dataset import Detection
@@ -189,14 +194,14 @@ class GraphValues:
         if len(ids) and idx <= ids[-1]:
             raise ValueError(f"{kind} id {idx} is not above the last {kind} id {ids[-1]}")
         row = len(self.pose_ids) if pose else len(self.R)
-        self.R = np.insert(self.R, row, value.rotation, axis=0)
+        t = value.translation if pose else value.t
+        self.R = np.concatenate((self.R[:row], value.rotation[None], self.R[row:]))
+        self.t = np.concatenate((self.t[:row], t[None], self.t[row:]))
         if pose:
-            self.pose_ids = np.append(ids, idx)
-            self.t = np.insert(self.t, row, value.translation, axis=0)
+            self.pose_ids = np.concatenate((ids, [idx]))
         else:
-            self.quadric_ids = np.append(ids, idx)
-            self.t = np.insert(self.t, row, value.t, axis=0)
-            self.s = np.append(self.s, value.s[None], axis=0)
+            self.quadric_ids = np.concatenate((ids, [idx]))
+            self.s = np.concatenate((self.s, value.s[None]))
 
     def copy(self) -> "GraphValues":
         out = GraphValues()
@@ -299,9 +304,12 @@ class NoiseConfig:
         if min(self.bbox_sigma_px, self.odom_sigma_rot, self.odom_sigma_trans) <= 0.0:
             raise ValueError("noise scales must be positive")
 
+    # Built once per config: a run's noise never changes.
+    @cached_property
     def bbox_noise(self) -> NoiseModel:
         return NoiseModel.isotropic(4, self.bbox_sigma_px, BBOX_HUBER_MULTIPLIER)
 
+    @cached_property
     def odom_noise(self) -> NoiseModel:
         return NoiseModel(np.array([self.odom_sigma_rot**2] * 3 + [self.odom_sigma_trans**2] * 3))
 
@@ -448,6 +456,28 @@ def _apply_step(values: GraphValues, delta: np.ndarray) -> GraphValues:
     return out
 
 
+def _schur_step(damped: np.ndarray, rhs: np.ndarray, quadrics: int) -> np.ndarray:
+    """x with A x = rhs for the symmetric A = ``damped``, laid out as H is:
+    the free poses' p columns, then 9 per quadric. No factor kind joins two
+    quadrics, so the quadric block A_qq is block-diagonal. Each 9x9 block
+    Q = C C^T is factored; W = C^-1 A_qp and y = C^-1 rhs_q eliminate the
+    quadrics into the pose Schur complement S = A_pp - W^T W, and the quadric
+    rows are back-substituted. ``np.linalg.LinAlgError`` unless A is
+    positive definite: by the Schur-complement lemma, exactly when every
+    block and S are."""
+    p = len(rhs) - 9 * quadrics
+    at = np.arange(quadrics)
+    blocks = damped[p:, p:].reshape(quadrics, 9, quadrics, 9)[at, :, at]
+    inverse = np.linalg.inv(np.linalg.cholesky(blocks))  # C^-1 of each block
+    W = (inverse @ damped[p:, :p].reshape(quadrics, 9, p)).reshape(9 * quadrics, p)
+    y = (inverse @ rhs[p:].reshape(quadrics, 9, 1)).reshape(-1)
+    S = damped[:p, :p] - W.T @ W
+    np.linalg.cholesky(S)  # only its failure is needed: S is not positive definite
+    poses = np.linalg.solve(S, rhs[:p] - W.T @ y)
+    landmarks = np.swapaxes(inverse, 1, 2) @ (y - W @ poses).reshape(quadrics, 9, 1)
+    return np.concatenate((poses, landmarks.reshape(-1)))
+
+
 def _lm_solve(
     graph: FactorGraph, values: GraphValues, max_accepted: int
 ) -> tuple[GraphValues, SolveReport]:
@@ -455,9 +485,9 @@ def _lm_solve(
     point = cost_breakdown(graph, values.copy(), workspace)
     initial_cost = point.cost
     n = workspace.n
-    # H + damping I, factored in place: in Fortran order LAPACK needs no copy.
-    damped = np.empty((n, n), order="F")
-    diagonal = damped.reshape(-1, order="F")[:: n + 1]
+    quadrics = len(values.quadric_ids)
+    damped = np.empty((n, n))  # H + damping I
+    diagonal = damped.reshape(-1)[:: n + 1]
     damping = _INITIAL_DAMPING
     accepted = 0
     converged = n == 0 or point.cost <= _COST_FLOOR
@@ -472,11 +502,8 @@ def _lm_solve(
         damped[...] = H
         diagonal += damping
         try:
-            delta = scipy.linalg.cho_solve(
-                scipy.linalg.cho_factor(damped, overwrite_a=True, check_finite=False),
-                -g, check_finite=False,
-            )
-        except scipy.linalg.LinAlgError:
+            delta = _schur_step(damped, -g, quadrics)
+        except np.linalg.LinAlgError:
             delta = None  # H + damping I is not positive definite
         # Unchecked, a non-finite H or g fails the factorization or gives a
         # non-finite delta: a failed step either way.
@@ -594,7 +621,7 @@ def add_keyframe(
     if latest:
         graph.add(OdometryFactor(
             np.array([latest, [pose_id]]), (odom.rotation[None], odom.translation[None]),
-            *stack_noises([noise.odom_noise()]),
+            *stack_noises([noise.odom_noise]),
         ))
 
     mapping = {det_idx: associations.matches[det_idx] for det_idx in sorted(associations.matches)}
@@ -631,7 +658,7 @@ def add_keyframe(
         graph.add(BBoxFactor(
             np.array([[pose_id] * len(mapping), list(mapping.values())]),
             (K, boxes, border_mask(boxes, image_size)),
-            *stack_noises([noise.bbox_noise()] * len(mapping)),
+            *stack_noises([noise.bbox_noise] * len(mapping)),
         ))
     for cls, rows in unary.items():
         if rows:

@@ -1,6 +1,6 @@
 """`association.linear_sum_assignment` against scipy's as an oracle, against
 brute force on small matrices, and the proof that a run never loads
-`scipy.optimize`."""
+`scipy.optimize`, nor any scipy module."""
 
 from __future__ import annotations
 
@@ -161,8 +161,9 @@ def test_optimal_against_brute_force():
 
 def test_a_run_never_imports_scipy_optimize():
     """A fresh interpreter imports the CLI, maps a scene incrementally and
-    scores it, which calls the association and the evaluation matching,
-    without loading `scipy.optimize`, then or later."""
+    scores it, which calls the association, the solver's linear step and the
+    evaluation matching, without loading `scipy.optimize`, or any other
+    scipy module, then or later."""
     script = textwrap.dedent(
         """
         import sys
@@ -179,6 +180,8 @@ def test_a_run_never_imports_scipy_optimize():
         estimate, report, _ = run_slam(cfg, dataset, scene.prior_table())
         assert report is not None and report.tp > 0, report
         assert "scipy.optimize" not in sys.modules
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
         print("ok")
         """
     )

@@ -6,7 +6,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.spatial.transform import Rotation
 
 from objslam.association import AssociationResult
@@ -342,6 +341,20 @@ class TestAddKeyframe:
             )
 
 
+def recording_dampings(monkeypatch) -> list[float]:
+    """The damped matrix's first diagonal entry at every linear step the
+    solver takes, recorded through its own step function."""
+    dampings = []
+    step = optimizer._schur_step
+
+    def recording(damped, *args):
+        dampings.append(damped[0, 0])
+        return step(damped, *args)
+
+    monkeypatch.setattr(optimizer, "_schur_step", recording)
+    return dampings
+
+
 class TestSolveBatch:
     def test_recovers_ground_truth(self, camera, rng):
         graph, gt_values = three_view_graph(camera)
@@ -430,16 +443,9 @@ class TestSolveBatch:
             J[:, 0, 3] = 1.0
             return J
 
-        dampings = []
-        cho_factor = scipy.linalg.cho_factor
-
-        def recording(a, *args, **kwargs):
-            dampings.append(a[0, 0])
-            return cho_factor(a, *args, **kwargs)
-
+        dampings = recording_dampings(monkeypatch)
         monkeypatch.setattr(SizePriorFactor, "residuals", staticmethod(growing))
         monkeypatch.setattr(SizePriorFactor, "jacobians", staticmethod(lying))
-        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
         graph = FactorGraph()
         graph.add(size_prior_factor(0, np.full(3, 0.1), NoiseModel.isotropic(1, 1.0)))
         values = values_of(quadrics={0: Quadric(np.eye(3), np.zeros(3), np.ones(3))})
@@ -458,14 +464,7 @@ class TestDampingSchedule:
 
     @staticmethod
     def solve_recording(monkeypatch, graph, quadric):
-        dampings = []
-        cho_factor = scipy.linalg.cho_factor
-
-        def recording(a, *args, **kwargs):
-            dampings.append(a[0, 0])
-            return cho_factor(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+        dampings = recording_dampings(monkeypatch)
         free = Quadric(np.eye(3), np.zeros(3), np.ones(3))
         solved, report = solve_batch(graph, values_of(quadrics={0: free, 1: quadric}))
         np.testing.assert_array_equal(solved.get(("quadric", 0)).t, free.t)
@@ -502,6 +501,68 @@ class TestDampingSchedule:
         assert report.initial_cost - report.final_cost <= 1e-5 * report.initial_cost
         assert report.converged and report.iterations == 1
         assert dampings == [1e-4]
+
+
+def block_structured(rng, poses: int, quadrics: int) -> np.ndarray:
+    """A random positive definite matrix laid out as H is, 6 columns per
+    free pose then 9 per quadric, with no quadric-quadric coupling."""
+    p, n = 6 * poses, 6 * poses + 9 * quadrics
+    J = rng.normal(size=(2 * n + 3, n))
+    A = J.T @ J
+    coupled = np.kron(np.eye(quadrics, dtype=bool), np.ones((9, 9), dtype=bool))
+    A[p:, p:] *= coupled
+    return A + 0.1 * np.eye(n)
+
+
+class TestSchurStep:
+    """``_schur_step`` solves the damped system exactly, given its layout."""
+
+    @pytest.mark.parametrize("poses, quadrics", [(0, 3), (4, 0), (1, 1), (5, 3), (29, 10)])
+    def test_equals_a_dense_solve(self, rng, poses, quadrics):
+        for _ in range(5):
+            A = block_structured(rng, poses, quadrics)
+            b = rng.normal(size=len(A))
+            want = np.linalg.solve(A, b)
+            got = optimizer._schur_step(A, b, quadrics)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+    def test_empty_system(self):
+        assert optimizer._schur_step(np.empty((0, 0)), np.empty(0), 0).shape == (0,)
+
+    def test_a_block_not_positive_definite(self, rng):
+        A = block_structured(rng, 2, 3)
+        p = 12 + 9
+        A[p + 4, p + 4] = -1.0  # the second quadric's block has a negative pivot
+        with pytest.raises(np.linalg.LinAlgError):
+            optimizer._schur_step(A, np.ones(len(A)), 3)
+
+    def test_a_schur_complement_not_positive_definite(self, rng):
+        # Positive definite 9x9 blocks, but a pose-quadric coupling larger
+        # than both diagonals: S = A_pp - A_pq Q^-1 A_qp has a negative pivot.
+        A = block_structured(rng, 2, 3)
+        A[:12, 12:] = 0.0
+        A[12:, :12] = 0.0
+        A[0, 12] = A[12, 0] = 2.0 * np.sqrt(A[0, 0] * A[12, 12])
+        for p in range(0, 27, 9):
+            np.linalg.cholesky(A[12 + p:21 + p, 12 + p:21 + p])
+        assert np.linalg.eigvalsh(A).min() < 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            optimizer._schur_step(A, np.ones(len(A)), 3)
+
+    def test_no_factor_kind_joins_two_quadrics(self):
+        kinds = [
+            c for c in vars(factors).values()
+            if isinstance(c, type) and issubclass(c, Factor) and c.variables
+        ]
+        assert len(kinds) == 5
+        for kind in kinds:
+            assert kind.variables.count("quadric") <= 1, (
+                f"{kind.__name__} joins two quadrics, so the quadric block of H is no "
+                "longer block-diagonal and optimizer._schur_step no longer solves it: a "
+                "landmark-landmark factor, such as a support plane shared by objects, must "
+                "revisit the step"
+            )
 
 
 class TestSolveIncremental:

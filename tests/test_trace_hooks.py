@@ -69,13 +69,14 @@ def test_install_traces_run_slam_and_close_restores(tmp_path, monkeypatch):
     finally:
         tr.close()
     assert metrics["optimizer.lm_iterations"] > 0
-    # The LM loop reaches the scoring pass and the factorization by the
-    # names the tracer counts: every solve scores its start and each
-    # accepted step was a scored trial.
+    # The LM loop reaches the scoring pass by the name the tracer counts:
+    # every solve scores its start and each accepted step was a scored trial.
     assert metrics["optimizer.cost_evals"] >= (
         metrics["optimizer.lm_iterations"] + metrics["optimizer.solve_calls"]
     )
-    assert metrics["optimizer.cholesky_calls"] > 0
+    # The tracer counts factorizations by patching scipy.linalg.cho_factor,
+    # which the numpy-only Schur step never calls.
+    assert metrics["optimizer.cholesky_calls"] == 0
     # Association reaches its weight function by the name the tracer patches.
     assert metrics["association.long_term_calls"] > 0
     assert metrics["association.weight_evals"] > 0
