@@ -12,7 +12,8 @@ Residual conventions:
   components are zeroed so truncated detections do not drag the landmark
   toward the border.
 - Size prior: ascending-sorted semi-axes minus the prior target.
-- Orientation prior: SO(3) log of R_target^T R, R the quadric's rotation.
+- Orientation prior: the tilt (R[2, 0], R[2, 1]) of the quadric's rotation
+  R, zero when its local z is vertical (up or down) at any heading.
 - Centroid prior: centroid minus the single-shot measured centroid.
 
 A ``Factor`` is k factors of one kind, stacked: their variable ids, their
@@ -36,12 +37,12 @@ what its scoring kept, and a box is linearized exactly when it is scored.
 ``residual_at`` and ``jacobian_at`` are one-row calls.
 
 Jacobians are with respect to ``geometry.retract`` (rotation ``R exp(d)``,
-translation, centroid and semi-axes additive in the world frame). Odometry
-and the three unary priors have closed forms built from the inverse right
-Jacobian of SO(3) (Sola et al., "A micro Lie theory for state estimation in
-robotics", 2018). The bounding-box Jacobian is closed form too: the 15
-tangent derivatives of the camera-frame dual conic, pushed through the
-envelope by the chain rule. Central differences live only in the tests.
+translation, centroid and semi-axes additive in the world frame), and all
+are closed form: odometry's through the inverse right Jacobian of SO(3) (Sola
+et al., "A micro Lie theory for state estimation in robotics", 2018); the
+bounding box's as the 15 tangent derivatives of the camera-frame dual conic,
+pushed through the envelope by the chain rule. Central differences live only
+in the tests.
 """
 
 from __future__ import annotations
@@ -298,15 +299,17 @@ def size_prior_jacobians(c, scored: Scored, q) -> np.ndarray:
 
 
 def orientation_prior_residuals(c, q) -> Scored:
-    """SO(3) log of R_target^T R."""
-    r = so3_log(_transpose(c[0]) @ q[0])
+    """The tilt: the world-z components (R[2, 0], R[2, 1]) of the local x and
+    y axes. For a small tilt phi, R[2] = (-phi_y, phi_x, 1) to first order."""
+    r = q[0][:, 2, :2]
     return Scored(r, np.ones(len(r), dtype=bool), ())
 
 
 def orientation_prior_jacobians(c, scored: Scored, q) -> np.ndarray:
-    """Closed form: Jr^-1 of the residual on the rotation columns."""
-    J = np.zeros((len(scored.r), 3, 9))
-    J[:, :, :3] = so3_jr_inv(scored.r)
+    """Closed form: R exp(d) moves the row z = R[2] by z [d]x = ([z]x d)^T, so
+    the rotation columns are the first two rows of [z]x."""
+    J = np.zeros((len(scored.r), 2, 9))
+    J[:, :, :3] = skew(q[0][:, 2])[:, :2]
     return J
 
 
@@ -411,8 +414,7 @@ class BBoxFactor(Factor):
     jacobians = staticmethod(bbox_jacobians)
 
 
-# The three unary landmark priors take one input: their targets, (k, 3) or
-# for orientation (k, 3, 3).
+# Size and centroid priors take their targets (k, 3); orientation takes none.
 class SizePriorFactor(Factor):
     kind = "size_prior"
     variables = ("quadric",)

@@ -52,7 +52,7 @@ included, ends the solve without moving; an accepted step that lowers it by
 at most 1e-5 of it no longer pays, and ends the solve as converged. The
 first trial of every solve is damped by 1e-4, near Gauss-Newton; an
 accepted step divides the damping by ten but never below 1, which bounds
-only the steps of landmark rotations that the loose yaw prior alone holds
+only the steps about landmark headings that no prior and few boxes hold yet
 (the comment on the damping constants gives the curvatures).
 
 Incremental mode is the same solver warm-started from the current values
@@ -107,6 +107,8 @@ from .geometry import (
     retract,
 )
 from .priors import (
+    KX,
+    KY,
     PriorRecord,
     PriorTable,
     orientation_prior_frame,
@@ -125,13 +127,13 @@ _COST_FLOOR = 1e-12
 #
 # The first trial is near Gauss-Newton, so a fresh keyframe's one or two
 # steps match a batch solve. The floor of 1 stops the damping from collapsing
-# once steps are accepted: below it, a pure Gauss-Newton step can turn a
-# landmark by radians (1.4 to 8 rad on the standard scenes) and ten rejected
-# trials follow. At a converged standard scene diag(H) is at least 3.9e4 for
-# poses, centroids and semi-axes, but falls to 0.48 for landmark rotations
-# that only the loose yaw prior holds (smallest eigenvalues 0.47, 2.3, 12.7):
-# a damping of 1 is under 1/38000 of every other curvature and bounds only
-# those rotation steps.
+# once steps are accepted: without it batch mode scores 151 points in place
+# of 124 on the standard scenes of the ten suite seeds. On those scenes'
+# converged maps diag(H) is at least 6.5e4 for poses, 3.0e5 for centroids,
+# 5.1e3 for semi-axes and 20 for landmark rotations (smallest eigenvalue of a
+# rotation block 20.2), so a damping of 1 is at most 1/20 of every curvature
+# there. It bounds the steps about a fresh landmark's heading, which no prior
+# holds and one or two boxes barely do (rotation curvatures down to 5e-6).
 _INITIAL_DAMPING = 1e-4
 _DAMPING_FACTOR = 10.0
 _MIN_DAMPING = 1.0
@@ -568,8 +570,8 @@ def initialize_landmark(
     The centroid back-projects the box center at the measured depth; the two
     lateral semi-axes come from the box extent by similar triangles, and the
     unobservable depth-axis extent starts at their mean (the size prior is
-    what corrects it later). The rotation starts camera-aligned, or at the
-    orientation-prior target when a prior record is available.
+    what corrects it later). The rotation starts camera-aligned, or upright in
+    the frame of ``orientation_prior_frame`` when a prior record is available.
     """
     d = detection.center_depth
     if d is None:
@@ -625,9 +627,10 @@ def add_keyframe(
         ))
 
     mapping = {det_idx: associations.matches[det_idx] for det_idx in sorted(associations.matches)}
-    # The (landmark id, target, noise model) rows of each prior kind, in spawn order.
+    # The (landmark id, inputs, noise model) rows of each prior kind, in spawn order.
     unary = {cls: [] for cls in (SizePriorFactor, OrientationPriorFactor, CentroidPriorFactor)}
     any_prior = flags.size_prior or flags.orientation_prior or flags.centroid_factor
+    tilt_noise = NoiseModel(np.array([KY, KX]) ** 2)
     next_id = int(values.quadric_ids.max(initial=-1)) + 1
     for det_idx in associations.unmatched_detections:
         det = detections[det_idx]
@@ -640,17 +643,14 @@ def add_keyframe(
         mapping[det_idx] = next_id
         if record is not None:
             s_hat = size_prior_estimate(record, q0.s, det.confidence)
-            var_r, var_t, var_s = prior_variances(s_hat)
-            # initialize_landmark already adopted orientation_prior_frame,
-            # whose local z is gravity and carries the loose yaw variance KZ,
-            # so the orientation target is the initial rotation itself.
-            for cls, on, target, variances in (
-                (SizePriorFactor, flags.size_prior, s_hat, var_s),
-                (OrientationPriorFactor, flags.orientation_prior, q0.rotation, var_r),
-                (CentroidPriorFactor, flags.centroid_factor, q0.t, var_t),
+            var_t, var_s = prior_variances(s_hat)
+            for cls, on, inputs, noise_model in (
+                (SizePriorFactor, flags.size_prior, (s_hat,), NoiseModel(var_s)),
+                (OrientationPriorFactor, flags.orientation_prior, (), tilt_noise),
+                (CentroidPriorFactor, flags.centroid_factor, (q0.t,), NoiseModel(var_t)),
             ):
                 if on:
-                    unary[cls].append((next_id, target, NoiseModel(variances)))
+                    unary[cls].append((next_id, inputs, noise_model))
         next_id += 1
 
     if mapping:
@@ -662,6 +662,7 @@ def add_keyframe(
         ))
     for cls, rows in unary.items():
         if rows:
-            ids, targets, noises = zip(*rows)
-            graph.add(cls(np.array([ids]), (np.array(targets),), *stack_noises(noises)))
+            ids, inputs, noises = zip(*rows)
+            inputs = tuple(map(np.array, zip(*inputs)))
+            graph.add(cls(np.array([ids]), inputs, *stack_noises(noises)))
     return mapping

@@ -8,13 +8,12 @@ unary factors on each landmark:
 
 - size target: half the sorted typical dimensions, blended with the sorted
   measured semi-axes by the detection confidence;
-- orientation target: the landmark's frame from :func:`orientation_prior_frame`,
-  whose local z is the world vertical and takes the extent the class puts
-  upright, and whose local x keeps the heading of the initial rotation;
-- variances scaled so roll/pitch (local x, y) are trusted, yaw about
-  local z (gravity) is nearly free, and translation/size uncertainty grows
-  with object size; the scales KX, KY, KZ, KT and KS are module constants,
-  as the paper fixes them.
+- orientation: the landmark starts in the frame of
+  :func:`orientation_prior_frame`, its local z vertical along the extent the
+  class puts upright; the prior keeps that axis vertical (tilt variances
+  KY^2, KX^2) and leaves the heading free;
+- translation/size variances grow with object size; the scales KX, KY, KT
+  and KS are module constants, as the paper fixes them.
 
 Responses are cached on disk per vocabulary. Credentials for the hosted
 model come from environment variables only.
@@ -363,10 +362,10 @@ def orientation_prior_frame(
     the world vertical and carries the class's designated extent (vertical
     objects stand up even if the single view says otherwise), and local x is
     the heading, taken from the horizontal projection of the corresponding
-    blob axis. This matters because the orientation variances of
-    :func:`prior_variances` are broad only in the z component (heading about
-    gravity, deviation ``KZ``); if the vertical landed on a tight local axis
-    the prior would fight the data over yaw.
+    blob axis. This matters because the orientation prior holds exactly this
+    local z vertical and leaves the heading about it free: the landmark
+    starts with zero tilt, and the class, not the single view, decides which
+    extent stands up.
     """
     w_z = np.array([0.0, 0.0, 1.0])
     vertical_align = np.abs(R.T @ w_z)
@@ -397,20 +396,17 @@ def orientation_prior_frame(
 
 
 # Prior variance scales: roll/pitch deviations KX, KY (admissible in
-# (0, pi/16)); yaw deviation KZ (in (pi/2, pi), so the heading stays
-# effectively unconstrained); translation and size multipliers KT, KS (in
-# (0.5, 2)).
+# (0, pi/16)); translation and size multipliers KT, KS (in (0.5, 2)). The
+# heading, which the paper leaves effectively unconstrained, has no prior.
 KX = np.pi / 32.0
 KY = np.pi / 32.0
-KZ = 3.0 * np.pi / 4.0
 KT = 1.0
 KS = 1.0
 
 
-def prior_variances(s_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rotation, translation, size) prior variances (3,) each for a size
-    target."""
+def prior_variances(s_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(translation, size) prior variances (3,) each for a size target."""
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s_hat.shape != (3,) or np.any(s_hat <= 0.0):
         raise ValueError(f"size target must be 3 positive values, got {s_hat}")
-    return np.array([KX**2, KY**2, KZ**2]), KT**2 * s_hat**2, KS**2 * s_hat**2
+    return KT**2 * s_hat**2, KS**2 * s_hat**2

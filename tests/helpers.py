@@ -92,10 +92,9 @@ def size_prior_factor(quadric_id: int, target, noise: NoiseModel) -> SizePriorFa
     return _prior(SizePriorFactor, quadric_id, target, noise)
 
 
-def orientation_prior_factor(
-    quadric_id: int, target, noise: NoiseModel
-) -> OrientationPriorFactor:
-    return _prior(OrientationPriorFactor, quadric_id, target, noise)
+def orientation_prior_factor(quadric_id: int, noise: NoiseModel) -> OrientationPriorFactor:
+    """The tilt prior, which has no inputs: its target is upright."""
+    return OrientationPriorFactor(np.array([[quadric_id]]), (), *stack_noises([noise]))
 
 
 def centroid_prior_factor(quadric_id: int, target, noise: NoiseModel) -> CentroidPriorFactor:

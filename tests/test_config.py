@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from objslam import optimizer
 from objslam.association import AssociationResult
 from objslam.config import (
     CameraConfig,
@@ -21,7 +22,7 @@ from objslam.config import (
 from objslam.dataset import Detection
 from objslam.geometry import BoundingBox2D, CameraIntrinsics, Pose
 from objslam.optimizer import BBOX_HUBER_MULTIPLIER, FactorGraph, GraphValues, add_keyframe
-from objslam.priors import KZ, OrientationClass, PriorRecord, PriorTable
+from objslam.priors import OrientationClass, PriorRecord, PriorTable
 from objslam.simulator import SimConfig
 
 
@@ -397,13 +398,17 @@ class TestFactorPolicy:
         masks = bbox.inputs[2].tolist()  # the border masks, in the order added
         assert masks == [[True] * 4, [True, True, False, False], [True] * 4, [True] * 4]
 
-    def test_prior_config_shared(self, camera):
+    def test_prior_config_shared(self, camera, monkeypatch):
+        # Roll and pitch scales unlike each other, so a swapped column shows:
+        # tilt row 0 is about local y (KY), row 1 about local x (KX).
+        monkeypatch.setattr(optimizer, "KX", np.pi / 32)
+        monkeypatch.setattr(optimizer, "KY", np.pi / 40)
         cfg = build_run_config({"flags": {"centroid_factor": False}})
         graph = _two_keyframe_graph(cfg, camera, (None, None))
         (orient,) = [b for b in graph.batches() if b.kind == "orientation_prior"]
         assert len(orient.huber) == 2
         for sqrt_info in orient.sqrt_info:
-            assert sqrt_info[2] == 1.0 / np.sqrt(KZ**2)
+            np.testing.assert_allclose(sqrt_info, [40 / np.pi, 32 / np.pi], rtol=1e-15)
 
     def test_paths_defaults(self):
         p = Paths()

@@ -51,8 +51,8 @@ def size_prior_residual(q: Quadric, target: np.ndarray) -> np.ndarray:
     return size_prior_factor(0, target, NoiseModel.isotropic(3, 1.0)).residual_at(q)
 
 
-def orientation_prior_residual(q: Quadric, R_target: np.ndarray) -> np.ndarray:
-    return orientation_prior_factor(0, R_target, NoiseModel.isotropic(3, 1.0)).residual_at(q)
+def orientation_prior_residual(q: Quadric) -> np.ndarray:
+    return orientation_prior_factor(0, NoiseModel.isotropic(2, 1.0)).residual_at(q)
 
 
 def centroid_residual(q: Quadric, target: np.ndarray) -> np.ndarray:
@@ -209,18 +209,27 @@ class TestPriorResiduals:
             np.testing.assert_allclose(r, base, atol=1e-12)
 
     def test_orientation_ten_degrees_about_z(self):
+        # A turn about world z is no tilt: alone it scores zero, and after a
+        # tilt about x it leaves that tilt's residual (0, sin 10 deg).
         angle = np.deg2rad(10.0)
         R = ScipyRotation.from_euler("XYZ", [0.0, 0.0, angle]).as_matrix()
         q = Quadric(R, np.zeros(3), np.ones(3))
-        r = orientation_prior_residual(q, np.eye(3))
-        np.testing.assert_allclose(r, [0.0, 0.0, angle], atol=1e-6)
+        r = orientation_prior_residual(q)
+        np.testing.assert_allclose(r, [0.0, 0.0], atol=1e-6)
+        tilted = ScipyRotation.from_euler("xz", [angle, angle]).as_matrix()
+        r = orientation_prior_residual(Quadric(tilted, np.zeros(3), np.ones(3)))
+        np.testing.assert_allclose(r, [0.0, np.sin(angle)], atol=1e-12)
 
     def test_orientation_zero_at_target(self):
+        # The target is upright: local z along world z, up or down, at any
+        # heading.
         rng = np.random.default_rng(31)
         for _ in range(100):
-            R = random_rotation(rng)
+            R = so3_exp(np.array([0.0, 0.0, rng.uniform(-np.pi, np.pi)]))
+            if rng.random() < 0.5:
+                R = R @ np.diag([1.0, -1.0, -1.0])
             q = Quadric(R, np.zeros(3), np.ones(3))
-            r = orientation_prior_residual(q, R)
+            r = orientation_prior_residual(q)
             assert np.linalg.norm(r) < 1e-9
 
     def test_centroid_difference(self):
@@ -354,7 +363,7 @@ class TestFactorJacobians:
             q = random_quadric(rng)
             odo = odometry_factor(0, 1, u, NoiseModel.isotropic(6, 0.1))
             size = size_prior_factor(0, np.array([0.1, 0.2, 0.3]), NoiseModel.isotropic(3, 0.1))
-            orient = orientation_prior_factor(0, random_rotation(rng), NoiseModel.isotropic(3, 0.2))
+            orient = orientation_prior_factor(0, NoiseModel.isotropic(2, 0.2))
             cent = centroid_prior_factor(0, rng.normal(size=3), NoiseModel.isotropic(3, 0.2))
             for factor, variables in [(odo, [x_i, x_j]), (size, [q]), (orient, [q]), (cent, [q])]:
                 full = numeric_jacobian(factor.residual_at, variables, step=1e-6)
@@ -378,23 +387,26 @@ def oracle_error(factor, variables) -> float:
 
 class TestClosedFormJacobians:
     """Closed forms against the finite-difference oracle where their series
-    and branches switch: the rotation log near angle 0 and near pi."""
+    and branches switch (the rotation log near angle 0), and across the
+    orientation prior's range of tilt."""
 
     TOL = 1e-4
 
-    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-6, 1e-4, np.pi - 1e-2])
-    def test_orientation_prior_edges(self, angle):
-        # Near pi the oracle itself loses precision (the log's roundoff over
-        # the step grows like 1/(pi - angle)); at pi - 1e-2 it is ~1e-6.
+    @pytest.mark.parametrize("tilt", [0.0, 1e-9, 1e-6, 1e-4, np.pi / 2, np.pi - 1e-2])
+    def test_orientation_prior_edges(self, tilt):
+        # Upright, barely tilted, lying and nearly upside down, at a random
+        # heading: local z is `tilt` from world z, so the residual's norm is
+        # sin(tilt).
         rng = np.random.default_rng(59)
+        factor = orientation_prior_factor(0, NoiseModel.isotropic(2, 0.1))
         for _ in range(10):
-            q = random_quadric(rng)
-            axis = rng.normal(size=3)
+            axis = np.array([*rng.normal(size=2), 0.0])
             axis /= np.linalg.norm(axis)
-            target = q.rotation @ so3_exp(angle * axis).T
-            factor = orientation_prior_factor(0, target, NoiseModel.isotropic(3, 0.1))
+            heading = so3_exp(np.array([0.0, 0.0, rng.uniform(-np.pi, np.pi)]))
+            q = random_quadric(rng)
+            q = Quadric(so3_exp(tilt * axis) @ heading, q.t, q.s)
             r, _ = factor.jacobian_at(q)
-            assert np.linalg.norm(r) == pytest.approx(angle, abs=1e-8)
+            assert np.linalg.norm(r) == pytest.approx(np.sin(tilt), abs=1e-12)
             assert oracle_error(factor, (q,)) < self.TOL
 
     def test_odometry_at_zero_error(self):
@@ -427,7 +439,7 @@ class TestClosedFormJacobians:
         q = random_quadric(rng)
         for factor in (
             size_prior_factor(0, np.array([0.1, 0.2, 0.3]), NoiseModel.isotropic(3, 0.1)),
-            orientation_prior_factor(0, random_rotation(rng), NoiseModel.isotropic(3, 0.1)),
+            orientation_prior_factor(0, NoiseModel.isotropic(2, 0.1)),
             centroid_prior_factor(0, rng.normal(size=3), NoiseModel.isotropic(3, 0.1)),
         ):
             np.testing.assert_array_equal(factor.jacobian_at(q)[0], factor.residual_at(q))
@@ -444,7 +456,7 @@ class TestDerivativePass:
         """Per kind, five factors and their variables; the last bbox factor's
         landmark is behind its camera."""
         rng = np.random.default_rng(101)
-        noise = {d: NoiseModel.isotropic(d, 0.1) for d in (3, 4, 6)}
+        noise = {d: NoiseModel.isotropic(d, 0.1) for d in (2, 3, 4, 6)}
         odometry, bbox, size, orientation, centroid = [], [], [], [], []
         for i in range(5):
             x_i, u = random_pose(rng), random_pose(rng)
@@ -460,7 +472,7 @@ class TestDerivativePass:
             s = np.array([0.1, 0.3, 0.2]) + 0.1 * i
             q = Quadric(random_rotation(rng), rng.normal(size=3), s)
             size.append((size_prior_factor(0, np.array([0.1, 0.2, 0.3]), noise[3]), (q,)))
-            orientation.append((orientation_prior_factor(0, random_rotation(rng), noise[3]), (q,)))
+            orientation.append((orientation_prior_factor(0, noise[2]), (q,)))
             centroid.append((centroid_prior_factor(0, rng.normal(size=3), noise[3]), (q,)))
         return [odometry, bbox, size, orientation, centroid], rng
 
@@ -610,7 +622,7 @@ class TestFactorValidation:
                 odometry_factor(0, 1, Pose.identity(), NoiseModel.isotropic(6, 0.1)),
                 bbox_factor(0, 0, box, K, NoiseModel.isotropic(4, 1.0), (640.0, 480.0)),
                 size_prior_factor(0, np.array([0.1, 0.2, 0.3]), noise),
-                orientation_prior_factor(0, np.eye(3), noise),
+                orientation_prior_factor(0, NoiseModel.isotropic(2, 0.1)),
                 centroid_prior_factor(0, np.zeros(3), noise),
             ]
 

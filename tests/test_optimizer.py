@@ -46,7 +46,7 @@ from objslam.optimizer import (
 from objslam.priors import OrientationClass, PriorRecord, PriorTable
 
 import noise_oracle
-from conftest import random_pose, random_quadric, random_rotation
+from conftest import random_pose, random_quadric
 from helpers import (
     bbox_factor,
     centroid_prior_factor,
@@ -70,7 +70,9 @@ def looking_at_poses() -> list[Pose]:
     ]
 
 
-GT_QUADRIC = Quadric(Rotation.from_euler("XYZ", [0.1, -0.2, 0.3]).as_matrix(),
+# Upright (local z along world z) at a heading of 0.3 rad, which is where its
+# orientation prior is zero.
+GT_QUADRIC = Quadric(Rotation.from_euler("XYZ", [0.0, 0.0, 0.3]).as_matrix(),
                      np.array([0.0, 0.0, 2.0]), np.array([0.2, 0.3, 0.4]))
 
 
@@ -90,11 +92,7 @@ def three_view_factors(camera, noise_px: float = 0.0, rng=None):
             box = box + rng.normal(0.0, noise_px, size=4)
         fs.append(bbox_factor(i, 0, BoundingBox2D(*box), camera, bbox_noise))
     fs.append(size_prior_factor(0, np.sort(GT_QUADRIC.s), NoiseModel.isotropic(3, 0.1)))
-    fs.append(
-        orientation_prior_factor(
-            0, GT_QUADRIC.rotation, NoiseModel.isotropic(3, 0.2)
-        )
-    )
+    fs.append(orientation_prior_factor(0, NoiseModel.isotropic(2, 0.2)))
     fs.append(centroid_prior_factor(0, GT_QUADRIC.t, NoiseModel.isotropic(3, 0.5)))
     return fs, values
 
@@ -379,15 +377,17 @@ class TestSolveBatch:
         )
 
     def test_unary_only_converges_to_prior_targets(self, rng):
-        target_R = random_rotation(rng)
+        # The orientation prior's target is upright at any heading; a start
+        # tilted about a horizontal axis comes back to the heading it had.
+        target_R = so3_exp(np.array([0.0, 0.0, rng.uniform(-np.pi, np.pi)]))
         target_t = np.array([0.4, -0.3, 1.2])
         target_s = np.array([0.1, 0.2, 0.3])
         graph = FactorGraph()
         graph.add(size_prior_factor(7, target_s, NoiseModel.isotropic(3, 0.1)))
-        graph.add(orientation_prior_factor(7, target_R, NoiseModel.isotropic(3, 0.1)))
+        graph.add(orientation_prior_factor(7, NoiseModel.isotropic(2, 0.1)))
         graph.add(centroid_prior_factor(7, target_t, NoiseModel.isotropic(3, 0.1)))
         start = Quadric(
-            target_R @ so3_exp(np.array([0.05, -0.03, 0.08])),
+            target_R @ so3_exp(np.array([0.05, -0.03, 0.0])),
             target_t + np.array([0.1, 0.05, -0.08]),
             target_s[[1, 0, 2]] * 1.3,
         )
@@ -400,12 +400,15 @@ class TestSolveBatch:
         np.testing.assert_allclose(q.rotation, target_R, atol=1e-6)
 
     def test_roundoff_step_is_not_taken(self, camera):
-        # On this seed the trial step from the settled estimate lowers the
-        # cost by roundoff alone (about 1e-13): the re-solve converges
-        # without moving rather than accepting it.
+        # The first solve ends on the 1e-5 decrease rule while the heading,
+        # which only the boxes hold, still moves; a second one settles it.
+        # On this seed the trial step from there lowers the cost by 3e-9 of
+        # it, under the 1e-8 the solver counts as roundoff: the re-solve
+        # converges without moving rather than accepting it.
         rng = np.random.default_rng(2)
         graph, gt_values = three_view_graph(camera, noise_px=2.0, rng=rng)
         settled, _ = solve_batch(graph, perturbed(gt_values, rng))
+        settled, _ = solve_batch(graph, settled)
         again, report = solve_batch(graph, settled)
         assert report.iterations == 0 and report.converged
         assert report.final_cost == report.initial_cost > 1e-12
@@ -471,14 +474,14 @@ class TestDampingSchedule:
         return dampings, report
 
     def test_floor_after_an_accepted_step(self, monkeypatch):
-        # An orientation prior from 0.9 rad away: every step is accepted. The
-        # first trial is near Gauss-Newton; after it the damping never falls
-        # below 1.
-        target = so3_exp(np.array([0.2, -0.1, 0.3]))
+        # An orientation prior on a quadric tilted 0.9 rad from upright:
+        # every step is accepted. The first trial is near Gauss-Newton; after
+        # it the damping never falls below 1.
+        tilt = 0.9 * np.array([0.6, 0.8, 0.0])
         graph = FactorGraph()
-        graph.add(orientation_prior_factor(1, target, NoiseModel.isotropic(3, 0.1)))
+        graph.add(orientation_prior_factor(1, NoiseModel.isotropic(2, 0.1)))
         start = Quadric(
-            target @ so3_exp(np.array([0.5, 0.6, -0.4])), np.zeros(3), np.full(3, 0.2)
+            so3_exp(tilt) @ so3_exp(np.array([0.0, 0.0, 0.3])), np.zeros(3), np.full(3, 0.2)
         )
         dampings, report = self.solve_recording(monkeypatch, graph, start)
         assert report.converged and report.iterations >= 2
@@ -664,8 +667,9 @@ class TestSolveReport:
         init = perturbed(gt_values, rng)
         batch = solve_batch(graph, init)
         incremental = solve_incremental(graph, init)
-        # A re-solve from a settled estimate takes no step.
-        no_step = solve_batch(graph, batch[0])
+        # A re-solve from a settled estimate takes no step. One more solve
+        # settles the heading, which only the boxes hold.
+        no_step = solve_batch(graph, solve_batch(graph, batch[0])[0])
         assert batch[1].iterations > 0 and incremental[1].iterations > 0
         assert no_step[1].iterations == 0 and no_step[1].final_cost > 1e-12
         for solved, report in (batch, incremental, no_step):
@@ -829,10 +833,7 @@ def mixed_factors(camera):
     fs.append(bbox_factor(3, 5, BoundingBox2D(100, 100, 140, 150), camera, bbox_noise))
     for j, q in list(enumerate(grid))[::4]:
         fs.append(size_prior_factor(j, np.sort(q.s) * 1.1, NoiseModel.isotropic(3, 0.05)))
-        fs.append(orientation_prior_factor(
-            j, q.rotation @ so3_exp(rng.normal(0.0, 0.1, size=3)),
-            NoiseModel.isotropic(3, 0.2),
-        ))
+        fs.append(orientation_prior_factor(j, NoiseModel.isotropic(2, 0.2)))
         fs.append(centroid_prior_factor(j, q.t + 0.05, NoiseModel.isotropic(3, 0.1)))
     return fs, values
 

@@ -5,12 +5,13 @@ import pytest
 import requests
 
 from objslam import priors
+from objslam.factors import NoiseModel
+from objslam.geometry import Quadric, so3_exp
 from objslam.priors import (
     KS,
     KT,
     KX,
     KY,
-    KZ,
     RETRIES,
     CSV_HEADER,
     PROMPT_TEMPLATE,
@@ -33,6 +34,7 @@ from objslam.priors import (
 )
 
 from conftest import ENDPOINT, random_rotation, reply
+from helpers import orientation_prior_factor
 
 WELL_FORMED = """object,length,width,height,orientation
 bottle,0.08,0.08,0.25,0
@@ -360,24 +362,38 @@ class TestOrientationRotation:
 
 class TestCovariances:
     def test_formulas(self, monkeypatch):
-        # Scales unlike each other and unlike the defaults, so a swapped or
-        # unsquared scale shows.
-        scales = {"KX": np.pi / 32, "KY": np.pi / 40, "KZ": 0.6 * np.pi, "KT": 1.0, "KS": 1.5}
+        # Scales unlike each other, so a swapped or unsquared scale shows.
+        # test_config's test_prior_config_shared checks the tilt variances.
+        scales = {"KT": 1.0, "KS": 1.5}
         for name, value in scales.items():
             monkeypatch.setattr(priors, name, value)
         s_hat = np.array([0.1, 0.2, 0.3])
-        var_theta, var_t, var_s = prior_variances(s_hat)
-        np.testing.assert_allclose(var_theta, [scales["KX"]**2, scales["KY"]**2, scales["KZ"]**2])
+        var_t, var_s = prior_variances(s_hat)
         np.testing.assert_allclose(var_t, [0.01, 0.04, 0.09])
         np.testing.assert_allclose(var_s, 1.5**2 * np.array([0.01, 0.04, 0.09]))
 
-    def test_yaw_variance_dominates(self):
-        var_theta, _, _ = prior_variances(np.full(3, 0.2))
-        assert var_theta[2] > 64.0 * var_theta[0]
+    def test_tilt_ignores_heading(self):
+        # The paper leaves the heading effectively unconstrained; the
+        # orientation prior has no yaw row at all. Its residual is the same
+        # after any turn about world z, and zero upright and upside down
+        # (R diag(1, -1, -1) is the same ellipsoid).
+        factor = orientation_prior_factor(0, NoiseModel.isotropic(2, KX))
+        rng = np.random.default_rng(71)
+        s = np.array([0.1, 0.2, 0.3])
+        turns = [so3_exp(np.array([0.0, 0.0, psi])) for psi in (0.3, np.pi / 2, 2.0, np.pi, -1.0)]
+        for _ in range(10):
+            R = random_rotation(rng)
+            r = factor.residual_at(Quadric(R, np.zeros(3), s))
+            for Rz in turns:
+                turned = factor.residual_at(Quadric(Rz @ R, np.zeros(3), s))
+                np.testing.assert_allclose(turned, r, atol=1e-12)
+        for Rz in turns:
+            for flip in (np.eye(3), np.diag([1.0, -1.0, -1.0])):
+                upright = factor.residual_at(Quadric(Rz @ flip, np.zeros(3), s))
+                assert np.abs(upright).max() < 1e-12
 
     def test_scales_lie_in_paper_ranges(self):
         assert 0.0 < KX < np.pi / 16.0 and 0.0 < KY < np.pi / 16.0
-        assert np.pi / 2.0 < KZ < np.pi
         assert 0.5 < KT < 2.0 and 0.5 < KS < 2.0
 
     def test_rejects_bad_size_target(self):
